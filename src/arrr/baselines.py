@@ -37,7 +37,7 @@ class BaselineSpec:
     def validate(self, d1=None, d2=None, n=None):
         if self.method not in METHODS:
             raise ValueError("unknown method %r" % (self.method,))
-        if self.mu < 0:
+        if not self.mu >= 0:  # NaN fails too
             raise ValueError("mu must be non-negative")
         if self.solver.tol <= 0:
             raise ValueError("tol must be positive")
@@ -80,7 +80,7 @@ def _ridge_coef(x, y, mu):
     return x.T @ np.linalg.solve(x @ x.T + mu * np.eye(n), y)
 
 
-def _rank_truncate_fit(x, coef, y_proj_target, rank):
+def _rank_truncate_fit(coef, y_proj_target, rank):
     # Project the fitted values onto their top right singular directions and
     # pull the truncation back into coefficient space.
     dec = decompose(y_proj_target)
@@ -91,7 +91,7 @@ def _rank_truncate_fit(x, coef, y_proj_target, rank):
 def _fit_rrr(x, y, rank):
     coef, *_ = np.linalg.lstsq(x, y, rcond=None)  # min-norm when rank-deficient
     fitted = x @ coef
-    return _rank_truncate_fit(x, coef, fitted, rank)
+    return _rank_truncate_fit(coef, fitted, rank)
 
 
 def _fit_reduced_rank_ridge(x, y, mu, rank):
@@ -100,7 +100,7 @@ def _fit_reduced_rank_ridge(x, y, mu, rank):
     # penalty term participates in the geometry.
     coef = _ridge_coef(x, y, mu)
     aug = np.vstack([x, np.sqrt(mu) * np.eye(x.shape[1])]) if mu > 0 else x
-    return _rank_truncate_fit(x, coef, aug @ coef, rank)
+    return _rank_truncate_fit(coef, aug @ coef, rank)
 
 
 def _fit_pcr(x, y, rank):

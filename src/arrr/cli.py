@@ -4,9 +4,11 @@ Eight subcommands. `fit`, `predict`, and `synth` are flag-driven; `sweep`,
 `compare`, `rolling`, `packing`, and `angles` take a single JSON config file
 plus an output directory.
 
-Exit codes: 0 success; 2 configuration or input-format error (nothing is
-written); 3 numerical failure (error.json lands in the output directory and
-a message goes to stderr).
+Exit codes: 0 success; 2 bad input (nothing is written); 3 numerical
+failure, non-finite input included (error.json lands in the output directory
+and a message goes to stderr). Bad input is whatever the library rejects
+with a ValueError, a JSON type check here, or an unreadable file; `main` maps
+errors to exit codes in one place.
 
 Result CSVs use 17-significant-digit floats and a fixed, documented row
 order, so re-running an experiment with the same config is byte-identical.
@@ -34,6 +36,7 @@ from ._version import __version__
 from .estimator import (
     FitConfig,
     NoGapError,
+    NonFiniteError,
     fit_adaptive_rrr,
     load_model,
     predict,
@@ -52,6 +55,7 @@ TEST_STREAM = 202
 
 NUMERICAL_ERRORS = (
     NoGapError,
+    NonFiniteError,
     packing.PackingInfeasibleError,
     packing.FillInfeasibleError,
     np.linalg.LinAlgError,
@@ -73,21 +77,49 @@ ROLLING_HEADER = (
 ANGLES_HEADER = ("config_hash", "seed", "row", "col", "angle")
 
 
-class ConfigError(Exception):
-    """Schema or input-format problem; maps to exit code 2."""
+# Type checks for JSON config values. The library code that consumes a value
+# checks its range; these only make sure it has a type that code accepts.
+_REQUIRED = object()
+NUM = (float, int)
+NULL = type(None)
+_JSON_TYPES = {float: "number", int: "integer", str: "string", list: "list",
+               dict: "object", NULL: "null"}
 
 
 def _want(cond: bool, msg: str) -> None:
     if not cond:
-        raise ConfigError(msg)
+        raise ValueError(msg)
 
 
-def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _is(v, types) -> bool:
+    return isinstance(v, types) and not isinstance(v, bool)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _get(sec: Dict[str, Any], where: str, key: str, types, default=_REQUIRED,
+         items=()) -> Any:
+    """sec[key] after a JSON type check, or `default` when the key is absent.
+
+    `types` are the accepted Python types; a bool never passes as a number.
+    A list must be non-empty and hold only values of the types `items`.
+    """
+    name = "%s.%s" % (where, key) if where else key
+    if key not in sec:
+        _want(default is not _REQUIRED, "%s is missing" % name)
+        return default
+    v = sec[key]
+    types = types if isinstance(types, tuple) else (types,)
+    items = items if isinstance(items, tuple) else (items,)
+    _want(_is(v, types) and (not isinstance(v, list)
+                             or (len(v) > 0 and all(_is(i, items) for i in v))),
+          "%s must be %s%s, got %s" % (
+              name, " or ".join(_JSON_TYPES[t] for t in types),
+              " of %s" % " or ".join(_JSON_TYPES[t] for t in items) if items else "",
+              json.dumps(v)))
+    return v
+
+
+def _listed(v) -> list:
+    return v if isinstance(v, list) else [v]
 
 
 def config_hash(cfg: Dict[str, Any]) -> str:
@@ -101,14 +133,18 @@ def derived_seed(seed: int, stream: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _apply_env_seed(cfg: Dict[str, Any]) -> Dict[str, Any]:
+def _env_seed() -> Optional[int]:
     raw = os.environ.get("ARRR_SEED")
-    if raw is None:
-        return cfg
     try:
-        s = int(raw)
+        return None if raw is None else int(raw)
     except ValueError:
-        raise ConfigError("ARRR_SEED must be an integer, got %r" % raw)
+        raise ValueError("ARRR_SEED must be an integer, got %r" % raw)
+
+
+def _apply_env_seed(cfg: Dict[str, Any]) -> Dict[str, Any]:
+    s = _env_seed()
+    if s is None:
+        return cfg
     cfg["seed"] = s
     if isinstance(cfg.get("synth"), dict):
         cfg["synth"]["seed"] = s
@@ -121,65 +157,18 @@ def _apply_env_seed(cfg: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def load_config(path: str, kind: str) -> Dict[str, Any]:
-    try:
-        with open(path) as f:
-            cfg = json.load(f)
-    except OSError as e:
-        raise ConfigError("cannot read config: %s" % e)
-    except json.JSONDecodeError as e:
-        raise ConfigError("malformed JSON config: %s" % e)
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
+    with open(path) as f:
+        cfg = json.load(f)
+    _want(isinstance(cfg, dict), "config root must be a JSON object")
     declared = cfg.get("kind")
-    if declared is not None and declared != kind:
-        raise ConfigError(
-            "config kind %r does not match subcommand %r" % (declared, kind)
-        )
+    _want(declared is None or declared == kind,
+          "config kind %r does not match subcommand %r" % (declared, kind))
     return _apply_env_seed(cfg)
 
 
 def _public_cfg(cfg: Dict[str, Any]) -> Dict[str, Any]:
     # keys starting with "_" hold resolved internal state, not user input
     return {k: v for k, v in cfg.items() if not k.startswith("_")}
-
-
-def _section(cfg: Dict[str, Any], name: str, required: bool = True) -> Dict[str, Any]:
-    sec = cfg.get(name)
-    if sec is None:
-        _want(not required, "missing %r section" % name)
-        return {}
-    _want(isinstance(sec, dict), "%r must be a JSON object" % name)
-    return sec
-
-
-def _int_list(sec: Dict[str, Any], secname: str, key: str) -> List[int]:
-    v = sec.get(key)
-    _want(
-        isinstance(v, list) and len(v) > 0 and all(_is_int(i) for i in v),
-        "%s.%s must be a non-empty list of integers" % (secname, key),
-    )
-    return [int(i) for i in v]
-
-
-def _float_grid(sec, secname, key, default) -> List[float]:
-    v = sec.get(key, default)
-    if not isinstance(v, list):
-        v = [v]
-    _want(
-        len(v) > 0 and all(_is_num(i) and i > 0 for i in v),
-        "%s.%s must be a positive number or non-empty list of them" % (secname, key),
-    )
-    return [float(i) for i in v]
-
-
-def _check_sigma(v):
-    if isinstance(v, str):
-        _want(v in ("auto", "oracle"),
-              "fit.sigma_eps must be 'auto', 'oracle', or a positive number")
-        return v
-    _want(_is_num(v) and v > 0,
-          "fit.sigma_eps must be 'auto', 'oracle', or a positive number")
-    return float(v)
 
 
 def _resolve_sigma(spec, instance):
@@ -191,72 +180,45 @@ def _resolve_sigma(spec, instance):
     if spec == "oracle":
         _want(instance is not None, "fit.sigma_eps 'oracle' needs synthetic data")
         return max(float(instance.sigma_noise), float(np.finfo(float).tiny))
-    if spec == "auto":
-        return "auto"
-    return float(spec)
+    return spec if isinstance(spec, str) else float(spec)
 
 
 def _fit_section(cfg: Dict[str, Any], default_sigma: str) -> Dict[str, Any]:
-    sec = _section(cfg, "fit", required=False)
-    delta = sec.get("delta", 1e-3)
-    theta = sec.get("theta", 2.0)
-    _want(_is_num(delta) and delta > 0, "fit.delta must be a positive number")
-    _want(_is_num(theta) and theta > 0, "fit.theta must be a positive number")
-    sigma = _check_sigma(sec.get("sigma_eps", default_sigma))
-    return {"delta": float(delta), "theta": float(theta), "sigma_eps": sigma}
+    sec = _get(cfg, "", "fit", (dict, NULL), None) or {}
+    return {"delta": float(_get(sec, "fit", "delta", NUM, 1e-3)),
+            "theta": float(_get(sec, "fit", "theta", NUM, 2.0)),
+            "sigma_eps": _get(sec, "fit", "sigma_eps", NUM + (str,), default_sigma)}
 
 
 def _synth_config(sec: Dict[str, Any], **overrides) -> synth.SynthConfig:
-    merged = dict(sec)
-    merged.update(overrides)
-    allowed = {f.name for f in dataclasses.fields(synth.SynthConfig)}
-    unknown = sorted(set(merged) - allowed)
+    merged = dict(sec, **overrides)
+    fields = dataclasses.fields(synth.SynthConfig)
+    unknown = sorted(set(merged) - {f.name for f in fields})
     _want(not unknown, "synth: unknown fields %s" % unknown)
-    for key in ("d1", "d2", "n", "rank_m"):
-        _want(_is_int(merged.get(key)), "synth.%s must be an integer" % key)
+    for f in fields:
+        _get(merged, "synth", f.name, int if f.type == "int" else NUM,
+             _REQUIRED if f.default is dataclasses.MISSING else None)
     cfg = synth.SynthConfig(**merged)
-    _want(cfg.d1 >= 2, "synth.d1 must be >= 2")
-    _want(cfg.d2 >= 1, "synth.d2 must be >= 1")
-    _want(cfg.n >= 2, "synth.n must be >= 2")
-    _want(0 <= cfg.rank_m <= min(cfg.d1, cfg.d2),
-          "synth.rank_m must lie in [0, min(d1, d2)]")
-    _want(_is_num(cfg.omega) and cfg.omega >= 2, "synth.omega must be >= 2")
-    _want(_is_num(cfg.eta) and cfg.eta >= 0, "synth.eta must be >= 0")
-    _want(_is_num(cfg.upsilon) and cfg.upsilon > 0, "synth.upsilon must be > 0")
-    _want(_is_int(cfg.seed), "synth.seed must be an integer")
+    cfg.validate()
     return cfg
 
 
-def _baseline_grid(entries) -> Dict[str, List[baselines.BaselineSpec]]:
+def _baseline_grid(cfg: Dict[str, Any]) -> Dict[str, List[baselines.BaselineSpec]]:
     """Expand [{method, mu: [...], rank: [...]}, ...] into spec lists."""
+    entries = cfg.get("baselines", [])
     _want(isinstance(entries, list), "baselines must be a list")
     out: Dict[str, List[baselines.BaselineSpec]] = {}
     for i, e in enumerate(entries):
-        _want(isinstance(e, dict), "baselines[%d] must be an object" % i)
-        method = e.get("method")
-        _want(method in baselines.METHODS,
-              "baselines[%d].method must be one of %s" % (i, list(baselines.METHODS)))
+        where = "baselines[%d]" % i
+        _want(isinstance(e, dict), "%s must be an object" % where)
+        method = _get(e, where, "method", str)
         _want(method not in out, "duplicate baseline entry for %r" % method)
-        mus = e.get("mu", 0.0)
-        ranks = e.get("rank")
-        if not isinstance(mus, list):
-            mus = [mus]
-        if not isinstance(ranks, list):
-            ranks = [ranks]
-        _want(len(mus) > 0 and all(_is_num(m) and m >= 0 for m in mus),
-              "baselines[%d].mu must be non-negative numbers" % i)
-        _want(len(ranks) > 0 and all(r is None or (_is_int(r) and r >= 1) for r in ranks),
-              "baselines[%d].rank must be positive integers" % i)
-        specs = []
-        for mu in mus:
-            for r in ranks:
-                spec = baselines.BaselineSpec(method=method, mu=float(mu), rank=r)
-                try:
-                    spec.validate()
-                except ValueError as err:
-                    raise ConfigError("baselines[%d]: %s" % (i, err))
-                specs.append(spec)
-        out[method] = specs
+        mus = _listed(_get(e, where, "mu", NUM + (list,), 0.0, items=NUM))
+        ranks = _listed(_get(e, where, "rank", (int, NULL, list), None, items=(int, NULL)))
+        out[method] = [baselines.BaselineSpec(method=method, mu=float(mu), rank=r)
+                       for mu in mus for r in ranks]
+        for spec in out[method]:
+            spec.validate()
     return out
 
 
@@ -340,8 +302,7 @@ def _run_cells(fn, cells, jobs: int) -> list:
 
 
 def _sweep_cell(args) -> Dict[str, Any]:
-    cfg, k1, k2, seed = args
-    syn = _synth_config(cfg["synth"], seed=seed)
+    cfg, k1, k2, syn = args
     inst = synth.make_instance(syn)
     fit = cfg["_fit"]
     fc = FitConfig(delta=fit["delta"], theta=fit["theta"],
@@ -349,27 +310,23 @@ def _sweep_cell(args) -> Dict[str, Any]:
                    k1_override=k1, k2_override=k2)
     model = fit_adaptive_rrr(inst.x, inst.y, fc)
     x_te, y_te, _ = synth.gen_dataset(inst.m, inst.v_star, inst.lambda_star,
-                                      syn.n, syn.eta, derived_seed(seed, TEST_STREAM))
+                                      syn.n, syn.eta, derived_seed(syn.seed, TEST_STREAM))
     rep = metrics.evaluate(model, x_te, y_te, m_true=inst.m, split_label="out")
     return {"method": "adaptive_rrr", "eta": syn.eta, "k1": model.k1,
-            "k2": model.k2, "seed": seed, "recon_error": rep.recon_error,
+            "k2": model.k2, "seed": syn.seed, "recon_error": rep.recon_error,
             "mse_out": rep.mse_out, "corr_out": rep.corr_out}
 
 
 def run_sweep(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
-    base = _synth_config(_section(cfg, "synth"))
-    grids = _section(cfg, "grids")
-    k1s = _int_list(grids, "grids", "k1")
-    k2s = _int_list(grids, "grids", "k2")
-    seeds = _int_list(grids, "grids", "seeds")
-    _want(all(1 <= k <= min(base.d1, base.n) for k in k1s),
-          "grids.k1 values must lie in [1, min(d1, n)]")
-    _want(all(0 <= k <= base.d2 for k in k2s),
-          "grids.k2 values must lie in [0, d2]")
+    sec = _get(cfg, "", "synth", dict)
+    grids = _get(cfg, "", "grids", dict)
+    k1s, k2s, seeds = (_get(grids, "grids", k, list, items=int) for k in ("k1", "k2", "seeds"))
     cfg["_fit"] = _fit_section(cfg, default_sigma="oracle")
     h = config_hash(_public_cfg(cfg))
 
-    cells = [(cfg, k1, k2, s) for s in seeds for k1 in k1s for k2 in k2s]
+    _synth_config(sec)  # the section must be valid as written, not only with the grid's seeds
+    syns = [_synth_config(sec, seed=s) for s in seeds]
+    cells = [(cfg, k1, k2, syn) for syn in syns for k1 in k1s for k2 in k2s]
     rows = [dict(r, config_hash=h) for r in _run_cells(_sweep_cell, cells, jobs)]
 
     os.makedirs(out_dir, exist_ok=True)
@@ -394,51 +351,45 @@ def _metric_row(method: str, eta: float, k1: int, k2: int, mu: float,
 
 
 def _compare_cell(args) -> List[Dict[str, Any]]:
-    cfg, eta, seed = args
-    syn = _synth_config(cfg["synth"], eta=eta, seed=seed)
+    cfg, syn = args
+    eta, seed = syn.eta, syn.seed
     inst = synth.make_instance(syn)
     draw = lambda tag: synth.gen_dataset(inst.m, inst.v_star, inst.lambda_star,
                                          syn.n, syn.eta, derived_seed(seed, tag))
     x_va, y_va, _ = draw(VALID_STREAM)
     x_te, y_te, _ = draw(TEST_STREAM)
+    scored = lambda m: metrics.merge_splits(
+        metrics.evaluate(m, inst.x, inst.y, split_label="in"),
+        metrics.evaluate(m, x_te, y_te, m_true=inst.m, split_label="out"))
 
     fit = cfg["_fit"]
     fc = FitConfig(delta=fit["delta"], theta=fit["theta"],
                    sigma_eps=_resolve_sigma(fit["sigma_eps"], inst))
     model = fit_adaptive_rrr(inst.x, inst.y, fc)
-    rep = metrics.merge_splits(
-        metrics.evaluate(model, inst.x, inst.y, split_label="in"),
-        metrics.evaluate(model, x_te, y_te, m_true=inst.m, split_label="out"),
-    )
-    rows = [_metric_row("adaptive_rrr", eta, model.k1, model.k2, -1.0, -1, seed, rep)]
+    rows = [_metric_row("adaptive_rrr", eta, model.k1, model.k2, -1.0, -1, seed,
+                        scored(model))]
 
     for method in sorted(cfg["_baselines"]):
         best = baselines.validate_hyperparams(cfg["_baselines"][method],
                                               (inst.x, inst.y), (x_va, y_va))
         bmodel = baselines.fit_baseline(best, inst.x, inst.y)
-        rep = metrics.merge_splits(
-            metrics.evaluate(bmodel, inst.x, inst.y, split_label="in"),
-            metrics.evaluate(bmodel, x_te, y_te, m_true=inst.m, split_label="out"),
-        )
         rows.append(_metric_row(method, eta, -1, -1, best.mu,
-                                -1 if best.rank is None else best.rank, seed, rep))
+                                -1 if best.rank is None else best.rank, seed, scored(bmodel)))
     return rows
 
 
 def run_compare(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
-    _synth_config(_section(cfg, "synth"))
-    grids = _section(cfg, "grids")
-    etas = grids.get("eta")
-    _want(isinstance(etas, list) and len(etas) > 0
-          and all(_is_num(e) and e >= 0 for e in etas),
-          "grids.eta must be a non-empty list of non-negative numbers")
-    etas = [float(e) for e in etas]
-    seeds = _int_list(grids, "grids", "seeds")
+    sec = _get(cfg, "", "synth", dict)
+    grids = _get(cfg, "", "grids", dict)
+    etas = _get(grids, "grids", "eta", list, items=NUM)
+    seeds = _get(grids, "grids", "seeds", list, items=int)
     cfg["_fit"] = _fit_section(cfg, default_sigma="oracle")
-    cfg["_baselines"] = _baseline_grid(cfg.get("baselines", []))
+    cfg["_baselines"] = _baseline_grid(cfg)
     h = config_hash(_public_cfg(cfg))
 
-    cells = [(cfg, eta, s) for eta in etas for s in seeds]
+    _synth_config(sec)  # the section must be valid as written, not only with the grid's values
+    cells = [(cfg, _synth_config(sec, eta=float(eta), seed=s))
+             for eta in etas for s in seeds]
     rows = []
     for chunk in _run_cells(_compare_cell, cells, jobs):
         rows.extend(dict(r, config_hash=h) for r in chunk)
@@ -450,18 +401,6 @@ def run_compare(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
 
 
 # ---------------------------------------------------------------- rolling
-
-
-def _pooled_scores(y_true: np.ndarray, y_hat: np.ndarray) -> Tuple[float, float, float]:
-    resid = y_true - y_hat
-    var = float(np.var(y_true))
-    mse = math.nan if var == 0.0 else float(np.mean(resid ** 2)) / var
-    ss_tot = float(np.sum((y_true - np.mean(y_true)) ** 2))
-    r2 = math.nan if ss_tot == 0.0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
-    corr = math.nan
-    if np.std(y_hat) > 0 and np.std(y_true) > 0:
-        corr = float(np.corrcoef(y_hat.ravel(), y_true.ravel())[0, 1])
-    return mse, r2, corr
 
 
 def _rolling_row(method, fold, split, seed, n_obs, mse, r2, corr,
@@ -476,42 +415,26 @@ def _slice(x: np.ndarray, r: range) -> np.ndarray:
 
 
 def run_rolling(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
-    panel_path = cfg.get("panel")
-    _want(isinstance(panel_path, str) and len(panel_path) > 0,
-          "rolling config: 'panel' must be a CSV path")
-    feat = _section(cfg, "features")
-    lookbacks = _int_list(feat, "features", "lookbacks")
-    _want(all(k >= 1 for k in lookbacks), "features.lookbacks must be >= 1")
-    horizon = feat.get("horizon", 1)
-    _want(_is_int(horizon) and horizon >= 1, "features.horizon must be a positive integer")
-    sp = _section(cfg, "splits")
-    for key in ("train_len", "valid_len", "test_len"):
-        _want(_is_int(sp.get(key)) and sp[key] >= 1,
-              "splits.%s must be a positive integer" % key)
-    gap_len = sp.get("gap_len", 0)
-    _want(_is_int(gap_len) and gap_len >= 0, "splits.gap_len must be >= 0")
-    fit_sec = _section(cfg, "fit", required=False)
-    deltas = _float_grid(fit_sec, "fit", "delta", 1e-3)
-    thetas = _float_grid(fit_sec, "fit", "theta", 2.0)
-    sigma = _check_sigma(fit_sec.get("sigma_eps", "auto"))
-    _want(sigma != "oracle", "fit.sigma_eps 'oracle' needs synthetic data")
-    base_grid = _baseline_grid(cfg.get("baselines", []))
-    seed = cfg.get("seed", 0)
-    _want(_is_int(seed), "'seed' must be an integer")
+    panel_path = _get(cfg, "", "panel", str)
+    feat = _get(cfg, "", "features", dict)
+    lookbacks = _get(feat, "features", "lookbacks", list, items=int)
+    horizon = _get(feat, "features", "horizon", int, 1)
+    sp = _get(cfg, "", "splits", dict)
+    lens = [_get(sp, "splits", k, int) for k in ("train_len", "valid_len", "test_len")]
+    gap_len = _get(sp, "splits", "gap_len", int, 0)
+    fit_sec = _get(cfg, "", "fit", (dict, NULL), None) or {}
+    deltas = _listed(_get(fit_sec, "fit", "delta", NUM + (list,), 1e-3, items=NUM))
+    thetas = _listed(_get(fit_sec, "fit", "theta", NUM + (list,), 2.0, items=NUM))
+    sigma = _resolve_sigma(_get(fit_sec, "fit", "sigma_eps", NUM + (str,), "auto"), None)
+    candidates = [FitConfig(delta=float(d), theta=float(t), sigma_eps=sigma)
+                  for d in deltas for t in thetas]
+    base_grid = _baseline_grid(cfg)
+    seed = _get(cfg, "", "seed", int, 0)
     h = config_hash(_public_cfg(cfg))
 
-    try:
-        panel = dataio.load_panel_csv(panel_path)
-    except OSError as e:
-        raise ConfigError("cannot read panel: %s" % e)
-    except dataio.DataFormatError as e:
-        raise ConfigError("panel format: %s" % e)
-    try:
-        x, y, dates = dataio.make_features(panel, lookbacks, horizon)
-        folds = dataio.rolling_splits(dates, sp["train_len"], sp["valid_len"],
-                                      sp["test_len"], gap_len)
-    except ValueError as e:
-        raise ConfigError(str(e))
+    panel = dataio.load_panel_csv(panel_path)
+    x, y, dates = dataio.make_features(panel, lookbacks, horizon)
+    folds = dataio.rolling_splits(dates, *lens, gap_len)
 
     rows: List[Dict[str, Any]] = []
     glued: Dict[str, List[Tuple[np.ndarray, np.ndarray]]] = {}
@@ -522,17 +445,14 @@ def run_rolling(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
 
         # adaptive estimator: pick (delta, theta) on the validation window
         best = None
-        for delta in deltas:
-            for theta in thetas:
-                try:
-                    model = fit_adaptive_rrr(
-                        x_tr, y_tr,
-                        FitConfig(delta=delta, theta=theta, sigma_eps=sigma))
-                except NoGapError:
-                    continue
-                score = metrics.evaluate(model, x_va, y_va, split_label="out").mse_out
-                if not math.isnan(score) and (best is None or score < best[0]):
-                    best = (score, model)
+        for fc in candidates:
+            try:
+                model = fit_adaptive_rrr(x_tr, y_tr, fc)
+            except NoGapError:
+                continue
+            score = metrics.evaluate(model, x_va, y_va, split_label="out").mse_out
+            if not math.isnan(score) and (best is None or score < best[0]):
+                best = (score, model)
         if best is None:
             raise NoGapError(
                 "no (delta, theta) candidate produced a usable fit on fold %d" % fi)
@@ -566,7 +486,7 @@ def run_rolling(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
     for method in sorted(glued):
         yt = np.vstack([p[0] for p in glued[method]])
         yh = np.vstack([p[1] for p in glued[method]])
-        mse, r2, corr = _pooled_scores(yt, yh)
+        mse, r2, corr = metrics.pooled_scores(yt, yh)
         rows.append(_rolling_row(method, -1, "glued", seed, yt.shape[0], mse, r2, corr))
 
     rows = [dict(r, config_hash=h) for r in rows]
@@ -580,47 +500,26 @@ def run_rolling(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
 
 
 def run_packing(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
-    sec = _section(cfg, "packing")
-    for key, mn in (("d", 2), ("n_samples", 1), ("k_patterns", 1),
-                    ("s_size", 2), ("seed", 0)):
-        _want(_is_int(sec.get(key)) and sec[key] >= mn,
-              "packing.%s must be an integer >= %d" % (key, mn))
-    rho = sec.get("rho")
-    _want(_is_num(rho) and 0 < rho < 1, "packing.rho must lie in (0, 1)")
-    sigma_eps = sec.get("sigma_eps", 1.0)
-    _want(_is_num(sigma_eps) and sigma_eps > 0, "packing.sigma_eps must be > 0")
-    spectrum = sec.get("spectrum")
-    if spectrum is not None:
-        _want(isinstance(spectrum, list) and len(spectrum) == sec["d"]
-              and all(_is_num(v) and v > 0 for v in spectrum),
-              "packing.spectrum must be a list of %d positive numbers" % sec["d"])
-        spectrum = np.asarray(spectrum, dtype=float)
-    exponents = {}
-    for key in ("lambda_exp", "zeta", "eta_exp", "xi_small"):
-        if key in sec:
-            _want(_is_num(sec[key]) and sec[key] > 0, "packing.%s must be > 0" % key)
-            exponents[key] = float(sec[key])
-    distance_floor = sec.get("distance_floor", 1.5)
-    _want(_is_num(distance_floor) and distance_floor > 0,
-          "packing.distance_floor must be > 0")
-    overlap_max = sec.get("overlap_max")
-    _want(overlap_max is None or (_is_int(overlap_max) and overlap_max >= 0),
-          "packing.overlap_max must be a non-negative integer")
+    sec = _get(cfg, "", "packing", dict)
+    ints = {k: _get(sec, "packing", k, int)
+            for k in ("d", "n_samples", "k_patterns", "s_size", "seed")}
+    # the library allows one-member families; an experiment compares pairs
+    _want(ints["s_size"] >= 2, "packing.s_size must be >= 2")
+    spectrum = _get(sec, "packing", "spectrum", (list, NULL), None, items=NUM)
+    exponents = {k: float(_get(sec, "packing", k, NUM))
+                 for k in ("lambda_exp", "zeta", "eta_exp", "xi_small") if k in sec}
+    rho = float(_get(sec, "packing", "rho", NUM))
+    sigma_eps = float(_get(sec, "packing", "sigma_eps", NUM, 1.0))
+    distance_floor = float(_get(sec, "packing", "distance_floor", NUM, 1.5))
+    overlap_max = _get(sec, "packing", "overlap_max", (int, NULL), None)
     h = config_hash(_public_cfg(cfg))
 
-    try:
-        params = packing.default_params(
-            d=sec["d"], rho=float(rho), sigma_eps=float(sigma_eps),
-            n_samples=sec["n_samples"], k_patterns=sec["k_patterns"],
-            s_size=sec["s_size"], seed=sec["seed"], spectrum=spectrum,
-            **exponents)
-        params.validate()
-    except ValueError as e:
-        raise ConfigError("packing: %s" % e)
-
+    params = packing.default_params(
+        rho=rho, sigma_eps=sigma_eps,
+        spectrum=None if spectrum is None else np.asarray(spectrum, dtype=float),
+        **ints, **exponents)
     family = packing.build_family(params)
-    report = packing.verify_packing(family, params,
-                                    distance_floor=float(distance_floor),
+    report = packing.verify_packing(family, params, distance_floor=distance_floor,
                                     overlap_max=overlap_max)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -642,22 +541,17 @@ def run_packing(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
 
 
 def run_angles(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
-    syn = _section(cfg, "synth")
-    d1 = syn.get("d1")
-    _want(_is_int(d1) and d1 >= 2, "synth.d1 must be an integer >= 2")
-    omega = syn.get("omega", 2.0)
-    _want(_is_num(omega) and omega >= 2, "synth.omega must be >= 2")
-    seed = syn.get("seed", 0)
-    _want(_is_int(seed), "synth.seed must be an integer")
-    n = cfg.get("n")
-    _want(_is_int(n) and n >= 2, "'n' must be an integer >= 2")
-    top_k = cfg.get("top_k", min(n, d1))
-    _want(_is_int(top_k) and 1 <= top_k <= min(n, d1),
-          "'top_k' must lie in [1, min(n, d1)]")
+    syn = _get(cfg, "", "synth", dict)
+    d1 = _get(syn, "synth", "d1", int)
+    omega = float(_get(syn, "synth", "omega", NUM, 2.0))
+    seed = _get(syn, "synth", "seed", int, 0)
+    n = _get(cfg, "", "n", int)
+    top_k = _get(cfg, "", "top_k", int, min(n, d1))
+    _want(1 <= top_k <= min(n, d1), "'top_k' must lie in [1, min(n, d1)]")
     h = config_hash(_public_cfg(cfg))
 
     s_cov, s_design = np.random.SeedSequence(seed).generate_state(2)
-    v_star, lam = synth.gen_covariance(d1, float(omega), int(s_cov))
+    v_star, lam = synth.gen_covariance(d1, omega, int(s_cov))
     x = synth.gen_design(v_star, lam, n, int(s_design))
     emp = decompose(x).v  # empirical covariance eigenvectors, descending
     a = angle_matrix(emp[:, :top_k], v_star[:, :top_k])
@@ -673,31 +567,11 @@ def run_angles(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
 # ---------------------------------------------------------------- fit/predict/synth
 
 
-def _read_matrix(path: str) -> np.ndarray:
-    try:
-        return read_matrix_csv(path)
-    except OSError as e:
-        raise ConfigError("cannot read %s: %s" % (path, e))
-    except ValueError as e:
-        raise ConfigError("bad matrix file %s: %s" % (path, e))
-
-
 def cmd_fit(args) -> int:
-    sigma = args.sigma
-    if sigma != "auto":
-        try:
-            sigma = float(sigma)
-        except ValueError:
-            raise ConfigError("--sigma must be 'auto' or a number")
+    sigma = args.sigma if args.sigma == "auto" else float(args.sigma)
     fc = FitConfig(delta=args.delta, theta=args.theta, sigma_eps=sigma,
                    k1_override=args.k1, k2_override=args.k2)
-    try:
-        fc.validate()
-    except ValueError as e:
-        raise ConfigError(str(e))
-    x = _read_matrix(args.x)
-    y = _read_matrix(args.y)
-    model = fit_adaptive_rrr(x, y, fc)
+    model = fit_adaptive_rrr(read_matrix_csv(args.x), read_matrix_csv(args.y), fc)
     save_model(model, args.out)
     print("fit: k1=%d k2=%d sigma_eps=%s -> %s"
           % (model.k1, model.k2, fmt_float(model.sigma_eps_used), args.out))
@@ -705,29 +579,17 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    try:
-        model = load_model(args.model)
-    except (OSError, KeyError, ValueError) as e:
-        raise ConfigError("cannot load model from %s: %s" % (args.model, e))
-    x = _read_matrix(args.x)
-    y_hat = predict(model, x)
+    y_hat = predict(load_model(args.model), read_matrix_csv(args.x))
     write_matrix_csv(args.out, y_hat)
     print("predict: wrote %d rows to %s" % (y_hat.shape[0], args.out))
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
-    seed = args.seed
-    raw = os.environ.get("ARRR_SEED")
-    if raw is not None:
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise ConfigError("ARRR_SEED must be an integer, got %r" % raw)
-    sec = {"d1": args.d1, "d2": args.d2, "n": args.n, "rank_m": args.rank,
-           "omega": args.omega, "eta": args.eta, "upsilon": args.upsilon,
-           "seed": seed}
-    scfg = _synth_config(sec)
+    seed = _env_seed()
+    scfg = synth.SynthConfig(d1=args.d1, d2=args.d2, n=args.n, rank_m=args.rank,
+                             omega=args.omega, eta=args.eta, upsilon=args.upsilon,
+                             seed=args.seed if seed is None else seed)
     inst = synth.make_instance(scfg)
     os.makedirs(args.out, exist_ok=True)
     write_matrix_csv(os.path.join(args.out, "x.csv"), inst.x)
@@ -803,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
         e.add_argument("--config", required=True, help="JSON experiment config")
         e.add_argument("--out", required=True, help="output directory")
         e.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for grid cells (default 1)")
+                       help="worker processes for grid cells, >= 1 (default 1)")
     return p
 
 
@@ -819,13 +681,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_predict(args)
         if args.command == "synth":
             return cmd_synth(args)
+        _want(args.jobs >= 1, "--jobs must be >= 1")
         cfg = load_config(args.config, args.command)
         return EXPERIMENTS[args.command](cfg, args.out, args.jobs)
-    except ConfigError as e:
-        print("config error: %s" % e, file=sys.stderr)
-        return EXIT_CONFIG
+    # numerical errors first: NoGapError, NonFiniteError and LinAlgError are
+    # ValueErrors too
     except NUMERICAL_ERRORS as e:
         return _numerical_failure(err_dir, e)
+    except (ValueError, OSError) as e:
+        # bad user input: a library range check, a type check here, or an
+        # unreadable or malformed file
+        print("error: %s" % e, file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._serde import read_matrix_csv, write_matrix_csv
 from ._version import __version__
-from .spectral import decompose, select_gap_rank, select_threshold_rank, truncate_rank
+from .spectral import decompose, select_gap_rank, select_threshold_rank
 
 
 class NoGapError(ValueError):
@@ -26,6 +26,11 @@ class NoGapError(ValueError):
     Lower delta or pass an explicit k1 override; silently keeping full rank
     would reintroduce the ill-posed regime this estimator exists to avoid.
     """
+
+
+class NonFiniteError(ValueError):
+    """An input matrix holds NaN or infinity: a numerical failure, which the
+    estimator reports before any factorization runs."""
 
 
 @dataclass(frozen=True)
@@ -38,20 +43,21 @@ class FitConfig:
     upsilon_check: Optional[float] = None
 
     def validate(self) -> None:
-        if self.delta <= 0:
+        # written as "not > 0" so that NaN fails too
+        if not self.delta > 0:
             raise ValueError("delta must be positive")
-        if self.theta <= 0:
+        if not self.theta > 0:
             raise ValueError("theta must be positive")
         if isinstance(self.sigma_eps, str):
             if self.sigma_eps != "auto":
                 raise ValueError("sigma_eps must be a positive number or 'auto'")
-        elif self.sigma_eps <= 0:
+        elif not self.sigma_eps > 0:
             raise ValueError("sigma_eps must be a positive number or 'auto'")
         for name in ("k1_override", "k2_override"):
             v = getattr(self, name)
             if v is not None and v < 0:
                 raise ValueError("%s must be non-negative" % name)
-        if self.upsilon_check is not None and self.upsilon_check <= 0:
+        if self.upsilon_check is not None and not self.upsilon_check > 0:
             raise ValueError("upsilon_check must be positive")
 
 
@@ -138,7 +144,7 @@ def step2_pca_denoise(
     n = z_hat.shape[0]
     d2 = y.shape[1]
     n_hat = y.T @ z_hat / n
-    sigmas = decompose(n_hat).s
+    dec = decompose(n_hat)
     threshold = theta * sigma_eps * np.sqrt(d2 / n)
 
     if k2_override is not None:
@@ -146,8 +152,8 @@ def step2_pca_denoise(
         if not (0 <= k2 <= min(n_hat.shape)):
             raise ValueError("k2 override %d outside [0, %d]" % (k2, min(n_hat.shape)))
     else:
-        k2 = select_threshold_rank(sigmas, threshold)
-    return truncate_rank(n_hat, k2), k2, sigmas, float(threshold)
+        k2 = select_threshold_rank(dec.s, threshold)
+    return dec.truncated(k2), k2, dec.s, float(threshold)
 
 
 def estimate_noise_sigma(x: np.ndarray, y: np.ndarray) -> float:
@@ -182,7 +188,8 @@ def fit_adaptive_rrr(x: np.ndarray, y: np.ndarray, config: FitConfig) -> FittedM
 
     With config.sigma_eps == "auto" the noise scale is estimated by
     estimate_noise_sigma first. Raises NoGapError when stage 1 finds no
-    admissible gap and no override was given.
+    admissible gap and no override was given, and NonFiniteError when x or y
+    holds NaN or infinity.
     """
     config.validate()
     x = np.asarray(x, dtype=float)
@@ -193,6 +200,8 @@ def fit_adaptive_rrr(x: np.ndarray, y: np.ndarray, config: FitConfig) -> FittedM
         raise ValueError(
             "row count mismatch: x has %d, y has %d" % (x.shape[0], y.shape[0])
         )
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonFiniteError("x and y must hold only finite values")
 
     if config.sigma_eps == "auto":
         sigma_eps = estimate_noise_sigma(x, y)
@@ -239,6 +248,8 @@ def predict(model: FittedModel, x_new: np.ndarray) -> np.ndarray:
         raise ValueError(
             "x_new must have %d columns" % model.m_hat.shape[1]
         )
+    if not np.isfinite(x_new).all():
+        raise NonFiniteError("x_new must hold only finite values")
     return x_new @ model.m_hat.T
 
 
@@ -270,6 +281,8 @@ def load_model(dirpath: str) -> FittedModel:
     (eigenvalues, raw singular values) come back empty."""
     with open(os.path.join(dirpath, "meta.json")) as f:
         meta = json.load(f)
+    if not isinstance(meta, dict) or not {"k1", "k2", "delta", "theta", "sigma_eps", "n"} <= set(meta):
+        raise ValueError("%s/meta.json is not a model description" % dirpath)
     m_hat = read_matrix_csv(os.path.join(dirpath, "m_hat.csv"))
     pi_hat = read_matrix_csv(os.path.join(dirpath, "pi_hat.csv"))
     n_hat = read_matrix_csv(os.path.join(dirpath, "n_hat.csv"))

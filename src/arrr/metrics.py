@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +42,23 @@ def recovered_rank_of(m_hat: np.ndarray) -> int:
     return int(np.count_nonzero(s > 1e-8 * s[0]))
 
 
+def pooled_scores(y: np.ndarray, y_hat: np.ndarray) -> Tuple[float, float, float]:
+    """(variance-normalized MSE, R^2, correlation) over all entries pooled.
+
+    Each is NaN where it is undefined: MSE for a constant response, R^2 for
+    zero total variation, the correlation for a constant y or y_hat.
+    """
+    resid = y - y_hat
+    var_y = float(np.var(y))
+    mse = math.nan if var_y == 0.0 else float(np.mean(resid ** 2)) / var_y
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = math.nan if ss_tot == 0.0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
+    corr = math.nan
+    if np.std(y_hat) > 0 and np.std(y) > 0:
+        corr = float(np.corrcoef(y_hat.ravel(), y.ravel())[0, 1])
+    return mse, r2, corr
+
+
 def evaluate(
     model,
     x: np.ndarray,
@@ -62,22 +79,7 @@ def evaluate(
     m_hat = _coef_matrix(model)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    y_hat = x @ m_hat.T
-    resid = y - y_hat
-
-    var_y = float(np.var(y))
-    degenerate = var_y == 0.0
-    mse = math.nan if degenerate else float(np.mean(resid ** 2)) / var_y
-    ss_res = float(np.sum(resid ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = math.nan if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-
-    corr = math.nan
-    if split_label == "out":
-        yh = y_hat.ravel()
-        yv = y.ravel()
-        if np.std(yh) > 0 and np.std(yv) > 0:
-            corr = float(np.corrcoef(yh, yv)[0, 1])
+    mse, r2, corr = pooled_scores(y, x @ m_hat.T)
 
     recon = None
     if m_true is not None:
@@ -86,7 +88,7 @@ def evaluate(
     kwargs = dict(
         recon_error=recon,
         recovered_rank=float(recovered_rank_of(m_hat)),
-        degenerate=degenerate,
+        degenerate=math.isnan(mse),
     )
     if split_label == "in":
         kwargs.update(mse_in=mse, r2_in=r2)

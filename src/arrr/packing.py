@@ -59,23 +59,29 @@ class PackingParams:
     def n_contested(self) -> int:
         return self.t_hi - self.t_lo + 1
 
-    def validate(self) -> None:
-        if self.d < 2 or self.rho <= 0 or self.rho >= 1:
+    def _validate_scalars(self) -> None:
+        # comparisons are written so that NaN fails them
+        if self.d < 2 or not 0 < self.rho < 1:
             raise ValueError("need d >= 2 and rho in (0, 1)")
+        if not self.sigma_eps > 0 or self.n_samples < 1:
+            raise ValueError("sigma_eps must be positive, n_samples >= 1")
+        if self.k_patterns < 1 or self.s_size < 1:
+            raise ValueError("k_patterns and s_size must be >= 1")
+        if not all(e > 0 for e in (self.lambda_exp, self.zeta, self.eta_exp, self.xi_small)):
+            raise ValueError("lambda_exp, zeta, eta_exp and xi_small must be positive")
+
+    def validate(self) -> None:
+        self._validate_scalars()
         if len(self.spectrum) != self.d:
             raise ValueError("spectrum must have length d")
-        if np.any(np.diff(self.spectrum) > 1e-12) or np.any(np.asarray(self.spectrum) < 0):
-            raise ValueError("spectrum must be non-increasing and non-negative")
+        if np.any(np.diff(self.spectrum) > 1e-12) or not np.all(np.asarray(self.spectrum) > 0):
+            raise ValueError("spectrum must be non-increasing and positive")
         if self.subset_size < 2:
             raise ValueError("support size floor(rho^lambda * d) must be >= 2")
         if not (1 <= self.t_lo <= self.t_hi <= self.d):
             raise ValueError("need 1 <= t_lo <= t_hi <= d")
         if self.t_hi != int(self.rho ** self.lambda_exp * self.d / 2):
             raise ValueError("t_hi must equal floor(rho^lambda * d / 2)")
-        if self.sigma_eps <= 0 or self.n_samples < 1:
-            raise ValueError("sigma_eps must be positive, n_samples >= 1")
-        if self.k_patterns < 1 or self.s_size < 1:
-            raise ValueError("k_patterns and s_size must be >= 1")
 
 
 def noise_floor(params: PackingParams) -> float:
@@ -105,6 +111,7 @@ def default_params(
         n_samples=n_samples, t_lo=1, t_hi=1, k_patterns=k_patterns,
         s_size=s_size, seed=seed, **exponents,
     )
+    probe._validate_scalars()
     floor_val = noise_floor(probe)
     if spectrum is None:
         spectrum = np.full(d, floor_val)
@@ -395,6 +402,10 @@ def verify_packing(
     """
     if not family.unitaries:
         raise ValueError("empty family")
+    if not distance_floor > 0:
+        raise ValueError("distance_floor must be positive")
+    if overlap_max is not None and overlap_max < 0:
+        raise ValueError("overlap_max must be >= 0")
     params.validate()
     d = params.d
     lo, hi = params.t_lo - 1, params.t_hi  # python slice bounds for the block

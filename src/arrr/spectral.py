@@ -32,6 +32,10 @@ class SpectralDecomposition:
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.s) @ self.v.T
 
+    def truncated(self, r: int) -> np.ndarray:
+        """P_r of the decomposed matrix, from its top r singular triplets."""
+        return (self.u[:, :r] * self.s[:r]) @ self.v[:, :r].T
+
     def orthonormality_residual(self) -> float:
         ru = np.max(np.abs(self.u.T @ self.u - np.eye(self.u.shape[1])))
         rv = np.max(np.abs(self.v.T @ self.v - np.eye(self.v.shape[1])))
@@ -87,8 +91,7 @@ def truncate_rank(a: np.ndarray, r: int) -> np.ndarray:
         raise ValueError("rank %r outside [0, %d]" % (r, min(a.shape)))
     if r == 0:
         return np.zeros_like(a)
-    dec = decompose(a)
-    return (dec.u[:, :r] * dec.s[:r]) @ dec.v[:, :r].T
+    return decompose(a).truncated(r)
 
 
 def select_gap_rank(lambdas: np.ndarray, delta: float) -> Optional[int]:

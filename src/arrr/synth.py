@@ -22,6 +22,19 @@ class SynthConfig:
     upsilon: float = 5.0
     seed: int = 0
 
+    def validate(self) -> None:
+        # comparisons are written so that NaN fails them
+        if self.d1 < 2 or self.d2 < 1 or self.n < 2:
+            raise ValueError("need d1 >= 2, d2 >= 1 and n >= 2")
+        if not 1 <= self.rank_m <= min(self.d1, self.d2):
+            raise ValueError("rank_m must lie in [1, min(d1, d2)]")
+        if not self.omega >= 2:
+            raise ValueError("omega must be >= 2")
+        if not self.eta >= 0:
+            raise ValueError("eta must be >= 0")
+        if not self.upsilon > 0:
+            raise ValueError("upsilon must be positive")
+
 
 @dataclass(frozen=True)
 class SyntheticInstance:
@@ -45,7 +58,7 @@ def gen_covariance(d1: int, omega: float, seed: int) -> Tuple[np.ndarray, np.nda
     """
     if d1 < 2:
         raise ValueError("d1 must be >= 2")
-    if omega < 2:
+    if not omega >= 2:
         raise ValueError("omega must be >= 2")
     idx = np.arange(1, d1 + 1, dtype=float)
     lam = idx ** (-float(omega))
@@ -73,8 +86,13 @@ def gen_coefficients(d2: int, d1: int, rank_m: int, upsilon: float, seed: int) -
     return m
 
 
-def gen_design(v_star: np.ndarray, lambda_star: np.ndarray, n: int, seed: int) -> np.ndarray:
-    """n rows of x = V* diag(lambda*)^(1/2) g with g standard Gaussian."""
+def gen_design(v_star: np.ndarray, lambda_star: np.ndarray, n: int, seed) -> np.ndarray:
+    """n rows of x = V* diag(lambda*)^(1/2) g with g standard Gaussian.
+
+    `seed` may also be a Generator, which is drawn from in place.
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, len(lambda_star)))
     return (g * np.sqrt(lambda_star)) @ v_star.T
@@ -95,8 +113,7 @@ def gen_dataset(
     draw at every eta; only the scale changes.
     """
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, len(lambda_star)))
-    x = (g * np.sqrt(lambda_star)) @ v_star.T
+    x = gen_design(v_star, lambda_star, n, rng)
     signal = x @ m.T
     sigma_noise = float(eta) * float(np.std(signal))
     e_raw = rng.standard_normal(signal.shape)
@@ -118,6 +135,7 @@ def make_instance(config: SynthConfig) -> SyntheticInstance:
     Child seeds for the covariance, the coefficients, and the dataset are
     derived through a SeedSequence so the three draws are independent streams.
     """
+    config.validate()
     s_cov, s_coef, s_data = np.random.SeedSequence(config.seed).generate_state(3)
     v_star, lambda_star = gen_covariance(config.d1, config.omega, int(s_cov))
     m = gen_coefficients(config.d2, config.d1, config.rank_m, config.upsilon, int(s_coef))

@@ -255,6 +255,10 @@ class TestSpecValidation:
             fit_baseline(BaselineSpec("ridge", mu=1.0),
                          np.zeros((5, 2)), np.zeros((4, 2)))
 
+    def test_nan_mu_rejected(self):
+        with pytest.raises(ValueError):
+            BaselineSpec("ridge", mu=float("nan")).validate()
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):

@@ -1,10 +1,15 @@
+import contextlib
 import csv
 import filecmp
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrr._serde import read_matrix_csv, write_matrix_csv
 from arrr.cli import main
@@ -85,6 +90,16 @@ class TestFitPredictSynth:
                      "--x", str(x), "--out", str(out)]) == 2
         assert not out.exists()
         assert not (tmp_path / "error.json").exists()
+
+    def test_predict_incomplete_model_is_config_error(self, tmp_path):
+        x = tmp_path / "x.csv"
+        write_matrix_csv(str(x), np.eye(3))
+        (tmp_path / "model").mkdir()
+        (tmp_path / "model" / "meta.json").write_text('{"k1": 1}')
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(tmp_path / "model"),
+                     "--x", str(x), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestSweep:
@@ -302,3 +317,146 @@ class TestAngles:
         assert len(rows) == 25
         for r in rows:
             assert 0.0 <= float(r["angle"]) <= np.pi / 2 + 1e-12
+
+
+def _matrix_files(tmp_path):
+    """x (30x10), y (30x4), y with one row short, x with one column short,
+    x with a NaN, and a model fitted on x/y."""
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(30, 10)), rng.normal(size=(30, 4))
+    files = {"x": x, "y": y, "y29": y[:29], "x9": x[:, :9], "xnan": x.copy()}
+    files["xnan"][3, 2] = np.nan
+    paths = {}
+    for name, a in files.items():
+        paths[name] = str(tmp_path / (name + ".csv"))
+        write_matrix_csv(paths[name], a)
+    paths["model"] = str(tmp_path / "model")
+    assert main(["fit", "--x", paths["x"], "--y", paths["y"], "--sigma", "1",
+                 "--out", paths["model"]]) == 0
+    return paths
+
+
+_SMALL_SYNTH = {"d1": 20, "d2": 8, "n": 25, "rank_m": 3, "eta": 0.5, "seed": 0}
+
+# Bad input that only the library's own range checks catch: (argv with {name}
+# placeholders, config written to cfg.json or None).
+PROBES = {
+    "fit_k1_above_d1": (["fit", "--x", "{x}", "--y", "{y}", "--k1", "50"], None),
+    "fit_row_mismatch": (["fit", "--x", "{x}", "--y", "{y29}"], None),
+    "fit_k2_above_k1": (["fit", "--x", "{x}", "--y", "{y}", "--k2", "99"], None),
+    "predict_wrong_columns": (["predict", "--model", "{model}", "--x", "{x9}"], None),
+    "sweep_rank_zero": (["sweep"], {"synth": dict(_SMALL_SYNTH, rank_m=0),
+                                    "grids": {"k1": [5], "k2": [2], "seeds": [0]}}),
+    "synth_rank_zero": (["synth", "--d1", "5", "--d2", "3", "--n", "10",
+                         "--rank", "0"], None),
+    "sweep_k2_above_k1": (["sweep"], {"synth": _SMALL_SYNTH,
+                                      "grids": {"k1": [3], "k2": [5], "seeds": [0]}}),
+    "compare_rrr_rank_too_big": (["compare"], {
+        "synth": _SMALL_SYNTH, "grids": {"eta": [0.5], "seeds": [0]},
+        "fit": {"delta": 1e-6}, "baselines": [{"method": "rrr", "rank": [30]}]}),
+}
+
+
+class TestBadInputExitsTwo:
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_probe(self, probe, tmp_path, capsys):
+        argv, cfg = PROBES[probe]
+        paths = _matrix_files(tmp_path)
+        argv = [a.format(**paths) for a in argv]
+        if cfg is not None:
+            argv += ["--config", _write_json(tmp_path, "cfg.json", cfg)]
+        out = tmp_path / ("out.csv" if argv[0] == "predict" else "out")
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert not (tmp_path / "error.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one(self, jobs, tmp_path):
+        cfg = _write_json(tmp_path, "cfg.json", _sweep_cfg())
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 2
+        assert not out.exists()
+
+
+class TestNonFiniteInput:
+    def test_fit_nan_exits_three(self, tmp_path):
+        paths = _matrix_files(tmp_path)
+        out = tmp_path / "out"
+        assert main(["fit", "--x", paths["xnan"], "--y", paths["y"],
+                     "--out", str(out)]) == 3
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "NonFiniteError"
+        assert not (out / "meta.json").exists()
+
+    def test_predict_nan_exits_three(self, tmp_path):
+        paths = _matrix_files(tmp_path)
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", paths["model"], "--x", paths["xnan"],
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+        err = json.loads((tmp_path / "error.json").read_text())
+        assert err["error"] == "NonFiniteError"
+
+
+# Tiny valid configs for the fuzzed-config property: each runs in well under
+# a second, and the baselines are the direct solvers only.
+_FUZZ_BASES = {
+    "sweep": {"synth": {"d1": 6, "d2": 4, "n": 8, "rank_m": 2, "eta": 0.5, "seed": 0},
+              "grids": {"k1": [3], "k2": [1], "seeds": [0]},
+              "fit": {"delta": 1e-3, "theta": 2.0, "sigma_eps": "oracle"}},
+    "compare": {"synth": {"d1": 6, "d2": 4, "n": 8, "rank_m": 2, "omega": 2.0},
+                "grids": {"eta": [0.5], "seeds": [0]},
+                "fit": {"delta": 1e-6, "sigma_eps": "auto"},
+                "baselines": [{"method": "ridge", "mu": [0.1, 1.0]},
+                              {"method": "pcr", "rank": [2]}]},
+    "packing": {"packing": {"d": 32, "rho": 0.06, "sigma_eps": 1.0, "n_samples": 100,
+                            "k_patterns": 8, "s_size": 4, "seed": 0,
+                            "distance_floor": 1.5, "overlap_max": 4}},
+    "angles": {"synth": {"d1": 8, "omega": 2.0, "seed": 1}, "n": 10, "top_k": 3},
+}
+_DELETE = object()
+_FUZZ_VALUES = [_DELETE, None, True, "x", [], {}, [1], ["a"], -1, 0, 1, 2, 7,
+                0.5, -0.5, 0.0, float("nan")]
+
+
+def _paths(node, prefix=()):
+    """Every key path into a config: dict keys and list positions."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for k, v in items:
+        yield prefix + (k,)
+        if isinstance(v, (dict, list)):
+            yield from _paths(v, prefix + (k,))
+
+
+_FUZZ_PATHS = [(kind, p) for kind in sorted(_FUZZ_BASES) for p in _paths(_FUZZ_BASES[kind])]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(target=st.sampled_from(_FUZZ_PATHS), value=st.sampled_from(_FUZZ_VALUES))
+def test_fuzzed_config_exits_cleanly(target, value):
+    kind, path = target
+    cfg = json.loads(json.dumps(_FUZZ_BASES[kind]))
+    node = cfg
+    for k in path[:-1]:
+        node = node[k]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "cfg.json")
+        with open(cfg_path, "w") as f:
+            json.dump(cfg, f)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([kind, "--config", cfg_path, "--out", out])
+        assert rc in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if rc == 2:
+            assert not os.path.exists(out)
+        if rc == 3:
+            assert os.path.exists(os.path.join(out, "error.json"))

@@ -7,6 +7,7 @@ import pytest
 from arrr.estimator import (
     FitConfig,
     NoGapError,
+    NonFiniteError,
     estimate_noise_sigma,
     fit_adaptive_rrr,
     load_model,
@@ -15,7 +16,7 @@ from arrr.estimator import (
     step1_pca_x,
     step2_pca_denoise,
 )
-from arrr.spectral import select_gap_rank
+from arrr.spectral import select_gap_rank, truncate_rank
 from arrr.synth import SynthConfig, gen_covariance, gen_design, make_instance
 
 
@@ -267,6 +268,14 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(model, np.zeros((3, 7)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        _, model = self._model()
+        x = np.zeros((3, 10))
+        x[1, 4] = bad
+        with pytest.raises(NonFiniteError):
+            predict(model, x)
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
@@ -309,3 +318,29 @@ class TestRankAdaptivity:
                 k2s.append(model.k2)
             means.append(np.mean(k2s))
         assert means[0] >= means[1] >= means[2]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("which", ["x", "y"])
+    def test_fit_rejects_non_finite(self, which):
+        inst = make_instance(SynthConfig(d1=8, d2=4, n=20, rank_m=2, eta=0.5, seed=1))
+        x, y = inst.x.copy(), inst.y.copy()
+        (x if which == "x" else y)[2, 1] = np.nan
+        with pytest.raises(NonFiniteError):
+            fit_adaptive_rrr(x, y, FitConfig(sigma_eps=1.0))
+
+    @pytest.mark.parametrize("change", [
+        {"delta": float("nan")}, {"theta": float("nan")}, {"theta": 0.0},
+        {"sigma_eps": float("nan")}, {"sigma_eps": "oracle"},
+    ])
+    def test_config_rejects_nan_and_bad_values(self, change):
+        with pytest.raises(ValueError):
+            FitConfig(**change).validate()
+
+    def test_stage2_truncation_equals_truncate_rank(self):
+        inst = make_instance(SynthConfig(d1=30, d2=12, n=25, rank_m=4, eta=0.5, seed=2))
+        z, _, _ = step1_pca_x(inst.x, delta=1e-3, k1_override=20)
+        n_hat = inst.y.T @ z / z.shape[0]
+        for k2 in (0, 3, 12):
+            trunc, _, _, _ = step2_pca_denoise(z, inst.y, 2.0, 1.0, k2_override=k2)
+            np.testing.assert_array_equal(trunc, truncate_rank(n_hat, k2))

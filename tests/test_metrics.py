@@ -8,6 +8,7 @@ from arrr.metrics import (
     aggregate,
     evaluate,
     merge_splits,
+    pooled_scores,
     recovered_rank_of,
 )
 from arrr.synth import SynthConfig, make_instance
@@ -156,3 +157,17 @@ class TestAggregate:
             aggregate([], "mean")
         with pytest.raises(ValueError):
             aggregate([MetricsReport()], "median")
+
+
+class TestPooledScores:
+    def test_matches_evaluate_out_split(self):
+        rng = np.random.default_rng(8)
+        x, y = rng.normal(size=(30, 5)), rng.normal(size=(30, 3))
+        m = rng.normal(size=(3, 5))
+        rep = evaluate(m, x, y, split_label="out")
+        assert pooled_scores(y, x @ m.T) == (rep.mse_out, rep.r2_out, rep.corr_out)
+
+    def test_undefined_scores_are_nan(self):
+        y = np.full((6, 2), 1.5)
+        mse, r2, corr = pooled_scores(y, np.zeros((6, 2)))
+        assert math.isnan(mse) and math.isnan(r2) and math.isnan(corr)

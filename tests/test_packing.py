@@ -76,6 +76,31 @@ class TestParams:
             # support size floor(rho^lambda * d) collapses below 2
             dataclasses.replace(good, rho=1e-9).validate()
 
+    @pytest.mark.parametrize("change", [
+        {"lambda_exp": 0.0}, {"zeta": -1.0}, {"eta_exp": float("nan")},
+        {"xi_small": 0.0}, {"rho": float("nan")}, {"sigma_eps": float("nan")},
+    ])
+    def test_validate_rejects_bad_scalars(self, change):
+        import dataclasses
+        with pytest.raises(ValueError):
+            dataclasses.replace(_params64(), **change).validate()
+
+    @pytest.mark.parametrize("change", [
+        {"n_samples": 0}, {"rho": -0.5}, {"zeta": 0.0}, {"k_patterns": 0},
+    ])
+    def test_default_params_checks_inputs_first(self, change):
+        kwargs = dict(d=64, rho=0.0158, sigma_eps=1.0, n_samples=100,
+                      k_patterns=16, s_size=8, seed=1)
+        kwargs.update(change)
+        with pytest.raises(ValueError):
+            default_params(**kwargs)
+
+    def test_spectrum_must_be_positive(self):
+        spectrum = np.full(64, 0.0158 * 0.8)
+        spectrum[-1] = 0.0
+        with pytest.raises(ValueError):
+            _params64(spectrum=spectrum).validate()
+
 
 class TestSparsityFamily:
     def test_every_subset_has_exact_size(self):
@@ -245,6 +270,14 @@ class TestVerifyPacking:
         p = _params32(seed=0)
         report = verify_packing(build_family(p), p)
         assert report.passed
+
+    @pytest.mark.parametrize("kwargs", [
+        {"distance_floor": 0.0}, {"distance_floor": float("nan")}, {"overlap_max": -1},
+    ])
+    def test_rejects_bad_thresholds(self, kwargs):
+        p = _params32(seed=0)
+        with pytest.raises(ValueError):
+            verify_packing(build_family(p), p, **kwargs)
 
     def test_single_member_distance_sentinel(self):
         p = _params64(k_patterns=16, s_size=1)

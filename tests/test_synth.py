@@ -212,3 +212,31 @@ class TestMakeInstance:
         assert inst.y.shape == (30, 6)
         assert inst.m.shape == (6, 12)
         assert inst.n_mat.shape == (6, 12)
+
+
+class TestSynthConfigValidate:
+    @pytest.mark.parametrize("change", [
+        {"d1": 1}, {"d2": 0}, {"n": 1}, {"rank_m": 0}, {"rank_m": 7},
+        {"omega": 1.5}, {"omega": float("nan")}, {"eta": -0.1},
+        {"eta": float("nan")}, {"upsilon": 0.0},
+    ])
+    def test_rejects_out_of_range(self, change):
+        cfg = dataclasses.replace(SynthConfig(d1=8, d2=6, n=10, rank_m=2), **change)
+        with pytest.raises(ValueError):
+            cfg.validate()
+        with pytest.raises(ValueError):
+            make_instance(cfg)
+
+    def test_accepts_edges(self):
+        SynthConfig(d1=2, d2=1, n=2, rank_m=1, omega=2.0, eta=0.0).validate()
+
+    def test_dataset_design_is_gen_design_on_the_same_stream(self):
+        v, lam = gen_covariance(8, 2.0, seed=0)
+        m = gen_coefficients(5, 8, 2, 5.0, seed=1)
+        x, _, _ = gen_dataset(m, v, lam, n=30, eta=0.5, seed=9)
+        np.testing.assert_array_equal(x, gen_design(v, lam, 30, seed=9))
+
+    def test_design_needs_two_rows(self):
+        v, lam = gen_covariance(4, 2.0, seed=0)
+        with pytest.raises(ValueError):
+            gen_design(v, lam, 1, seed=0)
