@@ -13,6 +13,7 @@ from .estimator import (
     NoGapError,
     estimate_noise_sigma,
     fit_adaptive_rrr,
+    fit_path,
     load_model,
     predict,
     save_model,
@@ -28,6 +29,7 @@ __all__ = [
     "NoGapError",
     "estimate_noise_sigma",
     "fit_adaptive_rrr",
+    "fit_path",
     "load_model",
     "predict",
     "save_model",

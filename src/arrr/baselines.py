@@ -16,6 +16,7 @@ import numpy as np
 
 from ._serde import read_matrix_csv, write_matrix_csv
 from ._version import __version__
+from .metrics import pooled_scores
 from .spectral import decompose
 
 METHODS = ("ridge", "rrr", "reduced_rank_ridge", "pcr", "lasso", "nuclear")
@@ -239,10 +240,8 @@ def validate_hyperparams(
     if not spec_grid:
         raise ValueError("empty hyperparameter grid")
     if metric is None:
-        from .metrics import evaluate
-
         def metric(model, xv, yv):
-            return evaluate(model, xv, yv, split_label="out").mse_out
+            return pooled_scores(np.asarray(yv, dtype=float), predict_linear(model, xv))[0]
 
     x_tr, y_tr = train
     x_va, y_va = valid

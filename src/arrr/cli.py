@@ -38,6 +38,7 @@ from .estimator import (
     NoGapError,
     NonFiniteError,
     fit_adaptive_rrr,
+    fit_path,
     load_model,
     predict,
     save_model,
@@ -298,23 +299,34 @@ def _run_cells(fn, cells, jobs: int) -> list:
         return list(pool.map(fn, cells))
 
 
+def _scores(model, x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
+    """(mse, r2, corr) of a linear model on (x, y), as metrics.evaluate
+    scores them, without evaluate's SVD for the recovered rank."""
+    return metrics.pooled_scores(y, x @ model.m_hat.T)
+
+
 # ---------------------------------------------------------------- sweep
 
 
-def _sweep_cell(args) -> Dict[str, Any]:
-    cfg, k1, k2, syn = args
+def _sweep_cell(args) -> List[Dict[str, Any]]:
+    """Every (k1, k2) row of one seed: one instance, one test draw, one path."""
+    cfg, k1s, k2s, syn = args
     inst = synth.make_instance(syn)
-    fit = cfg["_fit"]
-    fc = FitConfig(delta=fit["delta"], theta=fit["theta"],
-                   sigma_eps=_resolve_sigma(fit["sigma_eps"], inst),
-                   k1_override=k1, k2_override=k2)
-    model = fit_adaptive_rrr(inst.x, inst.y, fc)
     x_te, y_te, _ = synth.gen_dataset(inst.m, inst.v_star, inst.lambda_star,
                                       syn.n, syn.eta, derived_seed(syn.seed, TEST_STREAM))
-    rep = metrics.evaluate(model, x_te, y_te, m_true=inst.m, split_label="out")
-    return {"method": "adaptive_rrr", "eta": syn.eta, "k1": model.k1,
-            "k2": model.k2, "seed": syn.seed, "recon_error": rep.recon_error,
-            "mse_out": rep.mse_out, "corr_out": rep.corr_out}
+    fit = cfg["_fit"]
+    sigma = _resolve_sigma(fit["sigma_eps"], inst)
+    configs = [FitConfig(delta=fit["delta"], theta=fit["theta"], sigma_eps=sigma,
+                         k1_override=k1, k2_override=k2) for k1 in k1s for k2 in k2s]
+    rows = []
+    # k1 is pinned for every config, so stage 1 cannot yield a NoGapError here
+    for model in fit_path(inst.x, inst.y, configs):
+        mse, _, corr = _scores(model, x_te, y_te)
+        rows.append({"method": "adaptive_rrr", "eta": syn.eta, "k1": model.k1,
+                     "k2": model.k2, "seed": syn.seed,
+                     "recon_error": float(np.linalg.norm(inst.m - model.m_hat)),
+                     "mse_out": mse, "corr_out": corr})
+    return rows
 
 
 def run_sweep(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
@@ -325,9 +337,9 @@ def run_sweep(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
     h = config_hash(_public_cfg(cfg))
 
     _synth_config(sec)  # the section must be valid as written, not only with the grid's seeds
-    syns = [_synth_config(sec, seed=s) for s in seeds]
-    cells = [(cfg, k1, k2, syn) for syn in syns for k1 in k1s for k2 in k2s]
-    rows = [dict(r, config_hash=h) for r in _run_cells(_sweep_cell, cells, jobs)]
+    cells = [(cfg, k1s, k2s, _synth_config(sec, seed=s)) for s in seeds]
+    rows = [dict(r, config_hash=h)
+            for chunk in _run_cells(_sweep_cell, cells, jobs) for r in chunk]
 
     os.makedirs(out_dir, exist_ok=True)
     _write_meta(out_dir, "sweep", _public_cfg(cfg), h)
@@ -445,42 +457,32 @@ def run_rolling(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
 
         # adaptive estimator: pick (delta, theta) on the validation window
         best = None
-        for fc in candidates:
-            try:
-                model = fit_adaptive_rrr(x_tr, y_tr, fc)
-            except NoGapError:
+        for model in fit_path(x_tr, y_tr, candidates):
+            if isinstance(model, NoGapError):
                 continue
-            score = metrics.evaluate(model, x_va, y_va, split_label="out").mse_out
+            score = _scores(model, x_va, y_va)[0]
             if not math.isnan(score) and (best is None or score < best[0]):
                 best = (score, model)
         if best is None:
             raise NoGapError(
                 "no (delta, theta) candidate produced a usable fit on fold %d" % fi)
         model = best[1]
-        rep_in = metrics.evaluate(model, x_tr, y_tr, split_label="in")
-        rep_te = metrics.evaluate(model, x_te, y_te, split_label="out")
-        rows.append(_rolling_row("adaptive_rrr", fi, "train", seed, len(fold.train),
-                                 rep_in.mse_in, rep_in.r2_in, math.nan,
-                                 k1=model.k1, k2=model.k2))
-        rows.append(_rolling_row("adaptive_rrr", fi, "test", seed, len(fold.test),
-                                 rep_te.mse_out, rep_te.r2_out, rep_te.corr_out,
-                                 k1=model.k1, k2=model.k2))
-        glued.setdefault("adaptive_rrr", []).append((y_te, predict(model, x_te)))
-
+        fitted = [("adaptive_rrr", model, predict(model, x_te),
+                   {"k1": model.k1, "k2": model.k2})]
         for method in sorted(base_grid):
             spec = baselines.validate_hyperparams(base_grid[method],
                                                   (x_tr, y_tr), (x_va, y_va))
             bm = baselines.fit_baseline(spec, x_tr, y_tr)
-            rep_in = metrics.evaluate(bm, x_tr, y_tr, split_label="in")
-            rep_te = metrics.evaluate(bm, x_te, y_te, split_label="out")
-            rank = -1 if spec.rank is None else spec.rank
+            fitted.append((method, bm, baselines.predict_linear(bm, x_te),
+                           {"mu": spec.mu, "rank": -1 if spec.rank is None else spec.rank}))
+
+        for method, m, y_hat, tags in fitted:
+            mse, r2, _ = _scores(m, x_tr, y_tr)
             rows.append(_rolling_row(method, fi, "train", seed, len(fold.train),
-                                     rep_in.mse_in, rep_in.r2_in, math.nan,
-                                     mu=spec.mu, rank=rank))
+                                     mse, r2, math.nan, **tags))
             rows.append(_rolling_row(method, fi, "test", seed, len(fold.test),
-                                     rep_te.mse_out, rep_te.r2_out, rep_te.corr_out,
-                                     mu=spec.mu, rank=rank))
-            glued.setdefault(method, []).append((y_te, baselines.predict_linear(bm, x_te)))
+                                     *metrics.pooled_scores(y_te, y_hat), **tags))
+            glued.setdefault(method, []).append((y_te, y_hat))
 
     # pooled test-window scores across folds; fold = -1 marks the glued row
     for method in sorted(glued):

@@ -11,13 +11,18 @@ import json
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ._serde import read_matrix_csv, write_matrix_csv
 from ._version import __version__
-from .spectral import decompose, select_gap_rank, select_threshold_rank
+from .spectral import (
+    SpectralDecomposition,
+    decompose,
+    select_gap_rank,
+    select_threshold_rank,
+)
 
 
 class NoGapError(ValueError):
@@ -77,18 +82,24 @@ class FittedModel:
     upsilon_exceeded: bool = field(default=False)
 
 
+def _cross_moment(z_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The matrix stage 2 denoises, (y.T @ z_hat) / n."""
+    return y.T @ z_hat / z_hat.shape[0]
+
+
 def step1_pca_x(
     x: np.ndarray,
     delta: float,
     k1_override: Optional[int] = None,
+    dec: Optional[SpectralDecomposition] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Whitening stage.
 
-    Computes the thin SVD of x, converts singular values to eigenvalue scale
-    lambda_i = sigma_i^2 / n, picks k1 by the consecutive-gap rule (or the
-    override), and returns (z_hat, pi_hat, lambdas) with z_hat = sqrt(n) times
-    the top-k1 left singular vectors and pi_hat the map such that
-    z_hat = x @ pi_hat.T.
+    Takes the thin SVD of x (or `dec`, when the caller already has it),
+    converts singular values to eigenvalue scale lambda_i = sigma_i^2 / n,
+    picks k1 by the consecutive-gap rule (or the override), and returns
+    (z_hat, pi_hat, lambdas) with z_hat = sqrt(n) times the top-k1 left
+    singular vectors and pi_hat the map such that z_hat = x @ pi_hat.T.
 
     Raises:
         NoGapError: no gap >= delta and no override given.
@@ -101,7 +112,8 @@ def step1_pca_x(
     if not np.any(x):
         raise ValueError("x is identically zero")
     n = x.shape[0]
-    dec = decompose(x)
+    if dec is None:
+        dec = decompose(x)
     lambdas = dec.s ** 2 / n
 
     if k1_override is not None:
@@ -130,12 +142,14 @@ def step2_pca_denoise(
     theta: float,
     sigma_eps: float,
     k2_override: Optional[int] = None,
+    dec: Optional[SpectralDecomposition] = None,
 ) -> Tuple[np.ndarray, int, np.ndarray, float]:
     """Denoising stage.
 
-    Forms the cross-moment matrix (y.T @ z_hat) / n, keeps singular directions
-    whose values reach theta * sigma_eps * sqrt(d2 / n), and returns
-    (truncated matrix, k2, singular values, threshold).
+    Forms the cross-moment matrix (y.T @ z_hat) / n and takes its thin SVD
+    (or uses `dec`, when the caller already has that SVD), keeps singular
+    directions whose values reach theta * sigma_eps * sqrt(d2 / n), and
+    returns (truncated matrix, k2, singular values, threshold).
     """
     z_hat = np.asarray(z_hat, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -143,25 +157,30 @@ def step2_pca_denoise(
         raise ValueError("z_hat and y must have the same number of rows")
     n = z_hat.shape[0]
     d2 = y.shape[1]
-    n_hat = y.T @ z_hat / n
-    dec = decompose(n_hat)
+    if dec is None:
+        dec = decompose(_cross_moment(z_hat, y))
     threshold = theta * sigma_eps * np.sqrt(d2 / n)
 
     if k2_override is not None:
         k2 = int(k2_override)
-        if not (0 <= k2 <= min(n_hat.shape)):
-            raise ValueError("k2 override %d outside [0, %d]" % (k2, min(n_hat.shape)))
+        if not (0 <= k2 <= dec.s.size):
+            raise ValueError("k2 override %d outside [0, %d]" % (k2, dec.s.size))
     else:
         k2 = select_threshold_rank(dec.s, threshold)
     return dec.truncated(k2), k2, dec.s, float(threshold)
 
 
-def estimate_noise_sigma(x: np.ndarray, y: np.ndarray) -> float:
+def estimate_noise_sigma(
+    x: np.ndarray,
+    y: np.ndarray,
+    dec: Optional[SpectralDecomposition] = None,
+) -> float:
     """Pilot estimate of the noise standard deviation. Heuristic.
 
-    Regresses y on the top min(n, d1)//2 principal-component scores of x and
-    returns the standard deviation of the residual entries. Constant y yields
-    a machine-epsilon floor and a RuntimeWarning.
+    Regresses y on the top min(n, d1)//2 principal-component scores of x
+    (from `dec`, the SVD of x, when the caller already has it) and returns
+    the standard deviation of the residual entries. Constant y yields a
+    machine-epsilon floor and a RuntimeWarning.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -172,7 +191,8 @@ def estimate_noise_sigma(x: np.ndarray, y: np.ndarray) -> float:
         return float(np.finfo(float).eps)
     n, d1 = x.shape
     k = max(1, min(n, d1) // 2)
-    dec = decompose(x)
+    if dec is None:
+        dec = decompose(x)
     scores = x @ dec.v[:, :k]
     coef, *_ = np.linalg.lstsq(scores, y, rcond=None)
     resid = y - scores @ coef
@@ -183,15 +203,24 @@ def estimate_noise_sigma(x: np.ndarray, y: np.ndarray) -> float:
     return sigma
 
 
-def fit_adaptive_rrr(x: np.ndarray, y: np.ndarray, config: FitConfig) -> FittedModel:
-    """Run both stages and compose the coefficient estimate.
+def fit_path(
+    x: np.ndarray,
+    y: np.ndarray,
+    configs: Sequence[FitConfig],
+) -> Iterator[Union[FittedModel, NoGapError]]:
+    """Fit every config on one (x, y), sharing the factorizations.
 
-    With config.sigma_eps == "auto" the noise scale is estimated by
-    estimate_noise_sigma first. Raises NoGapError when stage 1 finds no
-    admissible gap and no override was given, and NonFiniteError when x or y
-    holds NaN or infinity.
+    One SVD of x serves the noise pilot, which runs at most once (for the
+    first config with sigma_eps "auto"), and stage 1 of every config. One SVD
+    of the cross-moment matrix per distinct k1 serves stage 2 of every config
+    with that k1. Yields, in config order, what fit_adaptive_rrr would return
+    for each config, bit for bit, or, for a config whose stage 1 finds no
+    admissible gap, the NoGapError it would raise. Every other error is
+    raised: NonFiniteError when x or y holds NaN or infinity, ValueError for
+    an invalid config, shape or override.
     """
-    config.validate()
+    for config in configs:
+        config.validate()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or y.ndim != 2:
@@ -203,42 +232,65 @@ def fit_adaptive_rrr(x: np.ndarray, y: np.ndarray, config: FitConfig) -> FittedM
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise NonFiniteError("x and y must hold only finite values")
 
-    if config.sigma_eps == "auto":
-        sigma_eps = estimate_noise_sigma(x, y)
-    else:
-        sigma_eps = float(config.sigma_eps)
+    x_dec = decompose(x)
+    pilot_sigma = None
+    n_hat_decs = {}
+    for config in configs:
+        if config.sigma_eps == "auto" and pilot_sigma is None:
+            pilot_sigma = estimate_noise_sigma(x, y, x_dec)
+        sigma_eps = pilot_sigma if config.sigma_eps == "auto" else float(config.sigma_eps)
+        try:
+            z_hat, pi_hat, lambdas = step1_pca_x(x, config.delta, config.k1_override, x_dec)
+        except NoGapError as e:
+            yield e
+            continue
+        k1 = pi_hat.shape[0]
+        if k1 not in n_hat_decs:
+            n_hat_decs[k1] = decompose(_cross_moment(z_hat, y))
+        n_hat_trunc, k2, sigmas, threshold = step2_pca_denoise(
+            z_hat, y, config.theta, sigma_eps, config.k2_override, n_hat_decs[k1]
+        )
+        m_hat = n_hat_trunc @ pi_hat
 
-    z_hat, pi_hat, lambdas = step1_pca_x(x, config.delta, config.k1_override)
-    n_hat_trunc, k2, sigmas, threshold = step2_pca_denoise(
-        z_hat, y, config.theta, sigma_eps, config.k2_override
-    )
-    m_hat = n_hat_trunc @ pi_hat
+        upsilon_exceeded = False
+        if config.upsilon_check is not None:
+            top = float(np.linalg.norm(m_hat, 2)) if np.any(m_hat) else 0.0
+            if top > config.upsilon_check:
+                upsilon_exceeded = True
+                warnings.warn(
+                    "spectral norm %.3g exceeds the sanity bound %.3g"
+                    % (top, config.upsilon_check),
+                    RuntimeWarning,
+                )
 
-    upsilon_exceeded = False
-    if config.upsilon_check is not None:
-        top = float(np.linalg.norm(m_hat, 2)) if np.any(m_hat) else 0.0
-        if top > config.upsilon_check:
-            upsilon_exceeded = True
-            warnings.warn(
-                "spectral norm %.3g exceeds the sanity bound %.3g"
-                % (top, config.upsilon_check),
-                RuntimeWarning,
-            )
+        yield FittedModel(
+            pi_hat=pi_hat,
+            n_hat_trunc=n_hat_trunc,
+            m_hat=m_hat,
+            k1=k1,
+            k2=k2,
+            lambdas=lambdas,
+            n_hat_sigmas=sigmas,
+            threshold_used=threshold,
+            config=config,
+            sigma_eps_used=sigma_eps,
+            n=x.shape[0],
+            upsilon_exceeded=upsilon_exceeded,
+        )
 
-    return FittedModel(
-        pi_hat=pi_hat,
-        n_hat_trunc=n_hat_trunc,
-        m_hat=m_hat,
-        k1=pi_hat.shape[0],
-        k2=k2,
-        lambdas=lambdas,
-        n_hat_sigmas=sigmas,
-        threshold_used=threshold,
-        config=config,
-        sigma_eps_used=sigma_eps,
-        n=x.shape[0],
-        upsilon_exceeded=upsilon_exceeded,
-    )
+
+def fit_adaptive_rrr(x: np.ndarray, y: np.ndarray, config: FitConfig) -> FittedModel:
+    """Run both stages and compose the coefficient estimate.
+
+    With config.sigma_eps == "auto" the noise scale is estimated by
+    estimate_noise_sigma first. Raises NoGapError when stage 1 finds no
+    admissible gap and no override was given, and NonFiniteError when x or y
+    holds NaN or infinity. The one-config case of fit_path.
+    """
+    (model,) = fit_path(x, y, [config])
+    if isinstance(model, NoGapError):
+        raise model
+    return model
 
 
 def predict(model: FittedModel, x_new: np.ndarray) -> np.ndarray:

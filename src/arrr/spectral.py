@@ -63,11 +63,11 @@ def decompose(a: np.ndarray) -> SpectralDecomposition:
         raise ValueError("expected a 2-d matrix, got ndim=%d" % a.ndim)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     v = vt.T
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
+    if u.size:
+        top = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+        signs = np.where(top < 0, -1.0, 1.0)
+        u *= signs
+        v *= signs
     return SpectralDecomposition(u=u, s=s, v=v)
 
 

@@ -18,6 +18,7 @@ from arrr.cli import main
 from arrr.estimator import (
     FitConfig,
     fit_adaptive_rrr,
+    fit_path,
     step1_pca_x,
     step2_pca_denoise,
 )
@@ -110,15 +111,13 @@ def _rank_sweep(eta, k2_grid, score):
     for seed in range(20):
         inst = make_instance(SynthConfig(d1=200, d2=100, n=150, rank_m=50,
                                          eta=eta, seed=seed))
-        z, pi, _ = step1_pca_x(inst.x, delta=1e-3, k1_override=150)
         sig = max(inst.sigma_noise, TINY)
-        errs = []
-        for k2 in k2_grid:
-            n_tr, _, _, _ = step2_pca_denoise(z, inst.y, theta=2.0,
-                                              sigma_eps=sig, k2_override=k2)
-            errs.append(score(inst, n_tr @ pi))
-        curves.append(errs)
-        ranks.append(_supported_rank(inst, z.shape[1]))
+        # one path: one SVD of x and one of n_hat serve every k2
+        path = fit_path(inst.x, inst.y, [
+            FitConfig(delta=1e-3, theta=2.0, sigma_eps=sig, k1_override=150,
+                      k2_override=k2) for k2 in k2_grid])
+        curves.append([score(inst, model.m_hat) for model in path])
+        ranks.append(_supported_rank(inst, 150))
     return np.mean(curves, axis=0), float(np.mean(ranks))
 
 

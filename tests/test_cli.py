@@ -11,10 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrr import dataio, metrics
 from arrr._serde import read_matrix_csv, write_matrix_csv
-from arrr.cli import main
-from arrr.estimator import load_model, predict
-from arrr.synth import SynthConfig, make_instance
+from arrr.cli import (
+    ROLLING_HEADER,
+    SWEEP_HEADER,
+    TEST_STREAM,
+    config_hash,
+    derived_seed,
+    main,
+    write_results,
+)
+from arrr.estimator import FitConfig, NoGapError, fit_adaptive_rrr, load_model, predict
+from arrr.synth import SynthConfig, gen_dataset, make_instance
 
 
 def _write_json(tmp_path, name, payload):
@@ -157,6 +166,47 @@ class TestSweep:
             grids={"k1": [21], "k2": [2], "seeds": [0]}))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @staticmethod
+    def _reference_csv(cfg, path):
+        """results.csv from one independent fit and evaluate per cell."""
+        rows = []
+        for seed in cfg["grids"]["seeds"]:
+            syn = SynthConfig(**dict(cfg["synth"], seed=seed))
+            inst = make_instance(syn)
+            x_te, y_te, _ = gen_dataset(inst.m, inst.v_star, inst.lambda_star, syn.n,
+                                        syn.eta, derived_seed(seed, TEST_STREAM))
+            for k1 in cfg["grids"]["k1"]:
+                for k2 in cfg["grids"]["k2"]:
+                    model = fit_adaptive_rrr(inst.x, inst.y, FitConfig(
+                        sigma_eps=max(inst.sigma_noise, np.finfo(float).tiny),
+                        k1_override=k1, k2_override=k2))
+                    rep = metrics.evaluate(model, x_te, y_te, m_true=inst.m)
+                    rows.append({"config_hash": config_hash(cfg), "method": "adaptive_rrr",
+                                 "eta": syn.eta, "k1": k1, "k2": k2, "seed": seed,
+                                 "recon_error": rep.recon_error, "mse_out": rep.mse_out,
+                                 "corr_out": rep.corr_out})
+        os.makedirs(path)
+        return write_results(path, SWEEP_HEADER, rows, ("method", "eta", "k1", "k2", "seed"))
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_seed_path_matches_per_cell_reference(self, tmp_path, jobs):
+        payload = _sweep_cfg(grids={"k1": [4, 7], "k2": [0, 2, 3], "seeds": [0, 1, 5]})
+        cfg = _write_json(tmp_path, "cfg.json", payload)
+        out = str(tmp_path / "out")
+        assert main(["sweep", "--config", cfg, "--out", out, "--jobs", jobs]) == 0
+        want = self._reference_csv(payload, str(tmp_path / "ref"))
+        assert filecmp.cmp(os.path.join(out, "results.csv"), want, shallow=False)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_k2_in_multi_seed_sweep_writes_nothing(self, tmp_path, jobs, capsys):
+        cfg = _write_json(tmp_path, "cfg.json", _sweep_cfg(
+            grids={"k1": [3, 5], "k2": [1, 4], "seeds": [0, 1, 2]}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "k2 override 4" in err and "Traceback" not in err
+
 
 class TestConfigErrors:
     def test_malformed_json_no_output(self, tmp_path):
@@ -270,6 +320,60 @@ class TestRolling:
         glued = [r for r in rows if r["split"] == "glued"]
         for r in glued:
             assert int(r["n_obs"]) == 3 * n_folds
+
+    def test_candidate_path_matches_per_candidate_reference(self, tmp_path):
+        # delta 1e3 has no admissible gap on any fold and 0.3 on some, so the
+        # run must skip those candidates exactly as separate fits would
+        payload = {
+            "kind": "rolling",
+            "panel": self._panel(tmp_path),
+            "features": {"lookbacks": [1, 2], "horizon": 1},
+            "splits": {"train_len": 8, "valid_len": 3, "test_len": 3, "gap_len": 0},
+            "fit": {"delta": [1e-8, 1e3, 0.3], "theta": [0.5, 2.0], "sigma_eps": "auto"},
+        }
+        cfg = _write_json(tmp_path, "cfg.json", payload)
+        out = str(tmp_path / "out")
+        assert main(["rolling", "--config", cfg, "--out", out]) == 0
+
+        x, y, dates = dataio.make_features(dataio.load_panel_csv(payload["panel"]), [1, 2], 1)
+        rows, glued, outcomes = [], [], []
+        for fi, fold in enumerate(dataio.rolling_splits(dates, 8, 3, 3, 0)):
+            part = lambda a, r: a[r.start:r.stop]
+            x_tr, y_tr = part(x, fold.train), part(y, fold.train)
+            best = None
+            for d in payload["fit"]["delta"]:
+                for t in payload["fit"]["theta"]:
+                    try:
+                        model = fit_adaptive_rrr(x_tr, y_tr, FitConfig(delta=d, theta=t))
+                    except NoGapError:
+                        outcomes.append("nogap")
+                        continue
+                    outcomes.append("fit")
+                    score = metrics.evaluate(model, part(x, fold.valid),
+                                             part(y, fold.valid)).mse_out
+                    if not np.isnan(score) and (best is None or score < best[0]):
+                        best = (score, model)
+            model = best[1]
+            x_te, y_te = part(x, fold.test), part(y, fold.test)
+            rep_in = metrics.evaluate(model, x_tr, y_tr, split_label="in")
+            rep_te = metrics.evaluate(model, x_te, y_te)
+            common = {"config_hash": config_hash(payload), "method": "adaptive_rrr",
+                      "fold": fi, "seed": 0, "k1": model.k1, "k2": model.k2,
+                      "mu": -1.0, "rank": -1}
+            rows.append(dict(common, split="train", n_obs=len(fold.train), mse=rep_in.mse_in,
+                             r2=rep_in.r2_in, corr=float("nan")))
+            rows.append(dict(common, split="test", n_obs=len(fold.test), mse=rep_te.mse_out,
+                             r2=rep_te.r2_out, corr=rep_te.corr_out))
+            glued.append((y_te, predict(model, x_te)))
+        assert {"nogap", "fit"} <= set(outcomes)
+        yt, yh = np.vstack([g[0] for g in glued]), np.vstack([g[1] for g in glued])
+        mse, r2, corr = metrics.pooled_scores(yt, yh)
+        rows.append(dict(common, fold=-1, split="glued", n_obs=yt.shape[0], mse=mse, r2=r2,
+                         corr=corr, k1=-1, k2=-1))
+        os.makedirs(tmp_path / "ref")
+        want = write_results(str(tmp_path / "ref"), ROLLING_HEADER, rows,
+                             ("method", "fold", "split"))
+        assert filecmp.cmp(os.path.join(out, "results.csv"), want, shallow=False)
 
     def test_missing_panel_is_config_error(self, tmp_path):
         cfg = _write_json(tmp_path, "cfg.json", {

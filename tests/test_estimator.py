@@ -3,13 +3,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import arrr.estimator as estimator
 from arrr.estimator import (
     FitConfig,
     NoGapError,
     NonFiniteError,
     estimate_noise_sigma,
     fit_adaptive_rrr,
+    fit_path,
     load_model,
     predict,
     save_model,
@@ -344,3 +348,141 @@ class TestInputChecks:
         for k2 in (0, 3, 12):
             trunc, _, _, _ = step2_pca_denoise(z, inst.y, 2.0, 1.0, k2_override=k2)
             np.testing.assert_array_equal(trunc, truncate_rank(n_hat, k2))
+
+
+def _path_data(seed, n, d1, d2):
+    """A rank-2 signal plus noise on a design with a spread-out spectrum."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d1)) * np.geomspace(3.0, 0.1, d1)
+    m = rng.normal(size=(d2, 2)) @ rng.normal(size=(2, d1))
+    return x, x @ m.T + 0.5 * rng.normal(size=(n, d2))
+
+
+_SEEDS = st.integers(0, 2 ** 16)
+_SHAPES = st.tuples(st.integers(4, 20), st.integers(2, 12), st.integers(1, 6))
+_SIGMAS = st.sampled_from(["auto", 0.1, 1.0])
+# k1 overrides up to 2 and k2 overrides up to 1 are in range for every shape
+_CONFIGS = st.builds(
+    FitConfig,
+    delta=st.sampled_from([1e-8, 1e-3, 0.05, 0.5, 5.0]),
+    theta=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+    sigma_eps=_SIGMAS,
+    k1_override=st.none() | st.integers(1, 2),
+    k2_override=st.none() | st.integers(0, 1),
+)
+
+
+class TestFitPath:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=_SEEDS, shape=_SHAPES, configs=st.lists(_CONFIGS, min_size=1, max_size=6))
+    def test_path_equals_separate_fits_bitwise(self, seed, shape, configs):
+        x, y = _path_data(seed, *shape)
+        path = list(fit_path(x, y, configs))
+        assert len(path) == len(configs)
+        for config, got in zip(configs, path):
+            try:
+                want = fit_adaptive_rrr(x, y, config)
+            except NoGapError as e:
+                assert isinstance(got, NoGapError) and str(got) == str(e)
+                continue
+            assert got.config is config
+            np.testing.assert_array_equal(got.m_hat, want.m_hat)
+            np.testing.assert_array_equal(got.n_hat_sigmas, want.n_hat_sigmas)
+            assert (got.k1, got.k2, got.threshold_used, got.sigma_eps_used) == (
+                want.k1, want.k2, want.threshold_used, want.sigma_eps_used)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=_SEEDS, shape=_SHAPES, config=_CONFIGS)
+    def test_m_hat_is_the_composition(self, seed, shape, config):
+        x, y = _path_data(seed, *shape)
+        (model,) = fit_path(x, y, [config])
+        assume(not isinstance(model, NoGapError))
+        np.testing.assert_array_equal(model.m_hat, model.n_hat_trunc @ model.pi_hat)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=_SEEDS, shape=_SHAPES, sigma=_SIGMAS,
+           delta=st.sampled_from([1e-8, 1e-3, 0.05]),
+           thetas=st.lists(st.floats(0.05, 20.0), min_size=2, max_size=6))
+    def test_k2_non_increasing_in_theta(self, seed, shape, sigma, delta, thetas):
+        x, y = _path_data(seed, *shape)
+        configs = [FitConfig(delta=delta, theta=t, sigma_eps=sigma) for t in sorted(thetas)]
+        models = list(fit_path(x, y, configs))
+        if isinstance(models[0], NoGapError):
+            # stage 1 does not depend on theta
+            assert all(isinstance(m, NoGapError) for m in models)
+            return
+        assert len({m.k1 for m in models}) == 1
+        k2s = [m.k2 for m in models]
+        assert all(a >= b for a, b in zip(k2s, k2s[1:])), k2s
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=_SEEDS, shape=_SHAPES, sigma=_SIGMAS,
+           delta=st.sampled_from([1e-3, 0.05, 0.5]),
+           theta=st.sampled_from([0.5, 1.0, 2.0]), perm_seed=_SEEDS)
+    def test_fit_equivariant_to_row_permutation(self, seed, shape, sigma, delta,
+                                                theta, perm_seed):
+        # Permuting the rows of (x, y) permutes z_hat and leaves x.T x and
+        # n_hat unchanged, so m_hat agrees up to rounding and the fitted
+        # values permute with the rows. Stated tolerance: 1e-9 relative to
+        # the size of m_hat, for draws where no rank decision is within 1e-6
+        # (relative) of flipping.
+        x, y = _path_data(seed, *shape)
+        config = FitConfig(delta=delta, theta=theta, sigma_eps=sigma)
+        perm = np.random.default_rng(perm_seed).permutation(x.shape[0])
+        lam = np.linalg.svd(x, compute_uv=False) ** 2 / x.shape[0]
+        gaps = lam - np.append(lam[1:], 0.0)
+        assume(np.min(np.abs(gaps - delta)) > 1e-6 * lam[0])
+        try:
+            a = fit_adaptive_rrr(x, y, config)
+        except NoGapError:
+            with pytest.raises(NoGapError):
+                fit_adaptive_rrr(x[perm], y[perm], config)
+            return
+        s = np.append(a.n_hat_sigmas, 0.0)
+        scale = max(s[0], a.threshold_used)
+        assume(np.min(np.abs(s[:-1] - a.threshold_used)) > 1e-6 * scale)
+        assume(s[a.k2 - 1] - s[a.k2] > 1e-6 * scale if a.k2 else True)
+        b = fit_adaptive_rrr(x[perm], y[perm], config)
+        assert (b.k1, b.k2) == (a.k1, a.k2)
+        tol = 1e-9 * max(1.0, np.linalg.norm(a.m_hat))
+        np.testing.assert_allclose(b.m_hat, a.m_hat, rtol=0, atol=tol)
+        np.testing.assert_allclose(predict(b, x[perm]), predict(a, x)[perm],
+                                   rtol=0, atol=tol * np.linalg.norm(x))
+
+    def test_one_svd_of_x_and_of_n_hat_per_k1(self, monkeypatch):
+        calls = {"decompose": [], "pilot": 0}
+        real_decompose, real_pilot = estimator.decompose, estimator.estimate_noise_sigma
+
+        def counting_decompose(a):
+            calls["decompose"].append(np.shape(a))
+            return real_decompose(a)
+
+        def counting_pilot(*args, **kwargs):
+            calls["pilot"] += 1
+            return real_pilot(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "decompose", counting_decompose)
+        monkeypatch.setattr(estimator, "estimate_noise_sigma", counting_pilot)
+        x, y = _path_data(0, 20, 8, 5)
+        configs = [FitConfig(theta=t, sigma_eps="auto", k1_override=k1, k2_override=k2)
+                   for k1 in (3, 6, 3) for t in (1.0, 2.0) for k2 in (None, 1)]
+        models = list(fit_path(x, y, configs))
+        assert [m.k1 for m in models] == [c.k1_override for c in configs]
+        assert calls["pilot"] == 1
+        assert calls["decompose"] == [(20, 8), (5, 3), (5, 6)]
+
+    def test_nogap_candidate_is_reported_not_raised(self):
+        x, y = _path_data(1, 20, 8, 5)
+        configs = [FitConfig(delta=1e6, sigma_eps=1.0), FitConfig(delta=1e-8, sigma_eps=1.0)]
+        bad, good = fit_path(x, y, configs)
+        assert isinstance(bad, NoGapError)
+        assert good.k1 >= 1
+        with pytest.raises(NoGapError):
+            fit_adaptive_rrr(x, y, configs[0])
+
+    def test_invalid_config_raises_before_any_fit(self):
+        x, y = _path_data(2, 20, 8, 5)
+        with pytest.raises(ValueError, match="theta"):
+            list(fit_path(x, y, [FitConfig(sigma_eps=1.0), FitConfig(theta=0.0)]))
+        with pytest.raises(ValueError, match="k2 override"):
+            list(fit_path(x, y, [FitConfig(sigma_eps=1.0, k1_override=3, k2_override=4)]))

@@ -45,6 +45,44 @@ class TestDecompose:
         np.testing.assert_allclose(d1.u, d2.u, atol=1e-12)
         np.testing.assert_allclose(d1.v, -d2.v, atol=1e-12)
 
+    @staticmethod
+    def _loop_signs(a):
+        # the per-column sign fix, one column at a time
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        v = vt.T
+        for j in range(u.shape[1]):
+            i = int(np.argmax(np.abs(u[:, j])))
+            if u[i, j] < 0:
+                u[:, j] = -u[:, j]
+                v[:, j] = -v[:, j]
+        return u, s, v
+
+    @pytest.mark.parametrize("shape", [(60, 30), (100, 150), (7, 7), (1, 4), (4, 1)])
+    def test_sign_fix_matches_column_loop(self, shape):
+        for seed in range(3):
+            a = np.random.default_rng(200 + seed).normal(size=shape)
+            dec = decompose(a)
+            u, s, v = self._loop_signs(a)
+            np.testing.assert_array_equal(dec.u, u)
+            np.testing.assert_array_equal(dec.s, s)
+            np.testing.assert_array_equal(dec.v, v)
+
+    @pytest.mark.parametrize("a", [
+        np.eye(4),                                   # every column ties at 1
+        np.diag([3.0, -2.0, 1.0]),                  # negative diagonal entry
+        np.array([[1.0, 1.0], [1.0, 1.0], [-1.0, -1.0]]),  # tied max-abs entries
+        np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),    # zero column
+        np.zeros((3, 2)),                            # all-zero matrix
+        np.zeros((0, 3)),                            # no rows
+        np.zeros((3, 0)),                            # no columns
+    ])
+    def test_sign_fix_matches_column_loop_on_ties_and_zeros(self, a):
+        dec = decompose(a)
+        u, s, v = self._loop_signs(a)
+        np.testing.assert_array_equal(dec.u, u)
+        np.testing.assert_array_equal(dec.s, s)
+        np.testing.assert_array_equal(dec.v, v)
+
     def test_rejects_non_matrix(self):
         with pytest.raises(ValueError):
             decompose(np.zeros(3))
