@@ -7,7 +7,7 @@ least squares interpolates and the regularizer does all the work.
 
 import numpy as np
 
-from arrr.baselines import BaselineSpec, SolverOpts, fit_baseline, validate_hyperparams
+from arrr.baselines import BaselineSpec, SolverOpts, validate_hyperparams
 from arrr.estimator import FitConfig, fit_adaptive_rrr
 from arrr.metrics import evaluate
 from arrr.synth import SynthConfig, gen_dataset, make_instance
@@ -38,8 +38,8 @@ grids = {
                 for mu in (0.1, 1.0)],
 }
 for name, grid in grids.items():
-    best = validate_hyperparams(grid, (inst.x, inst.y), (x_val, y_val))
-    fitted = fit_baseline(best, inst.x, inst.y)
+    fitted = validate_hyperparams(grid, (inst.x, inst.y), (x_val, y_val))
+    best = fitted.method
     tag = "mu=%g" % best.mu
     if best.rank is not None:
         tag += " rank=%d" % best.rank

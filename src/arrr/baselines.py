@@ -3,23 +3,25 @@
 Methods: ridge, reduced-rank regression (rrr), reduced-rank ridge, principal
 component regression (pcr), per-column lasso via coordinate descent, and
 nuclear-norm regularized regression via proximal gradient.
+
+The four direct methods are one spectral filter V diag(f(s)) U^T y on the
+thin SVD of the design, so a hyperparameter grid over them is fitted from one
+factorization. `validate_hyperparams` returns the fitted winner, so its
+callers score it without refitting.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._serde import read_matrix_csv, write_matrix_csv
-from ._version import __version__
 from .metrics import pooled_scores
-from .spectral import decompose
+from .spectral import SpectralDecomposition, decompose
 
 METHODS = ("ridge", "rrr", "reduced_rank_ridge", "pcr", "lasso", "nuclear")
+ITERATIVE = ("lasso", "nuclear")
 
 
 @dataclass(frozen=True)
@@ -69,47 +71,34 @@ class LinearModel:
     converged: bool = True
 
 
-def _ridge_coef(x, y, mu):
-    # B = argmin ||Y - XB||_F^2 + mu ||B||_F^2, returned as d1 x d2.
-    n, d1 = x.shape
-    if mu == 0.0:
-        coef, *_ = np.linalg.lstsq(x, y, rcond=None)
-        return coef
-    if d1 <= n:
-        return np.linalg.solve(x.T @ x + mu * np.eye(d1), x.T @ y)
-    # dual form: (X^T X + mu I)^-1 X^T = X^T (X X^T + mu I)^-1
-    return x.T @ np.linalg.solve(x @ x.T + mu * np.eye(n), y)
+def _svd_filter_fit(spec, dec, y):
+    """Coefficients (d1 x d2) of a direct method, V diag(f) U^T y, from the
+    thin SVD x = U diag(s) V^T.
 
-
-def _rank_truncate_fit(coef, y_proj_target, rank):
-    # Project the fitted values onto their top right singular directions and
-    # pull the truncation back into coefficient space.
-    dec = decompose(y_proj_target)
-    v_r = dec.v[:, :rank]
-    return coef @ v_r @ v_r.T
-
-
-def _fit_rrr(x, y, rank):
-    coef, *_ = np.linalg.lstsq(x, y, rcond=None)  # min-norm when rank-deficient
-    fitted = x @ coef
-    return _rank_truncate_fit(coef, fitted, rank)
-
-
-def _fit_reduced_rank_ridge(x, y, mu, rank):
-    # Ridge fit, then rank truncation of the fitted values in the ridge
-    # metric: the truncation is computed on [X; sqrt(mu) I] @ B so the
-    # penalty term participates in the geometry.
-    coef = _ridge_coef(x, y, mu)
-    aug = np.vstack([x, np.sqrt(mu) * np.eye(x.shape[1])]) if mu > 0 else x
-    return _rank_truncate_fit(coef, aug @ coef, rank)
-
-
-def _fit_pcr(x, y, rank):
-    dec = decompose(x)
-    v_r = dec.v[:, :rank]
-    scores = x @ v_r
-    gamma, *_ = np.linalg.lstsq(scores, y, rcond=None)
-    return v_r @ gamma
+    Ridge's filter is f = s / (s^2 + mu). At mu = 0 it is 1/s above lstsq's
+    cutoff eps * max(n, d1) * s_1 and 0 below, the minimum-norm least-squares
+    fit. PCR zeroes f past its rank. Reduced-rank ridge projects the ridge fit
+    onto the top right singular vectors of its fitted values in the ridge
+    metric, [X; sqrt(mu) I] B, whose Gram matrix is that of
+    diag(sqrt(f * s)) U^T y; rrr is its mu = 0 case.
+    """
+    s = dec.s
+    mu = spec.mu if spec.method in ("ridge", "reduced_rank_ridge") else 0.0
+    if mu > 0:
+        f = s / (s * s + mu)
+    else:
+        s_1 = s[0] if s.size else 0.0  # an empty design has no singular values
+        keep = s > np.finfo(float).eps * max(dec.u.shape[0], dec.v.shape[0]) * s_1
+        f = np.zeros_like(s)
+        f[keep] = 1.0 / s[keep]
+    if spec.method == "pcr":
+        f[spec.rank:] = 0.0
+    uty = dec.u.T @ y
+    g = f[:, None] * uty
+    if spec.method in ("rrr", "reduced_rank_ridge"):
+        v_r = decompose(np.sqrt(f * s)[:, None] * uty).v[:, :spec.rank]
+        g = g @ v_r @ v_r.T
+    return dec.v @ g
 
 
 def _soft(v, t):
@@ -185,12 +174,16 @@ def _fit_nuclear(x, y, mu, opts):
     return b, iters, np.array(trace), converged
 
 
-def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray) -> LinearModel:
+def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
+                 dec: Optional[SpectralDecomposition] = None) -> LinearModel:
     """Fit one baseline. Coefficients are stored as m_hat (d2 x d1), so
     predictions are x @ m_hat.T for every method.
 
-    Iterative solvers that fail to converge within max_iters come back with
-    converged=False rather than raising.
+    The direct methods (ridge, rrr, reduced_rank_ridge, pcr) are filters on
+    the thin SVD of x, which they take from `dec` when the caller already has
+    it; the result is the same bit for bit. Iterative solvers that fail to
+    converge within max_iters come back with converged=False rather than
+    raising.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -199,18 +192,12 @@ def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray) -> LinearMode
     spec.validate(d1=x.shape[1], d2=y.shape[1], n=x.shape[0])
 
     iters, trace, converged = 0, np.array([]), True
-    if spec.method == "ridge":
-        coef = _ridge_coef(x, y, spec.mu)
-    elif spec.method == "rrr":
-        coef = _fit_rrr(x, y, spec.rank)
-    elif spec.method == "reduced_rank_ridge":
-        coef = _fit_reduced_rank_ridge(x, y, spec.mu, spec.rank)
-    elif spec.method == "pcr":
-        coef = _fit_pcr(x, y, spec.rank)
-    elif spec.method == "lasso":
+    if spec.method == "lasso":
         coef, iters, trace, converged = _fit_lasso(x, y, spec.mu, spec.solver)
-    else:
+    elif spec.method == "nuclear":
         coef, iters, trace, converged = _fit_nuclear(x, y, spec.mu, spec.solver)
+    else:
+        coef = _svd_filter_fit(spec, decompose(x) if dec is None else dec, y)
 
     return LinearModel(
         m_hat=coef.T,
@@ -231,11 +218,12 @@ def validate_hyperparams(
     train: Tuple[np.ndarray, np.ndarray],
     valid: Tuple[np.ndarray, np.ndarray],
     metric: Optional[Callable[[LinearModel, np.ndarray, np.ndarray], float]] = None,
-) -> BaselineSpec:
-    """Fit every spec on train, score on valid, return the argmin.
+) -> LinearModel:
+    """Fit every spec on train, score on valid, return the fitted argmin.
 
-    Ties break to the first occurrence in the grid. The default metric is the
-    variance-normalized out-of-sample MSE.
+    The winner's spec is its `.method`. The direct methods of the grid share
+    one SVD of the training design. Ties break to the first occurrence in the
+    grid. The default metric is the variance-normalized out-of-sample MSE.
     """
     if not spec_grid:
         raise ValueError("empty hyperparameter grid")
@@ -245,50 +233,12 @@ def validate_hyperparams(
 
     x_tr, y_tr = train
     x_va, y_va = valid
-    best_spec, best_score = None, None
+    direct = any(spec.method not in ITERATIVE for spec in spec_grid)
+    dec = decompose(x_tr) if direct else None
+    best, best_score = None, None
     for spec in spec_grid:
-        model = fit_baseline(spec, x_tr, y_tr)
+        model = fit_baseline(spec, x_tr, y_tr, dec)
         score = float(metric(model, x_va, y_va))
         if best_score is None or score < best_score:
-            best_spec, best_score = spec, score
-    return best_spec
-
-
-def save_linear_model(model: LinearModel, dirpath: str) -> None:
-    """Same directory convention as the main estimator: meta.json + m_hat.csv."""
-    os.makedirs(dirpath, exist_ok=True)
-    spec = model.method
-    meta = {
-        "method": spec.method,
-        "mu": spec.mu,
-        "rank": spec.rank,
-        "max_iters": spec.solver.max_iters,
-        "tol": spec.solver.tol,
-        "iterations_used": model.iterations_used,
-        "converged": model.converged,
-        "d1": model.m_hat.shape[1],
-        "d2": model.m_hat.shape[0],
-        "library_version": __version__,
-    }
-    with open(os.path.join(dirpath, "meta.json"), "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
-    write_matrix_csv(os.path.join(dirpath, "m_hat.csv"), model.m_hat)
-
-
-def load_linear_model(dirpath: str) -> LinearModel:
-    with open(os.path.join(dirpath, "meta.json")) as f:
-        meta = json.load(f)
-    spec = BaselineSpec(
-        method=meta["method"],
-        mu=float(meta["mu"]),
-        rank=meta["rank"],
-        solver=SolverOpts(max_iters=int(meta["max_iters"]), tol=float(meta["tol"])),
-    )
-    return LinearModel(
-        m_hat=read_matrix_csv(os.path.join(dirpath, "m_hat.csv")),
-        method=spec,
-        iterations_used=int(meta["iterations_used"]),
-        objective_trace=np.array([]),
-        converged=bool(meta["converged"]),
-    )
+            best, best_score = model, score
+    return best

@@ -382,9 +382,9 @@ def _compare_cell(args) -> List[Dict[str, Any]]:
                         scored(model))]
 
     for method in sorted(cfg["_baselines"]):
-        best = baselines.validate_hyperparams(cfg["_baselines"][method],
-                                              (inst.x, inst.y), (x_va, y_va))
-        bmodel = baselines.fit_baseline(best, inst.x, inst.y)
+        bmodel = baselines.validate_hyperparams(cfg["_baselines"][method],
+                                                (inst.x, inst.y), (x_va, y_va))
+        best = bmodel.method
         rows.append(_metric_row(method, eta, -1, -1, best.mu,
                                 -1 if best.rank is None else best.rank, seed, scored(bmodel)))
     return rows
@@ -470,9 +470,9 @@ def run_rolling(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
         fitted = [("adaptive_rrr", model, predict(model, x_te),
                    {"k1": model.k1, "k2": model.k2})]
         for method in sorted(base_grid):
-            spec = baselines.validate_hyperparams(base_grid[method],
-                                                  (x_tr, y_tr), (x_va, y_va))
-            bm = baselines.fit_baseline(spec, x_tr, y_tr)
+            bm = baselines.validate_hyperparams(base_grid[method],
+                                                (x_tr, y_tr), (x_va, y_va))
+            spec = bm.method
             fitted.append((method, bm, baselines.predict_linear(bm, x_te),
                            {"mu": spec.mu, "rank": -1 if spec.rank is None else spec.rank}))
 

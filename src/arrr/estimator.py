@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -45,7 +45,6 @@ class FitConfig:
     sigma_eps: Union[float, str] = "auto"
     k1_override: Optional[int] = None
     k2_override: Optional[int] = None
-    upsilon_check: Optional[float] = None
 
     def validate(self) -> None:
         # written as "not > 0" so that NaN fails too
@@ -62,8 +61,6 @@ class FitConfig:
             v = getattr(self, name)
             if v is not None and v < 0:
                 raise ValueError("%s must be non-negative" % name)
-        if self.upsilon_check is not None and not self.upsilon_check > 0:
-            raise ValueError("upsilon_check must be positive")
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,6 @@ class FittedModel:
     config: FitConfig
     sigma_eps_used: float
     n: int
-    upsilon_exceeded: bool = field(default=False)
 
 
 def _cross_moment(z_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -250,23 +246,10 @@ def fit_path(
         n_hat_trunc, k2, sigmas, threshold = step2_pca_denoise(
             z_hat, y, config.theta, sigma_eps, config.k2_override, n_hat_decs[k1]
         )
-        m_hat = n_hat_trunc @ pi_hat
-
-        upsilon_exceeded = False
-        if config.upsilon_check is not None:
-            top = float(np.linalg.norm(m_hat, 2)) if np.any(m_hat) else 0.0
-            if top > config.upsilon_check:
-                upsilon_exceeded = True
-                warnings.warn(
-                    "spectral norm %.3g exceeds the sanity bound %.3g"
-                    % (top, config.upsilon_check),
-                    RuntimeWarning,
-                )
-
         yield FittedModel(
             pi_hat=pi_hat,
             n_hat_trunc=n_hat_trunc,
-            m_hat=m_hat,
+            m_hat=n_hat_trunc @ pi_hat,
             k1=k1,
             k2=k2,
             lambdas=lambdas,
@@ -275,7 +258,6 @@ def fit_path(
             config=config,
             sigma_eps_used=sigma_eps,
             n=x.shape[0],
-            upsilon_exceeded=upsilon_exceeded,
         )
 
 

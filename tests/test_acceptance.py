@@ -22,7 +22,7 @@ from arrr.estimator import (
     step1_pca_x,
     step2_pca_denoise,
 )
-from arrr.metrics import evaluate
+from arrr.metrics import pooled_scores
 from arrr.packing import (
     build_family,
     default_params,
@@ -202,9 +202,8 @@ def _c05_gaps():
                                     150, 0.4, seed + 10_000)
 
         def gap(model):
-            te = evaluate(model, x_te, y_te, split_label="out").mse_out
-            tr = evaluate(model, inst.x, inst.y, split_label="in").mse_in
-            return te - tr
+            mse = lambda x, y: pooled_scores(y, x @ model.m_hat.T)[0]
+            return mse(x_te, y_te) - mse(inst.x, inst.y)
 
         gaps_a.append(gap(fit_adaptive_rrr(
             inst.x, inst.y,

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrr.baselines import (
     BaselineSpec,
     SolverOpts,
     fit_baseline,
-    load_linear_model,
-    predict_linear,
-    save_linear_model,
     validate_hyperparams,
 )
+from arrr.spectral import decompose
 from arrr.synth import SynthConfig, make_instance
 
 
@@ -22,6 +22,55 @@ def _data(n, d1, d2, seed):
 
 def _ols(x, y):
     return np.linalg.lstsq(x, y, rcond=None)[0].T
+
+
+# Reference solvers for the direct methods: min-norm lstsq, the primal and
+# dual normal equations, and the rank truncation of the fitted values (in the
+# ridge metric, through the augmented design [X; sqrt(mu) I]).
+def _ref_ridge(x, y, mu):
+    n, d1 = x.shape
+    if mu == 0.0:
+        return np.linalg.lstsq(x, y, rcond=None)[0]
+    if d1 <= n:
+        return np.linalg.solve(x.T @ x + mu * np.eye(d1), x.T @ y)
+    return x.T @ np.linalg.solve(x @ x.T + mu * np.eye(n), y)
+
+
+def _ref_truncate(coef, fitted, rank):
+    v_r = np.linalg.svd(fitted, full_matrices=False)[2][:rank].T
+    return coef @ v_r @ v_r.T
+
+
+def _reference_m_hat(spec, x, y):
+    if spec.method == "ridge":
+        coef = _ref_ridge(x, y, spec.mu)
+    elif spec.method == "pcr":
+        v_r = np.linalg.svd(x, full_matrices=False)[2][:spec.rank].T
+        coef = v_r @ np.linalg.lstsq(x @ v_r, y, rcond=None)[0]
+    else:
+        mu = spec.mu if spec.method == "reduced_rank_ridge" else 0.0
+        coef = _ref_ridge(x, y, mu)
+        aug = np.vstack([x, np.sqrt(mu) * np.eye(x.shape[1])]) if mu > 0 else x
+        coef = _ref_truncate(coef, aug @ coef, spec.rank)
+    return coef.T
+
+
+DIRECT = ("ridge", "rrr", "reduced_rank_ridge", "pcr")
+
+
+@st.composite
+def _direct_cases(draw):
+    """(spec, x, y) for a direct method: d1 may exceed n, x may carry a
+    duplicated column, and mu may be 0."""
+    n, d1, d2 = draw(st.integers(3, 15)), draw(st.integers(2, 20)), draw(st.integers(1, 6))
+    x, y = _data(n, d1, d2, seed=draw(st.integers(0, 2 ** 16)))
+    if draw(st.booleans()):
+        x[:, -1] = x[:, 0]
+    method = draw(st.sampled_from(DIRECT))
+    bound = min(d1, n) if method == "pcr" else min(d1, d2, n)
+    rank = None if method == "ridge" else draw(st.integers(1, bound))
+    mu = draw(st.sampled_from([0.0, 0.1, 1.0, 10.0]))
+    return BaselineSpec(method, mu=mu, rank=rank), x, y
 
 
 class TestRidge:
@@ -199,12 +248,35 @@ class TestNuclear:
         assert not model.converged
 
 
+class TestSVDFilter:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=_direct_cases())
+    def test_matches_reference_solvers(self, case):
+        spec, x, y = case
+        got = fit_baseline(spec, x, y).m_hat
+        want = _reference_m_hat(spec, x, y)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=_direct_cases())
+    def test_shared_decomposition_is_bitwise_equal(self, case):
+        spec, x, y = case
+        shared = fit_baseline(spec, x, y, dec=decompose(x)).m_hat
+        assert shared.tobytes() == fit_baseline(spec, x, y).m_hat.tobytes()
+
+    @pytest.mark.parametrize("method", DIRECT)
+    def test_empty_design_gives_zero_coefficients(self, method):
+        spec = BaselineSpec(method, mu=0.0, rank=None if method == "ridge" else 1)
+        model = fit_baseline(spec, np.zeros((0, 3)), np.zeros((0, 2)))
+        np.testing.assert_array_equal(model.m_hat, np.zeros((2, 3)))
+
+
 class TestValidateHyperparams:
     def test_single_element_grid(self):
         x, y = _data(30, 5, 2, seed=22)
         spec = BaselineSpec("ridge", mu=1.0)
         got = validate_hyperparams([spec], (x, y), (x, y))
-        assert got is spec
+        assert got.method is spec
 
     def test_oracle_best_selected(self):
         inst = make_instance(SynthConfig(d1=20, d2=10, n=40, rank_m=3, eta=1.0,
@@ -219,13 +291,30 @@ class TestValidateHyperparams:
             evaluate(fit_baseline(s, inst.x, inst.y), x_va, y_va).mse_out
             for s in grid
         ]
-        assert got == grid[int(np.argmin(scores))]
+        assert got.method == grid[int(np.argmin(scores))]
 
     def test_tie_breaks_to_first(self):
         x, y = _data(25, 4, 2, seed=24)
         grid = [BaselineSpec("ridge", mu=1.0), BaselineSpec("ridge", mu=1.0)]
         got = validate_hyperparams(grid, (x, y), (x, y))
-        assert got is grid[0]
+        assert got.method is grid[0]
+
+    @pytest.mark.parametrize("grid", [
+        [BaselineSpec("ridge", mu=mu) for mu in (0.0, 0.5, 5.0)],
+        [BaselineSpec("rrr", rank=r) for r in (1, 2, 4)],
+        [BaselineSpec("reduced_rank_ridge", mu=mu, rank=r) for mu in (0.0, 2.0) for r in (1, 3)],
+        [BaselineSpec("pcr", rank=r) for r in (1, 5, 12)],
+        [BaselineSpec("lasso", mu=mu, solver=SolverOpts(max_iters=50)) for mu in (0.1, 5.0)],
+        [BaselineSpec("nuclear", mu=mu, solver=SolverOpts(max_iters=50)) for mu in (0.1, 5.0)],
+    ], ids=["ridge", "rrr", "reduced_rank_ridge", "pcr", "lasso", "nuclear"])
+    def test_winner_equals_a_fresh_fit_bitwise(self, grid):
+        x, y = _data(12, 15, 4, seed=27)
+        x_va, y_va = _data(10, 15, 4, seed=28)
+        winner = validate_hyperparams(grid, (x, y), (x_va, y_va))
+        refit = fit_baseline(winner.method, x, y)
+        assert winner.m_hat.tobytes() == refit.m_hat.tobytes()
+        assert winner.iterations_used == refit.iterations_used
+        assert winner.converged == refit.converged
 
     def test_empty_grid(self):
         with pytest.raises(ValueError):
@@ -258,16 +347,3 @@ class TestSpecValidation:
     def test_nan_mu_rejected(self):
         with pytest.raises(ValueError):
             BaselineSpec("ridge", mu=float("nan")).validate()
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        x, y = _data(30, 6, 4, seed=26)
-        model = fit_baseline(BaselineSpec("reduced_rank_ridge", mu=0.5, rank=2), x, y)
-        save_linear_model(model, str(tmp_path / "lm"))
-        loaded = load_linear_model(str(tmp_path / "lm"))
-        np.testing.assert_array_equal(loaded.m_hat, model.m_hat)
-        assert loaded.method == model.method
-        assert loaded.converged == model.converged
-        np.testing.assert_array_equal(predict_linear(loaded, x),
-                                      predict_linear(model, x))

@@ -227,14 +227,6 @@ class TestFitAdaptiveRRR:
         np.testing.assert_array_equal(m1.m_hat, m2.m_hat)
         assert (m1.k1, m1.k2) == (m2.k1, m2.k2)
 
-    def test_upsilon_check_flags(self):
-        inst = make_instance(SynthConfig(d1=10, d2=6, n=40, rank_m=2, eta=0.0, seed=5))
-        cfg = FitConfig(sigma_eps=1.0, k1_override=10, k2_override=2,
-                        upsilon_check=1e-6)
-        with pytest.warns(RuntimeWarning):
-            model = fit_adaptive_rrr(inst.x, inst.y, cfg)
-        assert model.upsilon_exceeded
-
     def test_row_mismatch_and_config_validation(self):
         with pytest.raises(ValueError):
             fit_adaptive_rrr(np.zeros((3, 2)), np.zeros((4, 2)), FitConfig(sigma_eps=1.0))
