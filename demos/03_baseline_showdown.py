@@ -25,7 +25,8 @@ model = fit_adaptive_rrr(inst.x, inst.y, FitConfig(sigma_eps=inst.sigma_noise))
 rows.append(("adaptive_rrr", "k2=%d" % model.k2,
              evaluate(model, x_te, y_te).mse_out))
 
-# iterative solvers get a looser budget; this is a demo, not a benchmark
+# iterative solvers get a looser budget, a relative prox-gradient residual of
+# 1e-6 instead of 1e-8; this is a demo, not a benchmark
 loose = SolverOpts(max_iters=1000, tol=1e-6)
 grids = {
     "ridge": [BaselineSpec("ridge", mu=mu) for mu in (0.1, 1.0, 10.0)],

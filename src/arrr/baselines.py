@@ -1,12 +1,14 @@
 """Competing linear regressors behind one interface.
 
 Methods: ridge, reduced-rank regression (rrr), reduced-rank ridge, principal
-component regression (pcr), per-column lasso via coordinate descent, and
-nuclear-norm regularized regression via proximal gradient.
+component regression (pcr), lasso, and nuclear-norm regularized regression.
 
 The four direct methods are one spectral filter V diag(f(s)) U^T y on the
 thin SVD of the design, so a hyperparameter grid over them is fitted from one
-factorization. `validate_hyperparams` returns the fitted winner, so its
+factorization. Lasso and nuclear norm minimize 0.5 ||y - x b||^2 + mu r(b)
+by one accelerated proximal-gradient loop on the Gram matrix x^T x, with
+r's prox as its only difference: soft thresholding of the entries or of the
+singular values. `validate_hyperparams` returns the fitted winner, so its
 callers score it without refitting.
 """
 
@@ -26,6 +28,10 @@ ITERATIVE = ("lasso", "nuclear")
 
 @dataclass(frozen=True)
 class SolverOpts:
+    """Budget of the iterative solvers (lasso, nuclear). A fit converges when
+    its prox-gradient residual ||z - p||_F / step, the gradient mapping at the
+    last point stepped from, is at most tol * max(1, ||x^T y||_F)."""
+
     max_iters: int = 5000
     tol: float = 1e-8
 
@@ -101,74 +107,63 @@ def _svd_filter_fit(spec, dec, y):
     return dec.v @ g
 
 
-def _soft(v, t):
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+def _prox_l1(v, t):
+    """Soft thresholding at t, and the l1 norm of the result."""
+    p = np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    return p, float(np.sum(np.abs(p)))
 
 
-def _fit_lasso(x, y, mu, opts):
-    # Coordinate descent on 0.5 ||y_j - X b||^2 + mu ||b||_1, all response
-    # columns advanced together, until the largest coefficient change in a
-    # sweep drops below tol.
-    n, d1 = x.shape
-    d2 = y.shape[1]
-    beta = np.zeros((d1, d2))
-    resid = y.copy()
-    col_sq = np.sum(x ** 2, axis=0)
-    trace = []
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, opts.max_iters + 1):
-        max_change = 0.0
-        for k in range(d1):
-            if col_sq[k] == 0.0:
-                continue
-            old = beta[k, :].copy()
-            rho = x[:, k] @ resid + col_sq[k] * old
-            new = _soft(rho, mu) / col_sq[k]
-            delta = new - old
-            change = float(np.max(np.abs(delta)))
-            if change > 0.0:
-                resid -= np.outer(x[:, k], delta)
-                beta[k, :] = new
-                max_change = max(max_change, change)
-        trace.append(0.5 * float(np.sum(resid ** 2)) + mu * float(np.sum(np.abs(beta))))
-        if max_change < opts.tol:
-            converged = True
-            break
-    return beta, sweeps, np.array(trace), converged
+def _prox_nuclear(v, t):
+    """Singular-value soft thresholding at t, and the nuclear norm of the
+    result: the sum of the thresholded singular values of that same SVD."""
+    dec = decompose(v)
+    s = np.maximum(dec.s - t, 0.0)
+    return (dec.u * s) @ dec.v.T, float(np.sum(s))
 
 
-def _nuclear_objective(x, y, b, mu):
-    s = np.linalg.svd(b, compute_uv=False)
-    return 0.5 * float(np.sum((y - x @ b) ** 2)) + mu * float(np.sum(s))
+def _fit_proximal(x, y, mu, prox, opts):
+    """Minimize F(b) = 0.5 ||y - x b||^2 + mu r(b) by accelerated proximal
+    gradient with restart, where prox(v, t) returns the prox of t r at v and
+    r of the result.
 
-
-def _fit_nuclear(x, y, mu, opts):
-    # Proximal gradient with fixed step 1/L, L = sigma_max(X)^2; the prox is
-    # singular-value soft thresholding at mu/L. Stops when the objective
-    # change within a step falls below tol.
-    n, d1 = x.shape
-    d2 = y.shape[1]
+    C = x^T y and G = x^T x are formed once, and the momentum point z carries
+    G z, so a step costs one G-product and one prox; the step size is
+    1 / ||x||_2^2. A step is taken only if F does not rise. F(p) - F(b) =
+    <p - b, G (p + b) / 2 - C> + mu (r(p) - r(b)) is computed from
+    differences, as F itself is dominated by ||y||^2. A rejected step
+    restarts the momentum at b, and a rejected plain step ends the loop at
+    the rounding floor. Converged means the residual ||z - p||_F / step is at
+    most tol * max(1, ||C||_F). The trace holds F at b = 0 and after each
+    step taken, so it never rises.
+    """
+    g, c = x.T @ x, x.T @ y
     ell = float(np.linalg.norm(x, 2)) ** 2
-    if ell == 0.0:
-        return np.zeros((d1, d2)), 0, np.array([]), True
-    step = 1.0 / ell
-    b = np.zeros((d1, d2))
-    trace = [_nuclear_objective(x, y, b, mu)]
+    step = 1.0 / ell if ell > 0.0 else 1.0  # a zero design stays at b = 0
+    bound = opts.tol * max(1.0, float(np.linalg.norm(c)))
+    b = gb = z = gz = np.zeros_like(c)
+    r_b, t = 0.0, 1.0
+    trace = [0.5 * float(np.sum(y * y))]
     converged = False
     iters = 0
     for iters in range(1, opts.max_iters + 1):
-        grad = x.T @ (x @ b - y)
-        z = b - step * grad
-        if mu > 0:
-            dec = decompose(z)
-            s = np.maximum(dec.s - mu * step, 0.0)
-            b = (dec.u * s) @ dec.v.T
-        else:
-            b = z
-        obj = _nuclear_objective(x, y, b, mu)
-        trace.append(obj)
-        if abs(trace[-2] - obj) < opts.tol:
+        v = z - step * (gz - c)
+        p, r_p = prox(v, mu * step) if mu > 0 else (v, 0.0)
+        gp = g @ p
+        resid = float(np.linalg.norm(z - p)) / step
+        diff = p - b
+        change = float(np.sum(diff * (0.5 * (gp + gb) - c))) + mu * (r_p - r_b)
+        if change > 0.0:
+            if t == 1.0:  # even a plain step rose: b is at the rounding floor
+                converged = resid <= bound
+                break
+            z, gz, t = b, gb, 1.0
+            continue
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        w = (t - 1.0) / t_next
+        z, gz = p + w * diff, gp + w * (gp - gb)
+        b, gb, r_b, t = p, gp, r_p, t_next
+        trace.append(trace[-1] + change)
+        if resid <= bound:
             converged = True
             break
     return b, iters, np.array(trace), converged
@@ -192,10 +187,9 @@ def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
     spec.validate(d1=x.shape[1], d2=y.shape[1], n=x.shape[0])
 
     iters, trace, converged = 0, np.array([]), True
-    if spec.method == "lasso":
-        coef, iters, trace, converged = _fit_lasso(x, y, spec.mu, spec.solver)
-    elif spec.method == "nuclear":
-        coef, iters, trace, converged = _fit_nuclear(x, y, spec.mu, spec.solver)
+    if spec.method in ITERATIVE:
+        prox = _prox_l1 if spec.method == "lasso" else _prox_nuclear
+        coef, iters, trace, converged = _fit_proximal(x, y, spec.mu, prox, spec.solver)
     else:
         coef = _svd_filter_fit(spec, decompose(x) if dec is None else dec, y)
 
@@ -218,12 +212,14 @@ def validate_hyperparams(
     train: Tuple[np.ndarray, np.ndarray],
     valid: Tuple[np.ndarray, np.ndarray],
     metric: Optional[Callable[[LinearModel, np.ndarray, np.ndarray], float]] = None,
+    dec: Optional[SpectralDecomposition] = None,
 ) -> LinearModel:
     """Fit every spec on train, score on valid, return the fitted argmin.
 
     The winner's spec is its `.method`. The direct methods of the grid share
-    one SVD of the training design. Ties break to the first occurrence in the
-    grid. The default metric is the variance-normalized out-of-sample MSE.
+    one SVD of the training design, taken from `dec` when the caller already
+    has it. Ties break to the first occurrence in the grid. The default
+    metric is the variance-normalized out-of-sample MSE.
     """
     if not spec_grid:
         raise ValueError("empty hyperparameter grid")
@@ -233,8 +229,8 @@ def validate_hyperparams(
 
     x_tr, y_tr = train
     x_va, y_va = valid
-    direct = any(spec.method not in ITERATIVE for spec in spec_grid)
-    dec = decompose(x_tr) if direct else None
+    if dec is None and any(spec.method not in ITERATIVE for spec in spec_grid):
+        dec = decompose(x_tr)
     best, best_score = None, None
     for spec in spec_grid:
         model = fit_baseline(spec, x_tr, y_tr, dec)

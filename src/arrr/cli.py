@@ -41,6 +41,7 @@ from .estimator import (
     fit_path,
     load_model,
     predict,
+    require_finite,
     save_model,
 )
 from .spectral import angle_matrix, decompose
@@ -370,9 +371,12 @@ def _compare_cell(args) -> List[Dict[str, Any]]:
                                          syn.n, syn.eta, derived_seed(seed, tag))
     x_va, y_va, _ = draw(VALID_STREAM)
     x_te, y_te, _ = draw(TEST_STREAM)
-    scored = lambda m: metrics.merge_splits(
-        metrics.evaluate(m, inst.x, inst.y, split_label="in"),
-        metrics.evaluate(m, x_te, y_te, m_true=inst.m, split_label="out"))
+
+    def scored(m):  # in-sample scores need no recovered rank, so no evaluate
+        mse_in, r2_in, _ = _scores(m, inst.x, inst.y)
+        return metrics.merge_splits(
+            metrics.MetricsReport(mse_in=mse_in, r2_in=r2_in, degenerate=math.isnan(mse_in)),
+            metrics.evaluate(m, x_te, y_te, m_true=inst.m, split_label="out"))
 
     fit = cfg["_fit"]
     fc = FitConfig(delta=fit["delta"], theta=fit["theta"],
@@ -454,10 +458,12 @@ def run_rolling(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
         x_tr, y_tr = _slice(x, fold.train), _slice(y, fold.train)
         x_va, y_va = _slice(x, fold.valid), _slice(y, fold.valid)
         x_te, y_te = _slice(x, fold.test), _slice(y, fold.test)
+        require_finite("x and y", x_tr, y_tr)  # before the SVD, not by a LAPACK failure
+        dec = decompose(x_tr)  # shared by the estimator and every baseline grid
 
         # adaptive estimator: pick (delta, theta) on the validation window
         best = None
-        for model in fit_path(x_tr, y_tr, candidates):
+        for model in fit_path(x_tr, y_tr, candidates, dec):
             if isinstance(model, NoGapError):
                 continue
             score = _scores(model, x_va, y_va)[0]
@@ -471,7 +477,7 @@ def run_rolling(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
                    {"k1": model.k1, "k2": model.k2})]
         for method in sorted(base_grid):
             bm = baselines.validate_hyperparams(base_grid[method],
-                                                (x_tr, y_tr), (x_va, y_va))
+                                                (x_tr, y_tr), (x_va, y_va), dec=dec)
             spec = bm.method
             fitted.append((method, bm, baselines.predict_linear(bm, x_te),
                            {"mu": spec.mu, "rank": -1 if spec.rank is None else spec.rank}))

@@ -38,6 +38,13 @@ class NonFiniteError(ValueError):
     estimator reports before any factorization runs."""
 
 
+def require_finite(what: str, *arrays: np.ndarray) -> None:
+    """Raise NonFiniteError, naming `what`, unless every array holds only
+    finite values. Callers run it before they factor the arrays."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NonFiniteError("%s must hold only finite values" % what)
+
+
 @dataclass(frozen=True)
 class FitConfig:
     delta: float = 1e-3
@@ -203,15 +210,17 @@ def fit_path(
     x: np.ndarray,
     y: np.ndarray,
     configs: Sequence[FitConfig],
+    dec: Optional[SpectralDecomposition] = None,
 ) -> Iterator[Union[FittedModel, NoGapError]]:
     """Fit every config on one (x, y), sharing the factorizations.
 
-    One SVD of x serves the noise pilot, which runs at most once (for the
-    first config with sigma_eps "auto"), and stage 1 of every config. One SVD
-    of the cross-moment matrix per distinct k1 serves stage 2 of every config
-    with that k1. Yields, in config order, what fit_adaptive_rrr would return
-    for each config, bit for bit, or, for a config whose stage 1 finds no
-    admissible gap, the NoGapError it would raise. Every other error is
+    One SVD of x, taken from `dec` when the caller already has it, serves the
+    noise pilot, which runs at most once (for the first config with sigma_eps
+    "auto"), and stage 1 of every config. One SVD of the cross-moment matrix
+    per distinct k1 serves stage 2 of every config with that k1. Yields, in
+    config order, what fit_adaptive_rrr would return for each config, bit for
+    bit, or, for a config whose stage 1 finds no admissible gap, the
+    NoGapError it would raise. Every other error is
     raised: NonFiniteError when x or y holds NaN or infinity, ValueError for
     an invalid config, shape or override.
     """
@@ -225,10 +234,9 @@ def fit_path(
         raise ValueError(
             "row count mismatch: x has %d, y has %d" % (x.shape[0], y.shape[0])
         )
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise NonFiniteError("x and y must hold only finite values")
+    require_finite("x and y", x, y)
 
-    x_dec = decompose(x)
+    x_dec = decompose(x) if dec is None else dec
     pilot_sigma = None
     n_hat_decs = {}
     for config in configs:
@@ -282,8 +290,7 @@ def predict(model: FittedModel, x_new: np.ndarray) -> np.ndarray:
         raise ValueError(
             "x_new must have %d columns" % model.m_hat.shape[1]
         )
-    if not np.isfinite(x_new).all():
-        raise NonFiniteError("x_new must hold only finite values")
+    require_finite("x_new", x_new)
     return x_new @ model.m_hat.T
 
 

@@ -58,6 +58,73 @@ def _reference_m_hat(spec, x, y):
 DIRECT = ("ridge", "rrr", "reduced_rank_ridge", "pcr")
 
 
+# Reference solvers for the iterative methods: per-coordinate descent for the
+# lasso, stopped when a sweep moves no coefficient by tol, and plain proximal
+# gradient for the nuclear norm, stopped when a step changes the objective by
+# less than tol. Each returns (coefficients d1 x d2, converged).
+def _soft(v, t):
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def _ref_lasso(x, y, mu, opts):
+    beta = np.zeros((x.shape[1], y.shape[1]))
+    resid = y.copy()
+    col_sq = np.sum(x ** 2, axis=0)
+    for _ in range(opts.max_iters):
+        max_change = 0.0
+        for k in np.flatnonzero(col_sq):
+            old = beta[k, :].copy()
+            new = _soft(x[:, k] @ resid + col_sq[k] * old, mu) / col_sq[k]
+            resid -= np.outer(x[:, k], new - old)
+            beta[k, :] = new
+            max_change = max(max_change, float(np.max(np.abs(new - old))))
+        if max_change < opts.tol:
+            return beta, True
+    return beta, False
+
+
+def _nuclear_norm(b):
+    return float(np.sum(np.linalg.svd(b, compute_uv=False)))
+
+
+def _objective(method, x, y, b, mu):
+    penalty = float(np.sum(np.abs(b))) if method == "lasso" else _nuclear_norm(b)
+    return 0.5 * float(np.sum((y - x @ b) ** 2)) + mu * penalty
+
+
+def _svt(z, t):
+    u, s, vt = np.linalg.svd(z, full_matrices=False)
+    return (u * np.maximum(s - t, 0.0)) @ vt
+
+
+def _ref_nuclear(x, y, mu, opts):
+    step = 1.0 / float(np.linalg.norm(x, 2)) ** 2
+    b = np.zeros((x.shape[1], y.shape[1]))
+    obj = _objective("nuclear", x, y, b, mu)
+    for _ in range(opts.max_iters):
+        b = _svt(b - step * (x.T @ (x @ b - y)), mu * step)
+        prev, obj = obj, _objective("nuclear", x, y, b, mu)
+        if abs(prev - obj) < opts.tol:
+            return b, True
+    return b, False
+
+
+@st.composite
+def _iterative_cases(draw):
+    """(method, mu, x, y) for lasso or nuclear norm: d1 may exceed n, x may
+    carry a zero and a duplicated column, and mu runs from 0 to above
+    max |x^T y|, where the lasso solution is zero."""
+    n, d1, d2 = draw(st.integers(3, 12)), draw(st.integers(3, 12)), draw(st.integers(1, 4))
+    x, y = _data(n, d1, d2, seed=draw(st.integers(0, 2 ** 16)))
+    if draw(st.booleans()):
+        x[:, 0] = 0.0
+    if draw(st.booleans()):
+        x[:, -1] = x[:, 1]
+    scale = draw(st.sampled_from([0.0, 0.01, 0.1, 0.3, 1.0, 1.5]))
+    mu = scale * float(np.max(np.abs(x.T @ y)))
+    return draw(st.sampled_from(["lasso", "nuclear"])), mu, x, y
+
+
 @st.composite
 def _direct_cases(draw):
     """(spec, x, y) for a direct method: d1 may exceed n, x may carry a
@@ -248,6 +315,54 @@ class TestNuclear:
         assert not model.converged
 
 
+class TestProximalSolver:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(case=_iterative_cases())
+    def test_matches_reference_solvers(self, case):
+        method, mu, x, y = case
+        opts = SolverOpts()
+        model = fit_baseline(BaselineSpec(method, mu=mu, solver=opts), x, y)
+        assert np.all(np.diff(model.objective_trace) <= 0.0)
+        b = model.m_hat.T
+        ref, ref_converged = (_ref_lasso if method == "lasso" else _ref_nuclear)(x, y, mu, opts)
+        if model.converged and ref_converged:
+            want = _objective(method, x, y, ref, mu)
+            assert _objective(method, x, y, b, mu) <= want + 1e-9 * max(1.0, abs(want))
+        if not model.converged:
+            return
+        if method == "lasso":
+            corr = x.T @ (y - x @ b)
+            active = b != 0
+            assert np.all(np.abs(corr[~active]) <= mu + 1e-5)
+            np.testing.assert_allclose(corr[active], mu * np.sign(b[active]), atol=1e-5)
+        else:
+            step = 1.0 / float(np.linalg.norm(x, 2)) ** 2
+            prox = _svt(b - step * (x.T @ (x @ b - y)), mu * step)
+            assert np.max(np.abs(prox - b)) <= 1e-5
+
+    @pytest.mark.parametrize("method", ["lasso", "nuclear"])
+    def test_unreachable_tol_stops_at_rounding_floor(self, method):
+        # no iterate meets tol = 1e-15; the loop must notice that a plain
+        # step no longer lowers the objective instead of running to max_iters
+        x, y = _data(30, 8, 5, seed=21)
+        opts = SolverOpts(max_iters=5000, tol=1e-15)
+        model = fit_baseline(BaselineSpec(method, mu=0.5, solver=opts), x, y)
+        assert not model.converged
+        assert model.iterations_used < opts.max_iters
+        assert np.all(np.diff(model.objective_trace) <= 0.0)
+
+    @pytest.mark.parametrize("method", ["lasso", "nuclear"])
+    @pytest.mark.parametrize("n", [0, 6])
+    def test_degenerate_design(self, method, n):
+        # a zero or empty design: one step confirms b = 0 is optimal
+        y = np.ones((n, 2))
+        model = fit_baseline(BaselineSpec(method, mu=1.0), np.zeros((n, 3)), y)
+        np.testing.assert_array_equal(model.m_hat, np.zeros((2, 3)))
+        assert model.converged
+        assert model.iterations_used == 1
+        np.testing.assert_array_equal(model.objective_trace, [n, n])
+
+
 class TestSVDFilter:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=_direct_cases())
@@ -313,6 +428,8 @@ class TestValidateHyperparams:
         winner = validate_hyperparams(grid, (x, y), (x_va, y_va))
         refit = fit_baseline(winner.method, x, y)
         assert winner.m_hat.tobytes() == refit.m_hat.tobytes()
+        shared = validate_hyperparams(grid, (x, y), (x_va, y_va), dec=decompose(x))
+        assert shared.m_hat.tobytes() == winner.m_hat.tobytes()
         assert winner.iterations_used == refit.iterations_used
         assert winner.converged == refit.converged
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arrr.cli as cli
 from arrr import dataio, metrics
 from arrr._serde import read_matrix_csv, write_matrix_csv
 from arrr.cli import (
@@ -23,6 +24,7 @@ from arrr.cli import (
     write_results,
 )
 from arrr.estimator import FitConfig, NoGapError, fit_adaptive_rrr, load_model, predict
+from arrr.spectral import decompose
 from arrr.synth import SynthConfig, gen_dataset, make_instance
 
 
@@ -374,6 +376,30 @@ class TestRolling:
         want = write_results(str(tmp_path / "ref"), ROLLING_HEADER, rows,
                              ("method", "fold", "split"))
         assert filecmp.cmp(os.path.join(out, "results.csv"), want, shallow=False)
+
+    def test_infinite_training_value_is_reported_before_the_svd(self, tmp_path, monkeypatch):
+        # an inf return reaches the first fold's training design; the run must
+        # name it before factoring that design, whose SVD would quietly be NaN
+        def finite_only(a):
+            assert np.isfinite(a).all(), "a non-finite design was factored"
+            return decompose(a)
+
+        monkeypatch.setattr(cli, "decompose", finite_only)
+        panel = tmp_path / "panel.csv"
+        lines = open(self._panel(tmp_path)).read().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",inf"
+        panel.write_text("\n".join(lines) + "\n")
+        cfg = _write_json(tmp_path, "cfg.json", {
+            "kind": "rolling",
+            "panel": str(panel),
+            "features": {"lookbacks": [1], "horizon": 1},
+            "splits": {"train_len": 8, "valid_len": 3, "test_len": 3, "gap_len": 0},
+            "fit": {"delta": [1e-8], "sigma_eps": "auto"},
+            "baselines": [{"method": "ridge", "mu": [0.5]}],
+        })
+        out = tmp_path / "out"
+        assert main(["rolling", "--config", cfg, "--out", str(out)]) == 3
+        assert json.loads((out / "error.json").read_text())["error"] == "NonFiniteError"
 
     def test_missing_panel_is_config_error(self, tmp_path):
         cfg = _write_json(tmp_path, "cfg.json", {

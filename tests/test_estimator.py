@@ -20,7 +20,7 @@ from arrr.estimator import (
     step1_pca_x,
     step2_pca_denoise,
 )
-from arrr.spectral import select_gap_rank, truncate_rank
+from arrr.spectral import decompose, select_gap_rank, truncate_rank
 from arrr.synth import SynthConfig, gen_covariance, gen_design, make_instance
 
 
@@ -370,15 +370,18 @@ class TestFitPath:
     def test_path_equals_separate_fits_bitwise(self, seed, shape, configs):
         x, y = _path_data(seed, *shape)
         path = list(fit_path(x, y, configs))
-        assert len(path) == len(configs)
-        for config, got in zip(configs, path):
+        shared = list(fit_path(x, y, configs, decompose(x)))
+        assert len(path) == len(configs) == len(shared)
+        for config, got, got_shared in zip(configs, path, shared):
             try:
                 want = fit_adaptive_rrr(x, y, config)
             except NoGapError as e:
                 assert isinstance(got, NoGapError) and str(got) == str(e)
+                assert isinstance(got_shared, NoGapError) and str(got_shared) == str(e)
                 continue
             assert got.config is config
             np.testing.assert_array_equal(got.m_hat, want.m_hat)
+            np.testing.assert_array_equal(got_shared.m_hat, want.m_hat)
             np.testing.assert_array_equal(got.n_hat_sigmas, want.n_hat_sigmas)
             assert (got.k1, got.k2, got.threshold_used, got.sigma_eps_used) == (
                 want.k1, want.k2, want.threshold_used, want.sigma_eps_used)
