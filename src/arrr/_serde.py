@@ -17,10 +17,10 @@ def fmt_float(x: float) -> str:
 
 def write_matrix_csv(path, a: np.ndarray) -> None:
     a = np.atleast_2d(np.asarray(a, dtype=float))
+    line = ",".join([FLOAT_FMT] * a.shape[1]) + "\n"
     with open(path, "w") as f:
         for row in a:
-            f.write(",".join(fmt_float(v) for v in row))
-            f.write("\n")
+            f.write(line % tuple(row.tolist()))
 
 
 def read_matrix_csv(path) -> np.ndarray:

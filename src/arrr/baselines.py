@@ -8,12 +8,16 @@ thin SVD of the design, so a hyperparameter grid over them is fitted from one
 factorization. Lasso and nuclear norm minimize 0.5 ||y - x b||^2 + mu r(b)
 by one accelerated proximal-gradient loop on the Gram matrix x^T x, with
 r's prox as its only difference: soft thresholding of the entries or of the
-singular values. `validate_hyperparams` returns the fitted winner, so its
-callers score it without refitting.
+singular values. The singular values come from the eigendecomposition of the
+iterate's smaller Gram matrix, or from its SVD when the threshold is too small
+for the Gram matrix to resolve. Every method takes ||x||_2 or the filter from
+one SVD of the design. `validate_hyperparams` returns the fitted winner, so
+its callers score it without refitting.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -109,26 +113,42 @@ def _svd_filter_fit(spec, dec, y):
 
 def _prox_l1(v, t):
     """Soft thresholding at t, and the l1 norm of the result."""
-    p = np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-    return p, float(np.sum(np.abs(p)))
+    m = np.maximum(np.abs(v) - t, 0.0)
+    return np.sign(v) * m, float(np.sum(m))
 
 
 def _prox_nuclear(v, t):
     """Singular-value soft thresholding at t, and the nuclear norm of the
-    result: the sum of the thresholded singular values of that same SVD."""
-    dec = decompose(v)
-    s = np.maximum(dec.s - t, 0.0)
-    return (dec.u * s) @ dec.v.T, float(np.sum(s))
+    result: the sum of the thresholded singular values.
+
+    Only the singular values s_k > t and their right vectors w_k matter, so
+    they come from eigh of the Gram matrix of a = v (v.T if v is wide), with
+    s_k = ||a w_k||, which is accurate where sqrt(lambda_k) is not. The Gram
+    matrix holds no digits below eps * lambda_max, so when t^2 < 1e-8
+    lambda_max, where the result would lose more than about 1e-12 s_max, the
+    prox takes the SVD of v instead.
+    """
+    a = v.T if v.shape[0] < v.shape[1] else v
+    lam, w = np.linalg.eigh(a.T @ a)
+    if lam.size and t * t < 1e-8 * lam[-1]:
+        dec = decompose(v)
+        s = np.maximum(dec.s - t, 0.0)
+        return (dec.u * s) @ dec.v.T, float(np.sum(s))
+    w = w[:, lam > t * t]
+    aw = a @ w
+    s = np.sqrt(np.einsum("ij,ij->j", aw, aw))
+    p = (aw * (1.0 - t / s)) @ w.T
+    return (p.T if a is not v else p), float(np.sum(s - t))
 
 
-def _fit_proximal(x, y, mu, prox, opts):
+def _fit_proximal(x, y, mu, prox, opts, ell):
     """Minimize F(b) = 0.5 ||y - x b||^2 + mu r(b) by accelerated proximal
     gradient with restart, where prox(v, t) returns the prox of t r at v and
-    r of the result.
+    r of the result, and ell = ||x||_2^2.
 
     C = x^T y and G = x^T x are formed once, and the momentum point z carries
     G z, so a step costs one G-product and one prox; the step size is
-    1 / ||x||_2^2. A step is taken only if F does not rise. F(p) - F(b) =
+    1 / ell. A step is taken only if F does not rise. F(p) - F(b) =
     <p - b, G (p + b) / 2 - C> + mu (r(p) - r(b)) is computed from
     differences, as F itself is dominated by ||y||^2. A rejected step
     restarts the momentum at b, and a rejected plain step ends the loop at
@@ -137,10 +157,10 @@ def _fit_proximal(x, y, mu, prox, opts):
     step taken, so it never rises.
     """
     g, c = x.T @ x, x.T @ y
-    ell = float(np.linalg.norm(x, 2)) ** 2
     step = 1.0 / ell if ell > 0.0 else 1.0  # a zero design stays at b = 0
     bound = opts.tol * max(1.0, float(np.linalg.norm(c)))
-    b = gb = z = gz = np.zeros_like(c)
+    b, gb = np.zeros_like(c), np.zeros_like(c)
+    z, gz = np.zeros_like(c), np.zeros_like(c)  # updated in place, never aliased
     r_b, t = 0.0, 1.0
     trace = [0.5 * float(np.sum(y * y))]
     converged = False
@@ -149,18 +169,20 @@ def _fit_proximal(x, y, mu, prox, opts):
         v = z - step * (gz - c)
         p, r_p = prox(v, mu * step) if mu > 0 else (v, 0.0)
         gp = g @ p
-        resid = float(np.linalg.norm(z - p)) / step
+        e = (z - p).ravel()
+        resid = math.sqrt(e @ e) / step
         diff = p - b
-        change = float(np.sum(diff * (0.5 * (gp + gb) - c))) + mu * (r_p - r_b)
+        change = float(diff.ravel() @ (0.5 * (gp + gb) - c).ravel()) + mu * (r_p - r_b)
         if change > 0.0:
             if t == 1.0:  # even a plain step rose: b is at the rounding floor
                 converged = resid <= bound
                 break
-            z, gz, t = b, gb, 1.0
+            z[...], gz[...], t = b, gb, 1.0
             continue
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         w = (t - 1.0) / t_next
-        z, gz = p + w * diff, gp + w * (gp - gb)
+        np.add(p, w * diff, out=z)
+        np.add(gp, w * (gp - gb), out=gz)
         b, gb, r_b, t = p, gp, r_p, t_next
         trace.append(trace[-1] + change)
         if resid <= bound:
@@ -175,8 +197,9 @@ def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
     predictions are x @ m_hat.T for every method.
 
     The direct methods (ridge, rrr, reduced_rank_ridge, pcr) are filters on
-    the thin SVD of x, which they take from `dec` when the caller already has
-    it; the result is the same bit for bit. Iterative solvers that fail to
+    the thin SVD of x, and the iterative ones take their step from its top
+    singular value. The SVD comes from `dec` when the caller already has it;
+    the result is the same bit for bit. Iterative solvers that fail to
     converge within max_iters come back with converged=False rather than
     raising.
     """
@@ -186,12 +209,14 @@ def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
         raise ValueError("x and y must be matrices with matching rows")
     spec.validate(d1=x.shape[1], d2=y.shape[1], n=x.shape[0])
 
+    dec = decompose(x) if dec is None else dec
     iters, trace, converged = 0, np.array([]), True
     if spec.method in ITERATIVE:
         prox = _prox_l1 if spec.method == "lasso" else _prox_nuclear
-        coef, iters, trace, converged = _fit_proximal(x, y, spec.mu, prox, spec.solver)
+        ell = float(dec.s[0]) ** 2 if dec.s.size else 0.0
+        coef, iters, trace, converged = _fit_proximal(x, y, spec.mu, prox, spec.solver, ell)
     else:
-        coef = _svd_filter_fit(spec, decompose(x) if dec is None else dec, y)
+        coef = _svd_filter_fit(spec, dec, y)
 
     return LinearModel(
         m_hat=coef.T,
@@ -216,9 +241,9 @@ def validate_hyperparams(
 ) -> LinearModel:
     """Fit every spec on train, score on valid, return the fitted argmin.
 
-    The winner's spec is its `.method`. The direct methods of the grid share
-    one SVD of the training design, taken from `dec` when the caller already
-    has it. Ties break to the first occurrence in the grid. The default
+    The winner's spec is its `.method`. Every spec of the grid shares one SVD
+    of the training design, taken from `dec` when the caller already has it.
+    Ties break to the first occurrence in the grid. The default
     metric is the variance-normalized out-of-sample MSE.
     """
     if not spec_grid:
@@ -229,7 +254,7 @@ def validate_hyperparams(
 
     x_tr, y_tr = train
     x_va, y_va = valid
-    if dec is None and any(spec.method not in ITERATIVE for spec in spec_grid):
+    if dec is None:
         dec = decompose(x_tr)
     best, best_score = None, None
     for spec in spec_grid:

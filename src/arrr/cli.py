@@ -378,16 +378,18 @@ def _compare_cell(args) -> List[Dict[str, Any]]:
             metrics.MetricsReport(mse_in=mse_in, r2_in=r2_in, degenerate=math.isnan(mse_in)),
             metrics.evaluate(m, x_te, y_te, m_true=inst.m, split_label="out"))
 
+    require_finite("x and y", inst.x, inst.y)  # before the SVD, not by a LAPACK failure
+    dec = decompose(inst.x)  # shared by the estimator and every baseline grid
     fit = cfg["_fit"]
     fc = FitConfig(delta=fit["delta"], theta=fit["theta"],
                    sigma_eps=_resolve_sigma(fit["sigma_eps"], inst))
-    model = fit_adaptive_rrr(inst.x, inst.y, fc)
+    model = fit_adaptive_rrr(inst.x, inst.y, fc, dec)
     rows = [_metric_row("adaptive_rrr", eta, model.k1, model.k2, -1.0, -1, seed,
                         scored(model))]
 
     for method in sorted(cfg["_baselines"]):
         bmodel = baselines.validate_hyperparams(cfg["_baselines"][method],
-                                                (inst.x, inst.y), (x_va, y_va))
+                                                (inst.x, inst.y), (x_va, y_va), dec=dec)
         best = bmodel.method
         rows.append(_metric_row(method, eta, -1, -1, best.mu,
                                 -1 if best.rank is None else best.rank, seed, scored(bmodel)))

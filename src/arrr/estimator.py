@@ -269,15 +269,17 @@ def fit_path(
         )
 
 
-def fit_adaptive_rrr(x: np.ndarray, y: np.ndarray, config: FitConfig) -> FittedModel:
+def fit_adaptive_rrr(x: np.ndarray, y: np.ndarray, config: FitConfig,
+                     dec: Optional[SpectralDecomposition] = None) -> FittedModel:
     """Run both stages and compose the coefficient estimate.
 
     With config.sigma_eps == "auto" the noise scale is estimated by
     estimate_noise_sigma first. Raises NoGapError when stage 1 finds no
     admissible gap and no override was given, and NonFiniteError when x or y
-    holds NaN or infinity. The one-config case of fit_path.
+    holds NaN or infinity. The one-config case of fit_path, which takes the
+    SVD of x from `dec` when the caller already has it.
     """
-    (model,) = fit_path(x, y, [config])
+    (model,) = fit_path(x, y, [config], dec)
     if isinstance(model, NoGapError):
         raise model
     return model

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from arrr.baselines import (
     BaselineSpec,
     SolverOpts,
+    _prox_nuclear,
     fit_baseline,
     validate_hyperparams,
 )
@@ -123,6 +124,47 @@ def _iterative_cases(draw):
     scale = draw(st.sampled_from([0.0, 0.01, 0.1, 0.3, 1.0, 1.5]))
     mu = scale * float(np.max(np.abs(x.T @ y)))
     return draw(st.sampled_from(["lasso", "nuclear"])), mu, x, y
+
+
+def _svd_prox_nuclear(v, t):
+    """Reference nuclear prox: soft thresholding of the full SVD of v."""
+    dec = decompose(v)
+    s = np.maximum(dec.s - t, 0.0)
+    return (dec.u * s) @ dec.v.T, float(np.sum(s))
+
+
+@st.composite
+def _prox_cases(draw):
+    """(v, t, s_max) for the nuclear prox: tall, wide or square down to 1 x k
+    and k x 1, rank-deficient, with a zero and a duplicated column, a graded,
+    spiked or random spectrum plus noise, and t / s_max log-uniform in
+    [1e-9, 1e-4) or [1e-4, 2], the SVD fallback's side of the guard or the
+    Gram path's."""
+    m, n = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    r = draw(st.integers(0, min(m, n)))
+    spectrum = draw(st.sampled_from(["graded", "spike", "random"]))
+    if spectrum == "graded":  # singular values spread over up to 12 decades
+        s = 10.0 ** -np.linspace(0.0, draw(st.sampled_from([3.0, 6.0, 12.0])), r)
+    elif spectrum == "spike":  # one large value over many near t / s_max = 1e-4
+        s = np.append(1.0, 10.0 ** -rng.uniform(2.5, 4.0, size=max(r - 1, 0)))[:r]
+    else:
+        s = np.abs(rng.normal(size=r))
+    u = np.linalg.qr(rng.normal(size=(m, r)))[0]
+    w = np.linalg.qr(rng.normal(size=(n, r)))[0]
+    noise = draw(st.sampled_from([1e-12, 1e-6, 1e-2, 1.0, 0.0]))
+    v = (u * s) @ w.T + noise * rng.normal(size=(m, n))
+    v *= draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    if draw(st.booleans()):
+        v[:, 0] = 0.0
+    if n > 1 and draw(st.booleans()):
+        v[:, -1] = v[:, 0]
+    s_max = float(np.linalg.svd(v, compute_uv=False)[0])
+    if draw(st.booleans()):
+        rel = 10.0 ** rng.uniform(-4.0, np.log10(2.0))
+    else:
+        rel = 10.0 ** rng.uniform(-9.0, -4.0)
+    return v, rel * (s_max if s_max > 0.0 else 1.0), s_max
 
 
 @st.composite
@@ -339,6 +381,20 @@ class TestProximalSolver:
             step = 1.0 / float(np.linalg.norm(x, 2)) ** 2
             prox = _svt(b - step * (x.T @ (x @ b - y)), mu * step)
             assert np.max(np.abs(prox - b)) <= 1e-5
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=_prox_cases())
+    def test_nuclear_prox_matches_svd_reference(self, case):
+        v, t, s_max = case
+        p, r = _prox_nuclear(v, t)
+        p_ref, r_ref = _svd_prox_nuclear(v, t)
+        bound = 1e-11 * max(1.0, s_max)
+        assert p.shape == v.shape
+        assert np.max(np.abs(p - p_ref)) <= bound
+        assert abs(r - r_ref) <= bound
+        # each kept singular value is as accurate as the SVD's, eps * s_max up
+        # to a small factor; a root of its Gram eigenvalue is not
+        assert abs(r - r_ref) <= 10.0 * min(v.shape) * np.finfo(float).eps * s_max
 
     @pytest.mark.parametrize("method", ["lasso", "nuclear"])
     def test_unreachable_tol_stops_at_rounding_floor(self, method):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import arrr.cli as cli
 from arrr import dataio, metrics
-from arrr._serde import read_matrix_csv, write_matrix_csv
+from arrr._serde import fmt_float, read_matrix_csv, write_matrix_csv
 from arrr.cli import (
     ROLLING_HEADER,
     SWEEP_HEADER,
@@ -283,6 +283,37 @@ class TestCompare:
             assert -1.0 <= float(row["corr_out"]) <= 1.0
 
 
+    def test_cell_factors_its_training_design_once(self, tmp_path, monkeypatch):
+        # the estimator, all six baseline grids and the lasso and nuclear step
+        # sizes share one SVD of the training design; np.linalg.norm(x, 2)
+        # would be an SVD too, made inside numpy's own module
+        synth_sec = {"d1": 12, "d2": 6, "n": 20, "rank_m": 2, "eta": 0.5, "seed": 0}
+        x = make_instance(cli._synth_config(synth_sec)).x
+        linalg = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+        real_svd, factored = np.linalg.svd, []
+
+        def counting_svd(a, *args, **kwargs):
+            if np.shape(a) == x.shape and np.array_equal(a, x):
+                factored.append(1)
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(linalg, "svd", counting_svd)
+        cfg = _write_json(tmp_path, "cfg.json", {
+            "kind": "compare", "synth": synth_sec,
+            "grids": {"eta": [0.5], "seeds": [0]},
+            "fit": {"delta": 1e-6},
+            "baselines": [{"method": "ridge", "mu": [0.1, 1.0]},
+                          {"method": "rrr", "rank": [1, 2]},
+                          {"method": "pcr", "rank": [2]},
+                          {"method": "reduced_rank_ridge", "mu": 1.0, "rank": 2},
+                          {"method": "lasso", "mu": [0.3, 1.0]},
+                          {"method": "nuclear", "mu": [0.3, 1.0]}],
+        })
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(factored) == 1
+
+
 class TestRolling:
     def _panel(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -464,6 +495,35 @@ def _matrix_files(tmp_path):
     assert main(["fit", "--x", paths["x"], "--y", paths["y"], "--sigma", "1",
                  "--out", paths["model"]]) == 0
     return paths
+
+
+def _write_per_float(path, a):
+    """The matrix CSV writer as it was: one fmt_float call per entry."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    with open(path, "w") as f:
+        for row in a:
+            f.write(",".join(fmt_float(v) for v in row))
+            f.write("\n")
+
+
+class TestMatrixCsv:
+    SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, np.finfo(float).tiny, 1 / 3, -1e300,
+               np.inf, -np.inf, np.nan]
+
+    @pytest.mark.parametrize("a", [
+        np.array([SPECIAL]),
+        np.array(SPECIAL).reshape(-1, 1),
+        np.array(SPECIAL[:8]).reshape(2, 4),
+        np.random.default_rng(0).normal(size=(7, 5)),
+        np.array(SPECIAL),
+        np.zeros((0, 3)),
+        np.zeros((2, 0)),
+    ], ids=["row", "column", "special", "normal", "vector", "no_rows", "no_columns"])
+    def test_bytes_equal_the_per_float_writer(self, tmp_path, a):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_matrix_csv(str(got), a)
+        _write_per_float(str(want), a)
+        assert got.read_bytes() == want.read_bytes()
 
 
 _SMALL_SYNTH = {"d1": 20, "d2": 8, "n": 25, "rank_m": 3, "eta": 0.5, "seed": 0}
