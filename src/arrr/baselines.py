@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .estimator import require_finite
 from .metrics import pooled_scores
 from .spectral import SpectralDecomposition, decompose
 
@@ -228,7 +229,11 @@ def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
 
 
 def predict_linear(model: LinearModel, x_new: np.ndarray) -> np.ndarray:
+    """Predictions x_new @ m_hat.T for new feature rows."""
     x_new = np.asarray(x_new, dtype=float)
+    if x_new.ndim != 2 or x_new.shape[1] != model.m_hat.shape[1]:
+        raise ValueError("x_new must have %d columns" % model.m_hat.shape[1])
+    require_finite("x_new", x_new)
     return x_new @ model.m_hat.T
 
 
@@ -236,30 +241,26 @@ def validate_hyperparams(
     spec_grid: Sequence[BaselineSpec],
     train: Tuple[np.ndarray, np.ndarray],
     valid: Tuple[np.ndarray, np.ndarray],
-    metric: Optional[Callable[[LinearModel, np.ndarray, np.ndarray], float]] = None,
     dec: Optional[SpectralDecomposition] = None,
 ) -> LinearModel:
     """Fit every spec on train, score on valid, return the fitted argmin.
 
-    The winner's spec is its `.method`. Every spec of the grid shares one SVD
-    of the training design, taken from `dec` when the caller already has it.
-    Ties break to the first occurrence in the grid. The default
-    metric is the variance-normalized out-of-sample MSE.
+    The score is the pooled variance-normalized MSE of the predictions on
+    valid. The winner's spec is its `.method`. Every spec of the grid shares
+    one SVD of the training design, taken from `dec` when the caller already
+    has it. Ties break to the first occurrence in the grid.
     """
     if not spec_grid:
         raise ValueError("empty hyperparameter grid")
-    if metric is None:
-        def metric(model, xv, yv):
-            return pooled_scores(np.asarray(yv, dtype=float), predict_linear(model, xv))[0]
-
     x_tr, y_tr = train
     x_va, y_va = valid
+    y_va = np.asarray(y_va, dtype=float)
     if dec is None:
         dec = decompose(x_tr)
     best, best_score = None, None
     for spec in spec_grid:
         model = fit_baseline(spec, x_tr, y_tr, dec)
-        score = float(metric(model, x_va, y_va))
+        score = pooled_scores(y_va, predict_linear(model, x_va))[0]
         if best_score is None or score < best_score:
             best, best_score = model, score
     return best

@@ -4,6 +4,11 @@ Eight subcommands. `fit`, `predict`, and `synth` are flag-driven; `sweep`,
 `compare`, `rolling`, `packing`, and `angles` take a single JSON config file
 plus an output directory.
 
+A `compare` cell and a `rolling` fold share one fit-select-score path: one
+SVD of the training design serves the estimator's (delta, theta) candidates
+and every baseline grid, each method keeps its lowest pooled validation MSE,
+and the winners are scored on the training and test windows.
+
 Exit codes: 0 success; 2 bad input (nothing is written); 3 numerical
 failure, non-finite input included (error.json lands in the output directory
 and a message goes to stderr). Bad input is whatever the library rejects
@@ -168,11 +173,6 @@ def load_config(path: str, kind: str) -> Dict[str, Any]:
     return _apply_env_seed(cfg)
 
 
-def _public_cfg(cfg: Dict[str, Any]) -> Dict[str, Any]:
-    # keys starting with "_" hold resolved internal state, not user input
-    return {k: v for k, v in cfg.items() if not k.startswith("_")}
-
-
 def _resolve_sigma(spec, instance):
     """Turn a config-level sigma spec into a FitConfig value.
 
@@ -311,11 +311,10 @@ def _scores(model, x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
 
 def _sweep_cell(args) -> List[Dict[str, Any]]:
     """Every (k1, k2) row of one seed: one instance, one test draw, one path."""
-    cfg, k1s, k2s, syn = args
+    fit, k1s, k2s, syn = args
     inst = synth.make_instance(syn)
     x_te, y_te, _ = synth.gen_dataset(inst.m, inst.v_star, inst.lambda_star,
                                       syn.n, syn.eta, derived_seed(syn.seed, TEST_STREAM))
-    fit = cfg["_fit"]
     sigma = _resolve_sigma(fit["sigma_eps"], inst)
     configs = [FitConfig(delta=fit["delta"], theta=fit["theta"], sigma_eps=sigma,
                          k1_override=k1, k2_override=k2) for k1 in k1s for k2 in k2s]
@@ -334,65 +333,91 @@ def run_sweep(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
     sec = _get(cfg, "", "synth", dict)
     grids = _get(cfg, "", "grids", dict)
     k1s, k2s, seeds = (_get(grids, "grids", k, list, items=int) for k in ("k1", "k2", "seeds"))
-    cfg["_fit"] = _fit_section(cfg, default_sigma="oracle")
-    h = config_hash(_public_cfg(cfg))
+    fit = _fit_section(cfg, default_sigma="oracle")
+    h = config_hash(cfg)
 
     _synth_config(sec)  # the section must be valid as written, not only with the grid's seeds
-    cells = [(cfg, k1s, k2s, _synth_config(sec, seed=s)) for s in seeds]
+    cells = [(fit, k1s, k2s, _synth_config(sec, seed=s)) for s in seeds]
     rows = [dict(r, config_hash=h)
             for chunk in _run_cells(_sweep_cell, cells, jobs) for r in chunk]
 
     os.makedirs(out_dir, exist_ok=True)
-    _write_meta(out_dir, "sweep", _public_cfg(cfg), h)
+    _write_meta(out_dir, "sweep", cfg, h)
     write_results(out_dir, SWEEP_HEADER, rows, ("method", "eta", "k1", "k2", "seed"))
     return EXIT_OK
 
 
-# ---------------------------------------------------------------- compare
+# ---------------------------------------------------------------- compare and rolling
+
+# the cells of a compare or rolling row that a method does not use
+_UNUSED = {"k1": -1, "k2": -1, "mu": -1.0, "rank": -1}
 
 
-def _metric_row(method: str, eta: float, k1: int, k2: int, mu: float,
-                rank: int, seed: int, rep: metrics.MetricsReport) -> Dict[str, Any]:
-    return {
-        "method": method, "eta": eta, "k1": k1, "k2": k2, "mu": mu,
-        "rank": rank, "seed": seed, "mse_in": rep.mse_in,
-        "mse_out": rep.mse_out, "r2_in": rep.r2_in, "r2_out": rep.r2_out,
-        "corr_out": rep.corr_out,
-        "recon_error": math.nan if rep.recon_error is None else rep.recon_error,
-        "recovered_rank": int(rep.recovered_rank), "gap_out_in": rep.gap_out_in,
-    }
+def _fit_select_score(train, valid, test, candidates: Sequence[FitConfig],
+                      grid: Dict[str, List[baselines.BaselineSpec]], where: str) -> list:
+    """Fit the estimator's candidates and every baseline grid on the training
+    window, keep each method's lowest pooled validation MSE, and score the
+    winners. Each window is an (x, y) pair.
+
+    Returns (method, model, tags, train scores, test scores, test predictions)
+    per method, the estimator first and then the baselines by name. Scores are
+    pooled (mse, r2, corr); tags are the k1, k2, mu and rank cells of a row.
+    Every window is checked finite before the one SVD of the training design
+    that the estimator and all grids share. Estimator candidates without an
+    admissible gap or with an undefined validation MSE are skipped, ties go to
+    the first, and the NoGapError for none left names `where`.
+    """
+    for what, window in (("x and y", train), ("validation x and y", valid),
+                         ("test x and y", test)):
+        require_finite(what, *window)  # before the SVD, not by a LAPACK failure
+    (x_tr, y_tr), (x_va, y_va), (x_te, y_te) = train, valid, test
+    dec = decompose(x_tr)
+
+    best, nogap = None, 0
+    for model in fit_path(x_tr, y_tr, candidates, dec):
+        if isinstance(model, NoGapError):
+            nogap += 1
+            continue
+        score = _scores(model, x_va, y_va)[0]
+        if not math.isnan(score) and (best is None or score < best[0]):
+            best = (score, model)
+    if best is None:
+        raise NoGapError(
+            "no (delta, theta) candidate produced a usable fit on %s: %d of %d found no "
+            "eigenvalue gap >= delta (lower delta), %d scored an undefined validation MSE"
+            % (where, nogap, len(candidates), len(candidates) - nogap))
+    winners = [("adaptive_rrr", best[1], {"k1": best[1].k1, "k2": best[1].k2})]
+    for method in sorted(grid):
+        bm = baselines.validate_hyperparams(grid[method], train, valid, dec=dec)
+        rank = bm.method.rank
+        winners.append((method, bm, {"mu": bm.method.mu, "rank": -1 if rank is None else rank}))
+
+    scored = []
+    for method, model, tags in winners:
+        y_hat = x_te @ model.m_hat.T
+        scored.append((method, model, dict(_UNUSED, **tags), _scores(model, x_tr, y_tr),
+                       metrics.pooled_scores(y_te, y_hat), y_hat))
+    return scored
 
 
 def _compare_cell(args) -> List[Dict[str, Any]]:
-    cfg, syn = args
-    eta, seed = syn.eta, syn.seed
+    """Every method's row of one (eta, seed): one instance, one validation and
+    one test draw."""
+    fit, grid, syn = args
     inst = synth.make_instance(syn)
     draw = lambda tag: synth.gen_dataset(inst.m, inst.v_star, inst.lambda_star,
-                                         syn.n, syn.eta, derived_seed(seed, tag))
-    x_va, y_va, _ = draw(VALID_STREAM)
-    x_te, y_te, _ = draw(TEST_STREAM)
-
-    def scored(m):  # in-sample scores need no recovered rank, so no evaluate
-        mse_in, r2_in, _ = _scores(m, inst.x, inst.y)
-        return metrics.merge_splits(
-            metrics.MetricsReport(mse_in=mse_in, r2_in=r2_in, degenerate=math.isnan(mse_in)),
-            metrics.evaluate(m, x_te, y_te, m_true=inst.m, split_label="out"))
-
-    require_finite("x and y", inst.x, inst.y)  # before the SVD, not by a LAPACK failure
-    dec = decompose(inst.x)  # shared by the estimator and every baseline grid
-    fit = cfg["_fit"]
+                                         syn.n, syn.eta, derived_seed(syn.seed, tag))[:2]
     fc = FitConfig(delta=fit["delta"], theta=fit["theta"],
                    sigma_eps=_resolve_sigma(fit["sigma_eps"], inst))
-    model = fit_adaptive_rrr(inst.x, inst.y, fc, dec)
-    rows = [_metric_row("adaptive_rrr", eta, model.k1, model.k2, -1.0, -1, seed,
-                        scored(model))]
-
-    for method in sorted(cfg["_baselines"]):
-        bmodel = baselines.validate_hyperparams(cfg["_baselines"][method],
-                                                (inst.x, inst.y), (x_va, y_va), dec=dec)
-        best = bmodel.method
-        rows.append(_metric_row(method, eta, -1, -1, best.mu,
-                                -1 if best.rank is None else best.rank, seed, scored(bmodel)))
+    rows = []
+    for method, model, tags, (mse_in, r2_in, _), (mse_out, r2_out, corr_out), _ in (
+            _fit_select_score((inst.x, inst.y), draw(VALID_STREAM), draw(TEST_STREAM), [fc],
+                              grid, "eta %g, seed %d" % (syn.eta, syn.seed))):
+        rows.append(dict(tags, method=method, eta=syn.eta, seed=syn.seed,
+                         mse_in=mse_in, mse_out=mse_out, r2_in=r2_in, r2_out=r2_out,
+                         corr_out=corr_out, gap_out_in=mse_out - mse_in,
+                         recon_error=float(np.linalg.norm(inst.m - model.m_hat)),
+                         recovered_rank=metrics.recovered_rank_of(model.m_hat)))
     return rows
 
 
@@ -401,35 +426,27 @@ def run_compare(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
     grids = _get(cfg, "", "grids", dict)
     etas = _get(grids, "grids", "eta", list, items=NUM)
     seeds = _get(grids, "grids", "seeds", list, items=int)
-    cfg["_fit"] = _fit_section(cfg, default_sigma="oracle")
-    cfg["_baselines"] = _baseline_grid(cfg)
-    h = config_hash(_public_cfg(cfg))
+    fit = _fit_section(cfg, default_sigma="oracle")
+    base_grid = _baseline_grid(cfg)
+    h = config_hash(cfg)
 
     _synth_config(sec)  # the section must be valid as written, not only with the grid's values
-    cells = [(cfg, _synth_config(sec, eta=float(eta), seed=s))
+    cells = [(fit, base_grid, _synth_config(sec, eta=float(eta), seed=s))
              for eta in etas for s in seeds]
     rows = []
     for chunk in _run_cells(_compare_cell, cells, jobs):
         rows.extend(dict(r, config_hash=h) for r in chunk)
 
     os.makedirs(out_dir, exist_ok=True)
-    _write_meta(out_dir, "compare", _public_cfg(cfg), h)
+    _write_meta(out_dir, "compare", cfg, h)
     write_results(out_dir, COMPARE_HEADER, rows, ("method", "eta", "k1", "k2", "seed"))
     return EXIT_OK
 
 
-# ---------------------------------------------------------------- rolling
-
-
-def _rolling_row(method, fold, split, seed, n_obs, mse, r2, corr,
-                 k1=-1, k2=-1, mu=-1.0, rank=-1) -> Dict[str, Any]:
-    return {"method": method, "fold": fold, "split": split, "seed": seed,
-            "n_obs": n_obs, "mse": mse, "r2": r2, "corr": corr,
-            "k1": k1, "k2": k2, "mu": mu, "rank": rank}
-
-
-def _slice(x: np.ndarray, r: range) -> np.ndarray:
-    return x[r.start:r.stop]
+def _rolling_row(method, fold, split, seed, n_obs, scores, tags=_UNUSED) -> Dict[str, Any]:
+    mse, r2, corr = scores
+    return dict(tags, method=method, fold=fold, split=split, seed=seed, n_obs=n_obs,
+                mse=mse, r2=r2, corr=corr)
 
 
 def run_rolling(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
@@ -448,60 +465,35 @@ def run_rolling(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
                   for d in deltas for t in thetas]
     base_grid = _baseline_grid(cfg)
     seed = _get(cfg, "", "seed", int, 0)
-    h = config_hash(_public_cfg(cfg))
+    h = config_hash(cfg)
 
     panel = dataio.load_panel_csv(panel_path)
     x, y, dates = dataio.make_features(panel, lookbacks, horizon)
     folds = dataio.rolling_splits(dates, *lens, gap_len)
+    window = lambda r: (x[r.start:r.stop], y[r.start:r.stop])
 
     rows: List[Dict[str, Any]] = []
     glued: Dict[str, List[Tuple[np.ndarray, np.ndarray]]] = {}
     for fi, fold in enumerate(folds):
-        x_tr, y_tr = _slice(x, fold.train), _slice(y, fold.train)
-        x_va, y_va = _slice(x, fold.valid), _slice(y, fold.valid)
-        x_te, y_te = _slice(x, fold.test), _slice(y, fold.test)
-        require_finite("x and y", x_tr, y_tr)  # before the SVD, not by a LAPACK failure
-        dec = decompose(x_tr)  # shared by the estimator and every baseline grid
-
-        # adaptive estimator: pick (delta, theta) on the validation window
-        best = None
-        for model in fit_path(x_tr, y_tr, candidates, dec):
-            if isinstance(model, NoGapError):
-                continue
-            score = _scores(model, x_va, y_va)[0]
-            if not math.isnan(score) and (best is None or score < best[0]):
-                best = (score, model)
-        if best is None:
-            raise NoGapError(
-                "no (delta, theta) candidate produced a usable fit on fold %d" % fi)
-        model = best[1]
-        fitted = [("adaptive_rrr", model, predict(model, x_te),
-                   {"k1": model.k1, "k2": model.k2})]
-        for method in sorted(base_grid):
-            bm = baselines.validate_hyperparams(base_grid[method],
-                                                (x_tr, y_tr), (x_va, y_va), dec=dec)
-            spec = bm.method
-            fitted.append((method, bm, baselines.predict_linear(bm, x_te),
-                           {"mu": spec.mu, "rank": -1 if spec.rank is None else spec.rank}))
-
-        for method, m, y_hat, tags in fitted:
-            mse, r2, _ = _scores(m, x_tr, y_tr)
+        test = window(fold.test)
+        for method, _, tags, (mse, r2, _), scores, y_hat in _fit_select_score(
+                window(fold.train), window(fold.valid), test, candidates, base_grid,
+                "fold %d" % fi):
             rows.append(_rolling_row(method, fi, "train", seed, len(fold.train),
-                                     mse, r2, math.nan, **tags))
-            rows.append(_rolling_row(method, fi, "test", seed, len(fold.test),
-                                     *metrics.pooled_scores(y_te, y_hat), **tags))
-            glued.setdefault(method, []).append((y_te, y_hat))
+                                     (mse, r2, math.nan), tags))
+            rows.append(_rolling_row(method, fi, "test", seed, len(fold.test), scores, tags))
+            glued.setdefault(method, []).append((test[1], y_hat))
 
     # pooled test-window scores across folds; fold = -1 marks the glued row
     for method in sorted(glued):
         yt = np.vstack([p[0] for p in glued[method]])
         yh = np.vstack([p[1] for p in glued[method]])
-        mse, r2, corr = metrics.pooled_scores(yt, yh)
-        rows.append(_rolling_row(method, -1, "glued", seed, yt.shape[0], mse, r2, corr))
+        rows.append(_rolling_row(method, -1, "glued", seed, yt.shape[0],
+                                 metrics.pooled_scores(yt, yh)))
 
     rows = [dict(r, config_hash=h) for r in rows]
     os.makedirs(out_dir, exist_ok=True)
-    _write_meta(out_dir, "rolling", _public_cfg(cfg), h)
+    _write_meta(out_dir, "rolling", cfg, h)
     write_results(out_dir, ROLLING_HEADER, rows, ("method", "fold", "split"))
     return EXIT_OK
 
@@ -522,7 +514,7 @@ def run_packing(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
     sigma_eps = float(_get(sec, "packing", "sigma_eps", NUM, 1.0))
     distance_floor = float(_get(sec, "packing", "distance_floor", NUM, 1.5))
     overlap_max = _get(sec, "packing", "overlap_max", (int, NULL), None)
-    h = config_hash(_public_cfg(cfg))
+    h = config_hash(cfg)
 
     params = packing.default_params(
         rho=rho, sigma_eps=sigma_eps,
@@ -533,7 +525,7 @@ def run_packing(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
                                     overlap_max=overlap_max)
 
     os.makedirs(out_dir, exist_ok=True)
-    _write_meta(out_dir, "packing", _public_cfg(cfg), h)
+    _write_meta(out_dir, "packing", cfg, h)
     _write_json(os.path.join(out_dir, "report.json"), {
         "config_hash": h,
         "params": dataclasses.asdict(params),
@@ -558,7 +550,7 @@ def run_angles(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
     n = _get(cfg, "", "n", int)
     top_k = _get(cfg, "", "top_k", int, min(n, d1))
     _want(1 <= top_k <= min(n, d1), "'top_k' must lie in [1, min(n, d1)]")
-    h = config_hash(_public_cfg(cfg))
+    h = config_hash(cfg)
 
     s_cov, s_design = np.random.SeedSequence(seed).generate_state(2)
     v_star, lam = synth.gen_covariance(d1, omega, int(s_cov))
@@ -569,7 +561,7 @@ def run_angles(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
     rows = [{"config_hash": h, "seed": seed, "row": i, "col": j, "angle": a[i, j]}
             for i in range(top_k) for j in range(top_k)]
     os.makedirs(out_dir, exist_ok=True)
-    _write_meta(out_dir, "angles", _public_cfg(cfg), h)
+    _write_meta(out_dir, "angles", cfg, h)
     write_results(out_dir, ANGLES_HEADER, rows, ("row", "col"))
     return EXIT_OK
 
@@ -645,8 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--k1", type=int, default=None, help="override stage-1 rank")
     f.add_argument("--k2", type=int, default=None, help="override stage-2 rank")
     f.add_argument("--out", required=True, help="model output directory")
-    f.add_argument("--seed", type=int, default=None,
-                   help="accepted for interface uniformity; fitting is deterministic")
 
     pr = sub.add_parser("predict", help="apply a saved model to new features")
     pr.add_argument("--model", required=True, help="model directory from fit")

@@ -8,8 +8,10 @@ from arrr.baselines import (
     SolverOpts,
     _prox_nuclear,
     fit_baseline,
+    predict_linear,
     validate_hyperparams,
 )
+from arrr.estimator import NonFiniteError
 from arrr.spectral import decompose
 from arrr.synth import SynthConfig, make_instance
 
@@ -493,6 +495,30 @@ class TestValidateHyperparams:
         with pytest.raises(ValueError):
             validate_hyperparams([], (np.zeros((2, 2)), np.zeros((2, 1))),
                                  (np.zeros((2, 2)), np.zeros((2, 1))))
+
+
+class TestPredictLinear:
+    def _model(self):
+        x, y = _data(20, 4, 2, seed=29)
+        return x, fit_baseline(BaselineSpec("ridge", mu=1.0), x, y)
+
+    def test_predicts_with_the_coefficients(self):
+        x, model = self._model()
+        assert predict_linear(model, x).tobytes() == (x @ model.m_hat.T).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_raise(self, bad):
+        x, model = self._model()
+        x = x.copy()
+        x[3, 1] = bad
+        with pytest.raises(NonFiniteError, match="x_new"):
+            predict_linear(model, x)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (5, 5), (4,)], ids=["fewer", "more", "vector"])
+    def test_column_count_is_checked(self, shape):
+        _, model = self._model()
+        with pytest.raises(ValueError, match="must have 4 columns"):
+            predict_linear(model, np.ones(shape))
 
 
 class TestSpecValidation:

@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 
 import arrr.cli as cli
 from arrr import dataio, metrics
+from arrr.baselines import BaselineSpec, validate_hyperparams
 from arrr._serde import fmt_float, read_matrix_csv, write_matrix_csv
 from arrr.cli import (
+    COMPARE_HEADER,
     ROLLING_HEADER,
     SWEEP_HEADER,
     TEST_STREAM,
+    VALID_STREAM,
     config_hash,
     derived_seed,
     main,
@@ -37,6 +40,30 @@ def _write_json(tmp_path, name, payload):
 def _read_rows(path):
     with open(path, newline="") as f:
         return list(csv.DictReader(f))
+
+
+def _write_panel(tmp_path):
+    """A 20-date, 3-asset panel of standard normal returns."""
+    rng = np.random.default_rng(0)
+    t, assets = 20, 3
+    lines = ["date," + ",".join("A%d" % j for j in range(assets))]
+    vals = rng.normal(size=(t, assets))
+    for i in range(t):
+        lines.append("2020-01-%02d," % (i + 1)
+                     + ",".join("%.6f" % v for v in vals[i]))
+    p = tmp_path / "panel.csv"
+    p.write_text("\n".join(lines) + "\n")
+    return str(p)
+
+
+# every baseline method, each with a grid; valid for the compare cell of
+# TestCompare and the rolling folds of TestRolling
+_ALL_BASELINES = [{"method": "ridge", "mu": [0.1, 1.0]},
+                  {"method": "rrr", "rank": [1, 2]},
+                  {"method": "pcr", "rank": [2]},
+                  {"method": "reduced_rank_ridge", "mu": 1.0, "rank": 2},
+                  {"method": "lasso", "mu": [0.3, 1.0]},
+                  {"method": "nuclear", "mu": [0.3, 1.0]}]
 
 
 def _sweep_cfg(**over):
@@ -92,6 +119,13 @@ class TestFitPredictSynth:
         write_matrix_csv(str(x), np.eye(3))
         assert main(["fit", "--x", str(x), "--y", str(x),
                      "--sigma", "huge", "--out", str(tmp_path / "m")]) == 2
+
+    def test_fit_has_no_seed_flag(self, tmp_path):
+        paths = _matrix_files(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--x", paths["x"], "--y", paths["y"], "--seed", "1",
+                  "--out", str(tmp_path / "m")])
+        assert exc.value.code == 2
 
     def test_predict_missing_model_is_config_error(self, tmp_path):
         x = tmp_path / "x.csv"
@@ -283,49 +317,96 @@ class TestCompare:
             assert -1.0 <= float(row["corr_out"]) <= 1.0
 
 
-    def test_cell_factors_its_training_design_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("kind", ["compare", "rolling"])
+    def test_cell_factors_its_training_design_once(self, tmp_path, monkeypatch, kind):
         # the estimator, all six baseline grids and the lasso and nuclear step
-        # sizes share one SVD of the training design; np.linalg.norm(x, 2)
-        # would be an SVD too, made inside numpy's own module
-        synth_sec = {"d1": 12, "d2": 6, "n": 20, "rank_m": 2, "eta": 0.5, "seed": 0}
-        x = make_instance(cli._synth_config(synth_sec)).x
+        # sizes share one SVD of the training design of a compare cell or of
+        # each rolling fold; np.linalg.norm(x, 2) would be an SVD too, made
+        # inside numpy's own module
+        if kind == "compare":
+            synth_sec = {"d1": 12, "d2": 6, "n": 20, "rank_m": 2, "eta": 0.5, "seed": 0}
+            designs = [make_instance(cli._synth_config(synth_sec)).x]
+            payload = {"kind": "compare", "synth": synth_sec,
+                       "grids": {"eta": [0.5], "seeds": [0]}, "fit": {"delta": 1e-6}}
+        else:
+            panel = _write_panel(tmp_path)
+            x, _, dates = dataio.make_features(dataio.load_panel_csv(panel), [1, 2], 1)
+            designs = [x[f.train.start:f.train.stop]
+                       for f in dataio.rolling_splits(dates, 8, 3, 3, 0)]
+            payload = {"kind": "rolling", "panel": panel,
+                       "features": {"lookbacks": [1, 2], "horizon": 1},
+                       "splits": {"train_len": 8, "valid_len": 3, "test_len": 3},
+                       "fit": {"delta": [1e-8, 0.3], "theta": [0.5, 2.0]}}
         linalg = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
-        real_svd, factored = np.linalg.svd, []
+        real_svd, factored = np.linalg.svd, [0] * len(designs)
 
         def counting_svd(a, *args, **kwargs):
-            if np.shape(a) == x.shape and np.array_equal(a, x):
-                factored.append(1)
+            for i, d in enumerate(designs):
+                if np.shape(a) == d.shape and np.array_equal(a, d):
+                    factored[i] += 1
             return real_svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(linalg, "svd", counting_svd)
-        cfg = _write_json(tmp_path, "cfg.json", {
-            "kind": "compare", "synth": synth_sec,
-            "grids": {"eta": [0.5], "seeds": [0]},
-            "fit": {"delta": 1e-6},
-            "baselines": [{"method": "ridge", "mu": [0.1, 1.0]},
-                          {"method": "rrr", "rank": [1, 2]},
-                          {"method": "pcr", "rank": [2]},
-                          {"method": "reduced_rank_ridge", "mu": 1.0, "rank": 2},
-                          {"method": "lasso", "mu": [0.3, 1.0]},
-                          {"method": "nuclear", "mu": [0.3, 1.0]}],
-        })
-        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        assert len(factored) == 1
+        cfg = _write_json(tmp_path, "cfg.json", dict(payload, baselines=_ALL_BASELINES))
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert factored == [1] * len(designs)
+
+    def test_cell_path_matches_per_method_reference(self, tmp_path):
+        # the twin of the rolling candidate-path test: every row from separate
+        # public fits, validations and evaluations, without a shared SVD
+        payload = {
+            "kind": "compare",
+            "synth": {"d1": 14, "d2": 6, "n": 20, "rank_m": 2, "omega": 2.0},
+            "grids": {"eta": [0.5, 1.0], "seeds": [0, 3]},
+            "fit": {"delta": 1e-6, "theta": 1.5, "sigma_eps": "oracle"},
+            "baselines": _ALL_BASELINES,
+        }
+        cfg = _write_json(tmp_path, "cfg.json", payload)
+        out = str(tmp_path / "out")
+        assert main(["compare", "--config", cfg, "--out", out]) == 0
+
+        grids = {e["method"]: [BaselineSpec(e["method"], mu=float(mu), rank=r)
+                               for mu in cli._listed(e.get("mu", 0.0))
+                               for r in cli._listed(e.get("rank"))]
+                 for e in payload["baselines"]}
+        rows = []
+        for eta in payload["grids"]["eta"]:
+            for seed in payload["grids"]["seeds"]:
+                syn = SynthConfig(**dict(payload["synth"], eta=eta, seed=seed))
+                inst = make_instance(syn)
+                draw = lambda tag: gen_dataset(inst.m, inst.v_star, inst.lambda_star,
+                                               syn.n, eta, derived_seed(seed, tag))
+                x_va, y_va, _ = draw(VALID_STREAM)
+                x_te, y_te, _ = draw(TEST_STREAM)
+                model = fit_adaptive_rrr(inst.x, inst.y, FitConfig(
+                    delta=1e-6, theta=1.5, sigma_eps=max(inst.sigma_noise, np.finfo(float).tiny)))
+                fitted = [("adaptive_rrr", model, {"k1": model.k1, "k2": model.k2})]
+                for method, grid in grids.items():
+                    bm = validate_hyperparams(grid, (inst.x, inst.y), (x_va, y_va))
+                    rank = -1 if bm.method.rank is None else bm.method.rank
+                    fitted.append((method, bm, {"mu": bm.method.mu, "rank": rank}))
+                for method, m, tags in fitted:
+                    rep = metrics.merge_splits(
+                        metrics.evaluate(m, inst.x, inst.y, split_label="in"),
+                        metrics.evaluate(m, x_te, y_te, m_true=inst.m))
+                    rows.append(dict({"k1": -1, "k2": -1, "mu": -1.0, "rank": -1}, **tags,
+                                     config_hash=config_hash(payload), method=method,
+                                     eta=eta, seed=seed, mse_in=rep.mse_in,
+                                     mse_out=rep.mse_out, r2_in=rep.r2_in, r2_out=rep.r2_out,
+                                     corr_out=rep.corr_out, recon_error=rep.recon_error,
+                                     recovered_rank=int(rep.recovered_rank),
+                                     gap_out_in=rep.gap_out_in))
+        assert len(rows) == 4 * 7
+        os.makedirs(tmp_path / "ref")
+        want = write_results(str(tmp_path / "ref"), COMPARE_HEADER, rows,
+                             ("method", "eta", "k1", "k2", "seed"))
+        assert filecmp.cmp(os.path.join(out, "results.csv"), want, shallow=False)
 
 
 class TestRolling:
     def _panel(self, tmp_path):
-        rng = np.random.default_rng(0)
-        t, assets = 20, 3
-        lines = ["date," + ",".join("A%d" % j for j in range(assets))]
-        vals = rng.normal(size=(t, assets))
-        for i in range(t):
-            lines.append("2020-01-%02d," % (i + 1)
-                         + ",".join("%.6f" % v for v in vals[i]))
-        p = tmp_path / "panel.csv"
-        p.write_text("\n".join(lines) + "\n")
-        return str(p)
+        return _write_panel(tmp_path)
 
     def test_per_fold_and_glued_rows(self, tmp_path):
         cfg = _write_json(tmp_path, "cfg.json", {
@@ -408,17 +489,27 @@ class TestRolling:
                              ("method", "fold", "split"))
         assert filecmp.cmp(os.path.join(out, "results.csv"), want, shallow=False)
 
-    def test_infinite_training_value_is_reported_before_the_svd(self, tmp_path, monkeypatch):
-        # an inf return reaches the first fold's training design; the run must
-        # name it before factoring that design, whose SVD would quietly be NaN
+    # Panel line i is date i - 1: feature row i - 1 and response row i - 2.
+    # The first fold's rows are train 0-7, valid 8-10 and test 11-13.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("line, named", [
+        (3, "x and y"), (10, "validation x and y"), (13, "test x and y"),
+    ], ids=["train", "valid", "test"])
+    def test_infinite_training_value_is_reported_before_the_svd(self, tmp_path, monkeypatch,
+                                                               line, named):
+        # an inf return reaches one window of the first fold; the run must name
+        # it before factoring the training design, whose SVD would quietly be
+        # NaN, and not report a validation window it cannot score as a
+        # missing gap
         def finite_only(a):
             assert np.isfinite(a).all(), "a non-finite design was factored"
             return decompose(a)
 
         monkeypatch.setattr(cli, "decompose", finite_only)
         panel = tmp_path / "panel.csv"
-        lines = open(self._panel(tmp_path)).read().splitlines()
-        lines[3] = lines[3].rsplit(",", 1)[0] + ",inf"
+        with open(self._panel(tmp_path)) as f:
+            lines = f.read().splitlines()
+        lines[line] = lines[line].rsplit(",", 1)[0] + ",inf"
         panel.write_text("\n".join(lines) + "\n")
         cfg = _write_json(tmp_path, "cfg.json", {
             "kind": "rolling",
@@ -430,7 +521,9 @@ class TestRolling:
         })
         out = tmp_path / "out"
         assert main(["rolling", "--config", cfg, "--out", str(out)]) == 3
-        assert json.loads((out / "error.json").read_text())["error"] == "NonFiniteError"
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "NonFiniteError"
+        assert err["message"] == named + " must hold only finite values"
 
     def test_missing_panel_is_config_error(self, tmp_path):
         cfg = _write_json(tmp_path, "cfg.json", {
