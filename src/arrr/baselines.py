@@ -40,37 +40,32 @@ class SolverOpts:
     max_iters: int = 5000
     tol: float = 1e-8
 
+    def __post_init__(self) -> None:
+        if not self.tol > 0:  # NaN fails too
+            raise ValueError("tol must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+
 
 @dataclass(frozen=True)
 class BaselineSpec:
+    """One baseline method and its hyperparameters. The rank is checked
+    against the problem size when the spec is fitted."""
+
     method: str
     mu: float = 0.0
     rank: Optional[int] = None
     solver: SolverOpts = field(default_factory=SolverOpts)
 
-    def validate(self, d1=None, d2=None, n=None):
+    def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError("unknown method %r" % (self.method,))
         if not self.mu >= 0:  # NaN fails too
             raise ValueError("mu must be non-negative")
-        if self.solver.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.solver.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        needs_rank = self.method in ("rrr", "reduced_rank_ridge", "pcr")
-        if needs_rank and self.rank is None:
+        if self.method in ("rrr", "reduced_rank_ridge", "pcr") and self.rank is None:
             raise ValueError("%s requires a rank" % self.method)
-        if self.rank is not None:
-            if self.rank < 1:
-                raise ValueError("rank must be >= 1")
-            if d1 is not None and d2 is not None:
-                # pcr counts design components; the others bound coefficient rank
-                if self.method == "pcr":
-                    bound = min(d1, n if n else d1)
-                else:
-                    bound = min(d1, d2, n if n else d1)
-                if self.rank > bound:
-                    raise ValueError("rank %d exceeds the problem dimensions" % self.rank)
+        if self.rank is not None and self.rank < 1:
+            raise ValueError("rank must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -208,7 +203,12 @@ def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError("x and y must be matrices with matching rows")
-    spec.validate(d1=x.shape[1], d2=y.shape[1], n=x.shape[0])
+    (n, d1), d2 = x.shape, y.shape[1]
+    if spec.rank is not None:
+        # pcr counts design components; the others bound coefficient rank
+        bound = min(d1, n or d1) if spec.method == "pcr" else min(d1, d2, n or d1)
+        if spec.rank > bound:
+            raise ValueError("rank %d exceeds the problem dimensions" % spec.rank)
 
     dec = decompose(x) if dec is None else dec
     iters, trace, converged = 0, np.array([]), True
@@ -248,7 +248,9 @@ def validate_hyperparams(
     The score is the pooled variance-normalized MSE of the predictions on
     valid. The winner's spec is its `.method`. Every spec of the grid shares
     one SVD of the training design, taken from `dec` when the caller already
-    has it. Ties break to the first occurrence in the grid.
+    has it. Ties break to the first occurrence in the grid. An undefined
+    (NaN) score never wins, and a grid with no defined score, as on a
+    constant validation response, raises ValueError.
     """
     if not spec_grid:
         raise ValueError("empty hyperparameter grid")
@@ -261,6 +263,8 @@ def validate_hyperparams(
     for spec in spec_grid:
         model = fit_baseline(spec, x_tr, y_tr, dec)
         score = pooled_scores(y_va, predict_linear(model, x_va))[0]
-        if best_score is None or score < best_score:
+        if not math.isnan(score) and (best is None or score < best_score):
             best, best_score = model, score
+    if best is None:
+        raise ValueError("no spec of the grid scored a defined validation MSE")
     return best

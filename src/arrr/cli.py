@@ -12,8 +12,8 @@ and the winners are scored on the training and test windows.
 Exit codes: 0 success; 2 bad input (nothing is written); 3 numerical
 failure, non-finite input included (error.json lands in the output directory
 and a message goes to stderr). Bad input is whatever the library rejects
-with a ValueError, a JSON type check here, or an unreadable file; `main` maps
-errors to exit codes in one place.
+with a ValueError, a JSON type check or a key no reader reads here, or an
+unreadable file; `main` maps errors to exit codes in one place.
 
 Result CSVs use 17-significant-digit floats and a fixed, documented row
 order, so re-running an experiment with the same config is byte-identical.
@@ -125,6 +125,12 @@ def _get(sec: Dict[str, Any], where: str, key: str, types, default=_REQUIRED,
     return v
 
 
+def _only(sec: Dict[str, Any], where: str, keys: Sequence[str]) -> None:
+    """Reject every key of `sec` outside `keys`, the keys its reader reads."""
+    unknown = sorted(set(sec) - set(keys))
+    _want(not unknown, "%s: unknown fields %s" % (where, unknown))
+
+
 def _listed(v) -> list:
     return v if isinstance(v, list) else [v]
 
@@ -185,8 +191,14 @@ def _resolve_sigma(spec, instance):
     return spec if isinstance(spec, str) else float(spec)
 
 
+FIT_KEYS = ("delta", "theta", "sigma_eps")
+# every experiment config may name its kind, and ARRR_SEED plants a seed in it
+TOP_KEYS = ("kind", "seed")
+
+
 def _fit_section(cfg: Dict[str, Any], default_sigma: str) -> Dict[str, Any]:
     sec = _get(cfg, "", "fit", (dict, NULL), None) or {}
+    _only(sec, "fit", FIT_KEYS)
     return {"delta": float(_get(sec, "fit", "delta", NUM, 1e-3)),
             "theta": float(_get(sec, "fit", "theta", NUM, 2.0)),
             "sigma_eps": _get(sec, "fit", "sigma_eps", NUM + (str,), default_sigma)}
@@ -195,14 +207,11 @@ def _fit_section(cfg: Dict[str, Any], default_sigma: str) -> Dict[str, Any]:
 def _synth_config(sec: Dict[str, Any], **overrides) -> synth.SynthConfig:
     merged = dict(sec, **overrides)
     fields = dataclasses.fields(synth.SynthConfig)
-    unknown = sorted(set(merged) - {f.name for f in fields})
-    _want(not unknown, "synth: unknown fields %s" % unknown)
+    _only(merged, "synth", [f.name for f in fields])
     for f in fields:
         _get(merged, "synth", f.name, int if f.type == "int" else NUM,
              _REQUIRED if f.default is dataclasses.MISSING else None)
-    cfg = synth.SynthConfig(**merged)
-    cfg.validate()
-    return cfg
+    return synth.SynthConfig(**merged)
 
 
 def _baseline_grid(cfg: Dict[str, Any]) -> Dict[str, List[baselines.BaselineSpec]]:
@@ -213,14 +222,13 @@ def _baseline_grid(cfg: Dict[str, Any]) -> Dict[str, List[baselines.BaselineSpec
     for i, e in enumerate(entries):
         where = "baselines[%d]" % i
         _want(isinstance(e, dict), "%s must be an object" % where)
+        _only(e, where, ("method", "mu", "rank"))
         method = _get(e, where, "method", str)
         _want(method not in out, "duplicate baseline entry for %r" % method)
         mus = _listed(_get(e, where, "mu", NUM + (list,), 0.0, items=NUM))
         ranks = _listed(_get(e, where, "rank", (int, NULL, list), None, items=(int, NULL)))
         out[method] = [baselines.BaselineSpec(method=method, mu=float(mu), rank=r)
                        for mu in mus for r in ranks]
-        for spec in out[method]:
-            spec.validate()
     return out
 
 
@@ -330,8 +338,10 @@ def _sweep_cell(args) -> List[Dict[str, Any]]:
 
 
 def run_sweep(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
+    _only(cfg, "config", TOP_KEYS + ("synth", "grids", "fit"))
     sec = _get(cfg, "", "synth", dict)
     grids = _get(cfg, "", "grids", dict)
+    _only(grids, "grids", ("k1", "k2", "seeds"))
     k1s, k2s, seeds = (_get(grids, "grids", k, list, items=int) for k in ("k1", "k2", "seeds"))
     fit = _fit_section(cfg, default_sigma="oracle")
     h = config_hash(cfg)
@@ -422,8 +432,10 @@ def _compare_cell(args) -> List[Dict[str, Any]]:
 
 
 def run_compare(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
+    _only(cfg, "config", TOP_KEYS + ("synth", "grids", "fit", "baselines"))
     sec = _get(cfg, "", "synth", dict)
     grids = _get(cfg, "", "grids", dict)
+    _only(grids, "grids", ("eta", "seeds"))
     etas = _get(grids, "grids", "eta", list, items=NUM)
     seeds = _get(grids, "grids", "seeds", list, items=int)
     fit = _fit_section(cfg, default_sigma="oracle")
@@ -450,14 +462,18 @@ def _rolling_row(method, fold, split, seed, n_obs, scores, tags=_UNUSED) -> Dict
 
 
 def run_rolling(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
+    _only(cfg, "config", TOP_KEYS + ("panel", "features", "splits", "fit", "baselines"))
     panel_path = _get(cfg, "", "panel", str)
     feat = _get(cfg, "", "features", dict)
+    _only(feat, "features", ("lookbacks", "horizon"))
     lookbacks = _get(feat, "features", "lookbacks", list, items=int)
     horizon = _get(feat, "features", "horizon", int, 1)
     sp = _get(cfg, "", "splits", dict)
+    _only(sp, "splits", ("train_len", "valid_len", "test_len", "gap_len"))
     lens = [_get(sp, "splits", k, int) for k in ("train_len", "valid_len", "test_len")]
     gap_len = _get(sp, "splits", "gap_len", int, 0)
     fit_sec = _get(cfg, "", "fit", (dict, NULL), None) or {}
+    _only(fit_sec, "fit", FIT_KEYS)
     deltas = _listed(_get(fit_sec, "fit", "delta", NUM + (list,), 1e-3, items=NUM))
     thetas = _listed(_get(fit_sec, "fit", "theta", NUM + (list,), 2.0, items=NUM))
     sigma = _resolve_sigma(_get(fit_sec, "fit", "sigma_eps", NUM + (str,), "auto"), None)
@@ -502,14 +518,17 @@ def run_rolling(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
 
 
 def run_packing(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
+    _only(cfg, "config", TOP_KEYS + ("packing",))
     sec = _get(cfg, "", "packing", dict)
-    ints = {k: _get(sec, "packing", k, int)
-            for k in ("d", "n_samples", "k_patterns", "s_size", "seed")}
+    int_keys = ("d", "n_samples", "k_patterns", "s_size", "seed")
+    exponent_keys = ("lambda_exp", "zeta", "eta_exp", "xi_small")
+    _only(sec, "packing", int_keys + exponent_keys + (
+        "spectrum", "rho", "sigma_eps", "distance_floor", "overlap_max"))
+    ints = {k: _get(sec, "packing", k, int) for k in int_keys}
     # the library allows one-member families; an experiment compares pairs
     _want(ints["s_size"] >= 2, "packing.s_size must be >= 2")
     spectrum = _get(sec, "packing", "spectrum", (list, NULL), None, items=NUM)
-    exponents = {k: float(_get(sec, "packing", k, NUM))
-                 for k in ("lambda_exp", "zeta", "eta_exp", "xi_small") if k in sec}
+    exponents = {k: float(_get(sec, "packing", k, NUM)) for k in exponent_keys if k in sec}
     rho = float(_get(sec, "packing", "rho", NUM))
     sigma_eps = float(_get(sec, "packing", "sigma_eps", NUM, 1.0))
     distance_floor = float(_get(sec, "packing", "distance_floor", NUM, 1.5))
@@ -528,7 +547,7 @@ def run_packing(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
     _write_meta(out_dir, "packing", cfg, h)
     _write_json(os.path.join(out_dir, "report.json"), {
         "config_hash": h,
-        "params": dataclasses.asdict(params),
+        "params": dict(dataclasses.asdict(params), t_hi=params.t_hi),
         "measured_constants": {"c8": report.measured_c8, "c9": report.measured_c9},
         "min_pairwise_distance": report.min_pairwise_distance,
         "max_overlap": report.max_support_overlap,
@@ -543,7 +562,9 @@ def run_packing(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
 
 
 def run_angles(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
+    _only(cfg, "config", TOP_KEYS + ("synth", "n", "top_k"))
     syn = _get(cfg, "", "synth", dict)
+    _only(syn, "synth", ("d1", "omega", "seed"))
     d1 = _get(syn, "synth", "d1", int)
     omega = float(_get(syn, "synth", "omega", NUM, 2.0))
     seed = _get(syn, "synth", "seed", int, 0)

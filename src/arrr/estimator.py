@@ -53,7 +53,7 @@ class FitConfig:
     k1_override: Optional[int] = None
     k2_override: Optional[int] = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # written as "not > 0" so that NaN fails too
         if not self.delta > 0:
             raise ValueError("delta must be positive")
@@ -222,10 +222,8 @@ def fit_path(
     bit, or, for a config whose stage 1 finds no admissible gap, the
     NoGapError it would raise. Every other error is
     raised: NonFiniteError when x or y holds NaN or infinity, ValueError for
-    an invalid config, shape or override.
+    a shape or an override beyond the data.
     """
-    for config in configs:
-        config.validate()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or y.ndim != 2:

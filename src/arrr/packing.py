@@ -42,7 +42,6 @@ class PackingParams:
     sigma_eps: float
     n_samples: int
     t_lo: int                      # first contested column, 1-based
-    t_hi: int                      # last contested column, 1-based
     k_patterns: int                # subsets sampled per contested column
     s_size: int                    # family size
     seed: int
@@ -56,22 +55,21 @@ class PackingParams:
         return int(self.rho ** self.lambda_exp * self.d)
 
     @property
+    def t_hi(self) -> int:
+        """Last contested column, 1-based: floor(rho^lambda * d / 2)."""
+        return self.subset_size // 2
+
+    @property
     def n_contested(self) -> int:
         return self.t_hi - self.t_lo + 1
 
-    def _validate_scalars(self) -> None:
+    def __post_init__(self) -> None:
+        _noise_floor(self.d, self.rho, self.sigma_eps, self.n_samples)  # checks those four values
         # comparisons are written so that NaN fails them
-        if self.d < 2 or not 0 < self.rho < 1:
-            raise ValueError("need d >= 2 and rho in (0, 1)")
-        if not self.sigma_eps > 0 or self.n_samples < 1:
-            raise ValueError("sigma_eps must be positive, n_samples >= 1")
         if self.k_patterns < 1 or self.s_size < 1:
             raise ValueError("k_patterns and s_size must be >= 1")
         if not all(e > 0 for e in (self.lambda_exp, self.zeta, self.eta_exp, self.xi_small)):
             raise ValueError("lambda_exp, zeta, eta_exp and xi_small must be positive")
-
-    def validate(self) -> None:
-        self._validate_scalars()
         if len(self.spectrum) != self.d:
             raise ValueError("spectrum must have length d")
         if np.any(np.diff(self.spectrum) > 1e-12) or not np.all(np.asarray(self.spectrum) > 0):
@@ -80,13 +78,21 @@ class PackingParams:
             raise ValueError("support size floor(rho^lambda * d) must be >= 2")
         if not (1 <= self.t_lo <= self.t_hi <= self.d):
             raise ValueError("need 1 <= t_lo <= t_hi <= d")
-        if self.t_hi != int(self.rho ** self.lambda_exp * self.d / 2):
-            raise ValueError("t_hi must equal floor(rho^lambda * d / 2)")
+
+
+def _noise_floor(d: int, rho: float, sigma_eps: float, n_samples: int) -> float:
+    """rho * sigma_eps * sqrt(d / n), once d, rho, sigma_eps and n are checked."""
+    # comparisons are written so that NaN fails them
+    if d < 2 or not 0 < rho < 1:
+        raise ValueError("need d >= 2 and rho in (0, 1)")
+    if not sigma_eps > 0 or n_samples < 1:
+        raise ValueError("sigma_eps must be positive, n_samples >= 1")
+    return rho * sigma_eps * math.sqrt(d / n_samples)
 
 
 def noise_floor(params: PackingParams) -> float:
     """The per-singular-value noise scale rho * sigma_eps * sqrt(d / n)."""
-    return params.rho * params.sigma_eps * math.sqrt(params.d / params.n_samples)
+    return _noise_floor(params.d, params.rho, params.sigma_eps, params.n_samples)
 
 
 def default_params(
@@ -100,30 +106,22 @@ def default_params(
     spectrum: Optional[np.ndarray] = None,
     **exponents,
 ) -> PackingParams:
-    """Fill in t_lo/t_hi from the spectrum and the noise floor.
+    """Fill in t_lo from the spectrum and the noise floor.
 
     t_lo is the smallest 1-based index whose singular value is at or below
-    rho * sigma_eps * sqrt(d / n); t_hi is floor(rho^lambda * d / 2). A flat
-    spectrum pinned exactly at the noise floor is used when none is given.
+    rho * sigma_eps * sqrt(d / n). A flat spectrum pinned exactly at the
+    noise floor is used when none is given.
     """
-    probe = PackingParams(
-        d=d, rho=rho, spectrum=np.zeros(d), sigma_eps=sigma_eps,
-        n_samples=n_samples, t_lo=1, t_hi=1, k_patterns=k_patterns,
-        s_size=s_size, seed=seed, **exponents,
-    )
-    probe._validate_scalars()
-    floor_val = noise_floor(probe)
+    floor_val = _noise_floor(d, rho, sigma_eps, n_samples)
     if spectrum is None:
         spectrum = np.full(d, floor_val)
     spectrum = np.asarray(spectrum, dtype=float)
     below = np.nonzero(spectrum <= floor_val)[0]
     if below.size == 0:
         raise ValueError("no singular value is at or below the noise floor")
-    t_lo = int(below[0]) + 1
-    t_hi = int(probe.rho ** probe.lambda_exp * d / 2)
     return PackingParams(
         d=d, rho=rho, spectrum=spectrum, sigma_eps=sigma_eps,
-        n_samples=n_samples, t_lo=t_lo, t_hi=t_hi, k_patterns=k_patterns,
+        n_samples=n_samples, t_lo=int(below[0]) + 1, k_patterns=k_patterns,
         s_size=s_size, seed=seed, **exponents,
     )
 
@@ -152,7 +150,6 @@ def sample_sparsity_family(params: PackingParams) -> List[List[np.ndarray]]:
     Elements within one support are drawn without replacement; supports are
     independent across draws and columns.
     """
-    params.validate()
     size = params.subset_size
     if params.k_patterns > math.comb(params.d, size):
         raise ValueError("k_patterns exceeds the number of available subsets")
@@ -188,7 +185,6 @@ def sample_code(params: PackingParams, patterns: List[List[np.ndarray]]) -> List
     """Draw s_size distinct tuples from the pattern product, resampling any
     tuple whose max pairwise cost against the accepted ones exceeds
     rho^zeta * Psi. Budget: 20 retries per tuple."""
-    params.validate()
     target = params.rho ** params.zeta * psi_mass(params)
     rng = _rng(params, 2)
     code: List[Tuple[int, ...]] = []
@@ -263,12 +259,10 @@ def build_unitary(
     inside its support with a unit vector orthogonal to everything built so
     far, resampled until the mass sitting on entries above the spread cutoff
     is small and at most 2 entries exceed the cutoff (budget: 100 draws per
-    column). Region 3 completes the basis
-    with random vectors orthogonalized against all prior columns; a final
-    re-orthogonalization pass touches Region 3 only, so contested supports
-    are preserved exactly.
+    column). Region 3 completes the basis with the trailing columns of the
+    complete Householder QR of the built columns; the built columns are kept
+    as they are, so contested supports are preserved exactly.
     """
-    params.validate()
     d = params.d
     prefix = np.asarray(shared_prefix, dtype=float).reshape(d, -1)
     if prefix.shape[1] != params.t_lo - 1:
@@ -322,32 +316,12 @@ def build_unitary(
         u[:, ncols] = col
         ncols += 1
 
-    region3_start = ncols
-    while ncols < d:
-        for _ in range(FILL_RETRY_BUDGET):
-            g = rng.standard_normal(d)
-            for _pass in range(2):
-                g -= u[:, :ncols] @ (u[:, :ncols].T @ g)
-            norm = float(np.linalg.norm(g))
-            if norm > 1e-8:
-                u[:, ncols] = g / norm
-                break
-        else:
-            raise FillInfeasibleError("could not complete the basis", math.inf)
-        ncols += 1
-
-    # Final drift cleanup, restricted to Region 3.
-    for j in range(region3_start, d):
-        col = u[:, j]
-        for _pass in range(2):
-            col = col - u[:, :j] @ (u[:, :j].T @ col)
-        u[:, j] = col / np.linalg.norm(col)
+    u[:, ncols:] = np.linalg.qr(u[:, :ncols], mode="complete")[0][:, ncols:]
     return u
 
 
 def build_family(params: PackingParams) -> PackingFamily:
     """Patterns, code, shared prefix, and all unitaries from one master seed."""
-    params.validate()
     patterns = sample_sparsity_family(params)
     code = sample_code(params, patterns)
 
@@ -406,7 +380,6 @@ def verify_packing(
         raise ValueError("distance_floor must be positive")
     if overlap_max is not None and overlap_max < 0:
         raise ValueError("overlap_max must be >= 0")
-    params.validate()
     d = params.d
     lo, hi = params.t_lo - 1, params.t_hi  # python slice bounds for the block
     block_w = np.asarray(params.spectrum[lo:hi], dtype=float) ** 2

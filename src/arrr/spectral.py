@@ -14,7 +14,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 ORTHONORMALITY_TOL = 1e-10
-RECONSTRUCTION_RTOL = 1e-8
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ class SynthConfig:
     upsilon: float = 5.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # comparisons are written so that NaN fails them
         if self.d1 < 2 or self.d2 < 1 or self.n < 2:
             raise ValueError("need d1 >= 2, d2 >= 1 and n >= 2")
@@ -135,7 +135,6 @@ def make_instance(config: SynthConfig) -> SyntheticInstance:
     Child seeds for the covariance, the coefficients, and the dataset are
     derived through a SeedSequence so the three draws are independent streams.
     """
-    config.validate()
     s_cov, s_coef, s_data = np.random.SeedSequence(config.seed).generate_state(3)
     v_star, lambda_star = gen_covariance(config.d1, config.omega, int(s_cov))
     m = gen_coefficients(config.d2, config.d1, config.rank_m, config.upsilon, int(s_coef))

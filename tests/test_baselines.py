@@ -491,6 +491,14 @@ class TestValidateHyperparams:
         assert winner.iterations_used == refit.iterations_used
         assert winner.converged == refit.converged
 
+    def test_constant_validation_response_has_no_winner(self):
+        # every pooled validation MSE is NaN, and a NaN score never wins
+        x, y = _data(30, 5, 2, seed=22)
+        x_va = _data(10, 5, 2, seed=30)[0]
+        grid = [BaselineSpec("ridge", mu=100.0), BaselineSpec("ridge", mu=0.01)]
+        with pytest.raises(ValueError, match="no spec of the grid scored"):
+            validate_hyperparams(grid, (x, y), (x_va, np.ones((10, 2))))
+
     def test_empty_grid(self):
         with pytest.raises(ValueError):
             validate_hyperparams([], (np.zeros((2, 2)), np.zeros((2, 1))),
@@ -545,4 +553,4 @@ class TestSpecValidation:
 
     def test_nan_mu_rejected(self):
         with pytest.raises(ValueError):
-            BaselineSpec("ridge", mu=float("nan")).validate()
+            BaselineSpec("ridge", mu=float("nan"))

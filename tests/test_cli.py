@@ -136,6 +136,18 @@ class TestFitPredictSynth:
         assert not out.exists()
         assert not (tmp_path / "error.json").exists()
 
+    def test_predict_out_of_range_model_meta_is_config_error(self, tmp_path):
+        paths = _matrix_files(tmp_path)
+        meta_path = os.path.join(paths["model"], "meta.json")
+        with open(meta_path) as f:
+            meta = json.load(f)
+        with open(meta_path, "w") as f:
+            json.dump(dict(meta, theta=-1.0), f)
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", paths["model"], "--x", paths["x"],
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_predict_incomplete_model_is_config_error(self, tmp_path):
         x = tmp_path / "x.csv"
         write_matrix_csv(str(x), np.eye(3))
@@ -550,6 +562,7 @@ class TestPacking:
                     "max_overlap", "unitarity_residual", "pass"):
             assert key in report
         assert report["pass"] is True
+        assert report["params"]["t_hi"] == 4
         assert report["unitarity_residual"] <= 1e-10
         assert set(report["measured_constants"]) == {"c8", "c9"}
 
@@ -620,9 +633,11 @@ class TestMatrixCsv:
 
 
 _SMALL_SYNTH = {"d1": 20, "d2": 8, "n": 25, "rank_m": 3, "eta": 0.5, "seed": 0}
+_SMALL_PACKING = {"d": 32, "rho": 0.06, "sigma_eps": 1.0, "n_samples": 100,
+                  "k_patterns": 8, "s_size": 4, "seed": 0}
 
-# Bad input that only the library's own range checks catch: (argv with {name}
-# placeholders, config written to cfg.json or None).
+# Bad input that only the library's own range checks or the CLI's key checks
+# catch: (argv with {name} placeholders, config written to cfg.json or None).
 PROBES = {
     "fit_k1_above_d1": (["fit", "--x", "{x}", "--y", "{y}", "--k1", "50"], None),
     "fit_row_mismatch": (["fit", "--x", "{x}", "--y", "{y29}"], None),
@@ -637,6 +652,25 @@ PROBES = {
     "compare_rrr_rank_too_big": (["compare"], {
         "synth": _SMALL_SYNTH, "grids": {"eta": [0.5], "seeds": [0]},
         "fit": {"delta": 1e-6}, "baselines": [{"method": "rrr", "rank": [30]}]}),
+    # each config below is valid without its misspelled or extra key
+    "compare_unknown_fit_key": (["compare"], {
+        "synth": _SMALL_SYNTH, "grids": {"eta": [0.5], "seeds": [0]},
+        "fit": {"delta": 1e-6, "thetaa": 2.0}}),
+    "compare_unknown_baseline_key": (["compare"], {
+        "synth": _SMALL_SYNTH, "grids": {"eta": [0.5], "seeds": [0]},
+        "fit": {"delta": 1e-6}, "baselines": [{"method": "rrr", "rank": [2], "rnak": [3]}]}),
+    "packing_unknown_key": (["packing"], {"packing": dict(_SMALL_PACKING, distance_flor=1.5)}),
+    "packing_unknown_top_key": (["packing"], {"packing": _SMALL_PACKING, "note": "x"}),
+    "sweep_unknown_grid_key": (["sweep"], {
+        "synth": _SMALL_SYNTH, "grids": {"k1": [5], "k2": [2], "seeds": [0], "eta": [0.5]}}),
+    "sweep_unknown_top_key": (["sweep"], {
+        "synth": _SMALL_SYNTH, "grids": {"k1": [5], "k2": [2], "seeds": [0]},
+        "fitt": {"theta": 2.0}}),
+    "rolling_unknown_splits_key": (["rolling"], {
+        "panel": "{panel}", "features": {"lookbacks": [1, 2]},
+        "splits": {"train_len": 8, "valid_len": 3, "test_len": 3, "gap": 1}}),
+    "angles_unknown_synth_key": (["angles"], {
+        "synth": {"d1": 8, "omega": 2.0, "seed": 1, "rank_m": 2}, "n": 10, "top_k": 3}),
 }
 
 
@@ -646,6 +680,8 @@ class TestBadInputExitsTwo:
         argv, cfg = PROBES[probe]
         paths = _matrix_files(tmp_path)
         argv = [a.format(**paths) for a in argv]
+        if cfg is not None and cfg.get("panel") == "{panel}":
+            cfg = dict(cfg, panel=_write_panel(tmp_path))
         if cfg is not None:
             argv += ["--config", _write_json(tmp_path, "cfg.json", cfg)]
         out = tmp_path / ("out.csv" if argv[0] == "predict" else "out")
@@ -655,6 +691,8 @@ class TestBadInputExitsTwo:
         assert not (tmp_path / "error.json").exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        if "unknown" in probe:
+            assert "unknown fields" in err
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one(self, jobs, tmp_path):

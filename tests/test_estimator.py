@@ -231,11 +231,11 @@ class TestFitAdaptiveRRR:
         with pytest.raises(ValueError):
             fit_adaptive_rrr(np.zeros((3, 2)), np.zeros((4, 2)), FitConfig(sigma_eps=1.0))
         with pytest.raises(ValueError):
-            FitConfig(delta=-1.0).validate()
+            FitConfig(delta=-1.0)
         with pytest.raises(ValueError):
-            FitConfig(sigma_eps="guess").validate()
+            FitConfig(sigma_eps="guess")
         with pytest.raises(ValueError):
-            FitConfig(theta=0.0).validate()
+            FitConfig(theta=0.0)
 
 
 class TestPredict:
@@ -331,7 +331,7 @@ class TestInputChecks:
     ])
     def test_config_rejects_nan_and_bad_values(self, change):
         with pytest.raises(ValueError):
-            FitConfig(**change).validate()
+            FitConfig(**change)
 
     def test_stage2_truncation_equals_truncate_rank(self):
         inst = make_instance(SynthConfig(d1=30, d2=12, n=25, rank_m=4, eta=0.5, seed=2))

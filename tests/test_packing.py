@@ -65,16 +65,14 @@ class TestParams:
         good = _params64()
         import dataclasses
         with pytest.raises(ValueError):
-            dataclasses.replace(good, t_hi=5).validate()  # != floor(s/2)
+            dataclasses.replace(good, rho=1.5)
         with pytest.raises(ValueError):
-            dataclasses.replace(good, rho=1.5).validate()
+            dataclasses.replace(good, spectrum=np.arange(64.0))
         with pytest.raises(ValueError):
-            dataclasses.replace(good, spectrum=np.arange(64.0)).validate()
-        with pytest.raises(ValueError):
-            dataclasses.replace(good, sigma_eps=0.0).validate()
+            dataclasses.replace(good, sigma_eps=0.0)
         with pytest.raises(ValueError):
             # support size floor(rho^lambda * d) collapses below 2
-            dataclasses.replace(good, rho=1e-9).validate()
+            dataclasses.replace(good, rho=1e-9)
 
     @pytest.mark.parametrize("change", [
         {"lambda_exp": 0.0}, {"zeta": -1.0}, {"eta_exp": float("nan")},
@@ -83,7 +81,7 @@ class TestParams:
     def test_validate_rejects_bad_scalars(self, change):
         import dataclasses
         with pytest.raises(ValueError):
-            dataclasses.replace(_params64(), **change).validate()
+            dataclasses.replace(_params64(), **change)
 
     @pytest.mark.parametrize("change", [
         {"n_samples": 0}, {"rho": -0.5}, {"zeta": 0.0}, {"k_patterns": 0},
@@ -99,7 +97,7 @@ class TestParams:
         spectrum = np.full(64, 0.0158 * 0.8)
         spectrum[-1] = 0.0
         with pytest.raises(ValueError):
-            _params64(spectrum=spectrum).validate()
+            _params64(spectrum=spectrum)
 
 
 class TestSparsityFamily:
@@ -122,7 +120,7 @@ class TestSparsityFamily:
     def test_capacity_error(self):
         # subset size 2 out of d=4 admits only 6 subsets
         p = PackingParams(d=4, rho=0.26, spectrum=np.ones(4), sigma_eps=1.0,
-                          n_samples=10, t_lo=1, t_hi=1, k_patterns=7, s_size=2,
+                          n_samples=10, t_lo=1, k_patterns=7, s_size=2,
                           seed=0)
         with pytest.raises(ValueError):
             sample_sparsity_family(p)
@@ -133,7 +131,7 @@ class TestSparsityFamily:
         hits = 0
         for seed in range(100):
             p = PackingParams(d=64, rho=0.0158, spectrum=np.ones(64),
-                              sigma_eps=1.0, n_samples=100, t_lo=4, t_hi=4,
+                              sigma_eps=1.0, n_samples=100, t_lo=4,
                               k_patterns=16, s_size=2, seed=seed)
             col = sample_sparsity_family(p)[0]
             worst = max(len(np.intersect1d(a, b))
