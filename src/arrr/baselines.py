@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .estimator import require_finite
-from .metrics import pooled_scores
+from .metrics import lowest, pooled_scores
 from .spectral import SpectralDecomposition, decompose
 
 METHODS = ("ridge", "rrr", "reduced_rank_ridge", "pcr", "lasso", "nuclear")
@@ -248,9 +248,10 @@ def validate_hyperparams(
     The score is the pooled variance-normalized MSE of the predictions on
     valid. The winner's spec is its `.method`. Every spec of the grid shares
     one SVD of the training design, taken from `dec` when the caller already
-    has it. Ties break to the first occurrence in the grid. An undefined
-    (NaN) score never wins, and a grid with no defined score, as on a
-    constant validation response, raises ValueError.
+    has it. The winner is `metrics.lowest` of the scores: ties break
+    to the first occurrence in the grid and an undefined (NaN) score never
+    wins. A grid with no defined score, as on a constant validation
+    response, raises ValueError.
     """
     if not spec_grid:
         raise ValueError("empty hyperparameter grid")
@@ -259,12 +260,8 @@ def validate_hyperparams(
     y_va = np.asarray(y_va, dtype=float)
     if dec is None:
         dec = decompose(x_tr)
-    best, best_score = None, None
-    for spec in spec_grid:
-        model = fit_baseline(spec, x_tr, y_tr, dec)
-        score = pooled_scores(y_va, predict_linear(model, x_va))[0]
-        if not math.isnan(score) and (best is None or score < best_score):
-            best, best_score = model, score
+    models = (fit_baseline(spec, x_tr, y_tr, dec) for spec in spec_grid)
+    best = lowest((pooled_scores(y_va, predict_linear(m, x_va))[0], m) for m in models)
     if best is None:
         raise ValueError("no spec of the grid scored a defined validation MSE")
     return best

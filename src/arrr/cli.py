@@ -1,13 +1,22 @@
 """Command line interface.
 
-Eight subcommands. `fit`, `predict`, and `synth` are flag-driven; `sweep`,
-`compare`, `rolling`, `packing`, and `angles` take a single JSON config file
-plus an output directory.
+Eight subcommands. `fit`, `predict` and `synth` are flag-driven and dispatch
+through COMMANDS. The five experiments each take a JSON config and an output
+directory and have one EXPERIMENTS entry: the reader, the top-level config
+sections it accepts, the results.csv header and row order, and the help text.
+`build_parser` and `main` read the subcommands from these two tables.
+
+A reader checks its sections, runs the experiment and returns its rows (the
+packing reader its report). `run_experiment` does the rest once for all of
+them: the top-level key check, the config hash, meta.json, and results.csv
+with the hash on each row, or report.json. Defaults come from FitConfig and
+SynthConfig.
 
 A `compare` cell and a `rolling` fold share one fit-select-score path: one
 SVD of the training design serves the estimator's (delta, theta) candidates
-and every baseline grid, each method keeps its lowest pooled validation MSE,
-and the winners are scored on the training and test windows.
+and every baseline grid, `metrics.lowest` picks each method's winner by
+pooled validation MSE, and the winners are scored on the training and test
+windows.
 
 Exit codes: 0 success; 2 bad input (nothing is written); 3 numerical
 failure, non-finite input included (error.json lands in the output directory
@@ -31,12 +40,12 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import baselines, dataio, metrics, packing, synth
-from ._serde import fmt_float, read_matrix_csv, write_matrix_csv
+from ._serde import fmt_float, read_matrix_csv, write_json, write_matrix_csv
 from ._version import __version__
 from .estimator import (
     FitConfig,
@@ -67,21 +76,6 @@ NUMERICAL_ERRORS = (
     packing.FillInfeasibleError,
     np.linalg.LinAlgError,
 )
-
-SWEEP_HEADER = (
-    "config_hash", "method", "eta", "k1", "k2", "seed",
-    "recon_error", "mse_out", "corr_out",
-)
-COMPARE_HEADER = (
-    "config_hash", "method", "eta", "k1", "k2", "mu", "rank", "seed",
-    "mse_in", "mse_out", "r2_in", "r2_out", "corr_out",
-    "recon_error", "recovered_rank", "gap_out_in",
-)
-ROLLING_HEADER = (
-    "config_hash", "method", "fold", "split", "seed", "n_obs",
-    "mse", "r2", "corr", "k1", "k2", "mu", "rank",
-)
-ANGLES_HEADER = ("config_hash", "seed", "row", "col", "angle")
 
 
 # Type checks for JSON config values. The library code that consumes a value
@@ -129,6 +123,13 @@ def _only(sec: Dict[str, Any], where: str, keys: Sequence[str]) -> None:
     """Reject every key of `sec` outside `keys`, the keys its reader reads."""
     unknown = sorted(set(sec) - set(keys))
     _want(not unknown, "%s: unknown fields %s" % (where, unknown))
+
+
+def _section(cfg: Dict[str, Any], name: str, keys: Sequence[str]) -> Dict[str, Any]:
+    """cfg[name], an object holding no key outside `keys`."""
+    sec = _get(cfg, "", name, dict)
+    _only(sec, name, keys)
+    return sec
 
 
 def _listed(v) -> list:
@@ -179,39 +180,53 @@ def load_config(path: str, kind: str) -> Dict[str, Any]:
     return _apply_env_seed(cfg)
 
 
-def _resolve_sigma(spec, instance):
-    """Turn a config-level sigma spec into a FitConfig value.
-
-    'oracle' uses the generator's noise scale; at eta=0 that is 0, which is
-    floored to the smallest positive float so the threshold stays defined.
-    """
-    if spec == "oracle":
-        _want(instance is not None, "fit.sigma_eps 'oracle' needs synthetic data")
-        return max(float(instance.sigma_noise), float(np.finfo(float).tiny))
-    return spec if isinstance(spec, str) else float(spec)
-
-
-FIT_KEYS = ("delta", "theta", "sigma_eps")
 # every experiment config may name its kind, and ARRR_SEED plants a seed in it
 TOP_KEYS = ("kind", "seed")
 
 
-def _fit_section(cfg: Dict[str, Any], default_sigma: str) -> Dict[str, Any]:
-    sec = _get(cfg, "", "fit", (dict, NULL), None) or {}
-    _only(sec, "fit", FIT_KEYS)
-    return {"delta": float(_get(sec, "fit", "delta", NUM, 1e-3)),
-            "theta": float(_get(sec, "fit", "theta", NUM, 2.0)),
-            "sigma_eps": _get(sec, "fit", "sigma_eps", NUM + (str,), default_sigma)}
+def _fit_section(cfg: Dict[str, Any], default_sigma: str,
+                 grid: bool = False) -> Tuple[List[Tuple[float, float]], Any]:
+    """The fit section as ((delta, theta) pairs, sigma_eps spec), FitConfig's
+    defaults standing in for absent keys. Only a `grid` takes lists of delta
+    and theta; it pairs each delta with each theta."""
+    sec = _get(cfg, "", "fit", (dict, NULL), None) or {}  # absent or null reads as empty
+    _only(sec, "fit", ("delta", "theta", "sigma_eps"))
+    types, items = (NUM + (list,), NUM) if grid else (NUM, ())
+    deltas, thetas = (_listed(_get(sec, "fit", k, types, getattr(FitConfig, k), items))
+                      for k in ("delta", "theta"))
+    return ([(float(d), float(t)) for d in deltas for t in thetas],
+            _get(sec, "fit", "sigma_eps", NUM + (str,), default_sigma))
 
 
-def _synth_config(sec: Dict[str, Any], **overrides) -> synth.SynthConfig:
-    merged = dict(sec, **overrides)
+def _candidates(fit, instance, **overrides) -> List[FitConfig]:
+    """A FitConfig per (delta, theta) pair of a `_fit_section`.
+
+    sigma_eps 'oracle' uses the generator's noise scale; at eta=0 that is 0,
+    which is floored to the smallest positive float so the threshold stays
+    defined.
+    """
+    pairs, sigma = fit
+    if sigma == "oracle":
+        _want(instance is not None, "fit.sigma_eps 'oracle' needs synthetic data")
+        sigma = max(float(instance.sigma_noise), float(np.finfo(float).tiny))
+    elif not isinstance(sigma, str):
+        sigma = float(sigma)
+    return [FitConfig(delta=d, theta=t, sigma_eps=sigma, **overrides) for d, t in pairs]
+
+
+def _synth_configs(cfg: Dict[str, Any], points: List[Dict[str, Any]]) -> List[synth.SynthConfig]:
+    """The synth section with each grid point's overrides. The section must
+    be valid as written too, not only with the grid's values."""
+    sec = _get(cfg, "", "synth", dict)
     fields = dataclasses.fields(synth.SynthConfig)
-    _only(merged, "synth", [f.name for f in fields])
-    for f in fields:
-        _get(merged, "synth", f.name, int if f.type == "int" else NUM,
-             _REQUIRED if f.default is dataclasses.MISSING else None)
-    return synth.SynthConfig(**merged)
+    configs = []
+    for merged in [sec] + [dict(sec, **p) for p in points]:
+        _only(merged, "synth", [f.name for f in fields])
+        for f in fields:
+            _get(merged, "synth", f.name, int if f.type == "int" else NUM,
+                 _REQUIRED if f.default is dataclasses.MISSING else None)
+        configs.append(synth.SynthConfig(**merged))
+    return configs[1:]
 
 
 def _baseline_grid(cfg: Dict[str, Any]) -> Dict[str, List[baselines.BaselineSpec]]:
@@ -240,9 +255,7 @@ def _cell(v) -> str:
         return v
     if v is None:
         return "-1"
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, (int, np.integer, np.bool_)):  # a bool is an int
         return str(int(v))
     return fmt_float(float(v))
 
@@ -258,45 +271,13 @@ def write_results(out_dir: str, header: Sequence[str], rows: List[Dict[str, Any]
     return path
 
 
-def _jsonable(v):
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        v = float(v)
-    if isinstance(v, float):
-        # strict JSON has no Infinity/NaN tokens
-        return v if math.isfinite(v) else repr(v)
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
-
-
-def _write_json(path: str, payload: Dict[str, Any]) -> None:
-    with open(path, "w") as f:
-        json.dump(_jsonable(payload), f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def _write_meta(out_dir: str, kind: str, cfg: Dict[str, Any], h: str) -> None:
-    _write_json(os.path.join(out_dir, "meta.json"), {
-        "kind": kind,
-        "config": cfg,
-        "config_hash": h,
-        "library_version": __version__,
-    })
-
-
 def _numerical_failure(out_dir: str, exc: BaseException) -> int:
     os.makedirs(out_dir, exist_ok=True)
     payload = {"error": type(exc).__name__, "message": str(exc)}
     for attr in ("achieved_cost", "tail_mass"):
         if hasattr(exc, attr):
             payload[attr] = float(getattr(exc, attr))
-    _write_json(os.path.join(out_dir, "error.json"), payload)
+    write_json(os.path.join(out_dir, "error.json"), payload)
     print("numerical failure: %s" % exc, file=sys.stderr)
     return EXIT_NUMERICAL
 
@@ -314,7 +295,7 @@ def _scores(model, x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
     return metrics.pooled_scores(y, x @ model.m_hat.T)
 
 
-# ---------------------------------------------------------------- sweep
+# ---------------------------------------------------------------- readers
 
 
 def _sweep_cell(args) -> List[Dict[str, Any]]:
@@ -323,9 +304,8 @@ def _sweep_cell(args) -> List[Dict[str, Any]]:
     inst = synth.make_instance(syn)
     x_te, y_te, _ = synth.gen_dataset(inst.m, inst.v_star, inst.lambda_star,
                                       syn.n, syn.eta, derived_seed(syn.seed, TEST_STREAM))
-    sigma = _resolve_sigma(fit["sigma_eps"], inst)
-    configs = [FitConfig(delta=fit["delta"], theta=fit["theta"], sigma_eps=sigma,
-                         k1_override=k1, k2_override=k2) for k1 in k1s for k2 in k2s]
+    configs = [c for k1 in k1s for k2 in k2s
+               for c in _candidates(fit, inst, k1_override=k1, k2_override=k2)]
     rows = []
     # k1 is pinned for every config, so stage 1 cannot yield a NoGapError here
     for model in fit_path(inst.x, inst.y, configs):
@@ -337,27 +317,13 @@ def _sweep_cell(args) -> List[Dict[str, Any]]:
     return rows
 
 
-def run_sweep(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
-    _only(cfg, "config", TOP_KEYS + ("synth", "grids", "fit"))
-    sec = _get(cfg, "", "synth", dict)
-    grids = _get(cfg, "", "grids", dict)
-    _only(grids, "grids", ("k1", "k2", "seeds"))
+def run_sweep(cfg: Dict[str, Any], jobs: int) -> List[Dict[str, Any]]:
+    grids = _section(cfg, "grids", ("k1", "k2", "seeds"))
     k1s, k2s, seeds = (_get(grids, "grids", k, list, items=int) for k in ("k1", "k2", "seeds"))
     fit = _fit_section(cfg, default_sigma="oracle")
-    h = config_hash(cfg)
+    cells = [(fit, k1s, k2s, syn) for syn in _synth_configs(cfg, [{"seed": s} for s in seeds])]
+    return [r for chunk in _run_cells(_sweep_cell, cells, jobs) for r in chunk]
 
-    _synth_config(sec)  # the section must be valid as written, not only with the grid's seeds
-    cells = [(fit, k1s, k2s, _synth_config(sec, seed=s)) for s in seeds]
-    rows = [dict(r, config_hash=h)
-            for chunk in _run_cells(_sweep_cell, cells, jobs) for r in chunk]
-
-    os.makedirs(out_dir, exist_ok=True)
-    _write_meta(out_dir, "sweep", cfg, h)
-    write_results(out_dir, SWEEP_HEADER, rows, ("method", "eta", "k1", "k2", "seed"))
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------- compare and rolling
 
 # the cells of a compare or rolling row that a method does not use
 _UNUSED = {"k1": -1, "k2": -1, "mu": -1.0, "rank": -1}
@@ -374,8 +340,8 @@ def _fit_select_score(train, valid, test, candidates: Sequence[FitConfig],
     pooled (mse, r2, corr); tags are the k1, k2, mu and rank cells of a row.
     Every window is checked finite before the one SVD of the training design
     that the estimator and all grids share. Estimator candidates without an
-    admissible gap or with an undefined validation MSE are skipped, ties go to
-    the first, and the NoGapError for none left names `where`.
+    admissible gap are skipped, the winner is `metrics.lowest` of the
+    rest's scores, and the NoGapError for no winner names `where`.
     """
     for what, window in (("x and y", train), ("validation x and y", valid),
                          ("test x and y", test)):
@@ -383,20 +349,22 @@ def _fit_select_score(train, valid, test, candidates: Sequence[FitConfig],
     (x_tr, y_tr), (x_va, y_va), (x_te, y_te) = train, valid, test
     dec = decompose(x_tr)
 
-    best, nogap = None, 0
-    for model in fit_path(x_tr, y_tr, candidates, dec):
-        if isinstance(model, NoGapError):
-            nogap += 1
-            continue
-        score = _scores(model, x_va, y_va)[0]
-        if not math.isnan(score) and (best is None or score < best[0]):
-            best = (score, model)
+    nogap = []  # the candidates whose stage 1 found no admissible gap
+
+    def validated():
+        for model in fit_path(x_tr, y_tr, candidates, dec):
+            if isinstance(model, NoGapError):
+                nogap.append(model)
+            else:
+                yield _scores(model, x_va, y_va)[0], model
+
+    best = metrics.lowest(validated())
     if best is None:
         raise NoGapError(
             "no (delta, theta) candidate produced a usable fit on %s: %d of %d found no "
             "eigenvalue gap >= delta (lower delta), %d scored an undefined validation MSE"
-            % (where, nogap, len(candidates), len(candidates) - nogap))
-    winners = [("adaptive_rrr", best[1], {"k1": best[1].k1, "k2": best[1].k2})]
+            % (where, len(nogap), len(candidates), len(candidates) - len(nogap)))
+    winners = [("adaptive_rrr", best, {"k1": best.k1, "k2": best.k2})]
     for method in sorted(grid):
         bm = baselines.validate_hyperparams(grid[method], train, valid, dec=dec)
         rank = bm.method.rank
@@ -417,12 +385,11 @@ def _compare_cell(args) -> List[Dict[str, Any]]:
     inst = synth.make_instance(syn)
     draw = lambda tag: synth.gen_dataset(inst.m, inst.v_star, inst.lambda_star,
                                          syn.n, syn.eta, derived_seed(syn.seed, tag))[:2]
-    fc = FitConfig(delta=fit["delta"], theta=fit["theta"],
-                   sigma_eps=_resolve_sigma(fit["sigma_eps"], inst))
     rows = []
     for method, model, tags, (mse_in, r2_in, _), (mse_out, r2_out, corr_out), _ in (
-            _fit_select_score((inst.x, inst.y), draw(VALID_STREAM), draw(TEST_STREAM), [fc],
-                              grid, "eta %g, seed %d" % (syn.eta, syn.seed))):
+            _fit_select_score((inst.x, inst.y), draw(VALID_STREAM), draw(TEST_STREAM),
+                              _candidates(fit, inst), grid,
+                              "eta %g, seed %d" % (syn.eta, syn.seed))):
         rows.append(dict(tags, method=method, eta=syn.eta, seed=syn.seed,
                          mse_in=mse_in, mse_out=mse_out, r2_in=r2_in, r2_out=r2_out,
                          corr_out=corr_out, gap_out_in=mse_out - mse_in,
@@ -431,28 +398,15 @@ def _compare_cell(args) -> List[Dict[str, Any]]:
     return rows
 
 
-def run_compare(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
-    _only(cfg, "config", TOP_KEYS + ("synth", "grids", "fit", "baselines"))
-    sec = _get(cfg, "", "synth", dict)
-    grids = _get(cfg, "", "grids", dict)
-    _only(grids, "grids", ("eta", "seeds"))
+def run_compare(cfg: Dict[str, Any], jobs: int) -> List[Dict[str, Any]]:
+    grids = _section(cfg, "grids", ("eta", "seeds"))
     etas = _get(grids, "grids", "eta", list, items=NUM)
     seeds = _get(grids, "grids", "seeds", list, items=int)
     fit = _fit_section(cfg, default_sigma="oracle")
     base_grid = _baseline_grid(cfg)
-    h = config_hash(cfg)
-
-    _synth_config(sec)  # the section must be valid as written, not only with the grid's values
-    cells = [(fit, base_grid, _synth_config(sec, eta=float(eta), seed=s))
-             for eta in etas for s in seeds]
-    rows = []
-    for chunk in _run_cells(_compare_cell, cells, jobs):
-        rows.extend(dict(r, config_hash=h) for r in chunk)
-
-    os.makedirs(out_dir, exist_ok=True)
-    _write_meta(out_dir, "compare", cfg, h)
-    write_results(out_dir, COMPARE_HEADER, rows, ("method", "eta", "k1", "k2", "seed"))
-    return EXIT_OK
+    cells = [(fit, base_grid, syn) for syn in _synth_configs(
+        cfg, [{"eta": float(eta), "seed": s} for eta in etas for s in seeds])]
+    return [r for chunk in _run_cells(_compare_cell, cells, jobs) for r in chunk]
 
 
 def _rolling_row(method, fold, split, seed, n_obs, scores, tags=_UNUSED) -> Dict[str, Any]:
@@ -461,27 +415,17 @@ def _rolling_row(method, fold, split, seed, n_obs, scores, tags=_UNUSED) -> Dict
                 mse=mse, r2=r2, corr=corr)
 
 
-def run_rolling(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
-    _only(cfg, "config", TOP_KEYS + ("panel", "features", "splits", "fit", "baselines"))
+def run_rolling(cfg: Dict[str, Any], jobs: int) -> List[Dict[str, Any]]:
     panel_path = _get(cfg, "", "panel", str)
-    feat = _get(cfg, "", "features", dict)
-    _only(feat, "features", ("lookbacks", "horizon"))
+    feat = _section(cfg, "features", ("lookbacks", "horizon"))
     lookbacks = _get(feat, "features", "lookbacks", list, items=int)
     horizon = _get(feat, "features", "horizon", int, 1)
-    sp = _get(cfg, "", "splits", dict)
-    _only(sp, "splits", ("train_len", "valid_len", "test_len", "gap_len"))
+    sp = _section(cfg, "splits", ("train_len", "valid_len", "test_len", "gap_len"))
     lens = [_get(sp, "splits", k, int) for k in ("train_len", "valid_len", "test_len")]
     gap_len = _get(sp, "splits", "gap_len", int, 0)
-    fit_sec = _get(cfg, "", "fit", (dict, NULL), None) or {}
-    _only(fit_sec, "fit", FIT_KEYS)
-    deltas = _listed(_get(fit_sec, "fit", "delta", NUM + (list,), 1e-3, items=NUM))
-    thetas = _listed(_get(fit_sec, "fit", "theta", NUM + (list,), 2.0, items=NUM))
-    sigma = _resolve_sigma(_get(fit_sec, "fit", "sigma_eps", NUM + (str,), "auto"), None)
-    candidates = [FitConfig(delta=float(d), theta=float(t), sigma_eps=sigma)
-                  for d in deltas for t in thetas]
+    candidates = _candidates(_fit_section(cfg, FitConfig.sigma_eps, grid=True), None)
     base_grid = _baseline_grid(cfg)
     seed = _get(cfg, "", "seed", int, 0)
-    h = config_hash(cfg)
 
     panel = dataio.load_panel_csv(panel_path)
     x, y, dates = dataio.make_features(panel, lookbacks, horizon)
@@ -506,23 +450,13 @@ def run_rolling(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
         yh = np.vstack([p[1] for p in glued[method]])
         rows.append(_rolling_row(method, -1, "glued", seed, yt.shape[0],
                                  metrics.pooled_scores(yt, yh)))
-
-    rows = [dict(r, config_hash=h) for r in rows]
-    os.makedirs(out_dir, exist_ok=True)
-    _write_meta(out_dir, "rolling", cfg, h)
-    write_results(out_dir, ROLLING_HEADER, rows, ("method", "fold", "split"))
-    return EXIT_OK
+    return rows
 
 
-# ---------------------------------------------------------------- packing
-
-
-def run_packing(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
-    _only(cfg, "config", TOP_KEYS + ("packing",))
-    sec = _get(cfg, "", "packing", dict)
+def run_packing(cfg: Dict[str, Any], jobs: int) -> Dict[str, Any]:
     int_keys = ("d", "n_samples", "k_patterns", "s_size", "seed")
-    exponent_keys = ("lambda_exp", "zeta", "eta_exp", "xi_small")
-    _only(sec, "packing", int_keys + exponent_keys + (
+    exponent_keys = ("lambda_exp", "zeta", "eta_exp")
+    sec = _section(cfg, "packing", int_keys + exponent_keys + (
         "spectrum", "rho", "sigma_eps", "distance_floor", "overlap_max"))
     ints = {k: _get(sec, "packing", k, int) for k in int_keys}
     # the library allows one-member families; an experiment compares pairs
@@ -531,22 +465,16 @@ def run_packing(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
     exponents = {k: float(_get(sec, "packing", k, NUM)) for k in exponent_keys if k in sec}
     rho = float(_get(sec, "packing", "rho", NUM))
     sigma_eps = float(_get(sec, "packing", "sigma_eps", NUM, 1.0))
-    distance_floor = float(_get(sec, "packing", "distance_floor", NUM, 1.5))
-    overlap_max = _get(sec, "packing", "overlap_max", (int, NULL), None)
-    h = config_hash(cfg)
+    checks = {k: _get(sec, "packing", k, t) for k, t in
+              (("distance_floor", NUM), ("overlap_max", (int, NULL))) if k in sec}
 
     params = packing.default_params(
         rho=rho, sigma_eps=sigma_eps,
         spectrum=None if spectrum is None else np.asarray(spectrum, dtype=float),
         **ints, **exponents)
     family = packing.build_family(params)
-    report = packing.verify_packing(family, params, distance_floor=distance_floor,
-                                    overlap_max=overlap_max)
-
-    os.makedirs(out_dir, exist_ok=True)
-    _write_meta(out_dir, "packing", cfg, h)
-    _write_json(os.path.join(out_dir, "report.json"), {
-        "config_hash": h,
+    report = packing.verify_packing(family, params, **checks)
+    return {
         "params": dict(dataclasses.asdict(params), t_hi=params.t_hi),
         "measured_constants": {"c8": report.measured_c8, "c9": report.measured_c9},
         "min_pairwise_distance": report.min_pairwise_distance,
@@ -554,36 +482,82 @@ def run_packing(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
         "unitarity_residual": report.unitarity_residual,
         "pass": report.passed,
         "detail": dataclasses.asdict(report),
-    })
-    return EXIT_OK
+    }
 
 
-# ---------------------------------------------------------------- angles
-
-
-def run_angles(cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
-    _only(cfg, "config", TOP_KEYS + ("synth", "n", "top_k"))
-    syn = _get(cfg, "", "synth", dict)
-    _only(syn, "synth", ("d1", "omega", "seed"))
+def run_angles(cfg: Dict[str, Any], jobs: int) -> List[Dict[str, Any]]:
+    syn = _section(cfg, "synth", ("d1", "omega", "seed"))
     d1 = _get(syn, "synth", "d1", int)
-    omega = float(_get(syn, "synth", "omega", NUM, 2.0))
-    seed = _get(syn, "synth", "seed", int, 0)
+    omega = float(_get(syn, "synth", "omega", NUM, synth.SynthConfig.omega))
+    seed = _get(syn, "synth", "seed", int, synth.SynthConfig.seed)
     n = _get(cfg, "", "n", int)
     top_k = _get(cfg, "", "top_k", int, min(n, d1))
     _want(1 <= top_k <= min(n, d1), "'top_k' must lie in [1, min(n, d1)]")
-    h = config_hash(cfg)
 
     s_cov, s_design = np.random.SeedSequence(seed).generate_state(2)
     v_star, lam = synth.gen_covariance(d1, omega, int(s_cov))
     x = synth.gen_design(v_star, lam, n, int(s_design))
     emp = decompose(x).v  # empirical covariance eigenvectors, descending
     a = angle_matrix(emp[:, :top_k], v_star[:, :top_k])
-
-    rows = [{"config_hash": h, "seed": seed, "row": i, "col": j, "angle": a[i, j]}
+    return [{"seed": seed, "row": i, "col": j, "angle": a[i, j]}
             for i in range(top_k) for j in range(top_k)]
+
+
+# ---------------------------------------------------------------- experiments
+
+
+class Experiment(NamedTuple):
+    read: Callable[[Dict[str, Any], int], Any]  # (config, jobs) -> rows or report
+    sections: Tuple[str, ...]  # top-level config keys besides TOP_KEYS
+    header: Optional[Tuple[str, ...]]  # results.csv columns; None writes report.json
+    order: Tuple[str, ...]  # results.csv sort columns
+    help: str
+
+
+EXPERIMENTS = {
+    "sweep": Experiment(
+        run_sweep, ("synth", "grids", "fit"),
+        ("config_hash", "method", "eta", "k1", "k2", "seed",
+         "recon_error", "mse_out", "corr_out"),
+        ("method", "eta", "k1", "k2", "seed"),
+        "grid over (k1, k2, seed) on synthetic data"),
+    "compare": Experiment(
+        run_compare, ("synth", "grids", "fit", "baselines"),
+        ("config_hash", "method", "eta", "k1", "k2", "mu", "rank", "seed",
+         "mse_in", "mse_out", "r2_in", "r2_out", "corr_out",
+         "recon_error", "recovered_rank", "gap_out_in"),
+        ("method", "eta", "k1", "k2", "seed"),
+        "estimator vs baselines over (eta, seed)"),
+    "rolling": Experiment(
+        run_rolling, ("panel", "features", "splits", "fit", "baselines"),
+        ("config_hash", "method", "fold", "split", "seed", "n_obs",
+         "mse", "r2", "corr", "k1", "k2", "mu", "rank"),
+        ("method", "fold", "split"),
+        "rolling-window backtest on a return panel"),
+    "packing": Experiment(
+        run_packing, ("packing",), None, (),
+        "build and verify a lower-bound packing family"),
+    "angles": Experiment(
+        run_angles, ("synth", "n", "top_k"),
+        ("config_hash", "seed", "row", "col", "angle"), ("row", "col"),
+        "empirical vs true covariance eigenvector angles"),
+}
+
+
+def run_experiment(kind: str, cfg: Dict[str, Any], out_dir: str, jobs: int) -> int:
+    """Run the experiment `kind` on a loaded config and write its outputs.
+    Nothing is written unless the whole run succeeds."""
+    exp = EXPERIMENTS[kind]
+    _only(cfg, "config", TOP_KEYS + exp.sections)
+    h = config_hash(cfg)
+    result = exp.read(cfg, jobs)
     os.makedirs(out_dir, exist_ok=True)
-    _write_meta(out_dir, "angles", cfg, h)
-    write_results(out_dir, ANGLES_HEADER, rows, ("row", "col"))
+    write_json(os.path.join(out_dir, "meta.json"), {
+        "kind": kind, "config": cfg, "config_hash": h, "library_version": __version__})
+    if exp.header is None:
+        write_json(os.path.join(out_dir, "report.json"), dict(result, config_hash=h))
+    else:
+        write_results(out_dir, exp.header, [dict(r, config_hash=h) for r in result], exp.order)
     return EXIT_OK
 
 
@@ -610,33 +584,25 @@ def cmd_predict(args) -> int:
 
 def cmd_synth(args) -> int:
     seed = _env_seed()
-    scfg = synth.SynthConfig(d1=args.d1, d2=args.d2, n=args.n, rank_m=args.rank,
-                             omega=args.omega, eta=args.eta, upsilon=args.upsilon,
-                             seed=args.seed if seed is None else seed)
+    args.seed = args.seed if seed is None else seed
+    scfg = synth.SynthConfig(**{f.name: getattr(args, f.name)
+                                for f in dataclasses.fields(synth.SynthConfig)})
     inst = synth.make_instance(scfg)
     os.makedirs(args.out, exist_ok=True)
-    write_matrix_csv(os.path.join(args.out, "x.csv"), inst.x)
-    write_matrix_csv(os.path.join(args.out, "y.csv"), inst.y)
-    write_matrix_csv(os.path.join(args.out, "m.csv"), inst.m)
-    write_matrix_csv(os.path.join(args.out, "lambda.csv"), inst.lambda_star)
+    for name, a in (("x", inst.x), ("y", inst.y), ("m", inst.m), ("lambda", inst.lambda_star)):
+        write_matrix_csv(os.path.join(args.out, name + ".csv"), a)
     meta = dataclasses.asdict(scfg)
     meta.update(sigma_noise=inst.sigma_noise, library_version=__version__)
-    _write_json(os.path.join(args.out, "meta.json"), meta)
+    write_json(os.path.join(args.out, "meta.json"), meta)
     print("synth: wrote %dx%d x, %dx%d y to %s"
           % (inst.x.shape + inst.y.shape + (args.out,)))
     return EXIT_OK
 
 
+COMMANDS = {"fit": cmd_fit, "predict": cmd_predict, "synth": cmd_synth}
+
+
 # ---------------------------------------------------------------- entry
-
-
-EXPERIMENTS = {
-    "sweep": run_sweep,
-    "compare": run_compare,
-    "rolling": run_rolling,
-    "packing": run_packing,
-    "angles": run_angles,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -649,12 +615,12 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("fit", help="fit the two-stage estimator on x/y CSVs")
     f.add_argument("--x", required=True, help="design matrix CSV, n rows")
     f.add_argument("--y", required=True, help="response matrix CSV, n rows")
-    f.add_argument("--delta", type=float, default=1e-3,
-                   help="eigenvalue-gap threshold (default 1e-3)")
-    f.add_argument("--theta", type=float, default=2.0,
-                   help="singular-value threshold multiplier (default 2.0)")
-    f.add_argument("--sigma", default="auto",
-                   help="noise std, a number or 'auto' (default auto)")
+    f.add_argument("--delta", type=float, default=FitConfig.delta,
+                   help="eigenvalue-gap threshold (default %(default)g)")
+    f.add_argument("--theta", type=float, default=FitConfig.theta,
+                   help="singular-value threshold multiplier (default %(default)g)")
+    f.add_argument("--sigma", default=FitConfig.sigma_eps,
+                   help="noise std, a number or 'auto' (default %(default)s)")
     f.add_argument("--k1", type=int, default=None, help="override stage-1 rank")
     f.add_argument("--k2", type=int, default=None, help="override stage-2 rank")
     f.add_argument("--out", required=True, help="model output directory")
@@ -665,24 +631,15 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--out", required=True, help="prediction CSV path")
 
     sy = sub.add_parser("synth", help="generate a synthetic benchmark instance")
-    sy.add_argument("--d1", type=int, required=True)
-    sy.add_argument("--d2", type=int, required=True)
-    sy.add_argument("--n", type=int, required=True)
-    sy.add_argument("--rank", type=int, required=True)
-    sy.add_argument("--omega", type=float, default=2.0)
-    sy.add_argument("--eta", type=float, default=0.0)
-    sy.add_argument("--upsilon", type=float, default=5.0)
-    sy.add_argument("--seed", type=int, default=0)
+    for fld in dataclasses.fields(synth.SynthConfig):  # --rank sets rank_m
+        required = fld.default is dataclasses.MISSING
+        sy.add_argument("--rank" if fld.name == "rank_m" else "--" + fld.name, dest=fld.name,
+                        type=int if fld.type == "int" else float, required=required,
+                        default=None if required else fld.default)
     sy.add_argument("--out", required=True, help="output directory")
 
-    for name, help_text in (
-        ("sweep", "grid over (k1, k2, seed) on synthetic data"),
-        ("compare", "estimator vs baselines over (eta, seed)"),
-        ("rolling", "rolling-window backtest on a return panel"),
-        ("packing", "build and verify a lower-bound packing family"),
-        ("angles", "empirical vs true covariance eigenvector angles"),
-    ):
-        e = sub.add_parser(name, help=help_text)
+    for name, exp in EXPERIMENTS.items():
+        e = sub.add_parser(name, help=exp.help)
         e.add_argument("--config", required=True, help="JSON experiment config")
         e.add_argument("--out", required=True, help="output directory")
         e.add_argument("--jobs", type=int, default=1,
@@ -692,19 +649,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    out = getattr(args, "out", None)
     # predict's --out is a file; error.json belongs next to it
-    err_dir = (os.path.dirname(out) or ".") if args.command == "predict" else out
+    err_dir = (os.path.dirname(args.out) or ".") if args.command == "predict" else args.out
     try:
-        if args.command == "fit":
-            return cmd_fit(args)
-        if args.command == "predict":
-            return cmd_predict(args)
-        if args.command == "synth":
-            return cmd_synth(args)
+        if args.command in COMMANDS:
+            return COMMANDS[args.command](args)
         _want(args.jobs >= 1, "--jobs must be >= 1")
         cfg = load_config(args.config, args.command)
-        return EXPERIMENTS[args.command](cfg, args.out, args.jobs)
+        return run_experiment(args.command, cfg, args.out, args.jobs)
     # numerical errors first: NoGapError, NonFiniteError and LinAlgError are
     # ValueErrors too
     except NUMERICAL_ERRORS as e:

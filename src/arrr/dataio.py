@@ -134,22 +134,14 @@ def make_features(
             % (max(lookbacks) + horizon, t_total)
         )
 
-    past = {k: _window_sums(panel.values, k) for k in lookbacks}
-    future_all = _window_sums(panel.values, horizon)  # window ending at t
-
-    x_rows, y_rows, kept_dates = [], [], []
-    for t in range(max(lookbacks) - 1, t_total - horizon):
-        feats = np.concatenate([past[k][t] for k in lookbacks])
-        resp = future_all[t + horizon]
-        if np.any(np.isnan(feats)) or np.any(np.isnan(resp)):
-            continue
-        x_rows.append(feats)
-        y_rows.append(resp)
-        kept_dates.append(panel.dates[t])
-    n_assets = len(panel.assets)
-    x = np.array(x_rows) if x_rows else np.zeros((0, n_assets * len(lookbacks)))
-    y = np.array(y_rows) if y_rows else np.zeros((0, n_assets))
-    return x, y, kept_dates
+    # rows lo..hi-1 are the anchor dates that have a full lookback and horizon
+    lo, hi = max(lookbacks) - 1, t_total - horizon
+    rows = np.hstack([_window_sums(panel.values, k)[lo:hi] for k in lookbacks]
+                     + [_window_sums(panel.values, horizon)[lo + horizon:]])
+    keep = ~np.isnan(rows).any(axis=1)
+    d1 = len(panel.assets) * len(lookbacks)
+    return (rows[keep, :d1], rows[keep, d1:],
+            [panel.dates[lo + i] for i in np.flatnonzero(keep)])
 
 
 def rolling_splits(

@@ -8,6 +8,7 @@ singular values; the composition yields the coefficient estimate.
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._serde import read_matrix_csv, write_matrix_csv
+from ._serde import read_matrix_csv, write_json, write_matrix_csv
 from ._version import __version__
 from .spectral import (
     SpectralDecomposition,
@@ -54,16 +55,14 @@ class FitConfig:
     k2_override: Optional[int] = None
 
     def __post_init__(self) -> None:
-        # written as "not > 0" so that NaN fails too
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
-        if not self.theta > 0:
-            raise ValueError("theta must be positive")
-        if isinstance(self.sigma_eps, str):
-            if self.sigma_eps != "auto":
-                raise ValueError("sigma_eps must be a positive number or 'auto'")
-        elif not self.sigma_eps > 0:
-            raise ValueError("sigma_eps must be a positive number or 'auto'")
+        # written as "not 0 < v < inf" so that NaN and infinity fail too
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
+        if not 0 < self.theta < math.inf:
+            raise ValueError("theta must be positive and finite")
+        if self.sigma_eps != "auto" and (
+                isinstance(self.sigma_eps, str) or not 0 < self.sigma_eps < math.inf):
+            raise ValueError("sigma_eps must be a positive finite number or 'auto'")
         for name in ("k1_override", "k2_override"):
             v = getattr(self, name)
             if v is not None and v < 0:
@@ -309,9 +308,7 @@ def save_model(model: FittedModel, dirpath: str) -> None:
         "n": model.n,
         "library_version": __version__,
     }
-    with open(os.path.join(dirpath, "meta.json"), "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(os.path.join(dirpath, "meta.json"), meta)
     write_matrix_csv(os.path.join(dirpath, "m_hat.csv"), model.m_hat)
     write_matrix_csv(os.path.join(dirpath, "pi_hat.csv"), model.pi_hat)
     write_matrix_csv(os.path.join(dirpath, "n_hat.csv"), model.n_hat_trunc)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,6 +57,18 @@ def pooled_scores(y: np.ndarray, y_hat: np.ndarray) -> Tuple[float, float, float
     if np.std(y_hat) > 0 and np.std(y) > 0:
         corr = float(np.corrcoef(y_hat.ravel(), y.ravel())[0, 1])
     return mse, r2, corr
+
+
+def lowest(scored: Iterable[Tuple[float, Any]]) -> Any:
+    """The item of the first lowest score among (score, item) pairs, the rule
+    every validation winner is picked by. A NaN score never wins, and None
+    means no score is defined. Only the best pair so far is held, so the
+    pairs may come from a generator that fits one model at a time."""
+    best = None
+    for score, item in scored:
+        if not math.isnan(score) and (best is None or score < best[0]):
+            best = (score, item)
+    return None if best is None else best[1]
 
 
 def evaluate(

@@ -48,7 +48,6 @@ class PackingParams:
     lambda_exp: float = 0.501      # support-size exponent (1/2 + xi)
     zeta: float = 0.5              # cost-budget exponent
     eta_exp: float = 0.001         # spread-cutoff exponent
-    xi_small: float = 0.001
 
     @property
     def subset_size(self) -> int:
@@ -68,8 +67,8 @@ class PackingParams:
         # comparisons are written so that NaN fails them
         if self.k_patterns < 1 or self.s_size < 1:
             raise ValueError("k_patterns and s_size must be >= 1")
-        if not all(e > 0 for e in (self.lambda_exp, self.zeta, self.eta_exp, self.xi_small)):
-            raise ValueError("lambda_exp, zeta, eta_exp and xi_small must be positive")
+        if not all(e > 0 for e in (self.lambda_exp, self.zeta, self.eta_exp)):
+            raise ValueError("lambda_exp, zeta and eta_exp must be positive")
         if len(self.spectrum) != self.d:
             raise ValueError("spectrum must have length d")
         if np.any(np.diff(self.spectrum) > 1e-12) or not np.all(np.asarray(self.spectrum) > 0):

@@ -3,6 +3,7 @@ matrix truncated to a target rank, Gaussian noise scaled to the signal."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -23,17 +24,17 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # comparisons are written so that NaN fails them
+        # comparisons are written so that NaN and infinity fail them
         if self.d1 < 2 or self.d2 < 1 or self.n < 2:
             raise ValueError("need d1 >= 2, d2 >= 1 and n >= 2")
         if not 1 <= self.rank_m <= min(self.d1, self.d2):
             raise ValueError("rank_m must lie in [1, min(d1, d2)]")
-        if not self.omega >= 2:
-            raise ValueError("omega must be >= 2")
-        if not self.eta >= 0:
-            raise ValueError("eta must be >= 0")
-        if not self.upsilon > 0:
-            raise ValueError("upsilon must be positive")
+        if not 2 <= self.omega < math.inf:
+            raise ValueError("omega must be finite and >= 2")
+        if not 0 <= self.eta < math.inf:
+            raise ValueError("eta must be finite and >= 0")
+        if not 0 < self.upsilon < math.inf:
+            raise ValueError("upsilon must be positive and finite")
 
 
 @dataclass(frozen=True)

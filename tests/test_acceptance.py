@@ -30,7 +30,7 @@ from arrr.packing import (
     psi_mass,
     verify_packing,
 )
-from arrr.spectral import find_gap_tail_index
+from arrr.spectral import decompose, find_gap_tail_index
 from arrr.synth import (
     SynthConfig,
     gen_coefficients,
@@ -205,12 +205,13 @@ def _c05_gaps():
             mse = lambda x, y: pooled_scores(y, x @ model.m_hat.T)[0]
             return mse(x_te, y_te) - mse(inst.x, inst.y)
 
+        dec = decompose(inst.x)  # both fits take their SVD of x from here
         gaps_a.append(gap(fit_adaptive_rrr(
             inst.x, inst.y,
             FitConfig(delta=1e-3, theta=2.0,
-                      sigma_eps=max(inst.sigma_noise, TINY)))))
+                      sigma_eps=max(inst.sigma_noise, TINY)), dec)))
         gaps_r.append(gap(fit_baseline(BaselineSpec("rrr", rank=10),
-                                       inst.x, inst.y)))
+                                       inst.x, inst.y, dec)))
     return float(np.mean(gaps_a)), float(np.mean(gaps_r))
 
 

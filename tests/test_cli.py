@@ -14,11 +14,9 @@ from hypothesis import strategies as st
 import arrr.cli as cli
 from arrr import dataio, metrics
 from arrr.baselines import BaselineSpec, validate_hyperparams
-from arrr._serde import fmt_float, read_matrix_csv, write_matrix_csv
+from arrr._serde import fmt_float, read_matrix_csv, write_json, write_matrix_csv
 from arrr.cli import (
-    COMPARE_HEADER,
-    ROLLING_HEADER,
-    SWEEP_HEADER,
+    EXPERIMENTS,
     TEST_STREAM,
     VALID_STREAM,
     config_hash,
@@ -29,6 +27,9 @@ from arrr.cli import (
 from arrr.estimator import FitConfig, NoGapError, fit_adaptive_rrr, load_model, predict
 from arrr.spectral import decompose
 from arrr.synth import SynthConfig, gen_dataset, make_instance
+
+SWEEP_HEADER, COMPARE_HEADER, ROLLING_HEADER = (
+    EXPERIMENTS[kind].header for kind in ("sweep", "compare", "rolling"))
 
 
 def _write_json(tmp_path, name, payload):
@@ -337,7 +338,7 @@ class TestCompare:
         # inside numpy's own module
         if kind == "compare":
             synth_sec = {"d1": 12, "d2": 6, "n": 20, "rank_m": 2, "eta": 0.5, "seed": 0}
-            designs = [make_instance(cli._synth_config(synth_sec)).x]
+            designs = [make_instance(SynthConfig(**synth_sec)).x]
             payload = {"kind": "compare", "synth": synth_sec,
                        "grids": {"eta": [0.5], "seeds": [0]}, "fit": {"delta": 1e-6}}
         else:
@@ -632,6 +633,19 @@ class TestMatrixCsv:
         assert got.read_bytes() == want.read_bytes()
 
 
+def test_write_json_is_strict(tmp_path):
+    path = tmp_path / "out.json"
+    write_json(str(path), {"b": np.float64(np.inf), "a": [np.int64(3), np.nan, -np.inf],
+                           "m": np.array([[1.5, np.nan]]),
+                           "t": (np.bool_(True), np.float32(0.5))})
+
+    def refuse(token):
+        raise ValueError("not strict JSON: %s" % token)
+
+    got = json.loads(path.read_text(), parse_constant=refuse)
+    assert got == {"a": [3, "nan", "-inf"], "b": "inf", "m": [[1.5, "nan"]], "t": [True, 0.5]}
+
+
 _SMALL_SYNTH = {"d1": 20, "d2": 8, "n": 25, "rank_m": 3, "eta": 0.5, "seed": 0}
 _SMALL_PACKING = {"d": 32, "rho": 0.06, "sigma_eps": 1.0, "n_samples": 100,
                   "k_patterns": 8, "s_size": 4, "seed": 0}
@@ -649,6 +663,11 @@ PROBES = {
                          "--rank", "0"], None),
     "sweep_k2_above_k1": (["sweep"], {"synth": _SMALL_SYNTH,
                                       "grids": {"k1": [3], "k2": [5], "seeds": [0]}}),
+    # a non-finite config value is bad input, never an Infinity in meta.json
+    "fit_sigma_inf": (["fit", "--x", "{x}", "--y", "{y}", "--sigma", "inf"], None),
+    "fit_delta_inf": (["fit", "--x", "{x}", "--y", "{y}", "--delta", "inf"], None),
+    "synth_omega_inf": (["synth", "--d1", "5", "--d2", "3", "--n", "10", "--rank", "1",
+                         "--omega", "inf"], None),
     "compare_rrr_rank_too_big": (["compare"], {
         "synth": _SMALL_SYNTH, "grids": {"eta": [0.5], "seeds": [0]},
         "fit": {"delta": 1e-6}, "baselines": [{"method": "rrr", "rank": [30]}]}),
@@ -661,6 +680,7 @@ PROBES = {
         "fit": {"delta": 1e-6}, "baselines": [{"method": "rrr", "rank": [2], "rnak": [3]}]}),
     "packing_unknown_key": (["packing"], {"packing": dict(_SMALL_PACKING, distance_flor=1.5)}),
     "packing_unknown_top_key": (["packing"], {"packing": _SMALL_PACKING, "note": "x"}),
+    "packing_unknown_xi_small": (["packing"], {"packing": dict(_SMALL_PACKING, xi_small=0.001)}),
     "sweep_unknown_grid_key": (["sweep"], {
         "synth": _SMALL_SYNTH, "grids": {"k1": [5], "k2": [2], "seeds": [0], "eta": [0.5]}}),
     "sweep_unknown_top_key": (["sweep"], {

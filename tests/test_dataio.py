@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrr.dataio import (
     DataFormatError,
@@ -145,6 +147,44 @@ class TestMakeFeatures:
             make_features(panel, lookbacks=[0], horizon=1)
         with pytest.raises(ValueError):
             make_features(panel, lookbacks=[1], horizon=0)
+
+
+def _features_by_row(panel, lookbacks, horizon):
+    """make_features written one anchor date at a time."""
+    v = panel.values
+    xs, ys, dates = [], [], []
+    for t in range(max(lookbacks) - 1, v.shape[0] - horizon):
+        feats = np.concatenate([v[t - k + 1:t + 1].sum(axis=0) for k in lookbacks])
+        resp = v[t + 1:t + 1 + horizon].sum(axis=0)
+        if not (np.isnan(feats).any() or np.isnan(resp).any()):
+            xs.append(feats)
+            ys.append(resp)
+            dates.append(panel.dates[t])
+    d1, d2 = v.shape[1] * len(lookbacks), v.shape[1]
+    return np.array(xs).reshape(-1, d1), np.array(ys).reshape(-1, d2), dates
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), assets=st.integers(1, 4),
+       lookbacks=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       horizon=st.integers(1, 3), extra=st.integers(1, 20),
+       missing=st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+def test_make_features_matches_a_per_row_reference(seed, assets, lookbacks, horizon,
+                                                   extra, missing):
+    rng = np.random.default_rng(seed)
+    t = max(lookbacks) + horizon + extra
+    values = rng.normal(size=(t, assets))
+    values[rng.random((t, assets)) < missing] = np.nan
+    panel = ReturnPanel(dates=["d%03d" % i for i in range(t)],
+                        assets=["A%d" % j for j in range(assets)], values=values)
+    x, y, dates = make_features(panel, lookbacks, horizon)
+    x_ref, y_ref, dates_ref = _features_by_row(panel, lookbacks, horizon)
+    assert dates == dates_ref
+    assert x.shape == x_ref.shape and y.shape == y_ref.shape
+    assert x.dtype == y.dtype == np.float64
+    # window sums add in another order in the reference
+    np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(y, y_ref, rtol=1e-12, atol=1e-12)
 
 
 class TestRollingSplits:

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from arrr import baselines, cli
+from arrr.baselines import BaselineSpec, validate_hyperparams
+from arrr.estimator import FitConfig
 from arrr.metrics import (
     MetricsReport,
     aggregate,
     evaluate,
+    lowest,
     merge_splits,
     pooled_scores,
     recovered_rank_of,
@@ -171,3 +175,51 @@ class TestPooledScores:
         y = np.full((6, 2), 1.5)
         mse, r2, corr = pooled_scores(y, np.zeros((6, 2)))
         assert math.isnan(mse) and math.isnan(r2) and math.isnan(corr)
+
+
+def _lowest_index(scores):
+    return lowest(zip(scores, range(len(scores))))
+
+
+class TestLowest:
+    def test_ties_go_to_the_first(self):
+        assert _lowest_index([0.5, 0.2, 0.7, 0.2]) == 1
+
+    def test_leading_nan_loses(self):
+        assert _lowest_index([math.nan, 0.9, 0.3]) == 2
+        assert _lowest_index([math.nan, 0.9]) == 1
+
+    def test_nan_after_the_lowest_changes_nothing(self):
+        assert _lowest_index([0.4, math.nan, 0.6]) == 0
+
+    @pytest.mark.parametrize("scores", [[], [math.nan], [math.nan, math.nan, math.nan]])
+    def test_no_defined_score_gives_none(self, scores):
+        assert _lowest_index(scores) is None
+
+    def test_takes_pairs_from_a_generator(self):
+        assert lowest((s, s) for s in (3.0, 1.0, 2.0)) == 1.0
+
+    def test_validation_and_estimator_pick_the_same_index(self, monkeypatch):
+        scores = [math.nan, 0.4, 0.2, 0.2, 0.3]
+        want = _lowest_index(scores)
+        assert want == 2
+        rng = np.random.default_rng(0)
+        window = (rng.normal(size=(30, 6)), rng.normal(size=(30, 3)))
+
+        # one ridge spec per score, scored in grid order
+        grid = [BaselineSpec("ridge", mu=float(i + 1)) for i in range(len(scores))]
+        in_order = iter(scores)
+        monkeypatch.setattr(baselines, "pooled_scores",
+                            lambda y, y_hat: (next(in_order), 0.0, 0.0))
+        assert validate_hyperparams(grid, window, window).method == grid[want]
+
+        # one estimator candidate per score, scored by its theta
+        thetas = [1.0 + i for i in range(len(scores))]
+        by_theta = dict(zip(thetas, scores))
+        monkeypatch.setattr(cli, "_scores",
+                            lambda model, x, y: (by_theta[model.config.theta], 0.0, 0.0))
+        candidates = [FitConfig(delta=1e-3, theta=t, sigma_eps=1.0, k1_override=3)
+                      for t in thetas]
+        ((method, model, *_),) = cli._fit_select_score(window, window, window,
+                                                       candidates, {}, "test")
+        assert method == "adaptive_rrr" and model.config.theta == thetas[want]

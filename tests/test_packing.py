@@ -76,7 +76,7 @@ class TestParams:
 
     @pytest.mark.parametrize("change", [
         {"lambda_exp": 0.0}, {"zeta": -1.0}, {"eta_exp": float("nan")},
-        {"xi_small": 0.0}, {"rho": float("nan")}, {"sigma_eps": float("nan")},
+        {"rho": float("nan")}, {"sigma_eps": float("nan")},
     ])
     def test_validate_rejects_bad_scalars(self, change):
         import dataclasses
