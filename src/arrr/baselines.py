@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,8 +60,8 @@ class BaselineSpec:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError("unknown method %r" % (self.method,))
-        if not self.mu >= 0:  # NaN fails too
-            raise ValueError("mu must be non-negative")
+        if not 0 <= self.mu < math.inf:  # NaN fails too
+            raise ValueError("mu must be non-negative and finite")
         if self.method in ("rrr", "reduced_rank_ridge", "pcr") and self.rank is None:
             raise ValueError("%s requires a rank" % self.method)
         if self.rank is not None and self.rank < 1:
@@ -77,34 +77,43 @@ class LinearModel:
     converged: bool = True
 
 
-def _svd_filter_fit(spec, dec, y):
-    """Coefficients (d1 x d2) of a direct method, V diag(f) U^T y, from the
-    thin SVD x = U diag(s) V^T.
+def _svd_filter(dec, y):
+    """The coefficients (d1 x d2) of a direct method as a function of its
+    spec: V diag(f) U^T y from the thin SVD x = U diag(s) V^T.
 
     Ridge's filter is f = s / (s^2 + mu). At mu = 0 it is 1/s above lstsq's
     cutoff eps * max(n, d1) * s_1 and 0 below, the minimum-norm least-squares
     fit. PCR zeroes f past its rank. Reduced-rank ridge projects the ridge fit
     onto the top right singular vectors of its fitted values in the ridge
     metric, [X; sqrt(mu) I] B, whose Gram matrix is that of
-    diag(sqrt(f * s)) U^T y; rrr is its mu = 0 case.
+    diag(sqrt(f * s)) U^T y; rrr is its mu = 0 case. That matrix depends on
+    mu and not on the rank, so U^T y is formed once and its SVD taken once
+    per mu: every rank of a grid slices the same right singular vectors, and
+    each fit is the one a fresh filter gives, bit for bit.
     """
-    s = dec.s
-    mu = spec.mu if spec.method in ("ridge", "reduced_rank_ridge") else 0.0
-    if mu > 0:
-        f = s / (s * s + mu)
-    else:
-        s_1 = s[0] if s.size else 0.0  # an empty design has no singular values
-        keep = s > np.finfo(float).eps * max(dec.u.shape[0], dec.v.shape[0]) * s_1
-        f = np.zeros_like(s)
-        f[keep] = 1.0 / s[keep]
-    if spec.method == "pcr":
-        f[spec.rank:] = 0.0
-    uty = dec.u.T @ y
-    g = f[:, None] * uty
-    if spec.method in ("rrr", "reduced_rank_ridge"):
-        v_r = decompose(np.sqrt(f * s)[:, None] * uty).v[:, :spec.rank]
-        g = g @ v_r @ v_r.T
-    return dec.v @ g
+    s, uty = dec.s, dec.u.T @ y
+    s_1 = s[0] if s.size else 0.0  # an empty design has no singular values
+    keep = s > np.finfo(float).eps * max(dec.u.shape[0], dec.v.shape[0]) * s_1
+    fitted_v = {}  # mu -> right singular vectors of the fitted values
+
+    def coef(spec):
+        mu = spec.mu if spec.method in ("ridge", "reduced_rank_ridge") else 0.0
+        if mu > 0:
+            f = s / (s * s + mu)
+        else:
+            f = np.zeros_like(s)
+            f[keep] = 1.0 / s[keep]
+        if spec.method == "pcr":
+            f[spec.rank:] = 0.0
+        g = f[:, None] * uty
+        if spec.method in ("rrr", "reduced_rank_ridge"):
+            if mu not in fitted_v:
+                fitted_v[mu] = decompose(np.sqrt(f * s)[:, None] * uty).v
+            v_r = fitted_v[mu][:, :spec.rank]
+            g = g @ v_r @ v_r.T
+        return dec.v @ g
+
+    return coef
 
 
 def _prox_l1(v, t):
@@ -188,16 +197,18 @@ def _fit_proximal(x, y, mu, prox, opts, ell):
 
 
 def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
-                 dec: Optional[SpectralDecomposition] = None) -> LinearModel:
+                 dec: Optional[SpectralDecomposition] = None,
+                 direct: Optional[Callable[[BaselineSpec], np.ndarray]] = None) -> LinearModel:
     """Fit one baseline. Coefficients are stored as m_hat (d2 x d1), so
     predictions are x @ m_hat.T for every method.
 
     The direct methods (ridge, rrr, reduced_rank_ridge, pcr) are filters on
     the thin SVD of x, and the iterative ones take their step from its top
-    singular value. The SVD comes from `dec` when the caller already has it;
-    the result is the same bit for bit. Iterative solvers that fail to
-    converge within max_iters come back with converged=False rather than
-    raising.
+    singular value. The SVD comes from `dec` when the caller already has it,
+    and a direct method's filter from `direct`, a `_svd_filter` of that SVD
+    and y shared by a grid; the result is the same bit for bit. Iterative
+    solvers that fail to converge within max_iters come back with
+    converged=False rather than raising.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -217,7 +228,7 @@ def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
         ell = float(dec.s[0]) ** 2 if dec.s.size else 0.0
         coef, iters, trace, converged = _fit_proximal(x, y, spec.mu, prox, spec.solver, ell)
     else:
-        coef = _svd_filter_fit(spec, dec, y)
+        coef = (direct or _svd_filter(dec, y))(spec)
 
     return LinearModel(
         m_hat=coef.T,
@@ -248,7 +259,10 @@ def validate_hyperparams(
     The score is the pooled variance-normalized MSE of the predictions on
     valid. The winner's spec is its `.method`. Every spec of the grid shares
     one SVD of the training design, taken from `dec` when the caller already
-    has it. The winner is `metrics.lowest` of the scores: ties break
+    has it, and the direct specs share one `_svd_filter`: U^T y is formed
+    once per grid and the SVD of rrr's and reduced-rank ridge's fitted
+    values once per mu, and each fit equals a fresh `fit_baseline` bit for
+    bit. The winner is `metrics.lowest` of the scores: ties break
     to the first occurrence in the grid and an undefined (NaN) score never
     wins. A grid with no defined score, as on a constant validation
     response, raises ValueError.
@@ -257,10 +271,13 @@ def validate_hyperparams(
         raise ValueError("empty hyperparameter grid")
     x_tr, y_tr = train
     x_va, y_va = valid
-    y_va = np.asarray(y_va, dtype=float)
+    y_tr, y_va = np.asarray(y_tr, dtype=float), np.asarray(y_va, dtype=float)
     if dec is None:
         dec = decompose(x_tr)
-    models = (fit_baseline(spec, x_tr, y_tr, dec) for spec in spec_grid)
+    direct = None
+    if any(spec.method not in ITERATIVE for spec in spec_grid):
+        direct = _svd_filter(dec, y_tr)
+    models = (fit_baseline(spec, x_tr, y_tr, dec, direct) for spec in spec_grid)
     best = lowest((pooled_scores(y_va, predict_linear(m, x_va))[0], m) for m in models)
     if best is None:
         raise ValueError("no spec of the grid scored a defined validation MSE")

@@ -16,13 +16,15 @@ A `compare` cell and a `rolling` fold share one fit-select-score path: one
 SVD of the training design serves the estimator's (delta, theta) candidates
 and every baseline grid, `metrics.lowest` picks each method's winner by
 pooled validation MSE, and the winners are scored on the training and test
-windows.
+windows. Candidates that select the same (k1, k2) are one model, and each
+distinct model is scored once.
 
 Exit codes: 0 success; 2 bad input (nothing is written); 3 numerical
 failure, non-finite input included (error.json lands in the output directory
 and a message goes to stderr). Bad input is whatever the library rejects
-with a ValueError, a JSON type check or a key no reader reads here, or an
-unreadable file; `main` maps errors to exit codes in one place.
+with a ValueError, a JSON type check or a key no reader reads here, an
+unreadable file, or a request too large to allocate (MemoryError); `main`
+maps errors to exit codes in one place.
 
 Result CSVs use 17-significant-digit floats and a fixed, documented row
 order, so re-running an experiment with the same config is byte-identical.
@@ -342,6 +344,13 @@ def _fit_select_score(train, valid, test, candidates: Sequence[FitConfig],
     that the estimator and all grids share. Estimator candidates without an
     admissible gap are skipped, the winner is `metrics.lowest` of the
     rest's scores, and the NoGapError for no winner names `where`.
+
+    Each distinct estimator model is scored once. Within one `fit_path`, two
+    candidates with the same (k1, k2) have the same m_hat bit for bit: stage
+    1 slices the one SVD of x, and stage 2 truncates the one cross-moment SVD
+    of its k1. A repeat therefore scores what its first occurrence scored,
+    and as `metrics.lowest` breaks ties toward the first, it can never win;
+    it is not scored.
     """
     for what, window in (("x and y", train), ("validation x and y", valid),
                          ("test x and y", test)):
@@ -352,10 +361,12 @@ def _fit_select_score(train, valid, test, candidates: Sequence[FitConfig],
     nogap = []  # the candidates whose stage 1 found no admissible gap
 
     def validated():
+        seen = set()  # the (k1, k2) of every model scored so far
         for model in fit_path(x_tr, y_tr, candidates, dec):
             if isinstance(model, NoGapError):
                 nogap.append(model)
-            else:
+            elif (model.k1, model.k2) not in seen:
+                seen.add((model.k1, model.k2))
                 yield _scores(model, x_va, y_va)[0], model
 
     best = metrics.lowest(validated())
@@ -665,6 +676,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # bad user input: a library range check, a type check here, or an
         # unreadable or malformed file
         print("error: %s" % e, file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as e:
+        # a request too large for this machine, such as synth dimensions
+        # whose matrices numpy cannot allocate
+        print("error: %s needs more memory than is available: %s" % (args.command, e),
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -47,15 +47,31 @@ def pooled_scores(y: np.ndarray, y_hat: np.ndarray) -> Tuple[float, float, float
 
     Each is NaN where it is undefined: MSE for a constant response, R^2 for
     zero total variation, the correlation for a constant y or y_hat.
+
+    One pass per quantity: the residual and its squares, y and y_hat centered
+    on their means, written straight into the 2 x N matrix whose product with
+    its transpose np.corrcoef would form. The MSE's variance and R^2's total
+    sum of squares share one sum. For C-ordered arrays every score equals
+    the textbook formula bit for bit: np.var(y), np.mean(resid ** 2),
+    np.sum((y - np.mean(y)) ** 2), and np.corrcoef of the raveled arrays
+    when np.std(y_hat) > 0 and np.std(y) > 0.
     """
+    n = y.size
     resid = y - y_hat
-    var_y = float(np.var(y))
-    mse = math.nan if var_y == 0.0 else float(np.mean(resid ** 2)) / var_y
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = math.nan if ss_tot == 0.0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
+    sse = (resid * resid).sum()
+    centered = np.empty((2, n))
+    yc = np.subtract(y, y.sum() / n, out=centered[1].reshape(y.shape))
+    sst = (yc * yc).sum()
+    var_y, ss_tot = float(sst / n), float(sst)
+    mse = math.nan if var_y == 0.0 else float(sse / n) / var_y
+    r2 = math.nan if ss_tot == 0.0 else 1.0 - float(sse) / ss_tot
     corr = math.nan
-    if np.std(y_hat) > 0 and np.std(y) > 0:
-        corr = float(np.corrcoef(y_hat.ravel(), y.ravel())[0, 1])
+    if var_y > 0.0:
+        hc = np.subtract(y_hat, y_hat.sum() / n, out=centered[0].reshape(y_hat.shape))
+        if (hc * hc).sum() / n > 0.0:
+            c = np.dot(centered, centered.T) * (1.0 / (n - 1))
+            r = c[0, 1] / math.sqrt(c[0, 0]) / math.sqrt(c[1, 1])
+            corr = min(max(float(r), -1.0), 1.0)
     return mse, r2, corr
 
 

@@ -69,14 +69,29 @@ class PackingParams:
             raise ValueError("k_patterns and s_size must be >= 1")
         if not all(e > 0 for e in (self.lambda_exp, self.zeta, self.eta_exp)):
             raise ValueError("lambda_exp, zeta and eta_exp must be positive")
+        # the cost budget, the spread cutoff and c8 divide by these powers
+        for name, e in (("zeta", self.zeta),
+                        ("lambda_exp + eta_exp", self.lambda_exp + self.eta_exp),
+                        ("lambda_exp - eta_exp", self.lambda_exp - self.eta_exp)):
+            if not _positive_finite_power(self.rho, e):
+                raise ValueError("rho ** (%s) must be positive and finite" % name)
         if len(self.spectrum) != self.d:
             raise ValueError("spectrum must have length d")
-        if np.any(np.diff(self.spectrum) > 1e-12) or not np.all(np.asarray(self.spectrum) > 0):
-            raise ValueError("spectrum must be non-increasing and positive")
+        spectrum = np.asarray(self.spectrum)
+        if np.any(np.diff(spectrum) > 1e-12) or not np.all((spectrum > 0) & (spectrum < np.inf)):
+            raise ValueError("spectrum must be non-increasing, positive and finite")
         if self.subset_size < 2:
             raise ValueError("support size floor(rho^lambda * d) must be >= 2")
         if not (1 <= self.t_lo <= self.t_hi <= self.d):
             raise ValueError("need 1 <= t_lo <= t_hi <= d")
+
+
+def _positive_finite_power(base: float, e: float) -> bool:
+    """Whether base ** e neither underflows to 0 nor overflows, NaN e failing."""
+    try:
+        return 0 < float(base) ** float(e) < math.inf
+    except OverflowError:
+        return False
 
 
 def _noise_floor(d: int, rho: float, sigma_eps: float, n_samples: int) -> float:
@@ -84,8 +99,8 @@ def _noise_floor(d: int, rho: float, sigma_eps: float, n_samples: int) -> float:
     # comparisons are written so that NaN fails them
     if d < 2 or not 0 < rho < 1:
         raise ValueError("need d >= 2 and rho in (0, 1)")
-    if not sigma_eps > 0 or n_samples < 1:
-        raise ValueError("sigma_eps must be positive, n_samples >= 1")
+    if not 0 < sigma_eps < math.inf or n_samples < 1:
+        raise ValueError("sigma_eps must be positive and finite, n_samples >= 1")
     return rho * sigma_eps * math.sqrt(d / n_samples)
 
 

@@ -59,8 +59,8 @@ def gen_covariance(d1: int, omega: float, seed: int) -> Tuple[np.ndarray, np.nda
     """
     if d1 < 2:
         raise ValueError("d1 must be >= 2")
-    if not omega >= 2:
-        raise ValueError("omega must be >= 2")
+    if not 2 <= omega < math.inf:  # NaN fails too
+        raise ValueError("omega must be finite and >= 2")
     idx = np.arange(1, d1 + 1, dtype=float)
     lam = idx ** (-float(omega))
     lam /= lam.sum()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrr import baselines
 from arrr.baselines import (
     BaselineSpec,
     SolverOpts,
@@ -490,6 +491,27 @@ class TestValidateHyperparams:
         assert shared.m_hat.tobytes() == winner.m_hat.tobytes()
         assert winner.iterations_used == refit.iterations_used
         assert winner.converged == refit.converged
+
+    @pytest.mark.parametrize("want", range(7))
+    def test_rank_grid_takes_one_fitted_values_svd_per_mu(self, want, monkeypatch):
+        # rrr is reduced-rank ridge at mu 0, so the grid has three filter mus
+        grid = ([BaselineSpec("rrr", rank=r) for r in (3, 1, 4)]
+                + [BaselineSpec("reduced_rank_ridge", mu=mu, rank=r)
+                   for mu, r in ((2.0, 2), (0.0, 4), (0.5, 1), (2.0, 4))])
+        x, y = _data(20, 15, 6, seed=31)
+        x_va, y_va = _data(10, 15, 6, seed=32)
+        dec = decompose(x)
+        fresh = [fit_baseline(spec, x, y, dec).m_hat.tobytes() for spec in grid]
+
+        # the validation score picks grid[want]; decompose is counted
+        scores = iter([0.0 if i == want else 1.0 for i in range(len(grid))])
+        monkeypatch.setattr(baselines, "pooled_scores", lambda y, y_hat: (next(scores), 0.0, 0.0))
+        calls = []
+        monkeypatch.setattr(baselines, "decompose", lambda a: calls.append(a) or decompose(a))
+        winner = validate_hyperparams(grid, (x, y), (x_va, y_va), dec=dec)
+        assert winner.method is grid[want]
+        assert winner.m_hat.tobytes() == fresh[want]
+        assert len(calls) == 3
 
     def test_constant_validation_response_has_no_winner(self):
         # every pooled validation MSE is NaN, and a NaN score never wins

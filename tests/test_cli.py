@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arrr.cli as cli
-from arrr import dataio, metrics
+from arrr import dataio, metrics, synth
 from arrr.baselines import BaselineSpec, validate_hyperparams
 from arrr._serde import fmt_float, read_matrix_csv, write_json, write_matrix_csv
 from arrr.cli import (
@@ -24,7 +24,14 @@ from arrr.cli import (
     main,
     write_results,
 )
-from arrr.estimator import FitConfig, NoGapError, fit_adaptive_rrr, load_model, predict
+from arrr.estimator import (
+    FitConfig,
+    NoGapError,
+    fit_adaptive_rrr,
+    fit_path,
+    load_model,
+    predict,
+)
 from arrr.spectral import decompose
 from arrr.synth import SynthConfig, gen_dataset, make_instance
 
@@ -417,6 +424,40 @@ class TestCompare:
         assert filecmp.cmp(os.path.join(out, "results.csv"), want, shallow=False)
 
 
+def test_repeated_models_are_scored_once(monkeypatch):
+    # a (delta, theta) grid under sigma auto, as a rolling fold has: many
+    # candidates select the same (k1, k2), and a few have no admissible gap
+    syn = SynthConfig(d1=30, d2=12, n=60, rank_m=4, eta=0.5, seed=3)
+    inst = make_instance(syn)
+    valid, test = (gen_dataset(inst.m, inst.v_star, inst.lambda_star, syn.n, syn.eta,
+                               derived_seed(syn.seed, tag))[:2]
+                   for tag in (VALID_STREAM, TEST_STREAM))
+    train = (inst.x, inst.y)
+    candidates = [FitConfig(delta=d, theta=t) for d in (1e-4, 1e-3, 1e-2, 0.5)
+                  for t in (0.5, 1.0, 2.0, 3.0)]
+
+    # the reference scores every candidate
+    models = [m for m in fit_path(*train, candidates) if not isinstance(m, NoGapError)]
+    ranks = [(m.k1, m.k2) for m in models]
+    best = metrics.lowest((cli._scores(m, *valid)[0], m) for m in models)
+    assert len(models) < len(candidates) and len(set(ranks)) < len(models)
+    assert ranks.count((best.k1, best.k2)) > 1  # the winner has repeats
+    y_hat = test[0] @ best.m_hat.T
+    want = ("adaptive_rrr", {"k1": best.k1, "k2": best.k2, "mu": -1.0, "rank": -1},
+            cli._scores(best, *train), metrics.pooled_scores(test[1], y_hat))
+
+    scored = []
+    real_scores = cli._scores
+    monkeypatch.setattr(cli, "_scores",
+                        lambda model, x, y: scored.append(x is valid[0]) or real_scores(model, x, y))
+    ((method, model, tags, train_scores, test_scores, got_hat),) = cli._fit_select_score(
+        train, valid, test, candidates, {}, "test")
+    assert (method, tags, train_scores, test_scores) == want
+    assert model.config == best.config and model.m_hat.tobytes() == best.m_hat.tobytes()
+    assert got_hat.tobytes() == y_hat.tobytes()
+    assert scored.count(True) == len(set(ranks))  # one validation score per model
+
+
 class TestRolling:
     def _panel(self, tmp_path):
         return _write_panel(tmp_path)
@@ -668,6 +709,23 @@ PROBES = {
     "fit_delta_inf": (["fit", "--x", "{x}", "--y", "{y}", "--delta", "inf"], None),
     "synth_omega_inf": (["synth", "--d1", "5", "--d2", "3", "--n", "10", "--rank", "1",
                          "--omega", "inf"], None),
+    # 1e999 is how JSON spells an infinite value; json.load reads it as inf
+    "compare_mu_inf": (["compare"], {
+        "synth": _SMALL_SYNTH, "grids": {"eta": [0.5], "seeds": [0]},
+        "fit": {"delta": 1e-6}, "baselines": [{"method": "ridge", "mu": [1e999]}]}),
+    "angles_omega_inf": (["angles"], {
+        "synth": {"d1": 8, "omega": 1e999, "seed": 1}, "n": 10, "top_k": 3}),
+    "packing_sigma_eps_inf": (["packing"], {"packing": dict(_SMALL_PACKING, sigma_eps=1e999)}),
+    "packing_sigma_eps_inf_given_spectrum": (["packing"], {"packing": dict(
+        _SMALL_PACKING, sigma_eps=1e999, spectrum=[1.0] * _SMALL_PACKING["d"])}),
+    "packing_spectrum_inf": (["packing"], {"packing": dict(
+        _SMALL_PACKING, spectrum=[1e999] + [1e-3] * (_SMALL_PACKING["d"] - 1))}),
+    # rho ** zeta or rho ** (lambda_exp + eta_exp) underflows to 0, and
+    # rho ** (lambda_exp - eta_exp) overflows
+    "packing_zeta_1000": (["packing"], {"packing": dict(_SMALL_PACKING, zeta=1000)}),
+    "packing_zeta_inf": (["packing"], {"packing": dict(_SMALL_PACKING, zeta=1e999)}),
+    "packing_eta_exp_1000": (["packing"], {"packing": dict(_SMALL_PACKING, eta_exp=1000)}),
+    "packing_eta_exp_inf": (["packing"], {"packing": dict(_SMALL_PACKING, eta_exp=1e999)}),
     "compare_rrr_rank_too_big": (["compare"], {
         "synth": _SMALL_SYNTH, "grids": {"eta": [0.5], "seeds": [0]},
         "fit": {"delta": 1e-6}, "baselines": [{"method": "rrr", "rank": [30]}]}),
@@ -720,6 +778,31 @@ class TestBadInputExitsTwo:
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 2
         assert not out.exists()
+
+
+class TestMemoryErrorExitsTwo:
+    """A request numpy cannot allocate is bad input. The allocation failure is
+    simulated; a test never attempts a real large allocation."""
+
+    @staticmethod
+    def _refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(100000, 100000) and data type float64")
+
+    @pytest.mark.parametrize("command", ["synth", "sweep"])
+    def test_exits_two_and_writes_nothing(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(synth, "make_instance", self._refuse)
+        out = tmp_path / "out"
+        if command == "synth":
+            argv = ["synth", "--d1", "5", "--d2", "3", "--n", "10", "--rank", "1"]
+        else:
+            argv = ["sweep", "--config", _write_json(tmp_path, "cfg.json", _sweep_cfg())]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s " % command) and "74.5 GiB" in err
+        assert "Traceback" not in err
 
 
 class TestNonFiniteInput:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrr import baselines, cli
 from arrr.baselines import BaselineSpec, validate_hyperparams
@@ -176,6 +178,49 @@ class TestPooledScores:
         mse, r2, corr = pooled_scores(y, np.zeros((6, 2)))
         assert math.isnan(mse) and math.isnan(r2) and math.isnan(corr)
 
+    @staticmethod
+    def _reference(y, y_hat):
+        """The textbook formula: two passes per quantity, np.corrcoef."""
+        resid = y - y_hat
+        var_y = float(np.var(y))
+        mse = math.nan if var_y == 0.0 else float(np.mean(resid ** 2)) / var_y
+        ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+        r2 = math.nan if ss_tot == 0.0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
+        corr = math.nan
+        if np.std(y_hat) > 0 and np.std(y) > 0:
+            corr = float(np.corrcoef(y_hat.ravel(), y.ravel())[0, 1])
+        return mse, r2, corr
+
+    def test_y_hat_variance_that_underflows_is_zero(self):
+        # one entry of 2**-537 squares to the smallest subnormal, and the sum
+        # of squares over 4 entries divided by 4 rounds to 0: np.std(y_hat) is
+        # 0, so the correlation is undefined
+        y = np.arange(4.0).reshape(1, 4)
+        y_hat = np.array([[0.0, 0.0, 0.0, 2.0 ** -537]])
+        want = self._reference(y, y_hat)
+        assert math.isnan(want[2])
+        assert np.array(pooled_scores(y, y_hat)).tobytes() == np.array(want).tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 60), d=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           y_exp=st.floats(-160, 150), hat_exp=st.floats(-3, 3),
+           kind=st.sampled_from(["noisy", "constant y", "constant y_hat", "zero y_hat"]))
+    def test_one_pass_equals_the_reference_bitwise(self, n, d, seed, y_exp, hat_exp, kind):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** y_exp
+        y = (rng.normal(size=(n, d)) + rng.normal()) * scale
+        y_hat = rng.uniform(0, 1.2) * y + rng.normal(size=(n, d)) * scale * 10.0 ** hat_exp
+        if kind == "constant y":
+            y = np.full((n, d), rng.normal() * scale)
+        elif kind == "constant y_hat":
+            y_hat = np.full((n, d), rng.normal() * scale)
+        elif kind == "zero y_hat":
+            y_hat = np.zeros((n, d))
+        with np.errstate(all="ignore"):  # squares of tiny entries underflow
+            want = self._reference(y, y_hat)
+            got = pooled_scores(y, y_hat)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
 
 def _lowest_index(scores):
     return lowest(zip(scores, range(len(scores))))
@@ -204,7 +249,7 @@ class TestLowest:
         want = _lowest_index(scores)
         assert want == 2
         rng = np.random.default_rng(0)
-        window = (rng.normal(size=(30, 6)), rng.normal(size=(30, 3)))
+        window = (rng.normal(size=(30, 6)), rng.normal(size=(30, 5)))
 
         # one ridge spec per score, scored in grid order
         grid = [BaselineSpec("ridge", mu=float(i + 1)) for i in range(len(scores))]
@@ -213,13 +258,14 @@ class TestLowest:
                             lambda y, y_hat: (next(in_order), 0.0, 0.0))
         assert validate_hyperparams(grid, window, window).method == grid[want]
 
-        # one estimator candidate per score, scored by its theta
+        # one estimator candidate per score, scored by its theta; each has its
+        # own k2, since a repeated (k1, k2) is one model and is scored once
         thetas = [1.0 + i for i in range(len(scores))]
         by_theta = dict(zip(thetas, scores))
         monkeypatch.setattr(cli, "_scores",
                             lambda model, x, y: (by_theta[model.config.theta], 0.0, 0.0))
-        candidates = [FitConfig(delta=1e-3, theta=t, sigma_eps=1.0, k1_override=3)
-                      for t in thetas]
+        candidates = [FitConfig(delta=1e-3, theta=t, sigma_eps=1.0, k1_override=5,
+                                k2_override=i) for i, t in enumerate(thetas)]
         ((method, model, *_),) = cli._fit_select_score(window, window, window,
                                                        candidates, {}, "test")
         assert method == "adaptive_rrr" and model.config.theta == thetas[want]
