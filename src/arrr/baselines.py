@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .estimator import require_finite
+from .estimator import predict
 from .metrics import lowest, pooled_scores
 from .spectral import SpectralDecomposition, decompose
 
@@ -240,12 +240,9 @@ def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
 
 
 def predict_linear(model: LinearModel, x_new: np.ndarray) -> np.ndarray:
-    """Predictions x_new @ m_hat.T for new feature rows."""
-    x_new = np.asarray(x_new, dtype=float)
-    if x_new.ndim != 2 or x_new.shape[1] != model.m_hat.shape[1]:
-        raise ValueError("x_new must have %d columns" % model.m_hat.shape[1])
-    require_finite("x_new", x_new)
-    return x_new @ model.m_hat.T
+    """Predictions x_new @ m_hat.T for new feature rows, checked as
+    `estimator.predict` checks them."""
+    return predict(model, x_new)
 
 
 def validate_hyperparams(

@@ -20,11 +20,11 @@ windows. Candidates that select the same (k1, k2) are one model, and each
 distinct model is scored once.
 
 Exit codes: 0 success; 2 bad input (nothing is written); 3 numerical
-failure, non-finite input included (error.json lands in the output directory
-and a message goes to stderr). Bad input is whatever the library rejects
-with a ValueError, a JSON type check or a key no reader reads here, an
-unreadable file, or a request too large to allocate (MemoryError); `main`
-maps errors to exit codes in one place.
+failure, non-finite input and a numpy overflow included (error.json lands in
+the output directory and a message goes to stderr). Bad input is whatever
+the library rejects with a ValueError, a JSON type check or a key no reader
+reads here, an unreadable file, or a request too large to allocate
+(MemoryError); `main` maps errors to exit codes in one place.
 
 Result CSVs use 17-significant-digit floats and a fixed, documented row
 order, so re-running an experiment with the same config is byte-identical.
@@ -77,6 +77,7 @@ NUMERICAL_ERRORS = (
     packing.PackingInfeasibleError,
     packing.FillInfeasibleError,
     np.linalg.LinAlgError,
+    FloatingPointError,
 )
 
 
@@ -284,11 +285,19 @@ def _numerical_failure(out_dir: str, exc: BaseException) -> int:
     return EXIT_NUMERICAL
 
 
+def _overflow_raises(fn, arg):
+    """fn(arg) with a numpy overflow raised as FloatingPointError, a
+    numerical failure, instead of a warning and an infinity in the output.
+    `main` and every worker process run their work through it."""
+    with np.errstate(over="raise"):
+        return fn(arg)
+
+
 def _run_cells(fn, cells, jobs: int) -> list:
     if jobs <= 1:
         return [fn(c) for c in cells]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, cells))
+        return list(pool.map(_overflow_raises, [fn] * len(cells), cells))
 
 
 def _scores(model, x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
@@ -440,7 +449,14 @@ def run_rolling(cfg: Dict[str, Any], jobs: int) -> List[Dict[str, Any]]:
 
     panel = dataio.load_panel_csv(panel_path)
     x, y, dates = dataio.make_features(panel, lookbacks, horizon)
-    folds = dataio.rolling_splits(dates, *lens, gap_len)
+    try:
+        folds = dataio.rolling_splits(dates, *lens, gap_len)
+    except ValueError as e:
+        # the anchor dates with a full lookback and horizon, before make_features
+        # drops the rows with a missing value
+        anchors = len(panel.dates) - max(lookbacks) - horizon + 1
+        raise ValueError("%s; %d of %d anchor rows were dropped for a missing value"
+                         % (e, anchors - len(dates), anchors)) from None
     window = lambda r: (x[r.start:r.stop], y[r.start:r.stop])
 
     rows: List[Dict[str, Any]] = []
@@ -658,16 +674,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _run_command(args) -> int:
+    if args.command in COMMANDS:
+        return COMMANDS[args.command](args)
+    _want(args.jobs >= 1, "--jobs must be >= 1")
+    cfg = load_config(args.config, args.command)
+    return run_experiment(args.command, cfg, args.out, args.jobs)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     # predict's --out is a file; error.json belongs next to it
     err_dir = (os.path.dirname(args.out) or ".") if args.command == "predict" else args.out
     try:
-        if args.command in COMMANDS:
-            return COMMANDS[args.command](args)
-        _want(args.jobs >= 1, "--jobs must be >= 1")
-        cfg = load_config(args.config, args.command)
-        return run_experiment(args.command, cfg, args.out, args.jobs)
+        return _overflow_raises(_run_command, args)
     # numerical errors first: NoGapError, NonFiniteError and LinAlgError are
     # ValueErrors too
     except NUMERICAL_ERRORS as e:

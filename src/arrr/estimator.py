@@ -7,6 +7,7 @@ singular values; the composition yields the coefficient estimate.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -71,9 +72,11 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FittedModel:
+    """A fitted estimator: two factors, ranks and diagnostics. The estimate
+    m_hat = n_hat_trunc @ pi_hat is formed on first read and then kept."""
+
     pi_hat: np.ndarray           # k1 x d1, whitening map
     n_hat_trunc: np.ndarray      # d2 x k1, denoised cross-moment matrix
-    m_hat: np.ndarray            # d2 x d1, coefficient estimate
     k1: int
     k2: int
     lambdas: np.ndarray          # empirical feature eigenvalues, sigma_i^2 / n
@@ -82,6 +85,10 @@ class FittedModel:
     config: FitConfig
     sigma_eps_used: float
     n: int
+
+    @functools.cached_property
+    def m_hat(self) -> np.ndarray:  # d2 x d1, coefficient estimate
+        return self.n_hat_trunc @ self.pi_hat
 
 
 def _cross_moment(z_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -179,10 +186,12 @@ def estimate_noise_sigma(
 ) -> float:
     """Pilot estimate of the noise standard deviation. Heuristic.
 
-    Regresses y on the top min(n, d1)//2 principal-component scores of x
-    (from `dec`, the SVD of x, when the caller already has it) and returns
-    the standard deviation of the residual entries. Constant y yields a
-    machine-epsilon floor and a RuntimeWarning.
+    Regresses y on the top k = min(n, d1)//2 principal-component scores of x
+    and returns the standard deviation of the residual entries. The scores
+    x @ V_k are U_k S_k on the SVD of x (`dec`, when the caller already has
+    it), so the residual is y - U_r U_r^T y, where U_r keeps the columns
+    whose singular value passes lstsq's default cutoff, eps * max(n, k) *
+    s_1. Constant y yields a machine-epsilon floor and a RuntimeWarning.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -195,9 +204,8 @@ def estimate_noise_sigma(
     k = max(1, min(n, d1) // 2)
     if dec is None:
         dec = decompose(x)
-    scores = x @ dec.v[:, :k]
-    coef, *_ = np.linalg.lstsq(scores, y, rcond=None)
-    resid = y - scores @ coef
+    u = dec.u[:, :k][:, dec.s[:k] > np.finfo(float).eps * max(n, k) * dec.s[0]]
+    resid = y - u @ (u.T @ y)
     sigma = float(np.std(resid))
     if sigma == 0.0:
         warnings.warn("pilot residuals are exactly zero; returning epsilon floor", RuntimeWarning)
@@ -232,6 +240,8 @@ def fit_path(
             "row count mismatch: x has %d, y has %d" % (x.shape[0], y.shape[0])
         )
     require_finite("x and y", x, y)
+    if x.shape[0] < 2:  # stage 1 rejects it too, but only after the pilot has warned
+        raise ValueError("x must be a matrix with at least 2 rows")
 
     x_dec = decompose(x) if dec is None else dec
     pilot_sigma = None
@@ -254,7 +264,6 @@ def fit_path(
         yield FittedModel(
             pi_hat=pi_hat,
             n_hat_trunc=n_hat_trunc,
-            m_hat=n_hat_trunc @ pi_hat,
             k1=k1,
             k2=k2,
             lambdas=lambdas,
@@ -283,7 +292,8 @@ def fit_adaptive_rrr(x: np.ndarray, y: np.ndarray, config: FitConfig,
 
 
 def predict(model: FittedModel, x_new: np.ndarray) -> np.ndarray:
-    """Predictions x_new @ m_hat.T for new feature rows."""
+    """Predictions x_new @ m_hat.T for new feature rows, of a fitted or a
+    baseline model."""
     x_new = np.asarray(x_new, dtype=float)
     if x_new.ndim != 2 or x_new.shape[1] != model.m_hat.shape[1]:
         raise ValueError(
@@ -294,7 +304,7 @@ def predict(model: FittedModel, x_new: np.ndarray) -> np.ndarray:
 
 
 def save_model(model: FittedModel, dirpath: str) -> None:
-    """Persist a fitted model as meta.json plus three CSV matrices."""
+    """Persist a fitted model as meta.json, pi_hat.csv and n_hat.csv."""
     os.makedirs(dirpath, exist_ok=True)
     cfg = model.config
     meta = {
@@ -303,36 +313,48 @@ def save_model(model: FittedModel, dirpath: str) -> None:
         "delta": cfg.delta,
         "theta": cfg.theta,
         "sigma_eps": model.sigma_eps_used,
-        "d1": model.m_hat.shape[1],
-        "d2": model.m_hat.shape[0],
+        "d1": model.pi_hat.shape[1],
+        "d2": model.n_hat_trunc.shape[0],
         "n": model.n,
         "library_version": __version__,
     }
     write_json(os.path.join(dirpath, "meta.json"), meta)
-    write_matrix_csv(os.path.join(dirpath, "m_hat.csv"), model.m_hat)
     write_matrix_csv(os.path.join(dirpath, "pi_hat.csv"), model.pi_hat)
     write_matrix_csv(os.path.join(dirpath, "n_hat.csv"), model.n_hat_trunc)
 
 
 def load_model(dirpath: str) -> FittedModel:
-    """Inverse of save_model. Diagnostics not stored in the directory
+    """Inverse of save_model: the model that meta.json, pi_hat.csv and
+    n_hat.csv describe, its m_hat derived from the two factors as for a
+    fitted model. Any other file in the directory, such as the m_hat.csv
+    that older versions wrote, is ignored.
+
+    Raises ValueError, naming the file, when meta.json is not a model
+    description or a factor's shape disagrees with it: pi_hat must be
+    k1 x d1 and n_hat d2 x k1. Diagnostics not stored in the directory
     (eigenvalues, raw singular values) come back empty."""
     with open(os.path.join(dirpath, "meta.json")) as f:
         meta = json.load(f)
-    if not isinstance(meta, dict) or not {"k1", "k2", "delta", "theta", "sigma_eps", "n"} <= set(meta):
+    if not isinstance(meta, dict) or not {
+            "k1", "k2", "delta", "theta", "sigma_eps", "d1", "d2", "n"} <= set(meta):
         raise ValueError("%s/meta.json is not a model description" % dirpath)
-    m_hat = read_matrix_csv(os.path.join(dirpath, "m_hat.csv"))
-    pi_hat = read_matrix_csv(os.path.join(dirpath, "pi_hat.csv"))
-    n_hat = read_matrix_csv(os.path.join(dirpath, "n_hat.csv"))
+    factors = []
+    for name, rows, cols in (("pi_hat", "k1", "d1"), ("n_hat", "d2", "k1")):
+        path = os.path.join(dirpath, name + ".csv")
+        a = read_matrix_csv(path)
+        if a.shape != (meta[rows], meta[cols]):
+            raise ValueError("%s is %dx%d, but meta.json gives %s x %s = %s x %s" % (
+                path, a.shape[0], a.shape[1], rows, cols,
+                json.dumps(meta[rows]), json.dumps(meta[cols])))
+        factors.append(a)
     cfg = FitConfig(
         delta=float(meta["delta"]),
         theta=float(meta["theta"]),
         sigma_eps=float(meta["sigma_eps"]),
     )
     return FittedModel(
-        pi_hat=pi_hat,
-        n_hat_trunc=n_hat,
-        m_hat=m_hat,
+        pi_hat=factors[0],
+        n_hat_trunc=factors[1],
         k1=int(meta["k1"]),
         k2=int(meta["k2"]),
         lambdas=np.array([]),

@@ -390,8 +390,8 @@ def verify_packing(
     """
     if not family.unitaries:
         raise ValueError("empty family")
-    if not distance_floor > 0:
-        raise ValueError("distance_floor must be positive")
+    if not 0 < distance_floor < math.inf:  # NaN and infinity fail too
+        raise ValueError("distance_floor must be positive and finite")
     if overlap_max is not None and overlap_max < 0:
         raise ValueError("overlap_max must be >= 0")
     d = params.d

@@ -93,6 +93,11 @@ def truncate_rank(a: np.ndarray, r: int) -> np.ndarray:
     return decompose(a).truncated(r)
 
 
+def _gaps(lam: np.ndarray) -> np.ndarray:
+    """Consecutive gaps lam[i] - lam[i+1], the entry past the end taken as 0."""
+    return lam - np.append(lam[1:], 0.0)
+
+
 def select_gap_rank(lambdas: np.ndarray, delta: float) -> Optional[int]:
     """Largest 1-based index k with lambdas[k] - lambdas[k+1] >= delta.
 
@@ -111,11 +116,8 @@ def select_gap_rank(lambdas: np.ndarray, delta: float) -> Optional[int]:
         raise ValueError("empty eigenvalue list")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    padded = np.append(lam, 0.0)
-    for k in range(lam.size, 0, -1):
-        if padded[k - 1] - padded[k] >= delta:
-            return k
-    return None
+    k = np.flatnonzero(_gaps(lam) >= delta)
+    return int(k[-1]) + 1 if k.size else None
 
 
 def select_threshold_rank(sigmas: np.ndarray, tau: float) -> int:
@@ -172,7 +174,7 @@ def find_gap_tail_index(
     budget = tail_constant * float(ell) ** (-tau_param)
     # tails[i] = sum_{j >= i} lambda_j, 1-based i.
     tails = np.cumsum(lam[::-1])[::-1]
-    gaps = lam - np.append(lam[1:], 0.0)
+    gaps = _gaps(lam)
     feasible = np.nonzero(tails <= budget)[0]
     if feasible.size == 0:
         raise ValueError(

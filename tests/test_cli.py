@@ -4,13 +4,18 @@ import filecmp
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arrr
 import arrr.cli as cli
 from arrr import dataio, metrics, synth
 from arrr.baselines import BaselineSpec, validate_hyperparams
@@ -579,6 +584,28 @@ class TestRolling:
         assert err["error"] == "NonFiniteError"
         assert err["message"] == named + " must hold only finite values"
 
+    def test_no_window_names_the_rows_dropped_for_a_missing_value(self, tmp_path, capsys):
+        # every cell written as a numpy repr, which float() cannot parse, so
+        # every cell is missing and every anchor row is dropped
+        with open(self._panel(tmp_path)) as f:
+            lines = f.read().splitlines()
+        panel = tmp_path / "reprs.csv"
+        panel.write_text("\n".join([lines[0]] + [
+            ",".join([cells[0]] + ["np.float64(%s)" % c for c in cells[1:]])
+            for cells in (line.split(",") for line in lines[1:])]) + "\n")
+        cfg = _write_json(tmp_path, "cfg.json", {
+            "kind": "rolling", "panel": str(panel),
+            "features": {"lookbacks": [1, 2], "horizon": 1},
+            "splits": {"train_len": 8, "valid_len": 3, "test_len": 3}})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["rolling", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        # 20 dates: anchors 2020-01-02 to 2020-01-19
+        assert capsys.readouterr().err == (
+            "error: no full window fits: need 14 periods, have 0; "
+            "18 of 18 anchor rows were dropped for a missing value\n")
+
     def test_missing_panel_is_config_error(self, tmp_path):
         cfg = _write_json(tmp_path, "cfg.json", {
             "kind": "rolling",
@@ -726,6 +753,8 @@ PROBES = {
     "packing_zeta_inf": (["packing"], {"packing": dict(_SMALL_PACKING, zeta=1e999)}),
     "packing_eta_exp_1000": (["packing"], {"packing": dict(_SMALL_PACKING, eta_exp=1000)}),
     "packing_eta_exp_inf": (["packing"], {"packing": dict(_SMALL_PACKING, eta_exp=1e999)}),
+    "packing_distance_floor_inf": (["packing"], {"packing": dict(
+        _SMALL_PACKING, distance_floor=1e999)}),
     "compare_rrr_rank_too_big": (["compare"], {
         "synth": _SMALL_SYNTH, "grids": {"eta": [0.5], "seeds": [0]},
         "fit": {"delta": 1e-6}, "baselines": [{"method": "rrr", "rank": [30]}]}),
@@ -771,6 +800,26 @@ class TestBadInputExitsTwo:
         assert err.startswith("error: ") and "Traceback" not in err
         if "unknown" in probe:
             assert "unknown fields" in err
+
+    # each file of a saved model, changed so that it disagrees with the others;
+    # the model of _matrix_files has d1 10 and d2 4
+    @pytest.mark.parametrize("name, change", [
+        ("meta.json", lambda path: _write_json(path.parent, path.name, dict(
+            json.loads(path.read_text()), d1=9))),
+        ("pi_hat.csv", lambda path: write_matrix_csv(str(path), np.ones((10, 2)))),
+        ("n_hat.csv", lambda path: write_matrix_csv(str(path), np.ones((1, 2)))),
+    ])
+    def test_predict_model_file_disagreeing_with_meta(self, name, change, tmp_path, capsys):
+        paths = _matrix_files(tmp_path)
+        change(pathlib.Path(paths["model"]) / name)
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        assert main(["predict", "--model", paths["model"], "--x", paths["x"],
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert not (tmp_path / "error.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "Traceback" not in err
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one(self, jobs, tmp_path):
@@ -840,10 +889,69 @@ _FUZZ_BASES = {
                             "k_patterns": 8, "s_size": 4, "seed": 0,
                             "distance_floor": 1.5, "overlap_max": 4}},
     "angles": {"synth": {"d1": 8, "omega": 2.0, "seed": 1}, "n": 10, "top_k": 3},
+    "rolling": {"panel": "{panel}", "features": {"lookbacks": [1, 2], "horizon": 1},
+                "splits": {"train_len": 8, "valid_len": 3, "test_len": 3, "gap_len": 0},
+                "fit": {"delta": [1e-8, 0.3], "theta": [2.0], "sigma_eps": "auto"},
+                "baselines": [{"method": "ridge", "mu": [0.5]},
+                              {"method": "rrr", "rank": [1]}]},
 }
 _DELETE = object()
 _FUZZ_VALUES = [_DELETE, None, True, "x", [], {}, [1], ["a"], -1, 0, 1, 2, 7,
-                0.5, -0.5, 0.0, float("nan")]
+                0.5, -0.5, 0.0, float("nan"), float("inf"), float("-inf"),
+                1e308, -1e308, 1e-308]
+
+
+def _changed(kind, path, value):
+    """A copy of the fuzz base `kind` with the value at key `path` replaced."""
+    cfg = json.loads(json.dumps(_FUZZ_BASES[kind]))
+    node = cfg
+    for k in path[:-1]:
+        node = node[k]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return cfg
+
+
+# Values that overflow a float in numpy, found by running every base, path
+# and value of the fuzzed-config property. Each exited 0 with an infinity in
+# its output or exited 3 with overflow warnings on stderr.
+OVERFLOW_PROBES = {
+    "sweep_eta_1e308": ("sweep", ("synth", "eta"), 1e308),
+    "packing_sigma_eps_1e308": ("packing", ("packing", "sigma_eps"), 1e308),
+    "compare_eta_1e308": ("compare", ("grids", "eta"), [1e308]),
+}
+
+
+def _square(v):
+    return np.array([v]) * v
+
+
+def test_worker_cells_raise_on_overflow():
+    # called outside main, so that a worker process holds numpy's default
+    # error state unless _run_cells sets its own
+    assert cli._run_cells(_square, [2.0, 3.0], 2)[1].tolist() == [9.0]
+    with pytest.raises(FloatingPointError):
+        cli._run_cells(_square, [2.0, 1e200], 2)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("probe", sorted(OVERFLOW_PROBES))
+def test_overflow_is_a_numerical_failure(probe, jobs, tmp_path):
+    # a separate process, so that stderr holds whatever a worker process
+    # prints as well
+    cfg = _write_json(tmp_path, "cfg.json", _changed(*OVERFLOW_PROBES[probe]))
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(arrr.__file__)))
+    run = subprocess.run([sys.executable, "-m", "arrr.cli", OVERFLOW_PROBES[probe][0],
+                          "--config", cfg, "--out", str(out), "--jobs", jobs],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 3
+    assert run.stderr.startswith("numerical failure: overflow encountered")
+    assert "Warning" not in run.stderr and "Traceback" not in run.stderr
+    assert sorted(os.listdir(out)) == ["error.json"]
+    assert json.loads((out / "error.json").read_text())["error"] == "FloatingPointError"
 
 
 def _paths(node, prefix=()):
@@ -861,25 +969,22 @@ _FUZZ_PATHS = [(kind, p) for kind in sorted(_FUZZ_BASES) for p in _paths(_FUZZ_B
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(target=st.sampled_from(_FUZZ_PATHS), value=st.sampled_from(_FUZZ_VALUES))
 def test_fuzzed_config_exits_cleanly(target, value):
-    kind, path = target
-    cfg = json.loads(json.dumps(_FUZZ_BASES[kind]))
-    node = cfg
-    for k in path[:-1]:
-        node = node[k]
-    if value is _DELETE:
-        del node[path[-1]]
-    else:
-        node[path[-1]] = value
+    cfg = _changed(*target, value)
     with tempfile.TemporaryDirectory() as tmp:
+        if cfg.get("panel") == "{panel}":
+            cfg["panel"] = _write_panel(pathlib.Path(tmp))
         cfg_path = os.path.join(tmp, "cfg.json")
         with open(cfg_path, "w") as f:
             json.dump(cfg, f)
         out = os.path.join(tmp, "out")
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            rc = main([kind, "--config", cfg_path, "--out", out])
+        # record every warning, which would otherwise reach stderr
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([target[0], "--config", cfg_path, "--out", out])
         assert rc in (0, 2, 3)
         assert "Traceback" not in err.getvalue()
+        assert [str(w.message) for w in caught] == []
         if rc == 2:
             assert not os.path.exists(out)
         if rc == 3:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -192,6 +193,36 @@ class TestEstimateNoiseSigma:
         with pytest.raises(ValueError):
             estimate_noise_sigma(np.zeros((3, 2)), np.zeros((4, 2)))
 
+    @staticmethod
+    def _lstsq_pilot(x, y):
+        """The pilot as it was: a least-squares solve on the scores x @ V_k."""
+        k = max(1, min(x.shape) // 2)
+        scores = x @ decompose(x).v[:, :k]
+        coef, *_ = np.linalg.lstsq(scores, y, rcond=None)
+        return float(np.std(y - scores @ coef))
+
+    # b repeated: x has rank 2 or 3, below k, so the cutoff drops directions
+    @pytest.mark.parametrize("n, copies, width", [(40, 4, 2), (12, 3, 3), (9, 6, 2)])
+    def test_rank_deficient_design_matches_the_lstsq_pilot(self, n, copies, width):
+        rng = np.random.default_rng(n)
+        b = rng.normal(size=(n, width))
+        x = np.hstack([b] * copies)
+        y = b @ rng.normal(size=(width, 3)) + 0.3 * rng.normal(size=(n, 3))
+        assert np.sum(decompose(x).s > 1e-12) < max(1, min(x.shape) // 2)
+        want = self._lstsq_pilot(x, y)
+        assert abs(estimate_noise_sigma(x, y) - want) <= 1e-12 * want
+
+    def test_fit_path_pilot_takes_no_lstsq(self, monkeypatch):
+        x, y = _path_data(3, 20, 8, 5)
+        want = self._lstsq_pilot(x, y)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        (model,) = fit_path(x, y, [FitConfig(sigma_eps="auto")])
+        assert abs(model.sigma_eps_used - want) <= 1e-12 * want
+
 
 class TestFitAdaptiveRRR:
     def test_noiseless_recovery_small(self):
@@ -278,6 +309,7 @@ class TestPersistence:
         inst = make_instance(SynthConfig(d1=12, d2=7, n=30, rank_m=3, eta=0.4, seed=10))
         model = fit_adaptive_rrr(inst.x, inst.y, FitConfig(sigma_eps=inst.sigma_noise))
         save_model(model, str(tmp_path / "m"))
+        assert sorted(os.listdir(tmp_path / "m")) == ["meta.json", "n_hat.csv", "pi_hat.csv"]
         loaded = load_model(str(tmp_path / "m"))
         np.testing.assert_array_equal(loaded.m_hat, model.m_hat)
         np.testing.assert_array_equal(loaded.pi_hat, model.pi_hat)
@@ -294,6 +326,16 @@ class TestPersistence:
                     "library_version"}
         assert set(meta) == expected
         assert meta["d1"] == 6 and meta["d2"] == 4 and meta["n"] == 15
+
+    def test_m_hat_csv_is_ignored(self, tmp_path):
+        # older versions wrote m_hat.csv; a model directory with one, even a
+        # garbage one, loads from its two factors
+        inst = make_instance(SynthConfig(d1=9, d2=5, n=30, rank_m=2, eta=0.4, seed=12))
+        model = fit_adaptive_rrr(inst.x, inst.y, FitConfig(sigma_eps=inst.sigma_noise))
+        save_model(model, str(tmp_path / "m"))
+        (tmp_path / "m" / "m_hat.csv").write_text("1,2\nnot a number\n")
+        loaded = load_model(str(tmp_path / "m"))
+        assert predict(loaded, inst.x).tobytes() == predict(model, inst.x).tobytes()
 
 
 class TestRankAdaptivity:
@@ -324,6 +366,12 @@ class TestInputChecks:
         (x if which == "x" else y)[2, 1] = np.nan
         with pytest.raises(NonFiniteError):
             fit_adaptive_rrr(x, y, FitConfig(sigma_eps=1.0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_row_is_rejected_before_the_pilot(self):
+        # on one row the pilot's projection leaves a zero residual and warns
+        with pytest.raises(ValueError, match="at least 2 rows"):
+            fit_adaptive_rrr(np.ones((1, 4)), np.ones((1, 2)) * [1.0, 2.0], FitConfig())
 
     @pytest.mark.parametrize("change", [
         {"delta": float("nan")}, {"theta": float("nan")}, {"theta": 0.0},
@@ -392,7 +440,10 @@ class TestFitPath:
         x, y = _path_data(seed, *shape)
         (model,) = fit_path(x, y, [config])
         assume(not isinstance(model, NoGapError))
-        np.testing.assert_array_equal(model.m_hat, model.n_hat_trunc @ model.pi_hat)
+        assert "m_hat" not in {f.name for f in dataclasses.fields(model)}
+        assert "m_hat" not in vars(model)  # formed on first read only
+        assert model.m_hat.tobytes() == (model.n_hat_trunc @ model.pi_hat).tobytes()
+        assert vars(model)["m_hat"] is model.m_hat
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=_SEEDS, shape=_SHAPES, sigma=_SIGMAS,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arrr.spectral import (
     ORTHONORMALITY_TOL,
@@ -154,6 +156,28 @@ class TestSelectGapRank:
             if k is not None:
                 assert k <= prev
                 prev = k
+
+    @staticmethod
+    def _loop(lambdas, delta):
+        """The rule as a loop from the last index, the reference."""
+        padded = np.append(np.asarray(lambdas, dtype=float), 0.0)
+        for k in range(padded.size - 1, 0, -1):
+            if padded[k - 1] - padded[k] >= delta:
+                return k
+        return None
+
+    # quarters, so that many gaps equal delta exactly
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lam=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 2.0]) | st.floats(0.0, 3.0),
+                        min_size=1, max_size=10),
+           delta=st.sampled_from([0.25, 0.5, 1.0]) | st.floats(1e-12, 3.0))
+    @example(lam=[0.5], delta=0.5)
+    @example(lam=[0.0], delta=0.25)
+    @example(lam=[0.0, 0.0, 0.0], delta=0.25)
+    @example(lam=[1.0, 0.75, 0.5, 0.0], delta=0.25)
+    def test_matches_the_loop(self, lam, delta):
+        lam = sorted(lam, reverse=True)
+        assert select_gap_rank(lam, delta) == self._loop(lam, delta)
 
     def test_argument_errors(self):
         with pytest.raises(ValueError):
