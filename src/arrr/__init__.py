@@ -11,6 +11,7 @@ from .estimator import (
     FitConfig,
     FittedModel,
     NoGapError,
+    ZeroResidualError,
     estimate_noise_sigma,
     fit_adaptive_rrr,
     fit_path,
@@ -27,6 +28,7 @@ __all__ = [
     "FitConfig",
     "FittedModel",
     "NoGapError",
+    "ZeroResidualError",
     "estimate_noise_sigma",
     "fit_adaptive_rrr",
     "fit_path",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 
@@ -27,7 +28,15 @@ def write_matrix_csv(path, a: np.ndarray) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    """The matrix in a CSV file; ValueError, naming the file, when it holds
+    no data."""
+    with warnings.catch_warnings():
+        # reported below by file name, not by numpy's UserWarning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        a = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    if a.size == 0:
+        raise ValueError("%s holds no data" % path)
+    return a
 
 
 def _jsonable(v):

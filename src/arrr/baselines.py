@@ -25,7 +25,7 @@ import numpy as np
 
 from .estimator import predict
 from .metrics import lowest, pooled_scores
-from .spectral import SpectralDecomposition, decompose
+from .spectral import SpectralDecomposition, decompose, numerical_rank
 
 METHODS = ("ridge", "rrr", "reduced_rank_ridge", "pcr", "lasso", "nuclear")
 ITERATIVE = ("lasso", "nuclear")
@@ -81,19 +81,18 @@ def _svd_filter(dec, y):
     """The coefficients (d1 x d2) of a direct method as a function of its
     spec: V diag(f) U^T y from the thin SVD x = U diag(s) V^T.
 
-    Ridge's filter is f = s / (s^2 + mu). At mu = 0 it is 1/s above lstsq's
-    cutoff eps * max(n, d1) * s_1 and 0 below, the minimum-norm least-squares
-    fit. PCR zeroes f past its rank. Reduced-rank ridge projects the ridge fit
-    onto the top right singular vectors of its fitted values in the ridge
-    metric, [X; sqrt(mu) I] B, whose Gram matrix is that of
-    diag(sqrt(f * s)) U^T y; rrr is its mu = 0 case. That matrix depends on
-    mu and not on the rank, so U^T y is formed once and its SVD taken once
+    Ridge's filter is f = s / (s^2 + mu). At mu = 0 it is 1/s on the
+    numerical rank of x (lstsq's cutoff) and 0 past it, the minimum-norm
+    least-squares fit. PCR zeroes f past its rank. Reduced-rank ridge
+    projects the ridge fit onto the top right singular vectors of its fitted
+    values in the ridge metric, [X; sqrt(mu) I] B, whose Gram matrix is that
+    of diag(sqrt(f * s)) U^T y; rrr is its mu = 0 case. That matrix depends
+    on mu and not on the rank, so U^T y is formed once and its SVD taken once
     per mu: every rank of a grid slices the same right singular vectors, and
     each fit is the one a fresh filter gives, bit for bit.
     """
     s, uty = dec.s, dec.u.T @ y
-    s_1 = s[0] if s.size else 0.0  # an empty design has no singular values
-    keep = s > np.finfo(float).eps * max(dec.u.shape[0], dec.v.shape[0]) * s_1
+    rank = numerical_rank(s, (dec.u.shape[0], dec.v.shape[0]))
     fitted_v = {}  # mu -> right singular vectors of the fitted values
 
     def coef(spec):
@@ -102,7 +101,7 @@ def _svd_filter(dec, y):
             f = s / (s * s + mu)
         else:
             f = np.zeros_like(s)
-            f[keep] = 1.0 / s[keep]
+            f[:rank] = 1.0 / s[:rank]
         if spec.method == "pcr":
             f[spec.rank:] = 0.0
         g = f[:, None] * uty

@@ -20,8 +20,9 @@ windows. Candidates that select the same (k1, k2) are one model, and each
 distinct model is scored once.
 
 Exit codes: 0 success; 2 bad input (nothing is written); 3 numerical
-failure, non-finite input and a numpy overflow included (error.json lands in
-the output directory and a message goes to stderr). Bad input is whatever
+failure, non-finite input, a zero noise-pilot residual and a numpy overflow
+included (error.json lands in the output directory and a message goes to
+stderr). Bad input is whatever
 the library rejects with a ValueError, a JSON type check or a key no reader
 reads here, an unreadable file, or a request too large to allocate
 (MemoryError); `main` maps errors to exit codes in one place.
@@ -53,6 +54,7 @@ from .estimator import (
     FitConfig,
     NoGapError,
     NonFiniteError,
+    ZeroResidualError,
     fit_adaptive_rrr,
     fit_path,
     load_model,
@@ -74,6 +76,7 @@ TEST_STREAM = 202
 NUMERICAL_ERRORS = (
     NoGapError,
     NonFiniteError,
+    ZeroResidualError,
     packing.PackingInfeasibleError,
     packing.FillInfeasibleError,
     np.linalg.LinAlgError,
@@ -688,8 +691,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     err_dir = (os.path.dirname(args.out) or ".") if args.command == "predict" else args.out
     try:
         return _overflow_raises(_run_command, args)
-    # numerical errors first: NoGapError, NonFiniteError and LinAlgError are
-    # ValueErrors too
+    # numerical errors first: NoGapError, NonFiniteError, ZeroResidualError
+    # and LinAlgError are ValueErrors too
     except NUMERICAL_ERRORS as e:
         return _numerical_failure(err_dir, e)
     except (ValueError, OSError) as e:

@@ -11,7 +11,6 @@ import functools
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
@@ -22,6 +21,7 @@ from ._version import __version__
 from .spectral import (
     SpectralDecomposition,
     decompose,
+    numerical_rank,
     select_gap_rank,
     select_threshold_rank,
 )
@@ -33,6 +33,11 @@ class NoGapError(ValueError):
     Lower delta or pass an explicit k1 override; silently keeping full rank
     would reintroduce the ill-posed regime this estimator exists to avoid.
     """
+
+
+class ZeroResidualError(ValueError):
+    """The noise pilot's residual is exactly zero, so it measures no noise: a
+    numerical failure. Pass an explicit sigma_eps."""
 
 
 class NonFiniteError(ValueError):
@@ -91,6 +96,14 @@ class FittedModel:
         return self.n_hat_trunc @ self.pi_hat
 
 
+def _require_design(x: np.ndarray) -> None:
+    """Stage 1's checks on x: a matrix of at least 2 rows, not all zero."""
+    if x.ndim != 2 or x.shape[0] < 2:
+        raise ValueError("x must be a matrix with at least 2 rows")
+    if not np.any(x):
+        raise ValueError("x is identically zero")
+
+
 def _cross_moment(z_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The matrix stage 2 denoises, (y.T @ z_hat) / n."""
     return y.T @ z_hat / z_hat.shape[0]
@@ -116,10 +129,7 @@ def step1_pca_x(
             numerical rank.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError("x must be a matrix with at least 2 rows")
-    if not np.any(x):
-        raise ValueError("x is identically zero")
+    _require_design(x)
     n = x.shape[0]
     if dec is None:
         dec = decompose(x)
@@ -189,27 +199,33 @@ def estimate_noise_sigma(
     Regresses y on the top k = min(n, d1)//2 principal-component scores of x
     and returns the standard deviation of the residual entries. The scores
     x @ V_k are U_k S_k on the SVD of x (`dec`, when the caller already has
-    it), so the residual is y - U_r U_r^T y, where U_r keeps the columns
-    whose singular value passes lstsq's default cutoff, eps * max(n, k) *
-    s_1. Constant y yields a machine-epsilon floor and a RuntimeWarning.
+    it), so the residual is y - U_r U_r^T y, where r is the numerical rank
+    of the n x k scores, as lstsq's default cutoff sets it.
+
+    Raises:
+        ValueError: y is constant, so there is no noise to measure, or the
+            row counts differ.
+        ZeroResidualError: the residual is exactly zero, as when y lies in
+            the span of the scores or its entries are so small that their
+            squares underflow.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[0] != y.shape[0]:
         raise ValueError("x and y must have the same number of rows")
     if float(np.ptp(y)) == 0.0:
-        warnings.warn("response is constant; returning epsilon floor", RuntimeWarning)
-        return float(np.finfo(float).eps)
+        raise ValueError("the response y is constant, so the noise pilot cannot "
+                         "estimate sigma_eps from it; give sigma_eps explicitly")
     n, d1 = x.shape
     k = max(1, min(n, d1) // 2)
     if dec is None:
         dec = decompose(x)
-    u = dec.u[:, :k][:, dec.s[:k] > np.finfo(float).eps * max(n, k) * dec.s[0]]
+    u = dec.u[:, :numerical_rank(dec.s[:k], (n, k))]
     resid = y - u @ (u.T @ y)
     sigma = float(np.std(resid))
     if sigma == 0.0:
-        warnings.warn("pilot residuals are exactly zero; returning epsilon floor", RuntimeWarning)
-        return float(np.finfo(float).eps)
+        raise ZeroResidualError("the noise pilot's residual is exactly zero, so it "
+                                "measures no noise; give sigma_eps explicitly")
     return sigma
 
 
@@ -227,9 +243,9 @@ def fit_path(
     per distinct k1 serves stage 2 of every config with that k1. Yields, in
     config order, what fit_adaptive_rrr would return for each config, bit for
     bit, or, for a config whose stage 1 finds no admissible gap, the
-    NoGapError it would raise. Every other error is
-    raised: NonFiniteError when x or y holds NaN or infinity, ValueError for
-    a shape or an override beyond the data.
+    NoGapError it would raise. Every other error is raised: NonFiniteError
+    when x or y holds NaN or infinity, the pilot's errors, and ValueError for
+    a shape, an all-zero x or an override beyond the data.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -240,8 +256,9 @@ def fit_path(
             "row count mismatch: x has %d, y has %d" % (x.shape[0], y.shape[0])
         )
     require_finite("x and y", x, y)
-    if x.shape[0] < 2:  # stage 1 rejects it too, but only after the pilot has warned
-        raise ValueError("x must be a matrix with at least 2 rows")
+    # stage 1 checks x too, but only after the pilot, which would report an
+    # all-zero panel's response as constant
+    _require_design(x)
 
     x_dec = decompose(x) if dec is None else dec
     pilot_sigma = None
@@ -323,6 +340,12 @@ def save_model(model: FittedModel, dirpath: str) -> None:
     write_matrix_csv(os.path.join(dirpath, "n_hat.csv"), model.n_hat_trunc)
 
 
+# the meta.json keys load_model reads, and the JSON type of each; a bool is
+# neither an integer nor a number here
+_META_TYPES = {"k1": int, "k2": int, "d1": int, "d2": int, "n": int,
+               "delta": (int, float), "theta": (int, float), "sigma_eps": (int, float)}
+
+
 def load_model(dirpath: str) -> FittedModel:
     """Inverse of save_model: the model that meta.json, pi_hat.csv and
     n_hat.csv describe, its m_hat derived from the two factors as for a
@@ -330,14 +353,20 @@ def load_model(dirpath: str) -> FittedModel:
     that older versions wrote, is ignored.
 
     Raises ValueError, naming the file, when meta.json is not a model
-    description or a factor's shape disagrees with it: pi_hat must be
-    k1 x d1 and n_hat d2 x k1. Diagnostics not stored in the directory
-    (eigenvalues, raw singular values) come back empty."""
+    description, one of its values has the wrong JSON type (k1, k2, d1, d2
+    and n must be integers, delta, theta and sigma_eps numbers), or a
+    factor's shape disagrees with it: pi_hat must be k1 x d1 and n_hat
+    d2 x k1. Diagnostics not stored in the directory (eigenvalues, raw
+    singular values) come back empty."""
     with open(os.path.join(dirpath, "meta.json")) as f:
         meta = json.load(f)
-    if not isinstance(meta, dict) or not {
-            "k1", "k2", "delta", "theta", "sigma_eps", "d1", "d2", "n"} <= set(meta):
+    if not isinstance(meta, dict) or not set(_META_TYPES) <= set(meta):
         raise ValueError("%s/meta.json is not a model description" % dirpath)
+    for key, types in _META_TYPES.items():
+        if not isinstance(meta[key], types) or isinstance(meta[key], bool):
+            raise ValueError("%s/meta.json: %s must be %s, got %s" % (
+                dirpath, key, "an integer" if types is int else "a number",
+                json.dumps(meta[key])))
     factors = []
     for name, rows, cols in (("pi_hat", "k1", "d1"), ("n_hat", "d2", "k1")):
         path = os.path.join(dirpath, name + ".csv")
@@ -355,12 +384,12 @@ def load_model(dirpath: str) -> FittedModel:
     return FittedModel(
         pi_hat=factors[0],
         n_hat_trunc=factors[1],
-        k1=int(meta["k1"]),
-        k2=int(meta["k2"]),
+        k1=meta["k1"],
+        k2=meta["k2"],
         lambdas=np.array([]),
         n_hat_sigmas=np.array([]),
         threshold_used=float("nan"),
         config=cfg,
         sigma_eps_used=float(meta["sigma_eps"]),
-        n=int(meta["n"]),
+        n=meta["n"],
     )

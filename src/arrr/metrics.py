@@ -46,15 +46,19 @@ def pooled_scores(y: np.ndarray, y_hat: np.ndarray) -> Tuple[float, float, float
     """(variance-normalized MSE, R^2, correlation) over all entries pooled.
 
     Each is NaN where it is undefined: MSE for a constant response, R^2 for
-    zero total variation, the correlation for a constant y or y_hat.
+    zero total variation, the correlation for a constant y or y_hat. An
+    array is constant when its max equals its min, or when its computed
+    variance is 0: the mean of a constant array can round, which leaves its
+    centered entries a residue, not 0.
 
     One pass per quantity: the residual and its squares, y and y_hat centered
     on their means, written straight into the 2 x N matrix whose product with
     its transpose np.corrcoef would form. The MSE's variance and R^2's total
-    sum of squares share one sum. For C-ordered arrays every score equals
-    the textbook formula bit for bit: np.var(y), np.mean(resid ** 2),
-    np.sum((y - np.mean(y)) ** 2), and np.corrcoef of the raveled arrays
-    when np.std(y_hat) > 0 and np.std(y) > 0.
+    sum of squares share one sum. For C-ordered arrays whose max differs
+    from their min, every score equals the textbook formula bit for bit:
+    np.var(y), np.mean(resid ** 2), np.sum((y - np.mean(y)) ** 2), and
+    np.corrcoef of the raveled arrays when np.std(y_hat) > 0 and
+    np.std(y) > 0.
     """
     n = y.size
     resid = y - y_hat
@@ -63,10 +67,11 @@ def pooled_scores(y: np.ndarray, y_hat: np.ndarray) -> Tuple[float, float, float
     yc = np.subtract(y, y.sum() / n, out=centered[1].reshape(y.shape))
     sst = (yc * yc).sum()
     var_y, ss_tot = float(sst / n), float(sst)
-    mse = math.nan if var_y == 0.0 else float(sse / n) / var_y
-    r2 = math.nan if ss_tot == 0.0 else 1.0 - float(sse) / ss_tot
+    y_constant = not y.max() > y.min()
+    mse = math.nan if y_constant or var_y == 0.0 else float(sse / n) / var_y
+    r2 = math.nan if y_constant or ss_tot == 0.0 else 1.0 - float(sse) / ss_tot
     corr = math.nan
-    if var_y > 0.0:
+    if not y_constant and var_y > 0.0 and y_hat.max() > y_hat.min():
         hc = np.subtract(y_hat, y_hat.sum() / n, out=centered[0].reshape(y_hat.shape))
         if (hc * hc).sum() / n > 0.0:
             c = np.dot(centered, centered.T) * (1.0 / (n - 1))

@@ -9,11 +9,15 @@ property the construction promises is measured, never assumed.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .spectral import numerical_rank
 
 UNITARITY_TOL = 1e-10
 
@@ -228,9 +232,7 @@ def resolve_supports(r: Sequence[int], patterns: List[List[np.ndarray]]) -> List
     return [patterns[c][idx] for c, idx in enumerate(r)]
 
 
-_CAL_CACHE: Dict[int, Tuple[float, float]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def calibrate_fill_constants(subset_size: int) -> Tuple[float, float]:
     """One-time Monte-Carlo calibration of the spread-acceptance constants.
 
@@ -240,8 +242,6 @@ def calibrate_fill_constants(subset_size: int) -> Tuple[float, float]:
     accepted tail-mass level at the 60th percentile so that typical draws are
     accepted. Cached per support size; the internal seed is fixed.
     """
-    if subset_size in _CAL_CACHE:
-        return _CAL_CACHE[subset_size]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=20240131, spawn_key=(subset_size,)))
     draws = rng.standard_normal((10_000, subset_size))
     draws /= np.linalg.norm(draws, axis=1, keepdims=True)
@@ -257,7 +257,6 @@ def calibrate_fill_constants(subset_size: int) -> Tuple[float, float]:
     cutoff = chosen / math.sqrt(subset_size)
     masses = np.sum(np.where(np.abs(draws) >= cutoff, draws ** 2, 0.0), axis=1)
     level = float(np.quantile(masses, 0.6))
-    _CAL_CACHE[subset_size] = (chosen, level)
     return chosen, level
 
 
@@ -297,13 +296,10 @@ def build_unitary(
     for support in supports:
         prior = u[np.ix_(support, range(ncols))]
         # Orthonormal basis of the orthogonal complement of the prior
-        # columns' footprint inside the support coordinates.
-        if ncols == 0:
-            basis = np.eye(len(support))
-        else:
-            full_u, sv, _ = np.linalg.svd(prior, full_matrices=True)
-            rank = int(np.sum(sv > max(prior.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)))
-            basis = full_u[:, rank:]
+        # columns' footprint inside the support coordinates; with no prior
+        # column, full_u is the identity.
+        full_u, sv, _ = np.linalg.svd(prior, full_matrices=True)
+        basis = full_u[:, numerical_rank(sv, prior.shape):]
         if basis.shape[1] < 1:
             raise FillInfeasibleError("no orthogonal direction left inside the support", math.inf)
 
@@ -401,43 +397,31 @@ def verify_packing(
     if overlap_max is None:
         overlap_max = params.subset_size // 2
 
+    # One pass over the members, one member's d x d temporaries at a time.
     eye = np.eye(d)
-    unit_res = max(float(np.max(np.abs(u.T @ u - eye))) for u in family.unitaries)
-
-    supports = [resolve_supports(r, family.patterns) for r in family.code]
-    off_support = 0.0
-    for u, supp in zip(family.unitaries, supports):
+    prefix = family.unitaries[0][:, :lo]
+    spec_sorted = np.sort(np.asarray(params.spectrum, dtype=float))[::-1]
+    members = [(r, u, resolve_supports(r, family.patterns))
+               for r, u in zip(family.code, family.unitaries)]
+    unit_res = off_support = prefix_mismatch = spectrum_mismatch = 0.0
+    for _, u, supp in members:
+        unit_res = max(unit_res, float(np.max(np.abs(u.T @ u - eye))))
         for c, s in enumerate(supp):
             mask = np.ones(d, dtype=bool)
             mask[s] = False
             off_support = max(off_support, float(np.max(np.abs(u[mask, lo + c]))))
-
-    prefix_mismatch = 0.0
-    if lo > 0:
-        base = family.unitaries[0][:, :lo]
-        for u in family.unitaries[1:]:
-            prefix_mismatch = max(prefix_mismatch, float(np.max(np.abs(u[:, :lo] - base))))
-
-    spec_sorted = np.sort(np.asarray(params.spectrum, dtype=float))[::-1]
-    spectrum_mismatch = 0.0
-    for u in family.unitaries:
+        prefix_mismatch = max(prefix_mismatch,
+                              float(np.max(np.abs(u[:, :lo] - prefix), initial=0.0)))
         sv = np.linalg.svd(u * params.spectrum, compute_uv=False)
         spectrum_mismatch = max(spectrum_mismatch, float(np.max(np.abs(sv - spec_sorted))))
 
-    n_mem = len(family.unitaries)
-    max_cost = 0.0
-    min_dist = math.inf
-    max_overlap = 0
-    for a in range(n_mem):
-        for b in range(a + 1, n_mem):
-            cost = weighted_cost(
-                family.code[a], family.code[b], params.spectrum, params.t_lo, params.t_hi
-            )
-            max_cost = max(max_cost, cost)
-            diff = family.unitaries[a][:, lo:hi] - family.unitaries[b][:, lo:hi]
-            min_dist = min(min_dist, float(np.sum(block_w * np.sum(diff ** 2, axis=0))))
-            for sa, sb in zip(supports[a], supports[b]):
-                max_overlap = max(max_overlap, len(np.intersect1d(sa, sb)))
+    max_cost, min_dist, max_overlap = 0.0, math.inf, 0
+    for (ra, ua, sa), (rb, ub, sb) in itertools.combinations(members, 2):
+        max_cost = max(max_cost, weighted_cost(ra, rb, params.spectrum, params.t_lo, params.t_hi))
+        diff = ua[:, lo:hi] - ub[:, lo:hi]
+        min_dist = min(min_dist, float(np.sum(block_w * np.sum(diff ** 2, axis=0))))
+        for a, b in zip(sa, sb):
+            max_overlap = max(max_overlap, len(np.intersect1d(a, b)))
 
     cost_bound = params.rho ** params.zeta * psi
     # Two existential constants, one measured deficit: split the deficit
@@ -456,7 +440,7 @@ def verify_packing(
         "min_distance": min_dist >= distance_floor * psi,
     }
     return PackingReport(
-        family_size=n_mem,
+        family_size=len(family.unitaries),
         psi=psi,
         unitarity_residual=unit_res,
         max_support_overlap=max_overlap,

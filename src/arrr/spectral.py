@@ -1,9 +1,9 @@
 """Spectral primitives shared by every other module.
 
 Deterministic SVD with a fixed sign convention, best rank-r approximation,
-the two rank-selection rules (consecutive-eigenvalue gap and absolute-value
-thresholding), a gap/tail search over normalized spectra, and subspace-angle
-diagnostics.
+the numerical rank, the two rank-selection rules (consecutive-eigenvalue gap
+and absolute-value thresholding), a gap/tail search over normalized spectra,
+and subspace-angle diagnostics.
 """
 
 from __future__ import annotations
@@ -93,6 +93,12 @@ def truncate_rank(a: np.ndarray, r: int) -> np.ndarray:
     return decompose(a).truncated(r)
 
 
+def numerical_rank(s: np.ndarray, shape: Tuple[int, ...]) -> int:
+    """Count of the non-increasing singular values s of a matrix of the given
+    shape above lstsq's default cutoff eps * max(shape) * s[0], 0 for none."""
+    return int(np.count_nonzero(s > np.finfo(float).eps * max(shape) * s[0])) if s.size else 0
+
+
 def _gaps(lam: np.ndarray) -> np.ndarray:
     """Consecutive gaps lam[i] - lam[i+1], the entry past the end taken as 0."""
     return lam - np.append(lam[1:], 0.0)
@@ -134,20 +140,18 @@ def find_gap_tail_index(
     lambdas: np.ndarray,
     ell: int,
     tau_param: float,
-    tail_constant: float = 1.0,
 ) -> Tuple[int, float, float]:
     """Exhaustive gap/tail scan over a normalized non-increasing spectrum.
 
     Among all 1-based indices i whose tail sum_{j>=i} lambda_j is within the
-    budget tail_constant * ell**(-tau_param), returns the one maximizing the
-    consecutive gap lambda_i - lambda_{i+1} (entries past the end are 0).
-    Ties go to the smallest index.
+    budget ell**(-tau_param), returns the one maximizing the consecutive gap
+    lambda_i - lambda_{i+1} (entries past the end are 0). Ties go to the
+    smallest index.
 
     Args:
         lambdas: non-increasing, non-negative, summing to 1, lambdas[0] < 1.
         ell: scale parameter, >= 1.
         tau_param: tail exponent, > 0.
-        tail_constant: multiplier on the tail budget.
 
     Returns:
         (i_star, gap, tail) with gap = lambda_{i*} - lambda_{i*+1} and
@@ -171,7 +175,7 @@ def find_gap_tail_index(
     if np.any(np.diff(lam) > 1e-12):
         raise ValueError("eigenvalues must be non-increasing")
 
-    budget = tail_constant * float(ell) ** (-tau_param)
+    budget = float(ell) ** (-tau_param)
     # tails[i] = sum_{j >= i} lambda_j, 1-based i.
     tails = np.cumsum(lam[::-1])[::-1]
     gaps = _gaps(lam)

@@ -854,6 +854,81 @@ class TestMemoryErrorExitsTwo:
         assert "Traceback" not in err
 
 
+def _run_cli(argv):
+    """The CLI in a separate process, so that stderr holds every warning it
+    prints, a worker process's too. Returns the CompletedProcess."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(arrr.__file__)))
+    return subprocess.run([sys.executable, "-m", "arrr.cli"] + argv,
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+class TestMalformedFileExitsTwo:
+    """A model meta.json value of the wrong JSON type and an empty matrix CSV
+    are bad input, reported by file name in one line on stderr."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("k2", [1]), ("n", True), ("d1", 10.0), ("delta", "0.001"), ("sigma_eps", True)])
+    def test_mistyped_model_meta(self, key, value, tmp_path):
+        paths = _matrix_files(tmp_path)
+        meta = pathlib.Path(paths["model"]) / "meta.json"
+        _write_json(meta.parent, meta.name, dict(json.loads(meta.read_text()), **{key: value}))
+        out = tmp_path / "pred.csv"
+        run = _run_cli(["predict", "--model", paths["model"], "--x", paths["x"],
+                        "--out", str(out)])
+        assert run.returncode == 2
+        assert run.stderr.startswith("error: %s: %s must be " % (meta, key))
+        assert run.stderr.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_empty_csv(self, command, tmp_path):
+        paths = _matrix_files(tmp_path)
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        out = tmp_path / "out"
+        if command == "fit":
+            argv = ["fit", "--x", str(empty), "--y", paths["y"], "--out", str(out)]
+        else:
+            argv = ["predict", "--model", paths["model"], "--x", str(empty), "--out", str(out)]
+        run = _run_cli(argv)
+        assert run.returncode == 2
+        assert run.stderr == "error: %s holds no data\n" % empty
+        assert not out.exists()
+
+
+# Degenerate rolling panels under sigma auto: (returns, exit code, what the
+# one line on stderr says). The noise pilot reports the constant response and
+# the zero residual of the tiny returns; the all-zero panel is reported by the
+# check on x that precedes the pilot.
+_DEGENERATE_PANELS = {
+    "constant": (np.full((200, 6), 0.01), 2, "error: the response y is constant"),
+    "all_zero": (np.zeros((200, 6)), 2, "error: x is identically zero"),
+    "tiny": (1e-300 * np.random.default_rng(0).normal(size=(200, 6)), 3,
+             "numerical failure: the noise pilot's residual is exactly zero"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEGENERATE_PANELS))
+def test_degenerate_panel_under_sigma_auto_exits_cleanly(name, tmp_path):
+    returns, code, message = _DEGENERATE_PANELS[name]
+    panel = tmp_path / "panel.csv"
+    panel.write_text("date," + ",".join("A%d" % j for j in range(returns.shape[1])) + "\n"
+                     + "".join("d%03d,%s\n" % (i, ",".join(map(repr, row.tolist())))
+                               for i, row in enumerate(returns)))
+    cfg = _write_json(tmp_path, "cfg.json", {
+        "kind": "rolling", "panel": str(panel), "features": {"lookbacks": [1, 5]},
+        "splits": {"train_len": 40, "valid_len": 10, "test_len": 10, "gap_len": 2},
+        "fit": {"sigma_eps": "auto"}})
+    out = tmp_path / "out"
+    run = _run_cli(["rolling", "--config", cfg, "--out", str(out)])
+    assert run.returncode == code
+    assert run.stderr.startswith(message) and run.stderr.count("\n") == 1
+    if code == 2:
+        assert not out.exists()
+    else:
+        assert json.loads((out / "error.json").read_text())["error"] == "ZeroResidualError"
+
+
 class TestNonFiniteInput:
     def test_fit_nan_exits_three(self, tmp_path):
         paths = _matrix_files(tmp_path)
@@ -939,14 +1014,10 @@ def test_worker_cells_raise_on_overflow():
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("probe", sorted(OVERFLOW_PROBES))
 def test_overflow_is_a_numerical_failure(probe, jobs, tmp_path):
-    # a separate process, so that stderr holds whatever a worker process
-    # prints as well
     cfg = _write_json(tmp_path, "cfg.json", _changed(*OVERFLOW_PROBES[probe]))
     out = tmp_path / "out"
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(arrr.__file__)))
-    run = subprocess.run([sys.executable, "-m", "arrr.cli", OVERFLOW_PROBES[probe][0],
-                          "--config", cfg, "--out", str(out), "--jobs", jobs],
-                         capture_output=True, text=True, env=env, timeout=120)
+    run = _run_cli([OVERFLOW_PROBES[probe][0], "--config", cfg, "--out", str(out),
+                    "--jobs", jobs])
     assert run.returncode == 3
     assert run.stderr.startswith("numerical failure: overflow encountered")
     assert "Warning" not in run.stderr and "Traceback" not in run.stderr

@@ -12,6 +12,7 @@ from arrr.estimator import (
     FitConfig,
     NoGapError,
     NonFiniteError,
+    ZeroResidualError,
     estimate_noise_sigma,
     fit_adaptive_rrr,
     fit_path,
@@ -183,11 +184,16 @@ class TestEstimateNoiseSigma:
         s2 = estimate_noise_sigma(x, 1.0 * e)
         assert abs(s2 / s1 - 2.0) <= 0.2
 
-    def test_constant_response_floor(self):
+    def test_constant_response_is_rejected(self):
         x = np.random.default_rng(4).normal(size=(10, 3))
-        with pytest.warns(RuntimeWarning):
-            est = estimate_noise_sigma(x, np.ones((10, 2)))
-        assert est == np.finfo(float).eps
+        with pytest.raises(ValueError, match="response y is constant.*sigma_eps"):
+            estimate_noise_sigma(x, np.ones((10, 2)))
+
+    def test_zero_residual_is_a_numerical_failure(self):
+        # residual entries near 1e-300 square to 0, so their std is exactly 0
+        rng = np.random.default_rng(4)
+        with pytest.raises(ZeroResidualError):
+            estimate_noise_sigma(rng.normal(size=(10, 3)), 1e-300 * rng.normal(size=(10, 2)))
 
     def test_row_mismatch(self):
         with pytest.raises(ValueError):
@@ -525,6 +531,11 @@ class TestFitPath:
         assert good.k1 >= 1
         with pytest.raises(NoGapError):
             fit_adaptive_rrr(x, y, configs[0])
+
+    def test_all_zero_x_is_reported_before_the_pilot(self):
+        # y is constant too, which the pilot would report first
+        with pytest.raises(ValueError, match="x is identically zero"):
+            list(fit_path(np.zeros((6, 3)), np.zeros((6, 2)), [FitConfig(sigma_eps="auto")]))
 
     def test_invalid_config_raises_before_any_fit(self):
         x, y = _path_data(2, 20, 8, 5)

@@ -178,16 +178,38 @@ class TestPooledScores:
         mse, r2, corr = pooled_scores(y, np.zeros((6, 2)))
         assert math.isnan(mse) and math.isnan(r2) and math.isnan(corr)
 
+    # the mean of 60 copies of these rounds, so their computed variance is a
+    # residue of round-off, not 0
+    @pytest.mark.parametrize("value", [0.01, 0.02, 1 / 3])
+    def test_constant_response_that_centers_to_round_off_is_undefined(self, value):
+        y = np.full((10, 6), value)
+        assert np.var(y) > 0.0
+        y_hat = y + 0.1 * np.random.default_rng(0).normal(size=y.shape)
+        mse, r2, corr = pooled_scores(y, y_hat)
+        assert math.isnan(mse) and math.isnan(r2) and math.isnan(corr)
+
+    @pytest.mark.parametrize("value", [0.01, 0.02, 1 / 3])
+    def test_constant_prediction_that_centers_to_round_off_has_no_correlation(self, value):
+        y = np.random.default_rng(1).normal(size=(10, 6))
+        assert np.var(np.full((10, 6), value)) > 0.0
+        _, _, corr = pooled_scores(y, np.full((10, 6), value))
+        assert math.isnan(corr)
+
     @staticmethod
     def _reference(y, y_hat):
-        """The textbook formula: two passes per quantity, np.corrcoef."""
+        """The textbook formula: two passes per quantity, np.corrcoef. An
+        array is constant when its max equals its min, as pooled_scores
+        promises, or when its computed variance is 0."""
         resid = y - y_hat
+        y_constant = y.max() == y.min()
         var_y = float(np.var(y))
-        mse = math.nan if var_y == 0.0 else float(np.mean(resid ** 2)) / var_y
+        mse = math.nan if y_constant or var_y == 0.0 else float(np.mean(resid ** 2)) / var_y
         ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-        r2 = math.nan if ss_tot == 0.0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
+        r2 = (math.nan if y_constant or ss_tot == 0.0
+              else 1.0 - float(np.sum(resid ** 2)) / ss_tot)
         corr = math.nan
-        if np.std(y_hat) > 0 and np.std(y) > 0:
+        if (not y_constant and y_hat.max() > y_hat.min()
+                and np.std(y_hat) > 0 and np.std(y) > 0):
             corr = float(np.corrcoef(y_hat.ravel(), y.ravel())[0, 1])
         return mse, r2, corr
 

@@ -283,6 +283,23 @@ class TestVerifyPacking:
         assert math.isinf(report.min_pairwise_distance)
         assert report.passed
 
+    @pytest.mark.parametrize("member", [1, 7])  # 7 is the last of s_size 8
+    def test_shared_prefix_is_verified(self, member):
+        # t_lo = 3, so every member must share the first two columns
+        floor = 0.0158 * 1.0 * math.sqrt(64 / 100)
+        spectrum = np.full(64, floor)
+        spectrum[:2] = 2 * floor
+        p = _params64(spectrum=spectrum)
+        fam = build_family(p)
+        assert verify_packing(fam, p).passed
+        flipped = [u.copy() for u in fam.unitaries]
+        flipped[member][:, 0] *= -1.0  # still unitary, with the same spectrum and block
+        report = verify_packing(PackingFamily(
+            patterns=fam.patterns, code=fam.code, unitaries=flipped, psi=fam.psi), p)
+        assert [name for name, ok in report.checks.items() if not ok] == ["shared_prefix"]
+        assert report.prefix_mismatch == 2.0 * np.max(np.abs(fam.unitaries[0][:, 0]))
+        assert report.prefix_mismatch == pytest.approx(0.686, abs=1e-3)
+
     def test_injected_duplicate_flagged(self):
         p = _params32(seed=0)
         fam = build_family(p)

@@ -8,6 +8,7 @@ from arrr.spectral import (
     angle_matrix,
     decompose,
     find_gap_tail_index,
+    numerical_rank,
     select_gap_rank,
     select_threshold_rank,
     truncate_rank,
@@ -132,6 +133,25 @@ class TestTruncateRank:
         for r in range(1, 4):
             resid = np.linalg.norm(a - truncate_rank(a, r)) ** 2
             np.testing.assert_allclose(resid, np.sum(s[r:] ** 2), rtol=1e-8)
+
+
+class TestNumericalRank:
+    # numpy's matrix_rank uses lstsq's cutoff as its default tolerance
+    @pytest.mark.parametrize("n, d, rank", [(12, 5, 5), (6, 9, 2), (9, 6, 1), (8, 8, 0)])
+    def test_matches_numpy_matrix_rank(self, n, d, rank):
+        rng = np.random.default_rng(n * d)
+        a = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, d))
+        got = numerical_rank(np.linalg.svd(a, compute_uv=False), a.shape)
+        assert got == np.linalg.matrix_rank(a) == rank
+
+    # 5 eps lies between the cutoffs eps * 4 and eps * 10 of s_1 = 1
+    @pytest.mark.parametrize("shape, rank", [((4, 3), 2), ((3, 10), 1)])
+    def test_cutoff_scales_with_the_larger_dimension(self, shape, rank):
+        s = np.array([1.0, 5 * np.finfo(float).eps, 0.0])
+        assert numerical_rank(s, shape) == rank
+
+    def test_empty_spectrum_has_rank_zero(self):
+        assert numerical_rank(np.zeros(0), (5, 0)) == 0
 
 
 class TestSelectGapRank:
