@@ -1,14 +1,17 @@
 """Internal CSV, JSON and float serialization helpers shared across modules.
 
 All floats are written with 17 significant digits so that round-trips
-through text are exact for IEEE doubles.
+through text are exact for IEEE doubles. JSON is read here too: configs and
+model meta.json through `read_json`, each value through `_get`'s type check.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
@@ -29,13 +32,15 @@ def write_matrix_csv(path, a: np.ndarray) -> None:
 
 def read_matrix_csv(path) -> np.ndarray:
     """The matrix in a CSV file; ValueError, naming the file, when it holds
-    no data."""
+    no data, a row of another length or a cell that is not a number."""
     with warnings.catch_warnings():
         # reported below by file name, not by numpy's UserWarning
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        a = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
-    if a.size == 0:
-        raise ValueError("%s holds no data" % path)
+        try:
+            a = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        except ValueError as e:
+            raise ValueError("%s: %s" % (path, e)) from None
+    _want(a.size > 0, "%s holds no data" % path)
     return a
 
 
@@ -58,3 +63,64 @@ def write_json(path, payload) -> None:
     with open(path, "w") as f:
         json.dump(_jsonable(payload), f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
+
+
+def read_json(path) -> Dict[str, Any]:
+    """The JSON object in a file; ValueError, naming the file, when the file
+    does not parse or its root is not an object."""
+    with open(path) as f:
+        try:
+            obj = json.load(f)
+        except ValueError as e:
+            raise ValueError("%s: %s" % (path, e)) from None
+    _want(isinstance(obj, dict), "%s: the root must be a JSON object" % path)
+    return obj
+
+
+# Type checks for the values read from a JSON file. The code that consumes a
+# value checks its range; these only make sure it has a type that code accepts.
+_REQUIRED = object()
+NUM = (float, int)
+NULL = type(None)
+_JSON_TYPES = {float: "number", int: "integer", str: "string", list: "list",
+               dict: "object", NULL: "null"}
+
+
+def _want(cond: bool, msg: str) -> None:
+    if not cond:
+        raise ValueError(msg)
+
+
+def _is(v, types) -> bool:
+    # a bool is never a number, and an integer must convert to a float
+    return (isinstance(v, types) and not isinstance(v, bool)
+            and (not isinstance(v, int) or abs(v) <= sys.float_info.max))
+
+
+def _get(sec: Dict[str, Any], where: str, key: str, types, default=_REQUIRED,
+         items=()) -> Any:
+    """sec[key] after a JSON type check, or `default` when the key is absent.
+
+    `types` are the accepted Python types, under the rule of `_is`. A list
+    must be non-empty and hold only values of the types `items`.
+    """
+    name = "%s.%s" % (where, key) if where else key
+    if key not in sec:
+        _want(default is not _REQUIRED, "%s is missing" % name)
+        return default
+    v = sec[key]
+    types = types if isinstance(types, tuple) else (types,)
+    items = items if isinstance(items, tuple) else (items,)
+    _want(_is(v, types) and (not isinstance(v, list)
+                             or (len(v) > 0 and all(_is(i, items) for i in v))),
+          "%s must be %s%s, got %s" % (
+              name, " or ".join(_JSON_TYPES[t] for t in types),
+              " of %s" % " or ".join(_JSON_TYPES[t] for t in items) if items else "",
+              json.dumps(v)))
+    return v
+
+
+def _only(sec: Dict[str, Any], where: str, keys: Sequence[str]) -> None:
+    """Reject every key of `sec` outside `keys`, the keys its reader reads."""
+    unknown = sorted(set(sec) - set(keys))
+    _want(not unknown, "%s: unknown fields %s" % (where, unknown))

@@ -10,7 +10,8 @@ A reader checks its sections, runs the experiment and returns its rows (the
 packing reader its report). `run_experiment` does the rest once for all of
 them: the top-level key check, the config hash, meta.json, and results.csv
 with the hash on each row, or report.json. Defaults come from FitConfig and
-SynthConfig.
+SynthConfig. The config file is read, and each value type-checked, by
+`_serde`, which reads a model's meta.json the same way.
 
 A `compare` cell and a `rolling` fold share one fit-select-score path: one
 SVD of the training design serves the estimator's (delta, theta) candidates
@@ -22,10 +23,11 @@ distinct model is scored once.
 Exit codes: 0 success; 2 bad input (nothing is written); 3 numerical
 failure, non-finite input, a zero noise-pilot residual and a numpy overflow
 included (error.json lands in the output directory and a message goes to
-stderr). Bad input is whatever
-the library rejects with a ValueError, a JSON type check or a key no reader
-reads here, an unreadable file, or a request too large to allocate
-(MemoryError); `main` maps errors to exit codes in one place.
+stderr). Bad input is whatever the library rejects with a ValueError, a JSON
+file that does not parse, a JSON type check (an integer beyond the float
+range included) or a key no reader reads here, an unreadable file, or a
+request too large to allocate (MemoryError); `main` maps errors to exit
+codes in one place.
 
 Result CSVs use 17-significant-digit floats and a fixed, documented row
 order, so re-running an experiment with the same config is byte-identical.
@@ -48,7 +50,8 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 import numpy as np
 
 from . import baselines, dataio, metrics, packing, synth
-from ._serde import fmt_float, read_matrix_csv, write_json, write_matrix_csv
+from ._serde import (NULL, NUM, _REQUIRED, _get, _only, _want, fmt_float, read_json,
+                     read_matrix_csv, write_json, write_matrix_csv)
 from ._version import __version__
 from .estimator import (
     FitConfig,
@@ -82,53 +85,6 @@ NUMERICAL_ERRORS = (
     np.linalg.LinAlgError,
     FloatingPointError,
 )
-
-
-# Type checks for JSON config values. The library code that consumes a value
-# checks its range; these only make sure it has a type that code accepts.
-_REQUIRED = object()
-NUM = (float, int)
-NULL = type(None)
-_JSON_TYPES = {float: "number", int: "integer", str: "string", list: "list",
-               dict: "object", NULL: "null"}
-
-
-def _want(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
-
-
-def _is(v, types) -> bool:
-    return isinstance(v, types) and not isinstance(v, bool)
-
-
-def _get(sec: Dict[str, Any], where: str, key: str, types, default=_REQUIRED,
-         items=()) -> Any:
-    """sec[key] after a JSON type check, or `default` when the key is absent.
-
-    `types` are the accepted Python types; a bool never passes as a number.
-    A list must be non-empty and hold only values of the types `items`.
-    """
-    name = "%s.%s" % (where, key) if where else key
-    if key not in sec:
-        _want(default is not _REQUIRED, "%s is missing" % name)
-        return default
-    v = sec[key]
-    types = types if isinstance(types, tuple) else (types,)
-    items = items if isinstance(items, tuple) else (items,)
-    _want(_is(v, types) and (not isinstance(v, list)
-                             or (len(v) > 0 and all(_is(i, items) for i in v))),
-          "%s must be %s%s, got %s" % (
-              name, " or ".join(_JSON_TYPES[t] for t in types),
-              " of %s" % " or ".join(_JSON_TYPES[t] for t in items) if items else "",
-              json.dumps(v)))
-    return v
-
-
-def _only(sec: Dict[str, Any], where: str, keys: Sequence[str]) -> None:
-    """Reject every key of `sec` outside `keys`, the keys its reader reads."""
-    unknown = sorted(set(sec) - set(keys))
-    _want(not unknown, "%s: unknown fields %s" % (where, unknown))
 
 
 def _section(cfg: Dict[str, Any], name: str, keys: Sequence[str]) -> Dict[str, Any]:
@@ -177,9 +133,7 @@ def _apply_env_seed(cfg: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def load_config(path: str, kind: str) -> Dict[str, Any]:
-    with open(path) as f:
-        cfg = json.load(f)
-    _want(isinstance(cfg, dict), "config root must be a JSON object")
+    cfg = read_json(path)
     declared = cfg.get("kind")
     _want(declared is None or declared == kind,
           "config kind %r does not match subcommand %r" % (declared, kind))
@@ -237,12 +191,9 @@ def _synth_configs(cfg: Dict[str, Any], points: List[Dict[str, Any]]) -> List[sy
 
 def _baseline_grid(cfg: Dict[str, Any]) -> Dict[str, List[baselines.BaselineSpec]]:
     """Expand [{method, mu: [...], rank: [...]}, ...] into spec lists."""
-    entries = cfg.get("baselines", [])
-    _want(isinstance(entries, list), "baselines must be a list")
     out: Dict[str, List[baselines.BaselineSpec]] = {}
-    for i, e in enumerate(entries):
+    for i, e in enumerate(_get(cfg, "", "baselines", list, [], items=dict)):
         where = "baselines[%d]" % i
-        _want(isinstance(e, dict), "%s must be an object" % where)
         _only(e, where, ("method", "mu", "rank"))
         method = _get(e, where, "method", str)
         _want(method not in out, "duplicate baseline entry for %r" % method)
@@ -259,8 +210,6 @@ def _baseline_grid(cfg: Dict[str, Any]) -> Dict[str, List[baselines.BaselineSpec
 def _cell(v) -> str:
     if isinstance(v, str):
         return v
-    if v is None:
-        return "-1"
     if isinstance(v, (int, np.integer, np.bool_)):  # a bool is an int
         return str(int(v))
     return fmt_float(float(v))
@@ -454,7 +403,7 @@ def run_rolling(cfg: Dict[str, Any], jobs: int) -> List[Dict[str, Any]]:
     x, y, dates = dataio.make_features(panel, lookbacks, horizon)
     try:
         folds = dataio.rolling_splits(dates, *lens, gap_len)
-    except ValueError as e:
+    except dataio.NoWindowError as e:
         # the anchor dates with a full lookback and horizon, before make_features
         # drops the rows with a missing value
         anchors = len(panel.dates) - max(lookbacks) - horizon + 1
@@ -696,7 +645,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NUMERICAL_ERRORS as e:
         return _numerical_failure(err_dir, e)
     except (ValueError, OSError) as e:
-        # bad user input: a library range check, a type check here, or an
+        # bad user input: a library range check, a JSON type check, or an
         # unreadable or malformed file
         print("error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG

@@ -20,15 +20,15 @@ class DataFormatError(ValueError):
     pass
 
 
+class NoWindowError(ValueError):
+    """Not even one rolling window fits the dates."""
+
+
 @dataclass(frozen=True)
 class ReturnPanel:
     dates: List[str]
     assets: List[str]
     values: np.ndarray  # dates x assets, NaN marks missing
-
-    @property
-    def missing(self) -> np.ndarray:
-        return np.isnan(self.values)
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ class RollingSplit:
     train: range
     valid: range
     test: range
-    gap_len: int
 
 
 def load_panel_csv(path) -> ReturnPanel:
@@ -153,8 +152,9 @@ def rolling_splits(
 ) -> List[RollingSplit]:
     """Disjoint train/valid/test index ranges advancing by test_len per fold.
 
-    Layout per fold: train, gap, valid, gap, test. Raises when not even one
-    full window fits.
+    Layout per fold: train, gap, valid, gap, test. Raises ValueError for a
+    length below its bound, and NoWindowError when not even one full window
+    fits.
     """
     for name, v in (("train_len", train_len), ("valid_len", valid_len), ("test_len", test_len)):
         if v < 1:
@@ -164,7 +164,7 @@ def rolling_splits(
     n = len(date_index)
     span = train_len + gap_len + valid_len + gap_len + test_len
     if span > n:
-        raise ValueError("no full window fits: need %d periods, have %d" % (span, n))
+        raise NoWindowError("no full window fits: need %d periods, have %d" % (span, n))
 
     folds = []
     start = 0
@@ -175,6 +175,6 @@ def rolling_splits(
         d = c + valid_len
         e = d + gap_len
         f = e + test_len
-        folds.append(RollingSplit(train=range(a, b), valid=range(c, d), test=range(e, f), gap_len=gap_len))
+        folds.append(RollingSplit(train=range(a, b), valid=range(c, d), test=range(e, f)))
         start += test_len
     return folds

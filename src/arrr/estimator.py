@@ -8,7 +8,6 @@ singular values; the composition yields the coefficient estimate.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._serde import read_matrix_csv, write_json, write_matrix_csv
+from ._serde import NUM, _get, read_json, read_matrix_csv, write_json, write_matrix_csv
 from ._version import __version__
 from .spectral import (
     SpectralDecomposition,
@@ -340,56 +339,42 @@ def save_model(model: FittedModel, dirpath: str) -> None:
     write_matrix_csv(os.path.join(dirpath, "n_hat.csv"), model.n_hat_trunc)
 
 
-# the meta.json keys load_model reads, and the JSON type of each; a bool is
-# neither an integer nor a number here
-_META_TYPES = {"k1": int, "k2": int, "d1": int, "d2": int, "n": int,
-               "delta": (int, float), "theta": (int, float), "sigma_eps": (int, float)}
-
-
 def load_model(dirpath: str) -> FittedModel:
     """Inverse of save_model: the model that meta.json, pi_hat.csv and
     n_hat.csv describe, its m_hat derived from the two factors as for a
     fitted model. Any other file in the directory, such as the m_hat.csv
     that older versions wrote, is ignored.
 
-    Raises ValueError, naming the file, when meta.json is not a model
-    description, one of its values has the wrong JSON type (k1, k2, d1, d2
-    and n must be integers, delta, theta and sigma_eps numbers), or a
-    factor's shape disagrees with it: pi_hat must be k1 x d1 and n_hat
-    d2 x k1. Diagnostics not stored in the directory (eigenvalues, raw
-    singular values) come back empty."""
-    with open(os.path.join(dirpath, "meta.json")) as f:
-        meta = json.load(f)
-    if not isinstance(meta, dict) or not set(_META_TYPES) <= set(meta):
-        raise ValueError("%s/meta.json is not a model description" % dirpath)
-    for key, types in _META_TYPES.items():
-        if not isinstance(meta[key], types) or isinstance(meta[key], bool):
-            raise ValueError("%s/meta.json: %s must be %s, got %s" % (
-                dirpath, key, "an integer" if types is int else "a number",
-                json.dumps(meta[key])))
+    Raises ValueError, naming the file, when meta.json does not parse, one
+    of its values is missing or has the wrong JSON type (k1, k2, d1, d2 and
+    n must be integers, delta, theta and sigma_eps numbers, as `_serde._get`
+    checks them), or a factor's shape disagrees with it: pi_hat must be
+    k1 x d1 and n_hat d2 x k1. Diagnostics not stored in the directory
+    (eigenvalues, raw singular values) come back empty."""
+    meta_path = os.path.join(dirpath, "meta.json")
+    meta = read_json(meta_path)
+    try:
+        ints = {k: _get(meta, "", k, int) for k in ("k1", "k2", "d1", "d2", "n")}
+        nums = {k: float(_get(meta, "", k, NUM)) for k in ("delta", "theta", "sigma_eps")}
+    except ValueError as e:
+        raise ValueError("%s: %s" % (meta_path, e)) from None
     factors = []
     for name, rows, cols in (("pi_hat", "k1", "d1"), ("n_hat", "d2", "k1")):
         path = os.path.join(dirpath, name + ".csv")
         a = read_matrix_csv(path)
-        if a.shape != (meta[rows], meta[cols]):
-            raise ValueError("%s is %dx%d, but meta.json gives %s x %s = %s x %s" % (
-                path, a.shape[0], a.shape[1], rows, cols,
-                json.dumps(meta[rows]), json.dumps(meta[cols])))
+        if a.shape != (ints[rows], ints[cols]):
+            raise ValueError("%s is %dx%d, but meta.json gives %s x %s = %d x %d" % (
+                path, a.shape[0], a.shape[1], rows, cols, ints[rows], ints[cols]))
         factors.append(a)
-    cfg = FitConfig(
-        delta=float(meta["delta"]),
-        theta=float(meta["theta"]),
-        sigma_eps=float(meta["sigma_eps"]),
-    )
     return FittedModel(
         pi_hat=factors[0],
         n_hat_trunc=factors[1],
-        k1=meta["k1"],
-        k2=meta["k2"],
+        k1=ints["k1"],
+        k2=ints["k2"],
         lambdas=np.array([]),
         n_hat_sigmas=np.array([]),
         threshold_used=float("nan"),
-        config=cfg,
-        sigma_eps_used=float(meta["sigma_eps"]),
-        n=meta["n"],
+        config=FitConfig(**nums),
+        sigma_eps_used=nums["sigma_eps"],
+        n=ints["n"],
     )

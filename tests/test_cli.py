@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import arrr
 import arrr.cli as cli
-from arrr import dataio, metrics, synth
+from arrr import dataio, metrics, packing, synth
 from arrr.baselines import BaselineSpec, validate_hyperparams
 from arrr._serde import fmt_float, read_matrix_csv, write_json, write_matrix_csv
 from arrr.cli import (
@@ -36,6 +36,7 @@ from arrr.estimator import (
     fit_path,
     load_model,
     predict,
+    save_model,
 )
 from arrr.spectral import decompose
 from arrr.synth import SynthConfig, gen_dataset, make_instance
@@ -277,6 +278,25 @@ class TestConfigErrors:
         assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"kind": "sweep", }', "Expecting property name"),
+        ("[1]", "the root must be a JSON object")], ids=["unparseable", "list_root"])
+    @pytest.mark.parametrize("command", ["sweep", "predict"])
+    def test_malformed_json_names_the_file(self, command, text, message, tmp_path, capsys):
+        paths = _matrix_files(tmp_path)
+        if command == "sweep":
+            bad = tmp_path / "bad.json"
+            argv = ["sweep", "--config", str(bad), "--out", str(tmp_path / "out")]
+        else:  # the model's meta.json
+            bad = pathlib.Path(paths["model"]) / "meta.json"
+            argv = ["predict", "--model", paths["model"], "--x", paths["x"],
+                    "--out", str(tmp_path / "out")]
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err.startswith("error: %s: %s" % (bad, message))
+
     def test_kind_mismatch(self, tmp_path):
         cfg = _write_json(tmp_path, "cfg.json", _sweep_cfg())
         out = tmp_path / "out"
@@ -315,6 +335,20 @@ class TestNumericalFailure:
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "PackingInfeasibleError"
         assert "achieved_cost" in err
+
+    def test_fill_infeasible_reports_tail_mass(self, tmp_path, monkeypatch):
+        calibrated = packing.calibrate_fill_constants
+        # no draw has a negative tail mass, so the first fill column exhausts
+        # its retry budget
+        monkeypatch.setattr(packing, "calibrate_fill_constants",
+                            lambda subset_size: (calibrated(subset_size)[0], -1.0))
+        cfg = _write_json(tmp_path, "cfg.json", {"kind": "packing", "packing": _SMALL_PACKING})
+        out = tmp_path / "out"
+        assert main(["packing", "--config", cfg, "--out", str(out)]) == 3
+        assert sorted(os.listdir(out)) == ["error.json"]
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "FillInfeasibleError"
+        assert 0 <= err["tail_mass"] <= 1
 
 
 class TestCompare:
@@ -606,6 +640,25 @@ class TestRolling:
             "error: no full window fits: need 14 periods, have 0; "
             "18 of 18 anchor rows were dropped for a missing value\n")
 
+    @pytest.mark.parametrize("case, message", [
+        ("empty_panel", "error: empty file\n"),
+        # a bad length is not reported as rows dropped for a missing value
+        ("negative_gap_len", "error: gap_len must be >= 0\n"),
+        ("zero_train_len", "error: train_len must be >= 1\n")])
+    def test_bad_panel_or_splits_exits_two(self, case, message, tmp_path, capsys):
+        panel = _write_panel(tmp_path)
+        if case == "empty_panel":
+            pathlib.Path(panel).write_text("")
+        cfg = _write_json(tmp_path, "cfg.json", {
+            "kind": "rolling", "panel": panel, "features": {"lookbacks": [1]},
+            "splits": {"train_len": 0 if case == "zero_train_len" else 4, "valid_len": 2,
+                       "test_len": 2, "gap_len": -1 if case == "negative_gap_len" else 0}})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["rolling", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == message
+
     def test_missing_panel_is_config_error(self, tmp_path):
         cfg = _write_json(tmp_path, "cfg.json", {
             "kind": "rolling",
@@ -634,6 +687,20 @@ class TestPacking:
         assert report["params"]["t_hi"] == 4
         assert report["unitarity_residual"] <= 1e-10
         assert set(report["measured_constants"]) == {"c8", "c9"}
+
+    def test_env_seed_is_planted_into_packing_seed(self, tmp_path, monkeypatch):
+        planted, given = tmp_path / "planted", tmp_path / "given"
+        cfg = _write_json(tmp_path, "cfg.json", {"kind": "packing", "packing": _SMALL_PACKING})
+        monkeypatch.setenv("ARRR_SEED", "3")
+        assert main(["packing", "--config", cfg, "--out", str(planted)]) == 0
+        monkeypatch.delenv("ARRR_SEED")
+        # the config ARRR_SEED resolves to: the seed at the top and in the section
+        cfg = _write_json(tmp_path, "cfg3.json", {
+            "kind": "packing", "seed": 3, "packing": dict(_SMALL_PACKING, seed=3)})
+        assert main(["packing", "--config", cfg, "--out", str(given)]) == 0
+        assert json.loads((planted / "report.json").read_text())["params"]["seed"] == 3
+        for name in ("meta.json", "report.json"):
+            assert (planted / name).read_bytes() == (given / name).read_bytes()
 
 
 class TestAngles:
@@ -755,6 +822,23 @@ PROBES = {
     "packing_eta_exp_inf": (["packing"], {"packing": dict(_SMALL_PACKING, eta_exp=1e999)}),
     "packing_distance_floor_inf": (["packing"], {"packing": dict(
         _SMALL_PACKING, distance_floor=1e999)}),
+    # an integer beyond the float range, which json.load reads as a Python int
+    "sweep_omega_huge_int": (["sweep"], {"synth": dict(_SMALL_SYNTH, omega=10**400),
+                                         "grids": {"k1": [5], "k2": [2], "seeds": [0]}}),
+    "sweep_eta_huge_int": (["sweep"], {"synth": dict(_SMALL_SYNTH, eta=10**400),
+                                       "grids": {"k1": [5], "k2": [2], "seeds": [0]}}),
+    "compare_mu_huge_int": (["compare"], {
+        "synth": _SMALL_SYNTH, "grids": {"eta": [0.5], "seeds": [0]},
+        "fit": {"delta": 1e-6}, "baselines": [{"method": "ridge", "mu": 10**400}]}),
+    "packing_sigma_eps_huge_int": (["packing"], {"packing": dict(_SMALL_PACKING,
+                                                                 sigma_eps=10**400)}),
+    "packing_d_huge_int": (["packing"], {"packing": dict(_SMALL_PACKING, d=10**400)}),
+    "angles_omega_huge_int": (["angles"], {
+        "synth": {"d1": 8, "omega": 10**400, "seed": 1}, "n": 10, "top_k": 3}),
+    # every list a reader takes must be non-empty; omit baselines for none
+    "compare_baselines_empty": (["compare"], {
+        "synth": _SMALL_SYNTH, "grids": {"eta": [0.5], "seeds": [0]},
+        "fit": {"delta": 1e-6}, "baselines": []}),
     "compare_rrr_rank_too_big": (["compare"], {
         "synth": _SMALL_SYNTH, "grids": {"eta": [0.5], "seeds": [0]},
         "fit": {"delta": 1e-6}, "baselines": [{"method": "rrr", "rank": [30]}]}),
@@ -820,6 +904,34 @@ class TestBadInputExitsTwo:
         assert not (tmp_path / "error.json").exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [10**400, -10**400], ids=["plus", "minus"])
+    def test_predict_model_meta_huge_integer(self, value, tmp_path, capsys):
+        paths = _matrix_files(tmp_path)
+        meta = pathlib.Path(paths["model"]) / "meta.json"
+        _write_json(meta.parent, meta.name, dict(json.loads(meta.read_text()), sigma_eps=value))
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        assert main(["predict", "--model", paths["model"], "--x", paths["x"],
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert not (tmp_path / "error.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: sigma_eps must be " % meta) and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["synth", "packing"])
+    def test_non_integer_env_seed(self, command, tmp_path, monkeypatch, capsys):
+        if command == "synth":
+            argv = ["synth", "--d1", "5", "--d2", "3", "--n", "10", "--rank", "1"]
+        else:
+            argv = ["packing", "--config", _write_json(tmp_path, "cfg.json", {
+                "kind": "packing", "packing": _SMALL_PACKING})]
+        monkeypatch.setenv("ARRR_SEED", "1.5")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: ARRR_SEED must be an integer, got '1.5'\n"
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one(self, jobs, tmp_path):
@@ -893,6 +1005,24 @@ class TestMalformedFileExitsTwo:
         run = _run_cli(argv)
         assert run.returncode == 2
         assert run.stderr == "error: %s holds no data\n" % empty
+        assert not out.exists()
+
+    # numpy's own reason follows the file name; its wording varies by version
+    @pytest.mark.parametrize("text", ["1,2\n3\n", "1,a\n"], ids=["ragged", "cell"])
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_unparseable_csv(self, command, text, tmp_path):
+        paths = _matrix_files(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        if command == "fit":
+            argv = ["fit", "--x", paths["x"], "--y", str(bad), "--out", str(out)]
+        else:
+            argv = ["predict", "--model", paths["model"], "--x", str(bad), "--out", str(out)]
+        run = _run_cli(argv)
+        assert run.returncode == 2
+        assert run.stderr.startswith("error: %s: " % bad)
+        assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
         assert not out.exists()
 
 
@@ -973,7 +1103,7 @@ _FUZZ_BASES = {
 _DELETE = object()
 _FUZZ_VALUES = [_DELETE, None, True, "x", [], {}, [1], ["a"], -1, 0, 1, 2, 7,
                 0.5, -0.5, 0.0, float("nan"), float("inf"), float("-inf"),
-                1e308, -1e308, 1e-308]
+                1e308, -1e308, 1e-308, 10**400, -10**400]
 
 
 def _changed(kind, path, value):
@@ -1037,9 +1167,10 @@ def _paths(node, prefix=()):
 _FUZZ_PATHS = [(kind, p) for kind in sorted(_FUZZ_BASES) for p in _paths(_FUZZ_BASES[kind])]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(target=st.sampled_from(_FUZZ_PATHS), value=st.sampled_from(_FUZZ_VALUES))
-def test_fuzzed_config_exits_cleanly(target, value):
+def _assert_config_exits_cleanly(target, value):
+    """Run the fuzz base target[0] with the value at key path target[1]
+    replaced: exit 0, 2 or 3, no traceback or warning, nothing written on
+    exit 2 and error.json on exit 3."""
     cfg = _changed(*target, value)
     with tempfile.TemporaryDirectory() as tmp:
         if cfg.get("panel") == "{panel}":
@@ -1060,3 +1191,76 @@ def test_fuzzed_config_exits_cleanly(target, value):
             assert not os.path.exists(out)
         if rc == 3:
             assert os.path.exists(os.path.join(out, "error.json"))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(target=st.sampled_from(_FUZZ_PATHS), value=st.sampled_from(_FUZZ_VALUES))
+def test_fuzzed_config_exits_cleanly(target, value):
+    _assert_config_exits_cleanly(target, value)
+
+
+# an integer beyond the float range at every key path, which 150 sampled
+# examples would not all reach
+@pytest.mark.parametrize("target", _FUZZ_PATHS, ids=lambda t: "-".join(map(str, (t[0],) + t[1])))
+def test_huge_integer_at_every_config_path(target):
+    for value in (10**400, -10**400):
+        _assert_config_exits_cleanly(target, value)
+
+
+# Small valid argvs for the fuzzed-argv property, with paths relative to the
+# directory it runs in: in/ holds x (12x6), y (12x3) and a model fitted on them.
+_ARGV_BASES = {
+    "fit": ["fit", "--x", "in/x.csv", "--y", "in/y.csv", "--delta", "0.001", "--theta", "2",
+            "--sigma", "1", "--k1", "3", "--k2", "1", "--out", "model"],
+    "predict": ["predict", "--model", "in/model", "--x", "in/x.csv", "--out", "pred.csv"],
+    "synth": ["synth", "--d1", "6", "--d2", "4", "--n", "8", "--rank", "2", "--omega", "2",
+              "--eta", "0.5", "--upsilon", "5", "--seed", "0", "--out", "data"],
+}
+# the position of each flag's value
+_ARGV_TARGETS = [(cmd, i) for cmd in sorted(_ARGV_BASES)
+                 for i in range(2, len(_ARGV_BASES[cmd]), 2)]
+# 10**400 is refused by numpy at once as a dimension, so nothing is allocated
+_ARGV_VALUES = ["nan", "inf", "-inf", "1e308", "1e-308", "-1", "0", str(10**400), "x"]
+
+
+def _tree(root):
+    return sorted((d, sorted(fs)) for d, _, fs in os.walk(root))
+
+
+# 200 examples exhaust the 180 (target, value) pairs, so each one runs
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(target=st.sampled_from(_ARGV_TARGETS), value=st.sampled_from(_ARGV_VALUES))
+def test_fuzzed_argv_exits_cleanly(target, value):
+    cmd, i = target
+    argv = list(_ARGV_BASES[cmd])
+    argv[i] = value
+    out = argv[argv.index("--out") + 1]
+    err_dir = (os.path.dirname(out) or ".") if cmd == "predict" else out
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(12, 6)), rng.normal(size=(12, 3))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # every relative path, a fuzzed one too, lands in tmp
+        try:
+            os.mkdir("in")
+            write_matrix_csv("in/x.csv", x)
+            write_matrix_csv("in/y.csv", y)
+            save_model(fit_adaptive_rrr(x, y, FitConfig(sigma_eps=1.0)), "in/model")
+            before = _tree(".")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    rc = main(argv)
+                except SystemExit as e:  # argparse rejects the value
+                    rc = e.code
+            assert rc in (0, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            assert [str(w.message) for w in caught] == []
+            if rc == 2:
+                assert _tree(".") == before
+            if rc == 3:
+                assert os.path.exists(os.path.join(err_dir, "error.json"))
+        finally:
+            os.chdir(cwd)

@@ -32,7 +32,7 @@ class TestLoadPanel:
         assert panel.dates == ["2020-01-01", "2020-01-02"]
         assert panel.assets == ["AAA", "BBB"]
         np.testing.assert_array_equal(panel.values, [[0.1, -0.2], [0.3, 0.4]])
-        assert not panel.missing.any()
+        assert not np.isnan(panel.values).any()
 
     def test_out_of_order_dates_name_the_row(self, tmp_path):
         path = _write(tmp_path, "date,A\n2020-01-05,0.1\n2020-01-02,0.2\n")
@@ -52,14 +52,14 @@ class TestLoadPanel:
     def test_empty_cell_flagged_missing_rest_intact(self, tmp_path):
         path = _write(tmp_path, "date,A,B\n2020-01-01,,0.2\n2020-01-02,0.3,0.4\n")
         panel = load_panel_csv(path)
-        assert panel.missing[0, 0]
-        assert not panel.missing[0, 1]
+        assert np.isnan(panel.values[0, 0])
+        assert not np.isnan(panel.values[0, 1])
         assert panel.values[0, 1] == 0.2
 
     def test_unparseable_cell_flagged(self, tmp_path):
         path = _write(tmp_path, "date,A\n2020-01-01,n/a\n2020-01-02,0.5\n")
         panel = load_panel_csv(path)
-        assert panel.missing[0, 0]
+        assert np.isnan(panel.values[0, 0])
         assert panel.values[1, 0] == 0.5
 
     def test_bad_header(self, tmp_path):
@@ -81,9 +81,9 @@ class TestLoadPanel:
         again = load_panel_csv(path)
         assert again.dates == panel.dates
         assert again.assets == panel.assets
-        np.testing.assert_array_equal(again.missing, panel.missing)
+        np.testing.assert_array_equal(np.isnan(again.values), np.isnan(panel.values))
         np.testing.assert_array_equal(
-            again.values[~panel.missing], panel.values[~panel.missing])
+            again.values[~np.isnan(panel.values)], panel.values[~np.isnan(panel.values)])
 
 
 class TestMakeFeatures:
