@@ -10,7 +10,7 @@ import numpy as np
 
 from arrr.dataio import ReturnPanel, make_features, rolling_splits
 from arrr.estimator import FitConfig, fit_adaptive_rrr
-from arrr.metrics import aggregate, evaluate
+from arrr.metrics import evaluate
 
 # Synthetic panel: 240 periods x 8 assets driven by one persistent common
 # factor, so yesterday's returns genuinely forecast today's. Two missing
@@ -36,19 +36,18 @@ folds = rolling_splits(anchors, train_len=80, valid_len=20,
                        test_len=20, gap_len=2)
 print("%d rolling folds, gap of 2 periods between windows" % len(folds))
 
-reports = []
+mse, corr = [], []
 for k, fold in enumerate(folds):
     tr, te = list(fold.train), list(fold.test)
     model = fit_adaptive_rrr(x[tr], y[tr], FitConfig(sigma_eps="auto"))
     rep = evaluate(model, x[te], y[te])
-    reports.append(rep)
+    mse.append(rep.mse_out)
+    corr.append(rep.corr_out)
     print("  fold %d: train %s..%s, kept rank %d, test mse %.3f corr %+.3f"
           % (k, anchors[tr[0]], anchors[tr[-1]], model.k2,
              rep.mse_out, rep.corr_out))
 
 # The fit keeps a single direction per fold: the common factor is the
 # only thing in this panel worth forecasting with, and it found it.
-mean = aggregate(reports, "mean")
-std = aggregate(reports, "std")
 print("across folds: mse %.3f +/- %.3f, corr %+.3f"
-      % (mean.mse_out, std.mse_out, mean.corr_out))
+      % (np.mean(mse), np.std(mse, ddof=1), np.mean(corr)))

@@ -21,7 +21,7 @@ from .estimator import (
 )
 from .synth import SynthConfig, SyntheticInstance, make_instance
 from .baselines import BaselineSpec, LinearModel, fit_baseline, predict_linear
-from .metrics import MetricsReport, evaluate, merge_splits, aggregate
+from .metrics import MetricsReport, evaluate, merge_splits
 
 __all__ = [
     "__version__",
@@ -45,5 +45,4 @@ __all__ = [
     "MetricsReport",
     "evaluate",
     "merge_splits",
-    "aggregate",
 ]

@@ -97,6 +97,14 @@ def _is(v, types) -> bool:
             and (not isinstance(v, int) or abs(v) <= sys.float_info.max))
 
 
+def _huge(v) -> bool:
+    """Whether v is, or a list or object in v holds, an integer beyond the
+    float range: one that a message names without its hundreds of digits."""
+    if isinstance(v, (list, dict)):
+        return any(map(_huge, v.values() if isinstance(v, dict) else v))
+    return isinstance(v, int) and abs(v) > sys.float_info.max
+
+
 def _get(sec: Dict[str, Any], where: str, key: str, types, default=_REQUIRED,
          items=()) -> Any:
     """sec[key] after a JSON type check, or `default` when the key is absent.
@@ -111,12 +119,14 @@ def _get(sec: Dict[str, Any], where: str, key: str, types, default=_REQUIRED,
     v = sec[key]
     types = types if isinstance(types, tuple) else (types,)
     items = items if isinstance(items, tuple) else (items,)
-    _want(_is(v, types) and (not isinstance(v, list)
-                             or (len(v) > 0 and all(_is(i, items) for i in v))),
-          "%s must be %s%s, got %s" % (
-              name, " or ".join(_JSON_TYPES[t] for t in types),
-              " of %s" % " or ".join(_JSON_TYPES[t] for t in items) if items else "",
-              json.dumps(v)))
+    ok = _is(v, types) and (not isinstance(v, list)
+                            or (len(v) > 0 and all(_is(i, items) for i in v)))
+    _want(ok or not _huge(v), "%s %s an integer beyond the float range" % (
+        name, "is" if isinstance(v, int) else "holds"))
+    _want(ok, "%s must be %s%s, got %s" % (
+        name, " or ".join(_JSON_TYPES[t] for t in types),
+        " of %s" % " or ".join(_JSON_TYPES[t] for t in items) if items else "",
+        json.dumps(v)))
     return v
 
 

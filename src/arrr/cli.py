@@ -50,7 +50,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 import numpy as np
 
 from . import baselines, dataio, metrics, packing, synth
-from ._serde import (NULL, NUM, _REQUIRED, _get, _only, _want, fmt_float, read_json,
+from ._serde import (NULL, NUM, _REQUIRED, _get, _is, _only, _want, fmt_float, read_json,
                      read_matrix_csv, write_json, write_matrix_csv)
 from ._version import __version__
 from .estimator import (
@@ -110,11 +110,14 @@ def derived_seed(seed: int, stream: int) -> int:
 
 
 def _env_seed() -> Optional[int]:
+    """ARRR_SEED as an integer under the one rule of a config's integers."""
     raw = os.environ.get("ARRR_SEED")
     try:
-        return None if raw is None else int(raw)
+        seed = None if raw is None else int(raw)
     except ValueError:
         raise ValueError("ARRR_SEED must be an integer, got %r" % raw)
+    _want(seed is None or _is(seed, int), "ARRR_SEED is an integer beyond the float range")
+    return seed
 
 
 def _apply_env_seed(cfg: Dict[str, Any]) -> Dict[str, Any]:

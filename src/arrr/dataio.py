@@ -43,16 +43,19 @@ def load_panel_csv(path) -> ReturnPanel:
 
     Unparseable or empty numeric cells become missing flags. Duplicate dates,
     non-monotone dates, and ragged rows raise DataFormatError naming the
-    offending 1-based file line.
+    offending 1-based file line, each message led by the path.
     """
+    def bad(msg: str) -> DataFormatError:
+        return DataFormatError("%s: %s" % (path, msg))
+
     with open(path, newline="") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
         except StopIteration:
-            raise DataFormatError("empty file")
+            raise bad("empty file")
         if len(header) < 2 or header[0].strip() != "date":
-            raise DataFormatError("line 1: header must be 'date,<asset_1>,...'")
+            raise bad("line 1: header must be 'date,<asset_1>,...'")
         assets = [h.strip() for h in header[1:]]
 
         dates: List[str] = []
@@ -61,15 +64,13 @@ def load_panel_csv(path) -> ReturnPanel:
             if not row:
                 continue
             if len(row) != len(header):
-                raise DataFormatError(
-                    "line %d: expected %d cells, got %d" % (lineno, len(header), len(row))
-                )
+                raise bad("line %d: expected %d cells, got %d" % (lineno, len(header), len(row)))
             date = row[0].strip()
             if dates:
                 if date == dates[-1]:
-                    raise DataFormatError("line %d: duplicate date %r" % (lineno, date))
+                    raise bad("line %d: duplicate date %r" % (lineno, date))
                 if date < dates[-1]:
-                    raise DataFormatError("line %d: dates not increasing at %r" % (lineno, date))
+                    raise bad("line %d: dates not increasing at %r" % (lineno, date))
             dates.append(date)
             parsed = []
             for cell in row[1:]:

@@ -8,8 +8,8 @@ there is no per-column treatment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Any, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -145,35 +145,3 @@ def merge_splits(report_in: MetricsReport, report_out: MetricsReport) -> Metrics
         gap_out_in=report_out.mse_out - report_in.mse_in,
         degenerate=report_in.degenerate or report_out.degenerate,
     )
-
-
-def aggregate(reports: List[MetricsReport], stat: str) -> MetricsReport:
-    """Fieldwise mean or sample std (divisor N-1) across reports.
-
-    recon_error aggregates only when every report carries it. The std of a
-    single report is reported as 0.
-    """
-    if not reports:
-        raise ValueError("empty report list")
-    if stat not in ("mean", "std"):
-        raise ValueError("stat must be 'mean' or 'std'")
-
-    def reduce(values):
-        arr = np.asarray(values, dtype=float)
-        # identical values must reduce exactly, not to a rounding residue
-        if arr.size == 1 or np.all(arr == arr[0]):
-            return float(arr[0]) if stat == "mean" else 0.0
-        if stat == "mean":
-            return float(np.mean(arr))
-        return float(np.std(arr, ddof=1))
-
-    out = {}
-    for f in fields(MetricsReport):
-        vals = [getattr(r, f.name) for r in reports]
-        if f.name == "degenerate":
-            out[f.name] = any(vals)
-        elif f.name == "recon_error":
-            out[f.name] = None if any(v is None for v in vals) else reduce(vals)
-        else:
-            out[f.name] = reduce(vals)
-    return MetricsReport(**out)

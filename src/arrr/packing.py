@@ -108,11 +108,6 @@ def _noise_floor(d: int, rho: float, sigma_eps: float, n_samples: int) -> float:
     return rho * sigma_eps * math.sqrt(d / n_samples)
 
 
-def noise_floor(params: PackingParams) -> float:
-    """The per-singular-value noise scale rho * sigma_eps * sqrt(d / n)."""
-    return _noise_floor(params.d, params.rho, params.sigma_eps, params.n_samples)
-
-
 def default_params(
     d: int,
     rho: float,
@@ -149,7 +144,6 @@ class PackingFamily:
     patterns: List[List[np.ndarray]]   # per contested column: k_patterns index subsets
     code: List[Tuple[int, ...]]        # per member: pattern index per contested column
     unitaries: List[np.ndarray]
-    psi: float
 
 
 def psi_mass(params: PackingParams) -> float:
@@ -348,7 +342,7 @@ def build_family(params: PackingParams) -> PackingFamily:
         build_unitary(resolve_supports(r, patterns), params, prefix, int(member_seeds[j]))
         for j, r in enumerate(code)
     ]
-    return PackingFamily(patterns=patterns, code=code, unitaries=unitaries, psi=psi_mass(params))
+    return PackingFamily(patterns=patterns, code=code, unitaries=unitaries)
 
 
 @dataclass(frozen=True)

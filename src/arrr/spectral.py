@@ -28,9 +28,6 @@ class SpectralDecomposition:
     s: np.ndarray
     v: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.v.T
-
     def truncated(self, r: int) -> np.ndarray:
         """P_r of the decomposed matrix, from its top r singular triplets."""
         return (self.u[:, :r] * self.s[:r]) @ self.v[:, :r].T

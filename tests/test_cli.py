@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -641,7 +642,8 @@ class TestRolling:
             "18 of 18 anchor rows were dropped for a missing value\n")
 
     @pytest.mark.parametrize("case, message", [
-        ("empty_panel", "error: empty file\n"),
+        ("empty_panel", "error: {panel}: empty file\n"),
+        ("ragged_panel", "error: {panel}: line 3: expected 4 cells, got 3\n"),
         # a bad length is not reported as rows dropped for a missing value
         ("negative_gap_len", "error: gap_len must be >= 0\n"),
         ("zero_train_len", "error: train_len must be >= 1\n")])
@@ -649,6 +651,10 @@ class TestRolling:
         panel = _write_panel(tmp_path)
         if case == "empty_panel":
             pathlib.Path(panel).write_text("")
+        if case == "ragged_panel":
+            lines = pathlib.Path(panel).read_text().splitlines(True)
+            lines[2] = lines[2].rsplit(",", 1)[0] + "\n"
+            pathlib.Path(panel).write_text("".join(lines))
         cfg = _write_json(tmp_path, "cfg.json", {
             "kind": "rolling", "panel": panel, "features": {"lookbacks": [1]},
             "splits": {"train_len": 0 if case == "zero_train_len" else 4, "valid_len": 2,
@@ -657,7 +663,7 @@ class TestRolling:
         capsys.readouterr()
         assert main(["rolling", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
-        assert capsys.readouterr().err == message
+        assert capsys.readouterr().err == message.format(panel=panel)
 
     def test_missing_panel_is_config_error(self, tmp_path):
         cfg = _write_json(tmp_path, "cfg.json", {
@@ -833,6 +839,8 @@ PROBES = {
     "packing_sigma_eps_huge_int": (["packing"], {"packing": dict(_SMALL_PACKING,
                                                                  sigma_eps=10**400)}),
     "packing_d_huge_int": (["packing"], {"packing": dict(_SMALL_PACKING, d=10**400)}),
+    "sweep_seeds_huge_int": (["sweep"], {"synth": _SMALL_SYNTH,
+                                         "grids": {"k1": [5], "k2": [2], "seeds": [0, 10**400]}}),
     "angles_omega_huge_int": (["angles"], {
         "synth": {"d1": 8, "omega": 10**400, "seed": 1}, "n": 10, "top_k": 3}),
     # every list a reader takes must be non-empty; omit baselines for none
@@ -884,6 +892,11 @@ class TestBadInputExitsTwo:
         assert err.startswith("error: ") and "Traceback" not in err
         if "unknown" in probe:
             assert "unknown fields" in err
+        if probe.endswith("_huge_int"):
+            # the message names the key, not the integer's 401 digits
+            key = probe.split("_", 1)[1][:-len("_huge_int")]
+            assert re.fullmatch(r"error: \S*\.%s (is|holds) an integer beyond the float range\n"
+                                % key, err)
 
     # each file of a saved model, changed so that it disagrees with the others;
     # the model of _matrix_files has d1 10 and d2 4
@@ -917,21 +930,27 @@ class TestBadInputExitsTwo:
         assert not out.exists()
         assert not (tmp_path / "error.json").exists()
         err = capsys.readouterr().err
-        assert err.startswith("error: %s: sigma_eps must be " % meta) and "Traceback" not in err
+        assert err == "error: %s: sigma_eps is an integer beyond the float range\n" % meta
 
-    @pytest.mark.parametrize("command", ["synth", "packing"])
-    def test_non_integer_env_seed(self, command, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("command, seed, message", [
+        pytest.param(command, seed, message, id=command + suffix)
+        for command in ("synth", "packing")
+        for seed, message, suffix in (
+            ("1.5", "ARRR_SEED must be an integer, got '1.5'", ""),
+            # the integer rule of a config's seeds: one that converts to a float
+            (str(10**400), "ARRR_SEED is an integer beyond the float range", "-huge"))])
+    def test_non_integer_env_seed(self, command, seed, message, tmp_path, monkeypatch, capsys):
         if command == "synth":
             argv = ["synth", "--d1", "5", "--d2", "3", "--n", "10", "--rank", "1"]
         else:
             argv = ["packing", "--config", _write_json(tmp_path, "cfg.json", {
                 "kind": "packing", "packing": _SMALL_PACKING})]
-        monkeypatch.setenv("ARRR_SEED", "1.5")
+        monkeypatch.setenv("ARRR_SEED", seed)
         out = tmp_path / "out"
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == 2
         assert not out.exists()
-        assert capsys.readouterr().err == "error: ARRR_SEED must be an integer, got '1.5'\n"
+        assert capsys.readouterr().err == "error: %s\n" % message
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one(self, jobs, tmp_path):
@@ -1170,7 +1189,7 @@ _FUZZ_PATHS = [(kind, p) for kind in sorted(_FUZZ_BASES) for p in _paths(_FUZZ_B
 def _assert_config_exits_cleanly(target, value):
     """Run the fuzz base target[0] with the value at key path target[1]
     replaced: exit 0, 2 or 3, no traceback or warning, nothing written on
-    exit 2 and error.json on exit 3."""
+    exit 2 and error.json on exit 3. Returns what the run wrote to stderr."""
     cfg = _changed(*target, value)
     with tempfile.TemporaryDirectory() as tmp:
         if cfg.get("panel") == "{panel}":
@@ -1191,6 +1210,7 @@ def _assert_config_exits_cleanly(target, value):
             assert not os.path.exists(out)
         if rc == 3:
             assert os.path.exists(os.path.join(out, "error.json"))
+    return err.getvalue()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -1204,7 +1224,8 @@ def test_fuzzed_config_exits_cleanly(target, value):
 @pytest.mark.parametrize("target", _FUZZ_PATHS, ids=lambda t: "-".join(map(str, (t[0],) + t[1])))
 def test_huge_integer_at_every_config_path(target):
     for value in (10**400, -10**400):
-        _assert_config_exits_cleanly(target, value)
+        # a message may name the key, never all the integer's digits
+        assert "0" * 20 not in _assert_config_exits_cleanly(target, value)
 
 
 # Small valid argvs for the fuzzed-argv property, with paths relative to the

@@ -15,6 +15,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    # the warnings tier-1 turns into errors (pyproject.toml) fail a demo too
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-W", "error::UserWarning",
+                          str(demo)], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr

@@ -14,7 +14,6 @@ from arrr.packing import (
     calibrate_fill_constants,
     default_params,
     kl_divergence,
-    noise_floor,
     psi_mass,
     resolve_supports,
     sample_code,
@@ -44,7 +43,7 @@ class TestParams:
 
     def test_default_flat_spectrum_sits_at_noise_floor(self):
         p = _params64()
-        floor = noise_floor(p)
+        floor = 0.0158 * 1.0 * math.sqrt(64 / 100)
         np.testing.assert_array_equal(p.spectrum, np.full(64, floor))
         assert p.t_lo == 1
         assert psi_mass(p) == pytest.approx(4 * floor ** 2)
@@ -295,7 +294,7 @@ class TestVerifyPacking:
         flipped = [u.copy() for u in fam.unitaries]
         flipped[member][:, 0] *= -1.0  # still unitary, with the same spectrum and block
         report = verify_packing(PackingFamily(
-            patterns=fam.patterns, code=fam.code, unitaries=flipped, psi=fam.psi), p)
+            patterns=fam.patterns, code=fam.code, unitaries=flipped), p)
         assert [name for name, ok in report.checks.items() if not ok] == ["shared_prefix"]
         assert report.prefix_mismatch == 2.0 * np.max(np.abs(fam.unitaries[0][:, 0]))
         assert report.prefix_mismatch == pytest.approx(0.686, abs=1e-3)
@@ -307,7 +306,6 @@ class TestVerifyPacking:
             patterns=fam.patterns,
             code=[fam.code[0], fam.code[0]],
             unitaries=[fam.unitaries[0], fam.unitaries[0]],
-            psi=fam.psi,
         )
         report = verify_packing(doctored, p)
         assert report.min_pairwise_distance == 0.0
