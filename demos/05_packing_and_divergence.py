@@ -9,15 +9,15 @@ channels against simulation.
 import numpy as np
 
 from arrr.packing import (
+    PackingParams,
     build_family,
-    default_params,
     kl_divergence,
     psi_mass,
     verify_packing,
 )
 
-params = default_params(d=64, rho=0.0158, sigma_eps=1.0, n_samples=100,
-                        k_patterns=16, s_size=8, seed=1)
+params = PackingParams(d=64, rho=0.0158, sigma_eps=1.0, n_samples=100,
+                       k_patterns=16, s_size=8, seed=1)
 print("dimension %d, contested block [%d, %d], subset size %d"
       % (params.d, params.t_lo, params.t_hi, params.subset_size))
 

@@ -43,6 +43,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -112,11 +113,18 @@ def derived_seed(seed: int, stream: int) -> int:
 def _env_seed() -> Optional[int]:
     """ARRR_SEED as an integer under the one rule of a config's integers."""
     raw = os.environ.get("ARRR_SEED")
+    if raw is None:
+        return None
+    # int() refuses more than 4300 digits, so leading zeros are dropped first;
+    # 310 digits or more are beyond the float range anyway
+    digits = re.fullmatch(r"\s*([+-]?)0*(\d+)\s*", raw)
+    _want(digits is None or len(digits[2]) < 310,
+          "ARRR_SEED is an integer beyond the float range")
     try:
-        seed = None if raw is None else int(raw)
+        seed = int(raw if digits is None else digits[1] + digits[2])
     except ValueError:
         raise ValueError("ARRR_SEED must be an integer, got %r" % raw)
-    _want(seed is None or _is(seed, int), "ARRR_SEED is an integer beyond the float range")
+    _want(_is(seed, int), "ARRR_SEED is an integer beyond the float range")
     return seed
 
 
@@ -440,24 +448,20 @@ def run_packing(cfg: Dict[str, Any], jobs: int) -> Dict[str, Any]:
     exponent_keys = ("lambda_exp", "zeta", "eta_exp")
     sec = _section(cfg, "packing", int_keys + exponent_keys + (
         "spectrum", "rho", "sigma_eps", "distance_floor", "overlap_max"))
-    ints = {k: _get(sec, "packing", k, int) for k in int_keys}
+    args = {k: _get(sec, "packing", k, int) for k in int_keys}
     # the library allows one-member families; an experiment compares pairs
-    _want(ints["s_size"] >= 2, "packing.s_size must be >= 2")
-    spectrum = _get(sec, "packing", "spectrum", (list, NULL), None, items=NUM)
-    exponents = {k: float(_get(sec, "packing", k, NUM)) for k in exponent_keys if k in sec}
-    rho = float(_get(sec, "packing", "rho", NUM))
-    sigma_eps = float(_get(sec, "packing", "sigma_eps", NUM, 1.0))
+    _want(args["s_size"] >= 2, "packing.s_size must be >= 2")
+    args["spectrum"] = _get(sec, "packing", "spectrum", (list, NULL), None, items=NUM)
+    args.update((k, float(_get(sec, "packing", k, NUM))) for k in exponent_keys if k in sec)
+    args["rho"] = float(_get(sec, "packing", "rho", NUM))
+    args["sigma_eps"] = float(_get(sec, "packing", "sigma_eps", NUM, 1.0))
     checks = {k: _get(sec, "packing", k, t) for k, t in
               (("distance_floor", NUM), ("overlap_max", (int, NULL))) if k in sec}
-
-    params = packing.default_params(
-        rho=rho, sigma_eps=sigma_eps,
-        spectrum=None if spectrum is None else np.asarray(spectrum, dtype=float),
-        **ints, **exponents)
+    params = packing.PackingParams(**args)
     family = packing.build_family(params)
     report = packing.verify_packing(family, params, **checks)
     return {
-        "params": dict(dataclasses.asdict(params), t_hi=params.t_hi),
+        "params": dict(dataclasses.asdict(params), t_lo=params.t_lo, t_hi=params.t_hi),
         "measured_constants": {"c8": report.measured_c8, "c9": report.measured_c9},
         "min_pairwise_distance": report.min_pairwise_distance,
         "max_overlap": report.max_support_overlap,

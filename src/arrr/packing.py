@@ -40,22 +40,34 @@ class FillInfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class PackingParams:
+    """A packing problem, whose contested block [t_lo, t_hi] follows from its
+    fields. No spectrum means a flat one at the noise floor."""
+
     d: int
     rho: float
-    spectrum: np.ndarray           # non-increasing singular values, length d
     sigma_eps: float
     n_samples: int
-    t_lo: int                      # first contested column, 1-based
     k_patterns: int                # subsets sampled per contested column
     s_size: int                    # family size
     seed: int
+    spectrum: Optional[np.ndarray] = None  # non-increasing singular values, length d
     lambda_exp: float = 0.501      # support-size exponent (1/2 + xi)
     zeta: float = 0.5              # cost-budget exponent
     eta_exp: float = 0.001         # spread-cutoff exponent
 
     @property
+    def noise_floor(self) -> float:
+        """rho * sigma_eps * sqrt(d / n), where the contested block starts."""
+        return self.rho * self.sigma_eps * math.sqrt(self.d / self.n_samples)
+
+    @property
     def subset_size(self) -> int:
         return int(self.rho ** self.lambda_exp * self.d)
+
+    @property
+    def t_lo(self) -> int:
+        """First contested column, 1-based: the first singular value at or below the floor."""
+        return int(np.argmax(self.spectrum <= self.noise_floor)) + 1
 
     @property
     def t_hi(self) -> int:
@@ -67,8 +79,11 @@ class PackingParams:
         return self.t_hi - self.t_lo + 1
 
     def __post_init__(self) -> None:
-        _noise_floor(self.d, self.rho, self.sigma_eps, self.n_samples)  # checks those four values
         # comparisons are written so that NaN fails them
+        if self.d < 2 or not 0 < self.rho < 1:
+            raise ValueError("need d >= 2 and rho in (0, 1)")
+        if not 0 < self.sigma_eps < math.inf or self.n_samples < 1:
+            raise ValueError("sigma_eps must be positive and finite, n_samples >= 1")
         if self.k_patterns < 1 or self.s_size < 1:
             raise ValueError("k_patterns and s_size must be >= 1")
         if not all(e > 0 for e in (self.lambda_exp, self.zeta, self.eta_exp)):
@@ -79,15 +94,18 @@ class PackingParams:
                         ("lambda_exp - eta_exp", self.lambda_exp - self.eta_exp)):
             if not _positive_finite_power(self.rho, e):
                 raise ValueError("rho ** (%s) must be positive and finite" % name)
-        if len(self.spectrum) != self.d:
-            raise ValueError("spectrum must have length d")
-        spectrum = np.asarray(self.spectrum)
-        if np.any(np.diff(spectrum) > 1e-12) or not np.all((spectrum > 0) & (spectrum < np.inf)):
-            raise ValueError("spectrum must be non-increasing, positive and finite")
         if self.subset_size < 2:
             raise ValueError("support size floor(rho^lambda * d) must be >= 2")
-        if not (1 <= self.t_lo <= self.t_hi <= self.d):
-            raise ValueError("need 1 <= t_lo <= t_hi <= d")
+        spectrum = np.asarray(np.full(self.d, self.noise_floor) if self.spectrum is None
+                              else self.spectrum, dtype=float)
+        object.__setattr__(self, "spectrum", spectrum)
+        if spectrum.shape != (self.d,):
+            raise ValueError("spectrum must have length d")
+        if np.any(np.diff(spectrum) > 1e-12) or not np.all((spectrum > 0) & (spectrum < np.inf)):
+            raise ValueError("spectrum must be non-increasing, positive and finite")
+        if not np.any(spectrum[:self.t_hi] <= self.noise_floor):  # t_lo <= t_hi
+            raise ValueError("no singular value up to t_hi = %d is at or below the noise "
+                             "floor %.6g" % (self.t_hi, self.noise_floor))
 
 
 def _positive_finite_power(base: float, e: float) -> bool:
@@ -96,47 +114,6 @@ def _positive_finite_power(base: float, e: float) -> bool:
         return 0 < float(base) ** float(e) < math.inf
     except OverflowError:
         return False
-
-
-def _noise_floor(d: int, rho: float, sigma_eps: float, n_samples: int) -> float:
-    """rho * sigma_eps * sqrt(d / n), once d, rho, sigma_eps and n are checked."""
-    # comparisons are written so that NaN fails them
-    if d < 2 or not 0 < rho < 1:
-        raise ValueError("need d >= 2 and rho in (0, 1)")
-    if not 0 < sigma_eps < math.inf or n_samples < 1:
-        raise ValueError("sigma_eps must be positive and finite, n_samples >= 1")
-    return rho * sigma_eps * math.sqrt(d / n_samples)
-
-
-def default_params(
-    d: int,
-    rho: float,
-    sigma_eps: float,
-    n_samples: int,
-    k_patterns: int,
-    s_size: int,
-    seed: int,
-    spectrum: Optional[np.ndarray] = None,
-    **exponents,
-) -> PackingParams:
-    """Fill in t_lo from the spectrum and the noise floor.
-
-    t_lo is the smallest 1-based index whose singular value is at or below
-    rho * sigma_eps * sqrt(d / n). A flat spectrum pinned exactly at the
-    noise floor is used when none is given.
-    """
-    floor_val = _noise_floor(d, rho, sigma_eps, n_samples)
-    if spectrum is None:
-        spectrum = np.full(d, floor_val)
-    spectrum = np.asarray(spectrum, dtype=float)
-    below = np.nonzero(spectrum <= floor_val)[0]
-    if below.size == 0:
-        raise ValueError("no singular value is at or below the noise floor")
-    return PackingParams(
-        d=d, rho=rho, spectrum=spectrum, sigma_eps=sigma_eps,
-        n_samples=n_samples, t_lo=int(below[0]) + 1, k_patterns=k_patterns,
-        s_size=s_size, seed=seed, **exponents,
-    )
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ matrix truncated to a target rank, Gaussian noise scaled to the signal."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -39,14 +40,20 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class SyntheticInstance:
+    """One generated problem. Its whitened coefficients n_mat are formed on
+    first read and then kept."""
+
     config: SynthConfig
     v_star: np.ndarray
     lambda_star: np.ndarray
     m: np.ndarray
-    n_mat: np.ndarray
     x: np.ndarray
     y: np.ndarray
     sigma_noise: float
+
+    @functools.cached_property
+    def n_mat(self) -> np.ndarray:
+        return orthogonalized_n(self.m, self.v_star, self.lambda_star)
 
 
 def gen_covariance(d1: int, omega: float, seed: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -145,7 +152,6 @@ def make_instance(config: SynthConfig) -> SyntheticInstance:
         v_star=v_star,
         lambda_star=lambda_star,
         m=m,
-        n_mat=orthogonalized_n(m, v_star, lambda_star),
         x=x,
         y=y,
         sigma_noise=sigma_noise,

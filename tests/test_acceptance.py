@@ -24,8 +24,8 @@ from arrr.estimator import (
 )
 from arrr.metrics import pooled_scores
 from arrr.packing import (
+    PackingParams,
     build_family,
-    default_params,
     kl_divergence,
     psi_mass,
     verify_packing,
@@ -314,8 +314,8 @@ def test_c09_packing_family_properties():
     pairwise contested-block distances above 1.5x the block mass, and
     never overlaps supports on more than half a subset."""
     t0 = time.time()
-    params = default_params(d=64, rho=0.0158, sigma_eps=1.0, n_samples=100,
-                            k_patterns=16, s_size=8, seed=1)
+    params = PackingParams(d=64, rho=0.0158, sigma_eps=1.0, n_samples=100,
+                           k_patterns=16, s_size=8, seed=1)
     family = build_family(params)
     rep = verify_packing(family, params)
     psi = psi_mass(params)

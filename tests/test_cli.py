@@ -129,6 +129,11 @@ class TestFitPredictSynth:
         meta = json.loads((tmp_path / "a" / "meta.json").read_text())
         assert meta["seed"] == 7
 
+    def test_env_seed_leading_zeros_do_not_count(self, monkeypatch):
+        # int() alone refuses a string of more than 4300 digits
+        monkeypatch.setenv("ARRR_SEED", "0" * 5000 + "7")
+        assert cli._env_seed() == 7
+
     def test_fit_rejects_bad_sigma(self, tmp_path):
         x = tmp_path / "x.csv"
         write_matrix_csv(str(x), np.eye(3))
@@ -690,9 +695,25 @@ class TestPacking:
                     "max_overlap", "unitarity_residual", "pass"):
             assert key in report
         assert report["pass"] is True
-        assert report["params"]["t_hi"] == 4
+        assert (report["params"]["t_lo"], report["params"]["t_hi"]) == (1, 4)
         assert report["unitarity_residual"] <= 1e-10
         assert set(report["measured_constants"]) == {"c8", "c9"}
+
+    # _SMALL_PACKING has d 32, and every entry but the NaN stands above its
+    # noise floor, so only the spectrum check can name what is wrong
+    @pytest.mark.parametrize("spectrum, message", [
+        ([1.0] * 31, "spectrum must have length d"),
+        ([float("nan")] + [1.0] * 31,
+         "spectrum must be non-increasing, positive and finite"),
+    ], ids=["wrong_length", "nan"])
+    def test_bad_spectrum_is_named(self, spectrum, message, tmp_path, capsys):
+        cfg = _write_json(tmp_path, "cfg.json", {
+            "kind": "packing", "packing": dict(_SMALL_PACKING, spectrum=spectrum)})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["packing", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: %s\n" % message
 
     def test_env_seed_is_planted_into_packing_seed(self, tmp_path, monkeypatch):
         planted, given = tmp_path / "planted", tmp_path / "given"
@@ -938,7 +959,11 @@ class TestBadInputExitsTwo:
         for seed, message, suffix in (
             ("1.5", "ARRR_SEED must be an integer, got '1.5'", ""),
             # the integer rule of a config's seeds: one that converts to a float
-            (str(10**400), "ARRR_SEED is an integer beyond the float range", "-huge"))])
+            (str(10**400), "ARRR_SEED is an integer beyond the float range", "-huge"),
+            # more digits than int() converts, named without them
+            ("9" * 5000, "ARRR_SEED is an integer beyond the float range", "-digits"),
+            (" -" + "9" * 5000, "ARRR_SEED is an integer beyond the float range",
+             "-minus-digits"))])
     def test_non_integer_env_seed(self, command, seed, message, tmp_path, monkeypatch, capsys):
         if command == "synth":
             argv = ["synth", "--d1", "5", "--d2", "3", "--n", "10", "--rank", "1"]

@@ -12,7 +12,6 @@ from arrr.packing import (
     build_family,
     build_unitary,
     calibrate_fill_constants,
-    default_params,
     kl_divergence,
     psi_mass,
     resolve_supports,
@@ -24,14 +23,14 @@ from arrr.packing import (
 
 
 def _params64(seed=1, k_patterns=16, s_size=8, spectrum=None):
-    return default_params(d=64, rho=0.0158, sigma_eps=1.0, n_samples=100,
-                          k_patterns=k_patterns, s_size=s_size, seed=seed,
-                          spectrum=spectrum)
+    return PackingParams(d=64, rho=0.0158, sigma_eps=1.0, n_samples=100,
+                         k_patterns=k_patterns, s_size=s_size, seed=seed,
+                         spectrum=spectrum)
 
 
 def _params32(seed=0):
-    return default_params(d=32, rho=0.06, sigma_eps=1.0, n_samples=100,
-                          k_patterns=8, s_size=4, seed=seed)
+    return PackingParams(d=32, rho=0.06, sigma_eps=1.0, n_samples=100,
+                         k_patterns=8, s_size=4, seed=seed)
 
 
 class TestParams:
@@ -55,6 +54,12 @@ class TestParams:
         p = _params64(spectrum=spectrum)
         assert p.t_lo == 3
         assert p.t_hi == 4
+
+    def test_floor_met_past_t_hi_rejected(self):
+        spectrum = np.full(64, 0.0158 * 0.8)
+        spectrum[:4] = 1.0  # t_lo = 5, past t_hi = 4
+        with pytest.raises(ValueError, match="up to t_hi = 4"):
+            _params64(spectrum=spectrum)
 
     def test_spectrum_entirely_above_floor_rejected(self):
         with pytest.raises(ValueError):
@@ -85,12 +90,12 @@ class TestParams:
     @pytest.mark.parametrize("change", [
         {"n_samples": 0}, {"rho": -0.5}, {"zeta": 0.0}, {"k_patterns": 0},
     ])
-    def test_default_params_checks_inputs_first(self, change):
+    def test_scalars_checked_before_the_spectrum(self, change):
         kwargs = dict(d=64, rho=0.0158, sigma_eps=1.0, n_samples=100,
                       k_patterns=16, s_size=8, seed=1)
         kwargs.update(change)
         with pytest.raises(ValueError):
-            default_params(**kwargs)
+            PackingParams(**kwargs)
 
     def test_spectrum_must_be_positive(self):
         spectrum = np.full(64, 0.0158 * 0.8)
@@ -118,20 +123,25 @@ class TestSparsityFamily:
 
     def test_capacity_error(self):
         # subset size 2 out of d=4 admits only 6 subsets
-        p = PackingParams(d=4, rho=0.26, spectrum=np.ones(4), sigma_eps=1.0,
-                          n_samples=10, t_lo=1, k_patterns=7, s_size=2,
-                          seed=0)
+        # a spectrum under the noise floor 0.26 * sqrt(4 / 10) from t_lo = 1
+        p = PackingParams(d=4, rho=0.26, spectrum=np.full(4, 0.1), sigma_eps=1.0,
+                          n_samples=10, k_patterns=7, s_size=2, seed=0)
+        assert p.t_lo == 1
         with pytest.raises(ValueError):
             sample_sparsity_family(p)
 
     def test_pairwise_intersection_stays_small(self):
         # random 8-subsets of [64]: hypergeometric mean intersection is 1,
         # so a worst pair above 4 is rare; frozen seeds give 98/100
+        # a spectrum above the noise floor on its first three entries, so
+        # t_lo = t_hi = 4 and one column is contested
+        spectrum = np.concatenate([np.ones(3), np.full(61, 0.01)])
         hits = 0
         for seed in range(100):
-            p = PackingParams(d=64, rho=0.0158, spectrum=np.ones(64),
-                              sigma_eps=1.0, n_samples=100, t_lo=4,
+            p = PackingParams(d=64, rho=0.0158, spectrum=spectrum,
+                              sigma_eps=1.0, n_samples=100,
                               k_patterns=16, s_size=2, seed=seed)
+            assert (p.t_lo, p.t_hi) == (4, 4)
             col = sample_sparsity_family(p)[0]
             worst = max(len(np.intersect1d(a, b))
                         for i, a in enumerate(col) for b in col[i + 1:])
