@@ -21,13 +21,19 @@ windows. Candidates that select the same (k1, k2) are one model, and each
 distinct model is scored once.
 
 Exit codes: 0 success; 2 bad input (nothing is written); 3 numerical
-failure, non-finite input, a zero noise-pilot residual and a numpy overflow
-included (error.json lands in the output directory and a message goes to
-stderr). Bad input is whatever the library rejects with a ValueError, a JSON
-file that does not parse, a JSON type check (an integer beyond the float
-range included) or a key no reader reads here, an unreadable file, or a
-request too large to allocate (MemoryError); `main` maps errors to exit
-codes in one place.
+failure (error.json lands in the output directory and a message goes to
+stderr). A numerical failure is a `spectral.NumericalFailure` (no gap,
+non-finite input, a zero noise-pilot residual, an infeasible packing), a
+LAPACK failure or a numpy overflow; `main` catches the base class, so it
+need not import `packing` to name that module's errors. Bad input is
+whatever the library rejects with a ValueError, a JSON file that does not
+parse, a JSON type check (an integer beyond the float range included) or a
+key no reader reads here, an unreadable file, or a request too large to
+allocate (MemoryError); `main` maps errors to exit codes in one place.
+
+Importing this module loads only what the subcommands share. `packing` is
+imported by the packing reader, and the process pool by a run that starts
+more than one worker.
 
 Result CSVs use 17-significant-digit floats and a fixed, documented row
 order, so re-running an experiment with the same config is byte-identical.
@@ -41,24 +47,24 @@ import argparse
 import dataclasses
 import hashlib
 import json
+# every subcommand loads locale, which argparse's gettext imports when
+# build_parser runs; imported here, it is a start-up cost, not one of main
+import locale  # noqa: F401
 import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import baselines, dataio, metrics, packing, synth
+from . import baselines, dataio, metrics, synth
 from ._serde import (NULL, NUM, _REQUIRED, _get, _is, _only, _want, fmt_float, read_json,
                      read_matrix_csv, write_json, write_matrix_csv)
 from ._version import __version__
 from .estimator import (
     FitConfig,
     NoGapError,
-    NonFiniteError,
-    ZeroResidualError,
     fit_adaptive_rrr,
     fit_path,
     load_model,
@@ -66,7 +72,7 @@ from .estimator import (
     require_finite,
     save_model,
 )
-from .spectral import angle_matrix, decompose
+from .spectral import NumericalFailure, angle_matrix, decompose
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -77,15 +83,7 @@ EXIT_NUMERICAL = 3
 VALID_STREAM = 101
 TEST_STREAM = 202
 
-NUMERICAL_ERRORS = (
-    NoGapError,
-    NonFiniteError,
-    ZeroResidualError,
-    packing.PackingInfeasibleError,
-    packing.FillInfeasibleError,
-    np.linalg.LinAlgError,
-    FloatingPointError,
-)
+NUMERICAL_ERRORS = (NumericalFailure, np.linalg.LinAlgError, FloatingPointError)
 
 
 def _section(cfg: Dict[str, Any], name: str, keys: Sequence[str]) -> Dict[str, Any]:
@@ -123,7 +121,8 @@ def _env_seed() -> Optional[int]:
     try:
         seed = int(raw if digits is None else digits[1] + digits[2])
     except ValueError:
-        raise ValueError("ARRR_SEED must be an integer, got %r" % raw)
+        shown = repr(raw) if len(raw) <= 40 else "%r... (%d characters)" % (raw[:20], len(raw))
+        raise ValueError("ARRR_SEED must be an integer, got %s" % shown)
     _want(_is(seed, int), "ARRR_SEED is an integer beyond the float range")
     return seed
 
@@ -257,9 +256,13 @@ def _overflow_raises(fn, arg):
 
 
 def _run_cells(fn, cells, jobs: int) -> list:
-    if jobs <= 1:
+    """fn of each cell, in order, on at most `jobs` workers. A pool starts
+    every worker at once, so there are never more workers than cells."""
+    workers = min(jobs, len(cells))
+    if workers <= 1:
         return [fn(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_overflow_raises, [fn] * len(cells), cells))
 
 
@@ -444,6 +447,7 @@ def run_rolling(cfg: Dict[str, Any], jobs: int) -> List[Dict[str, Any]]:
 
 
 def run_packing(cfg: Dict[str, Any], jobs: int) -> Dict[str, Any]:
+    from . import packing
     int_keys = ("d", "n_samples", "k_patterns", "s_size", "seed")
     exponent_keys = ("lambda_exp", "zeta", "eta_exp")
     sec = _section(cfg, "packing", int_keys + exponent_keys + (
@@ -647,8 +651,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     err_dir = (os.path.dirname(args.out) or ".") if args.command == "predict" else args.out
     try:
         return _overflow_raises(_run_command, args)
-    # numerical errors first: NoGapError, NonFiniteError, ZeroResidualError
-    # and LinAlgError are ValueErrors too
+    # numerical errors first: the estimator's NumericalFailures and
+    # LinAlgError are ValueErrors too
     except NUMERICAL_ERRORS as e:
         return _numerical_failure(err_dir, e)
     except (ValueError, OSError) as e:

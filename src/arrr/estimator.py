@@ -18,6 +18,7 @@ import numpy as np
 from ._serde import NUM, _get, read_json, read_matrix_csv, write_json, write_matrix_csv
 from ._version import __version__
 from .spectral import (
+    NumericalFailure,
     SpectralDecomposition,
     decompose,
     numerical_rank,
@@ -26,7 +27,7 @@ from .spectral import (
 )
 
 
-class NoGapError(ValueError):
+class NoGapError(NumericalFailure, ValueError):
     """No consecutive-eigenvalue gap reaches delta.
 
     Lower delta or pass an explicit k1 override; silently keeping full rank
@@ -34,12 +35,12 @@ class NoGapError(ValueError):
     """
 
 
-class ZeroResidualError(ValueError):
+class ZeroResidualError(NumericalFailure, ValueError):
     """The noise pilot's residual is exactly zero, so it measures no noise: a
     numerical failure. Pass an explicit sigma_eps."""
 
 
-class NonFiniteError(ValueError):
+class NonFiniteError(NumericalFailure, ValueError):
     """An input matrix holds NaN or infinity: a numerical failure, which the
     estimator reports before any factorization runs."""
 

@@ -17,12 +17,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .spectral import numerical_rank
+from .spectral import NumericalFailure, numerical_rank
 
 UNITARITY_TOL = 1e-10
 
 
-class PackingInfeasibleError(RuntimeError):
+class PackingInfeasibleError(NumericalFailure, RuntimeError):
     """Code sampling could not push the max pairwise cost under the target."""
 
     def __init__(self, message, achieved_cost):
@@ -30,7 +30,7 @@ class PackingInfeasibleError(RuntimeError):
         self.achieved_cost = achieved_cost
 
 
-class FillInfeasibleError(RuntimeError):
+class FillInfeasibleError(NumericalFailure, RuntimeError):
     """A middle-block column failed the tail-mass acceptance within budget."""
 
     def __init__(self, message, tail_mass):

@@ -3,7 +3,9 @@
 Deterministic SVD with a fixed sign convention, best rank-r approximation,
 the numerical rank, the two rank-selection rules (consecutive-eigenvalue gap
 and absolute-value thresholding), a gap/tail search over normalized spectra,
-and subspace-angle diagnostics.
+and subspace-angle diagnostics. `NumericalFailure`, the base of the
+numerical errors, lives here because the modules that raise them and the CLI
+all import this one.
 """
 
 from __future__ import annotations
@@ -14,6 +16,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 ORTHONORMALITY_TOL = 1e-10
+
+
+class NumericalFailure(Exception):
+    """Base of the library's numerical failures, which the CLI reports with
+    exit 3 and error.json. Each subclass also derives from the builtin error
+    it refines, so callers may catch either."""
 
 
 @dataclass(frozen=True)

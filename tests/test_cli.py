@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import filecmp
@@ -963,7 +964,10 @@ class TestBadInputExitsTwo:
             # more digits than int() converts, named without them
             ("9" * 5000, "ARRR_SEED is an integer beyond the float range", "-digits"),
             (" -" + "9" * 5000, "ARRR_SEED is an integer beyond the float range",
-             "-minus-digits"))])
+             "-minus-digits"),
+            # a long value that is no integer is quoted by a prefix and its length
+            ("x" * 5000, "ARRR_SEED must be an integer, got %r... (5000 characters)"
+             % ("x" * 20), "-long"))])
     def test_non_integer_env_seed(self, command, seed, message, tmp_path, monkeypatch, capsys):
         if command == "synth":
             argv = ["synth", "--d1", "5", "--d2", "3", "--n", "10", "--rank", "1"]
@@ -1185,18 +1189,113 @@ def test_worker_cells_raise_on_overflow():
         cli._run_cells(_square, [2.0, 1e200], 2)
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every process pool started, in order. The pool is
+    a fake that runs its cells in this process, so no worker is forked."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.mark.parametrize("jobs, cells, sizes", [
+    (1, 3, []), (2, 3, [2]), (8, 3, [3]), (8, 1, []), (8, 0, [])])
+def test_workers_never_outnumber_cells(jobs, cells, sizes, pool_sizes):
+    values = [float(c) for c in range(cells)]
+    assert [r.tolist() for r in cli._run_cells(_square, values, jobs)] == [
+        [v * v] for v in values]
+    assert pool_sizes == sizes
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("probe", sorted(OVERFLOW_PROBES))
 def test_overflow_is_a_numerical_failure(probe, jobs, tmp_path):
-    cfg = _write_json(tmp_path, "cfg.json", _changed(*OVERFLOW_PROBES[probe]))
+    kind = OVERFLOW_PROBES[probe][0]
+    cfg = _changed(*OVERFLOW_PROBES[probe])
+    if jobs == "2" and "grids" in cfg:
+        cfg["grids"]["seeds"] = [0, 1]  # two cells, so two workers start
+    cfg = _write_json(tmp_path, "cfg.json", cfg)
     out = tmp_path / "out"
-    run = _run_cli([OVERFLOW_PROBES[probe][0], "--config", cfg, "--out", str(out),
-                    "--jobs", jobs])
+    run = _run_cli([kind, "--config", cfg, "--out", str(out), "--jobs", jobs])
     assert run.returncode == 3
     assert run.stderr.startswith("numerical failure: overflow encountered")
     assert "Warning" not in run.stderr and "Traceback" not in run.stderr
     assert sorted(os.listdir(out)) == ["error.json"]
     assert json.loads((out / "error.json").read_text())["error"] == "FloatingPointError"
+
+
+# Runs main(argv) in a fresh interpreter and prints its exit code, whether
+# arrr.packing was loaded before main ran, and which of the modules that only
+# some subcommands need were loaded after it.
+_FOOTPRINT = """
+import json, sys
+import arrr.cli
+at_start = "arrr.packing" in sys.modules
+rc = arrr.cli.main(sys.argv[1:])
+loaded = [m for m in ("arrr.packing", "concurrent.futures.process") if m in sys.modules]
+print(json.dumps({"rc": rc, "packing_at_start": at_start, "loaded": loaded}))
+"""
+
+
+def _footprint(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(arrr.__file__)))
+    run = subprocess.run([sys.executable, "-c", _FOOTPRINT] + argv,
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert "Traceback" not in run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+class TestImportFootprint:
+    """A subcommand loads the process pool and the packing verifier only
+    when it runs them."""
+
+    @pytest.mark.parametrize("command", ["fit", "predict", "synth", "sweep"])
+    def test_loads_neither_pool_nor_packing(self, command, tmp_path):
+        paths = _matrix_files(tmp_path)
+        out = str(tmp_path / "out")
+        argv = {
+            "fit": ["fit", "--x", paths["x"], "--y", paths["y"], "--out", out],
+            "predict": ["predict", "--model", paths["model"], "--x", paths["x"],
+                        "--out", out + ".csv"],
+            "synth": ["synth", "--d1", "5", "--d2", "3", "--n", "10", "--rank", "1",
+                      "--out", out],
+            # one seed is one cell, which runs in this process at any --jobs
+            "sweep": ["sweep", "--config", _write_json(tmp_path, "cfg.json", _sweep_cfg()),
+                      "--out", out, "--jobs", "4"],
+        }[command]
+        assert _footprint(argv) == {"rc": 0, "packing_at_start": False, "loaded": []}
+
+    def test_packing_loads_packing(self, tmp_path):
+        cfg = _write_json(tmp_path, "cfg.json", {"kind": "packing", "packing": _SMALL_PACKING})
+        assert _footprint(["packing", "--config", cfg, "--out", str(tmp_path / "out")]) == {
+            "rc": 0, "packing_at_start": False, "loaded": ["arrr.packing"]}
+
+    def test_infeasible_packing_exits_three(self, tmp_path):
+        cfg = _write_json(tmp_path, "cfg.json", {
+            "kind": "packing",
+            "packing": {"d": 64, "rho": 0.0158, "sigma_eps": 1.0,
+                        "n_samples": 100, "k_patterns": 1, "s_size": 2,
+                        "seed": 0},
+        })
+        out = tmp_path / "out"
+        assert _footprint(["packing", "--config", cfg, "--out", str(out)]) == {
+            "rc": 3, "packing_at_start": False, "loaded": ["arrr.packing"]}
+        assert sorted(os.listdir(out)) == ["error.json"]
+        assert json.loads((out / "error.json").read_text())["error"] == "PackingInfeasibleError"
 
 
 def _paths(node, prefix=()):
