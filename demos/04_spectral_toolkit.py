@@ -1,7 +1,7 @@
 """The spectral utilities on their own.
 
-Rank selection rules, the gap/tail index scan, and principal angles
-between sample and population eigenspaces.
+Rank selection rules, the gap/tail index scan, and the absolute cosines of
+the angles between sample and population eigenvectors.
 """
 
 import numpy as np
@@ -31,10 +31,11 @@ for ell in (20, 50, 100):
           % (ell, idx, gap, tail, ell ** -0.9))
 
 # --- sample eigenvectors vs the truth: the leading directions are
-# recovered well even at n << d1, the rest are progressively noisier
+# recovered well even at n << d1, the rest are progressively noisier;
+# angle_matrix gives |cos| of each angle, so 1 is a perfect match
 v_star, lambda_star = gen_covariance(300, omega=2.0, seed=0)
 x = gen_design(v_star, lambda_star, n=100, seed=1)
 dec = decompose(x)
-angles = angle_matrix(dec.v[:, :6], v_star[:, :6])
-print("principal angles (radians) between top-6 sample/true directions:")
-print(np.array2string(np.diag(angles), precision=3))
+cosines = angle_matrix(dec.v[:, :6], v_star[:, :6])
+print("|cos| of the angles between top-6 sample/true directions:")
+print(np.array2string(np.diag(cosines), precision=3))

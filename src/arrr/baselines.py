@@ -23,12 +23,14 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .estimator import predict
+from .estimator import predict, require_xy
 from .metrics import lowest, pooled_scores
 from .spectral import SpectralDecomposition, decompose, numerical_rank
 
-METHODS = ("ridge", "rrr", "reduced_rank_ridge", "pcr", "lasso", "nuclear")
-ITERATIVE = ("lasso", "nuclear")
+# The hyperparameters each method reads: one that reads a rank requires it, one
+# that reads a solver budget is iterative, and a spec sets no other.
+READS = {"ridge": ("mu",), "rrr": ("rank",), "reduced_rank_ridge": ("mu", "rank"),
+         "pcr": ("rank",), "lasso": ("mu", "solver"), "nuclear": ("mu", "solver")}
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,9 @@ class SolverOpts:
 
 @dataclass(frozen=True)
 class BaselineSpec:
-    """One baseline method and its hyperparameters. The rank is checked
-    against the problem size when the spec is fitted."""
+    """One baseline method and the hyperparameters it reads (READS), each
+    other left at its default, since it would only fit the same model again.
+    The rank is checked against the problem size when the spec is fitted."""
 
     method: str
     mu: float = 0.0
@@ -58,11 +61,14 @@ class BaselineSpec:
     solver: SolverOpts = field(default_factory=SolverOpts)
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
+        if self.method not in READS:
             raise ValueError("unknown method %r" % (self.method,))
         if not 0 <= self.mu < math.inf:  # NaN fails too
             raise ValueError("mu must be non-negative and finite")
-        if self.method in ("rrr", "reduced_rank_ridge", "pcr") and self.rank is None:
+        for key, unset in (("mu", 0.0), ("rank", None), ("solver", SolverOpts())):
+            if key not in READS[self.method] and getattr(self, key) != unset:
+                raise ValueError("%s takes no %s" % (self.method, key))
+        if "rank" in READS[self.method] and self.rank is None:
             raise ValueError("%s requires a rank" % self.method)
         if self.rank is not None and self.rank < 1:
             raise ValueError("rank must be >= 1")
@@ -96,19 +102,18 @@ def _svd_filter(dec, y):
     fitted_v = {}  # mu -> right singular vectors of the fitted values
 
     def coef(spec):
-        mu = spec.mu if spec.method in ("ridge", "reduced_rank_ridge") else 0.0
-        if mu > 0:
-            f = s / (s * s + mu)
+        if spec.mu > 0:
+            f = s / (s * s + spec.mu)
         else:
             f = np.zeros_like(s)
             f[:rank] = 1.0 / s[:rank]
         if spec.method == "pcr":
             f[spec.rank:] = 0.0
         g = f[:, None] * uty
-        if spec.method in ("rrr", "reduced_rank_ridge"):
-            if mu not in fitted_v:
-                fitted_v[mu] = decompose(np.sqrt(f * s)[:, None] * uty).v
-            v_r = fitted_v[mu][:, :spec.rank]
+        if spec.rank is not None and spec.method != "pcr":
+            if spec.mu not in fitted_v:
+                fitted_v[spec.mu] = decompose(np.sqrt(f * s)[:, None] * uty).v
+            v_r = fitted_v[spec.mu][:, :spec.rank]
             g = g @ v_r @ v_r.T
         return dec.v @ g
 
@@ -209,10 +214,7 @@ def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
     solvers that fail to converge within max_iters come back with
     converged=False rather than raising.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError("x and y must be matrices with matching rows")
+    x, y = require_xy("x and y", x, y)
     (n, d1), d2 = x.shape, y.shape[1]
     if spec.rank is not None:
         # pcr counts design components; the others bound coefficient rank
@@ -222,7 +224,7 @@ def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
 
     dec = decompose(x) if dec is None else dec
     iters, trace, converged = 0, np.array([]), True
-    if spec.method in ITERATIVE:
+    if "solver" in READS[spec.method]:
         prox = _prox_l1 if spec.method == "lasso" else _prox_nuclear
         ell = float(dec.s[0]) ** 2 if dec.s.size else 0.0
         coef, iters, trace, converged = _fit_proximal(x, y, spec.mu, prox, spec.solver, ell)
@@ -261,17 +263,16 @@ def validate_hyperparams(
     bit. The winner is `metrics.lowest` of the scores: ties break
     to the first occurrence in the grid and an undefined (NaN) score never
     wins. A grid with no defined score, as on a constant validation
-    response, raises ValueError.
+    response, raises ValueError. Both windows pass `require_xy` first.
     """
     if not spec_grid:
         raise ValueError("empty hyperparameter grid")
-    x_tr, y_tr = train
-    x_va, y_va = valid
-    y_tr, y_va = np.asarray(y_tr, dtype=float), np.asarray(y_va, dtype=float)
+    x_tr, y_tr = require_xy("training x and y", *train)
+    x_va, y_va = require_xy("validation x and y", *valid)
     if dec is None:
         dec = decompose(x_tr)
     direct = None
-    if any(spec.method not in ITERATIVE for spec in spec_grid):
+    if any("solver" not in READS[spec.method] for spec in spec_grid):
         direct = _svd_filter(dec, y_tr)
     models = (fit_baseline(spec, x_tr, y_tr, dec, direct) for spec in spec_grid)
     best = lowest((pooled_scores(y_va, predict_linear(m, x_va))[0], m) for m in models)

@@ -69,7 +69,7 @@ from .estimator import (
     fit_path,
     load_model,
     predict,
-    require_finite,
+    require_xy,
     save_model,
 )
 from .spectral import NumericalFailure, angle_matrix, decompose
@@ -315,7 +315,7 @@ def _fit_select_score(train, valid, test, candidates: Sequence[FitConfig],
     Returns (method, model, tags, train scores, test scores, test predictions)
     per method, the estimator first and then the baselines by name. Scores are
     pooled (mse, r2, corr); tags are the k1, k2, mu and rank cells of a row.
-    Every window is checked finite before the one SVD of the training design
+    Every window passes `require_xy` before the one SVD of the training design
     that the estimator and all grids share. Estimator candidates without an
     admissible gap are skipped, the winner is `metrics.lowest` of the
     rest's scores, and the NoGapError for no winner names `where`.
@@ -327,9 +327,9 @@ def _fit_select_score(train, valid, test, candidates: Sequence[FitConfig],
     and as `metrics.lowest` breaks ties toward the first, it can never win;
     it is not scored.
     """
-    for what, window in (("x and y", train), ("validation x and y", valid),
-                         ("test x and y", test)):
-        require_finite(what, *window)  # before the SVD, not by a LAPACK failure
+    # before the SVD, not by a LAPACK failure
+    train, valid, test = (require_xy(what, *window) for what, window in (
+        ("x and y", train), ("validation x and y", valid), ("test x and y", test)))
     (x_tr, y_tr), (x_va, y_va), (x_te, y_te) = train, valid, test
     dec = decompose(x_tr)
 
@@ -530,7 +530,7 @@ EXPERIMENTS = {
     "angles": Experiment(
         run_angles, ("synth", "n", "top_k"),
         ("config_hash", "seed", "row", "col", "angle"), ("row", "col"),
-        "empirical vs true covariance eigenvector angles"),
+        "cosines of empirical vs true covariance eigenvector angles"),
 }
 
 

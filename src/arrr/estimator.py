@@ -52,6 +52,18 @@ def require_finite(what: str, *arrays: np.ndarray) -> None:
         raise NonFiniteError("%s must hold only finite values" % what)
 
 
+def require_xy(what: str, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """x and y as float matrices with equal row counts and only finite values:
+    the check every fit entry point runs before it factors them. A bad shape
+    raises ValueError and NaN or infinity NonFiniteError, each naming `what`."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise ValueError("%s must be matrices with equal row counts, got shapes %s and %s"
+                         % (what, x.shape, y.shape))
+    require_finite(what, x, y)
+    return x, y
+
+
 @dataclass(frozen=True)
 class FitConfig:
     delta: float = 1e-3
@@ -203,16 +215,14 @@ def estimate_noise_sigma(
     of the n x k scores, as lstsq's default cutoff sets it.
 
     Raises:
-        ValueError: y is constant, so there is no noise to measure, or the
-            row counts differ.
+        ValueError: y is constant, so there is no noise to measure, or x and
+            y fail `require_xy`'s shape check.
+        NonFiniteError: x or y holds NaN or infinity.
         ZeroResidualError: the residual is exactly zero, as when y lies in
             the span of the scores or its entries are so small that their
             squares underflow.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("x and y must have the same number of rows")
+    x, y = require_xy("x and y", x, y)
     if float(np.ptp(y)) == 0.0:
         raise ValueError("the response y is constant, so the noise pilot cannot "
                          "estimate sigma_eps from it; give sigma_eps explicitly")
@@ -247,15 +257,7 @@ def fit_path(
     when x or y holds NaN or infinity, the pilot's errors, and ValueError for
     a shape, an all-zero x or an override beyond the data.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim != 2:
-        raise ValueError("x and y must be matrices")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(
-            "row count mismatch: x has %d, y has %d" % (x.shape[0], y.shape[0])
-        )
-    require_finite("x and y", x, y)
+    x, y = require_xy("x and y", x, y)
     # stage 1 checks x too, but only after the pilot, which would report an
     # all-zero panel's response as constant
     _require_design(x)

@@ -307,12 +307,9 @@ def build_family(params: PackingParams) -> PackingFamily:
     code = sample_code(params, patterns)
 
     prefix_rng = _rng(params, 0)
-    n_prefix = params.t_lo - 1
-    if n_prefix > 0:
-        q, r = np.linalg.qr(prefix_rng.standard_normal((params.d, n_prefix)))
-        prefix = q * np.sign(np.diag(r))
-    else:
-        prefix = np.zeros((params.d, 0))
+    # at t_lo = 1 the QR of a d x 0 draw is the empty d x 0 prefix
+    q, r = np.linalg.qr(prefix_rng.standard_normal((params.d, params.t_lo - 1)))
+    prefix = q * np.sign(np.diag(r))
 
     member_seeds = np.random.SeedSequence(entropy=params.seed, spawn_key=(3,)).generate_state(params.s_size)
     unitaries = [

@@ -135,10 +135,7 @@ def select_threshold_rank(sigmas: np.ndarray, tau: float) -> int:
     """Count of singular values >= tau (absolute-value thresholding)."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    sig = np.asarray(sigmas, dtype=float).ravel()
-    if sig.size == 0:
-        return 0
-    return int(np.count_nonzero(sig >= tau))
+    return int(np.count_nonzero(np.asarray(sigmas, dtype=float).ravel() >= tau))
 
 
 def find_gap_tail_index(

@@ -60,6 +60,11 @@ def _reference_m_hat(spec, x, y):
 
 
 DIRECT = ("ridge", "rrr", "reduced_rank_ridge", "pcr")
+# the hyperparameters each method reads, written out apart from baselines.READS,
+# and a set (non-default) value of each
+_READS = {"ridge": ("mu",), "rrr": ("rank",), "reduced_rank_ridge": ("mu", "rank"),
+          "pcr": ("rank",), "lasso": ("mu", "solver"), "nuclear": ("mu", "solver")}
+_SET = {"mu": 0.5, "rank": 2, "solver": SolverOpts(max_iters=50)}
 
 
 # Reference solvers for the iterative methods: per-coordinate descent for the
@@ -181,7 +186,10 @@ def _direct_cases(draw):
     method = draw(st.sampled_from(DIRECT))
     bound = min(d1, n) if method == "pcr" else min(d1, d2, n)
     rank = None if method == "ridge" else draw(st.integers(1, bound))
-    mu = draw(st.sampled_from([0.0, 0.1, 1.0, 10.0]))
+    # rrr and pcr read no mu, so only ridge and reduced-rank ridge draw one
+    mu = 0.0
+    if method in ("ridge", "reduced_rank_ridge"):
+        mu = draw(st.sampled_from([0.0, 0.1, 1.0, 10.0]))
     return BaselineSpec(method, mu=mu, rank=rank), x, y
 
 
@@ -526,6 +534,18 @@ class TestValidateHyperparams:
             validate_hyperparams([], (np.zeros((2, 2)), np.zeros((2, 1))),
                                  (np.zeros((2, 2)), np.zeros((2, 1))))
 
+    # both windows are checked before the grid's one SVD of the training design
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("window, which, bad, named", [
+        (0, 0, np.inf, "training x and y"), (1, 1, np.nan, "validation x and y"),
+    ], ids=["train_x_inf", "valid_y_nan"])
+    def test_non_finite_window_is_named(self, window, which, bad, named):
+        windows = [list(_data(20, 5, 2, seed=33)), list(_data(10, 5, 2, seed=34))]
+        windows[window][which][3, 1] = bad
+        grid = [BaselineSpec("ridge", mu=mu) for mu in (0.1, 1.0)]
+        with pytest.raises(NonFiniteError, match="^%s must hold only finite values$" % named):
+            validate_hyperparams(grid, *windows)
+
 
 class TestPredictLinear:
     def _model(self):
@@ -572,6 +592,29 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             fit_baseline(BaselineSpec("ridge", mu=1.0),
                          np.zeros((5, 2)), np.zeros((4, 2)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("which, bad", [("x", np.inf), ("y", np.nan)])
+    @pytest.mark.parametrize("method", sorted(_READS))
+    def test_non_finite_data_raises(self, method, which, bad):
+        x, y = _data(10, 4, 3, seed=25)
+        (x if which == "x" else y)[2, 1] = bad
+        spec = BaselineSpec(method, **{k: _SET[k] for k in _READS[method]})
+        with pytest.raises(NonFiniteError, match="^x and y must hold only finite values$"):
+            fit_baseline(spec, x, y)
+
+    # each method, given every hyperparameter in turn: a key it reads is kept,
+    # and any other is refused by name
+    @pytest.mark.parametrize("method", sorted(_READS))
+    def test_a_spec_sets_only_what_its_method_reads(self, method):
+        needs = {"rank": _SET["rank"]} if "rank" in _READS[method] else {}
+        for key, value in _SET.items():
+            kwargs = dict(needs, **{key: value})
+            if key in _READS[method]:
+                assert getattr(BaselineSpec(method, **kwargs), key) == value
+            else:
+                with pytest.raises(ValueError, match="^%s takes no %s$" % (method, key)):
+                    BaselineSpec(method, **kwargs)
 
     def test_nan_mu_rejected(self):
         with pytest.raises(ValueError):

@@ -869,6 +869,13 @@ PROBES = {
     "compare_baselines_empty": (["compare"], {
         "synth": _SMALL_SYNTH, "grids": {"eta": [0.5], "seeds": [0]},
         "fit": {"delta": 1e-6}, "baselines": []}),
+    # a hyperparameter the method does not read would only fit one model twice
+    "compare_rrr_takes_no_mu": (["compare"], {
+        "synth": _SMALL_SYNTH, "grids": {"eta": [0.5], "seeds": [0]},
+        "fit": {"delta": 1e-6}, "baselines": [{"method": "rrr", "mu": [5.0, 0.1], "rank": [2]}]}),
+    "compare_ridge_takes_no_rank": (["compare"], {
+        "synth": _SMALL_SYNTH, "grids": {"eta": [0.5], "seeds": [0]},
+        "fit": {"delta": 1e-6}, "baselines": [{"method": "ridge", "mu": [1.0], "rank": [2]}]}),
     "compare_rrr_rank_too_big": (["compare"], {
         "synth": _SMALL_SYNTH, "grids": {"eta": [0.5], "seeds": [0]},
         "fit": {"delta": 1e-6}, "baselines": [{"method": "rrr", "rank": [30]}]}),
@@ -914,6 +921,9 @@ class TestBadInputExitsTwo:
         assert err.startswith("error: ") and "Traceback" not in err
         if "unknown" in probe:
             assert "unknown fields" in err
+        if "_takes_no_" in probe:
+            method, key = probe[len("compare_"):].split("_takes_no_")
+            assert err == "error: %s takes no %s\n" % (method, key)
         if probe.endswith("_huge_int"):
             # the message names the key, not the integer's 401 digits
             key = probe.split("_", 1)[1][:-len("_huge_int")]

@@ -199,6 +199,14 @@ class TestEstimateNoiseSigma:
         with pytest.raises(ValueError):
             estimate_noise_sigma(np.zeros((3, 2)), np.zeros((4, 2)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("which, bad", [("x", np.inf), ("y", np.nan)])
+    def test_non_finite_input_raises(self, which, bad):
+        x, y = _path_data(5, 20, 6, 3)
+        (x if which == "x" else y)[4, 2] = bad
+        with pytest.raises(NonFiniteError, match="^x and y must hold only finite values$"):
+            estimate_noise_sigma(x, y)
+
     @staticmethod
     def _lstsq_pilot(x, y):
         """The pilot as it was: a least-squares solve on the scores x @ V_k."""
