@@ -51,6 +51,7 @@ import json
 # build_parser runs; imported here, it is a start-up cost, not one of main
 import locale  # noqa: F401
 import math
+import numbers
 import os
 import re
 import sys
@@ -238,10 +239,10 @@ def write_results(out_dir: str, header: Sequence[str], rows: List[Dict[str, Any]
 
 def _numerical_failure(out_dir: str, exc: BaseException) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    payload = {"error": type(exc).__name__, "message": str(exc)}
-    for attr in ("achieved_cost", "tail_mass"):
-        if hasattr(exc, attr):
-            payload[attr] = float(getattr(exc, attr))
+    # the exception's own numeric fields, such as packing's achieved_cost
+    payload = {k: float(v) for k, v in vars(exc).items()
+               if isinstance(v, numbers.Real) and not isinstance(v, bool)}
+    payload.update(error=type(exc).__name__, message=str(exc))
     write_json(os.path.join(out_dir, "error.json"), payload)
     print("numerical failure: %s" % exc, file=sys.stderr)
     return EXIT_NUMERICAL

@@ -108,43 +108,20 @@ class FittedModel:
         return self.n_hat_trunc @ self.pi_hat
 
 
-def _require_design(x: np.ndarray) -> None:
-    """Stage 1's checks on x: a matrix of at least 2 rows, not all zero."""
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError("x must be a matrix with at least 2 rows")
-    if not np.any(x):
-        raise ValueError("x is identically zero")
+def step1_pca_x(dec: SpectralDecomposition, delta: float,
+                k1_override: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Whitening stage, a rule on `dec`, the thin SVD of the n x d1 design x.
 
-
-def _cross_moment(z_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The matrix stage 2 denoises, (y.T @ z_hat) / n."""
-    return y.T @ z_hat / z_hat.shape[0]
-
-
-def step1_pca_x(
-    x: np.ndarray,
-    delta: float,
-    k1_override: Optional[int] = None,
-    dec: Optional[SpectralDecomposition] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Whitening stage.
-
-    Takes the thin SVD of x (or `dec`, when the caller already has it),
-    converts singular values to eigenvalue scale lambda_i = sigma_i^2 / n,
+    Converts singular values to eigenvalue scale lambda_i = sigma_i^2 / n,
     picks k1 by the consecutive-gap rule (or the override), and returns
-    (z_hat, pi_hat, lambdas) with z_hat = sqrt(n) times the top-k1 left
-    singular vectors and pi_hat the map such that z_hat = x @ pi_hat.T.
+    (pi_hat, lambdas), pi_hat the k1 x d1 map such that x @ pi_hat.T is the
+    whitened scores z_hat, sqrt(n) times the top-k1 left singular vectors.
 
     Raises:
         NoGapError: no gap >= delta and no override given.
-        ValueError: fewer than 2 rows, zero input, or an override beyond the
-            numerical rank.
+        ValueError: an override beyond the numerical rank.
     """
-    x = np.asarray(x, dtype=float)
-    _require_design(x)
-    n = x.shape[0]
-    if dec is None:
-        dec = decompose(x)
+    n = dec.u.shape[0]
     lambdas = dec.s ** 2 / n
 
     if k1_override is not None:
@@ -162,35 +139,21 @@ def step1_pca_x(
     if lambdas[k1 - 1] <= 0:
         raise ValueError("k1=%d exceeds the numerical rank of x" % k1)
 
-    z_hat = np.sqrt(n) * dec.u[:, :k1]
     pi_hat = dec.v[:, :k1].T / np.sqrt(lambdas[:k1])[:, None]
-    return z_hat, pi_hat, lambdas
+    return pi_hat, lambdas
 
 
-def step2_pca_denoise(
-    z_hat: np.ndarray,
-    y: np.ndarray,
-    theta: float,
-    sigma_eps: float,
-    k2_override: Optional[int] = None,
-    dec: Optional[SpectralDecomposition] = None,
-) -> Tuple[np.ndarray, int, np.ndarray, float]:
-    """Denoising stage.
+def step2_pca_denoise(dec: SpectralDecomposition, n: int, theta: float, sigma_eps: float,
+                      k2_override: Optional[int] = None
+                      ) -> Tuple[np.ndarray, int, np.ndarray, float]:
+    """Denoising stage, a rule on `dec`, the thin SVD of the d2 x k1
+    cross-moment matrix (y.T @ z_hat) / n of n samples.
 
-    Forms the cross-moment matrix (y.T @ z_hat) / n and takes its thin SVD
-    (or uses `dec`, when the caller already has that SVD), keeps singular
-    directions whose values reach theta * sigma_eps * sqrt(d2 / n), and
-    returns (truncated matrix, k2, singular values, threshold).
+    Keeps the singular directions whose values reach
+    theta * sigma_eps * sqrt(d2 / n) (or the top k2_override), and returns
+    (truncated matrix, k2, singular values, threshold).
     """
-    z_hat = np.asarray(z_hat, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if z_hat.shape[0] != y.shape[0]:
-        raise ValueError("z_hat and y must have the same number of rows")
-    n = z_hat.shape[0]
-    d2 = y.shape[1]
-    if dec is None:
-        dec = decompose(_cross_moment(z_hat, y))
-    threshold = theta * sigma_eps * np.sqrt(d2 / n)
+    threshold = theta * sigma_eps * np.sqrt(dec.u.shape[0] / n)
 
     if k2_override is not None:
         k2 = int(k2_override)
@@ -247,20 +210,26 @@ def fit_path(
 ) -> Iterator[Union[FittedModel, NoGapError]]:
     """Fit every config on one (x, y), sharing the factorizations.
 
-    One SVD of x, taken from `dec` when the caller already has it, serves the
-    noise pilot, which runs at most once (for the first config with sigma_eps
-    "auto"), and stage 1 of every config. One SVD of the cross-moment matrix
-    per distinct k1 serves stage 2 of every config with that k1. Yields, in
-    config order, what fit_adaptive_rrr would return for each config, bit for
-    bit, or, for a config whose stage 1 finds no admissible gap, the
-    NoGapError it would raise. Every other error is raised: NonFiniteError
-    when x or y holds NaN or infinity, the pilot's errors, and ValueError for
-    a shape, an all-zero x or an override beyond the data.
+    The one place that checks x and y and factors them: the two stages are
+    rules on the SVDs it passes them. One SVD of x, taken from `dec` when the
+    caller already has it, serves the noise pilot, which runs at most once
+    (for the first config with sigma_eps "auto"), and stage 1 of every
+    config. One SVD of the cross-moment matrix per distinct k1 serves stage 2
+    of every config with that k1. Yields, in config order, what
+    fit_adaptive_rrr would return for each config, bit for bit, or, for a
+    config whose stage 1 finds no admissible gap, the NoGapError it would
+    raise. Every other error is raised: NonFiniteError when x or y holds NaN
+    or infinity, the pilot's errors, and ValueError for a shape, fewer than
+    2 rows, an all-zero x or an override beyond the data.
     """
     x, y = require_xy("x and y", x, y)
-    # stage 1 checks x too, but only after the pilot, which would report an
-    # all-zero panel's response as constant
-    _require_design(x)
+    n = x.shape[0]
+    # checked before the pilot, which would report an all-zero panel's
+    # response as constant
+    if n < 2:
+        raise ValueError("x must be a matrix with at least 2 rows")
+    if not np.any(x):
+        raise ValueError("x is identically zero")
 
     x_dec = decompose(x) if dec is None else dec
     pilot_sigma = None
@@ -270,15 +239,15 @@ def fit_path(
             pilot_sigma = estimate_noise_sigma(x, y, x_dec)
         sigma_eps = pilot_sigma if config.sigma_eps == "auto" else float(config.sigma_eps)
         try:
-            z_hat, pi_hat, lambdas = step1_pca_x(x, config.delta, config.k1_override, x_dec)
+            pi_hat, lambdas = step1_pca_x(x_dec, config.delta, config.k1_override)
         except NoGapError as e:
             yield e
             continue
         k1 = pi_hat.shape[0]
-        if k1 not in n_hat_decs:
-            n_hat_decs[k1] = decompose(_cross_moment(z_hat, y))
+        if k1 not in n_hat_decs:  # the cross moment (y.T @ z_hat) / n
+            n_hat_decs[k1] = decompose(y.T @ (np.sqrt(n) * x_dec.u[:, :k1]) / n)
         n_hat_trunc, k2, sigmas, threshold = step2_pca_denoise(
-            z_hat, y, config.theta, sigma_eps, config.k2_override, n_hat_decs[k1]
+            n_hat_decs[k1], n, config.theta, sigma_eps, config.k2_override
         )
         yield FittedModel(
             pi_hat=pi_hat,
@@ -290,7 +259,7 @@ def fit_path(
             threshold_used=threshold,
             config=config,
             sigma_eps_used=sigma_eps,
-            n=x.shape[0],
+            n=n,
         )
 
 

@@ -64,7 +64,9 @@ def test_c01_whitening_exactness():
         d1 = dims[i % len(dims)]
         x = np.random.default_rng(i).standard_normal((n, d1))
         k1 = min(n, d1)
-        z, _, _ = step1_pca_x(x, delta=1e-9, k1_override=k1)
+        dec = decompose(x)
+        pi, _ = step1_pca_x(dec, delta=1e-9, k1_override=k1)
+        z = np.sqrt(n) * dec.u[:, :pi.shape[0]]
         worst = max(worst, np.max(np.abs(z.T @ z / n - np.eye(k1))))
     _report("c01", worst <= 1e-10,
             "max whitening residual %.2e over 50 seeded inputs" % worst,
@@ -253,8 +255,11 @@ def test_c06_error_decay_rate_in_sample_size():
         for rep in range(10):
             x, y, sig = gen_dataset(m, v_star, lambda_star, n, 0.5,
                                     1000 * n + rep)
-            z, pi, _ = step1_pca_x(x, delta=1e-3, k1_override=50)
-            n_tr, _, _, _ = step2_pca_denoise(z, y, theta=2.0, sigma_eps=sig)
+            dec = decompose(x)
+            pi, _ = step1_pca_x(dec, delta=1e-3, k1_override=50)
+            z = np.sqrt(n) * dec.u[:, :50]
+            n_tr, _, _, _ = step2_pca_denoise(decompose(y.T @ z / n), n,
+                                              theta=2.0, sigma_eps=sig)
             excess.append(np.linalg.norm((n_tr @ pi - m) @ half) ** 2)
         means.append(float(np.mean(excess)))
     slope = float(np.polyfit(np.log(ns), np.log(means), 1)[0])
@@ -301,8 +306,11 @@ def test_c08_pure_noise_yields_empty_model():
         v, lam = gen_covariance(200, 2.0, seed)
         x = gen_design(v, lam, 150, seed + 50_000)
         y = np.random.default_rng(seed + 90_000).standard_normal((150, 100))
-        z, _, _ = step1_pca_x(x, delta=1e-3)
-        _, k2, _, _ = step2_pca_denoise(z, y, theta=4.0, sigma_eps=1.0)
+        dec = decompose(x)
+        pi, _ = step1_pca_x(dec, delta=1e-3)
+        z = np.sqrt(150) * dec.u[:, :pi.shape[0]]
+        _, k2, _, _ = step2_pca_denoise(decompose(y.T @ z / 150), 150,
+                                        theta=4.0, sigma_eps=1.0)
         zero += k2 == 0
     _report("c08", zero >= 95,
             "k2 = 0 in %d/100 pure-noise draws, want >= 95" % zero,

@@ -40,7 +40,7 @@ from arrr.estimator import (
     predict,
     save_model,
 )
-from arrr.spectral import decompose
+from arrr.spectral import NumericalFailure, decompose
 from arrr.synth import SynthConfig, gen_dataset, make_instance
 
 SWEEP_HEADER, COMPARE_HEADER, ROLLING_HEADER = (
@@ -356,6 +356,24 @@ class TestNumericalFailure:
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "FillInfeasibleError"
         assert 0 <= err["tail_mass"] <= 1
+
+    def test_error_json_holds_the_exceptions_numeric_fields(self, tmp_path, monkeypatch):
+        class Stalled(NumericalFailure, RuntimeError):
+            def __init__(self, message):
+                super().__init__(message)
+                self.iterations, self.gap = 7, np.float64(0.5)
+                self.label, self.converged = "prox", False
+
+        def stall(params):
+            raise Stalled("stalled")
+
+        monkeypatch.setattr(packing, "build_family", stall)
+        cfg = _write_json(tmp_path, "cfg.json", {"kind": "packing", "packing": _SMALL_PACKING})
+        out = tmp_path / "out"
+        assert main(["packing", "--config", cfg, "--out", str(out)]) == 3
+        # numbers only: neither the string nor the bool is written
+        assert json.loads((out / "error.json").read_text()) == {
+            "error": "Stalled", "message": "stalled", "iterations": 7.0, "gap": 0.5}
 
 
 class TestCompare:

@@ -26,10 +26,24 @@ from arrr.spectral import decompose, select_gap_rank, truncate_rank
 from arrr.synth import SynthConfig, gen_covariance, gen_design, make_instance
 
 
+def _whiten(x, delta, k1_override=None):
+    """Stage 1 on the SVD of x, with the whitened scores sqrt(n) U[:, :k1]
+    fit_path forms from it: (z_hat, pi_hat, lambdas)."""
+    dec = decompose(x)
+    pi_hat, lambdas = step1_pca_x(dec, delta, k1_override)
+    return np.sqrt(x.shape[0]) * dec.u[:, :pi_hat.shape[0]], pi_hat, lambdas
+
+
+def _denoise(z_hat, y, theta, sigma_eps, k2_override=None):
+    """Stage 2 on the SVD of the cross-moment matrix (y.T @ z_hat) / n."""
+    n = z_hat.shape[0]
+    return step2_pca_denoise(decompose(y.T @ z_hat / n), n, theta, sigma_eps, k2_override)
+
+
 class TestStep1:
     def test_hand_worked_diagonal_example(self):
         x = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        z_hat, pi_hat, lambdas = step1_pca_x(x, delta=0.5)
+        z_hat, pi_hat, lambdas = _whiten(x, delta=0.5)
         np.testing.assert_allclose(lambdas, [4 / 3, 1 / 3], rtol=1e-12)
         assert pi_hat.shape == (1, 2)
         np.testing.assert_allclose(pi_hat, [[np.sqrt(3) / 2, 0.0]], atol=1e-12)
@@ -38,20 +52,22 @@ class TestStep1:
     def test_zhat_equals_x_projected(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(30, 12))
-        z_hat, pi_hat, _ = step1_pca_x(x, delta=1e-6)
-        np.testing.assert_allclose(z_hat, x @ pi_hat.T, atol=1e-8)
+        dec = decompose(x)
+        pi_hat, _ = step1_pca_x(dec, delta=1e-6)
+        k1 = pi_hat.shape[0]
+        np.testing.assert_allclose(x @ pi_hat.T, np.sqrt(30) * dec.u[:, :k1], atol=1e-8)
 
     def test_whitening_exact_at_full_rank_override(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(20, 8))
-        z_hat, _, _ = step1_pca_x(x, delta=1.0, k1_override=8)
+        z_hat, _, _ = _whiten(x, delta=1.0, k1_override=8)
         gram = z_hat.T @ z_hat / 20
         assert np.max(np.abs(gram - np.eye(8))) <= 1e-10
 
     def test_whitening_many_shapes(self):
         for seed, (n, d1) in enumerate([(10, 40), (40, 10), (25, 25), (150, 200)]):
             x = np.random.default_rng(seed).normal(size=(n, d1))
-            z_hat, _, _ = step1_pca_x(x, delta=1e-9)
+            z_hat, _, _ = _whiten(x, delta=1e-9)
             k1 = z_hat.shape[1]
             gram = z_hat.T @ z_hat / n
             assert np.max(np.abs(gram - np.eye(k1))) <= 1e-10
@@ -59,7 +75,7 @@ class TestStep1:
     def test_gap_rule_cross_checked(self):
         v, lam = gen_covariance(200, 2.0, seed=2)
         x = gen_design(v, lam, n=150, seed=3)
-        z_hat, _, lambdas = step1_pca_x(x, delta=1e-3)
+        z_hat, _, lambdas = _whiten(x, delta=1e-3)
         k1 = z_hat.shape[1]
         assert k1 >= 1
         assert select_gap_rank(lambdas, 1e-3) == k1
@@ -70,30 +86,24 @@ class TestStep1:
         # all eigenvalues equal and tiny: no consecutive gap reaches delta
         x = 1e-6 * np.eye(4)
         with pytest.raises(NoGapError):
-            step1_pca_x(x, delta=0.5)
+            _whiten(x, delta=0.5)
 
     def test_override_beyond_rank(self):
         # second column identically zero: second eigenvalue is exactly 0
         x = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
         with pytest.raises(ValueError):
-            step1_pca_x(x, delta=0.1, k1_override=2)
+            _whiten(x, delta=0.1, k1_override=2)
 
     def test_override_out_of_bounds(self):
         x = np.random.default_rng(4).normal(size=(5, 3))
         with pytest.raises(ValueError):
-            step1_pca_x(x, delta=0.1, k1_override=4)
-
-    def test_degenerate_inputs(self):
-        with pytest.raises(ValueError):
-            step1_pca_x(np.zeros((4, 3)), delta=0.1)
-        with pytest.raises(ValueError):
-            step1_pca_x(np.ones((1, 3)), delta=0.1)
+            _whiten(x, delta=0.1, k1_override=4)
 
 
 class TestStep2:
     def _whitened(self, n, k1, seed):
         x = np.random.default_rng(seed).normal(size=(n, k1))
-        z, _, _ = step1_pca_x(x, delta=1e-12, k1_override=k1)
+        z, _, _ = _whiten(x, delta=1e-12, k1_override=k1)
         return z
 
     def test_exact_cross_moment_recovery(self):
@@ -101,7 +111,7 @@ class TestStep2:
         z = self._whitened(40, 3, seed=0)
         b = np.array([[3.0, 0.0, 0.0], [0.0, 0.1, 0.0]])
         y = z @ b.T
-        n_hat, k2, sigmas, thr = step2_pca_denoise(z, y, theta=1.0, sigma_eps=1.0)
+        n_hat, k2, sigmas, thr = _denoise(z, y, theta=1.0, sigma_eps=1.0)
         # threshold = sqrt(2/40) ~ 0.224: keeps sigma=3, drops sigma=0.1
         assert k2 == 1
         np.testing.assert_allclose(sigmas[:2], [3.0, 0.1], atol=1e-8)
@@ -110,20 +120,20 @@ class TestStep2:
 
     def test_zero_response(self):
         z = self._whitened(20, 4, seed=1)
-        n_hat, k2, _, _ = step2_pca_denoise(z, np.zeros((20, 6)), 2.0, 1.0)
+        n_hat, k2, _, _ = _denoise(z, np.zeros((20, 6)), 2.0, 1.0)
         assert k2 == 0
         np.testing.assert_array_equal(n_hat, np.zeros((6, 4)))
 
     def test_threshold_formula(self):
         z = self._whitened(25, 2, seed=2)
         y = np.random.default_rng(3).normal(size=(25, 7))
-        _, _, _, thr = step2_pca_denoise(z, y, theta=1.7, sigma_eps=0.4)
+        _, _, _, thr = _denoise(z, y, theta=1.7, sigma_eps=0.4)
         np.testing.assert_allclose(thr, 1.7 * 0.4 * np.sqrt(7 / 25), rtol=1e-12)
 
     def test_retained_values_reach_threshold(self):
         z = self._whitened(30, 5, seed=4)
         y = np.random.default_rng(5).normal(size=(30, 8))
-        n_hat, k2, sigmas, thr = step2_pca_denoise(z, y, theta=1.0, sigma_eps=0.2)
+        n_hat, k2, sigmas, thr = _denoise(z, y, theta=1.0, sigma_eps=0.2)
         kept = np.linalg.svd(n_hat, compute_uv=False)[:k2]
         assert np.all(kept >= thr - 1e-10)
         if k2 < sigmas.size:
@@ -132,8 +142,8 @@ class TestStep2:
     def test_scale_equivariance(self):
         z = self._whitened(30, 4, seed=6)
         y = np.random.default_rng(7).normal(size=(30, 5))
-        n1, k2_1, s1, _ = step2_pca_denoise(z, y, theta=2.0, sigma_eps=0.3)
-        n2, k2_2, s2, _ = step2_pca_denoise(z, 5.0 * y, theta=2.0, sigma_eps=1.5)
+        n1, k2_1, s1, _ = _denoise(z, y, theta=2.0, sigma_eps=0.3)
+        n2, k2_2, s2, _ = _denoise(z, 5.0 * y, theta=2.0, sigma_eps=1.5)
         assert k2_1 == k2_2
         np.testing.assert_allclose(s2, 5.0 * s1, rtol=1e-10)
         np.testing.assert_allclose(n2, 5.0 * n1, atol=1e-10)
@@ -141,16 +151,12 @@ class TestStep2:
     def test_k2_override(self):
         z = self._whitened(20, 3, seed=8)
         y = np.random.default_rng(9).normal(size=(20, 4))
-        n_hat, k2, _, _ = step2_pca_denoise(z, y, 2.0, 1e9, k2_override=2)
+        n_hat, k2, _, _ = _denoise(z, y, 2.0, 1e9, k2_override=2)
         assert k2 == 2
         s = np.linalg.svd(n_hat, compute_uv=False)
         assert np.count_nonzero(s > 1e-10) <= 2
         with pytest.raises(ValueError):
-            step2_pca_denoise(z, y, 2.0, 1.0, k2_override=5)
-
-    def test_row_mismatch(self):
-        with pytest.raises(ValueError):
-            step2_pca_denoise(np.zeros((5, 2)), np.zeros((6, 2)), 1.0, 1.0)
+            _denoise(z, y, 2.0, 1.0, k2_override=5)
 
 
 class TestPureNoiseRejection:
@@ -162,8 +168,8 @@ class TestPureNoiseRejection:
             rng = np.random.default_rng(seed)
             x = rng.normal(size=(150, 30))
             y = rng.normal(size=(150, 100))
-            z, _, _ = step1_pca_x(x, delta=1e-9, k1_override=30)
-            _, k2, _, _ = step2_pca_denoise(z, y, theta=4.0, sigma_eps=1.0)
+            z, _, _ = _whiten(x, delta=1e-9, k1_override=30)
+            _, k2, _, _ = _denoise(z, y, theta=4.0, sigma_eps=1.0)
             hits += int(k2 == 0)
         assert hits >= 29
 
@@ -397,10 +403,10 @@ class TestInputChecks:
 
     def test_stage2_truncation_equals_truncate_rank(self):
         inst = make_instance(SynthConfig(d1=30, d2=12, n=25, rank_m=4, eta=0.5, seed=2))
-        z, _, _ = step1_pca_x(inst.x, delta=1e-3, k1_override=20)
+        z, _, _ = _whiten(inst.x, delta=1e-3, k1_override=20)
         n_hat = inst.y.T @ z / z.shape[0]
         for k2 in (0, 3, 12):
-            trunc, _, _, _ = step2_pca_denoise(z, inst.y, 2.0, 1.0, k2_override=k2)
+            trunc, _, _, _ = _denoise(z, inst.y, 2.0, 1.0, k2_override=k2)
             np.testing.assert_array_equal(trunc, truncate_rank(n_hat, k2))
 
 
