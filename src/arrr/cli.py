@@ -57,6 +57,12 @@ import re
 import sys
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+# One BLAS thread unless the user set a count, so that reruns are byte-identical
+# on any core count; numpy reads these once, as it loads, so before its import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import baselines, dataio, metrics, synth
@@ -609,7 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--delta", type=float, default=FitConfig.delta,
                    help="eigenvalue-gap threshold (default %(default)g)")
     f.add_argument("--theta", type=float, default=FitConfig.theta,
-                   help="singular-value threshold multiplier (default %(default)g)")
+                   help="stage-2 threshold multiplier: keep singular values >= "
+                        "theta * sigma * sqrt(max(d2, k1) / n) (default %(default)g)")
     f.add_argument("--sigma", default=FitConfig.sigma_eps,
                    help="noise std, a number or 'auto' (default %(default)s)")
     f.add_argument("--k1", type=int, default=None, help="override stage-1 rank")

@@ -13,8 +13,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ._serde import fmt_float
-
 
 class DataFormatError(ValueError):
     pass
@@ -81,15 +79,6 @@ def load_panel_csv(path) -> ReturnPanel:
             rows.append(parsed)
     values = np.array(rows, dtype=float) if rows else np.zeros((0, len(assets)))
     return ReturnPanel(dates=dates, assets=assets, values=values)
-
-
-def save_panel_csv(panel: ReturnPanel, path) -> None:
-    """Inverse of load_panel_csv; missing entries become empty cells."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["date"] + list(panel.assets))
-        for date, row in zip(panel.dates, panel.values):
-            w.writerow([date] + ["" if np.isnan(v) else fmt_float(v) for v in row])
 
 
 def _window_sums(values: np.ndarray, k: int) -> np.ndarray:

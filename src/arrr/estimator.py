@@ -119,7 +119,7 @@ def step1_pca_x(dec: SpectralDecomposition, delta: float,
 
     Raises:
         NoGapError: no gap >= delta and no override given.
-        ValueError: an override beyond the numerical rank.
+        ValueError: a k1, picked or overridden, beyond the numerical rank.
     """
     n = dec.u.shape[0]
     lambdas = dec.s ** 2 / n
@@ -136,7 +136,7 @@ def step1_pca_x(dec: SpectralDecomposition, delta: float,
                 % delta
             )
         k1 = picked
-    if lambdas[k1 - 1] <= 0:
+    if k1 > numerical_rank(dec.s, (n, dec.v.shape[0])):
         raise ValueError("k1=%d exceeds the numerical rank of x" % k1)
 
     pi_hat = dec.v[:, :k1].T / np.sqrt(lambdas[:k1])[:, None]
@@ -150,10 +150,12 @@ def step2_pca_denoise(dec: SpectralDecomposition, n: int, theta: float, sigma_ep
     cross-moment matrix (y.T @ z_hat) / n of n samples.
 
     Keeps the singular directions whose values reach
-    theta * sigma_eps * sqrt(d2 / n) (or the top k2_override), and returns
-    (truncated matrix, k2, singular values, threshold).
+    theta * sigma_eps * sqrt(max(d2, k1) / n) (or the top k2_override), and
+    returns (truncated matrix, k2, singular values, threshold). The noise
+    part's top singular value is about sigma_eps * (sqrt(d2) + sqrt(k1)) /
+    sqrt(n), so for theta >= 2 the threshold clears it at any k1.
     """
-    threshold = theta * sigma_eps * np.sqrt(dec.u.shape[0] / n)
+    threshold = theta * sigma_eps * np.sqrt(max(dec.u.shape[0], dec.v.shape[0]) / n)
 
     if k2_override is not None:
         k2 = int(k2_override)

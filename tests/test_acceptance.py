@@ -164,6 +164,32 @@ def test_c03_companion_interior_minimum_at_low_noise():
             % (argmin, target), time.time() - t0, 120)
 
 
+def test_c03_threshold_keeps_the_supported_rank_past_d2():
+    """With k1 = 150 above d2 = 100 and the oracle noise scale, the mean
+    selected k2 over 20 seeds lies within 1.5 of the supported rank at
+    eta 0.5 and 1.0."""
+    # Stage 2's noise is a d2 x k1 matrix with top singular value about
+    # sigma (sqrt(d2) + sqrt(k1)) / sqrt(n), which theta sigma sqrt(d2 / n)
+    # does not clear once k1 > d2. Measured with sqrt(max(d2, k1) / n): mean
+    # k2 10.6 vs 9.9 at eta 0.5 and 5.2 vs 4.8 at eta 1.0; with sqrt(d2 / n),
+    # 7.8 and 7.0 above the supported rank.
+    t0 = time.time()
+    excess = []
+    for eta in (0.5, 1.0):
+        k2s, ranks = [], []
+        for seed in range(20):
+            inst = make_instance(SynthConfig(d1=200, d2=100, n=150, rank_m=50,
+                                             eta=eta, seed=seed))
+            model = fit_adaptive_rrr(inst.x, inst.y, FitConfig(
+                theta=2.0, sigma_eps=inst.sigma_noise, k1_override=150))
+            k2s.append(model.k2)
+            ranks.append(_supported_rank(inst, 150))
+        excess.append(float(np.mean(k2s) - np.mean(ranks)))
+    _report("c03-past-d2", all(abs(e) <= 1.5 for e in excess),
+            "mean k2 minus supported rank %+.1f at eta 0.5, %+.1f at eta 1.0, "
+            "want within 1.5" % tuple(excess), time.time() - t0, 60)
+
+
 def test_c04_rank_adapts_down_with_noise():
     """Mean selected denoising rank is non-increasing in the noise level."""
     t0 = time.time()
@@ -298,23 +324,40 @@ def test_c07_gap_tail_index_bounds():
             % (good, combos), time.time() - t0, 5)
 
 
-def test_c08_pure_noise_yields_empty_model():
-    """Responses with no signal should be rejected almost always."""
-    t0 = time.time()
+def _pure_noise_empty_count(theta, k1_override=None):
+    """Of 100 pure-noise draws at (d1, d2, n) = (200, 100, 150), the number
+    whose stage 2 keeps nothing."""
     zero = 0
     for seed in range(100):
         v, lam = gen_covariance(200, 2.0, seed)
         x = gen_design(v, lam, 150, seed + 50_000)
         y = np.random.default_rng(seed + 90_000).standard_normal((150, 100))
         dec = decompose(x)
-        pi, _ = step1_pca_x(dec, delta=1e-3)
+        pi, _ = step1_pca_x(dec, delta=1e-3, k1_override=k1_override)
         z = np.sqrt(150) * dec.u[:, :pi.shape[0]]
         _, k2, _, _ = step2_pca_denoise(decompose(y.T @ z / 150), 150,
-                                        theta=4.0, sigma_eps=1.0)
+                                        theta=theta, sigma_eps=1.0)
         zero += k2 == 0
+    return zero
+
+
+def test_c08_pure_noise_yields_empty_model():
+    """Responses with no signal should be rejected almost always."""
+    t0 = time.time()
+    zero = _pure_noise_empty_count(theta=4.0)
     _report("c08", zero >= 95,
             "k2 = 0 in %d/100 pure-noise draws, want >= 95" % zero,
             time.time() - t0, 10)
+
+
+def test_c08_pure_noise_past_d2_yields_empty_model():
+    """Pure noise with k1 = 150 above d2 = 100 at theta 2: stage 2's
+    threshold still clears the noise, so k2 = 0 almost always."""
+    t0 = time.time()
+    zero = _pure_noise_empty_count(theta=2.0, k1_override=150)
+    _report("c08-past-d2", zero >= 95,
+            "k2 = 0 in %d/100 pure-noise draws at k1 150 > d2 100, want >= 95"
+            % zero, time.time() - t0, 10)
 
 
 def test_c09_packing_family_properties():

@@ -770,10 +770,12 @@ class TestAngles:
 
 def _matrix_files(tmp_path):
     """x (30x10), y (30x4), y with one row short, x with one column short,
-    x with a NaN, and a model fitted on x/y."""
+    x with a NaN, x of numerical rank 3 in 4 columns, and a model fitted on
+    x/y."""
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(30, 10)), rng.normal(size=(30, 4))
-    files = {"x": x, "y": y, "y29": y[:29], "x9": x[:, :9], "xnan": x.copy()}
+    files = {"x": x, "y": y, "y29": y[:29], "x9": x[:, :9], "xnan": x.copy(),
+             "xrank3": np.hstack([x[:, :3], 2 * x[:, :1]])}
     files["xnan"][3, 2] = np.nan
     paths = {}
     for name, a in files.items():
@@ -835,6 +837,8 @@ _SMALL_PACKING = {"d": 32, "rho": 0.06, "sigma_eps": 1.0, "n_samples": 100,
 # catch: (argv with {name} placeholders, config written to cfg.json or None).
 PROBES = {
     "fit_k1_above_d1": (["fit", "--x", "{x}", "--y", "{y}", "--k1", "50"], None),
+    "fit_k1_above_numerical_rank": (["fit", "--x", "{xrank3}", "--y", "{y}", "--k1", "4"],
+                                    None),
     "fit_row_mismatch": (["fit", "--x", "{x}", "--y", "{y29}"], None),
     "fit_k2_above_k1": (["fit", "--x", "{x}", "--y", "{y}", "--k2", "99"], None),
     "predict_wrong_columns": (["predict", "--model", "{model}", "--x", "{x9}"], None),
@@ -1288,8 +1292,16 @@ def _footprint(argv):
 
 
 class TestImportFootprint:
-    """A subcommand loads the process pool and the packing verifier only
-    when it runs them."""
+    """`import arrr` loads nothing, and a subcommand loads the process pool
+    and the packing verifier only when it runs them."""
+
+    def test_import_arrr_loads_neither_numpy_nor_a_submodule(self):
+        code = ("import json, sys, arrr; print(json.dumps(sorted(m for m in sys.modules"
+                " if m in ('numpy', 'arrr') or m.startswith('arrr.'))))")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(arrr.__file__)))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert json.loads(run.stdout) == ["arrr", "arrr._version"]
 
     @pytest.mark.parametrize("command", ["fit", "predict", "synth", "sweep"])
     def test_loads_neither_pool_nor_packing(self, command, tmp_path):

@@ -9,7 +9,6 @@ from arrr.dataio import (
     load_panel_csv,
     make_features,
     rolling_splits,
-    save_panel_csv,
 )
 
 
@@ -66,24 +65,6 @@ class TestLoadPanel:
         path = _write(tmp_path, "timestamp,A\n2020-01-01,0.1\n")
         with pytest.raises(DataFormatError, match="line 1"):
             load_panel_csv(path)
-
-    def test_round_trip_preserves_values(self, tmp_path):
-        rng = np.random.default_rng(0)
-        values = rng.normal(size=(5, 3))
-        values[2, 1] = np.nan
-        panel = ReturnPanel(
-            dates=["d%d" % i for i in range(5)],
-            assets=["A", "B", "C"],
-            values=values,
-        )
-        path = str(tmp_path / "out.csv")
-        save_panel_csv(panel, path)
-        again = load_panel_csv(path)
-        assert again.dates == panel.dates
-        assert again.assets == panel.assets
-        np.testing.assert_array_equal(np.isnan(again.values), np.isnan(panel.values))
-        np.testing.assert_array_equal(
-            again.values[~np.isnan(panel.values)], panel.values[~np.isnan(panel.values)])
 
 
 class TestMakeFeatures:

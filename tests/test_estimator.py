@@ -94,6 +94,16 @@ class TestStep1:
         with pytest.raises(ValueError):
             _whiten(x, delta=0.1, k1_override=2)
 
+    def test_override_beyond_numerical_rank(self):
+        # the fourth column is twice the first: its singular value is
+        # round-off, not exactly 0, and a fit through it blows up to ~1e13
+        a = np.random.default_rng(5).normal(size=(30, 3))
+        x = np.hstack([a, 2 * a[:, :1]])
+        y = np.random.default_rng(6).normal(size=(30, 2))
+        with pytest.raises(ValueError, match="k1=4 exceeds the numerical rank of x"):
+            fit_adaptive_rrr(x, y, FitConfig(sigma_eps=0.1, k1_override=4))
+        assert fit_adaptive_rrr(x, y, FitConfig(sigma_eps=0.1, k1_override=3)).k1 == 3
+
     def test_override_out_of_bounds(self):
         x = np.random.default_rng(4).normal(size=(5, 3))
         with pytest.raises(ValueError):
