@@ -76,6 +76,7 @@ from .estimator import (
     fit_path,
     load_model,
     predict,
+    rank_path,
     require_xy,
     save_model,
 )
@@ -283,7 +284,8 @@ def _scores(model, x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
 
 
 def _sweep_cell(args) -> List[Dict[str, Any]]:
-    """Every (k1, k2) row of one seed: one instance, one test draw, one path."""
+    """Every (k1, k2) row of one seed: one instance, one test draw, one rank
+    path."""
     fit, k1s, k2s, syn = args
     inst = synth.make_instance(syn)
     x_te, y_te, _ = synth.gen_dataset(inst.m, inst.v_star, inst.lambda_star,
@@ -291,12 +293,11 @@ def _sweep_cell(args) -> List[Dict[str, Any]]:
     configs = [c for k1 in k1s for k2 in k2s
                for c in _candidates(fit, inst, k1_override=k1, k2_override=k2)]
     rows = []
-    # k1 is pinned for every config, so stage 1 cannot yield a NoGapError here
-    for model in fit_path(inst.x, inst.y, configs):
-        mse, _, corr = _scores(model, x_te, y_te)
-        rows.append({"method": "adaptive_rrr", "eta": syn.eta, "k1": model.k1,
-                     "k2": model.k2, "seed": syn.seed,
-                     "recon_error": float(np.linalg.norm(inst.m - model.m_hat)),
+    for config, (m_hat, y_hat) in zip(configs, rank_path(inst.x, inst.y, configs, x_te)):
+        mse, _, corr = metrics.pooled_scores(y_te, y_hat)
+        rows.append({"method": "adaptive_rrr", "eta": syn.eta, "k1": config.k1_override,
+                     "k2": config.k2_override, "seed": syn.seed,
+                     "recon_error": float(np.linalg.norm(inst.m - m_hat)),
                      "mse_out": mse, "corr_out": corr})
     return rows
 

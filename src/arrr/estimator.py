@@ -113,34 +113,47 @@ def step1_pca_x(dec: SpectralDecomposition, delta: float,
     """Whitening stage, a rule on `dec`, the thin SVD of the n x d1 design x.
 
     Converts singular values to eigenvalue scale lambda_i = sigma_i^2 / n,
-    picks k1 by the consecutive-gap rule (or the override), and returns
-    (pi_hat, lambdas), pi_hat the k1 x d1 map such that x @ pi_hat.T is the
-    whitened scores z_hat, sqrt(n) times the top-k1 left singular vectors.
+    picks k1 by the consecutive-gap rule among the eigenvalues within the
+    numerical rank of x (or the override), and returns (pi_hat, lambdas),
+    pi_hat the k1 x d1 map such that x @ pi_hat.T is the whitened scores
+    z_hat, sqrt(n) times the top-k1 left singular vectors.
 
     Raises:
         NoGapError: no gap >= delta and no override given.
-        ValueError: a k1, picked or overridden, beyond the numerical rank.
+        ValueError: an override beyond the numerical rank.
     """
     n = dec.u.shape[0]
     lambdas = dec.s ** 2 / n
+    rank = numerical_rank(dec.s, (n, dec.v.shape[0]))
 
     if k1_override is not None:
         k1 = int(k1_override)
         if not (1 <= k1 <= lambdas.size):
             raise ValueError("k1 override %d outside [1, %d]" % (k1, lambdas.size))
+        if k1 > rank:
+            raise ValueError("k1=%d exceeds the numerical rank of x" % k1)
     else:
-        picked = select_gap_rank(lambdas, delta)
+        # past the numerical rank an eigenvalue is round-off, whose gap can
+        # reach delta when x is large
+        picked = select_gap_rank(lambdas[:rank], delta)
         if picked is None:
             raise NoGapError(
                 "no consecutive eigenvalue gap >= %g; lower delta or set k1 explicitly"
                 % delta
             )
         k1 = picked
-    if k1 > numerical_rank(dec.s, (n, dec.v.shape[0])):
-        raise ValueError("k1=%d exceeds the numerical rank of x" % k1)
 
     pi_hat = dec.v[:, :k1].T / np.sqrt(lambdas[:k1])[:, None]
     return pi_hat, lambdas
+
+
+def _k2_in_range(k2_override: int, size: int) -> int:
+    """A k2 override as an int, checked against the `size` singular values of
+    the cross-moment matrix it truncates."""
+    k2 = int(k2_override)
+    if not (0 <= k2 <= size):
+        raise ValueError("k2 override %d outside [0, %d]" % (k2, size))
+    return k2
 
 
 def step2_pca_denoise(dec: SpectralDecomposition, n: int, theta: float, sigma_eps: float,
@@ -158,9 +171,7 @@ def step2_pca_denoise(dec: SpectralDecomposition, n: int, theta: float, sigma_ep
     threshold = theta * sigma_eps * np.sqrt(max(dec.u.shape[0], dec.v.shape[0]) / n)
 
     if k2_override is not None:
-        k2 = int(k2_override)
-        if not (0 <= k2 <= dec.s.size):
-            raise ValueError("k2 override %d outside [0, %d]" % (k2, dec.s.size))
+        k2 = _k2_in_range(k2_override, dec.s.size)
     else:
         k2 = select_threshold_rank(dec.s, threshold)
     return dec.truncated(k2), k2, dec.s, float(threshold)
@@ -204,6 +215,36 @@ def estimate_noise_sigma(
     return sigma
 
 
+def _prologue(x: np.ndarray, y: np.ndarray, dec: Optional[SpectralDecomposition]):
+    """What fit_path and rank_path share before the stages: check x and y,
+    take the one SVD of x (or `dec`), and return it with n and two functions:
+    a config's sigma_eps, which runs the noise pilot on the first config with
+    sigma_eps "auto" and reuses it after, and the SVD of the cross-moment
+    matrix (y.T @ z_hat) / n for a k1."""
+    x, y = require_xy("x and y", x, y)
+    n = x.shape[0]
+    # checked before the pilot, which would report an all-zero panel's
+    # response as constant
+    if n < 2:
+        raise ValueError("x must be a matrix with at least 2 rows")
+    if not np.any(x):
+        raise ValueError("x is identically zero")
+    x_dec = decompose(x) if dec is None else dec
+    pilot = []
+
+    def sigma_of(config: FitConfig) -> float:
+        if config.sigma_eps != "auto":
+            return float(config.sigma_eps)
+        if not pilot:
+            pilot.append(estimate_noise_sigma(x, y, x_dec))
+        return pilot[0]
+
+    def n_hat_dec(k1: int) -> SpectralDecomposition:
+        return decompose(y.T @ (np.sqrt(n) * x_dec.u[:, :k1]) / n)
+
+    return x_dec, n, sigma_of, n_hat_dec
+
+
 def fit_path(
     x: np.ndarray,
     y: np.ndarray,
@@ -224,30 +265,18 @@ def fit_path(
     or infinity, the pilot's errors, and ValueError for a shape, fewer than
     2 rows, an all-zero x or an override beyond the data.
     """
-    x, y = require_xy("x and y", x, y)
-    n = x.shape[0]
-    # checked before the pilot, which would report an all-zero panel's
-    # response as constant
-    if n < 2:
-        raise ValueError("x must be a matrix with at least 2 rows")
-    if not np.any(x):
-        raise ValueError("x is identically zero")
-
-    x_dec = decompose(x) if dec is None else dec
-    pilot_sigma = None
+    x_dec, n, sigma_of, n_hat_dec = _prologue(x, y, dec)
     n_hat_decs = {}
     for config in configs:
-        if config.sigma_eps == "auto" and pilot_sigma is None:
-            pilot_sigma = estimate_noise_sigma(x, y, x_dec)
-        sigma_eps = pilot_sigma if config.sigma_eps == "auto" else float(config.sigma_eps)
+        sigma_eps = sigma_of(config)
         try:
             pi_hat, lambdas = step1_pca_x(x_dec, config.delta, config.k1_override)
         except NoGapError as e:
             yield e
             continue
         k1 = pi_hat.shape[0]
-        if k1 not in n_hat_decs:  # the cross moment (y.T @ z_hat) / n
-            n_hat_decs[k1] = decompose(y.T @ (np.sqrt(n) * x_dec.u[:, :k1]) / n)
+        if k1 not in n_hat_decs:
+            n_hat_decs[k1] = n_hat_dec(k1)
         n_hat_trunc, k2, sigmas, threshold = step2_pca_denoise(
             n_hat_decs[k1], n, config.theta, sigma_eps, config.k2_override
         )
@@ -263,6 +292,36 @@ def fit_path(
             sigma_eps_used=sigma_eps,
             n=n,
         )
+
+
+def rank_path(x: np.ndarray, y: np.ndarray, configs: Sequence[FitConfig],
+              x_new: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(m_hat, x_new @ m_hat.T) of fit_path's model for each config, in config
+    order, for configs that pin both k1 and k2.
+
+    x and y are checked and factored, and the pilot runs, as in fit_path,
+    with the same errors. Per distinct k1, stage 1 runs once and the
+    cross-moment matrix has one SVD U diag(s) V^T. Truncated to k2 and
+    composed with pi_hat, it is the sum of the top k2 rank-one terms of
+    us = U diag(s) and w = V^T pi_hat: m_hat is us[:, :k2] @ w[:k2], and the
+    predictions are p[:, :k2] @ U[:, :k2].T with p = (x_new @ pi_hat.T) @
+    V diag(s). Both equal fit_path's up to rounding.
+    """
+    if any(c.k1_override is None or c.k2_override is None for c in configs):
+        raise ValueError("rank_path needs configs that pin both k1 and k2")
+    x_dec, _, sigma_of, n_hat_dec = _prologue(x, y, None)
+    factors = {}  # k1 -> (us, w, p, U)
+    for config in configs:
+        sigma_of(config)  # the pilot's errors surface where fit_path's would
+        k1 = int(config.k1_override)
+        if k1 not in factors:
+            pi_hat, _ = step1_pca_x(x_dec, config.delta, k1)
+            dec = n_hat_dec(k1)
+            factors[k1] = (dec.u * dec.s, dec.v.T @ pi_hat,
+                           (x_new @ pi_hat.T) @ (dec.v * dec.s), dec.u)
+        us, w, p, u = factors[k1]
+        k2 = _k2_in_range(config.k2_override, w.shape[0])
+        yield us[:, :k2] @ w[:k2], p[:, :k2] @ u[:, :k2].T
 
 
 def fit_adaptive_rrr(x: np.ndarray, y: np.ndarray, config: FitConfig,

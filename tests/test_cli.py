@@ -135,6 +135,20 @@ class TestFitPredictSynth:
         monkeypatch.setenv("ARRR_SEED", "0" * 5000 + "7")
         assert cli._env_seed() == 7
 
+    @pytest.mark.parametrize("scale", [1.0, 1e12, 1e14, 1e16])
+    def test_fit_picks_k1_within_the_numerical_rank_at_any_scale(self, tmp_path, scale):
+        # the fourth column is twice the first; at 1e16 its round-off
+        # eigenvalue has a gap above the default delta
+        a = np.random.default_rng(5).normal(size=(30, 3))
+        paths = {"x": np.hstack([a, 2 * a[:, :1]]) * scale,
+                 "y": np.random.default_rng(6).normal(size=(30, 2))}
+        for name, m in paths.items():
+            paths[name] = str(tmp_path / (name + ".csv"))
+            write_matrix_csv(paths[name], m)
+        out = tmp_path / "model"
+        assert main(["fit", "--x", paths["x"], "--y", paths["y"], "--out", str(out)]) == 0
+        assert json.loads((out / "meta.json").read_text())["k1"] == 3
+
     def test_fit_rejects_bad_sigma(self, tmp_path):
         x = tmp_path / "x.csv"
         write_matrix_csv(str(x), np.eye(3))
@@ -259,12 +273,24 @@ class TestSweep:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_seed_path_matches_per_cell_reference(self, tmp_path, jobs):
+        # the rank path sums the same rank-one terms in another order, so the
+        # scores agree with separate fits up to rounding; the keys exactly
         payload = _sweep_cfg(grids={"k1": [4, 7], "k2": [0, 2, 3], "seeds": [0, 1, 5]})
         cfg = _write_json(tmp_path, "cfg.json", payload)
-        out = str(tmp_path / "out")
+        out, other = str(tmp_path / "out"), str(tmp_path / "other")
         assert main(["sweep", "--config", cfg, "--out", out, "--jobs", jobs]) == 0
-        want = self._reference_csv(payload, str(tmp_path / "ref"))
-        assert filecmp.cmp(os.path.join(out, "results.csv"), want, shallow=False)
+        got = _read_rows(os.path.join(out, "results.csv"))
+        want = _read_rows(self._reference_csv(payload, str(tmp_path / "ref")))
+        scores = ("recon_error", "mse_out", "corr_out")
+        assert [{k: r[k] for k in SWEEP_HEADER if k not in scores} for r in got] == [
+            {k: r[k] for k in SWEEP_HEADER if k not in scores} for r in want]
+        np.testing.assert_allclose([[float(r[k]) for k in scores] for r in got],
+                                   [[float(r[k]) for k in scores] for r in want],
+                                   rtol=1e-12, atol=0, equal_nan=True)
+        assert main(["sweep", "--config", cfg, "--out", other,
+                     "--jobs", {"1": "2", "2": "1"}[jobs]]) == 0
+        assert filecmp.cmp(os.path.join(out, "results.csv"),
+                           os.path.join(other, "results.csv"), shallow=False)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_bad_k2_in_multi_seed_sweep_writes_nothing(self, tmp_path, jobs, capsys):

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import arrr.estimator as estimator
@@ -18,10 +18,12 @@ from arrr.estimator import (
     fit_path,
     load_model,
     predict,
+    rank_path,
     save_model,
     step1_pca_x,
     step2_pca_denoise,
 )
+from arrr.metrics import pooled_scores
 from arrr.spectral import decompose, select_gap_rank, truncate_rank
 from arrr.synth import SynthConfig, gen_covariance, gen_design, make_instance
 
@@ -103,6 +105,13 @@ class TestStep1:
         with pytest.raises(ValueError, match="k1=4 exceeds the numerical rank of x"):
             fit_adaptive_rrr(x, y, FitConfig(sigma_eps=0.1, k1_override=4))
         assert fit_adaptive_rrr(x, y, FitConfig(sigma_eps=0.1, k1_override=3)).k1 == 3
+
+    @pytest.mark.parametrize("scale", [1.0, 1e12, 1e14, 1e16])
+    def test_gap_rule_stays_within_numerical_rank(self, scale):
+        # at 1e16 the round-off fourth eigenvalue is about 11, a gap above delta
+        a = np.random.default_rng(5).normal(size=(30, 3))
+        pi_hat, _ = step1_pca_x(decompose(np.hstack([a, 2 * a[:, :1]]) * scale), delta=1e-3)
+        assert pi_hat.shape[0] == 3
 
     def test_override_out_of_bounds(self):
         x = np.random.default_rng(4).normal(size=(5, 3))
@@ -567,3 +576,100 @@ class TestFitPath:
             list(fit_path(x, y, [FitConfig(sigma_eps=1.0), FitConfig(theta=0.0)]))
         with pytest.raises(ValueError, match="k2 override"):
             list(fit_path(x, y, [FitConfig(sigma_eps=1.0, k1_override=3, k2_override=4)]))
+
+
+def _rel(got, want):
+    """Frobenius distance of got from want relative to want's norm, 0 for two
+    zero matrices."""
+    return np.linalg.norm(got - want) / (np.linalg.norm(want) or 1.0)
+
+
+@st.composite
+def _rank_grids(draw):
+    """A shape and the (k1, k2) pairs of a grid on it: for each drawn k1, in
+    the drawn order and with repeats, a list of k2 values within range."""
+    n, d1, d2 = draw(_SHAPES)
+    k1s = draw(st.lists(st.integers(1, min(n, d1)), min_size=1, max_size=4))
+    return (n, d1, d2), [(k1, k2) for k1 in k1s for k2 in draw(
+        st.lists(st.integers(0, min(d2, k1)), min_size=1, max_size=4))]
+
+
+class TestRankPath:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=_SEEDS, grid=_rank_grids(), sigma=_SIGMAS)
+    # n < d1 with k1 > d2, on a repeated and unsorted grid with k2 = 0
+    @example(seed=3, sigma="auto", grid=((10, 16, 3), [
+        (k1, k2) for k1 in (6, 2, 6) for k2 in (3, 0, 1, 2) if k2 <= k1]))
+    def test_rank_path_equals_fit_path(self, seed, grid, sigma):
+        # Each config's m_hat and x_new @ m_hat.T within 1e-12 (relative,
+        # Frobenius norm) of fit_path's model, and its pooled scores within
+        # 1e-12: the same rank-one terms, summed in another order.
+        (n, d1, d2), pairs = grid
+        x, y = _path_data(seed, n, d1, d2)
+        x_new, y_new = _path_data(seed + 1, n + 3, d1, d2)
+        configs = [FitConfig(sigma_eps=sigma, k1_override=k1, k2_override=k2)
+                   for k1, k2 in pairs]
+        got = list(rank_path(x, y, configs, x_new))
+        assert len(got) == len(configs)
+        for config, model, (m_hat, y_hat) in zip(configs, fit_path(x, y, configs), got):
+            assert (model.k1, model.k2) == (config.k1_override, config.k2_override)
+            want_y = x_new @ model.m_hat.T
+            assert _rel(m_hat, model.m_hat) <= 1e-12
+            assert _rel(y_hat, want_y) <= 1e-12
+            np.testing.assert_allclose(pooled_scores(y_new, y_hat),
+                                       pooled_scores(y_new, want_y),
+                                       rtol=1e-12, atol=1e-12, equal_nan=True)
+
+    def test_bad_k2_raises_stage_twos_error(self):
+        x, y = _path_data(0, 20, 8, 5)
+        configs = [FitConfig(sigma_eps=1.0, k1_override=3, k2_override=1),
+                   FitConfig(sigma_eps=1.0, k1_override=3, k2_override=4)]
+        with pytest.raises(ValueError) as want:
+            list(fit_path(x, y, configs))
+        path = rank_path(x, y, configs, x)
+        assert next(path)[0].shape == (5, 8)  # the good config first
+        with pytest.raises(ValueError) as got:
+            next(path)
+        assert str(got.value) == str(want.value) == "k2 override 4 outside [0, 3]"
+
+    def test_configs_must_pin_both_ranks(self):
+        x, y = _path_data(0, 20, 8, 5)
+        for config in (FitConfig(sigma_eps=1.0, k1_override=3),
+                       FitConfig(sigma_eps=1.0, k2_override=1)):
+            with pytest.raises(ValueError, match="pin both k1 and k2"):
+                list(rank_path(x, y, [config], x))
+
+    @pytest.mark.parametrize("sigmas, pilots", [((1.0, 1.0), 0), ((1.0, "auto"), 1),
+                                                (("auto", "auto"), 1)])
+    def test_one_stage_one_and_one_svd_per_k1(self, monkeypatch, sigmas, pilots):
+        calls = {"decompose": [], "pilot": 0, "stage1": 0}
+        real = estimator.decompose, estimator.estimate_noise_sigma, estimator.step1_pca_x
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                if key == "decompose":
+                    calls[key].append(np.shape(args[0]))
+                else:
+                    calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name, key, fn in zip(("decompose", "estimate_noise_sigma", "step1_pca_x"),
+                                 ("decompose", "pilot", "stage1"), real):
+            monkeypatch.setattr(estimator, name, counting(key, fn))
+        x, y = _path_data(0, 20, 8, 5)
+        configs = [FitConfig(sigma_eps=sigma, k1_override=k1, k2_override=k2)
+                   for sigma in sigmas for k1 in (3, 6) for k2 in (2, 0)]
+        assert len(list(rank_path(x, y, configs, x))) == len(configs)
+        assert calls == {"decompose": [(20, 8), (5, 3), (5, 6)], "pilot": pilots,
+                         "stage1": 2}
+
+    def test_errors_before_the_stages_match_fit_path(self):
+        for x, y, sigma, message in (
+                (np.zeros((6, 3)), np.zeros((6, 2)), "auto", "x is identically zero"),
+                (np.ones((1, 3)), np.ones((1, 2)), 1.0, "at least 2 rows"),
+                (np.eye(4, 3), np.ones((4, 2)), "auto", "response y is constant")):
+            configs = [FitConfig(sigma_eps=sigma, k1_override=1, k2_override=0)]
+            for path in (fit_path(x, y, configs), rank_path(x, y, configs, x)):
+                with pytest.raises(ValueError, match=message):
+                    list(path)
