@@ -4,7 +4,8 @@ Eight subcommands. `fit`, `predict` and `synth` are flag-driven and dispatch
 through COMMANDS. The five experiments each take a JSON config and an output
 directory and have one EXPERIMENTS entry: the reader, the top-level config
 sections it accepts, the results.csv header and row order, and the help text.
-`build_parser` and `main` read the subcommands from these two tables.
+`build_parser` and `main` read the subcommands from these two tables; a run
+builds the parser of its own subcommand only.
 
 A reader checks its sections, runs the experiment and returns its rows (the
 packing reader its report). `run_experiment` does the rest once for all of
@@ -603,14 +604,8 @@ COMMANDS = {"fit": cmd_fit, "predict": cmd_predict, "synth": cmd_synth}
 # ---------------------------------------------------------------- entry
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="arrr",
-        description="Adaptive reduced rank regression: fit, synthetic "
-                    "benchmarks, baselines, backtests, packing verification.")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    f = sub.add_parser("fit", help="fit the two-stage estimator on x/y CSVs")
+def _add_fit(sub, name: str) -> None:
+    f = sub.add_parser(name, help="fit the two-stage estimator on x/y CSVs")
     f.add_argument("--x", required=True, help="design matrix CSV, n rows")
     f.add_argument("--y", required=True, help="response matrix CSV, n rows")
     f.add_argument("--delta", type=float, default=FitConfig.delta,
@@ -624,12 +619,16 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--k2", type=int, default=None, help="override stage-2 rank")
     f.add_argument("--out", required=True, help="model output directory")
 
-    pr = sub.add_parser("predict", help="apply a saved model to new features")
+
+def _add_predict(sub, name: str) -> None:
+    pr = sub.add_parser(name, help="apply a saved model to new features")
     pr.add_argument("--model", required=True, help="model directory from fit")
     pr.add_argument("--x", required=True, help="design matrix CSV")
     pr.add_argument("--out", required=True, help="prediction CSV path")
 
-    sy = sub.add_parser("synth", help="generate a synthetic benchmark instance")
+
+def _add_synth(sub, name: str) -> None:
+    sy = sub.add_parser(name, help="generate a synthetic benchmark instance")
     for fld in dataclasses.fields(synth.SynthConfig):  # --rank sets rank_m
         required = fld.default is dataclasses.MISSING
         sy.add_argument("--rank" if fld.name == "rank_m" else "--" + fld.name, dest=fld.name,
@@ -637,12 +636,36 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None if required else fld.default)
     sy.add_argument("--out", required=True, help="output directory")
 
-    for name, exp in EXPERIMENTS.items():
-        e = sub.add_parser(name, help=exp.help)
-        e.add_argument("--config", required=True, help="JSON experiment config")
-        e.add_argument("--out", required=True, help="output directory")
-        e.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for grid cells, >= 1 (default 1)")
+
+def _add_experiment(sub, name: str) -> None:
+    e = sub.add_parser(name, help=EXPERIMENTS[name].help)
+    e.add_argument("--config", required=True, help="JSON experiment config")
+    e.add_argument("--out", required=True, help="output directory")
+    e.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for grid cells, >= 1 (default 1)")
+
+
+# each subcommand's parser, in help order
+SUBPARSERS = {"fit": _add_fit, "predict": _add_predict, "synth": _add_synth,
+              **dict.fromkeys(EXPERIMENTS, _add_experiment)}
+
+
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser, or with `only` one holding that subcommand alone.
+
+    The one-subcommand parser lists every subcommand in its usage, so its usage
+    and error text are the full parser's. The full parser keeps argparse's
+    own metavar, since a metavar would also rename `argument command` in its
+    invalid- and missing-command errors.
+    """
+    p = argparse.ArgumentParser(
+        prog="arrr",
+        description="Adaptive reduced rank regression: fit, synthetic "
+                    "benchmarks, baselines, backtests, packing verification.")
+    sub = p.add_subparsers(dest="command", required=True,
+                           metavar=None if only is None else "{%s}" % ",".join(SUBPARSERS))
+    for name in SUBPARSERS if only is None else (only,):
+        SUBPARSERS[name](sub, name)
     return p
 
 
@@ -655,7 +678,10 @@ def _run_command(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a run builds only its own subcommand's parser; help, no command and an
+    # unknown command need the full one
+    args = build_parser(argv[0] if argv and argv[0] in SUBPARSERS else None).parse_args(argv)
     # predict's --out is a file; error.json belongs next to it
     err_dir = (os.path.dirname(args.out) or ".") if args.command == "predict" else args.out
     try:

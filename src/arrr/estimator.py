@@ -120,11 +120,14 @@ def step1_pca_x(dec: SpectralDecomposition, delta: float,
 
     Raises:
         NoGapError: no gap >= delta and no override given.
-        ValueError: an override beyond the numerical rank.
+        ValueError: an all-zero x (numerical rank 0), or an override beyond
+            the numerical rank.
     """
     n = dec.u.shape[0]
     lambdas = dec.s ** 2 / n
     rank = numerical_rank(dec.s, (n, dec.v.shape[0]))
+    if rank == 0:
+        raise ValueError("x is identically zero")
 
     if k1_override is not None:
         k1 = int(k1_override)

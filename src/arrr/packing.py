@@ -203,6 +203,23 @@ def resolve_supports(r: Sequence[int], patterns: List[List[np.ndarray]]) -> List
     return [patterns[c][idx] for c, idx in enumerate(r)]
 
 
+def _quantile(values: np.ndarray, q: float) -> float:
+    """np.quantile(values, q) of a 1-d array, bit for bit, without its index
+    set-up, which loads numpy.ma: numpy's 'linear' rule on np.quantile's own
+    partition pivots, so that 0.0 and -0.0 land where it puts them."""
+    n = values.size
+    virtual = (n - 1) * q
+    i = math.floor(virtual)
+    if i >= n - 1:  # at the last value numpy measures the weight from index -1
+        i, j, gamma = n - 1, n - 1, virtual + 1
+    else:
+        j, gamma = i + 1, virtual - i
+    part = np.partition(values, sorted({0, i, j, n - 1}))
+    a, b = part[i], part[j]
+    # interpolated from the nearer end, so that gamma 0 and 1 are exact
+    return float(b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma)
+
+
 @functools.lru_cache(maxsize=None)
 def calibrate_fill_constants(subset_size: int) -> Tuple[float, float]:
     """One-time Monte-Carlo calibration of the spread-acceptance constants.
@@ -211,24 +228,29 @@ def calibrate_fill_constants(subset_size: int) -> Tuple[float, float]:
     smallest entry-cutoff scale (in units of 1/sqrt(support dim)) for which at
     most 2 entries exceed the cutoff in >= 90% of draws, then sets the
     accepted tail-mass level at the 60th percentile so that typical draws are
-    accepted. Cached per support size; the internal seed is fixed.
+    accepted. At most 2 entries of a draw reach a cutoff exactly when its
+    third-largest magnitude is below it, so that magnitude is taken once per
+    draw and each scale is one comparison. Cached per support size; the
+    internal seed is fixed.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=20240131, spawn_key=(subset_size,)))
     draws = rng.standard_normal((10_000, subset_size))
     draws /= np.linalg.norm(draws, axis=1, keepdims=True)
+    # each draw's third-largest magnitude, copied: a view would keep the
+    # partitioned copy of draws alive
+    third = (np.partition(np.abs(draws), -3, axis=1)[:, -3].copy() if subset_size > 2
+             else np.zeros(len(draws)))
     chosen = None
     for scale in np.arange(1.0, 3.01, 0.05):
         cutoff = scale / math.sqrt(subset_size)
-        heavy_counts = np.sum(np.abs(draws) >= cutoff, axis=1)
-        if np.mean(heavy_counts <= 2) >= 0.9:
+        if np.mean(third < cutoff) >= 0.9:
             chosen = float(scale)
             break
     if chosen is None:
         chosen = 3.0
     cutoff = chosen / math.sqrt(subset_size)
     masses = np.sum(np.where(np.abs(draws) >= cutoff, draws ** 2, 0.0), axis=1)
-    level = float(np.quantile(masses, 0.6))
-    return chosen, level
+    return chosen, _quantile(masses, 0.6)
 
 
 def build_unitary(
@@ -369,10 +391,12 @@ def verify_packing(
     eye = np.eye(d)
     prefix = family.unitaries[0][:, :lo]
     spec_sorted = np.sort(np.asarray(params.spectrum, dtype=float))[::-1]
-    members = [(r, u, resolve_supports(r, family.patterns))
-               for r, u in zip(family.code, family.unitaries)]
+    members = []  # code tuple, unitary, supports, and the supports as sets
+    for r, u in zip(family.code, family.unitaries):
+        supp = resolve_supports(r, family.patterns)
+        members.append((r, u, supp, [set(s.tolist()) for s in supp]))
     unit_res = off_support = prefix_mismatch = spectrum_mismatch = 0.0
-    for _, u, supp in members:
+    for _, u, supp, _ in members:
         unit_res = max(unit_res, float(np.max(np.abs(u.T @ u - eye))))
         for c, s in enumerate(supp):
             mask = np.ones(d, dtype=bool)
@@ -384,12 +408,12 @@ def verify_packing(
         spectrum_mismatch = max(spectrum_mismatch, float(np.max(np.abs(sv - spec_sorted))))
 
     max_cost, min_dist, max_overlap = 0.0, math.inf, 0
-    for (ra, ua, sa), (rb, ub, sb) in itertools.combinations(members, 2):
+    for (ra, ua, _, sa), (rb, ub, _, sb) in itertools.combinations(members, 2):
         max_cost = max(max_cost, weighted_cost(ra, rb, params.spectrum, params.t_lo, params.t_hi))
         diff = ua[:, lo:hi] - ub[:, lo:hi]
         min_dist = min(min_dist, float(np.sum(block_w * np.sum(diff ** 2, axis=0))))
         for a, b in zip(sa, sb):
-            max_overlap = max(max_overlap, len(np.intersect1d(a, b)))
+            max_overlap = max(max_overlap, len(a & b))
 
     cost_bound = params.rho ** params.zeta * psi
     # Two existential constants, one measured deficit: split the deficit

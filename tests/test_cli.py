@@ -1298,13 +1298,14 @@ def test_overflow_is_a_numerical_failure(probe, jobs, tmp_path):
 
 # Runs main(argv) in a fresh interpreter and prints its exit code, whether
 # arrr.packing was loaded before main ran, and which of the modules that only
-# some subcommands need were loaded after it.
+# some subcommands need, or none, were loaded after it.
 _FOOTPRINT = """
 import json, sys
 import arrr.cli
 at_start = "arrr.packing" in sys.modules
 rc = arrr.cli.main(sys.argv[1:])
-loaded = [m for m in ("arrr.packing", "concurrent.futures.process") if m in sys.modules]
+loaded = [m for m in ("arrr.packing", "concurrent.futures.process", "numpy.ma")
+          if m in sys.modules]
 print(json.dumps({"rc": rc, "packing_at_start": at_start, "loaded": loaded}))
 """
 
@@ -1318,8 +1319,8 @@ def _footprint(argv):
 
 
 class TestImportFootprint:
-    """`import arrr` loads nothing, and a subcommand loads the process pool
-    and the packing verifier only when it runs them."""
+    """`import arrr` loads nothing, a subcommand loads the process pool and
+    the packing verifier only when it runs them, and none loads numpy.ma."""
 
     def test_import_arrr_loads_neither_numpy_nor_a_submodule(self):
         code = ("import json, sys, arrr; print(json.dumps(sorted(m for m in sys.modules"
@@ -1362,6 +1363,59 @@ class TestImportFootprint:
             "rc": 3, "packing_at_start": False, "loaded": ["arrr.packing"]}
         assert sorted(os.listdir(out)) == ["error.json"]
         assert json.loads((out / "error.json").read_text())["error"] == "PackingInfeasibleError"
+
+
+# For each argv, main's output (stdout, stderr, exit code) and that of the
+# full parser, both in one fresh interpreter; main builds a one-subcommand
+# parser whenever argv[0] names a subcommand.
+_PARSE = """
+import contextlib, io, json, sys
+import arrr.cli
+
+def run(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = ["returned", str(parse(argv))]
+        except SystemExit as e:
+            code = e.code
+    return [out.getvalue(), err.getvalue(), code]
+
+print(json.dumps([[run(arrr.cli.main, argv), run(arrr.cli.build_parser().parse_args, argv)]
+                  for argv in json.loads(sys.argv[1])]))
+"""
+
+_VALID_ARGV = {
+    "fit": ["--x", "x.csv", "--y", "y.csv", "--out", "model"],
+    "predict": ["--model", "model", "--x", "x.csv", "--out", "y.csv"],
+    "synth": ["--d1", "5", "--d2", "3", "--n", "10", "--rank", "1", "--out", "inst"],
+    **dict.fromkeys(cli.EXPERIMENTS, ["--config", "cfg.json", "--out", "out"]),
+}
+_PARSE_CASES = {"top-help": ["--help"], "no-command": [], "unknown-command": ["fitt"]}
+for _name, _valid in _VALID_ARGV.items():
+    _PARSE_CASES.update({_name + "-help": [_name, "--help"],
+                         _name + "-missing-option": [_name] + _valid[2:],
+                         _name + "-unknown-option": [_name] + _valid + ["--bogus"]})
+
+
+@pytest.fixture(scope="module")
+def parse_outputs():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(arrr.__file__)))
+    run = subprocess.run([sys.executable, "-c", _PARSE, json.dumps(list(_PARSE_CASES.values()))],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return dict(zip(_PARSE_CASES, json.loads(run.stdout)))
+
+
+def test_every_subcommand_is_covered():
+    assert set(_VALID_ARGV) == set(cli.SUBPARSERS)
+
+
+@pytest.mark.parametrize("case", list(_PARSE_CASES))
+def test_main_parses_as_the_full_parser(case, parse_outputs):
+    via_main, via_full = parse_outputs[case]
+    assert via_main == via_full
+    assert via_main[2] == (0 if case.endswith("help") else 2)
 
 
 def _paths(node, prefix=()):

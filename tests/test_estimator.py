@@ -113,6 +113,11 @@ class TestStep1:
         pi_hat, _ = step1_pca_x(decompose(np.hstack([a, 2 * a[:, :1]]) * scale), delta=1e-3)
         assert pi_hat.shape[0] == 3
 
+    @pytest.mark.parametrize("k1_override", [None, 1, 3])
+    def test_all_zero_x_is_named_as_fit_path_names_it(self, k1_override):
+        with pytest.raises(ValueError, match="^x is identically zero$"):
+            step1_pca_x(decompose(np.zeros((6, 3))), delta=1e-3, k1_override=k1_override)
+
     def test_override_out_of_bounds(self):
         x = np.random.default_rng(4).normal(size=(5, 3))
         with pytest.raises(ValueError):

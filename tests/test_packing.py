@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arrr import packing
 from arrr.packing import (
@@ -209,6 +211,46 @@ class TestSampleCode:
         with pytest.raises(PackingInfeasibleError) as exc:
             sample_code(p, patterns)
         assert exc.value.achieved_cost >= 0.0
+
+
+def _calibration_reference(subset_size):
+    """The calibration as one pass over every draw per scale and np.quantile."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=20240131, spawn_key=(subset_size,)))
+    draws = rng.standard_normal((10_000, subset_size))
+    draws /= np.linalg.norm(draws, axis=1, keepdims=True)
+    chosen = 3.0
+    for scale in np.arange(1.0, 3.01, 0.05):
+        heavy_counts = np.sum(np.abs(draws) >= scale / math.sqrt(subset_size), axis=1)
+        if np.mean(heavy_counts <= 2) >= 0.9:
+            chosen = float(scale)
+            break
+    cutoff = chosen / math.sqrt(subset_size)
+    masses = np.sum(np.where(np.abs(draws) >= cutoff, draws ** 2, 0.0), axis=1)
+    return chosen, float(np.quantile(masses, 0.6))
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+class TestCalibration:
+    def test_equals_the_per_scale_reference_bitwise(self):
+        for s in range(2, 65):
+            got = calibrate_fill_constants(s)
+            want = _calibration_reference(s)
+            assert got[0] == want[0] and _bits(got[1]) == _bits(want[1]), s
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 20_000), q=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+           ties=st.booleans())
+    # a weight of exactly 1/2, where the two ends of the interpolation differ
+    # in the last bit at this seed
+    @example(n=2, q=0.5, seed=0, ties=False)
+    def test_quantile_equals_numpys_bitwise(self, n, q, seed, ties):
+        values = np.random.default_rng(seed).standard_normal(n)
+        if ties:  # repeated values, and zeros of both signs
+            values = np.round(values)
+        assert _bits(packing._quantile(values, q)) == _bits(np.quantile(values, q))
 
 
 class TestBuildFamily:
