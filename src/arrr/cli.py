@@ -111,6 +111,13 @@ def config_hash(cfg: Dict[str, Any]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
+def _seed(seed: int, name: str) -> int:
+    """A seed that a SeedSequence takes: a non-negative integer, or a
+    ValueError that names where it came from."""
+    _want(seed >= 0, "%s must be a non-negative integer, got %d" % (name, seed))
+    return seed
+
+
 def derived_seed(seed: int, stream: int) -> int:
     """Independent child seed for an auxiliary draw (validation/test sets)."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
@@ -133,7 +140,7 @@ def _env_seed() -> Optional[int]:
         shown = repr(raw) if len(raw) <= 40 else "%r... (%d characters)" % (raw[:20], len(raw))
         raise ValueError("ARRR_SEED must be an integer, got %s" % shown)
     _want(_is(seed, int), "ARRR_SEED is an integer beyond the float range")
-    return seed
+    return _seed(seed, "ARRR_SEED")
 
 
 def _apply_env_seed(cfg: Dict[str, Any]) -> Dict[str, Any]:
@@ -205,6 +212,7 @@ def _synth_configs(cfg: Dict[str, Any], points: List[Dict[str, Any]]) -> List[sy
             _get(merged, "synth", f.name, int if f.type == "int" else NUM,
                  _REQUIRED if f.default is dataclasses.MISSING else None)
         configs.append(synth.SynthConfig(**merged))
+    _seed(configs[0].seed, "synth.seed")
     return configs[1:]
 
 
@@ -286,26 +294,25 @@ def _scores(model, x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
 
 def _sweep_cell(args) -> List[Dict[str, Any]]:
     """Every (k1, k2) row of one seed: one instance, one test draw, one rank
-    path."""
+    path, each k1's rows scored from its factors by prefix sums."""
     fit, k1s, k2s, syn = args
     inst = synth.make_instance(syn)
     x_te, y_te, _ = synth.gen_dataset(inst.m, inst.v_star, inst.lambda_star,
                                       syn.n, syn.eta, derived_seed(syn.seed, TEST_STREAM))
     configs = [c for k1 in k1s for k2 in k2s
                for c in _candidates(fit, inst, k1_override=k1, k2_override=k2)]
-    rows = []
-    for config, (m_hat, y_hat) in zip(configs, rank_path(inst.x, inst.y, configs, x_te)):
-        mse, _, corr = metrics.pooled_scores(y_te, y_hat)
-        rows.append({"method": "adaptive_rrr", "eta": syn.eta, "k1": config.k1_override,
-                     "k2": config.k2_override, "seed": syn.seed,
-                     "recon_error": float(np.linalg.norm(inst.m - m_hat)),
-                     "mse_out": mse, "corr_out": corr})
-    return rows
+    scores = metrics.rank_path_scores(rank_path(inst.x, inst.y, configs, x_te), inst.m, y_te)
+    return [{"method": "adaptive_rrr", "eta": syn.eta, "k1": config.k1_override,
+             "k2": config.k2_override, "seed": syn.seed,
+             "recon_error": recon, "mse_out": mse, "corr_out": corr}
+            for config, (recon, mse, _, corr) in zip(configs, scores)]
 
 
 def run_sweep(cfg: Dict[str, Any], jobs: int) -> List[Dict[str, Any]]:
     grids = _section(cfg, "grids", ("k1", "k2", "seeds"))
     k1s, k2s, seeds = (_get(grids, "grids", k, list, items=int) for k in ("k1", "k2", "seeds"))
+    for s in seeds:
+        _seed(s, "grids.seeds")
     fit = _fit_section(cfg, default_sigma="oracle")
     cells = [(fit, k1s, k2s, syn) for syn in _synth_configs(cfg, [{"seed": s} for s in seeds])]
     return [r for chunk in _run_cells(_sweep_cell, cells, jobs) for r in chunk]
@@ -396,7 +403,7 @@ def _compare_cell(args) -> List[Dict[str, Any]]:
 def run_compare(cfg: Dict[str, Any], jobs: int) -> List[Dict[str, Any]]:
     grids = _section(cfg, "grids", ("eta", "seeds"))
     etas = _get(grids, "grids", "eta", list, items=NUM)
-    seeds = _get(grids, "grids", "seeds", list, items=int)
+    seeds = [_seed(s, "grids.seeds") for s in _get(grids, "grids", "seeds", list, items=int)]
     fit = _fit_section(cfg, default_sigma="oracle")
     base_grid = _baseline_grid(cfg)
     cells = [(fit, base_grid, syn) for syn in _synth_configs(
@@ -462,6 +469,7 @@ def run_packing(cfg: Dict[str, Any], jobs: int) -> Dict[str, Any]:
     sec = _section(cfg, "packing", int_keys + exponent_keys + (
         "spectrum", "rho", "sigma_eps", "distance_floor", "overlap_max"))
     args = {k: _get(sec, "packing", k, int) for k in int_keys}
+    _seed(args["seed"], "packing.seed")
     # the library allows one-member families; an experiment compares pairs
     _want(args["s_size"] >= 2, "packing.s_size must be >= 2")
     args["spectrum"] = _get(sec, "packing", "spectrum", (list, NULL), None, items=NUM)
@@ -488,7 +496,7 @@ def run_angles(cfg: Dict[str, Any], jobs: int) -> List[Dict[str, Any]]:
     syn = _section(cfg, "synth", ("d1", "omega", "seed"))
     d1 = _get(syn, "synth", "d1", int)
     omega = float(_get(syn, "synth", "omega", NUM, synth.SynthConfig.omega))
-    seed = _get(syn, "synth", "seed", int, synth.SynthConfig.seed)
+    seed = _seed(_get(syn, "synth", "seed", int, synth.SynthConfig.seed), "synth.seed")
     n = _get(cfg, "", "n", int)
     top_k = _get(cfg, "", "top_k", int, min(n, d1))
     _want(1 <= top_k <= min(n, d1), "'top_k' must lie in [1, min(n, d1)]")
@@ -583,7 +591,7 @@ def cmd_predict(args) -> int:
 
 def cmd_synth(args) -> int:
     seed = _env_seed()
-    args.seed = args.seed if seed is None else seed
+    args.seed = _seed(args.seed, "--seed") if seed is None else seed
     scfg = synth.SynthConfig(**{f.name: getattr(args, f.name)
                                 for f in dataclasses.fields(synth.SynthConfig)})
     inst = synth.make_instance(scfg)

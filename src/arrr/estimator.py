@@ -64,6 +64,17 @@ def require_xy(what: str, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.
     return x, y
 
 
+def _require_x_new(x_new: np.ndarray, d1: int) -> np.ndarray:
+    """x_new as a float matrix of d1 columns, the feature rows predict and
+    rank_path take: ValueError for another shape, NonFiniteError for NaN or
+    infinity."""
+    x_new = np.asarray(x_new, dtype=float)
+    if x_new.ndim != 2 or x_new.shape[1] != d1:
+        raise ValueError("x_new must have %d columns" % d1)
+    require_finite("x_new", x_new)
+    return x_new
+
+
 @dataclass(frozen=True)
 class FitConfig:
     delta: float = 1e-3
@@ -297,34 +308,49 @@ def fit_path(
         )
 
 
+@dataclass(frozen=True, eq=False)
+class RankFactors:
+    """The factored rank path of one k1, which rank_path yields.
+
+    u diag(s) v^T is the SVD of the d2 x k1 cross-moment matrix, r = min(d2,
+    k1) columns wide; w = v^T pi_hat (r x d1) and p = (x_new @ pi_hat.T) @
+    v diag(s) (n_new x r). The model of rank k2 is the sum of the top k2
+    rank-one terms: m_hat = (u[:, :k2] * s[:k2]) @ w[:k2], whose predictions
+    are p[:, :k2] @ u[:, :k2].T. Equal by identity only, so it can key a
+    dict."""
+
+    u: np.ndarray
+    s: np.ndarray
+    w: np.ndarray
+    p: np.ndarray
+
+
 def rank_path(x: np.ndarray, y: np.ndarray, configs: Sequence[FitConfig],
-              x_new: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """(m_hat, x_new @ m_hat.T) of fit_path's model for each config, in config
-    order, for configs that pin both k1 and k2.
+              x_new: np.ndarray) -> Iterator[Tuple[RankFactors, int]]:
+    """(factors, k2) of fit_path's model for each config, in config order,
+    for configs that pin both k1 and k2; `metrics.rank_path_scores` scores
+    them.
 
     x and y are checked and factored, and the pilot runs, as in fit_path,
-    with the same errors. Per distinct k1, stage 1 runs once and the
-    cross-moment matrix has one SVD U diag(s) V^T. Truncated to k2 and
-    composed with pi_hat, it is the sum of the top k2 rank-one terms of
-    us = U diag(s) and w = V^T pi_hat: m_hat is us[:, :k2] @ w[:k2], and the
-    predictions are p[:, :k2] @ U[:, :k2].T with p = (x_new @ pi_hat.T) @
-    V diag(s). Both equal fit_path's up to rounding.
+    with the same errors; x_new is checked as predict checks it. Per
+    distinct k1, stage 1 runs once and the cross-moment matrix has one SVD,
+    and the configs with that k1 share one RankFactors. Its model of rank k2
+    equals fit_path's up to rounding.
     """
     if any(c.k1_override is None or c.k2_override is None for c in configs):
         raise ValueError("rank_path needs configs that pin both k1 and k2")
     x_dec, _, sigma_of, n_hat_dec = _prologue(x, y, None)
-    factors = {}  # k1 -> (us, w, p, U)
+    x_new = _require_x_new(x_new, x_dec.v.shape[0])
+    factors = {}  # k1 -> RankFactors
     for config in configs:
         sigma_of(config)  # the pilot's errors surface where fit_path's would
         k1 = int(config.k1_override)
         if k1 not in factors:
             pi_hat, _ = step1_pca_x(x_dec, config.delta, k1)
             dec = n_hat_dec(k1)
-            factors[k1] = (dec.u * dec.s, dec.v.T @ pi_hat,
-                           (x_new @ pi_hat.T) @ (dec.v * dec.s), dec.u)
-        us, w, p, u = factors[k1]
-        k2 = _k2_in_range(config.k2_override, w.shape[0])
-        yield us[:, :k2] @ w[:k2], p[:, :k2] @ u[:, :k2].T
+            factors[k1] = RankFactors(u=dec.u, s=dec.s, w=dec.v.T @ pi_hat,
+                                      p=(x_new @ pi_hat.T) @ (dec.v * dec.s))
+        yield factors[k1], _k2_in_range(config.k2_override, factors[k1].s.size)
 
 
 def fit_adaptive_rrr(x: np.ndarray, y: np.ndarray, config: FitConfig,
@@ -346,13 +372,7 @@ def fit_adaptive_rrr(x: np.ndarray, y: np.ndarray, config: FitConfig,
 def predict(model: FittedModel, x_new: np.ndarray) -> np.ndarray:
     """Predictions x_new @ m_hat.T for new feature rows, of a fitted or a
     baseline model."""
-    x_new = np.asarray(x_new, dtype=float)
-    if x_new.ndim != 2 or x_new.shape[1] != model.m_hat.shape[1]:
-        raise ValueError(
-            "x_new must have %d columns" % model.m_hat.shape[1]
-        )
-    require_finite("x_new", x_new)
-    return x_new @ model.m_hat.T
+    return _require_x_new(x_new, model.m_hat.shape[1]) @ model.m_hat.T
 
 
 def save_model(model: FittedModel, dirpath: str) -> None:

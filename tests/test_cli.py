@@ -292,6 +292,21 @@ class TestSweep:
         assert filecmp.cmp(os.path.join(out, "results.csv"),
                            os.path.join(other, "results.csv"), shallow=False)
 
+    def test_a_cells_bytes_do_not_depend_on_the_other_k2(self, tmp_path):
+        # each k1's scores are prefix sums over all of its directions, so a
+        # k2 = 3 row reads the same alone as among k2 = 0 and 5
+        lines = {}
+        for k2s in ([3], [0, 3, 5]):
+            cfg = _write_json(tmp_path, "cfg.json", _sweep_cfg(
+                grids={"k1": [5, 7], "k2": k2s, "seeds": [0, 2]}))
+            out = str(tmp_path / str(len(k2s)))
+            assert main(["sweep", "--config", cfg, "--out", out]) == 0
+            with open(os.path.join(out, "results.csv")) as f:
+                # all but the config hash, which differs with the grid
+                lines[len(k2s)] = [line.split(",", 1)[1] for line in f.read().splitlines()]
+        assert len(lines[1]) == 5 and lines[1][0].startswith("method,")
+        assert lines[1] == [line for line in lines[3] if line.split(",")[3] in ("k2", "3")]
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_bad_k2_in_multi_seed_sweep_writes_nothing(self, tmp_path, jobs, capsys):
         cfg = _write_json(tmp_path, "cfg.json", _sweep_cfg(
@@ -947,13 +962,42 @@ PROBES = {
         "splits": {"train_len": 8, "valid_len": 3, "test_len": 3, "gap": 1}}),
     "angles_unknown_synth_key": (["angles"], {
         "synth": {"d1": 8, "omega": 2.0, "seed": 1, "rank_m": 2}, "n": 10, "top_k": 3}),
+    # a negative seed, which a SeedSequence refuses without naming it
+    "synth_negative_seed": (["synth", "--d1", "5", "--d2", "3", "--n", "10", "--rank", "1",
+                             "--seed", "-1"], None),
+    "sweep_negative_grid_seed": (["sweep"], {"synth": _SMALL_SYNTH,
+                                             "grids": {"k1": [5], "k2": [2], "seeds": [0, -1]}}),
+    "sweep_negative_synth_seed": (["sweep"], {"synth": dict(_SMALL_SYNTH, seed=-1),
+                                              "grids": {"k1": [5], "k2": [2], "seeds": [0]}}),
+    "compare_negative_grid_seed": (["compare"], {
+        "synth": _SMALL_SYNTH, "grids": {"eta": [0.5], "seeds": [-2]}, "fit": {"delta": 1e-6}}),
+    "compare_negative_synth_seed": (["compare"], {
+        "synth": dict(_SMALL_SYNTH, seed=-1), "grids": {"eta": [0.5], "seeds": [0]},
+        "fit": {"delta": 1e-6}}),
+    "packing_negative_seed": (["packing"], {"packing": dict(_SMALL_PACKING, seed=-1)}),
+    "angles_negative_seed": (["angles"], {
+        "synth": {"d1": 8, "omega": 2.0, "seed": -1}, "n": 10, "top_k": 3}),
+    "sweep_negative_env_seed": (["sweep"], {"synth": _SMALL_SYNTH,
+                                            "grids": {"k1": [5], "k2": [2], "seeds": [0]}}),
+    "synth_negative_env_seed": (["synth", "--d1", "5", "--d2", "3", "--n", "10", "--rank", "1"],
+                                None),
 }
+# what the message of each negative-seed probe names; the env probes run with
+# ARRR_SEED=-3
+NEGATIVE_SEEDS = {"synth_negative_seed": "--seed", "sweep_negative_grid_seed": "grids.seeds",
+                  "sweep_negative_synth_seed": "synth.seed",
+                  "compare_negative_grid_seed": "grids.seeds",
+                  "compare_negative_synth_seed": "synth.seed",
+                  "packing_negative_seed": "packing.seed", "angles_negative_seed": "synth.seed",
+                  "sweep_negative_env_seed": "ARRR_SEED", "synth_negative_env_seed": "ARRR_SEED"}
 
 
 class TestBadInputExitsTwo:
     @pytest.mark.parametrize("probe", sorted(PROBES))
-    def test_probe(self, probe, tmp_path, capsys):
+    def test_probe(self, probe, tmp_path, capsys, monkeypatch):
         argv, cfg = PROBES[probe]
+        if probe.endswith("_env_seed"):
+            monkeypatch.setenv("ARRR_SEED", "-3")
         paths = _matrix_files(tmp_path)
         argv = [a.format(**paths) for a in argv]
         if cfg is not None and cfg.get("panel") == "{panel}":
@@ -972,6 +1016,9 @@ class TestBadInputExitsTwo:
         if "_takes_no_" in probe:
             method, key = probe[len("compare_"):].split("_takes_no_")
             assert err == "error: %s takes no %s\n" % (method, key)
+        if probe in NEGATIVE_SEEDS:
+            assert err.startswith("error: %s must be a non-negative integer, got -"
+                                  % NEGATIVE_SEEDS[probe])
         if probe.endswith("_huge_int"):
             # the message names the key, not the integer's 401 digits
             key = probe.split("_", 1)[1][:-len("_huge_int")]

@@ -599,6 +599,12 @@ def _rank_grids(draw):
         st.lists(st.integers(0, min(d2, k1)), min_size=1, max_size=4))]
 
 
+def _rank_k2_model(factors, k2):
+    """(m_hat, x_new @ m_hat.T) of rank k2 formed from rank_path's factors."""
+    return ((factors.u[:, :k2] * factors.s[:k2]) @ factors.w[:k2],
+            factors.p[:, :k2] @ factors.u[:, :k2].T)
+
+
 class TestRankPath:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=_SEEDS, grid=_rank_grids(), sigma=_SIGMAS)
@@ -606,9 +612,10 @@ class TestRankPath:
     @example(seed=3, sigma="auto", grid=((10, 16, 3), [
         (k1, k2) for k1 in (6, 2, 6) for k2 in (3, 0, 1, 2) if k2 <= k1]))
     def test_rank_path_equals_fit_path(self, seed, grid, sigma):
-        # Each config's m_hat and x_new @ m_hat.T within 1e-12 (relative,
-        # Frobenius norm) of fit_path's model, and its pooled scores within
-        # 1e-12: the same rank-one terms, summed in another order.
+        # Each config's m_hat and x_new @ m_hat.T, rebuilt from the factors
+        # rank_path yields, within 1e-12 (relative, Frobenius norm) of
+        # fit_path's model, and its pooled scores within 1e-12: the same
+        # rank-one terms, summed in another order.
         (n, d1, d2), pairs = grid
         x, y = _path_data(seed, n, d1, d2)
         x_new, y_new = _path_data(seed + 1, n + 3, d1, d2)
@@ -616,8 +623,9 @@ class TestRankPath:
                    for k1, k2 in pairs]
         got = list(rank_path(x, y, configs, x_new))
         assert len(got) == len(configs)
-        for config, model, (m_hat, y_hat) in zip(configs, fit_path(x, y, configs), got):
-            assert (model.k1, model.k2) == (config.k1_override, config.k2_override)
+        for config, model, (factors, k2) in zip(configs, fit_path(x, y, configs), got):
+            assert (model.k1, model.k2) == (config.k1_override, k2)
+            m_hat, y_hat = _rank_k2_model(factors, k2)
             want_y = x_new @ model.m_hat.T
             assert _rel(m_hat, model.m_hat) <= 1e-12
             assert _rel(y_hat, want_y) <= 1e-12
@@ -632,7 +640,7 @@ class TestRankPath:
         with pytest.raises(ValueError) as want:
             list(fit_path(x, y, configs))
         path = rank_path(x, y, configs, x)
-        assert next(path)[0].shape == (5, 8)  # the good config first
+        assert next(path)[1] == 1  # the good config first
         with pytest.raises(ValueError) as got:
             next(path)
         assert str(got.value) == str(want.value) == "k2 override 4 outside [0, 3]"
@@ -668,6 +676,20 @@ class TestRankPath:
         assert len(list(rank_path(x, y, configs, x))) == len(configs)
         assert calls == {"decompose": [(20, 8), (5, 3), (5, 6)], "pilot": pilots,
                          "stage1": 2}
+
+    @pytest.mark.parametrize("x_new, error, message", [
+        (np.ones((4, 7)), ValueError, "x_new must have 8 columns"),
+        (np.ones(8), ValueError, "x_new must have 8 columns"),
+        (np.where(np.eye(4, 8) > 0, np.nan, 1.0), NonFiniteError, "x_new must hold only finite"),
+        (np.full((4, 8), np.inf), NonFiniteError, "x_new must hold only finite"),
+    ], ids=["7_columns", "1d", "nan", "inf"])
+    def test_x_new_is_checked_as_predict_checks_it(self, x_new, error, message):
+        x, y = _path_data(0, 20, 8, 5)
+        config = FitConfig(sigma_eps=1.0, k1_override=3, k2_override=1)
+        model = fit_adaptive_rrr(x, y, config)
+        for run in (lambda: predict(model, x_new), lambda: list(rank_path(x, y, [config], x_new))):
+            with pytest.raises(error, match=message):
+                run()
 
     def test_errors_before_the_stages_match_fit_path(self):
         for x, y, sigma, message in (

@@ -2,17 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arrr import baselines, cli
 from arrr.baselines import BaselineSpec, validate_hyperparams
-from arrr.estimator import FitConfig
+from arrr.estimator import FitConfig, rank_path
 from arrr.metrics import (
     evaluate,
     lowest,
     merge_splits,
     pooled_scores,
+    rank_path_scores,
     recovered_rank_of,
 )
 from arrr.synth import SynthConfig, make_instance
@@ -202,6 +203,78 @@ class TestPooledScores:
             want = self._reference(y, y_hat)
             got = pooled_scores(y, y_hat)
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def _scored_path(data, pairs):
+    """rank_path's (factors, k2) and rank_path_scores' scores of each (k1, k2)
+    pair on data = (x, y, x_new, y_new, m)."""
+    x, y, x_new, y_new, m = data
+    configs = [FitConfig(sigma_eps=1.0, k1_override=k1, k2_override=k2) for k1, k2 in pairs]
+    path = list(rank_path(x, y, configs, x_new))
+    return path, list(rank_path_scores(iter(path), m, y_new))
+
+
+def _rank_data(seed, n, d1, d2, n_new, offset, eta=0.5):
+    """A rank-2 coefficient matrix m, training rows (x, y) and new rows (x_new,
+    y_new), the new rows shifted by `offset` in x and by 2 * offset in y."""
+    rng = np.random.default_rng(seed)
+    scale = np.geomspace(3.0, 0.1, d1)
+    m = rng.normal(size=(d2, 2)) @ rng.normal(size=(2, d1))
+    x, x_new = rng.normal(size=(n, d1)) * scale, rng.normal(size=(n_new, d1)) * scale + offset
+    return (x, x @ m.T + eta * rng.normal(size=(n, d2)), x_new,
+            x_new @ m.T + eta * rng.normal(size=(n_new, d2)) + 2 * offset, m)
+
+
+class TestRankPathScores:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 16), n=st.integers(4, 20), d1=st.integers(2, 12),
+           d2=st.integers(1, 8), n_new=st.integers(2, 25), offset=st.sampled_from([0.0, 3.0]),
+           k1s=st.lists(st.floats(0, 1), min_size=1, max_size=3))
+    # k1 < d2, so the residual terms are not 0, then k1 > d2; new rows with
+    # an offset, fewer and more than the training rows
+    @example(seed=1, n=12, d1=9, d2=6, n_new=7, offset=3.0, k1s=[0.3, 1.0])
+    @example(seed=2, n=15, d1=10, d2=3, n_new=20, offset=3.0, k1s=[1.0, 0.1])
+    def test_equal_to_the_scores_of_the_formed_model(self, seed, n, d1, d2, n_new, offset,
+                                                     k1s):
+        # every k2 of each k1 from 0 to r = min(d2, k1): recon_error and
+        # mse within 1e-12 relative of the formed model's, r2 and corr within
+        # 1e-12 relative or absolute (both read about 0 at k2 = 0), NaN
+        # equal to NaN
+        k1s = [1 + round(f * (min(n, d1) - 1)) for f in k1s]
+        pairs = [(k1, k2) for k1 in k1s for k2 in range(min(d2, k1) + 1)]
+        data = _rank_data(seed, n, d1, d2, n_new, offset)
+        path, got = _scored_path(data, pairs)
+        assert len(got) == len(pairs)
+        for (factors, k2), (recon, mse, r2, corr) in zip(path, got):
+            m_hat = (factors.u[:, :k2] * factors.s[:k2]) @ factors.w[:k2]
+            y_hat = factors.p[:, :k2] @ factors.u[:, :k2].T
+            want_mse, want_r2, want_corr = pooled_scores(data[3], y_hat)
+            np.testing.assert_allclose([recon, mse], [np.linalg.norm(data[4] - m_hat), want_mse],
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose([r2, corr], [want_r2, want_corr], rtol=1e-12,
+                                       atol=1e-12, equal_nan=True)
+            assert math.isnan(corr) == (k2 == 0)
+
+    @pytest.mark.parametrize("k2", [2, 4, 6])
+    def test_a_noiseless_fit_keeps_its_round_off_error(self, k2):
+        # y = x m^T exactly, k1 = d1 and k2 >= rank m = 2: the fit is exact, so
+        # its error is round-off, not the cancellation of two squared norms
+        # near ||m||^2
+        inst = make_instance(SynthConfig(d1=10, d2=6, n=40, rank_m=2, eta=0.0, seed=5))
+        x_new = inst.x[:7] + 1.0
+        data = (inst.x, inst.y, x_new, x_new @ inst.m.T, inst.m)
+        _, ((recon, *_),) = _scored_path(data, [(10, k2)])
+        assert recon <= 1e-12 * np.linalg.norm(inst.m)
+
+    def test_y_and_m_true_must_match_the_factors(self):
+        x, y, x_new, y_new, m = _rank_data(0, 12, 6, 4, 5, 0.0)
+        for want, args in (("y must be 5 x 4", (m, y_new[:4])),
+                           ("y must be 5 x 4", (m, y_new[:, :3])),
+                           ("m_true must be d2 x d1 = 4 x 6", (m[:, :5], y_new))):
+            path = rank_path(x, y, [FitConfig(sigma_eps=1.0, k1_override=3, k2_override=1)],
+                             x_new)
+            with pytest.raises(ValueError, match=want):
+                list(rank_path_scores(path, *args))
 
 
 def _lowest_index(scores):
