@@ -6,13 +6,15 @@ component regression (pcr), lasso, and nuclear-norm regularized regression.
 The four direct methods are one spectral filter V diag(f(s)) U^T y on the
 thin SVD of the design, so a hyperparameter grid over them is fitted from one
 factorization. Lasso and nuclear norm minimize 0.5 ||y - x b||^2 + mu r(b)
-by one accelerated proximal-gradient loop on the Gram matrix x^T x, with
-r's prox as its only difference: soft thresholding of the entries or of the
-singular values. The singular values come from the eigendecomposition of the
-iterate's smaller Gram matrix, or from its SVD when the threshold is too small
-for the Gram matrix to resolve. Every method takes ||x||_2 or the filter from
-one SVD of the design. `validate_hyperparams` returns the fitted winner, so
-its callers score it without refitting.
+by one ADMM loop whose least-squares step is solved exactly on that same
+SVD, with r's prox as its only difference: soft thresholding of the entries
+or of the singular values. The singular values come from the
+eigendecomposition of the iterate's smaller Gram matrix, or from its SVD when
+the threshold is too small for the Gram matrix to resolve. The loop stops on
+a relative duality gap, which certifies the objective in any units of x and
+y. At mu = 0 both are the filter's minimum-norm least-squares fit.
+`validate_hyperparams` returns the fitted winner, so its callers score it
+without refitting.
 """
 
 from __future__ import annotations
@@ -35,9 +37,10 @@ READS = {"ridge": ("mu",), "rrr": ("rank",), "reduced_rank_ridge": ("mu", "rank"
 
 @dataclass(frozen=True)
 class SolverOpts:
-    """Budget of the iterative solvers (lasso, nuclear). A fit converges when
-    its prox-gradient residual ||z - p||_F / step, the gradient mapping at the
-    last point stepped from, is at most tol * max(1, ||x^T y||_F)."""
+    """Budget of the iterative solvers (lasso, nuclear). An iteration is one
+    ADMM step. A fit converges when its relative duality gap, which bounds
+    (F(b) - min F) / F(b) for the objective F, is at most tol; the gap reads
+    the same in any units of x and y (see `_objective_and_gap`)."""
 
     max_iters: int = 5000
     tol: float = 1e-8
@@ -76,11 +79,17 @@ class BaselineSpec:
 
 @dataclass(frozen=True)
 class LinearModel:
+    """A fitted baseline, m_hat d2 x d1. Lasso and nuclear at mu > 0 report
+    their ADMM iterations, F at b = 0 and at each accepted check (it never
+    rises), and the relative duality gap of m_hat (converged: gap <= tol).
+    Every other fit is exact: 0 iterations, an empty trace, gap 0."""
+
     m_hat: np.ndarray
     method: BaselineSpec
     iterations_used: int
     objective_trace: np.ndarray
     converged: bool = True
+    gap: float = 0.0
 
 
 def _svd_filter(dec, y):
@@ -150,54 +159,76 @@ def _prox_nuclear(v, t):
     return (p.T if a is not v else p), float(np.sum(s - t))
 
 
-def _fit_proximal(x, y, mu, prox, opts, ell):
-    """Minimize F(b) = 0.5 ||y - x b||^2 + mu r(b) by accelerated proximal
-    gradient with restart, where prox(v, t) returns the prox of t r at v and
-    r of the result, and ell = ||x||_2^2.
+def _objective_and_gap(x, y, z, r_z, mu, lasso):
+    """F(z) = 0.5 ||y - x z||^2 + mu r(z) and the relative duality gap
+    (F(z) - D(theta)) / F(z), 0 where F(z) = 0. theta = a e, the residual
+    e = y - x z scaled by a <= 1 into the dual ball ||x^T theta||_* <= mu
+    (the largest absolute entry for lasso, singular value for nuclear), and
+    D(theta) = 0.5 ||y||^2 - 0.5 ||y - theta||^2. As y = x z + e, F - D is
+    0.5 (1 - a)^2 ||e||^2 + mu r(z) - a <z, x^T e>, two terms non-negative in
+    exact arithmetic, so it is formed without cancelling ||y||^2."""
+    e = y - x @ z
+    g = x.T @ e
+    e2 = float(np.sum(e * e))
+    f = 0.5 * e2 + mu * r_z
+    norm = float(np.max(np.abs(g) if lasso else np.linalg.svd(g, compute_uv=False), initial=0.0))
+    a = mu / norm if norm > mu else 1.0
+    gap = 0.5 * (1.0 - a) ** 2 * e2 + mu * r_z - a * float(z.ravel() @ g.ravel())
+    return f, (gap / f if f > 0.0 else 0.0)
 
-    C = x^T y and G = x^T x are formed once, and the momentum point z carries
-    G z, so a step costs one G-product and one prox; the step size is
-    1 / ell. A step is taken only if F does not rise. F(p) - F(b) =
-    <p - b, G (p + b) / 2 - C> + mu (r(p) - r(b)) is computed from
-    differences, as F itself is dominated by ||y||^2. A rejected step
-    restarts the momentum at b, and a rejected plain step ends the loop at
-    the rounding floor. Converged means the residual ||z - p||_F / step is at
-    most tol * max(1, ||C||_F). The trace holds F at b = 0 and after each
-    step taken, so it never rises.
+
+def _fit_admm(x, y, mu, dec, lasso, opts):
+    """Minimize F(b) = 0.5 ||y - x b||^2 + mu r(b), mu > 0, r the l1 norm
+    (lasso) or the nuclear norm, by ADMM on the split b = z (Boyd, Parikh,
+    Chu, Peleato & Eckstein 2011, section 6.4).
+
+    An iteration solves (x^T x + rho I) b = q, q = x^T y + rho (z - u),
+    exactly on the thin SVD x = U diag(s) V^T of `dec` as
+    V diag(1 / (s^2 + rho)) V^T q, plus (q - V V^T q) / rho when d1 > n, then
+    sets z = prox(b + u, mu / rho) and u += b - z; so rho costs nothing to
+    change. rho starts at s_1 s_r, s_r the last singular value within the
+    numerical rank of x. z is checked at iteration 1, every 10th and the
+    last: one whose F is no higher than the best's becomes the best and goes
+    on the trace. The loop stops at a check whose relative gap meets tol,
+    which becomes the best, or at the 20th check in a row that does not lower
+    F, the rounding floor. Otherwise rho is doubled if ||b - z|| / ||z||
+    exceeds ||z - z_prev|| / ||u|| and halved if not, with u rescaled: both
+    are ratios, so the iterates scale exactly with x, y and mu. Returns the
+    best z, the iterations, the trace of F at b = 0 and at each accepted
+    check, whether the gap met tol, and that gap.
     """
-    g, c = x.T @ x, x.T @ y
-    step = 1.0 / ell if ell > 0.0 else 1.0  # a zero design stays at b = 0
-    bound = opts.tol * max(1.0, float(np.linalg.norm(c)))
-    b, gb = np.zeros_like(c), np.zeros_like(c)
-    z, gz = np.zeros_like(c), np.zeros_like(c)  # updated in place, never aliased
-    r_b, t = 0.0, 1.0
-    trace = [0.5 * float(np.sum(y * y))]
-    converged = False
-    iters = 0
+    prox = _prox_l1 if lasso else _prox_nuclear
+    s, v, c = dec.s, dec.v, x.T @ y
+    rank = numerical_rank(s, x.shape)
+    rho = float(s[0] * s[rank - 1]) if rank else 1.0  # any rho fits a zero design
+    s2, thin = s * s, v.shape[1] < v.shape[0]
+    z, u = np.zeros_like(c), np.zeros_like(c)
+    f, gap = _objective_and_gap(x, y, z, 0.0, mu, lasso)
+    best, trace, stalled, iters = z, [f], 0, 0
     for iters in range(1, opts.max_iters + 1):
-        v = z - step * (gz - c)
-        p, r_p = prox(v, mu * step) if mu > 0 else (v, 0.0)
-        gp = g @ p
-        e = (z - p).ravel()
-        resid = math.sqrt(e @ e) / step
-        diff = p - b
-        change = float(diff.ravel() @ (0.5 * (gp + gb) - c).ravel()) + mu * (r_p - r_b)
-        if change > 0.0:
-            if t == 1.0:  # even a plain step rose: b is at the rounding floor
-                converged = resid <= bound
-                break
-            z[...], gz[...], t = b, gb, 1.0
+        q = c + rho * (z - u)
+        w = v.T @ q
+        b = v @ (w / (s2 + rho)[:, None])
+        if thin:
+            b += (q - v @ w) / rho
+        z_prev = z
+        z, r_z = prox(b + u, mu / rho)
+        primal = b - z
+        u += primal
+        if iters != 1 and iters % 10 and iters != opts.max_iters:
             continue
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        w = (t - 1.0) / t_next
-        np.add(p, w * diff, out=z)
-        np.add(gp, w * (gp - gb), out=gz)
-        b, gb, r_b, t = p, gp, r_p, t_next
-        trace.append(trace[-1] + change)
-        if resid <= bound:
-            converged = True
+        f, z_gap = _objective_and_gap(x, y, z, r_z, mu, lasso)
+        stalled = 0 if f < trace[-1] else stalled + 1
+        if f <= trace[-1] or z_gap <= opts.tol:
+            best, gap = z, z_gap
+        if f <= trace[-1]:
+            trace.append(f)
+        if gap <= opts.tol or stalled >= 20:
             break
-    return b, iters, np.array(trace), converged
+        primal2 = float(np.sum(primal * primal)) * float(np.sum(u * u))
+        dual2 = float(np.sum((z - z_prev) ** 2)) * float(np.sum(z * z))
+        rho, u = (2.0 * rho, 0.5 * u) if primal2 > dual2 else (0.5 * rho, 2.0 * u)
+    return best, iters, np.array(trace), gap <= opts.tol, gap
 
 
 def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
@@ -206,13 +237,13 @@ def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
     """Fit one baseline. Coefficients are stored as m_hat (d2 x d1), so
     predictions are x @ m_hat.T for every method.
 
-    The direct methods (ridge, rrr, reduced_rank_ridge, pcr) are filters on
-    the thin SVD of x, and the iterative ones take their step from its top
-    singular value. The SVD comes from `dec` when the caller already has it,
-    and a direct method's filter from `direct`, a `_svd_filter` of that SVD
-    and y shared by a grid; the result is the same bit for bit. Iterative
-    solvers that fail to converge within max_iters come back with
-    converged=False rather than raising.
+    The direct methods (ridge, rrr, reduced_rank_ridge, pcr), and lasso and
+    nuclear at mu = 0, are filters on the thin SVD of x; lasso and nuclear at
+    mu > 0 solve their least-squares steps on it. The SVD comes from `dec`
+    when the caller already has it, and a filter from `direct`, a
+    `_svd_filter` of that SVD and y shared by a grid; the result is the same
+    bit for bit. Iterative solvers that fail to converge within max_iters
+    come back with converged=False rather than raising.
     """
     x, y = require_xy("x and y", x, y)
     (n, d1), d2 = x.shape, y.shape[1]
@@ -223,11 +254,10 @@ def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
             raise ValueError("rank %d exceeds the problem dimensions" % spec.rank)
 
     dec = decompose(x) if dec is None else dec
-    iters, trace, converged = 0, np.array([]), True
-    if "solver" in READS[spec.method]:
-        prox = _prox_l1 if spec.method == "lasso" else _prox_nuclear
-        ell = float(dec.s[0]) ** 2 if dec.s.size else 0.0
-        coef, iters, trace, converged = _fit_proximal(x, y, spec.mu, prox, spec.solver, ell)
+    iters, trace, converged, gap = 0, np.array([]), True, 0.0
+    if "solver" in READS[spec.method] and spec.mu > 0:
+        coef, iters, trace, converged, gap = _fit_admm(
+            x, y, spec.mu, dec, spec.method == "lasso", spec.solver)
     else:
         coef = (direct or _svd_filter(dec, y))(spec)
 
@@ -237,6 +267,7 @@ def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
         iterations_used=iters,
         objective_trace=trace,
         converged=converged,
+        gap=gap,
     )
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrr import baselines
@@ -116,6 +116,33 @@ def _ref_nuclear(x, y, mu, opts):
         if abs(prev - obj) < opts.tol:
             return b, True
     return b, False
+
+
+def _relative_gap_of(method, x, y, b, mu):
+    """(F(b) - D(theta)) / F(b) from the definitions: theta is the residual
+    y - x b scaled into the dual ball ||x^T theta||_* <= mu, where the dual
+    norm is the largest absolute entry (lasso) or singular value (nuclear),
+    and D(theta) = 0.5 ||y||^2 - 0.5 ||y - theta||^2; 0 when F(b) = 0."""
+    resid = y - x @ b
+    corr = x.T @ resid
+    if method == "lasso":
+        dual, penalty = float(np.max(np.abs(corr))), float(np.sum(np.abs(b)))
+    else:
+        dual = float(np.linalg.svd(corr, compute_uv=False)[0])
+        penalty = float(np.sum(np.linalg.svd(b, compute_uv=False)))
+    theta = resid * min(1.0, mu / dual) if dual > 0.0 else resid
+    f = 0.5 * float(np.sum(resid ** 2)) + mu * penalty
+    d = 0.5 * float(np.sum(y ** 2)) - 0.5 * float(np.sum((y - theta) ** 2))
+    return (f - d) / f if f > 0.0 else 0.0
+
+
+def _assert_certified(method, mu, x, y, model, tol):
+    """The fit's gap, recomputed from scratch, is the one it reports, and at
+    most tol when it reports convergence."""
+    gap = _relative_gap_of(method, x, y, model.m_hat.T, mu)
+    assert abs(gap - model.gap) <= 1e-12
+    if model.converged:
+        assert gap <= tol
 
 
 @st.composite
@@ -407,10 +434,53 @@ class TestProximalSolver:
         # to a small factor; a root of its Gram eigenvalue is not
         assert abs(r - r_ref) <= 10.0 * min(v.shape) * np.finfo(float).eps * s_max
 
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(case=_iterative_cases())
+    def test_the_gap_certifies_the_fit(self, case):
+        method, mu, x, y = case
+        assume(mu > 0)
+        opts = SolverOpts()
+        model = fit_baseline(BaselineSpec(method, mu=mu, solver=opts), x, y)
+        _assert_certified(method, mu, x, y, model, opts.tol)
+
+    def test_the_compare_fit_at_seed_1_mu_3_converges(self):
+        # compare-solvers' nuclear fit at seed 1, eta 1, mu 3, whose converged
+        # flag under the old residual stop hung on last-bit rounding
+        inst = make_instance(SynthConfig(d1=60, d2=30, n=80, rank_m=5, eta=1.0, seed=1))
+        model = fit_baseline(BaselineSpec("nuclear", mu=3.0), inst.x, inst.y)
+        assert model.converged
+        _assert_certified("nuclear", 3.0, inst.x, inst.y, model, SolverOpts().tol)
+
+    @pytest.mark.parametrize("method", ["lasso", "nuclear"])
+    def test_wide_design_matches_reference_solvers(self, method):
+        # d1 > n: the b-step's part outside the row space of x, (q - V V^T q)
+        # / rho, is all that moves the coefficients' null-space component
+        x, y = _data(20, 40, 3, seed=23)
+        mu = 0.3 * float(np.max(np.abs(x.T @ y)))
+        model = fit_baseline(BaselineSpec(method, mu=mu, solver=SolverOpts(tol=1e-12)), x, y)
+        ref, ref_converged = (_ref_lasso if method == "lasso" else _ref_nuclear)(
+            x, y, mu, SolverOpts(max_iters=100000, tol=1e-13))
+        assert model.converged and ref_converged
+        want = _objective(method, x, y, ref, mu)
+        assert abs(_objective(method, x, y, model.m_hat.T, mu) - want) <= 1e-9 * want
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=_iterative_cases(), a=st.sampled_from([1e-3, 1.0, 1e3]),
+           b=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_fits_are_unit_free(self, case, a, b):
+        # x -> a x, y -> b y and mu -> a b mu scale the solution by b / a
+        method, mu, x, y = case
+        assume(mu > 0)
+        base = fit_baseline(BaselineSpec(method, mu=mu), x, y)
+        scaled = fit_baseline(BaselineSpec(method, mu=mu * a * b), a * x, b * y)
+        want = base.m_hat * (b / a)
+        assert np.linalg.norm(scaled.m_hat - want) <= 1e-6 * np.linalg.norm(want)
+        assert scaled.converged == base.converged
+
     @pytest.mark.parametrize("method", ["lasso", "nuclear"])
     def test_unreachable_tol_stops_at_rounding_floor(self, method):
-        # no iterate meets tol = 1e-15; the loop must notice that a plain
-        # step no longer lowers the objective instead of running to max_iters
+        # no iterate meets tol = 1e-15; the loop must notice that its checks
+        # no longer lower the objective instead of running to max_iters
         x, y = _data(30, 8, 5, seed=21)
         opts = SolverOpts(max_iters=5000, tol=1e-15)
         model = fit_baseline(BaselineSpec(method, mu=0.5, solver=opts), x, y)

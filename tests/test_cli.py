@@ -244,6 +244,21 @@ class TestSweep:
         rows = _read_rows(os.path.join(out, "results.csv"))
         assert [r["seed"] for r in rows] == ["9"]
 
+    def test_grid_seeds_override_synth_seed(self, tmp_path):
+        # grids.seeds gives every cell's seed; synth.seed is only range-checked,
+        # so the rows match a config without it in every cell but config_hash,
+        # which hashes the config as written
+        lines = []
+        for synth in (dict(_sweep_cfg()["synth"], seed=5),
+                      {k: v for k, v in _sweep_cfg()["synth"].items() if k != "seed"}):
+            cfg = _write_json(tmp_path, "cfg.json", _sweep_cfg(
+                synth=synth, grids={"k1": [5], "k2": [1, 2], "seeds": [0]}))
+            out = str(tmp_path / ("out%d" % len(lines)))
+            assert main(["sweep", "--config", cfg, "--out", out]) == 0
+            with open(os.path.join(out, "results.csv"), "rb") as f:
+                lines.append([line.split(b",", 1)[1] for line in f.read().splitlines()])
+        assert lines[0] == lines[1]
+
     def test_out_of_range_grid_rejected(self, tmp_path):
         cfg = _write_json(tmp_path, "cfg.json", _sweep_cfg(
             grids={"k1": [21], "k2": [2], "seeds": [0]}))
