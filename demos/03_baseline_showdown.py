@@ -26,7 +26,7 @@ rows.append(("adaptive_rrr", "k2=%d" % model.k2,
              evaluate(model, x_te, y_te).mse_out))
 
 # iterative solvers get a looser budget, a relative duality gap of 1e-6
-# instead of 1e-8; this is a demo, not a benchmark
+# instead of 1e-10; this is a demo, not a benchmark
 loose = SolverOpts(max_iters=1000, tol=1e-6)
 grids = {
     "ridge": [BaselineSpec("ridge", mu=mu) for mu in (0.1, 1.0, 10.0)],

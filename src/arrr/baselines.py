@@ -6,13 +6,9 @@ component regression (pcr), lasso, and nuclear-norm regularized regression.
 The four direct methods are one spectral filter V diag(f(s)) U^T y on the
 thin SVD of the design, so a hyperparameter grid over them is fitted from one
 factorization. Lasso and nuclear norm minimize 0.5 ||y - x b||^2 + mu r(b)
-by one ADMM loop whose least-squares step is solved exactly on that same
-SVD, with r's prox as its only difference: soft thresholding of the entries
-or of the singular values. The singular values come from the
-eigendecomposition of the iterate's smaller Gram matrix, or from its SVD when
-the threshold is too small for the Gram matrix to resolve. The loop stops on
-a relative duality gap, which certifies the objective in any units of x and
-y. At mu = 0 both are the filter's minimum-norm least-squares fit.
+by one ADMM loop on that same SVD (`_fit_admm`), with r's prox as their only
+difference: soft thresholding of the entries or of the singular values. At
+mu = 0 both are the filter's minimum-norm least-squares fit.
 `validate_hyperparams` returns the fitted winner, so its callers score it
 without refitting.
 """
@@ -37,13 +33,13 @@ READS = {"ridge": ("mu",), "rrr": ("rank",), "reduced_rank_ridge": ("mu", "rank"
 
 @dataclass(frozen=True)
 class SolverOpts:
-    """Budget of the iterative solvers (lasso, nuclear). An iteration is one
-    ADMM step. A fit converges when its relative duality gap, which bounds
-    (F(b) - min F) / F(b) for the objective F, is at most tol; the gap reads
-    the same in any units of x and y (see `_objective_and_gap`)."""
+    """Budget of the iterative solvers (lasso, nuclear): ADMM iterations,
+    and the relative duality gap at which a fit converges (`_fit_admm`).
+    The gap bounds (F(b) - min F) / F(b), so a converged fit is within
+    tol F(b) of the minimum of its objective F."""
 
     max_iters: int = 5000
-    tol: float = 1e-8
+    tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if not self.tol > 0:  # NaN fails too
@@ -80,9 +76,8 @@ class BaselineSpec:
 @dataclass(frozen=True)
 class LinearModel:
     """A fitted baseline, m_hat d2 x d1. Lasso and nuclear at mu > 0 report
-    their ADMM iterations, F at b = 0 and at each accepted check (it never
-    rises), and the relative duality gap of m_hat (converged: gap <= tol).
-    Every other fit is exact: 0 iterations, an empty trace, gap 0."""
+    what `_fit_admm` returns; every other fit is exact: 0 iterations, an
+    empty trace, gap 0."""
 
     m_hat: np.ndarray
     method: BaselineSpec
@@ -188,14 +183,16 @@ def _fit_admm(x, y, mu, dec, lasso, opts):
     sets z = prox(b + u, mu / rho) and u += b - z; so rho costs nothing to
     change. rho starts at s_1 s_r, s_r the last singular value within the
     numerical rank of x. z is checked at iteration 1, every 10th and the
-    last: one whose F is no higher than the best's becomes the best and goes
-    on the trace. The loop stops at a check whose relative gap meets tol,
-    which becomes the best, or at the 20th check in a row that does not lower
-    F, the rounding floor. Otherwise rho is doubled if ||b - z|| / ||z||
-    exceeds ||z - z_prev|| / ||u|| and halved if not, with u rescaled: both
-    are ratios, so the iterates scale exactly with x, y and mu. Returns the
-    best z, the iterations, the trace of F at b = 0 and at each accepted
-    check, whether the gap met tol, and that gap.
+    last. At each check of the first 200 iterations, rho is doubled if
+    ||b - z|| / ||z|| exceeds ||z - z_prev|| / ||u|| and halved if not, with u
+    rescaled: both are ratios, so the iterates scale exactly with x, y and
+    mu. rho then stays fixed, as ADMM's convergence needs (Boyd et al.,
+    section 3.4.1). The fit converges at the first check whose relative
+    duality gap (`_objective_and_gap`) is at most tol. It stops short at
+    max_iters, or at the rounding floor: 30 checks in a row that lower
+    neither F nor the gap. Returns that z, or else the checked z of lowest
+    F; the iterations; the trace of F at b = 0 and at each check that does
+    not raise it; whether the gap met tol; and the returned z's gap.
     """
     prox = _prox_l1 if lasso else _prox_nuclear
     s, v, c = dec.s, dec.v, x.T @ y
@@ -204,7 +201,7 @@ def _fit_admm(x, y, mu, dec, lasso, opts):
     s2, thin = s * s, v.shape[1] < v.shape[0]
     z, u = np.zeros_like(c), np.zeros_like(c)
     f, gap = _objective_and_gap(x, y, z, 0.0, mu, lasso)
-    best, trace, stalled, iters = z, [f], 0, 0
+    best, trace, lowest_gap, stalled, iters = z, [f], gap, 0, 0
     for iters in range(1, opts.max_iters + 1):
         q = c + rho * (z - u)
         w = v.T @ q
@@ -218,16 +215,21 @@ def _fit_admm(x, y, mu, dec, lasso, opts):
         if iters != 1 and iters % 10 and iters != opts.max_iters:
             continue
         f, z_gap = _objective_and_gap(x, y, z, r_z, mu, lasso)
-        stalled = 0 if f < trace[-1] else stalled + 1
-        if f <= trace[-1] or z_gap <= opts.tol:
-            best, gap = z, z_gap
+        progress = f < trace[-1] or z_gap < lowest_gap
+        lowest_gap = min(lowest_gap, z_gap)
         if f <= trace[-1]:
+            best, gap = z, z_gap
             trace.append(f)
-        if gap <= opts.tol or stalled >= 20:
+        if z_gap <= opts.tol:
+            best, gap = z, z_gap
             break
-        primal2 = float(np.sum(primal * primal)) * float(np.sum(u * u))
-        dual2 = float(np.sum((z - z_prev) ** 2)) * float(np.sum(z * z))
-        rho, u = (2.0 * rho, 0.5 * u) if primal2 > dual2 else (0.5 * rho, 2.0 * u)
+        stalled = 0 if progress else stalled + 1
+        if stalled >= 30:
+            break
+        if iters < 200:
+            primal2 = float(np.sum(primal * primal)) * float(np.sum(u * u))
+            dual2 = float(np.sum((z - z_prev) ** 2)) * float(np.sum(z * z))
+            rho, u = (2.0 * rho, 0.5 * u) if primal2 > dual2 else (0.5 * rho, 2.0 * u)
     return best, iters, np.array(trace), gap <= opts.tol, gap
 
 
