@@ -6,7 +6,8 @@ component regression (pcr), lasso, and nuclear-norm regularized regression.
 The four direct methods are one spectral filter V diag(f(s)) U^T y on the
 thin SVD of the design, so a hyperparameter grid over them is fitted from one
 factorization. Lasso and nuclear norm minimize 0.5 ||y - x b||^2 + mu r(b)
-by one ADMM loop on that same SVD (`_fit_admm`), with r's prox as their only
+by one over-relaxed ADMM loop (`_fit_admm`) whose least-squares step is an
+operator built from that same SVD (`_b_step`), with r's prox as their only
 difference: soft thresholding of the entries or of the singular values. At
 mu = 0 both are the filter's minimum-norm least-squares fit.
 `validate_hyperparams` returns the fitted winner, so its callers score it
@@ -29,6 +30,7 @@ from .spectral import SpectralDecomposition, decompose, numerical_rank
 # that reads a solver budget is iterative, and a spec sets no other.
 READS = {"ridge": ("mu",), "rrr": ("rank",), "reduced_rank_ridge": ("mu", "rank"),
          "pcr": ("rank",), "lasso": ("mu", "solver"), "nuclear": ("mu", "solver")}
+ALPHA = 1.6  # the over-relaxation of `_fit_admm`
 
 
 @dataclass(frozen=True)
@@ -172,42 +174,59 @@ def _objective_and_gap(x, y, z, r_z, mu, lasso):
     return f, (gap / f if f > 0.0 else 0.0)
 
 
+def _b_step(dec, c, rho):
+    """The map r -> (x^T x + rho I)^{-1} (c + rho r) on the thin SVD
+    x = U diag(s) V^T of `dec`, V d1 x k: K c + rho K r, with
+    K = V diag(1 / (s^2 + rho)) V^T + (I - V V^T) / rho, whose second term is
+    0 unless d1 > k. For d1 < 2k, K is formed once and a step is one product.
+    Past that K costs more than its factors, and a step is
+    K c + r - V diag(s^2 / (s^2 + rho)) V^T r, two thin products."""
+    v, s2 = dec.v, dec.s * dec.s
+    d1, k = v.shape
+    if d1 >= 2 * k:
+        g = (s2 / (s2 + rho))[:, None]
+        kc = c / rho - v @ (g / rho * (v.T @ c))
+        return lambda r: kc + r - v @ (g * (v.T @ r))
+    op = (v / (s2 + rho)) @ v.T
+    if d1 > k:
+        op += (np.eye(d1) - v @ v.T) / rho
+    kc, rho_op = op @ c, rho * op
+    return lambda r: kc + rho_op @ r
+
+
 def _fit_admm(x, y, mu, dec, lasso, opts):
     """Minimize F(b) = 0.5 ||y - x b||^2 + mu r(b), mu > 0, r the l1 norm
     (lasso) or the nuclear norm, by ADMM on the split b = z (Boyd, Parikh,
-    Chu, Peleato & Eckstein 2011, section 6.4).
+    Chu, Peleato & Eckstein 2011, section 6.4), over-relaxed by ALPHA
+    (section 3.4.3): any ALPHA in (0, 2) converges (Eckstein & Bertsekas
+    1992), and 1.6 is OSQP's default (Stellato et al. 2020).
 
-    An iteration solves (x^T x + rho I) b = q, q = x^T y + rho (z - u),
-    exactly on the thin SVD x = U diag(s) V^T of `dec` as
-    V diag(1 / (s^2 + rho)) V^T q, plus (q - V V^T q) / rho when d1 > n, then
-    sets z = prox(b + u, mu / rho) and u += b - z; so rho costs nothing to
-    change. rho starts at s_1 s_r, s_r the last singular value within the
-    numerical rank of x. z is checked at iteration 1, every 10th and the
-    last. At each check of the first 200 iterations, rho is doubled if
-    ||b - z|| / ||z|| exceeds ||z - z_prev|| / ||u|| and halved if not, with u
-    rescaled: both are ratios, so the iterates scale exactly with x, y and
-    mu. rho then stays fixed, as ADMM's convergence needs (Boyd et al.,
-    section 3.4.1). The fit converges at the first check whose relative
-    duality gap (`_objective_and_gap`) is at most tol. It stops short at
-    max_iters, or at the rounding floor: 30 checks in a row that lower
-    neither F nor the gap. Returns that z, or else the checked z of lowest
-    F; the iterations; the trace of F at b = 0 and at each check that does
-    not raise it; whether the gap met tol; and the returned z's gap.
+    An iteration takes the exact least-squares step b = `_b_step`(z - u),
+    rebuilt whenever rho changes, relaxes it to b' = ALPHA b + (1 - ALPHA) z,
+    then sets z = prox(b' + u, mu / rho) and u += b' - z. rho starts at
+    s_1 s_r, s_r the last singular value within the numerical rank of x. z is
+    checked at iteration 1, every 10th and the last. At each check of the
+    first 200 iterations, rho is doubled if ||b' - z|| / ||z|| exceeds
+    ||z - z_prev|| / ||u|| and halved if not, with u rescaled: both are
+    ratios, so the iterates scale exactly with x, y and mu. rho then stays
+    fixed, as ADMM's convergence needs (Boyd et al., section 3.4.1). The fit
+    converges at the first check whose relative duality gap
+    (`_objective_and_gap`) is at most tol. It stops short at max_iters, or at
+    the rounding floor: 30 checks in a row that lower neither F nor the gap.
+    Returns that z, or else the checked z of lowest F; the iterations; the
+    trace of F at b = 0 and at each check that does not raise it; whether the
+    gap met tol; and the returned z's gap.
     """
     prox = _prox_l1 if lasso else _prox_nuclear
-    s, v, c = dec.s, dec.v, x.T @ y
+    s, c = dec.s, x.T @ y
     rank = numerical_rank(s, x.shape)
     rho = float(s[0] * s[rank - 1]) if rank else 1.0  # any rho fits a zero design
-    s2, thin = s * s, v.shape[1] < v.shape[0]
+    step = _b_step(dec, c, rho)
     z, u = np.zeros_like(c), np.zeros_like(c)
     f, gap = _objective_and_gap(x, y, z, 0.0, mu, lasso)
     best, trace, lowest_gap, stalled, iters = z, [f], gap, 0, 0
     for iters in range(1, opts.max_iters + 1):
-        q = c + rho * (z - u)
-        w = v.T @ q
-        b = v @ (w / (s2 + rho)[:, None])
-        if thin:
-            b += (q - v @ w) / rho
+        b = ALPHA * step(z - u) + (1.0 - ALPHA) * z
         z_prev = z
         z, r_z = prox(b + u, mu / rho)
         primal = b - z
@@ -230,6 +249,7 @@ def _fit_admm(x, y, mu, dec, lasso, opts):
             primal2 = float(np.sum(primal * primal)) * float(np.sum(u * u))
             dual2 = float(np.sum((z - z_prev) ** 2)) * float(np.sum(z * z))
             rho, u = (2.0 * rho, 0.5 * u) if primal2 > dual2 else (0.5 * rho, 2.0 * u)
+            step = _b_step(dec, c, rho)
     return best, iters, np.array(trace), gap <= opts.tol, gap
 
 

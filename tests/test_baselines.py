@@ -7,6 +7,7 @@ from arrr import baselines
 from arrr.baselines import (
     BaselineSpec,
     SolverOpts,
+    _b_step,
     _prox_nuclear,
     fit_baseline,
     predict_linear,
@@ -167,6 +168,24 @@ def _iterative_cases(draw):
     scale = draw(st.sampled_from([0.0, 0.01, 0.1, 0.3, 1.0, 1.5]))
     method = draw(st.sampled_from(["lasso", "nuclear"]))
     return _iterative_case(method, n, d1, d2, seed, zero, tie, scale)
+
+
+@st.composite
+def _b_step_cases(draw):
+    """(x, c, r, rho) for the ADMM b-step: d1 below n, equal to it, between n
+    and 2n or from 2n on, so both of `_b_step`'s forms run; x may carry a zero
+    and a duplicated column, and rho / s_1^2 is log-uniform in [1e-6, 1e2]."""
+    n, d2 = draw(st.integers(2, 12)), draw(st.integers(1, 4))
+    lo, hi = draw(st.sampled_from([(1, n - 1), (n, n), (n + 1, 2 * n - 1), (2 * n, 3 * n)]))
+    d1 = draw(st.integers(lo, hi))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    x, c, r = rng.normal(size=(n, d1)), rng.normal(size=(d1, d2)), rng.normal(size=(d1, d2))
+    if draw(st.booleans()):
+        x[:, 0] = 0.0
+    if d1 > 2 and draw(st.booleans()):
+        x[:, -1] = x[:, 1]
+    s1 = float(np.linalg.norm(x, 2)) or 1.0
+    return x, c, r, s1 * s1 * 10.0 ** draw(st.floats(-6.0, 2.0))
 
 
 def _svd_prox_nuclear(v, t):
@@ -472,13 +491,27 @@ class TestProximalSolver:
         _assert_certified("nuclear", 3.0, inst.x, inst.y, model, SolverOpts().tol)
 
     def test_compare_fits_converge_within_a_budget(self):
-        # compare-solvers' fits at seed 1 take at most 430 iterations; with u
-        # left unscaled when rho is rebalanced, the lasso fits take 660-1900
+        # compare-solvers' fits at seed 1 take at most 250 iterations; without
+        # over-relaxation (ALPHA = 1) they take up to 430, and with u left
+        # unscaled when rho is rebalanced, the lasso fits take 660-1900
         inst = make_instance(SynthConfig(d1=60, d2=30, n=80, rank_m=5, eta=1.0, seed=1))
         for method in ("lasso", "nuclear"):
             for mu in (0.3, 1.0, 3.0):
-                spec = BaselineSpec(method, mu=mu, solver=SolverOpts(max_iters=600))
+                spec = BaselineSpec(method, mu=mu, solver=SolverOpts(max_iters=300))
                 assert fit_baseline(spec, inst.x, inst.y).converged, (method, mu)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=_b_step_cases())
+    def test_b_step_matches_a_direct_solve(self, case):
+        # each side is within a small multiple of eps kappa of the exact
+        # solve, kappa = (s_1^2 + rho) / rho the condition number of
+        # x^T x + rho I; 1e-13 kappa, about 450 eps kappa, is 1e-13 at rho
+        # 1e2 s_1^2 and 1e-7 at 1e-6 s_1^2
+        x, c, r, rho = case
+        got = _b_step(decompose(x), c, rho)(r)
+        want = np.linalg.solve(x.T @ x + rho * np.eye(x.shape[1]), c + rho * r)
+        kappa = (float(np.linalg.norm(x, 2)) ** 2 + rho) / rho
+        assert np.linalg.norm(got - want) <= 1e-13 * kappa * np.linalg.norm(want)
 
     def test_wide_lasso_with_tied_columns_converges(self):
         # with rho rebalanced at every check, this fit's gap stayed near 0.06
