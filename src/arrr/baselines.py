@@ -174,24 +174,15 @@ def _objective_and_gap(x, y, z, r_z, mu, lasso):
     return f, (gap / f if f > 0.0 else 0.0)
 
 
-def _b_step(dec, c, rho):
-    """The map r -> (x^T x + rho I)^{-1} (c + rho r) on the thin SVD
-    x = U diag(s) V^T of `dec`, V d1 x k: K c + rho K r, with
-    K = V diag(1 / (s^2 + rho)) V^T + (I - V V^T) / rho, whose second term is
-    0 unless d1 > k. For d1 < 2k, K is formed once and a step is one product.
-    Past that K costs more than its factors, and a step is
-    K c + r - V diag(s^2 / (s^2 + rho)) V^T r, two thin products."""
+def _b_step(dec, y, rho):
+    """The map r -> (x^T x + rho I)^{-1} (x^T y + rho r) on the thin SVD
+    x = U diag(s) V^T of `dec`, exact for every shape of x: with
+    g = s^2 / (s^2 + rho), it is V diag(s / (s^2 + rho)) U^T y, formed once
+    per rho, plus r - V diag(g) V^T r, two thin products per step."""
     v, s2 = dec.v, dec.s * dec.s
-    d1, k = v.shape
-    if d1 >= 2 * k:
-        g = (s2 / (s2 + rho))[:, None]
-        kc = c / rho - v @ (g / rho * (v.T @ c))
-        return lambda r: kc + r - v @ (g * (v.T @ r))
-    op = (v / (s2 + rho)) @ v.T
-    if d1 > k:
-        op += (np.eye(d1) - v @ v.T) / rho
-    kc, rho_op = op @ c, rho * op
-    return lambda r: kc + rho_op @ r
+    g = (s2 / (s2 + rho))[:, None]
+    ky = v @ ((dec.s / (s2 + rho))[:, None] * (dec.u.T @ y))
+    return lambda r: ky + r - v @ (g * (v.T @ r))
 
 
 def _fit_admm(x, y, mu, dec, lasso, opts):
@@ -203,8 +194,10 @@ def _fit_admm(x, y, mu, dec, lasso, opts):
 
     An iteration takes the exact least-squares step b = `_b_step`(z - u),
     rebuilt whenever rho changes, relaxes it to b' = ALPHA b + (1 - ALPHA) z,
-    then sets z = prox(b' + u, mu / rho) and u += b' - z. rho starts at
-    s_1 s_r, s_r the last singular value within the numerical rank of x. z is
+    then sets z = prox(b' + u, mu / rho) and u += b' - z. The first step,
+    from z = u = 0, is not relaxed: that would only scale it by ALPHA, past
+    the threshold of a fit whose solution is b = 0. rho starts at s_1 s_r,
+    s_r the last singular value within the numerical rank of x. z is
     checked at iteration 1, every 10th and the last. At each check of the
     first 200 iterations, rho is doubled if ||b' - z|| / ||z|| exceeds
     ||z - z_prev|| / ||u|| and halved if not, with u rescaled: both are
@@ -218,15 +211,18 @@ def _fit_admm(x, y, mu, dec, lasso, opts):
     gap met tol; and the returned z's gap.
     """
     prox = _prox_l1 if lasso else _prox_nuclear
-    s, c = dec.s, x.T @ y
+    s = dec.s
     rank = numerical_rank(s, x.shape)
     rho = float(s[0] * s[rank - 1]) if rank else 1.0  # any rho fits a zero design
-    step = _b_step(dec, c, rho)
-    z, u = np.zeros_like(c), np.zeros_like(c)
+    step = _b_step(dec, y, rho)
+    shape = (x.shape[1], y.shape[1])
+    z, u = np.zeros(shape), np.zeros(shape)
     f, gap = _objective_and_gap(x, y, z, 0.0, mu, lasso)
     best, trace, lowest_gap, stalled, iters = z, [f], gap, 0, 0
     for iters in range(1, opts.max_iters + 1):
-        b = ALPHA * step(z - u) + (1.0 - ALPHA) * z
+        b = step(z - u)
+        if iters > 1:
+            b = ALPHA * b + (1.0 - ALPHA) * z
         z_prev = z
         z, r_z = prox(b + u, mu / rho)
         primal = b - z
@@ -249,7 +245,7 @@ def _fit_admm(x, y, mu, dec, lasso, opts):
             primal2 = float(np.sum(primal * primal)) * float(np.sum(u * u))
             dual2 = float(np.sum((z - z_prev) ** 2)) * float(np.sum(z * z))
             rho, u = (2.0 * rho, 0.5 * u) if primal2 > dual2 else (0.5 * rho, 2.0 * u)
-            step = _b_step(dec, c, rho)
+            step = _b_step(dec, y, rho)
     return best, iters, np.array(trace), gap <= opts.tol, gap
 
 

@@ -172,20 +172,20 @@ def _iterative_cases(draw):
 
 @st.composite
 def _b_step_cases(draw):
-    """(x, c, r, rho) for the ADMM b-step: d1 below n, equal to it, between n
-    and 2n or from 2n on, so both of `_b_step`'s forms run; x may carry a zero
-    and a duplicated column, and rho / s_1^2 is log-uniform in [1e-6, 1e2]."""
+    """(x, y, r, rho) for the ADMM b-step: d1 below n, equal to it, between n
+    and 2n or from 2n on, so V is square or not; x may carry a zero and a
+    duplicated column, and rho / s_1^2 is log-uniform in [1e-6, 1e2]."""
     n, d2 = draw(st.integers(2, 12)), draw(st.integers(1, 4))
     lo, hi = draw(st.sampled_from([(1, n - 1), (n, n), (n + 1, 2 * n - 1), (2 * n, 3 * n)]))
     d1 = draw(st.integers(lo, hi))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
-    x, c, r = rng.normal(size=(n, d1)), rng.normal(size=(d1, d2)), rng.normal(size=(d1, d2))
+    x, y, r = rng.normal(size=(n, d1)), rng.normal(size=(n, d2)), rng.normal(size=(d1, d2))
     if draw(st.booleans()):
         x[:, 0] = 0.0
     if d1 > 2 and draw(st.booleans()):
         x[:, -1] = x[:, 1]
     s1 = float(np.linalg.norm(x, 2)) or 1.0
-    return x, c, r, s1 * s1 * 10.0 ** draw(st.floats(-6.0, 2.0))
+    return x, y, r, s1 * s1 * 10.0 ** draw(st.floats(-6.0, 2.0))
 
 
 def _svd_prox_nuclear(v, t):
@@ -423,8 +423,10 @@ class TestNuclear:
 
 
 class TestProximalSolver:
-    # the draws below once met a relative gap of 1e-8 while missing this
-    # test's objective or stationarity slack
+    # the first ten draws below once met a relative gap of 1e-8 while missing
+    # this test's objective or stationarity slack; the last seven, at mu =
+    # max |x^T y| where b = 0, kept a coefficient near 2e-5 when ADMM's first
+    # step was over-relaxed
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(case=_iterative_cases())
     @example(case=_iterative_case("nuclear", 5, 7, 1, 64251, False, False, 1.5))
@@ -437,6 +439,13 @@ class TestProximalSolver:
     @example(case=_iterative_case("nuclear", 4, 9, 3, 62999, True, False, 1.5))
     @example(case=_iterative_case("lasso", 11, 4, 1, 34852, True, True, 0.3))
     @example(case=_iterative_case("lasso", 5, 3, 2, 31461, True, True, 0.3))
+    @example(case=_iterative_case("lasso", 8, 3, 4, 38223, False, True, 1.0))
+    @example(case=_iterative_case("lasso", 9, 4, 3, 44862, True, True, 1.0))
+    @example(case=_iterative_case("lasso", 6, 4, 4, 58636, True, False, 1.0))
+    @example(case=_iterative_case("lasso", 4, 11, 3, 37154, True, True, 1.0))
+    @example(case=_iterative_case("lasso", 7, 5, 1, 23662, True, False, 1.0))
+    @example(case=_iterative_case("lasso", 7, 12, 1, 50154, True, True, 1.0))
+    @example(case=_iterative_case("lasso", 7, 3, 1, 35737, True, False, 1.0))
     def test_matches_reference_solvers(self, case):
         method, mu, x, y = case
         opts = SolverOpts()
@@ -507,9 +516,9 @@ class TestProximalSolver:
         # solve, kappa = (s_1^2 + rho) / rho the condition number of
         # x^T x + rho I; 1e-13 kappa, about 450 eps kappa, is 1e-13 at rho
         # 1e2 s_1^2 and 1e-7 at 1e-6 s_1^2
-        x, c, r, rho = case
-        got = _b_step(decompose(x), c, rho)(r)
-        want = np.linalg.solve(x.T @ x + rho * np.eye(x.shape[1]), c + rho * r)
+        x, y, r, rho = case
+        got = _b_step(decompose(x), y, rho)(r)
+        want = np.linalg.solve(x.T @ x + rho * np.eye(x.shape[1]), x.T @ y + rho * r)
         kappa = (float(np.linalg.norm(x, 2)) ** 2 + rho) / rho
         assert np.linalg.norm(got - want) <= 1e-13 * kappa * np.linalg.norm(want)
 
@@ -528,8 +537,8 @@ class TestProximalSolver:
 
     @pytest.mark.parametrize("method", ["lasso", "nuclear"])
     def test_wide_design_matches_reference_solvers(self, method):
-        # d1 > n: the b-step's part outside the row space of x, (q - V V^T q)
-        # / rho, is all that moves the coefficients' null-space component
+        # d1 > n: the b-step's part outside the row space of x, r - V V^T r,
+        # is all that moves the coefficients' null-space component
         x, y = _data(20, 40, 3, seed=23)
         mu = 0.3 * float(np.max(np.abs(x.T @ y)))
         model = fit_baseline(BaselineSpec(method, mu=mu, solver=SolverOpts(tol=1e-12)), x, y)
