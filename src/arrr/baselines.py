@@ -127,14 +127,19 @@ def _svd_filter(dec, y):
 
 
 def _prox_l1(v, t):
-    """Soft thresholding at t, and the l1 norm of the result."""
-    m = np.maximum(np.abs(v) - t, 0.0)
-    return np.sign(v) * m, float(np.sum(m))
+    """Soft thresholding at t, and the thresholded magnitudes
+    m = max(|v| - t, 0), whose sum is the l1 norm of the result."""
+    m = np.abs(v)
+    m -= t
+    np.maximum(m, 0.0, out=m)
+    z = np.sign(v)
+    z *= m
+    return z, m
 
 
 def _prox_nuclear(v, t):
-    """Singular-value soft thresholding at t, and the nuclear norm of the
-    result: the sum of the thresholded singular values.
+    """Singular-value soft thresholding at t, and the thresholded singular
+    values, whose sum is the nuclear norm of the result.
 
     Only the singular values s_k > t and their right vectors w_k matter, so
     they come from eigh of the Gram matrix of a = v (v.T if v is wide), with
@@ -148,12 +153,13 @@ def _prox_nuclear(v, t):
     if lam.size and t * t < 1e-8 * lam[-1]:
         dec = decompose(v)
         s = np.maximum(dec.s - t, 0.0)
-        return (dec.u * s) @ dec.v.T, float(np.sum(s))
+        return (dec.u * s) @ dec.v.T, s
     w = w[:, lam > t * t]
     aw = a @ w
     s = np.sqrt(np.einsum("ij,ij->j", aw, aw))
-    p = (aw * (1.0 - t / s)) @ w.T
-    return (p.T if a is not v else p), float(np.sum(s - t))
+    aw *= 1.0 - t / s
+    p = aw @ w.T
+    return (p.T if a is not v else p), s - t
 
 
 def _objective_and_gap(x, y, z, r_z, mu, lasso):
@@ -178,11 +184,20 @@ def _b_step(dec, y, rho):
     """The map r -> (x^T x + rho I)^{-1} (x^T y + rho r) on the thin SVD
     x = U diag(s) V^T of `dec`, exact for every shape of x: with
     g = s^2 / (s^2 + rho), it is V diag(s / (s^2 + rho)) U^T y, formed once
-    per rho, plus r - V diag(g) V^T r, two thin products per step."""
+    per rho, plus r - V diag(g) V^T r, two thin products per step. Each
+    step returns a new array and leaves ky and r as they were."""
     v, s2 = dec.v, dec.s * dec.s
     g = (s2 / (s2 + rho))[:, None]
     ky = v @ ((dec.s / (s2 + rho))[:, None] * (dec.u.T @ y))
-    return lambda r: ky + r - v @ (g * (v.T @ r))
+
+    def step(r):
+        b = ky + r
+        vtr = v.T @ r
+        vtr *= g
+        b -= v @ vtr
+        return b
+
+    return step
 
 
 def _fit_admm(x, y, mu, dec, lasso, opts):
@@ -194,14 +209,17 @@ def _fit_admm(x, y, mu, dec, lasso, opts):
 
     An iteration takes the exact least-squares step b = `_b_step`(z - u),
     rebuilt whenever rho changes, relaxes it to b' = ALPHA b + (1 - ALPHA) z,
-    then sets z = prox(b' + u, mu / rho) and u += b' - z. The first step,
-    from z = u = 0, is not relaxed: that would only scale it by ALPHA, past
-    the threshold of a fit whose solution is b = 0. rho starts at s_1 s_r,
-    s_r the last singular value within the numerical rank of x. z is
-    checked at iteration 1, every 10th and the last. At each check of the
-    first 200 iterations, rho is doubled if ||b' - z|| / ||z|| exceeds
-    ||z - z_prev|| / ||u|| and halved if not, with u rescaled: both are
-    ratios, so the iterates scale exactly with x, y and mu. rho then stays
+    then sets z = prox(b' + u, mu / rho) and u += b' - z, updating b and u
+    in place. The first step, from z = u = 0, is not relaxed: that would
+    only scale it by ALPHA, past the threshold of a fit whose solution is
+    b = 0. rho starts at s_1 s_r, s_r the last singular value within the
+    numerical rank of x. z is checked at iteration 1, every 10th and the
+    last; r(z) is summed, from the magnitudes the prox kept, at checks only.
+    Neither changes a float operation or its operands, so the fits are
+    those of a loop with a fresh array per temporary, bit for bit. At each
+    check of the first 200 iterations, rho is doubled if ||b' - z|| / ||z||
+    exceeds ||z - z_prev|| / ||u|| and halved if not, with u rescaled: both
+    are ratios, so the iterates scale exactly with x, y and mu. rho then stays
     fixed, as ADMM's convergence needs (Boyd et al., section 3.4.1). The fit
     converges at the first check whose relative duality gap
     (`_objective_and_gap`) is at most tol. It stops short at max_iters, or at
@@ -222,14 +240,15 @@ def _fit_admm(x, y, mu, dec, lasso, opts):
     for iters in range(1, opts.max_iters + 1):
         b = step(z - u)
         if iters > 1:
-            b = ALPHA * b + (1.0 - ALPHA) * z
+            b *= ALPHA
+            b += (1.0 - ALPHA) * z
         z_prev = z
-        z, r_z = prox(b + u, mu / rho)
-        primal = b - z
-        u += primal
+        z, m = prox(b + u, mu / rho)
+        b -= z  # the primal residual b' - z
+        u += b
         if iters != 1 and iters % 10 and iters != opts.max_iters:
             continue
-        f, z_gap = _objective_and_gap(x, y, z, r_z, mu, lasso)
+        f, z_gap = _objective_and_gap(x, y, z, float(np.sum(m)), mu, lasso)
         progress = f < trace[-1] or z_gap < lowest_gap
         lowest_gap = min(lowest_gap, z_gap)
         if f <= trace[-1]:
@@ -242,9 +261,10 @@ def _fit_admm(x, y, mu, dec, lasso, opts):
         if stalled >= 30:
             break
         if iters < 200:
-            primal2 = float(np.sum(primal * primal)) * float(np.sum(u * u))
+            primal2 = float(np.sum(b * b)) * float(np.sum(u * u))
             dual2 = float(np.sum((z - z_prev) ** 2)) * float(np.sum(z * z))
-            rho, u = (2.0 * rho, 0.5 * u) if primal2 > dual2 else (0.5 * rho, 2.0 * u)
+            rho, scale = (2.0 * rho, 0.5) if primal2 > dual2 else (0.5 * rho, 2.0)
+            u *= scale
             step = _b_step(dec, y, rho)
     return best, iters, np.array(trace), gap <= opts.tol, gap
 

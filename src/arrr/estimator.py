@@ -270,24 +270,33 @@ def fit_path(
     The one place that checks x and y and factors them: the two stages are
     rules on the SVDs it passes them. One SVD of x, taken from `dec` when the
     caller already has it, serves the noise pilot, which runs at most once
-    (for the first config with sigma_eps "auto"), and stage 1 of every
-    config. One SVD of the cross-moment matrix per distinct k1 serves stage 2
-    of every config with that k1. Yields, in config order, what
+    (for the first config with sigma_eps "auto"), and stage 1, which runs
+    once per distinct (delta, k1_override) and is shared by every config
+    with that pair. One SVD of the cross-moment matrix per distinct k1 serves
+    stage 2 of every config with that k1. Yields, in config order, what
     fit_adaptive_rrr would return for each config, bit for bit, or, for a
     config whose stage 1 finds no admissible gap, the NoGapError it would
-    raise. Every other error is raised: NonFiniteError when x or y holds NaN
-    or infinity, the pilot's errors, and ValueError for a shape, fewer than
-    2 rows, an all-zero x or an override beyond the data.
+    raise, one shared by the configs of its pair. Every other error is
+    raised: NonFiniteError when x or y holds NaN or infinity, the pilot's
+    errors, and ValueError for a shape, fewer than 2 rows, an all-zero x or
+    an override beyond the data.
     """
     x_dec, n, sigma_of, n_hat_dec = _prologue(x, y, dec)
-    n_hat_decs = {}
+    stage1, n_hat_decs = {}, {}
     for config in configs:
         sigma_eps = sigma_of(config)
-        try:
-            pi_hat, lambdas = step1_pca_x(x_dec, config.delta, config.k1_override)
-        except NoGapError as e:
-            yield e
+        key = (config.delta, config.k1_override)
+        if key not in stage1:
+            try:
+                stage1[key] = step1_pca_x(x_dec, config.delta, config.k1_override)
+            except NoGapError as e:
+                # kept with its traceback, it would hold this frame, and so
+                # every stage-1 result, in a reference cycle past the path
+                stage1[key] = e.with_traceback(None)
+        if isinstance(stage1[key], NoGapError):
+            yield stage1[key]
             continue
+        pi_hat, lambdas = stage1[key]
         k1 = pi_hat.shape[0]
         if k1 not in n_hat_decs:
             n_hat_decs[k1] = n_hat_dec(k1)

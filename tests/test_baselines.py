@@ -14,7 +14,7 @@ from arrr.baselines import (
     validate_hyperparams,
 )
 from arrr.estimator import NonFiniteError
-from arrr.spectral import decompose
+from arrr.spectral import decompose, numerical_rank
 from arrr.synth import SynthConfig, make_instance
 
 
@@ -193,6 +193,87 @@ def _svd_prox_nuclear(v, t):
     dec = decompose(v)
     s = np.maximum(dec.s - t, 0.0)
     return (dec.u * s) @ dec.v.T, float(np.sum(s))
+
+
+# ADMM as `_fit_admm` ran it with a fresh array for every temporary and the
+# regularizer summed on every step: its loop verbatim, with the b-step and
+# the two proxes of that form, so the in-place loop can be held to it bit for
+# bit.
+def _out_of_place_prox_l1(v, t):
+    m = np.maximum(np.abs(v) - t, 0.0)
+    return np.sign(v) * m, float(np.sum(m))
+
+
+def _out_of_place_prox_nuclear(v, t):
+    p, s = _prox_nuclear(v, t)
+    return p, float(np.sum(s))
+
+
+def _out_of_place_b_step(dec, y, rho):
+    v, s2 = dec.v, dec.s * dec.s
+    g = (s2 / (s2 + rho))[:, None]
+    ky = v @ ((dec.s / (s2 + rho))[:, None] * (dec.u.T @ y))
+    return lambda r: ky + r - v @ (g * (v.T @ r))
+
+
+def _out_of_place_admm(x, y, mu, dec, lasso, opts):
+    ALPHA, _b_step, _objective_and_gap = (baselines.ALPHA, _out_of_place_b_step,
+                                          baselines._objective_and_gap)
+    prox = _out_of_place_prox_l1 if lasso else _out_of_place_prox_nuclear
+    s = dec.s
+    rank = numerical_rank(s, x.shape)
+    rho = float(s[0] * s[rank - 1]) if rank else 1.0  # any rho fits a zero design
+    step = _b_step(dec, y, rho)
+    shape = (x.shape[1], y.shape[1])
+    z, u = np.zeros(shape), np.zeros(shape)
+    f, gap = _objective_and_gap(x, y, z, 0.0, mu, lasso)
+    best, trace, lowest_gap, stalled, iters = z, [f], gap, 0, 0
+    for iters in range(1, opts.max_iters + 1):
+        b = step(z - u)
+        if iters > 1:
+            b = ALPHA * b + (1.0 - ALPHA) * z
+        z_prev = z
+        z, r_z = prox(b + u, mu / rho)
+        primal = b - z
+        u += primal
+        if iters != 1 and iters % 10 and iters != opts.max_iters:
+            continue
+        f, z_gap = _objective_and_gap(x, y, z, r_z, mu, lasso)
+        progress = f < trace[-1] or z_gap < lowest_gap
+        lowest_gap = min(lowest_gap, z_gap)
+        if f <= trace[-1]:
+            best, gap = z, z_gap
+            trace.append(f)
+        if z_gap <= opts.tol:
+            best, gap = z, z_gap
+            break
+        stalled = 0 if progress else stalled + 1
+        if stalled >= 30:
+            break
+        if iters < 200:
+            primal2 = float(np.sum(primal * primal)) * float(np.sum(u * u))
+            dual2 = float(np.sum((z - z_prev) ** 2)) * float(np.sum(z * z))
+            rho, u = (2.0 * rho, 0.5 * u) if primal2 > dual2 else (0.5 * rho, 2.0 * u)
+            step = _b_step(dec, y, rho)
+    return best, iters, np.array(trace), gap <= opts.tol, gap
+
+
+@st.composite
+def _admm_cases(draw):
+    """(x, y, mu, lasso, opts) for `_fit_admm`: d1 below, equal to or above
+    n, x with a zero and a duplicated column, mu = scale max |x^T y| from
+    1e-9 (whose thresholds take the nuclear prox's SVD branch) up to 1
+    (where b = 0 at step 1), and a budget that stops at max_iters 5, at the
+    gap, or at the stall rule under an unreachable tol."""
+    n, d2 = draw(st.integers(3, 10)), draw(st.integers(1, 4))
+    d1 = draw(st.sampled_from([n - draw(st.integers(1, 2)), n, n + draw(st.integers(1, 4))]))
+    seed, zero, tie = draw(st.integers(0, 2 ** 16)), draw(st.booleans()), draw(st.booleans())
+    scale = draw(st.sampled_from([1e-9, 1e-6, 0.01, 0.3, 1.0]))
+    _, mu, x, y = _iterative_case("lasso", n, d1, d2, seed, zero, tie and d1 > 2, scale)
+    assume(mu > 0)
+    opts = draw(st.sampled_from([SolverOpts(max_iters=5), SolverOpts(max_iters=400),
+                                 SolverOpts(max_iters=1000, tol=1e-15)]))
+    return x, y, mu, draw(st.booleans()), opts
 
 
 @st.composite
@@ -468,11 +549,25 @@ class TestProximalSolver:
             prox = _svt(b - step * (x.T @ (x @ b - y)), mu * step)
             assert np.max(np.abs(prox - b)) <= 1e-5
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=_admm_cases())
+    def test_in_place_steps_match_the_out_of_place_loop_bitwise(self, case):
+        x, y, mu, lasso, opts = case
+        dec = decompose(x)
+        got = baselines._fit_admm(x, y, mu, dec, lasso, opts)
+        want = _out_of_place_admm(x, y, mu, dec, lasso, opts)
+        for a, b in zip(got, want):  # z, iterations, trace, converged, gap
+            if isinstance(a, np.ndarray):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            else:
+                assert a == b
+
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(case=_prox_cases())
     def test_nuclear_prox_matches_svd_reference(self, case):
         v, t, s_max = case
-        p, r = _prox_nuclear(v, t)
+        p, s = _prox_nuclear(v, t)
+        r = float(np.sum(s))
         p_ref, r_ref = _svd_prox_nuclear(v, t)
         bound = 1e-11 * max(1.0, s_max)
         assert p.shape == v.shape

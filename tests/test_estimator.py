@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import os
 
@@ -560,6 +561,45 @@ class TestFitPath:
         assert [m.k1 for m in models] == [c.k1_override for c in configs]
         assert calls["pilot"] == 1
         assert calls["decompose"] == [(20, 8), (5, 3), (5, 6)]
+
+    def test_stage1_runs_once_per_delta_and_k1_override(self, monkeypatch):
+        calls = []
+        real = estimator.step1_pca_x
+
+        def counting(dec, delta, k1_override=None):
+            calls.append((delta, k1_override))
+            return real(dec, delta, k1_override)
+
+        monkeypatch.setattr(estimator, "step1_pca_x", counting)
+        x, y = _path_data(1, 20, 8, 5)
+        pairs = [(1e6, None), (1e-8, None), (1e-8, 3), (1e6, 3), (1e-8, 6)]
+        configs = [FitConfig(delta=delta, theta=t, sigma_eps=1.0, k1_override=k1)
+                   for t in (1.0, 2.0) for delta, k1 in pairs]
+        models = list(fit_path(x, y, configs))
+        assert calls == pairs
+        # a delta with no gap yields its one error for each of its thetas
+        assert models[0] is models[len(pairs)] and isinstance(models[0], NoGapError)
+        for config, model in zip(configs, models):
+            if isinstance(model, NoGapError):
+                assert (config.delta, config.k1_override) == (1e6, None)
+            else:
+                assert model.m_hat.tobytes() == fit_adaptive_rrr(x, y, config).m_hat.tobytes()
+
+    def test_a_shared_nogap_error_leaves_no_reference_cycle(self):
+        # a cycle through the path's frame would keep every stage-1 result
+        # alive until the collector runs: 0.8 MB more peak RSS on a rolling
+        # panel of 150 features
+        x, y = _path_data(1, 20, 8, 5)
+        configs = [FitConfig(delta=delta, theta=t, sigma_eps=1.0)
+                   for delta in (1e6, 1e-8) for t in (1.0, 2.0)]
+        gc.collect()
+        gc.disable()
+        try:
+            models = list(fit_path(x, y, configs))
+            del models
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_nogap_candidate_is_reported_not_raised(self):
         x, y = _path_data(1, 20, 8, 5)

@@ -6,7 +6,7 @@ a tiny sweep and a tiny rolling run under it in a fresh interpreter, so a
 change that renames, aliases or stops calling a traced function fails here,
 in tier-1. The sweep scores through `estimator.rank_path`, which runs stage 1
 once per k1 and never stage 2; the rolling run fits its one fold through
-`fit_path`, which runs each stage once per candidate.
+`fit_path`, which runs stage 1 once per delta and stage 2 once per candidate.
 """
 
 import json
@@ -72,5 +72,5 @@ def test_a_traced_sweep_is_fully_covered(tmp_path):
     candidates = len(DELTAS) * len(THETAS)
     assert got == {
         "sweep": {"rc": 0, "problems": [], "stage1": len(K1), "stage2": 0},
-        "rolling": {"rc": 0, "problems": [], "stage1": candidates, "stage2": candidates},
+        "rolling": {"rc": 0, "problems": [], "stage1": len(DELTAS), "stage2": candidates},
     }
