@@ -283,12 +283,6 @@ def _run_cells(fn, cells, jobs: int) -> list:
         return list(pool.map(_overflow_raises, [fn] * len(cells), cells))
 
 
-def _scores(model, x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
-    """(mse, r2, corr) of a linear model on (x, y), as metrics.evaluate
-    scores them, without evaluate's SVD for the recovered rank."""
-    return metrics.pooled_scores(y, x @ model.m_hat.T)
-
-
 # ---------------------------------------------------------------- readers
 
 
@@ -358,7 +352,7 @@ def _fit_select_score(train, valid, test, candidates: Sequence[FitConfig],
                 nogap.append(model)
             elif (model.k1, model.k2) not in seen:
                 seen.add((model.k1, model.k2))
-                yield _scores(model, x_va, y_va)[0], model
+                yield metrics.pooled_scores(y_va, x_va @ model.m_hat.T)[0], model
 
     best = metrics.lowest(validated())
     if best is None:
@@ -375,7 +369,8 @@ def _fit_select_score(train, valid, test, candidates: Sequence[FitConfig],
     scored = []
     for method, model, tags in winners:
         y_hat = x_te @ model.m_hat.T
-        scored.append((method, model, dict(_UNUSED, **tags), _scores(model, x_tr, y_tr),
+        scored.append((method, model, dict(_UNUSED, **tags),
+                       metrics.pooled_scores(y_tr, x_tr @ model.m_hat.T),
                        metrics.pooled_scores(y_te, y_hat), y_hat))
     return scored
 

@@ -229,12 +229,16 @@ def estimate_noise_sigma(
     return sigma
 
 
-def _prologue(x: np.ndarray, y: np.ndarray, dec: Optional[SpectralDecomposition]):
-    """What fit_path and rank_path share before the stages: check x and y,
-    take the one SVD of x (or `dec`), and return it with n and two functions:
-    a config's sigma_eps, which runs the noise pilot on the first config with
-    sigma_eps "auto" and reuses it after, and the SVD of the cross-moment
-    matrix (y.T @ z_hat) / n for a k1."""
+def _stages(x: np.ndarray, y: np.ndarray, configs: Sequence[FitConfig],
+            dec: Optional[SpectralDecomposition]) -> Iterator[tuple]:
+    """What fit_path and rank_path share, for each config in order: (config,
+    n, sigma_eps, stage 1's (pi_hat, lambdas) or its NoGapError, the SVD of
+    the cross-moment matrix (y.T @ z_hat) / n or None after a NoGapError).
+
+    x and y are checked and have one SVD, or `dec`. The noise pilot runs at
+    most once, for the first config with sigma_eps "auto"; stage 1 runs once
+    per distinct (delta, k1_override); the cross-moment matrix has one SVD
+    per k1."""
     x, y = require_xy("x and y", x, y)
     n = x.shape[0]
     # checked before the pilot, which would report an all-zero panel's
@@ -244,47 +248,11 @@ def _prologue(x: np.ndarray, y: np.ndarray, dec: Optional[SpectralDecomposition]
     if not np.any(x):
         raise ValueError("x is identically zero")
     x_dec = decompose(x) if dec is None else dec
-    pilot = []
-
-    def sigma_of(config: FitConfig) -> float:
-        if config.sigma_eps != "auto":
-            return float(config.sigma_eps)
-        if not pilot:
-            pilot.append(estimate_noise_sigma(x, y, x_dec))
-        return pilot[0]
-
-    def n_hat_dec(k1: int) -> SpectralDecomposition:
-        return decompose(y.T @ (np.sqrt(n) * x_dec.u[:, :k1]) / n)
-
-    return x_dec, n, sigma_of, n_hat_dec
-
-
-def fit_path(
-    x: np.ndarray,
-    y: np.ndarray,
-    configs: Sequence[FitConfig],
-    dec: Optional[SpectralDecomposition] = None,
-) -> Iterator[Union[FittedModel, NoGapError]]:
-    """Fit every config on one (x, y), sharing the factorizations.
-
-    The one place that checks x and y and factors them: the two stages are
-    rules on the SVDs it passes them. One SVD of x, taken from `dec` when the
-    caller already has it, serves the noise pilot, which runs at most once
-    (for the first config with sigma_eps "auto"), and stage 1, which runs
-    once per distinct (delta, k1_override) and is shared by every config
-    with that pair. One SVD of the cross-moment matrix per distinct k1 serves
-    stage 2 of every config with that k1. Yields, in config order, what
-    fit_adaptive_rrr would return for each config, bit for bit, or, for a
-    config whose stage 1 finds no admissible gap, the NoGapError it would
-    raise, one shared by the configs of its pair. Every other error is
-    raised: NonFiniteError when x or y holds NaN or infinity, the pilot's
-    errors, and ValueError for a shape, fewer than 2 rows, an all-zero x or
-    an override beyond the data.
-    """
-    x_dec, n, sigma_of, n_hat_dec = _prologue(x, y, dec)
-    stage1, n_hat_decs = {}, {}
+    pilot, stage1, n_hat_decs = None, {}, {}
     for config in configs:
-        sigma_eps = sigma_of(config)
+        if config.sigma_eps == "auto" and pilot is None:
+            pilot = estimate_noise_sigma(x, y, x_dec)
+        sigma_eps = pilot if config.sigma_eps == "auto" else float(config.sigma_eps)
         key = (config.delta, config.k1_override)
         if key not in stage1:
             try:
@@ -293,20 +261,43 @@ def fit_path(
                 # kept with its traceback, it would hold this frame, and so
                 # every stage-1 result, in a reference cycle past the path
                 stage1[key] = e.with_traceback(None)
-        if isinstance(stage1[key], NoGapError):
-            yield stage1[key]
+        n_hat_dec = None
+        if not isinstance(stage1[key], NoGapError):
+            k1 = stage1[key][0].shape[0]
+            if k1 not in n_hat_decs:
+                n_hat_decs[k1] = decompose(y.T @ (np.sqrt(n) * x_dec.u[:, :k1]) / n)
+            n_hat_dec = n_hat_decs[k1]
+        yield config, n, sigma_eps, stage1[key], n_hat_dec
+
+
+def fit_path(
+    x: np.ndarray,
+    y: np.ndarray,
+    configs: Sequence[FitConfig],
+    dec: Optional[SpectralDecomposition] = None,
+) -> Iterator[Union[FittedModel, NoGapError]]:
+    """Fit every config on one (x, y), sharing the factorizations as
+    `_stages` shares them: stage 2 is a rule on its cross-moment SVD.
+
+    Yields, in config order, what fit_adaptive_rrr would return for each
+    config, bit for bit, or, for a config whose stage 1 finds no admissible
+    gap, the NoGapError it would raise, one shared by the configs of its
+    (delta, k1_override). Every other error is raised: NonFiniteError when x
+    or y holds NaN or infinity, the pilot's errors, and ValueError for a
+    shape, fewer than 2 rows, an all-zero x or an override beyond the data.
+    """
+    for config, n, sigma_eps, stage1, n_hat_dec in _stages(x, y, configs, dec):
+        if isinstance(stage1, NoGapError):
+            yield stage1
             continue
-        pi_hat, lambdas = stage1[key]
-        k1 = pi_hat.shape[0]
-        if k1 not in n_hat_decs:
-            n_hat_decs[k1] = n_hat_dec(k1)
+        pi_hat, lambdas = stage1
         n_hat_trunc, k2, sigmas, threshold = step2_pca_denoise(
-            n_hat_decs[k1], n, config.theta, sigma_eps, config.k2_override
+            n_hat_dec, n, config.theta, sigma_eps, config.k2_override
         )
         yield FittedModel(
             pi_hat=pi_hat,
             n_hat_trunc=n_hat_trunc,
-            k1=k1,
+            k1=pi_hat.shape[0],
             k2=k2,
             lambdas=lambdas,
             n_hat_sigmas=sigmas,
@@ -340,26 +331,25 @@ def rank_path(x: np.ndarray, y: np.ndarray, configs: Sequence[FitConfig],
     for configs that pin both k1 and k2; `metrics.rank_path_scores` scores
     them.
 
-    x and y are checked and factored, and the pilot runs, as in fit_path,
-    with the same errors; x_new is checked as predict checks it. Per
-    distinct k1, stage 1 runs once and the cross-moment matrix has one SVD,
-    and the configs with that k1 share one RankFactors. Its model of rank k2
-    equals fit_path's up to rounding.
+    x and y are checked and factored, the pilot runs and stage 1 runs as in
+    fit_path, through the same `_stages`, with the same errors; x_new is
+    then checked as predict checks it. The configs of one k1 share one
+    RankFactors, built from that k1's one cross-moment SVD. Its model of
+    rank k2 equals fit_path's up to rounding.
     """
     if any(c.k1_override is None or c.k2_override is None for c in configs):
         raise ValueError("rank_path needs configs that pin both k1 and k2")
-    x_dec, _, sigma_of, n_hat_dec = _prologue(x, y, None)
-    x_new = _require_x_new(x_new, x_dec.v.shape[0])
     factors = {}  # k1 -> RankFactors
-    for config in configs:
-        sigma_of(config)  # the pilot's errors surface where fit_path's would
-        k1 = int(config.k1_override)
+    for config, _, _, (pi_hat, _), dec in _stages(x, y, configs, None):
+        k1 = pi_hat.shape[0]
         if k1 not in factors:
-            pi_hat, _ = step1_pca_x(x_dec, config.delta, k1)
-            dec = n_hat_dec(k1)
+            if not factors:
+                x_new = _require_x_new(x_new, pi_hat.shape[1])
             factors[k1] = RankFactors(u=dec.u, s=dec.s, w=dec.v.T @ pi_hat,
                                       p=(x_new @ pi_hat.T) @ (dec.v * dec.s))
-        yield factors[k1], _k2_in_range(config.k2_override, factors[k1].s.size)
+        yield factors[k1], _k2_in_range(config.k2_override, dec.s.size)
+    if not factors:  # no configs; `_stages` has checked x
+        _require_x_new(x_new, np.shape(x)[1])
 
 
 def fit_adaptive_rrr(x: np.ndarray, y: np.ndarray, config: FitConfig,

@@ -577,6 +577,22 @@ class TestProximalSolver:
         # to a small factor; a root of its Gram eigenvalue is not
         assert abs(r - r_ref) <= 10.0 * min(v.shape) * np.finfo(float).eps * s_max
 
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 6)], ids=["tall", "wide"])
+    def test_nuclear_prox_takes_the_svd_only_below_its_gram_guard(self, monkeypatch, shape):
+        # the rule _prox_nuclear states: the SVD of v when t^2 < 1e-8
+        # lambda_max, the Gram eigenvalues otherwise, as at 1e-7 lambda_max
+        svds = []
+        real = baselines.decompose
+        monkeypatch.setattr(baselines, "decompose", lambda a: svds.append(a.shape) or real(a))
+        v = np.random.default_rng(0).normal(size=shape)
+        lam_max = np.linalg.svd(v, compute_uv=False)[0] ** 2
+        for ratio, want in ((1e-9, [shape]), (1e-7, []), (1e-4, [])):
+            svds.clear()
+            t = np.sqrt(ratio * lam_max)
+            p, _ = _prox_nuclear(v, t)
+            assert svds == want, ratio
+            assert np.max(np.abs(p - _svd_prox_nuclear(v, t)[0])) <= 1e-11 * np.sqrt(lam_max)
+
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(case=_iterative_cases())
     def test_the_gap_certifies_the_fit(self, case):

@@ -559,17 +559,19 @@ def test_repeated_models_are_scored_once(monkeypatch):
     # the reference scores every candidate
     models = [m for m in fit_path(*train, candidates) if not isinstance(m, NoGapError)]
     ranks = [(m.k1, m.k2) for m in models]
-    best = metrics.lowest((cli._scores(m, *valid)[0], m) for m in models)
+    best = metrics.lowest((metrics.pooled_scores(valid[1], valid[0] @ m.m_hat.T)[0], m)
+                          for m in models)
     assert len(models) < len(candidates) and len(set(ranks)) < len(models)
     assert ranks.count((best.k1, best.k2)) > 1  # the winner has repeats
     y_hat = test[0] @ best.m_hat.T
     want = ("adaptive_rrr", {"k1": best.k1, "k2": best.k2, "mu": -1.0, "rank": -1},
-            cli._scores(best, *train), metrics.pooled_scores(test[1], y_hat))
+            metrics.pooled_scores(train[1], train[0] @ best.m_hat.T),
+            metrics.pooled_scores(test[1], y_hat))
 
     scored = []
-    real_scores = cli._scores
-    monkeypatch.setattr(cli, "_scores",
-                        lambda model, x, y: scored.append(x is valid[0]) or real_scores(model, x, y))
+    real_scores = metrics.pooled_scores
+    monkeypatch.setattr(metrics, "pooled_scores",
+                        lambda y, y_hat: scored.append(y is valid[1]) or real_scores(y, y_hat))
     ((method, model, tags, train_scores, test_scores, got_hat),) = cli._fit_select_score(
         train, valid, test, candidates, {}, "test")
     assert (method, tags, train_scores, test_scores) == want

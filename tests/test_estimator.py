@@ -457,6 +457,53 @@ _CONFIGS = st.builds(
 )
 
 
+def _from_definitions(x, y, config):
+    """The estimator written from its definitions, sharing no SVD path with
+    fit_path: (k1, k2, lambdas, threshold, m_hat). Stage 1 takes the
+    eigendecomposition of x.T x / n, k1 by the largest gap >= delta among the
+    eigenvalues within the rank of x (the one past them taken as 0) or the
+    override, pi_hat = Lambda_k1^(-1/2) V_k1^T and z_hat = x pi_hat^T. Stage 2
+    keeps the singular values of y.T z_hat / n that reach theta sigma_eps
+    sqrt(max(d2, k1) / n), or the top k2 override."""
+    n, d2 = y.shape
+    lam, v = np.linalg.eigh(x.T @ x / n)
+    lam, v = lam[::-1], v[:, ::-1]
+    rank = np.linalg.matrix_rank(x)
+    k1 = config.k1_override
+    if k1 is None:
+        gaps = lam[:rank] - np.append(lam[1:rank], 0.0)
+        k1 = 1 + max(i for i in range(rank) if gaps[i] >= config.delta)
+    pi_hat = v[:, :k1].T / np.sqrt(lam[:k1])[:, None]
+    z_hat = x @ pi_hat.T
+    u, s, vt = np.linalg.svd(y.T @ z_hat / n, full_matrices=False)
+    threshold = config.theta * config.sigma_eps * np.sqrt(max(d2, k1) / n)
+    k2 = int(np.sum(s >= threshold)) if config.k2_override is None else config.k2_override
+    return k1, k2, lam[:rank], threshold, (u[:, :k2] * s[:k2]) @ vt[:k2] @ pi_hat
+
+
+@st.composite
+def _oracle_cases(draw):
+    """(x, y, config) with n < d1, x of rank r < n and d2 < r. A k1
+    override lies in (d2, r]; the gap rule's k1 is mostly above d2 too."""
+    n = draw(st.integers(5, 14))
+    d1 = draw(st.integers(n + 1, n + 10))
+    r = draw(st.integers(2, n - 2))
+    d2 = draw(st.integers(1, r - 1))
+    rng = np.random.default_rng(draw(_SEEDS))
+    basis = np.linalg.qr(rng.normal(size=(d1, r)))[0].T  # r orthonormal rows
+    x = rng.normal(size=(n, r)) * np.geomspace(3.0, 0.5, r) @ basis
+    y = x @ rng.normal(size=(d2, d1)).T + draw(st.sampled_from([0.05, 0.5])) * rng.normal(
+        size=(n, d2))
+    k1 = draw(st.none() | st.integers(d2 + 1, r))
+    # the gap rule's k1 is at least 1
+    k2 = draw(st.none() | st.integers(0, 1 if k1 is None else d2))
+    config = FitConfig(delta=draw(st.sampled_from([1e-3, 1e-2, 0.1])),
+                       theta=draw(st.sampled_from([0.5, 1.0, 2.0])),
+                       sigma_eps=draw(st.sampled_from([0.05, 0.5, 2.0])),
+                       k1_override=k1, k2_override=k2)
+    return x, y, config
+
+
 class TestFitPath:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=_SEEDS, shape=_SHAPES, configs=st.lists(_CONFIGS, min_size=1, max_size=6))
@@ -478,6 +525,27 @@ class TestFitPath:
             np.testing.assert_array_equal(got.n_hat_sigmas, want.n_hat_sigmas)
             assert (got.k1, got.k2, got.threshold_used, got.sigma_eps_used) == (
                 want.k1, want.k2, want.threshold_used, want.sigma_eps_used)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=_oracle_cases())
+    def test_path_matches_the_estimator_from_its_definitions(self, case):
+        # within 1e-10 of the largest eigenvalue and of the size of m_hat,
+        # for draws where no rank decision is within 1e-6 (relative) of
+        # flipping
+        x, y, config = case
+        k1, k2, lam, threshold, m_hat = _from_definitions(x, y, config)
+        gaps = lam - np.append(lam[1:], 0.0)
+        assume(np.min(np.abs(gaps - config.delta)) > 1e-6 * lam[0])
+        assume(gaps[k1 - 1] > 1e-6 * lam[0])
+        (model,) = fit_path(x, y, [config])
+        s = np.append(model.n_hat_sigmas, 0.0)
+        scale = max(s[0], threshold)
+        assume(np.min(np.abs(s[:-1] - threshold)) > 1e-6 * scale)
+        assume(s[k2 - 1] - s[k2] > 1e-6 * scale if k2 else True)
+        assert (model.k1, model.k2) == (k1, k2)
+        assert model.threshold_used == pytest.approx(threshold, rel=1e-12)
+        np.testing.assert_allclose(model.lambdas[:lam.size], lam, rtol=0, atol=1e-10 * lam[0])
+        assert _rel(model.m_hat, m_hat) <= 1e-10
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=_SEEDS, shape=_SHAPES, config=_CONFIGS)
@@ -717,6 +785,34 @@ class TestRankPath:
         assert calls == {"decompose": [(20, 8), (5, 3), (5, 6)], "pilot": pilots,
                          "stage1": 2}
 
+    @pytest.mark.parametrize("sigmas, pilot_at", [((1.0, 1.0), None), ((1.0, "auto"), 6),
+                                                  (("auto", "auto"), 1)])
+    def test_fit_path_and_rank_path_make_the_same_stage_calls(self, monkeypatch, sigmas,
+                                                              pilot_at):
+        calls = []
+        real = estimator.decompose, estimator.estimate_noise_sigma, estimator.step1_pca_x
+        monkeypatch.setattr(estimator, "decompose",
+                            lambda a: calls.append(("decompose", np.shape(a))) or real[0](a))
+        monkeypatch.setattr(estimator, "estimate_noise_sigma",
+                            lambda *a: calls.append(("pilot",)) or real[1](*a))
+        monkeypatch.setattr(estimator, "step1_pca_x",
+                            lambda dec, delta, k1: calls.append(("stage1", delta, k1))
+                            or real[2](dec, delta, k1))
+        x, y = _path_data(0, 20, 8, 5)
+        # two deltas at k1 3: stage 1 runs once per (delta, k1 override)
+        configs = [FitConfig(delta=delta, sigma_eps=sigma, k1_override=k1, k2_override=k2)
+                   for sigma in sigmas for delta, k1 in ((1e-3, 3), (1e-2, 3), (1e-3, 6))
+                   for k2 in (2, 0)]
+        assert len(list(fit_path(x, y, configs))) == len(configs)
+        fit_calls = calls[:]
+        calls.clear()
+        assert len(list(rank_path(x, y, configs, x))) == len(configs)
+        want = [("decompose", (20, 8)), ("stage1", 1e-3, 3), ("decompose", (5, 3)),
+                ("stage1", 1e-2, 3), ("stage1", 1e-3, 6), ("decompose", (5, 6))]
+        if pilot_at is not None:  # once, for the first "auto" config
+            want.insert(pilot_at, ("pilot",))
+        assert calls == fit_calls == want
+
     @pytest.mark.parametrize("x_new, error, message", [
         (np.ones((4, 7)), ValueError, "x_new must have 8 columns"),
         (np.ones(8), ValueError, "x_new must have 8 columns"),
@@ -730,6 +826,12 @@ class TestRankPath:
         for run in (lambda: predict(model, x_new), lambda: list(rank_path(x, y, [config], x_new))):
             with pytest.raises(error, match=message):
                 run()
+
+    def test_x_new_is_checked_without_configs(self):
+        x, y = _path_data(0, 20, 8, 5)
+        assert list(rank_path(x, y, [], x)) == []
+        with pytest.raises(ValueError, match="x_new must have 8 columns"):
+            list(rank_path(x, y, [], np.ones((4, 7))))
 
     def test_errors_before_the_stages_match_fit_path(self):
         for x, y, sigma, message in (

@@ -313,12 +313,12 @@ class TestLowest:
                             lambda y, y_hat: (next(in_order), 0.0, 0.0))
         assert validate_hyperparams(grid, window, window).method == grid[want]
 
-        # one estimator candidate per score, scored by its theta; each has its
-        # own k2, since a repeated (k1, k2) is one model and is scored once
+        # one estimator candidate per score, scored by the rank of its
+        # predictions, its k2; each has its own k2, since a repeated (k1, k2)
+        # is one model and is scored once
         thetas = [1.0 + i for i in range(len(scores))]
-        by_theta = dict(zip(thetas, scores))
-        monkeypatch.setattr(cli, "_scores",
-                            lambda model, x, y: (by_theta[model.config.theta], 0.0, 0.0))
+        monkeypatch.setattr(cli.metrics, "pooled_scores", lambda y, y_hat: (
+            scores[np.linalg.matrix_rank(y_hat)], 0.0, 0.0))
         candidates = [FitConfig(delta=1e-3, theta=t, sigma_eps=1.0, k1_override=5,
                                 k2_override=i) for i, t in enumerate(thetas)]
         ((method, model, *_),) = cli._fit_select_score(window, window, window,
