@@ -7,7 +7,7 @@ least squares interpolates and the regularizer does all the work.
 
 import numpy as np
 
-from arrr.baselines import BaselineSpec, SolverOpts, validate_hyperparams
+from arrr.baselines import BaselineSpec, validate_hyperparams
 from arrr.estimator import FitConfig, fit_adaptive_rrr
 from arrr.metrics import evaluate
 from arrr.synth import SynthConfig, gen_dataset, make_instance
@@ -25,18 +25,13 @@ model = fit_adaptive_rrr(inst.x, inst.y, FitConfig(sigma_eps=inst.sigma_noise))
 rows.append(("adaptive_rrr", "k2=%d" % model.k2,
              evaluate(model, x_te, y_te).mse_out))
 
-# iterative solvers get a looser budget, a relative duality gap of 1e-6
-# instead of 1e-10; this is a demo, not a benchmark
-loose = SolverOpts(max_iters=1000, tol=1e-6)
 grids = {
     "ridge": [BaselineSpec("ridge", mu=mu) for mu in (0.1, 1.0, 10.0)],
     "rrr": [BaselineSpec("rrr", rank=r) for r in (2, 5, 10)],
     "reduced_rank_ridge": [BaselineSpec("reduced_rank_ridge", mu=mu, rank=r)
                            for mu in (0.1, 1.0) for r in (5, 10)],
-    "lasso": [BaselineSpec("lasso", mu=mu, solver=loose)
-              for mu in (0.01, 0.1)],
-    "nuclear": [BaselineSpec("nuclear", mu=mu, solver=loose)
-                for mu in (0.1, 1.0)],
+    "lasso": [BaselineSpec("lasso", mu=mu) for mu in (0.01, 0.1)],
+    "nuclear": [BaselineSpec("nuclear", mu=mu) for mu in (0.1, 1.0)],
 }
 for name, grid in grids.items():
     fitted = validate_hyperparams(grid, (inst.x, inst.y), (x_val, y_val))

@@ -17,7 +17,7 @@ without refitting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,47 +26,36 @@ from .estimator import predict, require_xy
 from .metrics import lowest, pooled_scores
 from .spectral import SpectralDecomposition, decompose, numerical_rank
 
-# The hyperparameters each method reads: one that reads a rank requires it, one
-# that reads a solver budget is iterative, and a spec sets no other.
+# The hyperparameters each method reads: one that reads a rank requires it,
+# and a spec sets no other. The ITERATIVE methods fit by `_fit_admm` at mu > 0.
 READS = {"ridge": ("mu",), "rrr": ("rank",), "reduced_rank_ridge": ("mu", "rank"),
-         "pcr": ("rank",), "lasso": ("mu", "solver"), "nuclear": ("mu", "solver")}
+         "pcr": ("rank",), "lasso": ("mu",), "nuclear": ("mu",)}
+ITERATIVE = ("lasso", "nuclear")
 ALPHA = 1.6  # the over-relaxation of `_fit_admm`
-
-
-@dataclass(frozen=True)
-class SolverOpts:
-    """Budget of the iterative solvers (lasso, nuclear): ADMM iterations,
-    and the relative duality gap at which a fit converges (`_fit_admm`).
-    The gap bounds (F(b) - min F) / F(b), so a converged fit is within
-    tol F(b) of the minimum of its objective F."""
-
-    max_iters: int = 5000
-    tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not self.tol > 0:  # NaN fails too
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+# `_fit_admm`'s budget: its iterations, and the relative duality gap at which
+# a fit converges. The gap bounds (F(b) - min F) / F(b), so a converged fit
+# is within TOL F(b) of the minimum of its objective F.
+MAX_ITERS = 5000
+TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class BaselineSpec:
     """One baseline method and the hyperparameters it reads (READS), each
     other left at its default, since it would only fit the same model again.
-    The rank is checked against the problem size when the spec is fitted."""
+    The rank is checked against the problem size when the spec is fitted.
+    Lasso and nuclear run ADMM at the module's MAX_ITERS and TOL."""
 
     method: str
     mu: float = 0.0
     rank: Optional[int] = None
-    solver: SolverOpts = field(default_factory=SolverOpts)
 
     def __post_init__(self) -> None:
         if self.method not in READS:
             raise ValueError("unknown method %r" % (self.method,))
         if not 0 <= self.mu < math.inf:  # NaN fails too
             raise ValueError("mu must be non-negative and finite")
-        for key, unset in (("mu", 0.0), ("rank", None), ("solver", SolverOpts())):
+        for key, unset in (("mu", 0.0), ("rank", None)):
             if key not in READS[self.method] and getattr(self, key) != unset:
                 raise ValueError("%s takes no %s" % (self.method, key))
         if "rank" in READS[self.method] and self.rank is None:
@@ -200,7 +189,7 @@ def _b_step(dec, y, rho):
     return step
 
 
-def _fit_admm(x, y, mu, dec, lasso, opts):
+def _fit_admm(x, y, mu, dec, lasso):
     """Minimize F(b) = 0.5 ||y - x b||^2 + mu r(b), mu > 0, r the l1 norm
     (lasso) or the nuclear norm, by ADMM on the split b = z (Boyd, Parikh,
     Chu, Peleato & Eckstein 2011, section 6.4), over-relaxed by ALPHA
@@ -222,11 +211,11 @@ def _fit_admm(x, y, mu, dec, lasso, opts):
     are ratios, so the iterates scale exactly with x, y and mu. rho then stays
     fixed, as ADMM's convergence needs (Boyd et al., section 3.4.1). The fit
     converges at the first check whose relative duality gap
-    (`_objective_and_gap`) is at most tol. It stops short at max_iters, or at
+    (`_objective_and_gap`) is at most TOL. It stops short at MAX_ITERS, or at
     the rounding floor: 30 checks in a row that lower neither F nor the gap.
-    Returns that z, or else the checked z of lowest F; the iterations; the
-    trace of F at b = 0 and at each check that does not raise it; whether the
-    gap met tol; and the returned z's gap.
+    Both are read at each call. Returns that z, or else the checked z of
+    lowest F; the iterations; the trace of F at b = 0 and at each check that
+    does not raise it; whether the gap met TOL; and the returned z's gap.
     """
     prox = _prox_l1 if lasso else _prox_nuclear
     s = dec.s
@@ -237,7 +226,7 @@ def _fit_admm(x, y, mu, dec, lasso, opts):
     z, u = np.zeros(shape), np.zeros(shape)
     f, gap = _objective_and_gap(x, y, z, 0.0, mu, lasso)
     best, trace, lowest_gap, stalled, iters = z, [f], gap, 0, 0
-    for iters in range(1, opts.max_iters + 1):
+    for iters in range(1, MAX_ITERS + 1):
         b = step(z - u)
         if iters > 1:
             b *= ALPHA
@@ -246,7 +235,7 @@ def _fit_admm(x, y, mu, dec, lasso, opts):
         z, m = prox(b + u, mu / rho)
         b -= z  # the primal residual b' - z
         u += b
-        if iters != 1 and iters % 10 and iters != opts.max_iters:
+        if iters != 1 and iters % 10 and iters != MAX_ITERS:
             continue
         f, z_gap = _objective_and_gap(x, y, z, float(np.sum(m)), mu, lasso)
         progress = f < trace[-1] or z_gap < lowest_gap
@@ -254,7 +243,7 @@ def _fit_admm(x, y, mu, dec, lasso, opts):
         if f <= trace[-1]:
             best, gap = z, z_gap
             trace.append(f)
-        if z_gap <= opts.tol:
+        if z_gap <= TOL:
             best, gap = z, z_gap
             break
         stalled = 0 if progress else stalled + 1
@@ -266,7 +255,7 @@ def _fit_admm(x, y, mu, dec, lasso, opts):
             rho, scale = (2.0 * rho, 0.5) if primal2 > dual2 else (0.5 * rho, 2.0)
             u *= scale
             step = _b_step(dec, y, rho)
-    return best, iters, np.array(trace), gap <= opts.tol, gap
+    return best, iters, np.array(trace), gap <= TOL, gap
 
 
 def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
@@ -280,7 +269,7 @@ def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
     mu > 0 solve their least-squares steps on it. The SVD comes from `dec`
     when the caller already has it, and a filter from `direct`, a
     `_svd_filter` of that SVD and y shared by a grid; the result is the same
-    bit for bit. Iterative solvers that fail to converge within max_iters
+    bit for bit. Iterative solvers that fail to converge within MAX_ITERS
     come back with converged=False rather than raising.
     """
     x, y = require_xy("x and y", x, y)
@@ -293,9 +282,8 @@ def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
 
     dec = decompose(x) if dec is None else dec
     iters, trace, converged, gap = 0, np.array([]), True, 0.0
-    if "solver" in READS[spec.method] and spec.mu > 0:
-        coef, iters, trace, converged, gap = _fit_admm(
-            x, y, spec.mu, dec, spec.method == "lasso", spec.solver)
+    if spec.method in ITERATIVE and spec.mu > 0:
+        coef, iters, trace, converged, gap = _fit_admm(x, y, spec.mu, dec, spec.method == "lasso")
     else:
         coef = (direct or _svd_filter(dec, y))(spec)
 
@@ -341,7 +329,7 @@ def validate_hyperparams(
     if dec is None:
         dec = decompose(x_tr)
     direct = None
-    if any("solver" not in READS[spec.method] for spec in spec_grid):
+    if any(spec.method not in ITERATIVE for spec in spec_grid):
         direct = _svd_filter(dec, y_tr)
     models = (fit_baseline(spec, x_tr, y_tr, dec, direct) for spec in spec_grid)
     best = lowest((pooled_scores(y_va, predict_linear(m, x_va))[0], m) for m in models)

@@ -460,24 +460,21 @@ def run_rolling(cfg: Dict[str, Any], jobs: int) -> List[Dict[str, Any]]:
 def run_packing(cfg: Dict[str, Any], jobs: int) -> Dict[str, Any]:
     from . import packing
     int_keys = ("d", "n_samples", "k_patterns", "s_size", "seed")
-    exponent_keys = ("lambda_exp", "zeta", "eta_exp")
-    sec = _section(cfg, "packing", int_keys + exponent_keys + (
-        "spectrum", "rho", "sigma_eps", "distance_floor", "overlap_max"))
+    sec = _section(cfg, "packing", int_keys + ("spectrum", "rho", "sigma_eps"))
     args = {k: _get(sec, "packing", k, int) for k in int_keys}
     _seed(args["seed"], "packing.seed")
     # the library allows one-member families; an experiment compares pairs
     _want(args["s_size"] >= 2, "packing.s_size must be >= 2")
     args["spectrum"] = _get(sec, "packing", "spectrum", (list, NULL), None, items=NUM)
-    args.update((k, float(_get(sec, "packing", k, NUM))) for k in exponent_keys if k in sec)
     args["rho"] = float(_get(sec, "packing", "rho", NUM))
     args["sigma_eps"] = float(_get(sec, "packing", "sigma_eps", NUM, 1.0))
-    checks = {k: _get(sec, "packing", k, t) for k, t in
-              (("distance_floor", NUM), ("overlap_max", (int, NULL))) if k in sec}
     params = packing.PackingParams(**args)
     family = packing.build_family(params)
-    report = packing.verify_packing(family, params, **checks)
+    report = packing.verify_packing(family, params)
     return {
-        "params": dict(dataclasses.asdict(params), t_lo=params.t_lo, t_hi=params.t_hi),
+        "params": dict(dataclasses.asdict(params), lambda_exp=packing.LAMBDA_EXP,
+                       zeta=packing.ZETA, eta_exp=packing.ETA_EXP,
+                       t_lo=params.t_lo, t_hi=params.t_hi),
         "measured_constants": {"c8": report.measured_c8, "c9": report.measured_c9},
         "min_pairwise_distance": report.min_pairwise_distance,
         "max_overlap": report.max_support_overlap,

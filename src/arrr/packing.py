@@ -20,6 +20,15 @@ import numpy as np
 from .spectral import NumericalFailure, numerical_rank
 
 UNITARITY_TOL = 1e-10
+# The construction's exponents: a support of floor(rho^LAMBDA_EXP d) entries,
+# a code cost budget of rho^ZETA Psi, and a spread cutoff at rho^(LAMBDA_EXP +
+# ETA_EXP). With rho in (0, 1), every power of rho taken is positive and finite.
+LAMBDA_EXP = 0.501  # 1/2 + xi
+ZETA = 0.5
+ETA_EXP = 0.001
+# A family passes with a min pairwise distance of at least DISTANCE_FLOOR Psi
+# and at most half the support shared between two members' columns.
+DISTANCE_FLOOR = 1.5
 
 
 class PackingInfeasibleError(NumericalFailure, RuntimeError):
@@ -51,9 +60,6 @@ class PackingParams:
     s_size: int                    # family size
     seed: int
     spectrum: Optional[np.ndarray] = None  # non-increasing singular values, length d
-    lambda_exp: float = 0.501      # support-size exponent (1/2 + xi)
-    zeta: float = 0.5              # cost-budget exponent
-    eta_exp: float = 0.001         # spread-cutoff exponent
 
     @property
     def noise_floor(self) -> float:
@@ -62,7 +68,7 @@ class PackingParams:
 
     @property
     def subset_size(self) -> int:
-        return int(self.rho ** self.lambda_exp * self.d)
+        return int(self.rho ** LAMBDA_EXP * self.d)
 
     @property
     def t_lo(self) -> int:
@@ -86,14 +92,6 @@ class PackingParams:
             raise ValueError("sigma_eps must be positive and finite, n_samples >= 1")
         if self.k_patterns < 1 or self.s_size < 1:
             raise ValueError("k_patterns and s_size must be >= 1")
-        if not all(e > 0 for e in (self.lambda_exp, self.zeta, self.eta_exp)):
-            raise ValueError("lambda_exp, zeta and eta_exp must be positive")
-        # the cost budget, the spread cutoff and c8 divide by these powers
-        for name, e in (("zeta", self.zeta),
-                        ("lambda_exp + eta_exp", self.lambda_exp + self.eta_exp),
-                        ("lambda_exp - eta_exp", self.lambda_exp - self.eta_exp)):
-            if not _positive_finite_power(self.rho, e):
-                raise ValueError("rho ** (%s) must be positive and finite" % name)
         if self.subset_size < 2:
             raise ValueError("support size floor(rho^lambda * d) must be >= 2")
         spectrum = np.asarray(np.full(self.d, self.noise_floor) if self.spectrum is None
@@ -106,14 +104,6 @@ class PackingParams:
         if not np.any(spectrum[:self.t_hi] <= self.noise_floor):  # t_lo <= t_hi
             raise ValueError("no singular value up to t_hi = %d is at or below the noise "
                              "floor %.6g" % (self.t_hi, self.noise_floor))
-
-
-def _positive_finite_power(base: float, e: float) -> bool:
-    """Whether base ** e neither underflows to 0 nor overflows, NaN e failing."""
-    try:
-        return 0 < float(base) ** float(e) < math.inf
-    except OverflowError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -173,8 +163,8 @@ FILL_RETRY_BUDGET = 100
 def sample_code(params: PackingParams, patterns: List[List[np.ndarray]]) -> List[Tuple[int, ...]]:
     """Draw s_size distinct tuples from the pattern product, resampling any
     tuple whose max pairwise cost against the accepted ones exceeds
-    rho^zeta * Psi. Budget: 20 retries per tuple."""
-    target = params.rho ** params.zeta * psi_mass(params)
+    rho^ZETA * Psi. Budget: 20 retries per tuple."""
+    target = params.rho ** ZETA * psi_mass(params)
     rng = _rng(params, 2)
     code: List[Tuple[int, ...]] = []
     for _ in range(params.s_size):
@@ -279,7 +269,7 @@ def build_unitary(
     c5_scale, accept_level = calibrate_fill_constants(params.subset_size)
     # cutoff = c5 / sqrt(rho^(lambda+eta) * d); rho^lambda * d is the support
     # size, so this is c5/sqrt(support) up to the tiny eta correction.
-    cutoff = c5_scale / math.sqrt(params.rho ** (params.lambda_exp + params.eta_exp) * d)
+    cutoff = c5_scale / math.sqrt(params.rho ** (LAMBDA_EXP + ETA_EXP) * d)
     rng = np.random.default_rng(seed)
 
     u = np.zeros((d, d))
@@ -360,32 +350,21 @@ class PackingReport:
     passed: bool = False
 
 
-def verify_packing(
-    family: PackingFamily,
-    params: PackingParams,
-    distance_floor: float = 1.5,
-    overlap_max: Optional[int] = None,
-) -> PackingReport:
+def verify_packing(family: PackingFamily, params: PackingParams) -> PackingReport:
     """Measure every promised property of a built family.
 
     The pairwise distance is the spectrum-weighted squared column distance
     over the contested block [t_lo, t_hi] (the ideal for disjoint supports is
-    2 * Psi). distance_floor scales Psi to give the pass threshold; the
-    default overlap budget is half the support size. A single-member family
-    reports an infinite min distance.
+    2 * Psi). The family passes at a min distance of DISTANCE_FLOOR * Psi or
+    more and an overlap of at most half the support size. A single-member
+    family reports an infinite min distance.
     """
     if not family.unitaries:
         raise ValueError("empty family")
-    if not 0 < distance_floor < math.inf:  # NaN and infinity fail too
-        raise ValueError("distance_floor must be positive and finite")
-    if overlap_max is not None and overlap_max < 0:
-        raise ValueError("overlap_max must be >= 0")
     d = params.d
     lo, hi = params.t_lo - 1, params.t_hi  # python slice bounds for the block
     block_w = np.asarray(params.spectrum[lo:hi], dtype=float) ** 2
     psi = psi_mass(params)
-    if overlap_max is None:
-        overlap_max = params.subset_size // 2
 
     # One pass over the members, one member's d x d temporaries at a time.
     eye = np.eye(d)
@@ -415,12 +394,12 @@ def verify_packing(
         for a, b in zip(sa, sb):
             max_overlap = max(max_overlap, len(a & b))
 
-    cost_bound = params.rho ** params.zeta * psi
+    cost_bound = params.rho ** ZETA * psi
     # Two existential constants, one measured deficit: split the deficit
     # evenly between the two scales (a reporting convention, nothing more).
     deficit = 0.0 if math.isinf(min_dist) else max(0.0, 2.0 - min_dist / psi) if psi > 0 else 0.0
-    c8 = deficit / (2.0 * params.rho ** (params.lambda_exp - params.eta_exp))
-    c9 = deficit / (2.0 * params.rho ** params.zeta)
+    c8 = deficit / (2.0 * params.rho ** (LAMBDA_EXP - ETA_EXP))
+    c9 = deficit / (2.0 * params.rho ** ZETA)
 
     checks = {
         "unitarity": unit_res <= UNITARITY_TOL,
@@ -428,8 +407,8 @@ def verify_packing(
         "shared_prefix": prefix_mismatch <= 1e-12,
         "spectrum_match": spectrum_mismatch <= 1e-8,
         "code_cost": max_cost <= cost_bound + 1e-12,
-        "support_overlap": max_overlap <= overlap_max,
-        "min_distance": min_dist >= distance_floor * psi,
+        "support_overlap": max_overlap <= params.subset_size // 2,
+        "min_distance": min_dist >= DISTANCE_FLOOR * psi,
     }
     return PackingReport(
         family_size=len(family.unitaries),

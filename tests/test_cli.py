@@ -806,6 +806,29 @@ class TestPacking:
         for name in ("meta.json", "report.json"):
             assert (planted / name).read_bytes() == (given / name).read_bytes()
 
+    def test_report_lists_the_fixed_exponents(self, tmp_path):
+        cfg = _write_json(tmp_path, "cfg.json", {"kind": "packing", "packing": _SMALL_PACKING})
+        assert main(["packing", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        params = json.loads((tmp_path / "out" / "report.json").read_text())["params"]
+        assert sorted(params) == sorted(list(_SMALL_PACKING) + [
+            "spectrum", "lambda_exp", "zeta", "eta_exp", "t_lo", "t_hi"])
+        assert (params["lambda_exp"], params["zeta"], params["eta_exp"]) == (0.501, 0.5, 0.001)
+
+    # the exponents and pass thresholds are constants, so a config naming one
+    # names an unknown field
+    @pytest.mark.parametrize("key, value", [
+        ("lambda_exp", 0.501), ("zeta", 0.5), ("eta_exp", 0.001),
+        ("distance_floor", 1.5), ("overlap_max", 4)])
+    def test_fixed_constants_are_unknown_fields(self, key, value, tmp_path, capsys):
+        cfg = _write_json(tmp_path, "cfg.json", {
+            "kind": "packing", "packing": dict(_SMALL_PACKING, **{key: value})})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["packing", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert not (tmp_path / "error.json").exists()
+        assert capsys.readouterr().err == "error: packing: unknown fields ['%s']\n" % key
+
 
 class TestAngles:
     def test_angle_grid_shape_and_determinism(self, tmp_path):
@@ -922,14 +945,6 @@ PROBES = {
         _SMALL_PACKING, sigma_eps=1e999, spectrum=[1.0] * _SMALL_PACKING["d"])}),
     "packing_spectrum_inf": (["packing"], {"packing": dict(
         _SMALL_PACKING, spectrum=[1e999] + [1e-3] * (_SMALL_PACKING["d"] - 1))}),
-    # rho ** zeta or rho ** (lambda_exp + eta_exp) underflows to 0, and
-    # rho ** (lambda_exp - eta_exp) overflows
-    "packing_zeta_1000": (["packing"], {"packing": dict(_SMALL_PACKING, zeta=1000)}),
-    "packing_zeta_inf": (["packing"], {"packing": dict(_SMALL_PACKING, zeta=1e999)}),
-    "packing_eta_exp_1000": (["packing"], {"packing": dict(_SMALL_PACKING, eta_exp=1000)}),
-    "packing_eta_exp_inf": (["packing"], {"packing": dict(_SMALL_PACKING, eta_exp=1e999)}),
-    "packing_distance_floor_inf": (["packing"], {"packing": dict(
-        _SMALL_PACKING, distance_floor=1e999)}),
     # an integer beyond the float range, which json.load reads as a Python int
     "sweep_omega_huge_int": (["sweep"], {"synth": dict(_SMALL_SYNTH, omega=10**400),
                                          "grids": {"k1": [5], "k2": [2], "seeds": [0]}}),
@@ -1261,8 +1276,7 @@ _FUZZ_BASES = {
                 "baselines": [{"method": "ridge", "mu": [0.1, 1.0]},
                               {"method": "pcr", "rank": [2]}]},
     "packing": {"packing": {"d": 32, "rho": 0.06, "sigma_eps": 1.0, "n_samples": 100,
-                            "k_patterns": 8, "s_size": 4, "seed": 0,
-                            "distance_floor": 1.5, "overlap_max": 4}},
+                            "k_patterns": 8, "s_size": 4, "seed": 0}},
     "angles": {"synth": {"d1": 8, "omega": 2.0, "seed": 1}, "n": 10, "top_k": 3},
     "rolling": {"panel": "{panel}", "features": {"lookbacks": [1, 2], "horizon": 1},
                 "splits": {"train_len": 8, "valid_len": 3, "test_len": 3, "gap_len": 0},

@@ -81,7 +81,6 @@ class TestParams:
             dataclasses.replace(good, rho=1e-9)
 
     @pytest.mark.parametrize("change", [
-        {"lambda_exp": 0.0}, {"zeta": -1.0}, {"eta_exp": float("nan")},
         {"rho": float("nan")}, {"sigma_eps": float("nan")},
     ])
     def test_validate_rejects_bad_scalars(self, change):
@@ -90,7 +89,7 @@ class TestParams:
             dataclasses.replace(_params64(), **change)
 
     @pytest.mark.parametrize("change", [
-        {"n_samples": 0}, {"rho": -0.5}, {"zeta": 0.0}, {"k_patterns": 0},
+        {"n_samples": 0}, {"rho": -0.5}, {"k_patterns": 0},
     ])
     def test_scalars_checked_before_the_spectrum(self, change):
         kwargs = dict(d=64, rho=0.0158, sigma_eps=1.0, n_samples=100,
@@ -188,7 +187,7 @@ class TestSampleCode:
         code = sample_code(p, patterns)
         assert len(code) == p.s_size
         assert len(set(code)) == p.s_size
-        budget = p.rho ** p.zeta * psi_mass(p)
+        budget = p.rho ** packing.ZETA * psi_mass(p)
         for i, a in enumerate(code):
             for b in code[i + 1:]:
                 assert weighted_cost(a, b, p.spectrum, p.t_lo, p.t_hi) <= budget
@@ -276,7 +275,7 @@ class TestBuildFamily:
     def test_spread_cutoff_respected(self):
         p = self.params
         c5, _ = calibrate_fill_constants(p.subset_size)
-        cutoff = c5 / math.sqrt(p.rho ** (p.lambda_exp + p.eta_exp) * p.d)
+        cutoff = c5 / math.sqrt(p.rho ** (packing.LAMBDA_EXP + packing.ETA_EXP) * p.d)
         for u in self.family.unitaries:
             for col_idx in range(p.t_lo - 1, p.t_hi):
                 heavy = np.sum(np.abs(u[:, col_idx]) >= cutoff)
@@ -320,14 +319,6 @@ class TestVerifyPacking:
         report = verify_packing(build_family(p), p)
         assert report.passed
 
-    @pytest.mark.parametrize("kwargs", [
-        {"distance_floor": 0.0}, {"distance_floor": float("nan")}, {"overlap_max": -1},
-    ])
-    def test_rejects_bad_thresholds(self, kwargs):
-        p = _params32(seed=0)
-        with pytest.raises(ValueError):
-            verify_packing(build_family(p), p, **kwargs)
-
     def test_single_member_distance_sentinel(self):
         p = _params64(k_patterns=16, s_size=1)
         report = verify_packing(build_family(p), p)
@@ -363,6 +354,58 @@ class TestVerifyPacking:
         assert report.min_pairwise_distance == 0.0
         assert not report.passed
         assert not report.checks["min_distance"]
+
+
+class TestFixedConstants:
+    """The pass checks and the powers of rho, with the exponents written out:
+    a min distance of at least 1.5 Psi, at most half the support shared, a
+    cost bound rho^0.5 Psi, c8 and c9 the deficit over 2 rho^0.5, and a
+    spread cutoff at rho^0.502."""
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.2, 1.45, 1.55, 1.9, 3.0])
+    def test_min_distance_floor_and_measured_constants(self, ratio):
+        # two members whose contested columns differ by a factor t, so that
+        # their distance is (1 - t)^2 Psi
+        p = _params64(seed=1)
+        fam = build_family(p)
+        u = fam.unitaries[0]
+        v = u.copy()
+        v[:, p.t_lo - 1:p.t_hi] *= 1.0 - math.sqrt(ratio)
+        report = verify_packing(PackingFamily(fam.patterns, [fam.code[0]] * 2, [u, v]), p)
+        psi = report.psi
+        assert report.min_pairwise_distance == pytest.approx(ratio * psi, rel=1e-12)
+        assert report.checks["min_distance"] == (ratio >= 1.5)
+        deficit = max(0.0, 2.0 - ratio)
+        for c in (report.measured_c8, report.measured_c9):
+            assert c == pytest.approx(deficit / (2.0 * p.rho ** 0.5), rel=1e-9, abs=1e-12)
+        assert report.cost_bound == pytest.approx(p.rho ** 0.5 * psi, rel=1e-12)
+
+    @pytest.mark.parametrize("params, support", [(_params64(), 8), (_params32(), 7)],
+                             ids=["even", "odd"])
+    def test_overlap_budget_is_half_the_support(self, params, support):
+        p = params
+        assert p.subset_size == support == int(p.rho ** 0.501 * p.d)
+        for shared in range(support + 1):
+            pair = [np.arange(support), np.arange(support - shared, 2 * support - shared)]
+            fam = PackingFamily(patterns=[pair] * p.n_contested,
+                                code=[(0,) * p.n_contested, (1,) * p.n_contested],
+                                unitaries=[np.eye(p.d)] * 2)
+            report = verify_packing(fam, p)
+            assert report.max_support_overlap == shared
+            assert report.checks["support_overlap"] == (shared <= support // 2), shared
+
+    def test_spread_cutoff_sits_at_rho_to_the_0_502(self, monkeypatch):
+        # build_unitary's entry cutoff is c5 / sqrt(rho^0.502 d); the square
+        # roots it takes, besides the noise floor's sqrt(d / n), are recorded
+        p = _params64(seed=1)
+        calibrate_fill_constants(p.subset_size)
+        fam = build_family(p)
+        roots, real = [], math.sqrt
+        monkeypatch.setattr(math, "sqrt", lambda v: roots.append(v) or real(v))
+        supports = resolve_supports(fam.code[0], fam.patterns)
+        build_unitary(supports, p, np.zeros((p.d, 0)), seed=0)
+        assert [v for v in roots if v != p.d / p.n_samples] == [
+            pytest.approx(p.rho ** 0.502 * p.d, rel=1e-12)]
 
 
 class TestKLDivergence:
