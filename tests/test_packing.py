@@ -81,6 +81,7 @@ class TestParams:
             dataclasses.replace(good, rho=1e-9)
 
     @pytest.mark.parametrize("change", [
+        {"d": 1}, {"sigma_eps": float("inf")}, {"n_samples": -3},
         {"rho": float("nan")}, {"sigma_eps": float("nan")},
     ])
     def test_validate_rejects_bad_scalars(self, change):
@@ -89,7 +90,7 @@ class TestParams:
             dataclasses.replace(_params64(), **change)
 
     @pytest.mark.parametrize("change", [
-        {"n_samples": 0}, {"rho": -0.5}, {"k_patterns": 0},
+        {"n_samples": 0}, {"rho": -0.5}, {"s_size": 0}, {"k_patterns": 0},
     ])
     def test_scalars_checked_before_the_spectrum(self, change):
         kwargs = dict(d=64, rho=0.0158, sigma_eps=1.0, n_samples=100,
