@@ -70,12 +70,15 @@ def load_panel_csv(path) -> ReturnPanel:
                 if date < dates[-1]:
                     raise bad("line %d: dates not increasing at %r" % (lineno, date))
             dates.append(date)
-            parsed = []
-            for cell in row[1:]:
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    parsed.append(float("nan"))
+            try:  # one call per row; only a row with a bad cell goes cell by cell
+                parsed = list(map(float, row[1:]))
+            except ValueError:
+                parsed = []
+                for cell in row[1:]:
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        parsed.append(float("nan"))
             rows.append(parsed)
     values = np.array(rows, dtype=float) if rows else np.zeros((0, len(assets)))
     return ReturnPanel(dates=dates, assets=assets, values=values)

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +63,40 @@ class TestLoadPanel:
         panel = load_panel_csv(path)
         assert np.isnan(panel.values[0, 0])
         assert panel.values[1, 0] == 0.5
+
+    def test_matches_a_per_cell_reference(self, tmp_path):
+        # a bad cell first in one row and last in another; the other rows parse whole
+        text = ("date,A,B,C\n"
+                "2020-01-01,abc,0.5,1e-3\n"
+                "2020-01-02, 0.5 ,nan,inf\n"
+                "2020-01-03,1e-3,-inf,\n"
+                "2020-01-04,,abc, 0.5 \n"
+                "2020-01-05,0.25,1e-3,nan\n")
+        want = []
+        for row in list(csv.reader(io.StringIO(text)))[1:]:
+            cells = []
+            for cell in row[1:]:
+                try:
+                    cells.append(float(cell))
+                except ValueError:
+                    cells.append(float("nan"))
+            want.append(cells)
+        values = load_panel_csv(_write(tmp_path, text)).values
+        np.testing.assert_array_equal(np.isnan(values), np.isnan(want))
+        np.testing.assert_array_equal(values, want)
+        assert np.isnan(values[:, 0]).tolist() == [True, False, False, True, False]
+        assert np.isnan(values[:, 2]).tolist() == [False, False, True, False, True]
+
+    @pytest.mark.parametrize("line, message", [
+        ("2020-01-03,0.1", "line 4: expected 3 cells, got 2"),
+        ("2020-01-02,0.1,0.2", "line 4: duplicate date '2020-01-02'"),
+        ("2020-01-01,0.1,abc", "line 4: dates not increasing at '2020-01-01'"),
+    ], ids=["ragged", "duplicate", "decreasing"])
+    def test_bad_lines_after_bad_cells_name_the_line(self, tmp_path, line, message):
+        path = _write(tmp_path, "date,A,B\n2020-01-01,abc,0.1\n2020-01-02,0.2,\n%s\n" % line)
+        with pytest.raises(DataFormatError) as err:
+            load_panel_csv(path)
+        assert str(err.value) == "%s: %s" % (path, message)
 
     def test_bad_header(self, tmp_path):
         path = _write(tmp_path, "timestamp,A\n2020-01-01,0.1\n")

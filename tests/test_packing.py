@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -69,7 +71,6 @@ class TestParams:
 
     def test_validate_rejects_bad_params(self):
         good = _params64()
-        import dataclasses
         with pytest.raises(ValueError):
             dataclasses.replace(good, rho=1.5)
         with pytest.raises(ValueError):
@@ -85,7 +86,6 @@ class TestParams:
         {"rho": float("nan")}, {"sigma_eps": float("nan")},
     ])
     def test_validate_rejects_bad_scalars(self, change):
-        import dataclasses
         with pytest.raises(ValueError):
             dataclasses.replace(_params64(), **change)
 
@@ -355,6 +355,79 @@ class TestVerifyPacking:
         assert report.min_pairwise_distance == 0.0
         assert not report.passed
         assert not report.checks["min_distance"]
+
+
+@functools.lru_cache(maxsize=None)
+def _built(d):
+    p = {32: _params32, 64: _params64}[d]()
+    return p, build_family(p)
+
+
+def _svd_mismatch(u, spectrum):
+    """max |sigma_i(u diag(s)) - s_(i)|, measured by a full SVD."""
+    sv = np.linalg.svd(u * spectrum, compute_uv=False)
+    return float(np.max(np.abs(sv - np.sort(spectrum)[::-1])))
+
+
+def _one_member(fam, p, u):
+    return verify_packing(PackingFamily(patterns=fam.patterns, code=fam.code[:1],
+                                        unitaries=[u]), p)
+
+
+class TestSpectrumBound:
+    """spectrum_mismatch is s_max ||u^T u - I||_F, a Weyl bound on how far the
+    singular values of u diag(s) lie from the sorted spectrum."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(d=st.sampled_from([32, 64]), member=st.integers(0, 3),
+           log_delta=st.floats(-10.0, -4.0), seed=st.integers(0, 2**32 - 1),
+           flat=st.booleans())
+    def test_bounds_the_measured_mismatch(self, d, member, log_delta, seed, flat):
+        p, fam = _built(d)
+        rng = np.random.default_rng(seed)
+        u = fam.unitaries[member] + 10.0 ** log_delta * rng.standard_normal((d, d))
+        if not flat:  # graded below the floor, so the contested block stays put
+            spectrum = p.noise_floor * np.sort(rng.uniform(0.01, 1.0, d))[::-1]
+            spectrum[0] = p.noise_floor
+            p = dataclasses.replace(p, spectrum=spectrum)
+        assert _one_member(fam, p, u).spectrum_mismatch >= _svd_mismatch(u, p.spectrum)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(d=st.sampled_from([32, 64]), member=st.integers(0, 3),
+           log_delta=st.floats(-10.0, -4.0), col=st.integers(0, 31))
+    def test_a_scaled_column_reports_at_most_three_times_the_mismatch(
+            self, d, member, log_delta, col):
+        # flat spectrum s: the scaled column moves one singular value by s delta,
+        # and E has the one entry 2 delta + delta^2 above rounding
+        p, fam = _built(d)
+        u = fam.unitaries[member].copy()
+        u[:, col] *= 1.0 + 10.0 ** log_delta
+        measured = _svd_mismatch(u, p.spectrum)
+        reported = _one_member(fam, p, u).spectrum_mismatch
+        assert measured <= reported <= 3.0 * measured
+
+    def test_a_scaled_column_fails_at_the_oneshot_config(self):
+        p = PackingParams(d=256, rho=0.0158, sigma_eps=1.0, n_samples=100,
+                          k_patterns=16, s_size=8, seed=0)
+        fam = build_family(p)
+        assert verify_packing(fam, p).checks["spectrum_match"]
+        u = fam.unitaries[3].copy()
+        u[:, 100] *= 1.0 + 1e-6
+        assert _svd_mismatch(u, p.spectrum) > 1e-8  # the SVD route fails it too
+        assert not _one_member(fam, p, u).checks["spectrum_match"]
+
+    def test_no_member_is_factorized(self, monkeypatch):
+        p, fam = _built(64)
+        shapes, real = [], np.linalg.svd
+
+        def svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        report = verify_packing(fam, p)
+        assert report.checks["spectrum_match"]
+        assert (p.d, p.d) not in shapes
 
 
 class TestFixedConstants:
