@@ -10,7 +10,6 @@ property the construction promises is measured, never assumed.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -84,6 +83,12 @@ class PackingParams:
     def n_contested(self) -> int:
         return self.t_hi - self.t_lo + 1
 
+    @property
+    def block_weights(self) -> np.ndarray:
+        """sigma_i^2 on the contested block [t_lo, t_hi]: the one slice of the
+        spectrum, by which Psi, the code cost and the pair distance weigh columns."""
+        return self.spectrum[self.t_lo - 1 : self.t_hi] ** 2
+
     def __post_init__(self) -> None:
         # comparisons are written so that NaN fails them
         if self.d < 2 or not 0 < self.rho < 1:
@@ -114,9 +119,8 @@ class PackingFamily:
 
 
 def psi_mass(params: PackingParams) -> float:
-    """Spectral mass over the contested block, sum of sigma_i^2 on [t_lo, t_hi]."""
-    block = np.asarray(params.spectrum[params.t_lo - 1 : params.t_hi], dtype=float)
-    return float(np.sum(block ** 2))
+    """Spectral mass over the contested block, Psi: the sum of its block weights."""
+    return float(np.sum(params.block_weights))
 
 
 def _rng(params: PackingParams, *key: int) -> np.random.Generator:
@@ -140,20 +144,14 @@ def sample_sparsity_family(params: PackingParams) -> List[List[np.ndarray]]:
     return patterns
 
 
-def weighted_cost(
-    r1: Sequence[int],
-    r2: Sequence[int],
-    spectrum: np.ndarray,
-    t_lo: int,
-    t_hi: int,
-) -> float:
-    """Spectrum-weighted agreement count: sum of sigma_i^2 over positions
+def weighted_cost(r1: Sequence[int], r2: Sequence[int], weights: np.ndarray) -> float:
+    """Spectrum-weighted agreement count: the sum of the block weights
+    (PackingParams.block_weights, sigma_i^2 on [t_lo, t_hi]) over positions
     where the two code tuples pick the same pattern index."""
-    if len(r1) != len(r2) or len(r1) != t_hi - t_lo + 1:
-        raise ValueError("code tuples must cover [t_lo, t_hi]")
-    block = np.asarray(spectrum[t_lo - 1 : t_hi], dtype=float) ** 2
+    if len(r1) != len(r2) or len(r1) != len(weights):
+        raise ValueError("code tuples must cover the contested block")
     agree = np.fromiter((a == b for a, b in zip(r1, r2)), dtype=bool, count=len(r1))
-    return float(np.sum(block[agree]))
+    return float(np.sum(weights[agree]))
 
 
 CODE_RETRY_BUDGET = 20
@@ -163,28 +161,23 @@ FILL_RETRY_BUDGET = 100
 def sample_code(params: PackingParams, patterns: List[List[np.ndarray]]) -> List[Tuple[int, ...]]:
     """Draw s_size distinct tuples from the pattern product, resampling any
     tuple whose max pairwise cost against the accepted ones exceeds
-    rho^ZETA * Psi. Budget: 20 retries per tuple."""
+    rho^ZETA * Psi. Budget: a first draw and 20 retries per tuple."""
+    weights = params.block_weights
     target = params.rho ** ZETA * psi_mass(params)
     rng = _rng(params, 2)
     code: List[Tuple[int, ...]] = []
     for _ in range(params.s_size):
-        retries = 0
-        while True:
+        for _ in range(CODE_RETRY_BUDGET + 1):
             cand = tuple(int(v) for v in rng.integers(0, params.k_patterns, size=params.n_contested))
-            worst = max(
-                (weighted_cost(cand, prev, params.spectrum, params.t_lo, params.t_hi) for prev in code),
-                default=0.0,
-            )
+            worst = max((weighted_cost(cand, prev, weights) for prev in code), default=0.0)
             if cand not in code and worst <= target:
                 code.append(cand)
                 break
-            retries += 1
-            if retries > CODE_RETRY_BUDGET:
-                raise PackingInfeasibleError(
-                    "could not sample a tuple with max cost <= %.6g (achieved %.6g)"
-                    % (target, worst),
-                    achieved_cost=worst,
-                )
+        else:
+            raise PackingInfeasibleError(
+                "could not sample a tuple with max cost <= %.6g (achieved %.6g)" % (target, worst),
+                achieved_cost=worst,
+            )
     return code
 
 
@@ -230,13 +223,12 @@ def calibrate_fill_constants(subset_size: int) -> Tuple[float, float]:
     # partitioned copy of draws alive
     third = (np.partition(np.abs(draws), -3, axis=1)[:, -3].copy() if subset_size > 2
              else np.zeros(len(draws)))
-    chosen = None
     for scale in np.arange(1.0, 3.01, 0.05):
         cutoff = scale / math.sqrt(subset_size)
         if np.mean(third < cutoff) >= 0.9:
             chosen = float(scale)
             break
-    if chosen is None:
+    else:
         chosen = 3.0
     cutoff = chosen / math.sqrt(subset_size)
     masses = np.sum(np.where(np.abs(draws) >= cutoff, draws ** 2, 0.0), axis=1)
@@ -286,7 +278,6 @@ def build_unitary(
         if basis.shape[1] < 1:
             raise FillInfeasibleError("no orthogonal direction left inside the support", math.inf)
 
-        accepted = None
         tail = math.inf
         for _ in range(FILL_RETRY_BUDGET):
             w = basis @ rng.standard_normal(basis.shape[1])
@@ -297,15 +288,14 @@ def build_unitary(
             heavy = np.abs(vec) >= cutoff
             tail = float(np.sum(vec[heavy] ** 2))
             if tail <= accept_level and int(np.sum(heavy)) <= 2:
-                accepted = vec
                 break
-        if accepted is None:
+        else:
             raise FillInfeasibleError(
                 "tail mass %.4g stayed above the accepted level %.4g" % (tail, accept_level),
                 tail_mass=tail,
             )
         col = np.zeros(d)
-        col[support] = accepted
+        col[support] = vec
         u[:, ncols] = col
         ncols += 1
 
@@ -360,11 +350,16 @@ class PackingReport:
 def verify_packing(family: PackingFamily, params: PackingParams) -> PackingReport:
     """Measure every promised property of a built family.
 
-    The pairwise distance is the spectrum-weighted squared column distance
-    over the contested block [t_lo, t_hi] (the ideal for disjoint supports is
-    2 * Psi). The family passes at a min distance of DISTANCE_FLOOR * Psi or
-    more and an overlap of at most half the support size. A single-member
-    family reports an infinite min distance.
+    Every member is measured, or ValueError names what keeps it from being:
+    code and unitaries of different counts, a code tuple without n_contested
+    entries, a unitary that is not d x d or not finite. Each member's supports
+    become one d x n_contested indicator, for its off-support entries and,
+    with an earlier member's, the column sums of their overlap. The pairwise
+    distance is the block_weights-weighted squared column distance over the
+    contested block (ideal 2 * Psi for disjoint supports). The family passes
+    at a min distance of DISTANCE_FLOOR * Psi or more and an overlap of at
+    most half the support size. A single-member family reports an infinite
+    min distance.
 
     The spectrum check needs no factorization. With E = u^T u - I, the polar
     decomposition u = Q P has Q orthogonal and P = (I + E)^(1/2), whose
@@ -383,38 +378,41 @@ def verify_packing(family: PackingFamily, params: PackingParams) -> PackingRepor
     """
     if not family.unitaries:
         raise ValueError("empty family")
-    d = params.d
+    if len(family.code) != len(family.unitaries):
+        raise ValueError("%d code tuples but %d unitaries" % (len(family.code), len(family.unitaries)))
+    d, n = params.d, params.n_contested
     lo, hi = params.t_lo - 1, params.t_hi  # python slice bounds for the block
-    block_w = np.asarray(params.spectrum[lo:hi], dtype=float) ** 2
+    weights = params.block_weights
     psi = psi_mass(params)
 
-    # One pass over the members, one member's d x d temporaries at a time.
+    # One pass over the members, each compared with the members before it.
     eye = np.eye(d)
-    prefix = family.unitaries[0][:, :lo]
-    members = []  # code tuple, unitary, supports, and the supports as sets
-    for r, u in zip(family.code, family.unitaries):
-        supp = resolve_supports(r, family.patterns)
-        members.append((r, u, supp, [set(s.tolist()) for s in supp]))
-    unit_res = off_support = prefix_mismatch = gram_fro = 0.0
-    for _, u, supp, _ in members:
+    unit_res = off_support = prefix_mismatch = gram_fro = max_cost = 0.0
+    min_dist, max_overlap = math.inf, 0
+    earlier = []  # code tuple, contested block and support indicator per member
+    for j, (r, u) in enumerate(zip(family.code, family.unitaries)):
+        if len(r) != n:
+            raise ValueError("member %d: code tuple of length %d, not n_contested = %d" % (j, len(r), n))
+        if np.shape(u) != (d, d):
+            raise ValueError("member %d: unitary of shape %s, not (%d, %d)" % (j, np.shape(u), d, d))
+        if not np.all(np.isfinite(u)):  # max() would pass over a NaN measure
+            raise ValueError("member %d: unitary with a non-finite entry" % j)
         e = u.T @ u - eye
         unit_res = max(unit_res, float(np.max(np.abs(e))))
         gram_fro = max(gram_fro, float(np.linalg.norm(e)))
-        for c, s in enumerate(supp):
-            mask = np.ones(d, dtype=bool)
-            mask[s] = False
-            off_support = max(off_support, float(np.max(np.abs(u[mask, lo + c]))))
-        prefix_mismatch = max(prefix_mismatch,
-                              float(np.max(np.abs(u[:, :lo] - prefix), initial=0.0)))
+        prefix_mismatch = max(prefix_mismatch, float(np.max(
+            np.abs(u[:, :lo] - family.unitaries[0][:, :lo]), initial=0.0)))
+        block = u[:, lo:hi]
+        inside = np.zeros((d, n), dtype=bool)  # inside[i, c]: row i in column c's support
+        for c, support in enumerate(resolve_supports(r, family.patterns)):
+            inside[support, c] = True
+        off_support = max(off_support, float(np.max(np.abs(block[~inside]), initial=0.0)))
+        for ra, block_a, inside_a in earlier:
+            max_cost = max(max_cost, weighted_cost(ra, r, weights))
+            min_dist = min(min_dist, float(np.sum(weights * np.sum((block_a - block) ** 2, axis=0))))
+            max_overlap = max(max_overlap, int(np.max(np.sum(inside_a & inside, axis=0))))
+        earlier.append((r, block, inside))
     spectrum_mismatch = float(np.max(params.spectrum)) * gram_fro
-
-    max_cost, min_dist, max_overlap = 0.0, math.inf, 0
-    for (ra, ua, _, sa), (rb, ub, _, sb) in itertools.combinations(members, 2):
-        max_cost = max(max_cost, weighted_cost(ra, rb, params.spectrum, params.t_lo, params.t_hi))
-        diff = ua[:, lo:hi] - ub[:, lo:hi]
-        min_dist = min(min_dist, float(np.sum(block_w * np.sum(diff ** 2, axis=0))))
-        for a, b in zip(sa, sb):
-            max_overlap = max(max_overlap, len(a & b))
 
     cost_bound = params.rho ** ZETA * psi
     # Two existential constants, one measured deficit: split the deficit

@@ -1,6 +1,8 @@
 import dataclasses
 import functools
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 
 from arrr import packing
 from arrr.packing import (
+    CODE_RETRY_BUDGET,
+    FILL_RETRY_BUDGET,
     FillInfeasibleError,
     PackingFamily,
     PackingInfeasibleError,
@@ -50,6 +54,7 @@ class TestParams:
         np.testing.assert_array_equal(p.spectrum, np.full(64, floor))
         assert p.t_lo == 1
         assert psi_mass(p) == pytest.approx(4 * floor ** 2)
+        np.testing.assert_array_equal(p.block_weights, np.full(4, floor ** 2))
 
     def test_descending_spectrum_sets_t_lo_past_the_floor(self):
         floor = 0.0158 * 1.0 * math.sqrt(64 / 100)
@@ -58,6 +63,7 @@ class TestParams:
         p = _params64(spectrum=spectrum)
         assert p.t_lo == 3
         assert p.t_hi == 4
+        np.testing.assert_array_equal(p.block_weights, spectrum[2:4] ** 2)
 
     def test_floor_met_past_t_hi_rejected(self):
         spectrum = np.full(64, 0.0158 * 0.8)
@@ -164,21 +170,21 @@ class TestWeightedCost:
         p = _params64()
         psi = psi_mass(p)
         r = (0, 1, 2, 3)
-        assert weighted_cost(r, r, p.spectrum, p.t_lo, p.t_hi) == pytest.approx(psi)
+        assert weighted_cost(r, r, p.block_weights) == pytest.approx(psi)
 
     def test_disjoint_tuples_give_zero(self):
         p = _params64()
-        assert weighted_cost((0, 0, 0, 0), (1, 1, 1, 1),
-                             p.spectrum, p.t_lo, p.t_hi) == 0.0
+        assert weighted_cost((0, 0, 0, 0), (1, 1, 1, 1), p.block_weights) == 0.0
 
     def test_hand_arithmetic_two_columns(self):
-        spectrum = np.array([2.0, 1.0])
-        cost = weighted_cost((5, 7), (5, 9), spectrum, t_lo=1, t_hi=2)
+        cost = weighted_cost((5, 7), (5, 9), np.array([4.0, 1.0]))
         assert cost == 4.0
 
     def test_range_mismatch(self):
         with pytest.raises(ValueError):
-            weighted_cost((0, 1), (0, 1, 2), np.ones(4), 1, 3)
+            weighted_cost((0, 1), (0, 1, 2), np.ones(3))
+        with pytest.raises(ValueError):
+            weighted_cost((0, 1, 2), (0, 1, 2), np.ones(4))
 
 
 class TestSampleCode:
@@ -191,7 +197,7 @@ class TestSampleCode:
         budget = p.rho ** packing.ZETA * psi_mass(p)
         for i, a in enumerate(code):
             for b in code[i + 1:]:
-                assert weighted_cost(a, b, p.spectrum, p.t_lo, p.t_hi) <= budget
+                assert weighted_cost(a, b, p.block_weights) <= budget
 
     def test_pair_cost_usually_zero_with_many_patterns(self):
         # collision probability per contested column is 1/K
@@ -200,7 +206,7 @@ class TestSampleCode:
             p = _params64(seed=seed, k_patterns=64, s_size=2)
             patterns = sample_sparsity_family(p)
             code = sample_code(p, patterns)
-            cost = weighted_cost(code[0], code[1], p.spectrum, p.t_lo, p.t_hi)
+            cost = weighted_cost(code[0], code[1], p.block_weights)
             zero += int(cost == 0.0)
         assert zero >= 85
 
@@ -239,6 +245,12 @@ class TestCalibration:
             got = calibrate_fill_constants(s)
             want = _calibration_reference(s)
             assert got[0] == want[0] and _bits(got[1]) == _bits(want[1]), s
+
+    def test_no_passing_scale_falls_back_to_three(self):
+        # at support size 500 not even the last scale of the grid,
+        # 3.0000000000000018, passes, so only the fallback gives 3.0 exactly
+        got, want = calibrate_fill_constants(500), _calibration_reference(500)
+        assert got[0] == 3.0 == want[0] and _bits(got[1]) == _bits(want[1])
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(n=st.integers(1, 20_000), q=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
@@ -356,10 +368,51 @@ class TestVerifyPacking:
         assert not report.passed
         assert not report.checks["min_distance"]
 
+    def test_a_unitary_without_a_code_tuple_is_refused(self):
+        # the third matrix, not even unitary, would otherwise go unexamined
+        p, fam = _built(32)
+        extra = PackingFamily(fam.patterns, fam.code[:2], fam.unitaries[:2] + [np.ones((32, 32))])
+        with pytest.raises(ValueError, match="^2 code tuples but 3 unitaries$"):
+            verify_packing(extra, p)
+        with pytest.raises(ValueError, match="^3 code tuples but 2 unitaries$"):
+            verify_packing(PackingFamily(fam.patterns, fam.code[:3], fam.unitaries[:2]), p)
+
+    def test_a_code_tuple_must_cover_every_contested_column(self):
+        p, fam = _built(64)
+        assert p.n_contested == 4
+        short = PackingFamily(fam.patterns, fam.code[:3] + [fam.code[3][:1]] + fam.code[4:],
+                              fam.unitaries)
+        with pytest.raises(ValueError, match="^member 3: code tuple of length 1, not n_contested = 4$"):
+            verify_packing(short, p)
+
+    @pytest.mark.parametrize("shape", [(32, 31), (31, 32), (32,)], ids=["narrow", "short", "vector"])
+    def test_a_unitary_must_be_d_by_d(self, shape):
+        p, fam = _built(32)
+        for member in (0, 3):
+            unitaries = list(fam.unitaries)
+            unitaries[member] = np.zeros(shape)
+            message = "member %d: unitary of shape %s, not (32, 32)" % (member, shape)
+            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                verify_packing(PackingFamily(fam.patterns, fam.code, unitaries), p)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("member", [0, 2])
+    def test_a_unitary_must_be_finite(self, value, member):
+        # a NaN measure used to be passed over by max(), so that an all-NaN
+        # member passed every check
+        p, fam = _built(32)
+        for entry in [(5, 5), (slice(None), slice(None))]:
+            unitaries = list(fam.unitaries)
+            unitaries[member] = unitaries[member].copy()
+            unitaries[member][entry] = value
+            with pytest.raises(ValueError, match="^member %d: unitary with a non-finite entry$"
+                               % member):
+                verify_packing(PackingFamily(fam.patterns, fam.code, unitaries), p)
+
 
 @functools.lru_cache(maxsize=None)
-def _built(d):
-    p = {32: _params32, 64: _params64}[d]()
+def _built(d, **params):
+    p = {32: _params32, 64: _params64}[d](**params)
     return p, build_family(p)
 
 
@@ -428,6 +481,126 @@ class TestSpectrumBound:
         report = verify_packing(fam, p)
         assert report.checks["spectrum_match"]
         assert (p.d, p.d) not in shapes
+
+
+def _reference_measures(family, params):
+    """max_off_support, max_support_overlap, max_pairwise_cost and
+    min_pairwise_distance as the verifier measured them before its support
+    indicator: block weights sliced from the spectrum, a boolean mask per
+    column for the off-support entries, Python sets for the overlap, and
+    every pair taken after all members."""
+    d, lo, hi = params.d, params.t_lo - 1, params.t_hi
+    block_w = np.asarray(params.spectrum[lo:hi], dtype=float) ** 2
+    members = []
+    off_support = 0.0
+    for r, u in zip(family.code, family.unitaries):
+        supp = resolve_supports(r, family.patterns)
+        for c, support in enumerate(supp):
+            mask = np.ones(d, dtype=bool)
+            mask[support] = False
+            off_support = max(off_support, float(np.max(np.abs(u[mask, lo + c]))))
+        members.append((r, u, [set(support.tolist()) for support in supp]))
+    max_cost, min_dist, max_overlap = 0.0, math.inf, 0
+    for (ra, ua, sa), (rb, ub, sb) in itertools.combinations(members, 2):
+        agree = np.array([a == b for a, b in zip(ra, rb)], dtype=bool)
+        max_cost = max(max_cost, float(np.sum(block_w[agree])))
+        diff = ua[:, lo:hi] - ub[:, lo:hi]
+        min_dist = min(min_dist, float(np.sum(block_w * np.sum(diff ** 2, axis=0))))
+        for a, b in zip(sa, sb):
+            max_overlap = max(max_overlap, len(a & b))
+    return off_support, max_overlap, max_cost, min_dist
+
+
+def _inject(fam, p, fault, rng):
+    """A copy of fam with one fault: an entry moved off its support, a member
+    repeating another's codeword and unitary, or every pattern of one member
+    replaced by another member's, so that the two share their supports."""
+    code, unitaries, patterns = list(fam.code), list(fam.unitaries), [list(c) for c in fam.patterns]
+    a, b = (int(m) for m in rng.choice(len(code), size=2, replace=False))
+    if fault == "moved":
+        c = int(rng.integers(p.n_contested))
+        col = p.t_lo - 1 + c
+        u = unitaries[a].copy()
+        support = resolve_supports(code[a], patterns)[c]
+        # a support entry can be exactly 0 where an earlier column's footprint
+        # in the support is a single coordinate
+        i = int(rng.choice(support[u[support, col] != 0.0]))
+        j = int(rng.choice(np.setdiff1d(np.arange(p.d), support)))
+        u[j, col], u[i, col] = u[i, col], 0.0
+        unitaries[a] = u
+    elif fault == "repeated":
+        code[b], unitaries[b] = code[a], unitaries[a]
+    elif fault == "shared":
+        for c in range(p.n_contested):
+            patterns[c][code[b][c]] = patterns[c][code[a][c]]
+    return PackingFamily(patterns=patterns, code=code, unitaries=unitaries)
+
+
+class TestVerifierReference:
+    """verify_packing's support indicator and one pass over the members
+    measure what the per-column masks, sets and sliced weights did."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(d=st.sampled_from([32, 64]), seed=st.sampled_from([1, 2, 3]),
+           fault=st.sampled_from(["none", "moved", "repeated", "shared"]),
+           pick=st.integers(0, 2**32 - 1))
+    def test_equals_the_set_and_mask_reference(self, d, seed, fault, pick):
+        p, fam = _built(d, seed=seed)
+        fam = _inject(fam, p, fault, np.random.default_rng(pick))
+        report = verify_packing(fam, p)
+        off_support, overlap, cost, dist = _reference_measures(fam, p)
+        assert report.max_off_support == off_support
+        assert report.max_support_overlap == overlap
+        assert report.max_pairwise_cost == cost
+        assert report.min_pairwise_distance == dist
+        if fault == "moved":
+            assert off_support > 0.0
+        elif fault != "none":  # a whole support shared in every column
+            assert overlap == p.subset_size
+
+
+class _CountingRng:
+    """A Generator that counts the calls of one of its methods."""
+
+    def __init__(self, rng, method):
+        self.rng, self.method, self.draws = rng, method, 0
+
+    def __getattr__(self, name):
+        real = getattr(self.rng, name)
+        if name != self.method:
+            return real
+
+        def draw(*args, **kwargs):
+            self.draws += 1
+            return real(*args, **kwargs)
+        return draw
+
+
+class TestRetryBudgets:
+    def test_code_sampling_takes_the_budget_plus_one_draws(self, monkeypatch):
+        # one pattern per column: every tuple after the first repeats it
+        p = _params64(k_patterns=1, s_size=2)
+        patterns = sample_sparsity_family(p)
+        rngs, real = [], packing._rng
+        monkeypatch.setattr(packing, "_rng", lambda params, *key: rngs.append(
+            _CountingRng(real(params, *key), "integers")) or rngs[-1])
+        with pytest.raises(PackingInfeasibleError):
+            sample_code(p, patterns)
+        # the first tuple's one draw, then the second's first draw and 20 retries
+        assert rngs[0].draws == 1 + CODE_RETRY_BUDGET + 1 == 22
+
+    def test_fill_takes_the_budget_of_draws_per_column(self, monkeypatch):
+        p, fam = _built(64)
+        c5, _ = calibrate_fill_constants(p.subset_size)
+        # an accepted tail mass of -1 accepts no draw
+        monkeypatch.setattr(packing, "calibrate_fill_constants", lambda size: (c5, -1.0))
+        rngs, real = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: rngs.append(
+            _CountingRng(real(seed), "standard_normal")) or rngs[-1])
+        supports = resolve_supports(fam.code[0], fam.patterns)
+        with pytest.raises(FillInfeasibleError):
+            build_unitary(supports, p, np.zeros((p.d, 0)), seed=0)
+        assert rngs[0].draws == FILL_RETRY_BUDGET == 100
 
 
 class TestFixedConstants:
