@@ -77,7 +77,7 @@ from .estimator import (
     fit_path,
     load_model,
     predict,
-    rank_path,
+    rank_path_scores,
     require_xy,
     save_model,
 )
@@ -288,14 +288,14 @@ def _run_cells(fn, cells, jobs: int) -> list:
 
 def _sweep_cell(args) -> List[Dict[str, Any]]:
     """Every (k1, k2) row of one seed: one instance, one test draw, one rank
-    path, each k1's rows scored from its factors by prefix sums."""
+    path, each k1's rows scored by prefix sums on its cross-moment SVD."""
     fit, k1s, k2s, syn = args
     inst = synth.make_instance(syn)
     x_te, y_te, _ = synth.gen_dataset(inst.m, inst.v_star, inst.lambda_star,
                                       syn.n, syn.eta, derived_seed(syn.seed, TEST_STREAM))
     configs = [c for k1 in k1s for k2 in k2s
                for c in _candidates(fit, inst, k1_override=k1, k2_override=k2)]
-    scores = metrics.rank_path_scores(rank_path(inst.x, inst.y, configs, x_te), inst.m, y_te)
+    scores = rank_path_scores(inst.x, inst.y, configs, x_te, y_te, inst.m)
     return [{"method": "adaptive_rrr", "eta": syn.eta, "k1": config.k1_override,
              "k2": config.k2_override, "seed": syn.seed,
              "recon_error": recon, "mse_out": mse, "corr_out": corr}
@@ -490,6 +490,9 @@ def run_angles(cfg: Dict[str, Any], jobs: int) -> List[Dict[str, Any]]:
     omega = float(_get(syn, "synth", "omega", NUM, synth.SynthConfig.omega))
     seed = _seed(_get(syn, "synth", "seed", int, synth.SynthConfig.seed), "synth.seed")
     n = _get(cfg, "", "n", int)
+    # the generator's size checks, before top_k's default and range use the sizes
+    _want(d1 >= 2, "d1 must be >= 2")
+    _want(n >= 2, "n must be >= 2")
     top_k = _get(cfg, "", "top_k", int, min(n, d1))
     _want(1 <= top_k <= min(n, d1), "'top_k' must lie in [1, min(n, d1)]")
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from ._serde import NUM, _get, read_json, read_matrix_csv, write_json, write_matrix_csv
 from ._version import __version__
+from .metrics import _pooled
 from .spectral import (
     NumericalFailure,
     SpectralDecomposition,
@@ -66,8 +67,8 @@ def require_xy(what: str, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.
 
 def _require_x_new(x_new: np.ndarray, d1: int) -> np.ndarray:
     """x_new as a float matrix of d1 columns, the feature rows predict and
-    rank_path take: ValueError for another shape, NonFiniteError for NaN or
-    infinity."""
+    rank_path_scores take: ValueError for another shape, NonFiniteError for
+    NaN or infinity."""
     x_new = np.asarray(x_new, dtype=float)
     if x_new.ndim != 2 or x_new.shape[1] != d1:
         raise ValueError("x_new must have %d columns" % d1)
@@ -231,9 +232,10 @@ def estimate_noise_sigma(
 
 def _stages(x: np.ndarray, y: np.ndarray, configs: Sequence[FitConfig],
             dec: Optional[SpectralDecomposition]) -> Iterator[tuple]:
-    """What fit_path and rank_path share, for each config in order: (config,
-    n, sigma_eps, stage 1's (pi_hat, lambdas) or its NoGapError, the SVD of
-    the cross-moment matrix (y.T @ z_hat) / n or None after a NoGapError).
+    """What fit_path and rank_path_scores share, for each config in order:
+    (config, n, sigma_eps, stage 1's (pi_hat, lambdas) or its NoGapError, the
+    SVD of the cross-moment matrix (y.T @ z_hat) / n or None after a
+    NoGapError).
 
     x and y are checked and have one SVD, or `dec`. The noise pilot runs at
     most once, for the first config with sigma_eps "auto"; stage 1 runs once
@@ -308,48 +310,87 @@ def fit_path(
         )
 
 
-@dataclass(frozen=True, eq=False)
-class RankFactors:
-    """The factored rank path of one k1, which rank_path yields.
-
-    u diag(s) v^T is the SVD of the d2 x k1 cross-moment matrix, r = min(d2,
-    k1) columns wide; w = v^T pi_hat (r x d1) and p = (x_new @ pi_hat.T) @
-    v diag(s) (n_new x r). The model of rank k2 is the sum of the top k2
-    rank-one terms: m_hat = (u[:, :k2] * s[:k2]) @ w[:k2], whose predictions
-    are p[:, :k2] @ u[:, :k2].T. Equal by identity only, so it can key a
-    dict."""
-
-    u: np.ndarray
-    s: np.ndarray
-    w: np.ndarray
-    p: np.ndarray
-
-
-def rank_path(x: np.ndarray, y: np.ndarray, configs: Sequence[FitConfig],
-              x_new: np.ndarray) -> Iterator[Tuple[RankFactors, int]]:
-    """(factors, k2) of fit_path's model for each config, in config order,
-    for configs that pin both k1 and k2; `metrics.rank_path_scores` scores
-    them.
+def rank_path_scores(x: np.ndarray, y: np.ndarray, configs: Sequence[FitConfig],
+                     x_new: np.ndarray, y_new: np.ndarray, m_true: np.ndarray
+                     ) -> Iterator[Tuple[float, float, float, float]]:
+    """(recon_error, mse, r2, corr) of fit_path's model for each config, in
+    config order, for configs that pin both k1 and k2, without forming the
+    model: recon_error = ||m_true - m_hat||_F, and pooled_scores(y_new, y_hat)
+    up to rounding, y_hat = x_new @ m_hat.T.
 
     x and y are checked and factored, the pilot runs and stage 1 runs as in
-    fit_path, through the same `_stages`, with the same errors; x_new is
-    then checked as predict checks it. The configs of one k1 share one
-    RankFactors, built from that k1's one cross-moment SVD. Its model of
-    rank k2 equals fit_path's up to rounding.
+    fit_path, through the same `_stages`, with the same errors; x_new is then
+    checked as predict checks it. Each k1 is scored on its one cross-moment
+    SVD u diag(s) v^T, r = min(d2, k1) columns wide: with w = v^T pi_hat
+    (r x d1) and p = (x_new @ pi_hat.T) @ v diag(s) (n_new x r), the model of
+    rank k2 is m_hat = sum_{i<k2} s_i u_i w_i and its prediction y_hat =
+    sum_{i<k2} p_i u_i^T, w_i the rows of w and p_i the columns of p. The
+    columns u_i are orthonormal, so each sum a score needs splits along them
+    into per-direction terms:
+        ||M - m_hat||^2 = ||M - U U^T M||^2 + sum_{i>=k2} ||u_i^T M||^2
+                          + sum_{i<k2} ||u_i^T M - s_i w_i||^2,
+        ||y - y_hat||^2 = ||y - y U U^T||^2 + sum_{i>=k2} ||y u_i||^2
+                          + sum_{i<k2} ||y u_i - p_i||^2,
+    and sum(y_hat) = sum_{i<k2} (1^T p_i)(1^T u_i), ||y_hat||^2 = sum_{i<k2}
+    ||p_i||^2, <yc, y_hat> = sum_{i<k2} p_i^T (yc u_i), yc the centered y.
+    Each k1's terms are summed once, over all r, into prefix and suffix sums,
+    so a k2 costs O(1) and its bits do not depend on the other k2 scored.
+    Every summed term is non-negative or uses the centered y, so an exact fit
+    keeps its round-off-level error; only the prediction's centering,
+    ||y_hat||^2 - sum(y_hat)^2 / (n_new d2), subtracts, and the prediction
+    counts as constant, its correlation NaN, where that computes to 0 or
+    less, as at k2 = 0. The residual terms are taken directly; they are 0 in
+    exact arithmetic when r = d2. The scoring rules are metrics._pooled's.
+
+    Raises ValueError unless y_new has the rows of x_new and d2 columns and
+    m_true is d2 x d1, and for a k2 beyond min(d2, k1), as stage 2 does.
     """
     if any(c.k1_override is None or c.k2_override is None for c in configs):
-        raise ValueError("rank_path needs configs that pin both k1 and k2")
-    factors = {}  # k1 -> RankFactors
+        raise ValueError("rank_path_scores needs configs that pin both k1 and k2")
+    m_true, y_new = np.asarray(m_true, dtype=float), np.asarray(y_new, dtype=float)
+    n = y_new.size
+    yc = y_new - y_new.sum() / n
+    sst = (yc * yc).sum()
+    y_constant = not y_new.max() > y_new.min()
+    sums = {}  # k1 -> (residual terms, prefix sums, suffix sums)
     for config, _, _, (pi_hat, _), dec in _stages(x, y, configs, None):
         k1 = pi_hat.shape[0]
-        if k1 not in factors:
-            if not factors:
-                x_new = _require_x_new(x_new, pi_hat.shape[1])
-            factors[k1] = RankFactors(u=dec.u, s=dec.s, w=dec.v.T @ pi_hat,
-                                      p=(x_new @ pi_hat.T) @ (dec.v * dec.s))
-        yield factors[k1], _k2_in_range(config.k2_override, dec.s.size)
-    if not factors:  # no configs; `_stages` has checked x
+        if not sums:
+            x_new = _require_x_new(x_new, pi_hat.shape[1])
+        k2 = _k2_in_range(config.k2_override, dec.s.size)
+        if k1 not in sums:
+            sums[k1] = _direction_sums(dec.u, dec.s, dec.v.T @ pi_hat,
+                                       (x_new @ pi_hat.T) @ (dec.v * dec.s), m_true, y_new, yc)
+        (m_res, y_res), pre, suf = sums[k1]
+        total, hh, hy = pre[2:, k2]
+        gram = (hh - total * total / n, hy, sst)
+        yield ((math.sqrt(m_res + suf[0, k2] + pre[0, k2]),)
+               + _pooled(n, y_res + suf[1, k2] + pre[1, k2], sst, y_constant, gram))
+    if not sums:  # no configs; `_stages` has checked x
         _require_x_new(x_new, np.shape(x)[1])
+
+
+def _direction_sums(u: np.ndarray, s: np.ndarray, w: np.ndarray, p: np.ndarray,
+                    m_true: np.ndarray, y: np.ndarray, yc: np.ndarray):
+    """rank_path_scores' terms of one k1: the two residuals, the prefix sums
+    over i < k2 (recon, sse, sum(y_hat), ||y_hat||^2, <yc, y_hat>) and the
+    suffix sums over i >= k2 (recon, sse), each indexed by k2 in [0, r]."""
+    d2, r = u.shape
+    if y.shape != (p.shape[0], d2):
+        raise ValueError("y must be %d x %d, the rows of x_new by d2, got shape %s"
+                         % (p.shape[0], d2, y.shape))
+    if m_true.shape != (d2, w.shape[1]):
+        raise ValueError("m_true must be d2 x d1 = %d x %d, got shape %s"
+                         % (d2, w.shape[1], m_true.shape))
+    um, yu = u.T @ m_true, y @ u
+    m_res, y_res = m_true - u @ um, y - yu @ u.T
+    dm, dy = um - s[:, None] * w, yu - p
+    pre = np.zeros((5, r + 1))
+    np.cumsum([(dm * dm).sum(1), (dy * dy).sum(0), p.sum(0) * u.sum(0), (p * p).sum(0),
+               (p * (yc @ u)).sum(0)], axis=1, out=pre[:, 1:])
+    suf = np.zeros((2, r + 1))
+    suf[:, :r] = np.cumsum([(um * um).sum(1)[::-1], (yu * yu).sum(0)[::-1]], axis=1)[:, ::-1]
+    return ((m_res * m_res).sum(), (y_res * y_res).sum()), pre, suf
 
 
 def fit_adaptive_rrr(x: np.ndarray, y: np.ndarray, config: FitConfig,

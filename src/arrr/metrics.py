@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Optional, Tuple
+from typing import Any, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -81,8 +81,8 @@ def _pooled(n: int, sse: float, sst: float, y_constant: bool,
     of squares sse, the centered response's sum of squares sst, and gram =
     (yhc . yhc, yhc . yc, yc . yc) of the centered prediction yhc and response
     yc, None when the prediction is constant. The one statement of the rules
-    that pooled_scores and rank_path_scores share: the two divisions, the
-    NaN rules and the correlation's clip to [-1, 1]."""
+    that pooled_scores and estimator.rank_path_scores share: the two
+    divisions, the NaN rules and the correlation's clip to [-1, 1]."""
     var_y, ss_tot = float(sst / n), float(sst)
     mse = math.nan if y_constant or var_y == 0.0 else float(sse / n) / var_y
     r2 = math.nan if y_constant or ss_tot == 0.0 else 1.0 - float(sse) / ss_tot
@@ -91,74 +91,6 @@ def _pooled(n: int, sse: float, sst: float, y_constant: bool,
         hh, hy, yy = (g * (1.0 / (n - 1)) for g in gram)
         corr = min(max(float(hy / math.sqrt(hh) / math.sqrt(yy)), -1.0), 1.0)
     return mse, r2, corr
-
-
-def rank_path_scores(path: Iterable[Tuple[Any, int]], m_true: np.ndarray,
-                     y: np.ndarray) -> Iterator[Tuple[float, float, float, float]]:
-    """(recon_error, mse, r2, corr) of each (factors, k2) that
-    `estimator.rank_path` yields, in its order, without forming the model:
-    recon_error = ||m_true - m_hat||_F, and pooled_scores(y, y_hat) up to
-    rounding, y the response of rank_path's x_new.
-
-    The columns u_i of factors.u are orthonormal, so each sum a score needs
-    is split along them into per-direction terms. With r = min(d2, k1)
-    directions, w_i and p_i the rows of factors.w and columns of factors.p,
-    and the prediction y_hat = sum_{i<k2} p_i u_i^T:
-        ||M - m_hat||^2 = ||M - U U^T M||^2 + sum_{i>=k2} ||u_i^T M||^2
-                          + sum_{i<k2} ||u_i^T M - s_i w_i||^2,
-        ||y - y_hat||^2 = ||y - y U U^T||^2 + sum_{i>=k2} ||y u_i||^2
-                          + sum_{i<k2} ||y u_i - p_i||^2,
-    and sum(y_hat) = sum_{i<k2} (1^T p_i)(1^T u_i), ||y_hat||^2 = sum_{i<k2}
-    ||p_i||^2, <yc, y_hat> = sum_{i<k2} p_i^T (yc u_i), yc the centered y.
-    Each k1's terms are summed once, over all r, into prefix and suffix sums,
-    so a k2 costs O(1) and its bits do not depend on the other k2 scored.
-    Every summed term is non-negative or uses the centered y, so an exact
-    fit keeps its round-off-level error; only the prediction's centering,
-    ||y_hat||^2 - sum(y_hat)^2 / (n d2), subtracts, and the prediction
-    counts as constant, its correlation NaN, where that computes to 0 or
-    less, as at k2 = 0. The residual terms are taken directly; they are 0 in
-    exact arithmetic when r = d2.
-
-    Raises ValueError unless y has the rows of x_new and d2 columns and
-    m_true is d2 x d1.
-    """
-    m_true, y = np.asarray(m_true, dtype=float), np.asarray(y, dtype=float)
-    n = y.size
-    yc = y - y.sum() / n
-    sst = (yc * yc).sum()
-    y_constant = not y.max() > y.min()
-    sums = {}  # factors -> (residual terms, prefix sums, suffix sums)
-    for factors, k2 in path:
-        if factors not in sums:
-            sums[factors] = _direction_sums(factors, m_true, y, yc)
-        (m_res, y_res), pre, suf = sums[factors]
-        total, hh, hy = pre[2:, k2]
-        gram = (hh - total * total / n, hy, sst)
-        yield ((math.sqrt(m_res + suf[0, k2] + pre[0, k2]),)
-               + _pooled(n, y_res + suf[1, k2] + pre[1, k2], sst, y_constant, gram))
-
-
-def _direction_sums(factors, m_true: np.ndarray, y: np.ndarray, yc: np.ndarray):
-    """rank_path_scores' terms of one k1: the two residuals, the prefix sums
-    over i < k2 (recon, sse, sum(y_hat), ||y_hat||^2, <yc, y_hat>) and the
-    suffix sums over i >= k2 (recon, sse), each indexed by k2 in [0, r]."""
-    u, s, w, p = factors.u, factors.s, factors.w, factors.p
-    d2, r = u.shape
-    if y.shape != (p.shape[0], d2):
-        raise ValueError("y must be %d x %d, the rows of x_new by d2, got shape %s"
-                         % (p.shape[0], d2, y.shape))
-    if m_true.shape != (d2, w.shape[1]):
-        raise ValueError("m_true must be d2 x d1 = %d x %d, got shape %s"
-                         % (d2, w.shape[1], m_true.shape))
-    um, yu = u.T @ m_true, y @ u
-    m_res, y_res = m_true - u @ um, y - yu @ u.T
-    dm, dy = um - s[:, None] * w, yu - p
-    pre = np.zeros((5, r + 1))
-    np.cumsum([(dm * dm).sum(1), (dy * dy).sum(0), p.sum(0) * u.sum(0), (p * p).sum(0),
-               (p * (yc @ u)).sum(0)], axis=1, out=pre[:, 1:])
-    suf = np.zeros((2, r + 1))
-    suf[:, :r] = np.cumsum([(um * um).sum(1)[::-1], (yu * yu).sum(0)[::-1]], axis=1)[:, ::-1]
-    return ((m_res * m_res).sum(), (y_res * y_res).sum()), pre, suf
 
 
 def lowest(scored: Iterable[Tuple[float, Any]]) -> Any:

@@ -14,11 +14,12 @@ import time
 import numpy as np
 
 from arrr.baselines import BaselineSpec, fit_baseline
-from arrr.cli import main
+from arrr.cli import TEST_STREAM, derived_seed, main
 from arrr.estimator import (
     FitConfig,
     fit_adaptive_rrr,
     fit_path,
+    rank_path_scores,
     step1_pca_x,
     step2_pca_denoise,
 )
@@ -512,3 +513,73 @@ def test_c12_cli_rerun_byte_identical(tmp_path):
     _report("c12", all(identical),
             "%d/%d experiment subcommands byte-identical on rerun"
             % (sum(identical), len(identical)), time.time() - t0)
+
+
+# The paper's (k1, k2) experiment: d1 200, d2 100, n 150, rank(M) 50, and
+# every k2 in 0..min(k1, d2) on this k1 grid
+C13_SHAPE = dict(d1=200, d2=100, n=150, rank_m=50)
+C13_PAIRS = [(k1, k2) for k1 in (10, 20, 30, 40, 50, 60, 80, 100, 120, 140, 150)
+             for k2 in range(min(k1, 100) + 1)]
+
+
+def _c13_argmins(draws):
+    """[(k1, k2) of the lowest mean recon error, (k1, k2) of the lowest mean
+    mse_out] over draws (x, y, x_te, y_te, m, sigma_noise), each draw's grid
+    scored by one rank_path_scores call at the oracle noise scale."""
+    means = np.mean([[(recon, mse) for recon, mse, _, _ in rank_path_scores(
+        x, y, [FitConfig(sigma_eps=sigma, k1_override=k1, k2_override=k2)
+               for k1, k2 in C13_PAIRS], x_te, y_te, m)]
+        for x, y, x_te, y_te, m, sigma in draws], axis=0)
+    return [C13_PAIRS[i] for i in np.argmin(means, axis=0)]
+
+
+def _c13_omega2(eta, seed):
+    """A sweep cell's draw: make_instance and the test draw `sweep` makes."""
+    inst = make_instance(SynthConfig(eta=eta, seed=seed, **C13_SHAPE))
+    x_te, y_te, _ = gen_dataset(inst.m, inst.v_star, inst.lambda_star, inst.config.n,
+                                eta, derived_seed(seed, TEST_STREAM))
+    return inst.x, inst.y, x_te, y_te, inst.m, inst.sigma_noise
+
+
+def _c13_omega1(eta, seed):
+    """The same generator steps on the spectrum lambda_i ~ 1 / i (omega 1),
+    which SynthConfig refuses."""
+    d1, d2, n, rank_m = C13_SHAPE.values()
+    s_cov, s_coef, s_data, s_test = np.random.SeedSequence(seed).generate_state(4)
+    v_star, _ = gen_covariance(d1, 2.0, int(s_cov))  # its basis does not depend on omega
+    lam = 1.0 / np.arange(1, d1 + 1)
+    lam /= lam.sum()
+    m = gen_coefficients(d2, d1, rank_m, SynthConfig.upsilon, int(s_coef))
+    x, y, sigma = gen_dataset(m, v_star, lam, n, eta, int(s_data))
+    x_te, y_te, _ = gen_dataset(m, v_star, lam, n, eta, int(s_test))
+    return x, y, x_te, y_te, m, sigma
+
+
+def test_c13_optimal_ranks_shrink_as_noise_grows():
+    """The paper's (k1, k2) figure over seeds 0..9, by recon error and by
+    mse_out: at omega 2 the best k1 and k2 are non-increasing in eta and the
+    best k1 exceeds rank(M) at eta 0.1; on an omega-1 spectrum at eta 0.25
+    the best k1 is at least 2 rank(M) and the best k2 within 5 of rank(M)."""
+    # Measured on seeds 0..9, (k1, k2) by recon error / mse_out: omega 2 at
+    # eta 0.1, 0.25, 0.5, 1.0 gives (100, 44)/(100, 46), (40, 30)/(40, 31),
+    # (20, 17)/(20, 20), (10, 10)/(10, 10); omega 1 at eta 0.25 gives (140,
+    # 50)/(140, 50). Over ten disjoint 10-seed blocks (seeds 0..99) the omega-2
+    # argmin k1 is 100, 40-50, 20 and 10 and k2 is 44-47, 26-31, 16-20 and
+    # 8-10, and the omega-1 argmin is (140, 50) in every block, so every
+    # block meets each target. The paper's "k1 much larger than rank(M), k2
+    # = rank(M)" at eta 0.25 needs the slower decay: at omega 2, the
+    # generator's default, it shows only at eta 0.1.
+    t0 = time.time()
+    etas = (0.1, 0.25, 0.5, 1.0)
+    by_eta = [_c13_argmins([_c13_omega2(eta, s) for s in range(10)]) for eta in etas]
+    flat = _c13_argmins([_c13_omega1(0.25, s) for s in range(10)])
+    rank = C13_SHAPE["rank_m"]
+    ok = True
+    for score in (0, 1):
+        path = [best[score] for best in by_eta]
+        ok &= all(a[0] >= b[0] and a[1] >= b[1] for a, b in zip(path, path[1:]))
+        ok &= path[0][0] > rank and flat[score][0] >= 2 * rank
+        ok &= abs(flat[score][1] - rank) <= 5
+    detail = ("argmin (k1, k2) by recon / mse_out: omega 2 at eta %s: %s; omega 1 at "
+              "eta 0.25: %s" % (list(etas), by_eta, flat))
+    _report("c13", ok, detail, time.time() - t0, 60)

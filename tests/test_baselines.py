@@ -622,6 +622,17 @@ class TestProximalSolver:
                 spec = BaselineSpec(method, mu=mu)
                 assert fit_baseline(spec, inst.x, inst.y).converged, (method, mu)
 
+    def test_compare_fits_stop_at_a_gap_of_1e_10(self):
+        # The stopping gap as a literal, not baselines.TOL: compare's 18 fits
+        # at seeds 0-2 stop at gaps of 4e-14 to 9.7e-11, while a stop at 1e-8
+        # leaves 16 of them between 1.1e-10 and 8.5e-9
+        for seed in range(3):
+            inst = make_instance(SynthConfig(d1=60, d2=30, n=80, rank_m=5, eta=1.0, seed=seed))
+            for method in ("lasso", "nuclear"):
+                for mu in (0.3, 1.0, 3.0):
+                    model = fit_baseline(BaselineSpec(method, mu=mu), inst.x, inst.y)
+                    assert model.converged and model.gap <= 1e-10, (seed, method, mu, model.gap)
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=_b_step_cases())
     def test_b_step_matches_a_direct_solve(self, case):

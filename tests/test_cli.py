@@ -1009,6 +1009,11 @@ PROBES = {
     "packing_negative_seed": (["packing"], {"packing": dict(_SMALL_PACKING, seed=-1)}),
     "angles_negative_seed": (["angles"], {
         "synth": {"d1": 8, "omega": 2.0, "seed": -1}, "n": 10, "top_k": 3}),
+    # a size the generator refuses, reported as such, not as a bad top_k
+    "angles_n_zero": (["angles"], {"synth": {"d1": 10, "seed": 0}, "n": 0}),
+    "angles_n_negative": (["angles"], {"synth": {"d1": 10, "seed": 0}, "n": -5, "top_k": 2}),
+    "angles_d1_one": (["angles"], {"synth": {"d1": 1, "seed": 0}, "n": 10}),
+    "angles_d1_zero_n_zero": (["angles"], {"synth": {"d1": 0, "seed": 0}, "n": 0, "top_k": 1}),
     "sweep_negative_env_seed": (["sweep"], {"synth": _SMALL_SYNTH,
                                             "grids": {"k1": [5], "k2": [2], "seeds": [0]}}),
     "synth_negative_env_seed": (["synth", "--d1", "5", "--d2", "3", "--n", "10", "--rank", "1"],
@@ -1022,6 +1027,9 @@ NEGATIVE_SEEDS = {"synth_negative_seed": "--seed", "sweep_negative_grid_seed": "
                   "compare_negative_synth_seed": "synth.seed",
                   "packing_negative_seed": "packing.seed", "angles_negative_seed": "synth.seed",
                   "sweep_negative_env_seed": "ARRR_SEED", "synth_negative_env_seed": "ARRR_SEED"}
+# the generator's own message for each size probe
+SIZE_MESSAGES = {"angles_n_zero": "n must be >= 2", "angles_n_negative": "n must be >= 2",
+                 "angles_d1_one": "d1 must be >= 2", "angles_d1_zero_n_zero": "d1 must be >= 2"}
 
 
 class TestBadInputExitsTwo:
@@ -1051,6 +1059,8 @@ class TestBadInputExitsTwo:
         if probe in NEGATIVE_SEEDS:
             assert err.startswith("error: %s must be a non-negative integer, got -"
                                   % NEGATIVE_SEEDS[probe])
+        if probe in SIZE_MESSAGES:
+            assert err == "error: %s\n" % SIZE_MESSAGES[probe]
         if probe.endswith("_huge_int"):
             # the message names the key, not the integer's 401 digits
             key = probe.split("_", 1)[1][:-len("_huge_int")]

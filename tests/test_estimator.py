@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import json
 import os
 
@@ -19,12 +20,11 @@ from arrr.estimator import (
     fit_path,
     load_model,
     predict,
-    rank_path,
+    rank_path_scores,
     save_model,
     step1_pca_x,
     step2_pca_denoise,
 )
-from arrr.metrics import pooled_scores
 from arrr.spectral import decompose, select_gap_rank, truncate_rank
 from arrr.synth import SynthConfig, gen_covariance, gen_design, make_instance
 
@@ -707,10 +707,15 @@ def _rank_grids(draw):
         st.lists(st.integers(0, min(d2, k1)), min_size=1, max_size=4))]
 
 
-def _rank_k2_model(factors, k2):
-    """(m_hat, x_new @ m_hat.T) of rank k2 formed from rank_path's factors."""
-    return ((factors.u[:, :k2] * factors.s[:k2]) @ factors.w[:k2],
-            factors.p[:, :k2] @ factors.u[:, :k2].T)
+def _self_scores(x, y, configs, x_new):
+    """(fit_path's model, its predictions on x_new, and the (recon_error, mse,
+    r2, corr) rank_path_scores gives that config when the model is its own
+    truth: m_true = m_hat and y_new = x_new @ m_hat.T) for each config, each
+    scored within the whole grid."""
+    for i, model in enumerate(fit_path(x, y, configs)):
+        y_fit = x_new @ model.m_hat.T
+        scores = rank_path_scores(x, y, configs, x_new, y_fit, model.m_hat)
+        yield model, y_fit, next(itertools.islice(scores, i, None))
 
 
 class TestRankPath:
@@ -720,26 +725,25 @@ class TestRankPath:
     @example(seed=3, sigma="auto", grid=((10, 16, 3), [
         (k1, k2) for k1 in (6, 2, 6) for k2 in (3, 0, 1, 2) if k2 <= k1]))
     def test_rank_path_equals_fit_path(self, seed, grid, sigma):
-        # Each config's m_hat and x_new @ m_hat.T, rebuilt from the factors
-        # rank_path yields, within 1e-12 (relative, Frobenius norm) of
-        # fit_path's model, and its pooled scores within 1e-12: the same
+        # Scored against fit_path's own model, recon_error is ||m_path -
+        # m_fit||_F and mse * N * var(y_fit) is ||y_path - y_fit||_F^2, N the
+        # entries of y_fit; each within 1e-12 of fit_path's norm: the same
         # rank-one terms, summed in another order.
         (n, d1, d2), pairs = grid
         x, y = _path_data(seed, n, d1, d2)
-        x_new, y_new = _path_data(seed + 1, n + 3, d1, d2)
+        x_new, _ = _path_data(seed + 1, n + 3, d1, d2)
         configs = [FitConfig(sigma_eps=sigma, k1_override=k1, k2_override=k2)
                    for k1, k2 in pairs]
-        got = list(rank_path(x, y, configs, x_new))
+        got = list(_self_scores(x, y, configs, x_new))
         assert len(got) == len(configs)
-        for config, model, (factors, k2) in zip(configs, fit_path(x, y, configs), got):
-            assert (model.k1, model.k2) == (config.k1_override, k2)
-            m_hat, y_hat = _rank_k2_model(factors, k2)
-            want_y = x_new @ model.m_hat.T
-            assert _rel(m_hat, model.m_hat) <= 1e-12
-            assert _rel(y_hat, want_y) <= 1e-12
-            np.testing.assert_allclose(pooled_scores(y_new, y_hat),
-                                       pooled_scores(y_new, want_y),
-                                       rtol=1e-12, atol=1e-12, equal_nan=True)
+        for config, (model, y_fit, (recon, mse, _, _)) in zip(configs, got):
+            assert (model.k1, model.k2) == (config.k1_override, config.k2_override)
+            assert recon <= 1e-12 * (np.linalg.norm(model.m_hat) or 1.0)
+            if np.ptp(y_fit) > 0:
+                assert (np.sqrt(mse * y_fit.size * np.var(y_fit))
+                        <= 1e-12 * np.linalg.norm(y_fit))
+            else:  # k2 = 0: a zero model, whose predictions have no variance
+                assert config.k2_override == 0 and np.isnan(mse)
 
     def test_bad_k2_raises_stage_twos_error(self):
         x, y = _path_data(0, 20, 8, 5)
@@ -747,10 +751,10 @@ class TestRankPath:
                    FitConfig(sigma_eps=1.0, k1_override=3, k2_override=4)]
         with pytest.raises(ValueError) as want:
             list(fit_path(x, y, configs))
-        path = rank_path(x, y, configs, x)
-        assert next(path)[1] == 1  # the good config first
+        scores = rank_path_scores(x, y, configs, x, y, np.zeros((5, 8)))
+        assert len(next(scores)) == 4  # the good config first
         with pytest.raises(ValueError) as got:
-            next(path)
+            next(scores)
         assert str(got.value) == str(want.value) == "k2 override 4 outside [0, 3]"
 
     def test_configs_must_pin_both_ranks(self):
@@ -758,7 +762,7 @@ class TestRankPath:
         for config in (FitConfig(sigma_eps=1.0, k1_override=3),
                        FitConfig(sigma_eps=1.0, k2_override=1)):
             with pytest.raises(ValueError, match="pin both k1 and k2"):
-                list(rank_path(x, y, [config], x))
+                list(rank_path_scores(x, y, [config], x, y, np.zeros((5, 8))))
 
     @pytest.mark.parametrize("sigmas, pilots", [((1.0, 1.0), 0), ((1.0, "auto"), 1),
                                                 (("auto", "auto"), 1)])
@@ -781,7 +785,7 @@ class TestRankPath:
         x, y = _path_data(0, 20, 8, 5)
         configs = [FitConfig(sigma_eps=sigma, k1_override=k1, k2_override=k2)
                    for sigma in sigmas for k1 in (3, 6) for k2 in (2, 0)]
-        assert len(list(rank_path(x, y, configs, x))) == len(configs)
+        assert len(list(rank_path_scores(x, y, configs, x, y, np.zeros((5, 8))))) == len(configs)
         assert calls == {"decompose": [(20, 8), (5, 3), (5, 6)], "pilot": pilots,
                          "stage1": 2}
 
@@ -806,7 +810,7 @@ class TestRankPath:
         assert len(list(fit_path(x, y, configs))) == len(configs)
         fit_calls = calls[:]
         calls.clear()
-        assert len(list(rank_path(x, y, configs, x))) == len(configs)
+        assert len(list(rank_path_scores(x, y, configs, x, y, np.zeros((5, 8))))) == len(configs)
         want = [("decompose", (20, 8)), ("stage1", 1e-3, 3), ("decompose", (5, 3)),
                 ("stage1", 1e-2, 3), ("stage1", 1e-3, 6), ("decompose", (5, 6))]
         if pilot_at is not None:  # once, for the first "auto" config
@@ -823,15 +827,17 @@ class TestRankPath:
         x, y = _path_data(0, 20, 8, 5)
         config = FitConfig(sigma_eps=1.0, k1_override=3, k2_override=1)
         model = fit_adaptive_rrr(x, y, config)
-        for run in (lambda: predict(model, x_new), lambda: list(rank_path(x, y, [config], x_new))):
+        for run in (lambda: predict(model, x_new),
+                    lambda: list(rank_path_scores(x, y, [config], x_new, y, np.zeros((5, 8))))):
             with pytest.raises(error, match=message):
                 run()
 
     def test_x_new_is_checked_without_configs(self):
         x, y = _path_data(0, 20, 8, 5)
-        assert list(rank_path(x, y, [], x)) == []
+        m = np.zeros((5, 8))
+        assert list(rank_path_scores(x, y, [], x, y, m)) == []
         with pytest.raises(ValueError, match="x_new must have 8 columns"):
-            list(rank_path(x, y, [], np.ones((4, 7))))
+            list(rank_path_scores(x, y, [], np.ones((4, 7)), y, m))
 
     def test_errors_before_the_stages_match_fit_path(self):
         for x, y, sigma, message in (
@@ -839,6 +845,7 @@ class TestRankPath:
                 (np.ones((1, 3)), np.ones((1, 2)), 1.0, "at least 2 rows"),
                 (np.eye(4, 3), np.ones((4, 2)), "auto", "response y is constant")):
             configs = [FitConfig(sigma_eps=sigma, k1_override=1, k2_override=0)]
-            for path in (fit_path(x, y, configs), rank_path(x, y, configs, x)):
+            for path in (fit_path(x, y, configs),
+                         rank_path_scores(x, y, configs, x, y, np.zeros((2, 3)))):
                 with pytest.raises(ValueError, match=message):
                     list(path)

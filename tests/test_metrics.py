@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from arrr import baselines, cli
 from arrr.baselines import BaselineSpec, validate_hyperparams
-from arrr.estimator import FitConfig, rank_path
+from arrr.estimator import FitConfig, fit_path, rank_path_scores
 from arrr.metrics import (
     evaluate,
     lowest,
     merge_splits,
     pooled_scores,
-    rank_path_scores,
     recovered_rank_of,
 )
 from arrr.synth import SynthConfig, make_instance
@@ -206,12 +205,12 @@ class TestPooledScores:
 
 
 def _scored_path(data, pairs):
-    """rank_path's (factors, k2) and rank_path_scores' scores of each (k1, k2)
-    pair on data = (x, y, x_new, y_new, m)."""
+    """fit_path's models and rank_path_scores' scores of each (k1, k2) pair on
+    data = (x, y, x_new, y_new, m)."""
     x, y, x_new, y_new, m = data
     configs = [FitConfig(sigma_eps=1.0, k1_override=k1, k2_override=k2) for k1, k2 in pairs]
-    path = list(rank_path(x, y, configs, x_new))
-    return path, list(rank_path_scores(iter(path), m, y_new))
+    return (list(fit_path(x, y, configs)),
+            list(rank_path_scores(x, y, configs, x_new, y_new, m)))
 
 
 def _rank_data(seed, n, d1, d2, n_new, offset, eta=0.5):
@@ -243,13 +242,12 @@ class TestRankPathScores:
         k1s = [1 + round(f * (min(n, d1) - 1)) for f in k1s]
         pairs = [(k1, k2) for k1 in k1s for k2 in range(min(d2, k1) + 1)]
         data = _rank_data(seed, n, d1, d2, n_new, offset)
-        path, got = _scored_path(data, pairs)
+        models, got = _scored_path(data, pairs)
         assert len(got) == len(pairs)
-        for (factors, k2), (recon, mse, r2, corr) in zip(path, got):
-            m_hat = (factors.u[:, :k2] * factors.s[:k2]) @ factors.w[:k2]
-            y_hat = factors.p[:, :k2] @ factors.u[:, :k2].T
-            want_mse, want_r2, want_corr = pooled_scores(data[3], y_hat)
-            np.testing.assert_allclose([recon, mse], [np.linalg.norm(data[4] - m_hat), want_mse],
+        for (_, k2), model, (recon, mse, r2, corr) in zip(pairs, models, got):
+            want_mse, want_r2, want_corr = pooled_scores(data[3], data[2] @ model.m_hat.T)
+            np.testing.assert_allclose([recon, mse],
+                                       [np.linalg.norm(data[4] - model.m_hat), want_mse],
                                        rtol=1e-12, atol=0)
             np.testing.assert_allclose([r2, corr], [want_r2, want_corr], rtol=1e-12,
                                        atol=1e-12, equal_nan=True)
@@ -268,13 +266,12 @@ class TestRankPathScores:
 
     def test_y_and_m_true_must_match_the_factors(self):
         x, y, x_new, y_new, m = _rank_data(0, 12, 6, 4, 5, 0.0)
-        for want, args in (("y must be 5 x 4", (m, y_new[:4])),
-                           ("y must be 5 x 4", (m, y_new[:, :3])),
-                           ("m_true must be d2 x d1 = 4 x 6", (m[:, :5], y_new))):
-            path = rank_path(x, y, [FitConfig(sigma_eps=1.0, k1_override=3, k2_override=1)],
-                             x_new)
+        config = FitConfig(sigma_eps=1.0, k1_override=3, k2_override=1)
+        for want, args in (("y must be 5 x 4", (y_new[:4], m)),
+                           ("y must be 5 x 4", (y_new[:, :3], m)),
+                           ("m_true must be d2 x d1 = 4 x 6", (y_new, m[:, :5]))):
             with pytest.raises(ValueError, match=want):
-                list(rank_path_scores(path, *args))
+                list(rank_path_scores(x, y, [config], x_new, *args))
 
 
 def _lowest_index(scores):

@@ -6,8 +6,8 @@ a tiny sweep and a tiny rolling run under it in a fresh interpreter, so a
 change that renames, aliases or stops calling a traced function fails here,
 in tier-1. Both paths call the traced stages from one driver,
 `estimator._stages`, through their module bindings. The sweep scores through
-`estimator.rank_path`, which runs stage 1 once per k1 (its configs share one
-delta) and never stage 2; the rolling run fits its one fold through
+`estimator.rank_path_scores`, which runs stage 1 once per k1 (its configs
+share one delta) and never stage 2; the rolling run fits its one fold through
 `fit_path`, which runs stage 1 once per delta and stage 2 once per candidate.
 """
 
