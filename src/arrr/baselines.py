@@ -5,11 +5,13 @@ component regression (pcr), lasso, and nuclear-norm regularized regression.
 
 The four direct methods are one spectral filter V diag(f(s)) U^T y on the
 thin SVD of the design, so a hyperparameter grid over them is fitted from one
-factorization. Lasso and nuclear norm minimize 0.5 ||y - x b||^2 + mu r(b)
-by one over-relaxed ADMM loop (`_fit_admm`) whose least-squares step is an
-operator built from that same SVD (`_b_step`), with r's prox as their only
-difference: soft thresholding of the entries or of the singular values. At
-mu = 0 both are the filter's minimum-norm least-squares fit.
+factorization; rrr and reduced-rank ridge then project onto eigenvectors of
+their fitted values' small Gram matrix, factored once per mu. Lasso and
+nuclear norm minimize 0.5 ||y - x b||^2 + mu r(b) by one over-relaxed ADMM
+loop (`_fit_admm`) whose least-squares step is an operator built from that
+same SVD (`_b_step`), with r's prox as their only difference: soft
+thresholding of the entries or of the singular values. At mu = 0 both are
+the filter's minimum-norm least-squares fit.
 `validate_hyperparams` returns the fitted winner, so its callers score it
 without refitting.
 """
@@ -23,7 +25,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .estimator import predict, require_xy
-from .metrics import lowest, pooled_scores
+from .metrics import lowest, validation_mse
 from .spectral import SpectralDecomposition, decompose, numerical_rank
 
 # The hyperparameters each method reads: one that reads a rank requires it,
@@ -37,6 +39,11 @@ ALPHA = 1.6  # the over-relaxation of `_fit_admm`
 # is within TOL F(b) of the minimum of its objective F.
 MAX_ITERS = 5000
 TOL = 1e-10
+# A Gram matrix holds no digits below eps times its largest eigenvalue, so
+# where a result would rest on an eigenvalue below GRAM_FLOOR times the
+# largest, and lose more than about 1e-12 s_1 through it, `_prox_nuclear`
+# and `_svd_filter` take an SVD instead.
+GRAM_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -87,13 +94,18 @@ def _svd_filter(dec, y):
     least-squares fit. PCR zeroes f past its rank. Reduced-rank ridge
     projects the ridge fit onto the top right singular vectors of its fitted
     values in the ridge metric, [X; sqrt(mu) I] B, whose Gram matrix is that
-    of diag(sqrt(f * s)) U^T y; rrr is its mu = 0 case. That matrix depends
-    on mu and not on the rank, so U^T y is formed once and its SVD taken once
-    per mu: every rank of a grid slices the same right singular vectors, and
-    each fit is the one a fresh filter gives, bit for bit.
+    of a = diag(sqrt(f * s)) U^T y; rrr is its mu = 0 case. Those vectors are
+    the eigenvectors of the d2 x d2 Gram matrix a^T a by descending
+    eigenvalue (Izenman 1975). It depends on mu and not on the rank, so U^T y
+    is formed once and the Gram matrix factored by eigh once per mu: every
+    rank of a grid slices the same eigenvectors. A rank whose smallest kept
+    eigenvalue is below GRAM_FLOOR times the largest slices the right
+    singular vectors of a instead, also taken once per mu. Each fit is the
+    one a fresh filter gives, bit for bit.
     """
     s, uty = dec.s, dec.u.T @ y
     rank = numerical_rank(s, (dec.u.shape[0], dec.v.shape[0]))
+    grams = {}  # mu -> fitted values, and their Gram's eigenpairs, descending
     fitted_v = {}  # mu -> right singular vectors of the fitted values
 
     def coef(spec):
@@ -106,9 +118,16 @@ def _svd_filter(dec, y):
             f[spec.rank:] = 0.0
         g = f[:, None] * uty
         if spec.rank is not None and spec.method != "pcr":
-            if spec.mu not in fitted_v:
-                fitted_v[spec.mu] = decompose(np.sqrt(f * s)[:, None] * uty).v
-            v_r = fitted_v[spec.mu][:, :spec.rank]
+            if spec.mu not in grams:
+                a = np.sqrt(f * s)[:, None] * uty
+                lam, w = np.linalg.eigh(a.T @ a)
+                grams[spec.mu] = a, lam[::-1], w[:, ::-1]
+            a, lam, w = grams[spec.mu]
+            if lam[spec.rank - 1] < GRAM_FLOOR * lam[0]:
+                if spec.mu not in fitted_v:
+                    fitted_v[spec.mu] = decompose(a).v
+                w = fitted_v[spec.mu]
+            v_r = w[:, :spec.rank]
             g = g @ v_r @ v_r.T
         return dec.v @ g
 
@@ -132,14 +151,12 @@ def _prox_nuclear(v, t):
 
     Only the singular values s_k > t and their right vectors w_k matter, so
     they come from eigh of the Gram matrix of a = v (v.T if v is wide), with
-    s_k = ||a w_k||, which is accurate where sqrt(lambda_k) is not. The Gram
-    matrix holds no digits below eps * lambda_max, so when t^2 < 1e-8
-    lambda_max, where the result would lose more than about 1e-12 s_max, the
-    prox takes the SVD of v instead.
+    s_k = ||a w_k||, which is accurate where sqrt(lambda_k) is not. When t^2 <
+    GRAM_FLOOR lambda_max, the prox takes the SVD of v instead.
     """
     a = v.T if v.shape[0] < v.shape[1] else v
     lam, w = np.linalg.eigh(a.T @ a)
-    if lam.size and t * t < 1e-8 * lam[-1]:
+    if lam.size and t * t < GRAM_FLOOR * lam[-1]:
         dec = decompose(v)
         s = np.maximum(dec.s - t, 0.0)
         return (dec.u * s) @ dec.v.T, s
@@ -196,6 +213,12 @@ def _fit_admm(x, y, mu, dec, lasso):
     (section 3.4.3): any ALPHA in (0, 2) converges (Eckstein & Bertsekas
     1992), and 1.6 is OSQP's default (Stellato et al. 2020).
 
+    The fit starts at b = 0, and if the relative duality gap there is at
+    most TOL it returns b = 0 at once: 0 iterations, the trace [F(0)],
+    converged. The gap at 0 is (1 - a)^2, a = min(1, mu / ||x^T y||_*), or 0
+    for y = 0, so this holds with gap 0 exactly when ||x^T y||_* <= mu, where
+    b = 0 is the minimum, as on a zero or empty design.
+
     An iteration takes the exact least-squares step b = `_b_step`(z - u),
     rebuilt whenever rho changes, relaxes it to b' = ALPHA b + (1 - ALPHA) z,
     then sets z = prox(b' + u, mu / rho) and u += b' - z, updating b and u
@@ -217,14 +240,16 @@ def _fit_admm(x, y, mu, dec, lasso):
     lowest F; the iterations; the trace of F at b = 0 and at each check that
     does not raise it; whether the gap met TOL; and the returned z's gap.
     """
+    shape = (x.shape[1], y.shape[1])
+    z, u = np.zeros(shape), np.zeros(shape)
+    f, gap = _objective_and_gap(x, y, z, 0.0, mu, lasso)
+    if gap <= TOL:  # b = 0 is certified, as it is whenever ||x^T y||_* <= mu
+        return z, 0, np.array([f]), True, gap
     prox = _prox_l1 if lasso else _prox_nuclear
     s = dec.s
     rank = numerical_rank(s, x.shape)
     rho = float(s[0] * s[rank - 1]) if rank else 1.0  # any rho fits a zero design
     step = _b_step(dec, y, rho)
-    shape = (x.shape[1], y.shape[1])
-    z, u = np.zeros(shape), np.zeros(shape)
-    f, gap = _objective_and_gap(x, y, z, 0.0, mu, lasso)
     best, trace, lowest_gap, stalled, iters = z, [f], gap, 0, 0
     for iters in range(1, MAX_ITERS + 1):
         b = step(z - u)
@@ -312,15 +337,17 @@ def validate_hyperparams(
     """Fit every spec on train, score on valid, return the fitted argmin.
 
     The score is the pooled variance-normalized MSE of the predictions on
-    valid. The winner's spec is its `.method`. Every spec of the grid shares
-    one SVD of the training design, taken from `dec` when the caller already
-    has it, and the direct specs share one `_svd_filter`: U^T y is formed
-    once per grid and the SVD of rrr's and reduced-rank ridge's fitted
-    values once per mu, and each fit equals a fresh `fit_baseline` bit for
-    bit. The winner is `metrics.lowest` of the scores: ties break
-    to the first occurrence in the grid and an undefined (NaN) score never
-    wins. A grid with no defined score, as on a constant validation
-    response, raises ValueError. Both windows pass `require_xy` first.
+    valid, by one `metrics.validation_mse` scorer of the window, and nothing
+    else of them is scored. The winner's spec is its `.method`. Every spec of
+    the grid shares one SVD of the training design, taken from `dec` when
+    the caller already has it, and the direct specs share one `_svd_filter`:
+    U^T y is formed once per grid and the Gram matrix of rrr's and
+    reduced-rank ridge's fitted values factored once per mu, and each fit
+    equals a fresh `fit_baseline` bit for bit. The winner is
+    `metrics.lowest` of the scores: ties break to the first occurrence in the
+    grid and an undefined (NaN) score never wins. A grid with no defined
+    score, as on a constant validation response, raises ValueError. Both
+    windows pass `require_xy` first.
     """
     if not spec_grid:
         raise ValueError("empty hyperparameter grid")
@@ -332,7 +359,8 @@ def validate_hyperparams(
     if any(spec.method not in ITERATIVE for spec in spec_grid):
         direct = _svd_filter(dec, y_tr)
     models = (fit_baseline(spec, x_tr, y_tr, dec, direct) for spec in spec_grid)
-    best = lowest((pooled_scores(y_va, predict_linear(m, x_va))[0], m) for m in models)
+    score = validation_mse(y_va)
+    best = lowest((score(predict_linear(m, x_va)), m) for m in models)
     if best is None:
         raise ValueError("no spec of the grid scored a defined validation MSE")
     return best

@@ -326,9 +326,11 @@ def _fit_select_score(train, valid, test, candidates: Sequence[FitConfig],
     per method, the estimator first and then the baselines by name. Scores are
     pooled (mse, r2, corr); tags are the k1, k2, mu and rank cells of a row.
     Every window passes `require_xy` before the one SVD of the training design
-    that the estimator and all grids share. Estimator candidates without an
-    admissible gap are skipped, the winner is `metrics.lowest` of the
-    rest's scores, and the NoGapError for no winner names `where`.
+    that the estimator and all grids share. Validation scores only the MSE,
+    by one `metrics.validation_mse` scorer of the window. Estimator
+    candidates without an admissible gap are skipped, the winner is
+    `metrics.lowest` of the rest's scores, and the NoGapError for no winner
+    names `where`.
 
     Each distinct estimator model is scored once. Within one `fit_path`, two
     candidates with the same (k1, k2) have the same m_hat bit for bit: stage
@@ -344,6 +346,7 @@ def _fit_select_score(train, valid, test, candidates: Sequence[FitConfig],
     dec = decompose(x_tr)
 
     nogap = []  # the candidates whose stage 1 found no admissible gap
+    score = metrics.validation_mse(y_va)
 
     def validated():
         seen = set()  # the (k1, k2) of every model scored so far
@@ -352,7 +355,7 @@ def _fit_select_score(train, valid, test, candidates: Sequence[FitConfig],
                 nogap.append(model)
             elif (model.k1, model.k2) not in seen:
                 seen.add((model.k1, model.k2))
-                yield metrics.pooled_scores(y_va, x_va @ model.m_hat.T)[0], model
+                yield score(x_va @ model.m_hat.T), model
 
     best = metrics.lowest(validated())
     if best is None:

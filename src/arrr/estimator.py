@@ -342,23 +342,34 @@ def rank_path_scores(x: np.ndarray, y: np.ndarray, configs: Sequence[FitConfig],
     less, as at k2 = 0. The residual terms are taken directly; they are 0 in
     exact arithmetic when r = d2. The scoring rules are metrics._pooled's.
 
-    Raises ValueError unless y_new has the rows of x_new and d2 columns and
-    m_true is d2 x d1, and for a k2 beyond min(d2, k1), as stage 2 does.
+    Raises ValueError for an x_new with no rows, unless y_new has the rows of
+    x_new and d2 columns and m_true is d2 x d1, and for a k2 beyond
+    min(d2, k1), as stage 2 does.
     """
     if any(c.k1_override is None or c.k2_override is None for c in configs):
         raise ValueError("rank_path_scores needs configs that pin both k1 and k2")
     m_true, y_new = np.asarray(m_true, dtype=float), np.asarray(y_new, dtype=float)
-    n = y_new.size
-    yc = y_new - y_new.sum() / n
-    sst = (yc * yc).sum()
-    y_constant = not y_new.max() > y_new.min()
     sums = {}  # k1 -> (residual terms, prefix sums, suffix sums)
     for config, _, _, (pi_hat, _), dec in _stages(x, y, configs, None):
         k1 = pi_hat.shape[0]
         if not sums:
             x_new = _require_x_new(x_new, pi_hat.shape[1])
+            if not x_new.shape[0]:
+                raise ValueError("x_new must have at least one row to score")
         k2 = _k2_in_range(config.k2_override, dec.s.size)
         if k1 not in sums:
+            if not sums:  # the first k1: the shapes, then y_new's own terms
+                d2 = dec.u.shape[0]
+                if y_new.shape != (x_new.shape[0], d2):
+                    raise ValueError("y must be %d x %d, the rows of x_new by d2, got shape %s"
+                                     % (x_new.shape[0], d2, y_new.shape))
+                if m_true.shape != (d2, x_new.shape[1]):
+                    raise ValueError("m_true must be d2 x d1 = %d x %d, got shape %s"
+                                     % (d2, x_new.shape[1], m_true.shape))
+                n = y_new.size
+                yc = y_new - y_new.sum() / n
+                sst = (yc * yc).sum()
+                y_constant = not y_new.max() > y_new.min()
             sums[k1] = _direction_sums(dec.u, dec.s, dec.v.T @ pi_hat,
                                        (x_new @ pi_hat.T) @ (dec.v * dec.s), m_true, y_new, yc)
         (m_res, y_res), pre, suf = sums[k1]
@@ -375,13 +386,7 @@ def _direction_sums(u: np.ndarray, s: np.ndarray, w: np.ndarray, p: np.ndarray,
     """rank_path_scores' terms of one k1: the two residuals, the prefix sums
     over i < k2 (recon, sse, sum(y_hat), ||y_hat||^2, <yc, y_hat>) and the
     suffix sums over i >= k2 (recon, sse), each indexed by k2 in [0, r]."""
-    d2, r = u.shape
-    if y.shape != (p.shape[0], d2):
-        raise ValueError("y must be %d x %d, the rows of x_new by d2, got shape %s"
-                         % (p.shape[0], d2, y.shape))
-    if m_true.shape != (d2, w.shape[1]):
-        raise ValueError("m_true must be d2 x d1 = %d x %d, got shape %s"
-                         % (d2, w.shape[1], m_true.shape))
+    r = u.shape[1]
     um, yu = u.T @ m_true, y @ u
     m_res, y_res = m_true - u @ um, y - yu @ u.T
     dm, dy = um - s[:, None] * w, yu - p

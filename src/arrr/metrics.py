@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Tuple
+from typing import Any, Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -75,14 +75,34 @@ def pooled_scores(y: np.ndarray, y_hat: np.ndarray) -> Tuple[float, float, float
     return _pooled(n, sse, (yc * yc).sum(), y_constant, gram)
 
 
+def validation_mse(y: np.ndarray) -> Callable[[np.ndarray], float]:
+    """The scorer of one validation window: a function of y_hat that returns
+    pooled_scores(y, y_hat)[0], the variance-normalized MSE, bit for bit.
+
+    The window's centered sum of squares and its constant flag are formed
+    once, here; each call forms only the residual sum of squares, and the
+    division and NaN rules are `_pooled`'s. The MSE is all that
+    `lowest` reads of a validation score."""
+    n = y.size
+    yc = np.subtract(y, y.sum() / n, out=np.empty(y.shape))  # C order, as pooled_scores'
+    sst = (yc * yc).sum()
+    y_constant = not y.max() > y.min()
+
+    def mse(y_hat: np.ndarray) -> float:
+        resid = y - y_hat
+        return _pooled(n, (resid * resid).sum(), sst, y_constant, None)[0]
+
+    return mse
+
+
 def _pooled(n: int, sse: float, sst: float, y_constant: bool,
             gram: Optional[Tuple[float, float, float]]) -> Tuple[float, float, float]:
     """(mse, r2, corr) of n pooled entries from their sums: the residual sum
     of squares sse, the centered response's sum of squares sst, and gram =
     (yhc . yhc, yhc . yc, yc . yc) of the centered prediction yhc and response
     yc, None when the prediction is constant. The one statement of the rules
-    that pooled_scores and estimator.rank_path_scores share: the two
-    divisions, the NaN rules and the correlation's clip to [-1, 1]."""
+    that pooled_scores, validation_mse and estimator.rank_path_scores share:
+    the two divisions, the NaN rules and the correlation's clip to [-1, 1]."""
     var_y, ss_tot = float(sst / n), float(sst)
     mse = math.nan if y_constant or var_y == 0.0 else float(sse / n) / var_y
     r2 = math.nan if y_constant or ss_tot == 0.0 else 1.0 - float(sse) / ss_tot

@@ -220,14 +220,16 @@ def _out_of_place_b_step(dec, y, rho):
 def _out_of_place_admm(x, y, mu, dec, lasso, max_iters, tol):
     ALPHA, _b_step, _objective_and_gap = (baselines.ALPHA, _out_of_place_b_step,
                                           baselines._objective_and_gap)
+    shape = (x.shape[1], y.shape[1])
+    z, u = np.zeros(shape), np.zeros(shape)
+    f, gap = _objective_and_gap(x, y, z, 0.0, mu, lasso)
+    if gap <= tol:
+        return z, 0, np.array([f]), True, gap
     prox = _out_of_place_prox_l1 if lasso else _out_of_place_prox_nuclear
     s = dec.s
     rank = numerical_rank(s, x.shape)
     rho = float(s[0] * s[rank - 1]) if rank else 1.0  # any rho fits a zero design
     step = _b_step(dec, y, rho)
-    shape = (x.shape[1], y.shape[1])
-    z, u = np.zeros(shape), np.zeros(shape)
-    f, gap = _objective_and_gap(x, y, z, 0.0, mu, lasso)
     best, trace, lowest_gap, stalled, iters = z, [f], gap, 0, 0
     for iters in range(1, max_iters + 1):
         b = step(z - u)
@@ -308,6 +310,26 @@ def _prox_cases(draw):
     else:
         rel = 10.0 ** rng.uniform(-9.0, -4.0)
     return v, rel * (s_max if s_max > 0.0 else 1.0), s_max
+
+
+@st.composite
+def _graded_cases(draw):
+    """(spec, x, y) for rrr or reduced-rank ridge with y = x B + noise, B of
+    singular values graded over 1 to 12 decades, so that the fitted values'
+    spectrum falls below the Gram floor at some ranks and not at others."""
+    n, d1, d2 = draw(st.integers(3, 15)), draw(st.integers(2, 20)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    x = rng.normal(size=(n, d1))
+    if draw(st.booleans()):
+        x[:, -1] = x[:, 0]
+    k = min(d1, d2)
+    sigma = 10.0 ** -np.linspace(0.0, draw(st.sampled_from([1.0, 3.0, 6.0, 9.0, 12.0])), k)
+    b = (np.linalg.qr(rng.normal(size=(d1, k)))[0] * sigma) @ np.linalg.qr(
+        rng.normal(size=(d2, k)))[0].T
+    y = x @ b + draw(st.sampled_from([0.0, 1e-9, 1e-5, 1e-2])) * rng.normal(size=(n, d2))
+    method = draw(st.sampled_from(["rrr", "reduced_rank_ridge"]))
+    mu = draw(st.sampled_from([0.0, 0.1, 1.0, 10.0])) if method != "rrr" else 0.0
+    return BaselineSpec(method, mu=mu, rank=draw(st.integers(1, min(d1, d2, n)))), x, y
 
 
 @st.composite
@@ -700,13 +722,33 @@ class TestProximalSolver:
     @pytest.mark.parametrize("method", ["lasso", "nuclear"])
     @pytest.mark.parametrize("n", [0, 6])
     def test_degenerate_design(self, method, n):
-        # a zero or empty design: one step confirms b = 0 is optimal
+        # a zero or empty design: the gap at b = 0 certifies it before any step
         y = np.ones((n, 2))
         model = fit_baseline(BaselineSpec(method, mu=1.0), np.zeros((n, 3)), y)
         np.testing.assert_array_equal(model.m_hat, np.zeros((2, 3)))
         assert model.converged
-        assert model.iterations_used == 1
-        np.testing.assert_array_equal(model.objective_trace, [n, n])
+        assert model.iterations_used == 0
+        np.testing.assert_array_equal(model.objective_trace, [n])
+
+    @pytest.mark.parametrize("tol", [1e-10, 0.0])
+    @pytest.mark.parametrize("method", ["lasso", "nuclear"])
+    def test_zero_is_returned_at_the_smallest_mu_that_makes_it_the_minimum(
+            self, method, tol, monkeypatch):
+        # mu = ||x^T y||_*, max |x^T y| for lasso and the top singular value
+        # for nuclear: b = 0 is the minimum and its gap is 0, which meets
+        # even TOL = 0, so no step is taken
+        x, y = _data(30, 8, 5, seed=21)
+        g = x.T @ y
+        mu = float(np.max(np.abs(g)) if method == "lasso" else np.linalg.norm(g, 2))
+        monkeypatch.setattr(baselines, "TOL", tol)
+        model = fit_baseline(BaselineSpec(method, mu=mu), x, y)
+        np.testing.assert_array_equal(model.m_hat, np.zeros((5, 8)))
+        assert (model.iterations_used, model.converged, model.gap) == (0, True, 0.0)
+        np.testing.assert_array_equal(model.objective_trace, [0.5 * np.sum(y * y)])
+        _assert_certified(method, mu, x, y, model, tol)
+        # just below that mu, b = 0 is not the minimum, and ADMM runs
+        below = fit_baseline(BaselineSpec(method, mu=mu * (1.0 - 1e-3)), x, y)
+        assert below.iterations_used > 0 and np.any(below.m_hat)
 
 
 class TestSVDFilter:
@@ -724,6 +766,28 @@ class TestSVDFilter:
         spec, x, y = case
         shared = fit_baseline(spec, x, y, dec=decompose(x)).m_hat
         assert shared.tobytes() == fit_baseline(spec, x, y).m_hat.tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=_graded_cases())
+    def test_gram_route_matches_the_svd_reference_above_the_floor(self, case):
+        # at s_rank >= 1e-4 s_1, GRAM_FLOOR on the eigenvalues, the projector
+        # from the Gram matrix's eigenvectors moves the fitted values in the
+        # ridge metric by at most 1.1e-12 relative over 3000 such draws; below
+        # it, the fit is the SVD route's, bit for bit
+        spec, x, y = case
+        ridge = fit_baseline(BaselineSpec("ridge", mu=spec.mu), x, y).m_hat.T
+        aug = np.vstack([x, np.sqrt(spec.mu) * np.eye(x.shape[1])]) if spec.mu > 0 else x
+        fitted = aug @ ridge
+        s = np.linalg.svd(fitted, compute_uv=False)
+        assume(s[0] > 0.0)
+        got = fit_baseline(spec, x, y).m_hat
+        if s[spec.rank - 1] >= 1e-4 * s[0]:
+            want = aug @ _ref_truncate(ridge, fitted, spec.rank)
+            assert np.linalg.norm(aug @ got.T - want) <= 1e-10 * np.linalg.norm(want)
+        else:
+            with mock.patch.object(baselines, "GRAM_FLOOR", np.inf):  # every rank by SVD
+                svd_route = fit_baseline(spec, x, y).m_hat
+            assert got.tobytes() == svd_route.tobytes()
 
     @pytest.mark.parametrize("method", DIRECT)
     def test_empty_design_gives_zero_coefficients(self, method):
@@ -760,18 +824,26 @@ class TestValidateHyperparams:
         got = validate_hyperparams(grid, (x, y), (x, y))
         assert got.method is grid[0]
 
-    @pytest.mark.parametrize("grid", [
-        [BaselineSpec("ridge", mu=mu) for mu in (0.0, 0.5, 5.0)],
-        [BaselineSpec("rrr", rank=r) for r in (1, 2, 4)],
-        [BaselineSpec("reduced_rank_ridge", mu=mu, rank=r) for mu in (0.0, 2.0) for r in (1, 3)],
-        [BaselineSpec("pcr", rank=r) for r in (1, 5, 12)],
-        [BaselineSpec("lasso", mu=mu) for mu in (0.1, 5.0)],
-        [BaselineSpec("nuclear", mu=mu) for mu in (0.1, 5.0)],
-    ], ids=["ridge", "rrr", "reduced_rank_ridge", "pcr", "lasso", "nuclear"])
-    def test_winner_equals_a_fresh_fit_bitwise(self, grid, monkeypatch):
+    @pytest.mark.parametrize("grid, weak", [
+        ([BaselineSpec("ridge", mu=mu) for mu in (0.0, 0.5, 5.0)], False),
+        ([BaselineSpec("rrr", rank=r) for r in (1, 2, 4)], False),
+        ([BaselineSpec("reduced_rank_ridge", mu=mu, rank=r) for mu in (0.0, 2.0) for r in (1, 3)],
+         False),
+        ([BaselineSpec("pcr", rank=r) for r in (1, 5, 12)], False),
+        ([BaselineSpec("lasso", mu=mu) for mu in (0.1, 5.0)], False),
+        ([BaselineSpec("nuclear", mu=mu) for mu in (0.1, 5.0)], False),
+        # y's last column within 1e-6 of its first: rank 4 of the fitted values
+        # is below GRAM_FLOOR and takes the SVD, ranks 1 to 3 the Gram route
+        ([BaselineSpec("rrr", rank=r) for r in (4, 1, 3, 2)]
+         + [BaselineSpec("reduced_rank_ridge", mu=2.0, rank=r) for r in (3, 4)], True),
+    ], ids=["ridge", "rrr", "reduced_rank_ridge", "pcr", "lasso", "nuclear", "across_the_floor"])
+    def test_winner_equals_a_fresh_fit_bitwise(self, grid, weak, monkeypatch):
         monkeypatch.setattr(baselines, "MAX_ITERS", 50)
         x, y = _data(12, 15, 4, seed=27)
         x_va, y_va = _data(10, 15, 4, seed=28)
+        if weak:
+            y[:, 3] = y[:, 0] + 1e-6 * y[:, 3]
+            y_va[:, 3] = y_va[:, 0] + 1e-6 * y_va[:, 3]
         winner = validate_hyperparams(grid, (x, y), (x_va, y_va))
         refit = fit_baseline(winner.method, x, y)
         assert winner.m_hat.tobytes() == refit.m_hat.tobytes()
@@ -782,7 +854,9 @@ class TestValidateHyperparams:
 
     @pytest.mark.parametrize("want", range(7))
     def test_rank_grid_takes_one_fitted_values_svd_per_mu(self, want, monkeypatch):
-        # rrr is reduced-rank ridge at mu 0, so the grid has three filter mus
+        # rrr is reduced-rank ridge at mu 0, so the grid has three filter mus;
+        # the fitted values are factored once per mu, by eigh of their Gram
+        # matrix, and every rank here is above GRAM_FLOOR, so none takes an SVD
         grid = ([BaselineSpec("rrr", rank=r) for r in (3, 1, 4)]
                 + [BaselineSpec("reduced_rank_ridge", mu=mu, rank=r)
                    for mu, r in ((2.0, 2), (0.0, 4), (0.5, 1), (2.0, 4))])
@@ -791,15 +865,19 @@ class TestValidateHyperparams:
         dec = decompose(x)
         fresh = [fit_baseline(spec, x, y, dec).m_hat.tobytes() for spec in grid]
 
-        # the validation score picks grid[want]; decompose is counted
+        # the validation score picks grid[want]; eigh and decompose are counted
         scores = iter([0.0 if i == want else 1.0 for i in range(len(grid))])
-        monkeypatch.setattr(baselines, "pooled_scores", lambda y, y_hat: (next(scores), 0.0, 0.0))
-        calls = []
-        monkeypatch.setattr(baselines, "decompose", lambda a: calls.append(a) or decompose(a))
+        monkeypatch.setattr(baselines, "validation_mse", lambda y: lambda y_hat: next(scores))
+        calls = {"eigh": [], "decompose": []}
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls["eigh"].append(a) or eigh(a))
+        monkeypatch.setattr(baselines, "decompose",
+                            lambda a: calls["decompose"].append(a) or decompose(a))
         winner = validate_hyperparams(grid, (x, y), (x_va, y_va), dec=dec)
         assert winner.method is grid[want]
         assert winner.m_hat.tobytes() == fresh[want]
-        assert len(calls) == 3
+        assert [a.shape for a in calls["eigh"]] == [(6, 6)] * 3
+        assert calls["decompose"] == []
 
     def test_constant_validation_response_has_no_winner(self):
         # every pooled validation MSE is NaN, and a NaN score never wins

@@ -568,10 +568,14 @@ def test_repeated_models_are_scored_once(monkeypatch):
             metrics.pooled_scores(train[1], train[0] @ best.m_hat.T),
             metrics.pooled_scores(test[1], y_hat))
 
-    scored = []
-    real_scores = metrics.pooled_scores
-    monkeypatch.setattr(metrics, "pooled_scores",
-                        lambda y, y_hat: scored.append(y is valid[1]) or real_scores(y, y_hat))
+    scored = []  # whether each validation score is of the validation window
+    real_scorer = metrics.validation_mse
+
+    def counted(y):
+        score = real_scorer(y)
+        return lambda y_hat: scored.append(y is valid[1]) or score(y_hat)
+
+    monkeypatch.setattr(metrics, "validation_mse", counted)
     ((method, model, tags, train_scores, test_scores, got_hat),) = cli._fit_select_score(
         train, valid, test, candidates, {}, "test")
     assert (method, tags, train_scores, test_scores) == want

@@ -832,6 +832,24 @@ class TestRankPath:
             with pytest.raises(error, match=message):
                 run()
 
+    @pytest.mark.filterwarnings("error")
+    def test_x_new_without_rows_is_named(self):
+        # no rows to score: a ValueError that names x_new, not a division by
+        # n = 0 and an empty max reduction
+        x, y = _path_data(0, 20, 8, 5)
+        config = FitConfig(sigma_eps=1.0, k1_override=3, k2_override=1)
+        with pytest.raises(ValueError, match="^x_new must have at least one row"):
+            list(rank_path_scores(x, y, [config], np.zeros((0, 8)), np.zeros((0, 5)),
+                                  np.zeros((5, 8))))
+        # the x/y and stage errors still come first
+        for x, y, sigma, message in (
+                (np.ones((1, 3)), np.ones((1, 2)), 1.0, "at least 2 rows"),
+                (np.eye(4, 3), np.ones((4, 2)), "auto", "response y is constant")):
+            configs = [FitConfig(sigma_eps=sigma, k1_override=1, k2_override=0)]
+            with pytest.raises(ValueError, match=message):
+                list(rank_path_scores(x, y, configs, np.zeros((0, 3)), np.zeros((0, 2)),
+                                      np.zeros((2, 3))))
+
     def test_x_new_is_checked_without_configs(self):
         x, y = _path_data(0, 20, 8, 5)
         m = np.zeros((5, 8))

@@ -14,6 +14,7 @@ from arrr.metrics import (
     merge_splits,
     pooled_scores,
     recovered_rank_of,
+    validation_mse,
 )
 from arrr.synth import SynthConfig, make_instance
 
@@ -204,6 +205,40 @@ class TestPooledScores:
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
+class TestValidationMse:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 60), d=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           y_exp=st.floats(-160, 150), hat_exp=st.floats(-3, 3),
+           kind=st.sampled_from(["noisy", "constant y", "rounding mean", "zero y_hat"]),
+           fortran=st.booleans())
+    @example(n=10, d=6, seed=0, y_exp=0.0, hat_exp=-1.0, kind="rounding mean", fortran=False)
+    def test_equals_pooled_scores_mse_bitwise(self, n, d, seed, y_exp, hat_exp, kind, fortran):
+        # one scorer of y, called on two predictions, each scored as
+        # pooled_scores scores it; a constant y whose computed mean rounds
+        # (the mean of many copies of 0.01, 0.02 or 1/3) leaves a centered
+        # residue, not 0, and must read NaN all the same
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** y_exp
+        y = (rng.normal(size=(n, d)) + rng.normal()) * scale
+        if kind == "constant y":
+            y = np.full((n, d), rng.normal() * scale)
+        elif kind == "rounding mean":
+            y = np.full((n, d), (0.01, 0.02, 1 / 3)[seed % 3] * scale)
+        if fortran:
+            y = np.asfortranarray(y)
+        y_hats = [rng.uniform(0, 1.2) * y + rng.normal(size=(n, d)) * scale * 10.0 ** hat_exp
+                  for _ in range(2)]
+        if kind == "zero y_hat":
+            y_hats[0] = np.zeros((n, d))
+        with np.errstate(all="ignore"):  # squares of tiny entries underflow
+            score = validation_mse(y)
+            for y_hat in y_hats:
+                want = pooled_scores(y, y_hat)[0]
+                assert np.float64(score(y_hat)).tobytes() == np.float64(want).tobytes()
+                if kind in ("constant y", "rounding mean"):
+                    assert math.isnan(want)
+
+
 def _scored_path(data, pairs):
     """fit_path's models and rank_path_scores' scores of each (k1, k2) pair on
     data = (x, y, x_new, y_new, m)."""
@@ -269,6 +304,7 @@ class TestRankPathScores:
         config = FitConfig(sigma_eps=1.0, k1_override=3, k2_override=1)
         for want, args in (("y must be 5 x 4", (y_new[:4], m)),
                            ("y must be 5 x 4", (y_new[:, :3], m)),
+                           ("y must be 5 x 4", (y_new[:0], m)),
                            ("m_true must be d2 x d1 = 4 x 6", (y_new, m[:, :5]))):
             with pytest.raises(ValueError, match=want):
                 list(rank_path_scores(x, y, [config], x_new, *args))
@@ -306,16 +342,15 @@ class TestLowest:
         # one ridge spec per score, scored in grid order
         grid = [BaselineSpec("ridge", mu=float(i + 1)) for i in range(len(scores))]
         in_order = iter(scores)
-        monkeypatch.setattr(baselines, "pooled_scores",
-                            lambda y, y_hat: (next(in_order), 0.0, 0.0))
+        monkeypatch.setattr(baselines, "validation_mse", lambda y: lambda y_hat: next(in_order))
         assert validate_hyperparams(grid, window, window).method == grid[want]
 
         # one estimator candidate per score, scored by the rank of its
         # predictions, its k2; each has its own k2, since a repeated (k1, k2)
         # is one model and is scored once
         thetas = [1.0 + i for i in range(len(scores))]
-        monkeypatch.setattr(cli.metrics, "pooled_scores", lambda y, y_hat: (
-            scores[np.linalg.matrix_rank(y_hat)], 0.0, 0.0))
+        monkeypatch.setattr(cli.metrics, "validation_mse", lambda y: lambda y_hat: (
+            scores[np.linalg.matrix_rank(y_hat)]))
         candidates = [FitConfig(delta=1e-3, theta=t, sigma_eps=1.0, k1_override=5,
                                 k2_override=i) for i, t in enumerate(thetas)]
         ((method, model, *_),) = cli._fit_select_score(window, window, window,
