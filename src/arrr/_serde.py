@@ -22,12 +22,33 @@ def fmt_float(x: float) -> str:
     return FLOAT_FMT % float(x)
 
 
+_BLOCK = 2048   # elements formatted per step, which bounds the temporaries
+
+
 def write_matrix_csv(path, a: np.ndarray) -> None:
+    """Write a matrix as CSV, each float as `FLOAT_FMT % x`, byte for byte.
+
+    Blocks of about _BLOCK elements are formatted at once by
+    `_fmt17.format_block`; a row holding an element it cannot certify is
+    written by FLOAT_FMT."""
+    # imported here: a command that writes no matrix does not compile it
+    from ._fmt17 import format_block
     a = np.atleast_2d(np.asarray(a, dtype=float))
     line = ",".join([FLOAT_FMT] * a.shape[1]) + "\n"
-    with open(path, "w") as f:
-        for row in a:
-            f.write(line % tuple(row.tolist()))
+    step = max(1, _BLOCK // max(1, a.shape[1]))
+    with open(path, "wb") as f:
+        if a.shape[1] == 0:
+            f.write(b"\n" * a.shape[0])
+            return
+        for i in range(0, a.shape[0], step):
+            block = a[i:i + step]
+            out, row_ok = format_block(block)
+            if row_ok.all():
+                f.write(out.tobytes().translate(None, b"\0"))
+                continue
+            for row, field, good in zip(block, out, row_ok):
+                f.write(field.tobytes().translate(None, b"\0") if good
+                        else (line % tuple(row.tolist())).encode())
 
 
 def read_matrix_csv(path) -> np.ndarray:

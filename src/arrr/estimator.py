@@ -449,9 +449,11 @@ def load_model(dirpath: str) -> FittedModel:
     Raises ValueError, naming the file, when meta.json does not parse, one
     of its values is missing or has the wrong JSON type (k1, k2, d1, d2 and
     n must be integers, delta, theta and sigma_eps numbers, as `_serde._get`
-    checks them), or a factor's shape disagrees with it: pi_hat must be
-    k1 x d1 and n_hat d2 x k1. Diagnostics not stored in the directory
-    (eigenvalues, raw singular values) come back empty."""
+    checks them), k2 is outside [0, min(d2, k1)], n is below 2, or a
+    factor's shape disagrees with it: pi_hat must be k1 x d1 and n_hat
+    d2 x k1. Raises NonFiniteError, naming the file, when a factor holds NaN
+    or infinity. Diagnostics not stored in the directory (eigenvalues, raw
+    singular values) come back empty."""
     meta_path = os.path.join(dirpath, "meta.json")
     meta = read_json(meta_path)
     try:
@@ -459,6 +461,11 @@ def load_model(dirpath: str) -> FittedModel:
         nums = {k: float(_get(meta, "", k, NUM)) for k in ("delta", "theta", "sigma_eps")}
     except ValueError as e:
         raise ValueError("%s: %s" % (meta_path, e)) from None
+    if not 0 <= ints["k2"] <= min(ints["d2"], ints["k1"]):
+        raise ValueError("%s: k2 must be in [0, min(d2, k1)] = [0, %d], got %d" % (
+            meta_path, min(ints["d2"], ints["k1"]), ints["k2"]))
+    if ints["n"] < 2:
+        raise ValueError("%s: n must be >= 2, got %d" % (meta_path, ints["n"]))
     factors = []
     for name, rows, cols in (("pi_hat", "k1", "d1"), ("n_hat", "d2", "k1")):
         path = os.path.join(dirpath, name + ".csv")
@@ -466,6 +473,7 @@ def load_model(dirpath: str) -> FittedModel:
         if a.shape != (ints[rows], ints[cols]):
             raise ValueError("%s is %dx%d, but meta.json gives %s x %s = %d x %d" % (
                 path, a.shape[0], a.shape[1], rows, cols, ints[rows], ints[cols]))
+        require_finite(path, a)
         factors.append(a)
     return FittedModel(
         pi_hat=factors[0],

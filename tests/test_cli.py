@@ -171,17 +171,26 @@ class TestFitPredictSynth:
         assert not out.exists()
         assert not (tmp_path / "error.json").exists()
 
-    def test_predict_out_of_range_model_meta_is_config_error(self, tmp_path):
+    def test_predict_out_of_range_model_meta_is_config_error(self, tmp_path, capsys):
         paths = _matrix_files(tmp_path)
         meta_path = os.path.join(paths["model"], "meta.json")
         with open(meta_path) as f:
             meta = json.load(f)
-        with open(meta_path, "w") as f:
-            json.dump(dict(meta, theta=-1.0), f)
-        out = tmp_path / "pred.csv"
-        assert main(["predict", "--model", paths["model"], "--x", paths["x"],
-                     "--out", str(out)]) == 2
-        assert not out.exists()
+        # the model of _matrix_files has d2 4
+        for change in ({"theta": -1.0}, {"k2": -1}, {"k2": 9999}, {"k2": 5}, {"n": -5},
+                       {"n": 1}):
+            with open(meta_path, "w") as f:
+                json.dump(dict(meta, **change), f)
+            out = tmp_path / "pred.csv"
+            capsys.readouterr()
+            assert main(["predict", "--model", paths["model"], "--x", paths["x"],
+                         "--out", str(out)]) == 2, change
+            assert not out.exists()
+            assert not (tmp_path / "error.json").exists()
+            err = capsys.readouterr().err
+            if "theta" not in change:
+                key = next(iter(change))
+                assert err.startswith("error: %s: %s must be " % (meta_path, key)), err
 
     def test_predict_incomplete_model_is_config_error(self, tmp_path):
         x = tmp_path / "x.csv"
@@ -884,6 +893,9 @@ def _write_per_float(path, a):
 class TestMatrixCsv:
     SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, np.finfo(float).tiny, 1 / 3, -1e300,
                np.inf, -np.inf, np.nan]
+    # 10**k from 1e-300 to 1e299, each beside the float below it
+    POWERS = np.array([float("1e%d" % k) for k in range(-300, 300)])
+    _rng = np.random.default_rng(1)
 
     @pytest.mark.parametrize("a", [
         np.array([SPECIAL]),
@@ -893,12 +905,37 @@ class TestMatrixCsv:
         np.array(SPECIAL),
         np.zeros((0, 3)),
         np.zeros((2, 0)),
-    ], ids=["row", "column", "special", "normal", "vector", "no_rows", "no_columns"])
+        # m/4 for odd m in [4e15, 9e15): 16 integer digits and .25 or .75, so
+        # rounding to 17 digits is an exact tie, which %.17g breaks to even
+        (_rng.integers(2 * 10**15, 9 * 10**15 // 2, size=(40, 50)) * 2 + 1) / 4,
+        np.stack([POWERS, np.nextafter(POWERS, 0)], axis=1).reshape(-1, 40),
+        np.concatenate([np.linspace(0.9e-5, 1.1e-4, 246), np.linspace(0.9e16, 1.1e17, 250),
+                        np.nextafter(1e-4, [0, 1]), np.nextafter(1e17, [0, np.inf]),
+                        [1e-5, 1e-4, 1e16, 1e17]]).reshape(-1, 6) * [1, -1, 1, -1, 1, -1],
+        np.array([[1e308, -1e308, 1e-308, -1e-308, 5e-324, 2.2250738585072009e-308,
+                   1e-280, 1e280, np.nextafter(1e-280, 0), np.nextafter(1e280, np.inf)]]),
+        np.random.default_rng(2).normal(size=(7, 1000)),
+        np.random.default_rng(3).normal(size=(1, 5000)),
+    ], ids=["row", "column", "special", "normal", "vector", "no_rows", "no_columns",
+            "ties", "powers_of_ten", "notation_switches", "extremes", "several_blocks",
+            "long_row"])
     def test_bytes_equal_the_per_float_writer(self, tmp_path, a):
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         write_matrix_csv(str(got), a)
         _write_per_float(str(want), a)
         assert got.read_bytes() == want.read_bytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 50), st.integers(1, 50), st.randoms(use_true_random=False))
+    def test_random_bit_patterns(self, rows, cols, rnd):
+        # any sign, exponent and mantissa: NaN, infinity and subnormals too
+        a = np.array([rnd.getrandbits(64) for _ in range(rows * cols)],
+                     dtype=np.uint64).view(np.float64).reshape(rows, cols)
+        with tempfile.TemporaryDirectory() as d, np.errstate(over="raise"):
+            got, want = pathlib.Path(d, "got.csv"), pathlib.Path(d, "want.csv")
+            write_matrix_csv(str(got), a)
+            _write_per_float(str(want), a)
+            assert got.read_bytes() == want.read_bytes()
 
 
 def test_write_json_is_strict(tmp_path):
@@ -1090,6 +1127,24 @@ class TestBadInputExitsTwo:
         assert not (tmp_path / "error.json").exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["pi_hat.csv", "n_hat.csv"])
+    @pytest.mark.parametrize("cell", ["nan", "1e309", "-inf"])
+    def test_predict_model_factor_not_finite(self, name, cell, tmp_path, capsys):
+        paths = _matrix_files(tmp_path)
+        path = pathlib.Path(paths["model"]) / name
+        lines = path.read_text().splitlines()
+        lines[-1] = ",".join([cell] + lines[-1].split(",")[1:])
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        assert main(["predict", "--model", paths["model"], "--x", paths["x"],
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+        err = json.loads((tmp_path / "error.json").read_text())
+        assert err["error"] == "NonFiniteError"
+        assert err["message"] == "%s must hold only finite values" % path
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [10**400, -10**400], ids=["plus", "minus"])
     def test_predict_model_meta_huge_integer(self, value, tmp_path, capsys):
