@@ -34,11 +34,15 @@ READS = {"ridge": ("mu",), "rrr": ("rank",), "reduced_rank_ridge": ("mu", "rank"
          "pcr": ("rank",), "lasso": ("mu",), "nuclear": ("mu",)}
 ITERATIVE = ("lasso", "nuclear")
 ALPHA = 1.6  # the over-relaxation of `_fit_admm`
-# `_fit_admm`'s budget: its iterations, and the relative duality gap at which
-# a fit converges. The gap bounds (F(b) - min F) / F(b), so a converged fit
-# is within TOL F(b) of the minimum of its objective F.
+# `_fit_admm`'s budget: its iterations, and the relative duality gap and the
+# stationarity residual at which a fit converges. The gap bounds
+# (F(b) - min F) / F(b), so a converged fit is within TOL F(b) of the minimum
+# of its objective F. It bounds b only by its square root, so a converged fit
+# also has x^T (y - x b) within KKT_TOL mu, in r's dual norm, of mu times r's
+# subdifferential at b.
 MAX_ITERS = 5000
 TOL = 1e-10
+KKT_TOL = 1e-7
 # A Gram matrix holds no digits below eps times its largest eigenvalue, so
 # where a result would rest on an eigenvalue below GRAM_FLOOR times the
 # largest, and lose more than about 1e-12 s_1 through it, `_prox_nuclear`
@@ -74,13 +78,12 @@ class BaselineSpec:
 @dataclass(frozen=True)
 class LinearModel:
     """A fitted baseline, m_hat d2 x d1. Lasso and nuclear at mu > 0 report
-    what `_fit_admm` returns; every other fit is exact: 0 iterations, an
-    empty trace, gap 0."""
+    the iterations, convergence and relative duality gap that `_fit_admm`
+    returns; every other fit is exact: 0 iterations, converged, gap 0."""
 
     m_hat: np.ndarray
     method: BaselineSpec
     iterations_used: int
-    objective_trace: np.ndarray
     converged: bool = True
     gap: float = 0.0
 
@@ -175,15 +178,22 @@ def _objective_and_gap(x, y, z, r_z, mu, lasso):
     (the largest absolute entry for lasso, singular value for nuclear), and
     D(theta) = 0.5 ||y||^2 - 0.5 ||y - theta||^2. As y = x z + e, F - D is
     0.5 (1 - a)^2 ||e||^2 + mu r(z) - a <z, x^T e>, two terms non-negative in
-    exact arithmetic, so it is formed without cancelling ||y||^2."""
+    exact arithmetic, so it is formed without cancelling ||y||^2. Returns F,
+    the gap and x^T e."""
     e = y - x @ z
     g = x.T @ e
     e2 = float(np.sum(e * e))
     f = 0.5 * e2 + mu * r_z
-    norm = float(np.max(np.abs(g) if lasso else np.linalg.svd(g, compute_uv=False), initial=0.0))
+    norm = _dual_norm(g, lasso)
     a = mu / norm if norm > mu else 1.0
     gap = 0.5 * (1.0 - a) ** 2 * e2 + mu * r_z - a * float(z.ravel() @ g.ravel())
-    return f, (gap / f if f > 0.0 else 0.0)
+    return f, (gap / f if f > 0.0 else 0.0), g
+
+
+def _dual_norm(g, lasso):
+    """The dual norm of r at g: its largest absolute entry for lasso, its
+    largest singular value for nuclear."""
+    return float(np.max(np.abs(g) if lasso else np.linalg.svd(g, compute_uv=False), initial=0.0))
 
 
 def _b_step(dec, y, rho):
@@ -214,10 +224,11 @@ def _fit_admm(x, y, mu, dec, lasso):
     1992), and 1.6 is OSQP's default (Stellato et al. 2020).
 
     The fit starts at b = 0, and if the relative duality gap there is at
-    most TOL it returns b = 0 at once: 0 iterations, the trace [F(0)],
-    converged. The gap at 0 is (1 - a)^2, a = min(1, mu / ||x^T y||_*), or 0
-    for y = 0, so this holds with gap 0 exactly when ||x^T y||_* <= mu, where
-    b = 0 is the minimum, as on a zero or empty design.
+    most TOL and ||x^T y||_* <= (1 + KKT_TOL) mu, which is stationarity at
+    0, it returns b = 0 at once: 0 iterations, converged. The gap at 0 is
+    (1 - a)^2, a = min(1, mu / ||x^T y||_*), or 0 for y = 0, so this holds
+    with gap 0 exactly when ||x^T y||_* <= mu, where b = 0 is the minimum,
+    as on a zero or empty design.
 
     An iteration takes the exact least-squares step b = `_b_step`(z - u),
     rebuilt whenever rho changes, relaxes it to b' = ALPHA b + (1 - ALPHA) z,
@@ -234,23 +245,26 @@ def _fit_admm(x, y, mu, dec, lasso):
     are ratios, so the iterates scale exactly with x, y and mu. rho then stays
     fixed, as ADMM's convergence needs (Boyd et al., section 3.4.1). The fit
     converges at the first check whose relative duality gap
-    (`_objective_and_gap`) is at most TOL. It stops short at MAX_ITERS, or at
-    the rounding floor: 30 checks in a row that lower neither F nor the gap.
-    Both are read at each call. Returns that z, or else the checked z of
-    lowest F; the iterations; the trace of F at b = 0 and at each check that
-    does not raise it; whether the gap met TOL; and the returned z's gap.
+    (`_objective_and_gap`) is at most TOL and whose stationarity residual
+    ||x^T (y - x z) - rho u||_* is at most KKT_TOL mu: each prox leaves rho u
+    in mu times r's subdifferential at z (Boyd et al., section 3.3.1). It
+    stops short at MAX_ITERS, or at the rounding floor: 30 checks in a row
+    that lower neither F nor the gap. MAX_ITERS, TOL and KKT_TOL are read at
+    each call. F may rise between checks: ADMM does not descend in F (Boyd
+    et al., section 3.2). Returns that z, or else the checked z of lowest F; the iterations;
+    whether it converged; and the returned z's gap.
     """
     shape = (x.shape[1], y.shape[1])
     z, u = np.zeros(shape), np.zeros(shape)
-    f, gap = _objective_and_gap(x, y, z, 0.0, mu, lasso)
-    if gap <= TOL:  # b = 0 is certified, as it is whenever ||x^T y||_* <= mu
-        return z, 0, np.array([f]), True, gap
+    f, gap, g = _objective_and_gap(x, y, z, 0.0, mu, lasso)
+    if gap <= TOL and _dual_norm(g, lasso) <= (1.0 + KKT_TOL) * mu:
+        return z, 0, True, gap  # certified, as whenever ||x^T y||_* <= mu
     prox = _prox_l1 if lasso else _prox_nuclear
     s = dec.s
     rank = numerical_rank(s, x.shape)
     rho = float(s[0] * s[rank - 1]) if rank else 1.0  # any rho fits a zero design
     step = _b_step(dec, y, rho)
-    best, trace, lowest_gap, stalled, iters = z, [f], gap, 0, 0
+    best, lowest_f, lowest_gap, stalled, iters = z, f, gap, 0, 0
     for iters in range(1, MAX_ITERS + 1):
         b = step(z - u)
         if iters > 1:
@@ -262,15 +276,13 @@ def _fit_admm(x, y, mu, dec, lasso):
         u += b
         if iters != 1 and iters % 10 and iters != MAX_ITERS:
             continue
-        f, z_gap = _objective_and_gap(x, y, z, float(np.sum(m)), mu, lasso)
-        progress = f < trace[-1] or z_gap < lowest_gap
+        f, z_gap, g = _objective_and_gap(x, y, z, float(np.sum(m)), mu, lasso)
+        progress = f < lowest_f or z_gap < lowest_gap
         lowest_gap = min(lowest_gap, z_gap)
-        if f <= trace[-1]:
-            best, gap = z, z_gap
-            trace.append(f)
-        if z_gap <= TOL:
-            best, gap = z, z_gap
-            break
+        if f <= lowest_f:
+            best, lowest_f, gap = z, f, z_gap
+        if z_gap <= TOL and _dual_norm(g - rho * u, lasso) <= KKT_TOL * mu:
+            return z, iters, True, z_gap
         stalled = 0 if progress else stalled + 1
         if stalled >= 30:
             break
@@ -280,7 +292,7 @@ def _fit_admm(x, y, mu, dec, lasso):
             rho, scale = (2.0 * rho, 0.5) if primal2 > dual2 else (0.5 * rho, 2.0)
             u *= scale
             step = _b_step(dec, y, rho)
-    return best, iters, np.array(trace), gap <= TOL, gap
+    return best, iters, False, gap
 
 
 def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
@@ -294,8 +306,8 @@ def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
     mu > 0 solve their least-squares steps on it. The SVD comes from `dec`
     when the caller already has it, and a filter from `direct`, a
     `_svd_filter` of that SVD and y shared by a grid; the result is the same
-    bit for bit. Iterative solvers that fail to converge within MAX_ITERS
-    come back with converged=False rather than raising.
+    bit for bit. An iterative fit that stops short of its certificate comes
+    back with converged=False and its gap rather than raising.
     """
     x, y = require_xy("x and y", x, y)
     (n, d1), d2 = x.shape, y.shape[1]
@@ -306,9 +318,9 @@ def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
             raise ValueError("rank %d exceeds the problem dimensions" % spec.rank)
 
     dec = decompose(x) if dec is None else dec
-    iters, trace, converged, gap = 0, np.array([]), True, 0.0
+    iters, converged, gap = 0, True, 0.0
     if spec.method in ITERATIVE and spec.mu > 0:
-        coef, iters, trace, converged, gap = _fit_admm(x, y, spec.mu, dec, spec.method == "lasso")
+        coef, iters, converged, gap = _fit_admm(x, y, spec.mu, dec, spec.method == "lasso")
     else:
         coef = (direct or _svd_filter(dec, y))(spec)
 
@@ -316,7 +328,6 @@ def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
         m_hat=coef.T,
         method=spec,
         iterations_used=iters,
-        objective_trace=trace,
         converged=converged,
         gap=gap,
     )

@@ -254,13 +254,17 @@ def write_results(out_dir: str, header: Sequence[str], rows: List[Dict[str, Any]
 
 
 def _numerical_failure(out_dir: str, exc: BaseException) -> int:
-    os.makedirs(out_dir, exist_ok=True)
+    print("numerical failure: %s" % exc, file=sys.stderr)
     # the exception's own numeric fields, such as packing's achieved_cost
     payload = {k: float(v) for k, v in vars(exc).items()
                if isinstance(v, numbers.Real) and not isinstance(v, bool)}
     payload.update(error=type(exc).__name__, message=str(exc))
-    write_json(os.path.join(out_dir, "error.json"), payload)
-    print("numerical failure: %s" % exc, file=sys.stderr)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        write_json(os.path.join(out_dir, "error.json"), payload)
+    except OSError as e:  # exit 2, as a successful run to this --out would
+        print("error: cannot write error.json: %s" % e, file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_NUMERICAL
 
 
@@ -279,8 +283,12 @@ def _run_cells(fn, cells, jobs: int) -> list:
     if workers <= 1:
         return [fn(c) for c in cells]
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_overflow_raises, [fn] * len(cells), cells))
+    from concurrent.futures.process import BrokenProcessPool
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_overflow_raises, [fn] * len(cells), cells))
+    except BrokenProcessPool as e:  # a worker killed, say by the OOM killer
+        raise ChildProcessError("a --jobs worker process ended abruptly: %s" % e) from None
 
 
 # ---------------------------------------------------------------- readers

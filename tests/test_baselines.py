@@ -218,19 +218,19 @@ def _out_of_place_b_step(dec, y, rho):
 
 
 def _out_of_place_admm(x, y, mu, dec, lasso, max_iters, tol):
-    ALPHA, _b_step, _objective_and_gap = (baselines.ALPHA, _out_of_place_b_step,
-                                          baselines._objective_and_gap)
+    ALPHA, KKT_TOL, _b_step = baselines.ALPHA, baselines.KKT_TOL, _out_of_place_b_step
+    _objective_and_gap, _dual_norm = baselines._objective_and_gap, baselines._dual_norm
     shape = (x.shape[1], y.shape[1])
     z, u = np.zeros(shape), np.zeros(shape)
-    f, gap = _objective_and_gap(x, y, z, 0.0, mu, lasso)
-    if gap <= tol:
-        return z, 0, np.array([f]), True, gap
+    f, gap, g = _objective_and_gap(x, y, z, 0.0, mu, lasso)
+    if gap <= tol and _dual_norm(g, lasso) <= (1.0 + KKT_TOL) * mu:
+        return z, 0, True, gap
     prox = _out_of_place_prox_l1 if lasso else _out_of_place_prox_nuclear
     s = dec.s
     rank = numerical_rank(s, x.shape)
     rho = float(s[0] * s[rank - 1]) if rank else 1.0  # any rho fits a zero design
     step = _b_step(dec, y, rho)
-    best, trace, lowest_gap, stalled, iters = z, [f], gap, 0, 0
+    best, lowest_f, lowest_gap, stalled, iters = z, f, gap, 0, 0
     for iters in range(1, max_iters + 1):
         b = step(z - u)
         if iters > 1:
@@ -241,15 +241,13 @@ def _out_of_place_admm(x, y, mu, dec, lasso, max_iters, tol):
         u += primal
         if iters != 1 and iters % 10 and iters != max_iters:
             continue
-        f, z_gap = _objective_and_gap(x, y, z, r_z, mu, lasso)
-        progress = f < trace[-1] or z_gap < lowest_gap
+        f, z_gap, g = _objective_and_gap(x, y, z, r_z, mu, lasso)
+        progress = f < lowest_f or z_gap < lowest_gap
         lowest_gap = min(lowest_gap, z_gap)
-        if f <= trace[-1]:
-            best, gap = z, z_gap
-            trace.append(f)
-        if z_gap <= tol:
-            best, gap = z, z_gap
-            break
+        if f <= lowest_f:
+            best, lowest_f, gap = z, f, z_gap
+        if z_gap <= tol and _dual_norm(g - rho * u, lasso) <= KKT_TOL * mu:
+            return z, iters, True, z_gap
         stalled = 0 if progress else stalled + 1
         if stalled >= 30:
             break
@@ -258,7 +256,7 @@ def _out_of_place_admm(x, y, mu, dec, lasso, max_iters, tol):
             dual2 = float(np.sum((z - z_prev) ** 2)) * float(np.sum(z * z))
             rho, u = (2.0 * rho, 0.5 * u) if primal2 > dual2 else (0.5 * rho, 2.0 * u)
             step = _b_step(dec, y, rho)
-    return best, iters, np.array(trace), gap <= tol, gap
+    return best, iters, False, gap
 
 
 @st.composite
@@ -476,12 +474,6 @@ class TestLasso:
         model = fit_baseline(BaselineSpec("lasso", mu=0.0), x, y)
         np.testing.assert_allclose(model.m_hat, _ols(x, y), atol=1e-6)
 
-    def test_objective_trace_non_increasing(self):
-        x, y = _data(40, 10, 3, seed=16)
-        model = fit_baseline(BaselineSpec("lasso", mu=2.0), x, y)
-        diffs = np.diff(model.objective_trace)
-        assert np.all(diffs <= 1e-12)
-
     def test_non_convergence_flagged_not_raised(self, monkeypatch):
         x, y = _data(40, 10, 3, seed=17)
         monkeypatch.setattr(baselines, "MAX_ITERS", 1)
@@ -491,13 +483,6 @@ class TestLasso:
 
 
 class TestNuclear:
-    def test_objective_trace_non_increasing(self):
-        x, y = _data(30, 8, 5, seed=18)
-        model = fit_baseline(BaselineSpec("nuclear", mu=1.0), x, y)
-        diffs = np.diff(model.objective_trace)
-        assert np.all(diffs <= 1e-12)
-        assert model.converged
-
     def test_mu_zero_approaches_least_squares(self, monkeypatch):
         x, y = _data(40, 6, 3, seed=19)
         monkeypatch.setattr(baselines, "MAX_ITERS", 20000)
@@ -511,6 +496,7 @@ class TestNuclear:
         mu = 0.5
         monkeypatch.setattr(baselines, "TOL", 1e-12)
         model = fit_baseline(BaselineSpec("nuclear", mu=mu), x, y)
+        assert model.converged
         b = model.m_hat.T
         step = 1.0 / float(np.linalg.norm(x, 2)) ** 2
         z = b - step * (x.T @ (x @ b - y))
@@ -527,9 +513,11 @@ class TestNuclear:
 
 class TestProximalSolver:
     # the first ten draws below once met a relative gap of 1e-8 while missing
-    # this test's objective or stationarity slack; the last seven, at mu =
+    # this test's objective or stationarity slack; the next seven, at mu =
     # max |x^T y| where b = 0, kept a coefficient near 2e-5 when ADMM's first
-    # step was over-relaxed
+    # step was over-relaxed; the last two met a gap of 1e-10 with an active
+    # correlation 1.0e-5 and 1.5e-5 off mu, before the stop also asked for
+    # stationarity
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(case=_iterative_cases())
     @example(case=_iterative_case("nuclear", 5, 7, 1, 64251, False, False, 1.5))
@@ -549,10 +537,11 @@ class TestProximalSolver:
     @example(case=_iterative_case("lasso", 7, 5, 1, 23662, True, False, 1.0))
     @example(case=_iterative_case("lasso", 7, 12, 1, 50154, True, True, 1.0))
     @example(case=_iterative_case("lasso", 7, 3, 1, 35737, True, False, 1.0))
+    @example(case=_iterative_case("lasso", 3, 11, 1, 51856, True, False, 0.3))
+    @example(case=_iterative_case("lasso", 3, 3, 1, 3, True, False, 0.3))
     def test_matches_reference_solvers(self, case):
         method, mu, x, y = case
         model = fit_baseline(BaselineSpec(method, mu=mu), x, y)
-        assert np.all(np.diff(model.objective_trace) <= 0.0)
         b = model.m_hat.T
         ref, ref_converged = (_ref_lasso if method == "lasso" else _ref_nuclear)(
             x, y, mu, baselines.MAX_ITERS, baselines.TOL)
@@ -580,7 +569,7 @@ class TestProximalSolver:
                 mock.patch.object(baselines, "TOL", tol):
             got = baselines._fit_admm(x, y, mu, dec, lasso)
         want = _out_of_place_admm(x, y, mu, dec, lasso, max_iters, tol)
-        for a, b in zip(got, want):  # z, iterations, trace, converged, gap
+        for a, b in zip(got, want):  # z, iterations, converged, gap
             if isinstance(a, np.ndarray):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
             else:
@@ -717,7 +706,6 @@ class TestProximalSolver:
         model = fit_baseline(BaselineSpec(method, mu=0.5), x, y)
         assert not model.converged
         assert model.iterations_used < baselines.MAX_ITERS
-        assert np.all(np.diff(model.objective_trace) <= 0.0)
 
     @pytest.mark.parametrize("method", ["lasso", "nuclear"])
     @pytest.mark.parametrize("n", [0, 6])
@@ -728,7 +716,6 @@ class TestProximalSolver:
         np.testing.assert_array_equal(model.m_hat, np.zeros((2, 3)))
         assert model.converged
         assert model.iterations_used == 0
-        np.testing.assert_array_equal(model.objective_trace, [n])
 
     @pytest.mark.parametrize("tol", [1e-10, 0.0])
     @pytest.mark.parametrize("method", ["lasso", "nuclear"])
@@ -744,11 +731,13 @@ class TestProximalSolver:
         model = fit_baseline(BaselineSpec(method, mu=mu), x, y)
         np.testing.assert_array_equal(model.m_hat, np.zeros((5, 8)))
         assert (model.iterations_used, model.converged, model.gap) == (0, True, 0.0)
-        np.testing.assert_array_equal(model.objective_trace, [0.5 * np.sum(y * y)])
         _assert_certified(method, mu, x, y, model, tol)
-        # just below that mu, b = 0 is not the minimum, and ADMM runs
-        below = fit_baseline(BaselineSpec(method, mu=mu * (1.0 - 1e-3)), x, y)
-        assert below.iterations_used > 0 and np.any(below.m_hat)
+        # just below that mu, b = 0 is not the minimum, and ADMM runs; at
+        # 1 - 5e-6 the gap at 0, 2.5e-11, meets TOL 1e-10, but 0 is not
+        # stationary: ||x^T y||_* exceeds mu by 5e-6 mu
+        for shrink in (1e-3, 5e-6):
+            below = fit_baseline(BaselineSpec(method, mu=mu * (1.0 - shrink)), x, y)
+            assert below.iterations_used > 0 and np.any(below.m_hat)
 
 
 class TestSVDFilter:

@@ -440,6 +440,41 @@ class TestNumericalFailure:
         assert json.loads((out / "error.json").read_text()) == {
             "error": "Stalled", "message": "stalled", "iterations": 7.0, "gap": 0.5}
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    @pytest.mark.parametrize("command", ["fit", "predict", "compare"])
+    def test_an_out_that_cannot_hold_error_json_exits_two(self, command, below, tmp_path,
+                                                          capsys):
+        # error.json's directory is an existing file, or a path below one
+        paths = _matrix_files(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        err_dir = blocker / "sub" if below else blocker
+        if command == "fit":
+            argv = ["fit", "--x", paths["x"], "--y", paths["y"], "--delta", "100",
+                    "--out", str(err_dir)]
+        elif command == "predict":
+            factor = pathlib.Path(paths["model"]) / "pi_hat.csv"
+            text = factor.read_text()
+            factor.write_text("nan" + text[text.index(","):])  # the first cell
+            argv = ["predict", "--model", paths["model"], "--x", paths["x"],
+                    "--out", str(err_dir / "pred.csv")]
+        else:
+            cfg = _write_json(tmp_path, "cfg.json", {
+                "kind": "compare",
+                "synth": {"d1": 20, "d2": 8, "n": 25, "rank_m": 3, "eta": 0.5, "seed": 0},
+                "grids": {"eta": [0.5], "seeds": [0]},
+                "fit": {"delta": 100.0},
+            })
+            argv = ["compare", "--config", cfg, "--out", str(err_dir)]
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert "cannot write error.json" in err and str(blocker) in err
+        assert "Traceback" not in err
+        assert _tree(tmp_path) == before
+
 
 class TestCompare:
     def test_adaptive_plus_baseline_rows(self, tmp_path):
@@ -1392,6 +1427,22 @@ def test_worker_cells_raise_on_overflow():
     assert cli._run_cells(_square, [2.0, 3.0], 2)[1].tolist() == [9.0]
     with pytest.raises(FloatingPointError):
         cli._run_cells(_square, [2.0, 1e200], 2)
+
+
+def _die(args):  # module-level, so that the pool can pickle it
+    os._exit(1)
+
+
+def test_a_worker_that_dies_exits_two_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_sweep_cell", _die)
+    cfg = _write_json(tmp_path, "cfg.json", _sweep_cfg(grids={"k1": [5], "k2": [2],
+                                                              "seeds": [0, 1]}))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a --jobs worker process ended abruptly")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.fixture
