@@ -12,8 +12,9 @@ loop (`_fit_admm`) whose least-squares step is an operator built from that
 same SVD (`_b_step`), with r's prox as their only difference: soft
 thresholding of the entries or of the singular values. At mu = 0 both are
 the filter's minimum-norm least-squares fit.
-`validate_hyperparams` returns the fitted winner, so its callers score it
-without refitting.
+`validate_hyperparams` scores a direct spec from its filter in the right
+singular basis, forms coefficients only for the winner and returns that
+fitted winner, so its callers score it without refitting.
 """
 
 from __future__ import annotations
@@ -89,8 +90,10 @@ class LinearModel:
 
 
 def _svd_filter(dec, y):
-    """The coefficients (d1 x d2) of a direct method as a function of its
-    spec: V diag(f) U^T y from the thin SVD x = U diag(s) V^T.
+    """The filter of a direct method as a function of its spec: g = diag(f)
+    U^T y, projected as below, from the thin SVD x = U diag(s) V^T. g is the
+    method's coefficients in the right singular basis: they are V g (d1 x
+    d2), and its predictions on x_new are (x_new V) g.
 
     Ridge's filter is f = s / (s^2 + mu). At mu = 0 it is 1/s on the
     numerical rank of x (lstsq's cutoff) and 0 past it, the minimum-norm
@@ -101,17 +104,17 @@ def _svd_filter(dec, y):
     the eigenvectors of the d2 x d2 Gram matrix a^T a by descending
     eigenvalue (Izenman 1975). It depends on mu and not on the rank, so U^T y
     is formed once and the Gram matrix factored by eigh once per mu: every
-    rank of a grid slices the same eigenvectors. A rank whose smallest kept
-    eigenvalue is below GRAM_FLOOR times the largest slices the right
-    singular vectors of a instead, also taken once per mu. Each fit is the
-    one a fresh filter gives, bit for bit.
+    rank, of every grid that shares the filter, slices the same
+    eigenvectors. A rank whose smallest kept eigenvalue is below GRAM_FLOOR
+    times the largest slices the right singular vectors of a instead, also
+    taken once per mu. Each g is the one a fresh filter gives, bit for bit.
     """
     s, uty = dec.s, dec.u.T @ y
     rank = numerical_rank(s, (dec.u.shape[0], dec.v.shape[0]))
     grams = {}  # mu -> fitted values, and their Gram's eigenpairs, descending
     fitted_v = {}  # mu -> right singular vectors of the fitted values
 
-    def coef(spec):
+    def filt(spec):
         if spec.mu > 0:
             f = s / (s * s + spec.mu)
         else:
@@ -132,9 +135,9 @@ def _svd_filter(dec, y):
                 w = fitted_v[spec.mu]
             v_r = w[:, :spec.rank]
             g = g @ v_r @ v_r.T
-        return dec.v @ g
+        return g
 
-    return coef
+    return filt
 
 
 def _prox_l1(v, t):
@@ -295,6 +298,22 @@ def _fit_admm(x, y, mu, dec, lasso):
     return best, iters, False, gap
 
 
+def _direct(spec: BaselineSpec) -> bool:
+    """Whether spec is fitted by `_svd_filter`: every method but lasso and
+    nuclear at mu > 0, which `_fit_admm` fits."""
+    return spec.method not in ITERATIVE or spec.mu == 0
+
+
+def _check_rank(spec: BaselineSpec, x_shape: Tuple[int, int], d2: int) -> None:
+    """Raise ValueError when spec's rank exceeds the problem's bound: pcr
+    counts design components, the others bound the coefficients' rank."""
+    if spec.rank is not None:
+        n, d1 = x_shape
+        bound = min(d1, n or d1) if spec.method == "pcr" else min(d1, d2, n or d1)
+        if spec.rank > bound:
+            raise ValueError("rank %d exceeds the problem dimensions" % spec.rank)
+
+
 def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
                  dec: Optional[SpectralDecomposition] = None,
                  direct: Optional[Callable[[BaselineSpec], np.ndarray]] = None) -> LinearModel:
@@ -302,27 +321,22 @@ def fit_baseline(spec: BaselineSpec, x: np.ndarray, y: np.ndarray,
     predictions are x @ m_hat.T for every method.
 
     The direct methods (ridge, rrr, reduced_rank_ridge, pcr), and lasso and
-    nuclear at mu = 0, are filters on the thin SVD of x; lasso and nuclear at
-    mu > 0 solve their least-squares steps on it. The SVD comes from `dec`
-    when the caller already has it, and a filter from `direct`, a
+    nuclear at mu = 0, are filters on the thin SVD x = U diag(s) V^T: their
+    coefficients are V g, g the spec's `_svd_filter`. Lasso and nuclear at
+    mu > 0 solve their least-squares steps on that SVD. The SVD comes from
+    `dec` when the caller already has it, and the filter from `direct`, a
     `_svd_filter` of that SVD and y shared by a grid; the result is the same
     bit for bit. An iterative fit that stops short of its certificate comes
     back with converged=False and its gap rather than raising.
     """
     x, y = require_xy("x and y", x, y)
-    (n, d1), d2 = x.shape, y.shape[1]
-    if spec.rank is not None:
-        # pcr counts design components; the others bound coefficient rank
-        bound = min(d1, n or d1) if spec.method == "pcr" else min(d1, d2, n or d1)
-        if spec.rank > bound:
-            raise ValueError("rank %d exceeds the problem dimensions" % spec.rank)
-
+    _check_rank(spec, x.shape, y.shape[1])
     dec = decompose(x) if dec is None else dec
     iters, converged, gap = 0, True, 0.0
-    if spec.method in ITERATIVE and spec.mu > 0:
-        coef, iters, converged, gap = _fit_admm(x, y, spec.mu, dec, spec.method == "lasso")
+    if _direct(spec):
+        coef = dec.v @ (direct or _svd_filter(dec, y))(spec)
     else:
-        coef = (direct or _svd_filter(dec, y))(spec)
+        coef, iters, converged, gap = _fit_admm(x, y, spec.mu, dec, spec.method == "lasso")
 
     return LinearModel(
         m_hat=coef.T,
@@ -344,34 +358,57 @@ def validate_hyperparams(
     train: Tuple[np.ndarray, np.ndarray],
     valid: Tuple[np.ndarray, np.ndarray],
     dec: Optional[SpectralDecomposition] = None,
+    direct: Optional[Callable[[BaselineSpec], np.ndarray]] = None,
 ) -> LinearModel:
-    """Fit every spec on train, score on valid, return the fitted argmin.
+    """Score every spec of the grid, fitted on train, on valid, and return
+    the fitted argmin.
 
     The score is the pooled variance-normalized MSE of the predictions on
     valid, by one `metrics.validation_mse` scorer of the window, and nothing
     else of them is scored. The winner's spec is its `.method`. Every spec of
-    the grid shares one SVD of the training design, taken from `dec` when
-    the caller already has it, and the direct specs share one `_svd_filter`:
-    U^T y is formed once per grid and the Gram matrix of rrr's and
-    reduced-rank ridge's fitted values factored once per mu, and each fit
-    equals a fresh `fit_baseline` bit for bit. The winner is
-    `metrics.lowest` of the scores: ties break to the first occurrence in the
-    grid and an undefined (NaN) score never wins. A grid with no defined
-    score, as on a constant validation response, raises ValueError. Both
-    windows pass `require_xy` first.
+    the grid shares one SVD x = U diag(s) V^T of the training design, taken
+    from `dec` when the caller already has it. The direct specs share one
+    `_svd_filter`, taken from `direct` when the caller shares one between
+    grids, so U^T y is formed once and the Gram matrix of rrr's and
+    reduced-rank ridge's fitted values factored once per mu. A direct spec
+    is scored from its filter g as (x_va V) g, x_va V formed once per grid,
+    and only the winner's coefficients V g are formed, by `fit_baseline`
+    with that g: the same model as a fresh fit, bit for bit. A lasso or
+    nuclear spec at mu > 0 is fitted by `fit_baseline` and scored on its
+    predictions. The winner is `metrics.lowest` of the scores: ties break to
+    the first occurrence in the grid and an undefined (NaN) score never
+    wins. A grid with no defined score, as on a constant validation
+    response, raises ValueError, as does a spec whose rank exceeds the
+    problem's bound, before any spec is fitted. Both windows pass
+    `require_xy` first.
     """
     if not spec_grid:
         raise ValueError("empty hyperparameter grid")
     x_tr, y_tr = require_xy("training x and y", *train)
     x_va, y_va = require_xy("validation x and y", *valid)
-    if dec is None:
-        dec = decompose(x_tr)
-    direct = None
-    if any(spec.method not in ITERATIVE for spec in spec_grid):
-        direct = _svd_filter(dec, y_tr)
-    models = (fit_baseline(spec, x_tr, y_tr, dec, direct) for spec in spec_grid)
+    if x_va.shape[1] != x_tr.shape[1]:
+        raise ValueError("validation x must have %d columns" % x_tr.shape[1])
+    for spec in spec_grid:
+        _check_rank(spec, x_tr.shape, y_tr.shape[1])
+    dec = decompose(x_tr) if dec is None else dec
+    if any(_direct(spec) for spec in spec_grid):
+        direct = direct or _svd_filter(dec, y_tr)
+        x_va_v = x_va @ dec.v
     score = validation_mse(y_va)
-    best = lowest((score(predict_linear(m, x_va)), m) for m in models)
+
+    def scored():
+        for spec in spec_grid:
+            if _direct(spec):
+                g = direct(spec)
+                yield score(x_va_v @ g), (spec, g)
+            else:
+                model = fit_baseline(spec, x_tr, y_tr, dec)
+                yield score(predict_linear(model, x_va)), model
+
+    best = lowest(scored())
     if best is None:
         raise ValueError("no spec of the grid scored a defined validation MSE")
-    return best
+    if isinstance(best, LinearModel):
+        return best
+    spec, g = best
+    return fit_baseline(spec, x_tr, y_tr, dec, lambda _: g)

@@ -324,6 +324,47 @@ def run_sweep(cfg: Dict[str, Any], jobs: int) -> List[Dict[str, Any]]:
 _UNUSED = {"k1": -1, "k2": -1, "mu": -1.0, "rank": -1}
 
 
+def _validated_estimator(train, valid, candidates: Sequence[FitConfig], dec, where: str):
+    """The estimator's candidate, fitted on the training window by one
+    `fit_path` on `dec`, with the lowest validation MSE by one
+    `metrics.validation_mse` scorer of the window. Candidates without an
+    admissible gap are skipped, the winner is `metrics.lowest` of the rest's
+    scores, and the NoGapError for no winner names `where`.
+
+    A candidate's prediction is scored as (x_va @ pi_hat.T) @ n_hat_trunc.T,
+    without forming its m_hat; pi_hat depends only on k1, so x_va @ pi_hat.T
+    is formed once per k1. Each distinct model is scored once. Within one
+    `fit_path`, two candidates with the same (k1, k2) have the same factors
+    bit for bit: stage 1 slices the one SVD of x, and stage 2 truncates the
+    one cross-moment SVD of its k1. A repeat therefore scores what its first
+    occurrence scored, and as `metrics.lowest` breaks ties toward the first,
+    it can never win; it is not scored.
+    """
+    (x_tr, y_tr), (x_va, y_va) = train, valid
+    nogap = []  # the candidates whose stage 1 found no admissible gap
+    score = metrics.validation_mse(y_va)
+    projected = {}  # k1 -> x_va @ pi_hat.T
+
+    def validated():
+        seen = set()  # the (k1, k2) of every model scored so far
+        for model in fit_path(x_tr, y_tr, candidates, dec):
+            if isinstance(model, NoGapError):
+                nogap.append(model)
+            elif (model.k1, model.k2) not in seen:
+                seen.add((model.k1, model.k2))
+                if model.k1 not in projected:
+                    projected[model.k1] = x_va @ model.pi_hat.T
+                yield score(projected[model.k1] @ model.n_hat_trunc.T), model
+
+    best = metrics.lowest(validated())
+    if best is None:
+        raise NoGapError(
+            "no (delta, theta) candidate produced a usable fit on %s: %d of %d found no "
+            "eigenvalue gap >= delta (lower delta), %d scored an undefined validation MSE"
+            % (where, len(nogap), len(candidates), len(candidates) - len(nogap)))
+    return best
+
+
 def _fit_select_score(train, valid, test, candidates: Sequence[FitConfig],
                       grid: Dict[str, List[baselines.BaselineSpec]], where: str) -> list:
     """Fit the estimator's candidates and every baseline grid on the training
@@ -335,47 +376,27 @@ def _fit_select_score(train, valid, test, candidates: Sequence[FitConfig],
     pooled (mse, r2, corr); tags are the k1, k2, mu and rank cells of a row.
     Every window passes `require_xy` before the one SVD of the training design
     that the estimator and all grids share. Validation scores only the MSE,
-    by one `metrics.validation_mse` scorer of the window. Estimator
-    candidates without an admissible gap are skipped, the winner is
-    `metrics.lowest` of the rest's scores, and the NoGapError for no winner
-    names `where`.
-
-    Each distinct estimator model is scored once. Within one `fit_path`, two
-    candidates with the same (k1, k2) have the same m_hat bit for bit: stage
-    1 slices the one SVD of x, and stage 2 truncates the one cross-moment SVD
-    of its k1. A repeat therefore scores what its first occurrence scored,
-    and as `metrics.lowest` breaks ties toward the first, it can never win;
-    it is not scored.
+    and no candidate's coefficients are formed to score it: the estimator's
+    are scored from their factors (`_validated_estimator`), and every grid's
+    direct specs from the window's one `baselines._svd_filter`, which all
+    grids share (`baselines.validate_hyperparams`). Only the winners' m_hat
+    are formed, and everything validation made is released before they are
+    scored.
     """
     # before the SVD, not by a LAPACK failure
     train, valid, test = (require_xy(what, *window) for what, window in (
         ("x and y", train), ("validation x and y", valid), ("test x and y", test)))
-    (x_tr, y_tr), (x_va, y_va), (x_te, y_te) = train, valid, test
+    (x_tr, y_tr), (x_te, y_te) = train, test
     dec = decompose(x_tr)
 
-    nogap = []  # the candidates whose stage 1 found no admissible gap
-    score = metrics.validation_mse(y_va)
-
-    def validated():
-        seen = set()  # the (k1, k2) of every model scored so far
-        for model in fit_path(x_tr, y_tr, candidates, dec):
-            if isinstance(model, NoGapError):
-                nogap.append(model)
-            elif (model.k1, model.k2) not in seen:
-                seen.add((model.k1, model.k2))
-                yield score(x_va @ model.m_hat.T), model
-
-    best = metrics.lowest(validated())
-    if best is None:
-        raise NoGapError(
-            "no (delta, theta) candidate produced a usable fit on %s: %d of %d found no "
-            "eigenvalue gap >= delta (lower delta), %d scored an undefined validation MSE"
-            % (where, len(nogap), len(candidates), len(candidates) - len(nogap)))
+    best = _validated_estimator(train, valid, candidates, dec, where)
     winners = [("adaptive_rrr", best, {"k1": best.k1, "k2": best.k2})]
+    direct = baselines._svd_filter(dec, y_tr) if grid else None
     for method in sorted(grid):
-        bm = baselines.validate_hyperparams(grid[method], train, valid, dec=dec)
+        bm = baselines.validate_hyperparams(grid[method], train, valid, dec, direct)
         rank = bm.method.rank
         winners.append((method, bm, {"mu": bm.method.mu, "rank": -1 if rank is None else rank}))
+    del direct  # its U^T y and Gram factors, before the winners are scored
 
     scored = []
     for method, model, tags in winners:

@@ -213,16 +213,19 @@ def calibrate_fill_constants(subset_size: int) -> Tuple[float, float]:
     accepted tail-mass level at the 60th percentile so that typical draws are
     accepted. At most 2 entries of a draw reach a cutoff exactly when its
     third-largest magnitude is below it, so that magnitude is taken once per
-    draw and each scale is one comparison. Cached per support size; the
-    internal seed is fixed.
+    draw and each scale is one comparison. The magnitudes overwrite the
+    draws, are partitioned a block of rows at a time, and are squared in
+    place for the tail masses, so one array of the draws' size is held.
+    Cached per support size; the internal seed is fixed.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=20240131, spawn_key=(subset_size,)))
     draws = rng.standard_normal((10_000, subset_size))
     draws /= np.linalg.norm(draws, axis=1, keepdims=True)
-    # each draw's third-largest magnitude, copied: a view would keep the
-    # partitioned copy of draws alive
-    third = (np.partition(np.abs(draws), -3, axis=1)[:, -3].copy() if subset_size > 2
-             else np.zeros(len(draws)))
+    mags = np.abs(draws, out=draws)
+    third = np.zeros(len(mags))  # each draw's third-largest magnitude
+    if subset_size > 2:
+        for start in range(0, len(mags), 1000):
+            third[start:start + 1000] = np.partition(mags[start:start + 1000], -3, axis=1)[:, -3]
     for scale in np.arange(1.0, 3.01, 0.05):
         cutoff = scale / math.sqrt(subset_size)
         if np.mean(third < cutoff) >= 0.9:
@@ -230,9 +233,10 @@ def calibrate_fill_constants(subset_size: int) -> Tuple[float, float]:
             break
     else:
         chosen = 3.0
-    cutoff = chosen / math.sqrt(subset_size)
-    masses = np.sum(np.where(np.abs(draws) >= cutoff, draws ** 2, 0.0), axis=1)
-    return chosen, _quantile(masses, 0.6)
+    heavy = mags >= chosen / math.sqrt(subset_size)
+    mags *= mags
+    mags *= heavy  # the squares of the entries at or above the cutoff, others 0
+    return chosen, _quantile(np.sum(mags, axis=1), 0.6)
 
 
 def build_unitary(

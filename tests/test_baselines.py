@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from arrr import baselines
+from arrr import baselines, metrics
 from arrr.baselines import (
     BaselineSpec,
     _b_step,
@@ -24,6 +24,10 @@ def _data(n, d1, d2, seed):
     x = rng.normal(size=(n, d1))
     y = rng.normal(size=(n, d2))
     return x, y
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
 
 
 def _ols(x, y):
@@ -785,7 +789,76 @@ class TestSVDFilter:
         np.testing.assert_array_equal(model.m_hat, np.zeros((2, 3)))
 
 
+@st.composite
+def _validation_cases(draw):
+    """A small training and validation window and a grid of direct and
+    iterative specs within the problem's rank bounds; sometimes with a tie (a
+    later spec equal to an earlier one) or a constant validation response."""
+    n, d1, d2, n_va = (draw(st.integers(1, hi)) for hi in (12, 7, 4, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    x, y = _data(n, d1, d2, seed)
+    x_va, y_va = _data(n_va, d1, d2, seed + 1)
+    mus, coef_rank = st.sampled_from([0.0, 0.1, 1.0, 10.0]), st.integers(1, min(d1, d2, n))
+    spec = st.one_of(
+        st.builds(BaselineSpec, st.just("ridge"), mu=mus),
+        st.builds(BaselineSpec, st.just("rrr"), rank=coef_rank),
+        st.builds(BaselineSpec, st.just("reduced_rank_ridge"), mu=mus, rank=coef_rank),
+        st.builds(BaselineSpec, st.just("pcr"), rank=st.integers(1, min(d1, n))),
+        st.builds(BaselineSpec, st.sampled_from(["lasso", "nuclear"]), mu=mus))
+    grid = draw(st.lists(spec, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        twin = grid[draw(st.integers(0, len(grid) - 1))]
+        grid.append(BaselineSpec(twin.method, mu=twin.mu, rank=twin.rank))
+    if draw(st.integers(0, 3)) == 0:
+        y_va = np.full_like(y_va, 0.5)
+    return grid, (x, y), (x_va, y_va)
+
+
 class TestValidateHyperparams:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=_validation_cases())
+    def test_picks_what_scoring_fresh_fits_picks(self, case):
+        # the reference forms every spec's coefficients and scores
+        # x_va @ m_hat.T; validation scores a direct spec from its filter
+        # instead, which moves a score by rounding only, so two models whose
+        # scores differ by less than that are left out unless they tie exactly
+        grid, train, valid = case
+        with mock.patch.object(baselines, "MAX_ITERS", 50):
+            fresh = [fit_baseline(spec, *train) for spec in grid]
+            score = metrics.validation_mse(valid[1])
+            scores = [score(valid[0] @ m.m_hat.T) for m in fresh]
+            defined = sorted({sc for sc in scores if not np.isnan(sc)})
+            assume(all(b - a > 1e-9 * b for a, b in zip(defined, defined[1:])))
+            want = metrics.lowest(zip(scores, range(len(grid))))
+            if want is None:
+                with pytest.raises(ValueError, match="no spec of the grid scored"):
+                    validate_hyperparams(grid, train, valid)
+                return
+            winner = validate_hyperparams(grid, train, valid)
+        assert winner.method is grid[want]
+        assert winner.m_hat.tobytes() == fresh[want].m_hat.tobytes()
+        assert (winner.iterations_used, winner.converged, _bits(winner.gap)) == (
+            fresh[want].iterations_used, fresh[want].converged, _bits(fresh[want].gap))
+
+    @pytest.mark.parametrize("bad", [
+        BaselineSpec("rrr", rank=3), BaselineSpec("reduced_rank_ridge", mu=1.0, rank=3),
+        BaselineSpec("pcr", rank=6)], ids=["rrr", "reduced_rank_ridge", "pcr"])
+    def test_rank_beyond_the_problem_raises_even_when_it_would_lose(self, bad, monkeypatch):
+        # d2 = 2 bounds rrr's rank and d1 = 5 pcr's; the first spec would win
+        x, y = _data(12, 5, 2, seed=40)
+        x_va, y_va = _data(6, 5, 2, seed=41)
+        scores = iter([0.0, 1.0])
+        monkeypatch.setattr(baselines, "validation_mse", lambda y: lambda y_hat: next(scores))
+        grid = [BaselineSpec("ridge", mu=1.0), bad]
+        with pytest.raises(ValueError, match="rank %d exceeds the problem dimensions" % bad.rank):
+            validate_hyperparams(grid, (x, y), (x_va, y_va))
+
+    def test_validation_design_of_other_width_is_refused(self):
+        x, y = _data(12, 5, 2, seed=40)
+        x_va, y_va = _data(6, 4, 2, seed=41)
+        with pytest.raises(ValueError, match="validation x must have 5 columns"):
+            validate_hyperparams([BaselineSpec("ridge", mu=1.0)], (x, y), (x_va, y_va))
+
     def test_single_element_grid(self):
         x, y = _data(30, 5, 2, seed=22)
         spec = BaselineSpec("ridge", mu=1.0)

@@ -2,6 +2,7 @@ import concurrent.futures
 import contextlib
 import csv
 import filecmp
+import functools
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import arrr
 import arrr.cli as cli
-from arrr import dataio, metrics, packing, synth
+from arrr import baselines, dataio, metrics, packing, synth
 from arrr.baselines import BaselineSpec, validate_hyperparams
 from arrr._serde import fmt_float, read_matrix_csv, write_json, write_matrix_csv
 from arrr.cli import (
@@ -33,6 +34,7 @@ from arrr.cli import (
 )
 from arrr.estimator import (
     FitConfig,
+    FittedModel,
     NoGapError,
     fit_adaptive_rrr,
     fit_path,
@@ -626,6 +628,107 @@ def test_repeated_models_are_scored_once(monkeypatch):
     assert model.config == best.config and model.m_hat.tobytes() == best.m_hat.tobytes()
     assert got_hat.tobytes() == y_hat.tobytes()
     assert scored.count(True) == len(set(ranks))  # one validation score per model
+
+
+@pytest.mark.parametrize("shape", ["compare", "rolling"])
+def test_projected_estimator_scores_equal_formed_predictions(shape, monkeypatch):
+    # compare-solvers' and rolling-panel's shapes, with rolling's (delta,
+    # theta) grid: each candidate is scored as (x_va @ pi_hat.T) @
+    # n_hat_trunc.T, within 1e-12 of scoring x_va @ m_hat.T, and the pick is
+    # the one those scores make
+    if shape == "compare":
+        syn = SynthConfig(d1=60, d2=30, n=80, rank_m=5, eta=1.0, seed=0)
+        n_va = syn.n
+    else:
+        syn = SynthConfig(d1=150, d2=50, n=200, rank_m=5, eta=1.0, seed=0)
+        n_va = 40
+    inst = make_instance(syn)
+    x_va, y_va, _ = gen_dataset(inst.m, inst.v_star, inst.lambda_star, n_va, syn.eta,
+                                derived_seed(syn.seed, VALID_STREAM))
+    candidates = [FitConfig(delta=d, theta=t) for d in (1e-8, 1e-6, 1e-4, 1e-2, 1.0)
+                  for t in (1.5, 2.0, 3.0)]
+    models, seen = [], set()
+    for m in fit_path(inst.x, inst.y, candidates):
+        if not isinstance(m, NoGapError) and (m.k1, m.k2) not in seen:
+            seen.add((m.k1, m.k2))
+            models.append(m)
+    formed = [metrics.validation_mse(y_va)(x_va @ m.m_hat.T) for m in models]
+    want = metrics.lowest(zip(formed, models))
+    assert len(models) > 1
+
+    projected = []
+    real_scorer = metrics.validation_mse
+
+    def recorded(y):
+        score = real_scorer(y)
+        return lambda y_hat: projected.append(score(y_hat)) or projected[-1]
+
+    monkeypatch.setattr(metrics, "validation_mse", recorded)
+    best = cli._validated_estimator((inst.x, inst.y), (x_va, y_va), candidates,
+                                    decompose(inst.x), "test")
+    np.testing.assert_allclose(projected, formed, rtol=1e-12, atol=0.0)
+    assert (best.k1, best.k2) == (want.k1, want.k2)
+
+
+def test_one_rolling_fold_forms_only_what_validation_reads(tmp_path, monkeypatch):
+    # per fold: one baselines filter (U^T y formed once) whose fitted-values
+    # Gram is factored once per mu across the grids, one filter g per direct
+    # spec, one V g per direct grid (its winner's, through fit_baseline), and
+    # the m_hat of the estimator's winner alone
+    panel = _write_panel(tmp_path)
+    x, y, dates = dataio.make_features(dataio.load_panel_csv(panel), [1, 2], 1)
+    (fold,) = dataio.rolling_splits(dates, 10, 4, 4, 0)
+    grid = [{"method": "ridge", "mu": [0.1, 1.0]}, {"method": "rrr", "rank": [1, 2]},
+            {"method": "pcr", "rank": [2, 4]},
+            {"method": "reduced_rank_ridge", "mu": 1.0, "rank": 2},
+            {"method": "lasso", "mu": [0.0]}]
+    candidates = [FitConfig(delta=d, theta=t) for d in (1e-8, 0.3) for t in (0.5, 2.0)]
+    train = (x[fold.train.start:fold.train.stop], y[fold.train.start:fold.train.stop])
+    assert len({(m.k1, m.k2) for m in fit_path(*train, candidates)
+                if not isinstance(m, NoGapError)}) > 1
+
+    counts = {"filters": 0, "g": 0, "eigh": 0, "m_hat": 0}
+    fits = []
+    real_filter, real_fit, real_eigh = baselines._svd_filter, baselines.fit_baseline, np.linalg.eigh
+
+    def counted_filter(dec, y):
+        counts["filters"] += 1
+        filt = real_filter(dec, y)
+
+        def counted(spec):
+            counts["g"] += 1
+            return filt(spec)
+
+        return counted
+
+    def counted_fit(spec, *args):
+        fits.append((spec.method, len(args) == 4))  # 4 arguments: a filter was passed
+        return real_fit(spec, *args)
+
+    def counted_eigh(a):
+        counts["eigh"] += 1
+        return real_eigh(a)
+
+    m_hat = FittedModel.__dict__["m_hat"]
+
+    def counted_m_hat(self):
+        counts["m_hat"] += 1
+        return m_hat.func(self)
+
+    prop = functools.cached_property(counted_m_hat)
+    prop.__set_name__(FittedModel, "m_hat")
+    monkeypatch.setattr(FittedModel, "m_hat", prop)
+    monkeypatch.setattr(baselines, "_svd_filter", counted_filter)
+    monkeypatch.setattr(baselines, "fit_baseline", counted_fit)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    cfg = _write_json(tmp_path, "cfg.json", {
+        "kind": "rolling", "panel": panel, "features": {"lookbacks": [1, 2], "horizon": 1},
+        "splits": {"train_len": 10, "valid_len": 4, "test_len": 4},
+        "fit": {"delta": [1e-8, 0.3], "theta": [0.5, 2.0]}, "baselines": grid})
+    assert main(["rolling", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    # ridge 2, rrr 2, pcr 2, reduced-rank ridge 1 and lasso at mu 0
+    assert counts == {"filters": 1, "g": 8, "eigh": 2, "m_hat": 1}
+    assert sorted(fits) == [(method, True) for method in sorted(m["method"] for m in grid)]
 
 
 class TestRolling:

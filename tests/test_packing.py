@@ -235,6 +235,26 @@ def _calibration_reference(subset_size):
     return chosen, float(np.quantile(masses, 0.6))
 
 
+def _calibration_with_full_copies(subset_size):
+    """The calibration as it stood before its in-place form: a partition of
+    a full |draws| copy and the tail masses by np.where."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=20240131, spawn_key=(subset_size,)))
+    draws = rng.standard_normal((10_000, subset_size))
+    draws /= np.linalg.norm(draws, axis=1, keepdims=True)
+    third = (np.partition(np.abs(draws), -3, axis=1)[:, -3].copy() if subset_size > 2
+             else np.zeros(len(draws)))
+    for scale in np.arange(1.0, 3.01, 0.05):
+        cutoff = scale / math.sqrt(subset_size)
+        if np.mean(third < cutoff) >= 0.9:
+            chosen = float(scale)
+            break
+    else:
+        chosen = 3.0
+    cutoff = chosen / math.sqrt(subset_size)
+    masses = np.sum(np.where(np.abs(draws) >= cutoff, draws ** 2, 0.0), axis=1)
+    return chosen, float(np.quantile(masses, 0.6))
+
+
 def _bits(v):
     return np.float64(v).tobytes()
 
@@ -245,6 +265,11 @@ class TestCalibration:
             got = calibrate_fill_constants(s)
             want = _calibration_reference(s)
             assert got[0] == want[0] and _bits(got[1]) == _bits(want[1]), s
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 8, 32])
+    def test_in_place_form_equals_the_full_copy_form_bitwise(self, s):
+        got, want = calibrate_fill_constants.__wrapped__(s), _calibration_with_full_copies(s)
+        assert got[0] == want[0] and _bits(got[1]) == _bits(want[1])
 
     def test_no_passing_scale_falls_back_to_three(self):
         # at support size 500 not even the last scale of the grid,
