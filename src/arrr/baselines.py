@@ -8,13 +8,16 @@ thin SVD of the design, so a hyperparameter grid over them is fitted from one
 factorization; rrr and reduced-rank ridge then project onto eigenvectors of
 their fitted values' small Gram matrix, factored once per mu. Lasso and
 nuclear norm minimize 0.5 ||y - x b||^2 + mu r(b) by one over-relaxed ADMM
-loop (`_fit_admm`) whose least-squares step is an operator built from that
-same SVD (`_b_step`), with r's prox as their only difference: soft
-thresholding of the entries or of the singular values. At mu = 0 both are
-the filter's minimum-norm least-squares fit.
+loop (`_fit_admm`) whose least-squares step is exact on that same SVD, with
+r's prox and the coordinates it runs in as their only differences: lasso
+soft-thresholds the entries of b through the operator `_b_step`, and nuclear
+norm, invariant under V, soft-thresholds the singular values of V^T b, whose
+step is elementwise (`_coordinates`). At mu = 0 both are the filter's
+minimum-norm least-squares fit.
 `validate_hyperparams` scores a direct spec from its filter in the right
 singular basis, forms coefficients only for the winner and returns that
-fitted winner, so its callers score it without refitting.
+fitted winner, so its callers score it without refitting; the grids of one
+window share its checks, the filter and x_va V.
 """
 
 from __future__ import annotations
@@ -174,18 +177,17 @@ def _prox_nuclear(v, t):
     return (p.T if a is not v else p), s - t
 
 
-def _objective_and_gap(x, y, z, r_z, mu, lasso):
-    """F(z) = 0.5 ||y - x z||^2 + mu r(z) and the relative duality gap
-    (F(z) - D(theta)) / F(z), 0 where F(z) = 0. theta = a e, the residual
-    e = y - x z scaled by a <= 1 into the dual ball ||x^T theta||_* <= mu
-    (the largest absolute entry for lasso, singular value for nuclear), and
-    D(theta) = 0.5 ||y||^2 - 0.5 ||y - theta||^2. As y = x z + e, F - D is
-    0.5 (1 - a)^2 ||e||^2 + mu r(z) - a <z, x^T e>, two terms non-negative in
-    exact arithmetic, so it is formed without cancelling ||y||^2. Returns F,
-    the gap and x^T e."""
-    e = y - x @ z
-    g = x.T @ e
-    e2 = float(np.sum(e * e))
+def _objective_and_gap(e2, g, z, r_z, mu, lasso):
+    """F(z) = 0.5 ||e||^2 + mu r(z) and the relative duality gap
+    (F(z) - D(theta)) / F(z), 0 where F(z) = 0, from e2 = ||e||^2 and g =
+    x^T e of the residual e = y - x z. theta = a e, scaled by a <= 1 into the
+    dual ball ||x^T theta||_* <= mu (the largest absolute entry for lasso,
+    singular value for nuclear), and D(theta) = 0.5 ||y||^2 - 0.5 ||y -
+    theta||^2. As y = x z + e, F - D is 0.5 (1 - a)^2 ||e||^2 + mu r(z) - a
+    <z, x^T e>, two terms non-negative in exact arithmetic, so it is formed
+    without cancelling ||y||^2. z and g may be taken in any coordinates that
+    map both by one matrix with orthonormal columns, which keeps <z, g> and
+    the dual norm. Returns F, the gap and g."""
     f = 0.5 * e2 + mu * r_z
     norm = _dual_norm(g, lasso)
     a = mu / norm if norm > mu else 1.0
@@ -199,15 +201,15 @@ def _dual_norm(g, lasso):
     return float(np.max(np.abs(g) if lasso else np.linalg.svd(g, compute_uv=False), initial=0.0))
 
 
-def _b_step(dec, y, rho):
+def _b_step(dec, uty, rho):
     """The map r -> (x^T x + rho I)^{-1} (x^T y + rho r) on the thin SVD
-    x = U diag(s) V^T of `dec`, exact for every shape of x: with
-    g = s^2 / (s^2 + rho), it is V diag(s / (s^2 + rho)) U^T y, formed once
-    per rho, plus r - V diag(g) V^T r, two thin products per step. Each
+    x = U diag(s) V^T of `dec`, with uty = U^T y, exact for every shape of x:
+    with g = s^2 / (s^2 + rho), it is V diag(s / (s^2 + rho)) U^T y, formed
+    once per rho, plus r - V diag(g) V^T r, two thin products per step. Each
     step returns a new array and leaves ky and r as they were."""
     v, s2 = dec.v, dec.s * dec.s
     g = (s2 / (s2 + rho))[:, None]
-    ky = v @ ((dec.s / (s2 + rho))[:, None] * (dec.u.T @ y))
+    ky = v @ ((dec.s / (s2 + rho))[:, None] * uty)
 
     def step(r):
         b = ky + r
@@ -217,6 +219,50 @@ def _b_step(dec, y, rho):
         return b
 
     return step
+
+
+def _coordinates(x, y, dec, lasso):
+    """The coordinates `_fit_admm` iterates in, on the thin SVD x = U diag(s)
+    V^T of `dec`, as (shape of an iterate, rho -> b-step, z -> (||y - x b||^2,
+    x^T (y - x b)) in those coordinates, z -> b). U^T y is formed once.
+
+    Lasso's prox acts on entries, so lasso keeps b's coordinates: its b-step
+    is `_b_step`, and a check forms x z and x^T e. The nuclear norm is
+    invariant under V (Cai, Candes & Shen 2010), so a nuclear fit runs on
+    z~ = V^T z, r x d2 with r = min(n, d1). From z = u = 0 every iterate lies
+    in range(V), since x^T y and the b-step's r do and singular-value
+    thresholding keeps a matrix's column space, and ||V z~||_* = ||z~||_*.
+    There the b-step is elementwise, b~ = s U^T y / (s^2 + rho) + rho r~ /
+    (s^2 + rho); the residual's norm is ||U^T y - s z~||^2 + ||y - U U^T
+    y||^2, the second term formed once; and x^T e is s (U^T y - s z~). V z~
+    is formed once, for the returned fit."""
+    uty = dec.u.T @ y
+    if lasso:
+        def residual(z):
+            e = y - x @ z
+            return float(np.sum(e * e)), x.T @ e
+
+        return (x.shape[1], y.shape[1]), lambda rho: _b_step(dec, uty, rho), residual, lambda z: z
+    s = dec.s[:, None]
+    perp = y - dec.u @ uty
+    perp2 = float(np.sum(perp * perp))
+
+    def step_at(rho):
+        s2 = s * s
+        ky, c = s / (s2 + rho) * uty, rho / (s2 + rho)
+
+        def step(r):
+            b = c * r
+            b += ky
+            return b
+
+        return step
+
+    def residual(z):
+        e = uty - s * z
+        return float(np.sum(e * e)) + perp2, s * e
+
+    return uty.shape, step_at, residual, lambda z: dec.v @ z
 
 
 def _fit_admm(x, y, mu, dec, lasso):
@@ -231,9 +277,14 @@ def _fit_admm(x, y, mu, dec, lasso):
     0, it returns b = 0 at once: 0 iterations, converged. The gap at 0 is
     (1 - a)^2, a = min(1, mu / ||x^T y||_*), or 0 for y = 0, so this holds
     with gap 0 exactly when ||x^T y||_* <= mu, where b = 0 is the minimum,
-    as on a zero or empty design.
+    as on a zero or empty design. This check reads x^T y itself, in b's
+    coordinates, for either method.
 
-    An iteration takes the exact least-squares step b = `_b_step`(z - u),
+    The loop runs in the coordinates `_coordinates` fixes for the method: b's
+    own for lasso, V's for nuclear, where no step or check forms a product
+    with V, x or x^T. Every quantity it compares is a Frobenius norm, an
+    inner product or a dual norm, all of which V keeps.
+    An iteration takes the exact least-squares step b = step(z - u),
     rebuilt whenever rho changes, relaxes it to b' = ALPHA b + (1 - ALPHA) z,
     then sets z = prox(b' + u, mu / rho) and u += b' - z, updating b and u
     in place. The first step, from z = u = 0, is not relaxed: that would
@@ -254,19 +305,21 @@ def _fit_admm(x, y, mu, dec, lasso):
     stops short at MAX_ITERS, or at the rounding floor: 30 checks in a row
     that lower neither F nor the gap. MAX_ITERS, TOL and KKT_TOL are read at
     each call. F may rise between checks: ADMM does not descend in F (Boyd
-    et al., section 3.2). Returns that z, or else the checked z of lowest F; the iterations;
-    whether it converged; and the returned z's gap.
+    et al., section 3.2). Returns that z, or else the checked z of lowest F,
+    in b's coordinates; the iterations; whether it converged; and the
+    returned z's gap.
     """
-    shape = (x.shape[1], y.shape[1])
-    z, u = np.zeros(shape), np.zeros(shape)
-    f, gap, g = _objective_and_gap(x, y, z, 0.0, mu, lasso)
+    z = np.zeros((x.shape[1], y.shape[1]))
+    f, gap, g = _objective_and_gap(float(np.sum(y * y)), x.T @ y, z, 0.0, mu, lasso)
     if gap <= TOL and _dual_norm(g, lasso) <= (1.0 + KKT_TOL) * mu:
         return z, 0, True, gap  # certified, as whenever ||x^T y||_* <= mu
+    shape, step_at, residual, to_b = _coordinates(x, y, dec, lasso)
     prox = _prox_l1 if lasso else _prox_nuclear
     s = dec.s
     rank = numerical_rank(s, x.shape)
     rho = float(s[0] * s[rank - 1]) if rank else 1.0  # any rho fits a zero design
-    step = _b_step(dec, y, rho)
+    step = step_at(rho)
+    z, u = np.zeros(shape), np.zeros(shape)
     best, lowest_f, lowest_gap, stalled, iters = z, f, gap, 0, 0
     for iters in range(1, MAX_ITERS + 1):
         b = step(z - u)
@@ -279,13 +332,13 @@ def _fit_admm(x, y, mu, dec, lasso):
         u += b
         if iters != 1 and iters % 10 and iters != MAX_ITERS:
             continue
-        f, z_gap, g = _objective_and_gap(x, y, z, float(np.sum(m)), mu, lasso)
+        f, z_gap, g = _objective_and_gap(*residual(z), z, float(np.sum(m)), mu, lasso)
         progress = f < lowest_f or z_gap < lowest_gap
         lowest_gap = min(lowest_gap, z_gap)
         if f <= lowest_f:
             best, lowest_f, gap = z, f, z_gap
         if z_gap <= TOL and _dual_norm(g - rho * u, lasso) <= KKT_TOL * mu:
-            return z, iters, True, z_gap
+            return to_b(z), iters, True, z_gap
         stalled = 0 if progress else stalled + 1
         if stalled >= 30:
             break
@@ -294,8 +347,8 @@ def _fit_admm(x, y, mu, dec, lasso):
             dual2 = float(np.sum((z - z_prev) ** 2)) * float(np.sum(z * z))
             rho, scale = (2.0 * rho, 0.5) if primal2 > dual2 else (0.5 * rho, 2.0)
             u *= scale
-            step = _b_step(dec, y, rho)
-    return best, iters, False, gap
+            step = step_at(rho)
+    return to_b(best), iters, False, gap
 
 
 def _direct(spec: BaselineSpec) -> bool:
@@ -358,7 +411,7 @@ def validate_hyperparams(
     train: Tuple[np.ndarray, np.ndarray],
     valid: Tuple[np.ndarray, np.ndarray],
     dec: Optional[SpectralDecomposition] = None,
-    direct: Optional[Callable[[BaselineSpec], np.ndarray]] = None,
+    shared: Optional[dict] = None,
 ) -> LinearModel:
     """Score every spec of the grid, fitted on train, on valid, and return
     the fitted argmin.
@@ -368,42 +421,52 @@ def validate_hyperparams(
     else of them is scored. The winner's spec is its `.method`. Every spec of
     the grid shares one SVD x = U diag(s) V^T of the training design, taken
     from `dec` when the caller already has it. The direct specs share one
-    `_svd_filter`, taken from `direct` when the caller shares one between
-    grids, so U^T y is formed once and the Gram matrix of rrr's and
+    `_svd_filter`, so U^T y is formed once and the Gram matrix of rrr's and
     reduced-rank ridge's fitted values factored once per mu. A direct spec
-    is scored from its filter g as (x_va V) g, x_va V formed once per grid,
-    and only the winner's coefficients V g are formed, by `fit_baseline`
-    with that g: the same model as a fresh fit, bit for bit. A lasso or
-    nuclear spec at mu > 0 is fitted by `fit_baseline` and scored on its
-    predictions. The winner is `metrics.lowest` of the scores: ties break to
-    the first occurrence in the grid and an undefined (NaN) score never
-    wins. A grid with no defined score, as on a constant validation
-    response, raises ValueError, as does a spec whose rank exceeds the
-    problem's bound, before any spec is fitted. Both windows pass
-    `require_xy` first.
+    is scored from its filter g as (x_va V) g, and only the winner's
+    coefficients V g are formed, by `fit_baseline` with that g: the same
+    model as a fresh fit, bit for bit. A lasso or nuclear spec at mu > 0 is
+    fitted by `fit_baseline` and scored on x_va @ m_hat.T. The winner is
+    `metrics.lowest` of the scores: ties break to the first occurrence in
+    the grid and an undefined (NaN) score never wins. A grid with no defined
+    score, as on a constant validation response, raises ValueError, as does
+    a spec whose rank exceeds the problem's bound, before any spec is
+    fitted. Both windows pass `require_xy` first.
+
+    `shared` is what the grids of one training and validation window share
+    when the caller validates several on the same train, valid and dec: a
+    dict, empty for the first grid. The first grid stores the checked
+    windows, the scorer and the SVD in it, and the first grid with a direct
+    spec the `_svd_filter` and x_va V; later grids read them. So each window
+    is checked, and x_va V and U^T y formed, once per window, not per grid.
     """
     if not spec_grid:
         raise ValueError("empty hyperparameter grid")
-    x_tr, y_tr = require_xy("training x and y", *train)
-    x_va, y_va = require_xy("validation x and y", *valid)
-    if x_va.shape[1] != x_tr.shape[1]:
-        raise ValueError("validation x must have %d columns" % x_tr.shape[1])
+    shared = {} if shared is None else shared
+    if not shared:
+        x_tr, y_tr = require_xy("training x and y", *train)
+        x_va, y_va = require_xy("validation x and y", *valid)
+        if x_va.shape[1] != x_tr.shape[1]:
+            raise ValueError("validation x must have %d columns" % x_tr.shape[1])
+        shared.update(train=(x_tr, y_tr), x_va=x_va, score=validation_mse(y_va))
+    (x_tr, y_tr), x_va, score = shared["train"], shared["x_va"], shared["score"]
     for spec in spec_grid:
         _check_rank(spec, x_tr.shape, y_tr.shape[1])
-    dec = decompose(x_tr) if dec is None else dec
-    if any(_direct(spec) for spec in spec_grid):
-        direct = direct or _svd_filter(dec, y_tr)
-        x_va_v = x_va @ dec.v
-    score = validation_mse(y_va)
+    if "dec" not in shared:
+        shared["dec"] = decompose(x_tr) if dec is None else dec
+    dec = shared["dec"]
+    if "direct" not in shared and any(_direct(spec) for spec in spec_grid):
+        shared["direct"] = _svd_filter(dec, y_tr), x_va @ dec.v
 
     def scored():
         for spec in spec_grid:
             if _direct(spec):
+                direct, x_va_v = shared["direct"]
                 g = direct(spec)
                 yield score(x_va_v @ g), (spec, g)
             else:
                 model = fit_baseline(spec, x_tr, y_tr, dec)
-                yield score(predict_linear(model, x_va)), model
+                yield score(x_va @ model.m_hat.T), model
 
     best = lowest(scored())
     if best is None:

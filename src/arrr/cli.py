@@ -378,10 +378,10 @@ def _fit_select_score(train, valid, test, candidates: Sequence[FitConfig],
     that the estimator and all grids share. Validation scores only the MSE,
     and no candidate's coefficients are formed to score it: the estimator's
     are scored from their factors (`_validated_estimator`), and every grid's
-    direct specs from the window's one `baselines._svd_filter`, which all
-    grids share (`baselines.validate_hyperparams`). Only the winners' m_hat
-    are formed, and everything validation made is released before they are
-    scored.
+    direct specs from the window's one `baselines._svd_filter` and x_va V,
+    which all grids share with the checked windows
+    (`baselines.validate_hyperparams`). Only the winners' m_hat are formed,
+    and everything validation made is released before they are scored.
     """
     # before the SVD, not by a LAPACK failure
     train, valid, test = (require_xy(what, *window) for what, window in (
@@ -391,12 +391,12 @@ def _fit_select_score(train, valid, test, candidates: Sequence[FitConfig],
 
     best = _validated_estimator(train, valid, candidates, dec, where)
     winners = [("adaptive_rrr", best, {"k1": best.k1, "k2": best.k2})]
-    direct = baselines._svd_filter(dec, y_tr) if grid else None
+    shared = {}  # what every grid of this window shares (`baselines.validate_hyperparams`)
     for method in sorted(grid):
-        bm = baselines.validate_hyperparams(grid[method], train, valid, dec, direct)
+        bm = baselines.validate_hyperparams(grid[method], train, valid, dec, shared)
         rank = bm.method.rank
         winners.append((method, bm, {"mu": bm.method.mu, "rank": -1 if rank is None else rank}))
-    del direct  # its U^T y and Gram factors, before the winners are scored
+    del shared  # its U^T y, Gram factors and x_va V, before the winners are scored
 
     scored = []
     for method, model, tags in winners:

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -200,10 +201,12 @@ def _svd_prox_nuclear(v, t):
     return (dec.u * s) @ dec.v.T, float(np.sum(s))
 
 
-# ADMM as `_fit_admm` ran it with a fresh array for every temporary and the
-# regularizer summed on every step: its loop verbatim, with the b-step and
-# the two proxes of that form, so the in-place loop can be held to it bit for
-# bit.
+# ADMM as `_fit_admm` runs it with a fresh array for every temporary and the
+# regularizer summed on every step: its loop verbatim, with the b-steps,
+# residuals and proxes of that form, so the in-place loop can be held to it
+# bit for bit. A nuclear fit iterates on V^T z when rotate is set, as
+# `_fit_admm` does; unset, it runs in b's own coordinates, the reference that
+# the rotated fits are held to within rounding.
 def _out_of_place_prox_l1(v, t):
     m = np.maximum(np.abs(v) - t, 0.0)
     return np.sign(v) * m, float(np.sum(m))
@@ -214,26 +217,54 @@ def _out_of_place_prox_nuclear(v, t):
     return p, float(np.sum(s))
 
 
-def _out_of_place_b_step(dec, y, rho):
+def _out_of_place_b_step(dec, uty, rho):
     v, s2 = dec.v, dec.s * dec.s
     g = (s2 / (s2 + rho))[:, None]
-    ky = v @ ((dec.s / (s2 + rho))[:, None] * (dec.u.T @ y))
+    ky = v @ ((dec.s / (s2 + rho))[:, None] * uty)
     return lambda r: ky + r - v @ (g * (v.T @ r))
 
 
-def _out_of_place_admm(x, y, mu, dec, lasso, max_iters, tol):
-    ALPHA, KKT_TOL, _b_step = baselines.ALPHA, baselines.KKT_TOL, _out_of_place_b_step
+def _out_of_place_coordinates(x, y, dec, rotate):
+    """(shape, rho -> b-step, z -> (||e||^2, x^T e), z -> b), in b's
+    coordinates or, when rotate is set, in V's."""
+    uty = dec.u.T @ y
+    if not rotate:
+        def residual(z):
+            e = y - x @ z
+            return float(np.sum(e * e)), x.T @ e
+
+        return ((x.shape[1], y.shape[1]), lambda rho: _out_of_place_b_step(dec, uty, rho),
+                residual, lambda z: z)
+    s = dec.s[:, None]
+    perp = y - dec.u @ uty
+    perp2 = float(np.sum(perp * perp))
+
+    def step_at(rho):
+        ky, c = s / (s * s + rho) * uty, rho / (s * s + rho)
+        return lambda r: ky + c * r
+
+    def residual(z):
+        e = uty - s * z
+        return float(np.sum(e * e)) + perp2, s * e
+
+    return uty.shape, step_at, residual, lambda z: dec.v @ z
+
+
+def _out_of_place_admm(x, y, mu, dec, lasso, max_iters, tol, rotate=None):
+    ALPHA, KKT_TOL = baselines.ALPHA, baselines.KKT_TOL
     _objective_and_gap, _dual_norm = baselines._objective_and_gap, baselines._dual_norm
-    shape = (x.shape[1], y.shape[1])
-    z, u = np.zeros(shape), np.zeros(shape)
-    f, gap, g = _objective_and_gap(x, y, z, 0.0, mu, lasso)
+    z = np.zeros((x.shape[1], y.shape[1]))
+    f, gap, g = _objective_and_gap(float(np.sum(y * y)), x.T @ y, z, 0.0, mu, lasso)
     if gap <= tol and _dual_norm(g, lasso) <= (1.0 + KKT_TOL) * mu:
         return z, 0, True, gap
+    shape, _b_step, residual, to_b = _out_of_place_coordinates(
+        x, y, dec, not lasso if rotate is None else rotate)
     prox = _out_of_place_prox_l1 if lasso else _out_of_place_prox_nuclear
     s = dec.s
     rank = numerical_rank(s, x.shape)
     rho = float(s[0] * s[rank - 1]) if rank else 1.0  # any rho fits a zero design
-    step = _b_step(dec, y, rho)
+    step = _b_step(rho)
+    z, u = np.zeros(shape), np.zeros(shape)
     best, lowest_f, lowest_gap, stalled, iters = z, f, gap, 0, 0
     for iters in range(1, max_iters + 1):
         b = step(z - u)
@@ -245,13 +276,13 @@ def _out_of_place_admm(x, y, mu, dec, lasso, max_iters, tol):
         u += primal
         if iters != 1 and iters % 10 and iters != max_iters:
             continue
-        f, z_gap, g = _objective_and_gap(x, y, z, r_z, mu, lasso)
+        f, z_gap, g = _objective_and_gap(*residual(z), z, r_z, mu, lasso)
         progress = f < lowest_f or z_gap < lowest_gap
         lowest_gap = min(lowest_gap, z_gap)
         if f <= lowest_f:
             best, lowest_f, gap = z, f, z_gap
         if z_gap <= tol and _dual_norm(g - rho * u, lasso) <= KKT_TOL * mu:
-            return z, iters, True, z_gap
+            return to_b(z), iters, True, z_gap
         stalled = 0 if progress else stalled + 1
         if stalled >= 30:
             break
@@ -259,8 +290,8 @@ def _out_of_place_admm(x, y, mu, dec, lasso, max_iters, tol):
             primal2 = float(np.sum(primal * primal)) * float(np.sum(u * u))
             dual2 = float(np.sum((z - z_prev) ** 2)) * float(np.sum(z * z))
             rho, u = (2.0 * rho, 0.5 * u) if primal2 > dual2 else (0.5 * rho, 2.0 * u)
-            step = _b_step(dec, y, rho)
-    return best, iters, False, gap
+            step = _b_step(rho)
+    return to_b(best), iters, False, gap
 
 
 @st.composite
@@ -579,6 +610,40 @@ class TestProximalSolver:
             else:
                 assert a == b
 
+    def test_compare_nuclear_fits_match_the_loop_in_b_coordinates(self):
+        # compare-solvers' 30 nuclear fits (seeds 0-9, mu 0.3, 1 and 3) take,
+        # in V's coordinates, the iterations and the converged flags of the
+        # loop in b's own coordinates, and stop within 1e-12 of its z
+        for seed in range(10):
+            inst = make_instance(SynthConfig(d1=60, d2=30, n=80, rank_m=5, eta=1.0, seed=seed))
+            dec = decompose(inst.x)
+            for mu in (0.3, 1.0, 3.0):
+                z, iters, converged, _ = baselines._fit_admm(inst.x, inst.y, mu, dec, False)
+                want, want_iters, want_converged, _ = _out_of_place_admm(
+                    inst.x, inst.y, mu, dec, False, baselines.MAX_ITERS, baselines.TOL,
+                    rotate=False)
+                assert (iters, converged) == (want_iters, want_converged), (seed, mu)
+                assert np.linalg.norm(z - want) <= 1e-12 * np.linalg.norm(want), (seed, mu)
+
+    @pytest.mark.parametrize("n, d1", [(20, 40), (40, 8)], ids=["wide", "tall"])
+    def test_nuclear_prox_sees_the_rotated_iterate(self, n, d1, monkeypatch):
+        # a nuclear fit iterates on V^T z, r x d2 with r = min(n, d1), so on a
+        # wide design no step forms a d1 x d2 array; V z~ is the d1 x d2 fit
+        # of the loop in b's coordinates, within 1e-12
+        x, y = _data(n, d1, 3, seed=23)
+        mu = 0.3 * float(np.linalg.norm(x.T @ y, 2))
+        shapes, real = [], baselines._prox_nuclear
+        monkeypatch.setattr(baselines, "_prox_nuclear",
+                            lambda v, t: shapes.append(v.shape) or real(v, t))
+        dec = decompose(x)
+        z, iters, converged, _ = baselines._fit_admm(x, y, mu, dec, False)
+        assert converged and shapes == [(min(n, d1), 3)] * iters
+        want, want_iters, want_converged, _ = _out_of_place_admm(
+            x, y, mu, dec, False, baselines.MAX_ITERS, baselines.TOL, rotate=False)
+        assert (iters, converged) == (want_iters, want_converged)
+        assert z.shape == (d1, 3)
+        assert np.linalg.norm(z - want) <= 1e-12 * np.linalg.norm(want)
+
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(case=_prox_cases())
     def test_nuclear_prox_matches_svd_reference(self, case):
@@ -656,7 +721,8 @@ class TestProximalSolver:
         # x^T x + rho I; 1e-13 kappa, about 450 eps kappa, is 1e-13 at rho
         # 1e2 s_1^2 and 1e-7 at 1e-6 s_1^2
         x, y, r, rho = case
-        got = _b_step(decompose(x), y, rho)(r)
+        dec = decompose(x)
+        got = _b_step(dec, dec.u.T @ y, rho)(r)
         want = np.linalg.solve(x.T @ x + rho * np.eye(x.shape[1]), x.T @ y + rho * r)
         kappa = (float(np.linalg.norm(x, 2)) ** 2 + rho) / rho
         assert np.linalg.norm(got - want) <= 1e-13 * kappa * np.linalg.norm(want)
@@ -702,11 +768,13 @@ class TestProximalSolver:
 
     @pytest.mark.parametrize("method", ["lasso", "nuclear"])
     def test_unreachable_tol_stops_at_rounding_floor(self, method, monkeypatch):
-        # no iterate meets TOL = 1e-15; the loop must notice that its checks
-        # no longer lower the objective instead of running to MAX_ITERS
+        # no gap meets TOL = -inf (1e-15 no longer serves: in V's coordinates
+        # this nuclear fit meets it at a gap of 8.9e-16); the loop must notice
+        # that its checks no longer lower the objective or the gap instead of
+        # running to MAX_ITERS
         x, y = _data(30, 8, 5, seed=21)
         monkeypatch.setattr(baselines, "MAX_ITERS", 5000)
-        monkeypatch.setattr(baselines, "TOL", 1e-15)
+        monkeypatch.setattr(baselines, "TOL", -math.inf)
         model = fit_baseline(BaselineSpec(method, mu=0.5), x, y)
         assert not model.converged
         assert model.iterations_used < baselines.MAX_ITERS
@@ -948,6 +1016,34 @@ class TestValidateHyperparams:
         grid = [BaselineSpec("ridge", mu=100.0), BaselineSpec("ridge", mu=0.01)]
         with pytest.raises(ValueError, match="no spec of the grid scored"):
             validate_hyperparams(grid, (x, y), (x_va, np.ones((10, 2))))
+
+    def test_grids_sharing_a_window_check_and_project_it_once(self, monkeypatch):
+        # a rolling fold's or compare cell's grids: with one shared dict the
+        # windows are checked, U^T y filtered and x_va V formed once for all
+        # of them, and each winner is bit for bit the one-grid call's
+        grids = [[BaselineSpec("lasso", mu=mu) for mu in (0.1, 2.0)],
+                 [BaselineSpec("pcr", rank=r) for r in (1, 3)],
+                 [BaselineSpec("ridge", mu=mu) for mu in (0.1, 1.0)],
+                 [BaselineSpec("nuclear", mu=1.0), BaselineSpec("nuclear", mu=0.0)]]
+        x, y = _data(20, 6, 3, seed=35)
+        x_va, y_va = _data(8, 6, 3, seed=36)
+        dec = decompose(x)
+        alone = [validate_hyperparams(grid, (x, y), (x_va, y_va), dec) for grid in grids]
+        checks, filters, x_va_vs = [], [], []
+        real_check, real_filter = baselines.require_xy, baselines._svd_filter
+        monkeypatch.setattr(baselines, "require_xy",
+                            lambda what, *xy: checks.append(what) or real_check(what, *xy))
+        monkeypatch.setattr(baselines, "_svd_filter",
+                            lambda *a: filters.append(a) or real_filter(*a))
+        shared = {}
+        for grid, want in zip(grids, alone):
+            got = validate_hyperparams(grid, (x, y), (x_va, y_va), dec, shared)
+            x_va_vs.append(shared.get("direct", (None, None))[1])
+            assert got.method is want.method and got.m_hat.tobytes() == want.m_hat.tobytes()
+        assert [what for what in checks if what != "x and y"] == [
+            "training x and y", "validation x and y"]
+        assert len(filters) == 1
+        assert x_va_vs[0] is None and x_va_vs[1] is x_va_vs[2] is x_va_vs[3]
 
     def test_empty_grid(self):
         with pytest.raises(ValueError):
