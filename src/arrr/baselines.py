@@ -17,7 +17,7 @@ minimum-norm least-squares fit.
 `validate_hyperparams` scores a direct spec from its filter in the right
 singular basis, forms coefficients only for the winner and returns that
 fitted winner, so its callers score it without refitting; the grids of one
-window share its checks, the filter and x_va V.
+`validation_window` share its checks, the filter and x_va V.
 """
 
 from __future__ import annotations
@@ -406,12 +406,44 @@ def predict_linear(model: LinearModel, x_new: np.ndarray) -> np.ndarray:
     return predict(model, x_new)
 
 
+@dataclass(frozen=True)
+class ValidationWindow:
+    """A training and validation window, checked, and what every grid
+    validated on it shares: the SVD x_tr = U diag(s) V^T, the window's
+    `metrics.validation_mse` scorer, the `_svd_filter` of that SVD and y_tr,
+    and x_va V. Made by `validation_window`."""
+
+    x_tr: np.ndarray
+    y_tr: np.ndarray
+    x_va: np.ndarray
+    dec: SpectralDecomposition
+    score: Callable[[np.ndarray], float]
+    direct: Callable[[BaselineSpec], np.ndarray]
+    x_va_v: np.ndarray
+
+
+def validation_window(train: Tuple[np.ndarray, np.ndarray],
+                      valid: Tuple[np.ndarray, np.ndarray],
+                      dec: Optional[SpectralDecomposition] = None) -> ValidationWindow:
+    """The `ValidationWindow` of (x, y) pairs train and valid. Both pass
+    `require_xy`, and x_va must have x_tr's columns, before the SVD of x_tr
+    is taken, or read from `dec` when the caller already has it."""
+    x_tr, y_tr = require_xy("training x and y", *train)
+    x_va, y_va = require_xy("validation x and y", *valid)
+    if x_va.shape[1] != x_tr.shape[1]:
+        raise ValueError("validation x must have %d columns" % x_tr.shape[1])
+    dec = decompose(x_tr) if dec is None else dec
+    return ValidationWindow(x_tr, y_tr, x_va, dec, validation_mse(y_va),
+                            _svd_filter(dec, y_tr), x_va @ dec.v)
+
+
 def validate_hyperparams(
     spec_grid: Sequence[BaselineSpec],
-    train: Tuple[np.ndarray, np.ndarray],
-    valid: Tuple[np.ndarray, np.ndarray],
+    train: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    valid: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     dec: Optional[SpectralDecomposition] = None,
-    shared: Optional[dict] = None,
+    *,
+    window: Optional[ValidationWindow] = None,
 ) -> LinearModel:
     """Score every spec of the grid, fitted on train, on valid, and return
     the fitted argmin.
@@ -433,40 +465,29 @@ def validate_hyperparams(
     a spec whose rank exceeds the problem's bound, before any spec is
     fitted. Both windows pass `require_xy` first.
 
-    `shared` is what the grids of one training and validation window share
-    when the caller validates several on the same train, valid and dec: a
-    dict, empty for the first grid. The first grid stores the checked
-    windows, the scorer and the SVD in it, and the first grid with a direct
-    spec the `_svd_filter` and x_va V; later grids read them. So each window
-    is checked, and x_va V and U^T y formed, once per window, not per grid.
+    A caller that validates several grids on one window makes its
+    `validation_window` once and passes it as `window`, in place of train,
+    valid and dec: the windows are then checked, and U^T y and x_va V
+    formed, once per window, not per grid. Passing both raises TypeError.
     """
     if not spec_grid:
         raise ValueError("empty hyperparameter grid")
-    shared = {} if shared is None else shared
-    if not shared:
-        x_tr, y_tr = require_xy("training x and y", *train)
-        x_va, y_va = require_xy("validation x and y", *valid)
-        if x_va.shape[1] != x_tr.shape[1]:
-            raise ValueError("validation x must have %d columns" % x_tr.shape[1])
-        shared.update(train=(x_tr, y_tr), x_va=x_va, score=validation_mse(y_va))
-    (x_tr, y_tr), x_va, score = shared["train"], shared["x_va"], shared["score"]
+    if window is None:
+        window = validation_window(train, valid, dec)
+    elif train is not None or valid is not None or dec is not None:
+        raise TypeError("pass train, valid and dec, or a window, not both")
+    x_tr, y_tr, dec = window.x_tr, window.y_tr, window.dec
     for spec in spec_grid:
         _check_rank(spec, x_tr.shape, y_tr.shape[1])
-    if "dec" not in shared:
-        shared["dec"] = decompose(x_tr) if dec is None else dec
-    dec = shared["dec"]
-    if "direct" not in shared and any(_direct(spec) for spec in spec_grid):
-        shared["direct"] = _svd_filter(dec, y_tr), x_va @ dec.v
 
     def scored():
         for spec in spec_grid:
             if _direct(spec):
-                direct, x_va_v = shared["direct"]
-                g = direct(spec)
-                yield score(x_va_v @ g), (spec, g)
+                g = window.direct(spec)
+                yield window.score(window.x_va_v @ g), (spec, g)
             else:
                 model = fit_baseline(spec, x_tr, y_tr, dec)
-                yield score(x_va @ model.m_hat.T), model
+                yield window.score(window.x_va @ model.m_hat.T), model
 
     best = lowest(scored())
     if best is None:

@@ -379,9 +379,9 @@ def _fit_select_score(train, valid, test, candidates: Sequence[FitConfig],
     and no candidate's coefficients are formed to score it: the estimator's
     are scored from their factors (`_validated_estimator`), and every grid's
     direct specs from the window's one `baselines._svd_filter` and x_va V,
-    which all grids share with the checked windows
-    (`baselines.validate_hyperparams`). Only the winners' m_hat are formed,
-    and everything validation made is released before they are scored.
+    which all grids share through one `baselines.validation_window`. Only the
+    winners' m_hat are formed, and everything validation made is released
+    before they are scored.
     """
     # before the SVD, not by a LAPACK failure
     train, valid, test = (require_xy(what, *window) for what, window in (
@@ -391,12 +391,12 @@ def _fit_select_score(train, valid, test, candidates: Sequence[FitConfig],
 
     best = _validated_estimator(train, valid, candidates, dec, where)
     winners = [("adaptive_rrr", best, {"k1": best.k1, "k2": best.k2})]
-    shared = {}  # what every grid of this window shares (`baselines.validate_hyperparams`)
+    window = baselines.validation_window(train, valid, dec) if grid else None
     for method in sorted(grid):
-        bm = baselines.validate_hyperparams(grid[method], train, valid, dec, shared)
+        bm = baselines.validate_hyperparams(grid[method], window=window)
         rank = bm.method.rank
         winners.append((method, bm, {"mu": bm.method.mu, "rank": -1 if rank is None else rank}))
-    del shared  # its U^T y, Gram factors and x_va V, before the winners are scored
+    del window  # its U^T y, Gram factors and x_va V, before the winners are scored
 
     scored = []
     for method, model, tags in winners:

@@ -1018,9 +1018,9 @@ class TestValidateHyperparams:
             validate_hyperparams(grid, (x, y), (x_va, np.ones((10, 2))))
 
     def test_grids_sharing_a_window_check_and_project_it_once(self, monkeypatch):
-        # a rolling fold's or compare cell's grids: with one shared dict the
-        # windows are checked, U^T y filtered and x_va V formed once for all
-        # of them, and each winner is bit for bit the one-grid call's
+        # a rolling fold's or compare cell's grids: with one validation_window
+        # the windows are checked, U^T y filtered and x_va V formed once for
+        # all of them, and each winner is bit for bit the one-grid call's
         grids = [[BaselineSpec("lasso", mu=mu) for mu in (0.1, 2.0)],
                  [BaselineSpec("pcr", rank=r) for r in (1, 3)],
                  [BaselineSpec("ridge", mu=mu) for mu in (0.1, 1.0)],
@@ -1029,21 +1029,28 @@ class TestValidateHyperparams:
         x_va, y_va = _data(8, 6, 3, seed=36)
         dec = decompose(x)
         alone = [validate_hyperparams(grid, (x, y), (x_va, y_va), dec) for grid in grids]
-        checks, filters, x_va_vs = [], [], []
+        checks, filters = [], []
         real_check, real_filter = baselines.require_xy, baselines._svd_filter
         monkeypatch.setattr(baselines, "require_xy",
                             lambda what, *xy: checks.append(what) or real_check(what, *xy))
         monkeypatch.setattr(baselines, "_svd_filter",
                             lambda *a: filters.append(a) or real_filter(*a))
-        shared = {}
+        window = baselines.validation_window((x, y), (x_va, y_va), dec)
+        assert window.dec is dec
         for grid, want in zip(grids, alone):
-            got = validate_hyperparams(grid, (x, y), (x_va, y_va), dec, shared)
-            x_va_vs.append(shared.get("direct", (None, None))[1])
+            got = validate_hyperparams(grid, window=window)
             assert got.method is want.method and got.m_hat.tobytes() == want.m_hat.tobytes()
         assert [what for what in checks if what != "x and y"] == [
             "training x and y", "validation x and y"]
         assert len(filters) == 1
-        assert x_va_vs[0] is None and x_va_vs[1] is x_va_vs[2] is x_va_vs[3]
+
+    def test_window_and_its_parts_are_not_both_taken(self):
+        x, y = _data(10, 4, 2, seed=37)
+        window = baselines.validation_window((x, y), (x, y))
+        grid = [BaselineSpec("ridge", mu=1.0)]
+        for parts in [((x, y), None, None), (None, (x, y), None), (None, None, window.dec)]:
+            with pytest.raises(TypeError, match="not both"):
+                validate_hyperparams(grid, *parts, window=window)
 
     def test_empty_grid(self):
         with pytest.raises(ValueError):

@@ -1,22 +1,20 @@
 """Convergence samples of the lasso and nuclear-norm ADMM fits.
 
-Each sample is a number of small fits drawn as the solver property tests in
+Each sample is FITS small fits drawn as the solver property tests in
 tests/test_baselines.py draw theirs (`_iterative_cases`): n and d1 from 3 to
 12, d2 from 1 to 4, x and y standard normal, x's first column zeroed and its
 last a copy of its second each with probability 1/2, and mu = scale *
 max |x^T y| with scale one of 0, 0.01, 0.1, 0.3, 1 and 1.5. Each sample's draws
-come from one numpy seed. For each sample the script prints, per method, the
+come from one numpy seed of SEEDS. For each sample the script prints, per method, the
 fits, the unconverged fits and the iterations taken, so that a solver change
 can be checked against its parent on the same draws.
 
 Run from the repository root:
 
-    PYTHONPATH=src python tools/admm_convergence.py [--seeds 1000 1001 1002] [--fits 1000]
+    PYTHONPATH=src python tools/admm_convergence.py
 """
 
 from __future__ import annotations
-
-import argparse
 
 import numpy as np
 
@@ -24,6 +22,8 @@ from arrr.baselines import BaselineSpec, fit_baseline
 
 SCALES = (0.0, 0.01, 0.1, 0.3, 1.0, 1.5)
 METHODS = ("lasso", "nuclear")
+SEEDS = (1000, 1001, 1002)  # one sample per numpy seed
+FITS = 1000  # fits per sample
 
 
 def draw_case(rng):
@@ -40,11 +40,11 @@ def draw_case(rng):
     return method, scale * float(np.max(np.abs(x.T @ y))), x, y
 
 
-def sample(seed, fits):
+def sample(seed):
     """Per method: [fits, unconverged fits, iterations] over one sample."""
     rng = np.random.default_rng(seed)
     counts = {method: [0, 0, 0] for method in METHODS}
-    for _ in range(fits):
+    for _ in range(FITS):
         method, mu, x, y = draw_case(rng)
         model = fit_baseline(BaselineSpec(method, mu=mu), x, y)
         tally = counts[method]
@@ -54,14 +54,10 @@ def sample(seed, fits):
     return counts
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1000, 1001, 1002])
-    parser.add_argument("--fits", type=int, default=1000)
-    args = parser.parse_args(argv)
+def main():
     print("seed method fits unconverged iterations")
-    for seed in args.seeds:
-        for method, (n, bad, iters) in sample(seed, args.fits).items():
+    for seed in SEEDS:
+        for method, (n, bad, iters) in sample(seed).items():
             print(seed, method, n, bad, iters)
 
 
