@@ -7,7 +7,7 @@ least squares interpolates and the regularizer does all the work.
 
 import numpy as np
 
-from arrr.baselines import BaselineSpec, validate_hyperparams
+from arrr.baselines import BaselineSpec, validate_hyperparams, validation_window
 from arrr.estimator import FitConfig, fit_adaptive_rrr
 from arrr.metrics import evaluate
 from arrr.synth import SynthConfig, gen_dataset, make_instance
@@ -33,8 +33,9 @@ grids = {
     "lasso": [BaselineSpec("lasso", mu=mu) for mu in (0.01, 0.1)],
     "nuclear": [BaselineSpec("nuclear", mu=mu) for mu in (0.1, 1.0)],
 }
+window = validation_window((inst.x, inst.y), (x_val, y_val))  # one SVD for every grid
 for name, grid in grids.items():
-    fitted = validate_hyperparams(grid, (inst.x, inst.y), (x_val, y_val))
+    fitted = validate_hyperparams(grid, window)
     best = fitted.method
     tag = "mu=%g" % best.mu
     if best.rank is not None:

@@ -16,8 +16,9 @@ step is elementwise (`_coordinates`). At mu = 0 both are the filter's
 minimum-norm least-squares fit.
 `validate_hyperparams` scores a direct spec from its filter in the right
 singular basis, forms coefficients only for the winner and returns that
-fitted winner, so its callers score it without refitting; the grids of one
-`validation_window` share its checks, the filter and x_va V.
+fitted winner, so its callers score it without refitting. The grids of one
+`validation_window` share its checks, its one SVD of the training design,
+its scorer, the filter and x_va V.
 """
 
 from __future__ import annotations
@@ -408,10 +409,10 @@ def predict_linear(model: LinearModel, x_new: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ValidationWindow:
-    """A training and validation window, checked, and what every grid
-    validated on it shares: the SVD x_tr = U diag(s) V^T, the window's
-    `metrics.validation_mse` scorer, the `_svd_filter` of that SVD and y_tr,
-    and x_va V. Made by `validation_window`."""
+    """A training and validation window, checked, and what the estimator and
+    every grid validated on it share: the one SVD x_tr = U diag(s) V^T, the
+    window's `metrics.validation_mse` scorer, the `_svd_filter` of that SVD
+    and y_tr, and x_va V. Made by `validation_window`."""
 
     x_tr: np.ndarray
     y_tr: np.ndarray
@@ -423,59 +424,47 @@ class ValidationWindow:
 
 
 def validation_window(train: Tuple[np.ndarray, np.ndarray],
-                      valid: Tuple[np.ndarray, np.ndarray],
-                      dec: Optional[SpectralDecomposition] = None) -> ValidationWindow:
+                      valid: Tuple[np.ndarray, np.ndarray]) -> ValidationWindow:
     """The `ValidationWindow` of (x, y) pairs train and valid. Both pass
-    `require_xy`, and x_va must have x_tr's columns, before the SVD of x_tr
-    is taken, or read from `dec` when the caller already has it."""
+    `require_xy` and must have rows, and x_va and y_va must have x_tr's and
+    y_tr's columns, before the one SVD of x_tr is taken."""
     x_tr, y_tr = require_xy("training x and y", *train)
     x_va, y_va = require_xy("validation x and y", *valid)
-    if x_va.shape[1] != x_tr.shape[1]:
-        raise ValueError("validation x must have %d columns" % x_tr.shape[1])
-    dec = decompose(x_tr) if dec is None else dec
+    for what, x in (("training", x_tr), ("validation", x_va)):
+        if not x.shape[0]:
+            raise ValueError("%s x and y have no rows" % what)
+    for what, a, b in (("x", x_va, x_tr), ("y", y_va, y_tr)):
+        if a.shape[1] != b.shape[1]:
+            raise ValueError("validation %s must have %d columns" % (what, b.shape[1]))
+    dec = decompose(x_tr)
     return ValidationWindow(x_tr, y_tr, x_va, dec, validation_mse(y_va),
                             _svd_filter(dec, y_tr), x_va @ dec.v)
 
 
-def validate_hyperparams(
-    spec_grid: Sequence[BaselineSpec],
-    train: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    valid: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    dec: Optional[SpectralDecomposition] = None,
-    *,
-    window: Optional[ValidationWindow] = None,
-) -> LinearModel:
-    """Score every spec of the grid, fitted on train, on valid, and return
-    the fitted argmin.
+def validate_hyperparams(spec_grid: Sequence[BaselineSpec],
+                         window: ValidationWindow) -> LinearModel:
+    """Score every spec of the grid, fitted on the window's training part,
+    on its validation part, and return the fitted argmin.
 
     The score is the pooled variance-normalized MSE of the predictions on
-    valid, by one `metrics.validation_mse` scorer of the window, and nothing
-    else of them is scored. The winner's spec is its `.method`. Every spec of
-    the grid shares one SVD x = U diag(s) V^T of the training design, taken
-    from `dec` when the caller already has it. The direct specs share one
+    the validation part, by the window's one `metrics.validation_mse`
+    scorer, and nothing else of them is scored. The winner's spec is its
+    `.method`. Every spec of the grid shares the window's one SVD x = U
+    diag(s) V^T of the training design, and the direct specs its one
     `_svd_filter`, so U^T y is formed once and the Gram matrix of rrr's and
-    reduced-rank ridge's fitted values factored once per mu. A direct spec
-    is scored from its filter g as (x_va V) g, and only the winner's
-    coefficients V g are formed, by `fit_baseline` with that g: the same
-    model as a fresh fit, bit for bit. A lasso or nuclear spec at mu > 0 is
-    fitted by `fit_baseline` and scored on x_va @ m_hat.T. The winner is
-    `metrics.lowest` of the scores: ties break to the first occurrence in
-    the grid and an undefined (NaN) score never wins. A grid with no defined
-    score, as on a constant validation response, raises ValueError, as does
-    a spec whose rank exceeds the problem's bound, before any spec is
-    fitted. Both windows pass `require_xy` first.
-
-    A caller that validates several grids on one window makes its
-    `validation_window` once and passes it as `window`, in place of train,
-    valid and dec: the windows are then checked, and U^T y and x_va V
-    formed, once per window, not per grid. Passing both raises TypeError.
+    reduced-rank ridge's fitted values factored once per mu, for every grid
+    that shares the window. A direct spec is scored from its filter g as
+    (x_va V) g, and only the winner's coefficients V g are formed, by
+    `fit_baseline` with that g: the same model as a fresh fit, bit for bit.
+    A lasso or nuclear spec at mu > 0 is fitted by `fit_baseline` and scored
+    on x_va @ m_hat.T. The winner is `metrics.lowest` of the scores: ties
+    break to the first occurrence in the grid and an undefined (NaN) score
+    never wins. A grid with no defined score, as on a constant validation
+    response, raises ValueError, as does a spec whose rank exceeds the
+    problem's bound, before any spec is fitted.
     """
     if not spec_grid:
         raise ValueError("empty hyperparameter grid")
-    if window is None:
-        window = validation_window(train, valid, dec)
-    elif train is not None or valid is not None or dec is not None:
-        raise TypeError("pass train, valid and dec, or a window, not both")
     x_tr, y_tr, dec = window.x_tr, window.y_tr, window.dec
     for spec in spec_grid:
         _check_rank(spec, x_tr.shape, y_tr.shape[1])

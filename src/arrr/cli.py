@@ -15,7 +15,8 @@ SynthConfig. The config file is read, and each value type-checked, by
 `_serde`, which reads a model's meta.json the same way.
 
 A `compare` cell and a `rolling` fold share one fit-select-score path: one
-SVD of the training design serves the estimator's (delta, theta) candidates
+`baselines.validation_window`, with the one SVD of the training design and
+the one validation scorer, serves the estimator's (delta, theta) candidates
 and every baseline grid, `metrics.lowest` picks each method's winner by
 pooled validation MSE, and the winners are scored on the training and test
 windows. Candidates that select the same (k1, k2) are one model, and each
@@ -324,12 +325,12 @@ def run_sweep(cfg: Dict[str, Any], jobs: int) -> List[Dict[str, Any]]:
 _UNUSED = {"k1": -1, "k2": -1, "mu": -1.0, "rank": -1}
 
 
-def _validated_estimator(train, valid, candidates: Sequence[FitConfig], dec, where: str):
-    """The estimator's candidate, fitted on the training window by one
-    `fit_path` on `dec`, with the lowest validation MSE by one
-    `metrics.validation_mse` scorer of the window. Candidates without an
-    admissible gap are skipped, the winner is `metrics.lowest` of the rest's
-    scores, and the NoGapError for no winner names `where`.
+def _validated_estimator(window, candidates: Sequence[FitConfig], where: str):
+    """The estimator's candidate, fitted on the window's training part by one
+    `fit_path` on its SVD, with the lowest validation MSE by its scorer.
+    Candidates without an admissible gap are skipped, the winner is
+    `metrics.lowest` of the rest's scores, and the NoGapError for no winner
+    names `where`.
 
     A candidate's prediction is scored as (x_va @ pi_hat.T) @ n_hat_trunc.T,
     without forming its m_hat; pi_hat depends only on k1, so x_va @ pi_hat.T
@@ -340,21 +341,19 @@ def _validated_estimator(train, valid, candidates: Sequence[FitConfig], dec, whe
     occurrence scored, and as `metrics.lowest` breaks ties toward the first,
     it can never win; it is not scored.
     """
-    (x_tr, y_tr), (x_va, y_va) = train, valid
     nogap = []  # the candidates whose stage 1 found no admissible gap
-    score = metrics.validation_mse(y_va)
     projected = {}  # k1 -> x_va @ pi_hat.T
 
     def validated():
         seen = set()  # the (k1, k2) of every model scored so far
-        for model in fit_path(x_tr, y_tr, candidates, dec):
+        for model in fit_path(window.x_tr, window.y_tr, candidates, window.dec):
             if isinstance(model, NoGapError):
                 nogap.append(model)
             elif (model.k1, model.k2) not in seen:
                 seen.add((model.k1, model.k2))
                 if model.k1 not in projected:
-                    projected[model.k1] = x_va @ model.pi_hat.T
-                yield score(projected[model.k1] @ model.n_hat_trunc.T), model
+                    projected[model.k1] = window.x_va @ model.pi_hat.T
+                yield window.score(projected[model.k1] @ model.n_hat_trunc.T), model
 
     best = metrics.lowest(validated())
     if best is None:
@@ -374,26 +373,25 @@ def _fit_select_score(train, valid, test, candidates: Sequence[FitConfig],
     Returns (method, model, tags, train scores, test scores, test predictions)
     per method, the estimator first and then the baselines by name. Scores are
     pooled (mse, r2, corr); tags are the k1, k2, mu and rank cells of a row.
-    Every window passes `require_xy` before the one SVD of the training design
-    that the estimator and all grids share. Validation scores only the MSE,
-    and no candidate's coefficients are formed to score it: the estimator's
-    are scored from their factors (`_validated_estimator`), and every grid's
-    direct specs from the window's one `baselines._svd_filter` and x_va V,
-    which all grids share through one `baselines.validation_window`. Only the
-    winners' m_hat are formed, and everything validation made is released
-    before they are scored.
+    Every window passes `require_xy` before their one
+    `baselines.validation_window` takes the one SVD of the training design;
+    the estimator and every grid validate through it, scoring only the MSE
+    by its one scorer. No candidate's coefficients are formed to score it:
+    the estimator's are scored from their factors (`_validated_estimator`),
+    and every grid's direct specs from the window's `baselines._svd_filter`
+    and x_va V. Only the winners' m_hat are formed, and everything validation
+    made is released before they are scored.
     """
     # before the SVD, not by a LAPACK failure
     train, valid, test = (require_xy(what, *window) for what, window in (
         ("x and y", train), ("validation x and y", valid), ("test x and y", test)))
     (x_tr, y_tr), (x_te, y_te) = train, test
-    dec = decompose(x_tr)
+    window = baselines.validation_window(train, valid)
 
-    best = _validated_estimator(train, valid, candidates, dec, where)
+    best = _validated_estimator(window, candidates, where)
     winners = [("adaptive_rrr", best, {"k1": best.k1, "k2": best.k2})]
-    window = baselines.validation_window(train, valid, dec) if grid else None
     for method in sorted(grid):
-        bm = baselines.validate_hyperparams(grid[method], window=window)
+        bm = baselines.validate_hyperparams(grid[method], window)
         rank = bm.method.rank
         winners.append((method, bm, {"mu": bm.method.mu, "rank": -1 if rank is None else rank}))
     del window  # its U^T y, Gram factors and x_va V, before the winners are scored

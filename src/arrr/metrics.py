@@ -58,8 +58,10 @@ def pooled_scores(y: np.ndarray, y_hat: np.ndarray) -> Tuple[float, float, float
     from their min, every score equals the textbook formula bit for bit:
     np.var(y), np.mean(resid ** 2), np.sum((y - np.mean(y)) ** 2), and
     np.corrcoef of the raveled arrays when np.std(y_hat) > 0 and
-    np.std(y) > 0.
+    np.std(y) > 0. y and y_hat of different shapes raise ValueError.
     """
+    if y.shape != y_hat.shape:
+        raise ValueError("y and y_hat must have one shape, got %s and %s" % (y.shape, y_hat.shape))
     n = y.size
     resid = y - y_hat
     sse = (resid * resid).sum()

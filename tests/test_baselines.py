@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from arrr import baselines, metrics
@@ -14,6 +14,7 @@ from arrr.baselines import (
     fit_baseline,
     predict_linear,
     validate_hyperparams,
+    validation_window,
 )
 from arrr.estimator import NonFiniteError
 from arrr.spectral import decompose, numerical_rank
@@ -553,7 +554,8 @@ class TestProximalSolver:
     # step was over-relaxed; the last two met a gap of 1e-10 with an active
     # correlation 1.0e-5 and 1.5e-5 off mu, before the stop also asked for
     # stationarity
-    @settings(max_examples=120, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=120, deadline=None)
     @given(case=_iterative_cases())
     @example(case=_iterative_case("nuclear", 5, 7, 1, 64251, False, False, 1.5))
     @example(case=_iterative_case("nuclear", 10, 5, 1, 17536, False, True, 1.0))
@@ -595,7 +597,8 @@ class TestProximalSolver:
             prox = _svt(b - step * (x.T @ (x @ b - y)), mu * step)
             assert np.max(np.abs(prox - b)) <= 1e-5
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=150, deadline=None)
     @given(case=_admm_cases())
     def test_in_place_steps_match_the_out_of_place_loop_bitwise(self, case):
         x, y, mu, lasso, (max_iters, tol) = case
@@ -644,7 +647,8 @@ class TestProximalSolver:
         assert z.shape == (d1, 3)
         assert np.linalg.norm(z - want) <= 1e-12 * np.linalg.norm(want)
 
-    @settings(max_examples=400, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=400, deadline=None)
     @given(case=_prox_cases())
     def test_nuclear_prox_matches_svd_reference(self, case):
         v, t, s_max = case
@@ -675,7 +679,8 @@ class TestProximalSolver:
             assert svds == want, ratio
             assert np.max(np.abs(p - _svd_prox_nuclear(v, t)[0])) <= 1e-11 * np.sqrt(lam_max)
 
-    @settings(max_examples=120, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=120, deadline=None)
     @given(case=_iterative_cases())
     def test_the_gap_certifies_the_fit(self, case):
         method, mu, x, y = case
@@ -713,7 +718,8 @@ class TestProximalSolver:
                     model = fit_baseline(BaselineSpec(method, mu=mu), inst.x, inst.y)
                     assert model.converged and model.gap <= 1e-10, (seed, method, mu, model.gap)
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=200, deadline=None)
     @given(case=_b_step_cases())
     def test_b_step_matches_a_direct_solve(self, case):
         # each side is within a small multiple of eps kappa of the exact
@@ -753,7 +759,8 @@ class TestProximalSolver:
         want = _objective(method, x, y, ref, mu)
         assert abs(_objective(method, x, y, model.m_hat.T, mu) - want) <= 1e-9 * want
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=60, deadline=None)
     @given(case=_iterative_cases(), a=st.sampled_from([1e-3, 1.0, 1e3]),
            b=st.sampled_from([1e-3, 1.0, 1e3]))
     def test_fits_are_unit_free(self, case, a, b):
@@ -813,7 +820,8 @@ class TestProximalSolver:
 
 
 class TestSVDFilter:
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=200, deadline=None)
     @given(case=_direct_cases())
     def test_matches_reference_solvers(self, case):
         spec, x, y = case
@@ -821,14 +829,16 @@ class TestSVDFilter:
         want = _reference_m_hat(spec, x, y)
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=40, deadline=None)
     @given(case=_direct_cases())
     def test_shared_decomposition_is_bitwise_equal(self, case):
         spec, x, y = case
         shared = fit_baseline(spec, x, y, dec=decompose(x)).m_hat
         assert shared.tobytes() == fit_baseline(spec, x, y).m_hat.tobytes()
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=200, deadline=None)
     @given(case=_graded_cases())
     def test_gram_route_matches_the_svd_reference_above_the_floor(self, case):
         # at s_rank >= 1e-4 s_1, GRAM_FLOOR on the eigenvalues, the projector
@@ -883,7 +893,8 @@ def _validation_cases(draw):
 
 
 class TestValidateHyperparams:
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=150, deadline=None)
     @given(case=_validation_cases())
     def test_picks_what_scoring_fresh_fits_picks(self, case):
         # the reference forms every spec's coefficients and scores
@@ -900,9 +911,9 @@ class TestValidateHyperparams:
             want = metrics.lowest(zip(scores, range(len(grid))))
             if want is None:
                 with pytest.raises(ValueError, match="no spec of the grid scored"):
-                    validate_hyperparams(grid, train, valid)
+                    validate_hyperparams(grid, validation_window(train, valid))
                 return
-            winner = validate_hyperparams(grid, train, valid)
+            winner = validate_hyperparams(grid, validation_window(train, valid))
         assert winner.method is grid[want]
         assert winner.m_hat.tobytes() == fresh[want].m_hat.tobytes()
         assert (winner.iterations_used, winner.converged, _bits(winner.gap)) == (
@@ -919,18 +930,34 @@ class TestValidateHyperparams:
         monkeypatch.setattr(baselines, "validation_mse", lambda y: lambda y_hat: next(scores))
         grid = [BaselineSpec("ridge", mu=1.0), bad]
         with pytest.raises(ValueError, match="rank %d exceeds the problem dimensions" % bad.rank):
-            validate_hyperparams(grid, (x, y), (x_va, y_va))
+            validate_hyperparams(grid, validation_window((x, y), (x_va, y_va)))
 
     def test_validation_design_of_other_width_is_refused(self):
         x, y = _data(12, 5, 2, seed=40)
         x_va, y_va = _data(6, 4, 2, seed=41)
         with pytest.raises(ValueError, match="validation x must have 5 columns"):
-            validate_hyperparams([BaselineSpec("ridge", mu=1.0)], (x, y), (x_va, y_va))
+            validation_window((x, y), (x_va, y_va))
+
+    # refused before the SVD: a validation y of other width would be scored
+    # by broadcasting, and a window without rows by a division by zero
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_tr, n_va, d2_va, message", [
+        (20, 8, 1, "validation y must have 3 columns"),
+        (0, 8, 3, "training x and y have no rows"),
+        (20, 0, 3, "validation x and y have no rows"),
+    ], ids=["valid_y_width", "no_training_rows", "no_validation_rows"])
+    def test_mismatched_or_empty_window_is_refused(self, n_tr, n_va, d2_va, message,
+                                                   monkeypatch):
+        x, y = _data(n_tr, 5, 3, seed=42)
+        x_va, y_va = _data(n_va, 5, d2_va, seed=43)
+        monkeypatch.setattr(baselines, "decompose", lambda a: pytest.fail("x_tr was factored"))
+        with pytest.raises(ValueError, match="^%s$" % message):
+            validation_window((x, y), (x_va, y_va))
 
     def test_single_element_grid(self):
         x, y = _data(30, 5, 2, seed=22)
         spec = BaselineSpec("ridge", mu=1.0)
-        got = validate_hyperparams([spec], (x, y), (x, y))
+        got = validate_hyperparams([spec], validation_window((x, y), (x, y)))
         assert got.method is spec
 
     def test_oracle_best_selected(self):
@@ -939,7 +966,7 @@ class TestValidateHyperparams:
         x_va = inst.x[:15]
         y_va = inst.y[:15]
         grid = [BaselineSpec("ridge", mu=1e-8), BaselineSpec("ridge", mu=5.0)]
-        got = validate_hyperparams(grid, (inst.x, inst.y), (x_va, y_va))
+        got = validate_hyperparams(grid, validation_window((inst.x, inst.y), (x_va, y_va)))
         # hand evaluation of both candidates via the same metric
         from arrr.metrics import evaluate
         scores = [
@@ -951,7 +978,7 @@ class TestValidateHyperparams:
     def test_tie_breaks_to_first(self):
         x, y = _data(25, 4, 2, seed=24)
         grid = [BaselineSpec("ridge", mu=1.0), BaselineSpec("ridge", mu=1.0)]
-        got = validate_hyperparams(grid, (x, y), (x, y))
+        got = validate_hyperparams(grid, validation_window((x, y), (x, y)))
         assert got.method is grid[0]
 
     @pytest.mark.parametrize("grid, weak", [
@@ -974,11 +1001,9 @@ class TestValidateHyperparams:
         if weak:
             y[:, 3] = y[:, 0] + 1e-6 * y[:, 3]
             y_va[:, 3] = y_va[:, 0] + 1e-6 * y_va[:, 3]
-        winner = validate_hyperparams(grid, (x, y), (x_va, y_va))
+        winner = validate_hyperparams(grid, validation_window((x, y), (x_va, y_va)))
         refit = fit_baseline(winner.method, x, y)
         assert winner.m_hat.tobytes() == refit.m_hat.tobytes()
-        shared = validate_hyperparams(grid, (x, y), (x_va, y_va), dec=decompose(x))
-        assert shared.m_hat.tobytes() == winner.m_hat.tobytes()
         assert winner.iterations_used == refit.iterations_used
         assert winner.converged == refit.converged
 
@@ -995,7 +1020,8 @@ class TestValidateHyperparams:
         dec = decompose(x)
         fresh = [fit_baseline(spec, x, y, dec).m_hat.tobytes() for spec in grid]
 
-        # the validation score picks grid[want]; eigh and decompose are counted
+        # the validation score picks grid[want]; eigh and decompose are
+        # counted, and the one SVD is the window's, of the training design
         scores = iter([0.0 if i == want else 1.0 for i in range(len(grid))])
         monkeypatch.setattr(baselines, "validation_mse", lambda y: lambda y_hat: next(scores))
         calls = {"eigh": [], "decompose": []}
@@ -1003,11 +1029,11 @@ class TestValidateHyperparams:
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls["eigh"].append(a) or eigh(a))
         monkeypatch.setattr(baselines, "decompose",
                             lambda a: calls["decompose"].append(a) or decompose(a))
-        winner = validate_hyperparams(grid, (x, y), (x_va, y_va), dec=dec)
+        winner = validate_hyperparams(grid, validation_window((x, y), (x_va, y_va)))
         assert winner.method is grid[want]
         assert winner.m_hat.tobytes() == fresh[want]
         assert [a.shape for a in calls["eigh"]] == [(6, 6)] * 3
-        assert calls["decompose"] == []
+        assert [a.shape for a in calls["decompose"]] == [(20, 15)]
 
     def test_constant_validation_response_has_no_winner(self):
         # every pooled validation MSE is NaN, and a NaN score never wins
@@ -1015,7 +1041,7 @@ class TestValidateHyperparams:
         x_va = _data(10, 5, 2, seed=30)[0]
         grid = [BaselineSpec("ridge", mu=100.0), BaselineSpec("ridge", mu=0.01)]
         with pytest.raises(ValueError, match="no spec of the grid scored"):
-            validate_hyperparams(grid, (x, y), (x_va, np.ones((10, 2))))
+            validate_hyperparams(grid, validation_window((x, y), (x_va, np.ones((10, 2)))))
 
     def test_grids_sharing_a_window_check_and_project_it_once(self, monkeypatch):
         # a rolling fold's or compare cell's grids: with one validation_window
@@ -1027,35 +1053,27 @@ class TestValidateHyperparams:
                  [BaselineSpec("nuclear", mu=1.0), BaselineSpec("nuclear", mu=0.0)]]
         x, y = _data(20, 6, 3, seed=35)
         x_va, y_va = _data(8, 6, 3, seed=36)
-        dec = decompose(x)
-        alone = [validate_hyperparams(grid, (x, y), (x_va, y_va), dec) for grid in grids]
+        alone = [validate_hyperparams(grid, validation_window((x, y), (x_va, y_va)))
+                 for grid in grids]
         checks, filters = [], []
         real_check, real_filter = baselines.require_xy, baselines._svd_filter
         monkeypatch.setattr(baselines, "require_xy",
                             lambda what, *xy: checks.append(what) or real_check(what, *xy))
         monkeypatch.setattr(baselines, "_svd_filter",
                             lambda *a: filters.append(a) or real_filter(*a))
-        window = baselines.validation_window((x, y), (x_va, y_va), dec)
-        assert window.dec is dec
+        window = validation_window((x, y), (x_va, y_va))
         for grid, want in zip(grids, alone):
-            got = validate_hyperparams(grid, window=window)
+            got = validate_hyperparams(grid, window)
             assert got.method is want.method and got.m_hat.tobytes() == want.m_hat.tobytes()
         assert [what for what in checks if what != "x and y"] == [
             "training x and y", "validation x and y"]
         assert len(filters) == 1
 
-    def test_window_and_its_parts_are_not_both_taken(self):
-        x, y = _data(10, 4, 2, seed=37)
-        window = baselines.validation_window((x, y), (x, y))
-        grid = [BaselineSpec("ridge", mu=1.0)]
-        for parts in [((x, y), None, None), (None, (x, y), None), (None, None, window.dec)]:
-            with pytest.raises(TypeError, match="not both"):
-                validate_hyperparams(grid, *parts, window=window)
-
     def test_empty_grid(self):
-        with pytest.raises(ValueError):
-            validate_hyperparams([], (np.zeros((2, 2)), np.zeros((2, 1))),
-                                 (np.zeros((2, 2)), np.zeros((2, 1))))
+        window = validation_window((np.zeros((2, 2)), np.zeros((2, 1))),
+                                   (np.zeros((2, 2)), np.zeros((2, 1))))
+        with pytest.raises(ValueError, match="empty hyperparameter grid"):
+            validate_hyperparams([], window)
 
     # both windows are checked before the grid's one SVD of the training design
     @pytest.mark.filterwarnings("error")
@@ -1067,7 +1085,7 @@ class TestValidateHyperparams:
         windows[window][which][3, 1] = bad
         grid = [BaselineSpec("ridge", mu=mu) for mu in (0.1, 1.0)]
         with pytest.raises(NonFiniteError, match="^%s must hold only finite values$" % named):
-            validate_hyperparams(grid, *windows)
+            validate_hyperparams(grid, validation_window(*windows))
 
 
 class TestPredictLinear:

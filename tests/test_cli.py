@@ -15,13 +15,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import arrr
 import arrr.cli as cli
-from arrr import baselines, dataio, metrics, packing, synth
-from arrr.baselines import BaselineSpec, validate_hyperparams
+from arrr import baselines, dataio, estimator, metrics, packing, synth
+from arrr.baselines import BaselineSpec, validate_hyperparams, validation_window
 from arrr._serde import fmt_float, read_matrix_csv, write_json, write_matrix_csv
 from arrr.cli import (
     EXPERIMENTS,
@@ -569,7 +569,8 @@ class TestCompare:
                     delta=1e-6, theta=1.5, sigma_eps=max(inst.sigma_noise, np.finfo(float).tiny)))
                 fitted = [("adaptive_rrr", model, {"k1": model.k1, "k2": model.k2})]
                 for method, grid in grids.items():
-                    bm = validate_hyperparams(grid, (inst.x, inst.y), (x_va, y_va))
+                    bm = validate_hyperparams(
+                        grid, validation_window((inst.x, inst.y), (x_va, y_va)))
                     rank = -1 if bm.method.rank is None else bm.method.rank
                     fitted.append((method, bm, {"mu": bm.method.mu, "rank": rank}))
                 for method, m, tags in fitted:
@@ -621,13 +622,22 @@ def test_repeated_models_are_scored_once(monkeypatch):
         score = real_scorer(y)
         return lambda y_hat: scored.append(y is valid[1]) or score(y_hat)
 
-    monkeypatch.setattr(metrics, "validation_mse", counted)
+    monkeypatch.setattr(baselines, "validation_mse", counted)
     ((method, model, tags, train_scores, test_scores, got_hat),) = cli._fit_select_score(
         train, valid, test, candidates, {}, "test")
     assert (method, tags, train_scores, test_scores) == want
     assert model.config == best.config and model.m_hat.tobytes() == best.m_hat.tobytes()
     assert got_hat.tobytes() == y_hat.tobytes()
     assert scored.count(True) == len(set(ranks))  # one validation score per model
+
+
+def test_validation_response_of_other_width_is_refused():
+    # a y_va of 8 x 1 against a y_tr of 20 x 3 would be scored broadcast to 8 x 3
+    rng = np.random.default_rng(5)
+    train = (rng.normal(size=(20, 4)), rng.normal(size=(20, 3)))
+    valid = (rng.normal(size=(8, 4)), rng.normal(size=(8, 1)))
+    with pytest.raises(ValueError, match="^validation y must have 3 columns$"):
+        cli._fit_select_score(train, valid, train, [FitConfig()], {}, "test")
 
 
 @pytest.mark.parametrize("shape", ["compare", "rolling"])
@@ -663,18 +673,20 @@ def test_projected_estimator_scores_equal_formed_predictions(shape, monkeypatch)
         score = real_scorer(y)
         return lambda y_hat: projected.append(score(y_hat)) or projected[-1]
 
-    monkeypatch.setattr(metrics, "validation_mse", recorded)
-    best = cli._validated_estimator((inst.x, inst.y), (x_va, y_va), candidates,
-                                    decompose(inst.x), "test")
+    monkeypatch.setattr(baselines, "validation_mse", recorded)
+    best = cli._validated_estimator(validation_window((inst.x, inst.y), (x_va, y_va)),
+                                    candidates, "test")
     np.testing.assert_allclose(projected, formed, rtol=1e-12, atol=0.0)
     assert (best.k1, best.k2) == (want.k1, want.k2)
 
 
 def test_one_rolling_fold_forms_only_what_validation_reads(tmp_path, monkeypatch):
-    # per fold: one baselines filter (U^T y formed once) whose fitted-values
-    # Gram is factored once per mu across the grids, one filter g per direct
-    # spec, one V g per direct grid (its winner's, through fit_baseline), and
-    # the m_hat of the estimator's winner alone
+    # per fold: one validation scorer and one SVD of the training design,
+    # which the estimator and every grid share, one baselines filter (U^T y
+    # formed once) whose fitted-values Gram is factored once per mu across
+    # the grids, one filter g per direct spec, one V g per direct grid (its
+    # winner's, through fit_baseline), and the m_hat of the estimator's
+    # winner alone
     panel = _write_panel(tmp_path)
     x, y, dates = dataio.make_features(dataio.load_panel_csv(panel), [1, 2], 1)
     (fold,) = dataio.rolling_splits(dates, 10, 4, 4, 0)
@@ -687,9 +699,18 @@ def test_one_rolling_fold_forms_only_what_validation_reads(tmp_path, monkeypatch
     assert len({(m.k1, m.k2) for m in fit_path(*train, candidates)
                 if not isinstance(m, NoGapError)}) > 1
 
-    counts = {"filters": 0, "g": 0, "eigh": 0, "m_hat": 0}
-    fits = []
+    counts = {"scorers": 0, "filters": 0, "g": 0, "eigh": 0, "m_hat": 0}
+    fits, factored = [], []
     real_filter, real_fit, real_eigh = baselines._svd_filter, baselines.fit_baseline, np.linalg.eigh
+    real_scorer = metrics.validation_mse
+
+    def counted_scorer(y):
+        counts["scorers"] += 1
+        return real_scorer(y)
+
+    def recorded_decompose(a):
+        factored.append(np.shape(a))
+        return decompose(a)
 
     def counted_filter(dec, y):
         counts["filters"] += 1
@@ -721,13 +742,18 @@ def test_one_rolling_fold_forms_only_what_validation_reads(tmp_path, monkeypatch
     monkeypatch.setattr(baselines, "_svd_filter", counted_filter)
     monkeypatch.setattr(baselines, "fit_baseline", counted_fit)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    for module in (metrics, baselines):
+        monkeypatch.setattr(module, "validation_mse", counted_scorer)
+    for module in (cli, baselines, estimator):
+        monkeypatch.setattr(module, "decompose", recorded_decompose)
     cfg = _write_json(tmp_path, "cfg.json", {
         "kind": "rolling", "panel": panel, "features": {"lookbacks": [1, 2], "horizon": 1},
         "splits": {"train_len": 10, "valid_len": 4, "test_len": 4},
         "fit": {"delta": [1e-8, 0.3], "theta": [0.5, 2.0]}, "baselines": grid})
     assert main(["rolling", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     # ridge 2, rrr 2, pcr 2, reduced-rank ridge 1 and lasso at mu 0
-    assert counts == {"filters": 1, "g": 8, "eigh": 2, "m_hat": 1}
+    assert counts == {"scorers": 1, "filters": 1, "g": 8, "eigh": 2, "m_hat": 1}
+    assert factored.count(train[0].shape) == 1
     assert sorted(fits) == [(method, True) for method in sorted(m["method"] for m in grid)]
 
 
@@ -820,23 +846,28 @@ class TestRolling:
     # The first fold's rows are train 0-7, valid 8-10 and test 11-13.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("line, named", [
-        (3, "x and y"), (10, "validation x and y"), (13, "test x and y"),
-    ], ids=["train", "valid", "test"])
+        (None, None), (3, "x and y"), (10, "validation x and y"), (13, "test x and y"),
+    ], ids=["clean", "train", "valid", "test"])
     def test_infinite_training_value_is_reported_before_the_svd(self, tmp_path, monkeypatch,
                                                                line, named):
         # an inf return reaches one window of the first fold; the run must name
         # it before factoring the training design, whose SVD would quietly be
         # NaN, and not report a validation window it cannot score as a
-        # missing gap
+        # missing gap. On the clean panel the patched function is shown to be
+        # the one that factors each fold's training design.
+        factored = []
+
         def finite_only(a):
             assert np.isfinite(a).all(), "a non-finite design was factored"
+            factored.append(a)
             return decompose(a)
 
-        monkeypatch.setattr(cli, "decompose", finite_only)
+        monkeypatch.setattr(baselines, "decompose", finite_only)
         panel = tmp_path / "panel.csv"
         with open(self._panel(tmp_path)) as f:
             lines = f.read().splitlines()
-        lines[line] = lines[line].rsplit(",", 1)[0] + ",inf"
+        if line is not None:
+            lines[line] = lines[line].rsplit(",", 1)[0] + ",inf"
         panel.write_text("\n".join(lines) + "\n")
         cfg = _write_json(tmp_path, "cfg.json", {
             "kind": "rolling",
@@ -847,7 +878,11 @@ class TestRolling:
             "baselines": [{"method": "ridge", "mu": [0.5]}],
         })
         out = tmp_path / "out"
-        assert main(["rolling", "--config", cfg, "--out", str(out)]) == 3
+        code = main(["rolling", "--config", cfg, "--out", str(out)])
+        if line is None:
+            assert code == 0 and len(factored) >= 1
+            return
+        assert code == 3
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "NonFiniteError"
         assert err["message"] == named + " must hold only finite values"
@@ -1063,7 +1098,8 @@ class TestMatrixCsv:
         _write_per_float(str(want), a)
         assert got.read_bytes() == want.read_bytes()
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 50), st.integers(1, 50), st.randoms(use_true_random=False))
     def test_random_bit_patterns(self, rows, cols, rnd):
         # any sign, exponent and mantissa: NaN, infinity and subnormals too
@@ -1758,7 +1794,8 @@ def _assert_config_exits_cleanly(target, value):
     return err.getvalue()
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@seed(1)
+@settings(max_examples=150, deadline=None)
 @given(target=st.sampled_from(_FUZZ_PATHS), value=st.sampled_from(_FUZZ_VALUES))
 def test_fuzzed_config_exits_cleanly(target, value):
     _assert_config_exits_cleanly(target, value)
@@ -1794,7 +1831,8 @@ def _tree(root):
 
 
 # 200 examples exhaust the 180 (target, value) pairs, so each one runs
-@settings(max_examples=200, deadline=None, derandomize=True)
+@seed(1)
+@settings(max_examples=200, deadline=None)
 @given(target=st.sampled_from(_ARGV_TARGETS), value=st.sampled_from(_ARGV_VALUES))
 def test_fuzzed_argv_exits_cleanly(target, value):
     cmd, i = target

@@ -3,7 +3,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from arrr.dataio import (
@@ -182,7 +182,8 @@ def _features_by_row(panel, lookbacks, horizon):
     return np.array(xs).reshape(-1, d1), np.array(ys).reshape(-1, d2), dates
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@seed(1)
+@settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), assets=st.integers(1, 4),
        lookbacks=st.lists(st.integers(1, 6), min_size=1, max_size=3),
        horizon=st.integers(1, 3), extra=st.integers(1, 20),

@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 import arrr.estimator as estimator
@@ -505,7 +505,8 @@ def _oracle_cases(draw):
 
 
 class TestFitPath:
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=60, deadline=None)
     @given(seed=_SEEDS, shape=_SHAPES, configs=st.lists(_CONFIGS, min_size=1, max_size=6))
     def test_path_equals_separate_fits_bitwise(self, seed, shape, configs):
         x, y = _path_data(seed, *shape)
@@ -526,7 +527,8 @@ class TestFitPath:
             assert (got.k1, got.k2, got.threshold_used, got.sigma_eps_used) == (
                 want.k1, want.k2, want.threshold_used, want.sigma_eps_used)
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=100, deadline=None)
     @given(case=_oracle_cases())
     def test_path_matches_the_estimator_from_its_definitions(self, case):
         # within 1e-10 of the largest eigenvalue and of the size of m_hat,
@@ -547,7 +549,8 @@ class TestFitPath:
         np.testing.assert_allclose(model.lambdas[:lam.size], lam, rtol=0, atol=1e-10 * lam[0])
         assert _rel(model.m_hat, m_hat) <= 1e-10
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=40, deadline=None)
     @given(seed=_SEEDS, shape=_SHAPES, config=_CONFIGS)
     def test_m_hat_is_the_composition(self, seed, shape, config):
         x, y = _path_data(seed, *shape)
@@ -558,7 +561,8 @@ class TestFitPath:
         assert model.m_hat.tobytes() == (model.n_hat_trunc @ model.pi_hat).tobytes()
         assert vars(model)["m_hat"] is model.m_hat
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=40, deadline=None)
     @given(seed=_SEEDS, shape=_SHAPES, sigma=_SIGMAS,
            delta=st.sampled_from([1e-8, 1e-3, 0.05]),
            thetas=st.lists(st.floats(0.05, 20.0), min_size=2, max_size=6))
@@ -574,7 +578,8 @@ class TestFitPath:
         k2s = [m.k2 for m in models]
         assert all(a >= b for a, b in zip(k2s, k2s[1:])), k2s
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=60, deadline=None)
     @given(seed=_SEEDS, shape=_SHAPES, sigma=_SIGMAS,
            delta=st.sampled_from([1e-3, 0.05, 0.5]),
            theta=st.sampled_from([0.5, 1.0, 2.0]), perm_seed=_SEEDS)
@@ -719,7 +724,8 @@ def _self_scores(x, y, configs, x_new):
 
 
 class TestRankPath:
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=60, deadline=None)
     @given(seed=_SEEDS, grid=_rank_grids(), sigma=_SIGMAS)
     # n < d1 with k1 > d2, on a repeated and unsorted grid with k2 = 0
     @example(seed=3, sigma="auto", grid=((10, 16, 3), [

@@ -1,12 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from arrr import baselines, cli
-from arrr.baselines import BaselineSpec, validate_hyperparams
+from arrr.baselines import BaselineSpec, validate_hyperparams, validation_window
 from arrr.estimator import FitConfig, fit_path, rank_path_scores
 from arrr.metrics import (
     evaluate,
@@ -134,6 +135,15 @@ class TestPooledScores:
         rep = evaluate(m, x, y, split_label="out")
         assert pooled_scores(y, x @ m.T) == (rep.mse_out, rep.r2_out, rep.corr_out)
 
+    # a broadcast would score 8 x 8 entries, and a reshape fail on its size
+    @pytest.mark.parametrize("y_shape, hat_shape", [((8, 1), (1, 8)), ((8, 1), (8, 3))],
+                             ids=["transposed", "wider"])
+    def test_shapes_that_differ_are_refused(self, y_shape, hat_shape):
+        y, y_hat = np.arange(8.0).reshape(y_shape), np.ones(hat_shape)
+        with pytest.raises(ValueError, match=re.escape(
+                "y and y_hat must have one shape, got %s and %s" % (y_shape, hat_shape))):
+            pooled_scores(y, y_hat)
+
     def test_undefined_scores_are_nan(self):
         y = np.full((6, 2), 1.5)
         mse, r2, corr = pooled_scores(y, np.zeros((6, 2)))
@@ -184,7 +194,8 @@ class TestPooledScores:
         assert math.isnan(want[2])
         assert np.array(pooled_scores(y, y_hat)).tobytes() == np.array(want).tobytes()
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 60), d=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
            y_exp=st.floats(-160, 150), hat_exp=st.floats(-3, 3),
            kind=st.sampled_from(["noisy", "constant y", "constant y_hat", "zero y_hat"]))
@@ -206,7 +217,8 @@ class TestPooledScores:
 
 
 class TestValidationMse:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 60), d=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
            y_exp=st.floats(-160, 150), hat_exp=st.floats(-3, 3),
            kind=st.sampled_from(["noisy", "constant y", "rounding mean", "zero y_hat"]),
@@ -260,7 +272,8 @@ def _rank_data(seed, n, d1, d2, n_new, offset, eta=0.5):
 
 
 class TestRankPathScores:
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2 ** 16), n=st.integers(4, 20), d1=st.integers(2, 12),
            d2=st.integers(1, 8), n_new=st.integers(2, 25), offset=st.sampled_from([0.0, 3.0]),
            k1s=st.lists(st.floats(0, 1), min_size=1, max_size=3))
@@ -343,13 +356,13 @@ class TestLowest:
         grid = [BaselineSpec("ridge", mu=float(i + 1)) for i in range(len(scores))]
         in_order = iter(scores)
         monkeypatch.setattr(baselines, "validation_mse", lambda y: lambda y_hat: next(in_order))
-        assert validate_hyperparams(grid, window, window).method == grid[want]
+        assert validate_hyperparams(grid, validation_window(window, window)).method == grid[want]
 
         # one estimator candidate per score, scored by the rank of its
         # predictions, its k2; each has its own k2, since a repeated (k1, k2)
         # is one model and is scored once
         thetas = [1.0 + i for i in range(len(scores))]
-        monkeypatch.setattr(cli.metrics, "validation_mse", lambda y: lambda y_hat: (
+        monkeypatch.setattr(baselines, "validation_mse", lambda y: lambda y_hat: (
             scores[np.linalg.matrix_rank(y_hat)]))
         candidates = [FitConfig(delta=1e-3, theta=t, sigma_eps=1.0, k1_override=5,
                                 k2_override=i) for i, t in enumerate(thetas)]

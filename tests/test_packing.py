@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from arrr import packing
@@ -277,7 +277,8 @@ class TestCalibration:
         got, want = calibrate_fill_constants(500), _calibration_reference(500)
         assert got[0] == 3.0 == want[0] and _bits(got[1]) == _bits(want[1])
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 20_000), q=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
            ties=st.booleans())
     # a weight of exactly 1/2, where the two ends of the interpolation differ
@@ -456,7 +457,8 @@ class TestSpectrumBound:
     """spectrum_mismatch is s_max ||u^T u - I||_F, a Weyl bound on how far the
     singular values of u diag(s) lie from the sorted spectrum."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=60, deadline=None)
     @given(d=st.sampled_from([32, 64]), member=st.integers(0, 3),
            log_delta=st.floats(-10.0, -4.0), seed=st.integers(0, 2**32 - 1),
            flat=st.booleans())
@@ -470,7 +472,8 @@ class TestSpectrumBound:
             p = dataclasses.replace(p, spectrum=spectrum)
         assert _one_member(fam, p, u).spectrum_mismatch >= _svd_mismatch(u, p.spectrum)
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=40, deadline=None)
     @given(d=st.sampled_from([32, 64]), member=st.integers(0, 3),
            log_delta=st.floats(-10.0, -4.0), col=st.integers(0, 31))
     def test_a_scaled_column_reports_at_most_three_times_the_mismatch(
@@ -565,7 +568,8 @@ class TestVerifierReference:
     """verify_packing's support indicator and one pass over the members
     measure what the per-column masks, sets and sliced weights did."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=60, deadline=None)
     @given(d=st.sampled_from([32, 64]), seed=st.sampled_from([1, 2, 3]),
            fault=st.sampled_from(["none", "moved", "repeated", "shared"]),
            pick=st.integers(0, 2**32 - 1))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from arrr.spectral import (
@@ -187,7 +187,8 @@ class TestSelectGapRank:
         return None
 
     # quarters, so that many gaps equal delta exactly
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=300, deadline=None)
     @given(lam=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 2.0]) | st.floats(0.0, 3.0),
                         min_size=1, max_size=10),
            delta=st.sampled_from([0.25, 0.5, 1.0]) | st.floats(1e-12, 3.0))
