@@ -304,7 +304,9 @@ def _sweep_cell(args) -> List[Dict[str, Any]]:
                                       syn.n, syn.eta, derived_seed(syn.seed, TEST_STREAM))
     configs = [c for k1 in k1s for k2 in k2s
                for c in _candidates(fit, inst, k1_override=k1, k2_override=k2)]
-    scores = rank_path_scores(inst.x, inst.y, configs, x_te, y_te, inst.m)
+    x, y, m = inst.x, inst.y, inst.m
+    del inst  # its d1 x d1 basis v_star has no reader past the test draw
+    scores = rank_path_scores(x, y, configs, x_te, y_te, m)
     return [{"method": "adaptive_rrr", "eta": syn.eta, "k1": config.k1_override,
              "k2": config.k2_override, "seed": syn.seed,
              "recon_error": recon, "mse_out": mse, "corr_out": corr}

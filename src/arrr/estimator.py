@@ -240,7 +240,14 @@ def _stages(x: np.ndarray, y: np.ndarray, configs: Sequence[FitConfig],
     x and y are checked and have one SVD, or `dec`. The noise pilot runs at
     most once, for the first config with sigma_eps "auto"; stage 1 runs once
     per distinct (delta, k1_override); the cross-moment matrix has one SVD
-    per k1."""
+    per k1.
+
+    Each stage-1 result is dropped after the last config of its (delta,
+    k1_override) and, when every config pins k1, each cross-moment SVD after
+    the last config of its k1_override, so that a path grouped by k1 holds
+    one k1's factors at a time. A k1 that the gap rule picks can recur under
+    any later delta, so without pinned k1 every SVD is kept to the end of the
+    path."""
     x, y = require_xy("x and y", x, y)
     n = x.shape[0]
     # checked before the pilot, which would report an all-zero panel's
@@ -251,7 +258,11 @@ def _stages(x: np.ndarray, y: np.ndarray, configs: Sequence[FitConfig],
         raise ValueError("x is identically zero")
     x_dec = decompose(x) if dec is None else dec
     pilot, stage1, n_hat_decs = None, {}, {}
-    for config in configs:
+    configs = list(configs)  # read by the two look-aheads and by the path
+    last_stage1 = {(c.delta, c.k1_override): i for i, c in enumerate(configs)}
+    last_k1 = ({c.k1_override: i for i, c in enumerate(configs)}
+               if all(c.k1_override is not None for c in configs) else {})
+    for i, config in enumerate(configs):
         if config.sigma_eps == "auto" and pilot is None:
             pilot = estimate_noise_sigma(x, y, x_dec)
         sigma_eps = pilot if config.sigma_eps == "auto" else float(config.sigma_eps)
@@ -263,13 +274,16 @@ def _stages(x: np.ndarray, y: np.ndarray, configs: Sequence[FitConfig],
                 # kept with its traceback, it would hold this frame, and so
                 # every stage-1 result, in a reference cycle past the path
                 stage1[key] = e.with_traceback(None)
-        n_hat_dec = None
+        k1 = None  # after a NoGapError; n_hat_decs has no None key
         if not isinstance(stage1[key], NoGapError):
             k1 = stage1[key][0].shape[0]
             if k1 not in n_hat_decs:
                 n_hat_decs[k1] = decompose(y.T @ (np.sqrt(n) * x_dec.u[:, :k1]) / n)
-            n_hat_dec = n_hat_decs[k1]
-        yield config, n, sigma_eps, stage1[key], n_hat_dec
+        yield config, n, sigma_eps, stage1[key], n_hat_decs.get(k1)
+        if last_stage1[key] == i:
+            del stage1[key]
+        if last_k1.get(config.k1_override) == i:
+            del n_hat_decs[k1]
 
 
 def fit_path(
@@ -372,6 +386,8 @@ def rank_path_scores(x: np.ndarray, y: np.ndarray, configs: Sequence[FitConfig],
                 y_constant = not y_new.max() > y_new.min()
             sums[k1] = _direction_sums(dec.u, dec.s, dec.v.T @ pi_hat,
                                        (x_new @ pi_hat.T) @ (dec.v * dec.s), m_true, y_new, yc)
+        # not held while `_stages` forms the next k1's factors
+        del pi_hat, dec
         (m_res, y_res), pre, suf = sums[k1]
         total, hh, hy = pre[2:, k2]
         gram = (hh - total * total / n, hy, sst)
@@ -385,17 +401,40 @@ def _direction_sums(u: np.ndarray, s: np.ndarray, w: np.ndarray, p: np.ndarray,
                     m_true: np.ndarray, y: np.ndarray, yc: np.ndarray):
     """rank_path_scores' terms of one k1: the two residuals, the prefix sums
     over i < k2 (recon, sse, sum(y_hat), ||y_hat||^2, <yc, y_hat>) and the
-    suffix sums over i >= k2 (recon, sse), each indexed by k2 in [0, r]."""
+    suffix sums over i >= k2 (recon, sse), each indexed by k2 in [0, r].
+
+    Each temporary as large as m_true or y is written in place and dropped
+    after its last read, so at most two are live at a time. Every term is
+    what the out-of-place expressions (m_true - u @ um, um - s w, ...) give,
+    bit for bit: the same float operations on the same operands (tested
+    against an out-of-place copy)."""
     r = u.shape[1]
-    um, yu = u.T @ m_true, y @ u
-    m_res, y_res = m_true - u @ um, y - yu @ u.T
-    dm, dy = um - s[:, None] * w, yu - p
+    um = u.T @ m_true
+    res = u @ um
+    m_res = _sum_of_squares(np.subtract(m_true, res, out=res))
+    del res
+    um_sq = (um * um).sum(1)
+    dm_sq = _sum_of_squares(np.subtract(um, s[:, None] * w, out=um), 1)
+    del um
+    yu = y @ u
+    res = yu @ u.T
+    y_res = _sum_of_squares(np.subtract(y, res, out=res))
+    del res
+    yu_sq = (yu * yu).sum(0)
+    dy_sq = _sum_of_squares(np.subtract(yu, p, out=yu), 0)
+    del yu
+    ycu = yc @ u
     pre = np.zeros((5, r + 1))
-    np.cumsum([(dm * dm).sum(1), (dy * dy).sum(0), p.sum(0) * u.sum(0), (p * p).sum(0),
-               (p * (yc @ u)).sum(0)], axis=1, out=pre[:, 1:])
+    np.cumsum([dm_sq, dy_sq, p.sum(0) * u.sum(0), (p * p).sum(0),
+               np.multiply(p, ycu, out=ycu).sum(0)], axis=1, out=pre[:, 1:])
     suf = np.zeros((2, r + 1))
-    suf[:, :r] = np.cumsum([(um * um).sum(1)[::-1], (yu * yu).sum(0)[::-1]], axis=1)[:, ::-1]
-    return ((m_res * m_res).sum(), (y_res * y_res).sum()), pre, suf
+    suf[:, :r] = np.cumsum([um_sq[::-1], yu_sq[::-1]], axis=1)[:, ::-1]
+    return (m_res, y_res), pre, suf
+
+
+def _sum_of_squares(a: np.ndarray, axis: Optional[int] = None):
+    """(a * a).sum(axis), bit for bit, with a, a temporary, squared in place."""
+    return np.multiply(a, a, out=a).sum(axis)
 
 
 def fit_adaptive_rrr(x: np.ndarray, y: np.ndarray, config: FitConfig,

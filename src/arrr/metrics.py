@@ -60,8 +60,7 @@ def pooled_scores(y: np.ndarray, y_hat: np.ndarray) -> Tuple[float, float, float
     np.corrcoef of the raveled arrays when np.std(y_hat) > 0 and
     np.std(y) > 0. y and y_hat of different shapes raise ValueError.
     """
-    if y.shape != y_hat.shape:
-        raise ValueError("y and y_hat must have one shape, got %s and %s" % (y.shape, y_hat.shape))
+    _require_one_shape(y, y_hat)
     n = y.size
     resid = y - y_hat
     sse = (resid * resid).sum()
@@ -77,6 +76,13 @@ def pooled_scores(y: np.ndarray, y_hat: np.ndarray) -> Tuple[float, float, float
     return _pooled(n, sse, (yc * yc).sum(), y_constant, gram)
 
 
+def _require_one_shape(y: np.ndarray, y_hat: np.ndarray) -> None:
+    """ValueError naming both shapes unless y and y_hat have one shape; a
+    broadcast would score other entries than the response's."""
+    if y.shape != y_hat.shape:
+        raise ValueError("y and y_hat must have one shape, got %s and %s" % (y.shape, y_hat.shape))
+
+
 def validation_mse(y: np.ndarray) -> Callable[[np.ndarray], float]:
     """The scorer of one validation window: a function of y_hat that returns
     pooled_scores(y, y_hat)[0], the variance-normalized MSE, bit for bit.
@@ -84,13 +90,15 @@ def validation_mse(y: np.ndarray) -> Callable[[np.ndarray], float]:
     The window's centered sum of squares and its constant flag are formed
     once, here; each call forms only the residual sum of squares, and the
     division and NaN rules are `_pooled`'s. The MSE is all that
-    `lowest` reads of a validation score."""
+    `lowest` reads of a validation score. A y_hat of another shape than y
+    raises ValueError, as in pooled_scores."""
     n = y.size
     yc = np.subtract(y, y.sum() / n, out=np.empty(y.shape))  # C order, as pooled_scores'
     sst = (yc * yc).sum()
     y_constant = not y.max() > y.min()
 
     def mse(y_hat: np.ndarray) -> float:
+        _require_one_shape(y, y_hat)
         resid = y - y_hat
         return _pooled(n, (resid * resid).sum(), sst, y_constant, None)[0]
 

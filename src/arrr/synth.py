@@ -74,7 +74,7 @@ def gen_covariance(d1: int, omega: float, seed: int) -> Tuple[np.ndarray, np.nda
 
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((d1, d1)))
-    q = q * np.sign(np.diag(r))
+    q *= np.sign(np.diag(r))
     return q, lam
 
 
@@ -90,7 +90,7 @@ def gen_coefficients(d2: int, d1: int, rank_m: int, upsilon: float, seed: int) -
     m = truncate_rank(raw, rank_m) if rank_m < min(d1, d2) else raw
     top = np.linalg.norm(m, 2)
     if top > upsilon:
-        m = m * (upsilon / top)
+        m *= upsilon / top
     return m
 
 
@@ -103,7 +103,8 @@ def gen_design(v_star: np.ndarray, lambda_star: np.ndarray, n: int, seed) -> np.
         raise ValueError("n must be >= 2")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, len(lambda_star)))
-    return (g * np.sqrt(lambda_star)) @ v_star.T
+    g *= np.sqrt(lambda_star)
+    return g @ v_star.T
 
 
 def gen_dataset(
@@ -122,10 +123,11 @@ def gen_dataset(
     """
     rng = np.random.default_rng(seed)
     x = gen_design(v_star, lambda_star, n, rng)
-    signal = x @ m.T
-    sigma_noise = float(eta) * float(np.std(signal))
-    e_raw = rng.standard_normal(signal.shape)
-    y = signal + sigma_noise * e_raw
+    y = x @ m.T  # the signal, to which the noise is added in place
+    sigma_noise = float(eta) * float(np.std(y))
+    noise = rng.standard_normal(y.shape)
+    noise *= sigma_noise
+    y += noise
     return x, y, sigma_noise
 
 

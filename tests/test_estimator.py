@@ -3,6 +3,7 @@ import gc
 import itertools
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -674,6 +675,14 @@ class TestFitPath:
         finally:
             gc.enable()
 
+    def test_configs_may_be_a_one_pass_iterable(self):
+        # the path reads its configs ahead of fitting them, and still fits each
+        x, y = _path_data(1, 20, 8, 5)
+        configs = [FitConfig(sigma_eps=1.0, k1_override=k1) for k1 in (3, 5, 3)]
+        got, want = list(fit_path(x, y, iter(configs))), list(fit_path(x, y, configs))
+        assert len(got) == 3
+        assert [m.m_hat.tobytes() for m in got] == [m.m_hat.tobytes() for m in want]
+
     def test_nogap_candidate_is_reported_not_raised(self):
         x, y = _path_data(1, 20, 8, 5)
         configs = [FitConfig(delta=1e6, sigma_eps=1.0), FitConfig(delta=1e-8, sigma_eps=1.0)]
@@ -721,6 +730,21 @@ def _self_scores(x, y, configs, x_new):
         y_fit = x_new @ model.m_hat.T
         scores = rank_path_scores(x, y, configs, x_new, y_fit, model.m_hat)
         yield model, y_fit, next(itertools.islice(scores, i, None))
+
+
+def _out_of_place_direction_sums(u, s, w, p, m_true, y, yc):
+    """estimator._direction_sums with its temporaries out of place: the
+    reference its in-place form must match bit for bit."""
+    r = u.shape[1]
+    um, yu = u.T @ m_true, y @ u
+    m_res, y_res = m_true - u @ um, y - yu @ u.T
+    dm, dy = um - s[:, None] * w, yu - p
+    pre = np.zeros((5, r + 1))
+    np.cumsum([(dm * dm).sum(1), (dy * dy).sum(0), p.sum(0) * u.sum(0), (p * p).sum(0),
+               (p * (yc @ u)).sum(0)], axis=1, out=pre[:, 1:])
+    suf = np.zeros((2, r + 1))
+    suf[:, :r] = np.cumsum([(um * um).sum(1)[::-1], (yu * yu).sum(0)[::-1]], axis=1)[:, ::-1]
+    return ((m_res * m_res).sum(), (y_res * y_res).sum()), pre, suf
 
 
 class TestRankPath:
@@ -822,6 +846,64 @@ class TestRankPath:
         if pilot_at is not None:  # once, for the first "auto" config
             want.insert(pilot_at, ("pilot",))
         assert calls == fit_calls == want
+
+    # (n, d1, d2) and k1s: sweep-rankpath's shape, k1 below d2, and n < d1
+    @pytest.mark.parametrize("shape, k1s", [((150, 200, 100), (100, 150)),
+                                            ((30, 12, 8), (5, 12)), ((10, 16, 3), (2, 6))],
+                             ids=["sweep", "k1_below_d2", "wide"])
+    def test_direction_sums_match_their_out_of_place_terms_bitwise(self, monkeypatch, shape,
+                                                                   k1s):
+        # on the very arguments rank_path_scores passes, which stay unchanged
+        calls, real = [], estimator._direction_sums
+        monkeypatch.setattr(estimator, "_direction_sums", lambda *a: calls.append(a) or real(*a))
+        n, d1, d2 = shape
+        x, y = _path_data(0, n, d1, d2)
+        x_new, y_new = _path_data(1, n + 3, d1, d2)
+        m = np.random.default_rng(2).normal(size=(d2, d1))
+        configs = [FitConfig(sigma_eps=1.0, k1_override=k1, k2_override=1) for k1 in k1s]
+        assert len(list(rank_path_scores(x, y, configs, x_new, y_new, m))) == len(k1s)
+        assert len(calls) == len(k1s)
+        for args in calls:
+            before = [a.copy() for a in args]
+            (got_m, got_y), *got = real(*args)
+            (want_m, want_y), *want = _out_of_place_direction_sums(*args)
+            assert (got_m.tobytes(), got_y.tobytes()) == (want_m.tobytes(), want_y.tobytes())
+            for a, b in zip(got + before, want + list(args)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_a_k1s_factors_are_released_before_the_next_k1s(self, monkeypatch):
+        # configs in sweep order, grouped by a pinned k1: when stage 1 runs
+        # for the next k1, nothing holds the previous k1's pi_hat or its
+        # cross-moment SVD any more, and still no factorization is repeated
+        held, real = [], (estimator.step1_pca_x, estimator.decompose)
+        refs = {}  # k1 -> weak references to its pi_hat and SVD factors
+        decomposed = []
+
+        def step1(dec, delta, k1):
+            gc.collect()
+            held.append(sorted(k for k, rs in refs.items() if any(r() is not None for r in rs)))
+            pi_hat, lambdas = real[0](dec, delta, k1)
+            refs[k1] = [weakref.ref(pi_hat)]
+            return pi_hat, lambdas
+
+        def decompose(a):
+            dec = real[1](a)
+            decomposed.append(a.shape)
+            if a.shape[1] in refs:  # the cross-moment matrix of a k1, d2 x k1
+                refs[a.shape[1]] += [weakref.ref(f) for f in (dec, dec.u, dec.s, dec.v)]
+            return dec
+
+        monkeypatch.setattr(estimator, "step1_pca_x", step1)
+        monkeypatch.setattr(estimator, "decompose", decompose)
+        x, y = _path_data(0, 20, 8, 5)
+        configs = [FitConfig(sigma_eps=1.0, k1_override=k1, k2_override=k2)
+                   for k1 in (3, 6, 4) for k2 in (2, 0, 1)]
+        scores = rank_path_scores(x, y, configs, x, y, np.zeros((5, 8)))
+        assert len(list(scores)) == len(configs)
+        assert held == [[], [], []]
+        assert decomposed == [(20, 8), (5, 3), (5, 6), (5, 4)]
+        gc.collect()
+        assert not any(r() is not None for rs in refs.values() for r in rs)
 
     @pytest.mark.parametrize("x_new, error, message", [
         (np.ones((4, 7)), ValueError, "x_new must have 8 columns"),

@@ -250,6 +250,18 @@ class TestValidationMse:
                 if kind in ("constant y", "rounding mean"):
                     assert math.isnan(want)
 
+    # as in pooled_scores: a 1 x 8 row against an 8 x 1 y scored an 8 x 8
+    # broadcast, 16.0, where the same entries in y's shape score 0
+    @pytest.mark.parametrize("y_shape, hat_shape", [((8, 1), (1, 8)), ((8, 1), (8, 3))],
+                             ids=["transposed", "wider"])
+    def test_shapes_that_differ_are_refused(self, y_shape, hat_shape):
+        y = np.arange(8.0).reshape(y_shape)
+        score = validation_mse(y)
+        with pytest.raises(ValueError, match=re.escape(
+                "y and y_hat must have one shape, got %s and %s" % (y_shape, hat_shape))):
+            score(np.arange(float(np.prod(hat_shape))).reshape(hat_shape))
+        assert score(y.copy()) == 0.0
+
 
 def _scored_path(data, pairs):
     """fit_path's models and rank_path_scores' scores of each (k1, k2) pair on

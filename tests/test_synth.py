@@ -12,6 +12,7 @@ from arrr.synth import (
     make_instance,
     orthogonalized_n,
 )
+from arrr.spectral import truncate_rank
 
 
 class TestGenCovariance:
@@ -237,3 +238,55 @@ class TestSynthConfigValidate:
         v, lam = gen_covariance(4, 2.0, seed=0)
         with pytest.raises(ValueError):
             gen_design(v, lam, 1, seed=0)
+
+
+# The generators as they read with their temporaries out of place: the
+# references that the in-place forms must match bit for bit.
+def _out_of_place_covariance(d1, omega, seed):
+    lam = np.arange(1, d1 + 1, dtype=float) ** (-float(omega))
+    lam /= lam.sum()
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d1, d1)))
+    return q * np.sign(np.diag(r)), lam
+
+
+def _out_of_place_coefficients(d2, d1, rank_m, upsilon, seed):
+    raw = np.random.default_rng(seed).integers(-1, 2, size=(d2, d1)).astype(float)
+    m = truncate_rank(raw, rank_m) if rank_m < min(d1, d2) else raw
+    top = np.linalg.norm(m, 2)
+    return m * (upsilon / top) if top > upsilon else m
+
+
+def _out_of_place_design(v_star, lambda_star, n, seed):
+    g = np.random.default_rng(seed).standard_normal((n, len(lambda_star)))
+    return (g * np.sqrt(lambda_star)) @ v_star.T
+
+
+def _out_of_place_dataset(m, v_star, lambda_star, n, eta, seed):
+    rng = np.random.default_rng(seed)
+    x = _out_of_place_design(v_star, lambda_star, n, rng)
+    signal = x @ m.T
+    sigma_noise = float(eta) * float(np.std(signal))
+    return x, signal + sigma_noise * rng.standard_normal(signal.shape), sigma_noise
+
+
+class TestInPlaceTemporaries:
+    # sweep-rankpath's shape, oneshot-io's synth shape, a full-rank capped
+    # ternary matrix, and a small one under its cap
+    @pytest.mark.parametrize("d1, d2, n, rank_m, upsilon, eta", [
+        (200, 100, 150, 50, 5.0, 0.25), (300, 200, 400, 20, 5.0, 0.5),
+        (12, 6, 9, 6, 2.0, 1.0), (5, 3, 4, 2, 50.0, 0.0)],
+        ids=["sweep", "oneshot", "full_rank", "under_cap"])
+    def test_generators_match_their_out_of_place_forms_bitwise(self, d1, d2, n, rank_m,
+                                                               upsilon, eta):
+        def same(got, want):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                a, b = np.asarray(a), np.asarray(b)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        v, lam = gen_covariance(d1, 2.0, 11)
+        same((v, lam), _out_of_place_covariance(d1, 2.0, 11))
+        m = gen_coefficients(d2, d1, rank_m, upsilon, 12)
+        same((m,), (_out_of_place_coefficients(d2, d1, rank_m, upsilon, 12),))
+        same((gen_design(v, lam, n, 13),), (_out_of_place_design(v, lam, n, 13),))
+        same(gen_dataset(m, v, lam, n, eta, 14), _out_of_place_dataset(m, v, lam, n, eta, 14))
