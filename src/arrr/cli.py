@@ -19,8 +19,10 @@ A `compare` cell and a `rolling` fold share one fit-select-score path: one
 the one validation scorer, serves the estimator's (delta, theta) candidates
 and every baseline grid, `metrics.lowest` picks each method's winner by
 pooled validation MSE, and the winners are scored on the training and test
-windows. Candidates that select the same (k1, k2) are one model, and each
-distinct model is scored once.
+windows. Every validated direct model, an estimator candidate or a baseline
+spec, is scored as (x_va V) g from the window's one x_va V, g its coefficient
+matrix in the training design's right singular basis. Candidates that select
+the same (k1, k2) are one model, and each distinct model is scored once.
 
 Exit codes: 0 success; 2 bad input (nothing is written); 3 numerical
 failure (error.json lands in the output directory and a message goes to
@@ -334,9 +336,11 @@ def _validated_estimator(window, candidates: Sequence[FitConfig], where: str):
     `metrics.lowest` of the rest's scores, and the NoGapError for no winner
     names `where`.
 
-    A candidate's prediction is scored as (x_va @ pi_hat.T) @ n_hat_trunc.T,
-    without forming its m_hat; pi_hat depends only on k1, so x_va @ pi_hat.T
-    is formed once per k1. Each distinct model is scored once. Within one
+    A candidate is scored as `baselines.validate_hyperparams` scores a
+    direct spec: as (x_va V) g from the window's one x_va V, without forming
+    its m_hat. Since pi_hat^T = V_k1 Lambda_k1^(-1/2), g = Lambda_k1^(-1/2)
+    n_hat_trunc^T is its coefficient matrix in the training design's right
+    singular basis. Each distinct model is scored once. Within one
     `fit_path`, two candidates with the same (k1, k2) have the same factors
     bit for bit: stage 1 slices the one SVD of x, and stage 2 truncates the
     one cross-moment SVD of its k1. A repeat therefore scores what its first
@@ -344,7 +348,6 @@ def _validated_estimator(window, candidates: Sequence[FitConfig], where: str):
     it can never win; it is not scored.
     """
     nogap = []  # the candidates whose stage 1 found no admissible gap
-    projected = {}  # k1 -> x_va @ pi_hat.T
 
     def validated():
         seen = set()  # the (k1, k2) of every model scored so far
@@ -353,9 +356,8 @@ def _validated_estimator(window, candidates: Sequence[FitConfig], where: str):
                 nogap.append(model)
             elif (model.k1, model.k2) not in seen:
                 seen.add((model.k1, model.k2))
-                if model.k1 not in projected:
-                    projected[model.k1] = window.x_va @ model.pi_hat.T
-                yield window.score(projected[model.k1] @ model.n_hat_trunc.T), model
+                g = model.n_hat_trunc.T / np.sqrt(model.lambdas[:model.k1, None])
+                yield window.score(window.x_va_v[:, :model.k1] @ g), model
 
     best = metrics.lowest(validated())
     if best is None:
@@ -378,11 +380,11 @@ def _fit_select_score(train, valid, test, candidates: Sequence[FitConfig],
     Every window passes `require_xy` before their one
     `baselines.validation_window` takes the one SVD of the training design;
     the estimator and every grid validate through it, scoring only the MSE
-    by its one scorer. No candidate's coefficients are formed to score it:
-    the estimator's are scored from their factors (`_validated_estimator`),
-    and every grid's direct specs from the window's `baselines._svd_filter`
-    and x_va V. Only the winners' m_hat are formed, and everything validation
-    made is released before they are scored.
+    by its one scorer. No direct model's coefficients are formed to score
+    it: an estimator candidate (`_validated_estimator`) and a grid's direct
+    spec are both scored as (x_va V) g, g the model's coefficients in the
+    basis V of the window's SVD. Only the winners' m_hat are formed, and
+    everything validation made is released before they are scored.
     """
     # before the SVD, not by a LAPACK failure
     train, valid, test = (require_xy(what, *window) for what, window in (

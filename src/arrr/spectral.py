@@ -40,11 +40,6 @@ class SpectralDecomposition:
         """P_r of the decomposed matrix, from its top r singular triplets."""
         return (self.u[:, :r] * self.s[:r]) @ self.v[:, :r].T
 
-    def orthonormality_residual(self) -> float:
-        ru = np.max(np.abs(self.u.T @ self.u - np.eye(self.u.shape[1])))
-        rv = np.max(np.abs(self.v.T @ self.v - np.eye(self.v.shape[1])))
-        return float(max(ru, rv))
-
 
 def decompose(a: np.ndarray) -> SpectralDecomposition:
     """Thin SVD with a fixed sign convention.

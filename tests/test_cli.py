@@ -663,9 +663,10 @@ def test_validation_response_of_other_width_is_refused():
 @pytest.mark.parametrize("shape", ["compare", "rolling"])
 def test_projected_estimator_scores_equal_formed_predictions(shape, monkeypatch):
     # compare-solvers' and rolling-panel's shapes, with rolling's (delta,
-    # theta) grid: each candidate is scored as (x_va @ pi_hat.T) @
-    # n_hat_trunc.T, within 1e-12 of scoring x_va @ m_hat.T, and the pick is
-    # the one those scores make
+    # theta) grid: each candidate is scored as (x_va V)[:, :k1] @ g, g =
+    # n_hat_trunc.T / sqrt(lambdas[:k1]) its coefficients in the training
+    # design's right singular basis, within 1e-12 of scoring x_va @ m_hat.T,
+    # and the pick is the one those scores make
     if shape == "compare":
         syn = SynthConfig(d1=60, d2=30, n=80, rank_m=5, eta=1.0, seed=0)
         n_va = syn.n
