@@ -8,8 +8,8 @@ least squares interpolates and the regularizer does all the work.
 import numpy as np
 
 from arrr.baselines import BaselineSpec, validate_hyperparams, validation_window
-from arrr.estimator import FitConfig, fit_adaptive_rrr
-from arrr.metrics import evaluate
+from arrr.estimator import FitConfig, fit_adaptive_rrr, predict
+from arrr.metrics import pooled_scores
 from arrr.synth import SynthConfig, gen_dataset, make_instance
 
 inst = make_instance(SynthConfig(d1=120, d2=40, n=80, rank_m=5,
@@ -19,11 +19,15 @@ x_val, y_val, _ = gen_dataset(inst.m, inst.v_star, inst.lambda_star,
 x_te, y_te, _ = gen_dataset(inst.m, inst.v_star, inst.lambda_star,
                             80, 0.5, seed=502)
 
+
+def held_out_mse(fitted):
+    return pooled_scores(y_te, predict(fitted, x_te))[0]
+
+
 rows = []
 
 model = fit_adaptive_rrr(inst.x, inst.y, FitConfig(sigma_eps=inst.sigma_noise))
-rows.append(("adaptive_rrr", "k2=%d" % model.k2,
-             evaluate(model, x_te, y_te).mse_out))
+rows.append(("adaptive_rrr", "k2=%d" % model.k2, held_out_mse(model)))
 
 grids = {
     "ridge": [BaselineSpec("ridge", mu=mu) for mu in (0.1, 1.0, 10.0)],
@@ -40,7 +44,7 @@ for name, grid in grids.items():
     tag = "mu=%g" % best.mu
     if best.rank is not None:
         tag += " rank=%d" % best.rank
-    rows.append((name, tag, evaluate(fitted, x_te, y_te).mse_out))
+    rows.append((name, tag, held_out_mse(fitted)))
 
 print("test normalized MSE (lower is better), hyperparams picked on validation")
 for name, tag, mse in sorted(rows, key=lambda r: r[2]):

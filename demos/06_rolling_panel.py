@@ -9,8 +9,8 @@ same loop behind a JSON config.
 import numpy as np
 
 from arrr.dataio import ReturnPanel, make_features, rolling_splits
-from arrr.estimator import FitConfig, fit_adaptive_rrr
-from arrr.metrics import evaluate
+from arrr.estimator import FitConfig, fit_adaptive_rrr, predict
+from arrr.metrics import pooled_scores
 
 # Synthetic panel: 240 periods x 8 assets driven by one persistent common
 # factor, so yesterday's returns genuinely forecast today's. Two missing
@@ -40,12 +40,11 @@ mse, corr = [], []
 for k, fold in enumerate(folds):
     tr, te = list(fold.train), list(fold.test)
     model = fit_adaptive_rrr(x[tr], y[tr], FitConfig(sigma_eps="auto"))
-    rep = evaluate(model, x[te], y[te])
-    mse.append(rep.mse_out)
-    corr.append(rep.corr_out)
+    fold_mse, _, fold_corr = pooled_scores(y[te], predict(model, x[te]))
+    mse.append(fold_mse)
+    corr.append(fold_corr)
     print("  fold %d: train %s..%s, kept rank %d, test mse %.3f corr %+.3f"
-          % (k, anchors[tr[0]], anchors[tr[-1]], model.k2,
-             rep.mse_out, rep.corr_out))
+          % (k, anchors[tr[0]], anchors[tr[-1]], model.k2, fold_mse, fold_corr))
 
 # The fit keeps a single direction per fold: the common factor is the
 # only thing in this panel worth forecasting with, and it found it.

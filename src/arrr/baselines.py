@@ -8,12 +8,11 @@ thin SVD of the design, so a hyperparameter grid over them is fitted from one
 factorization; rrr and reduced-rank ridge then project onto eigenvectors of
 their fitted values' small Gram matrix, factored once per mu. Lasso and
 nuclear norm minimize 0.5 ||y - x b||^2 + mu r(b) by one over-relaxed ADMM
-loop (`_fit_admm`) whose least-squares step is exact on that same SVD, with
-r's prox and the coordinates it runs in as their only differences: lasso
-soft-thresholds the entries of b through the operator `_b_step`, and nuclear
-norm, invariant under V, soft-thresholds the singular values of V^T b, whose
-step is elementwise (`_coordinates`). At mu = 0 both are the filter's
-minimum-norm least-squares fit.
+loop (`_fit_admm`) whose least-squares step is exact on that same SVD.
+`_coordinates` holds all that differs between the two: lasso
+soft-thresholds the entries of b, and nuclear norm, invariant under V,
+soft-thresholds the singular values of V^T b, where its step is
+elementwise. At mu = 0 both are the filter's minimum-norm least-squares fit.
 `validate_hyperparams` scores a direct spec from its filter in the right
 singular basis, forms coefficients only for the winner and returns that
 fitted winner, so its callers score it without refitting. The grids of one
@@ -178,78 +177,70 @@ def _prox_nuclear(v, t):
     return (p.T if a is not v else p), s - t
 
 
-def _objective_and_gap(e2, g, z, r_z, mu, lasso):
+def _objective_and_gap(e2, g, z, r_z, mu, dual_norm):
     """F(z) = 0.5 ||e||^2 + mu r(z) and the relative duality gap
     (F(z) - D(theta)) / F(z), 0 where F(z) = 0, from e2 = ||e||^2 and g =
     x^T e of the residual e = y - x z. theta = a e, scaled by a <= 1 into the
-    dual ball ||x^T theta||_* <= mu (the largest absolute entry for lasso,
-    singular value for nuclear), and D(theta) = 0.5 ||y||^2 - 0.5 ||y -
-    theta||^2. As y = x z + e, F - D is 0.5 (1 - a)^2 ||e||^2 + mu r(z) - a
-    <z, x^T e>, two terms non-negative in exact arithmetic, so it is formed
-    without cancelling ||y||^2. z and g may be taken in any coordinates that
-    map both by one matrix with orthonormal columns, which keeps <z, g> and
-    the dual norm. Returns F, the gap and g."""
+    ball ||x^T theta||_* <= mu of r's dual norm, which `dual_norm` computes,
+    and D(theta) = 0.5 ||y||^2 - 0.5 ||y - theta||^2. As y = x z + e, F - D
+    is 0.5 (1 - a)^2 ||e||^2 + mu r(z) - a <z, x^T e>, two terms non-negative
+    in exact arithmetic, so it is formed without cancelling ||y||^2. z and g
+    may be taken in any coordinates that map both by one matrix with
+    orthonormal columns, which keeps <z, g> and the dual norm. Returns F, the
+    gap and ||g||_*."""
     f = 0.5 * e2 + mu * r_z
-    norm = _dual_norm(g, lasso)
+    norm = dual_norm(g)
     a = mu / norm if norm > mu else 1.0
     gap = 0.5 * (1.0 - a) ** 2 * e2 + mu * r_z - a * float(z.ravel() @ g.ravel())
-    return f, (gap / f if f > 0.0 else 0.0), g
-
-
-def _dual_norm(g, lasso):
-    """The dual norm of r at g: its largest absolute entry for lasso, its
-    largest singular value for nuclear."""
-    return float(np.max(np.abs(g) if lasso else np.linalg.svd(g, compute_uv=False), initial=0.0))
-
-
-def _b_step(dec, uty, rho):
-    """The map r -> (x^T x + rho I)^{-1} (x^T y + rho r) on the thin SVD
-    x = U diag(s) V^T of `dec`, with uty = U^T y, exact for every shape of x:
-    with g = s^2 / (s^2 + rho), it is V diag(s / (s^2 + rho)) U^T y, formed
-    once per rho, plus r - V diag(g) V^T r, two thin products per step. Each
-    step returns a new array and leaves ky and r as they were."""
-    v, s2 = dec.v, dec.s * dec.s
-    g = (s2 / (s2 + rho))[:, None]
-    ky = v @ ((dec.s / (s2 + rho))[:, None] * uty)
-
-    def step(r):
-        b = ky + r
-        vtr = v.T @ r
-        vtr *= g
-        b -= v @ vtr
-        return b
-
-    return step
+    return f, (gap / f if f > 0.0 else 0.0), norm
 
 
 def _coordinates(x, y, dec, lasso):
-    """The coordinates `_fit_admm` iterates in, on the thin SVD x = U diag(s)
-    V^T of `dec`, as (shape of an iterate, rho -> b-step, z -> (||y - x b||^2,
-    x^T (y - x b)) in those coordinates, z -> b). U^T y is formed once.
+    """All that `_fit_admm` does differently for lasso and nuclear norm, on
+    the thin SVD x = U diag(s) V^T of `dec`: (shape of an iterate, rho ->
+    b-step, z -> (||y - x b||^2, x^T (y - x b)), z -> b, r's prox, r's dual
+    norm), in the coordinates the method iterates in. A b-step is the exact
+    map r -> (x^T x + rho I)^{-1} (x^T y + rho r), formed once per rho, and
+    returns a new array. U^T y is formed once.
 
-    Lasso's prox acts on entries, so lasso keeps b's coordinates: its b-step
-    is `_b_step`, and a check forms x z and x^T e. The nuclear norm is
-    invariant under V (Cai, Candes & Shen 2010), so a nuclear fit runs on
-    z~ = V^T z, r x d2 with r = min(n, d1). From z = u = 0 every iterate lies
-    in range(V), since x^T y and the b-step's r do and singular-value
-    thresholding keeps a matrix's column space, and ||V z~||_* = ||z~||_*.
-    There the b-step is elementwise, b~ = s U^T y / (s^2 + rho) + rho r~ /
-    (s^2 + rho); the residual's norm is ||U^T y - s z~||^2 + ||y - U U^T
-    y||^2, the second term formed once; and x^T e is s (U^T y - s z~). V z~
-    is formed once, for the returned fit."""
+    Lasso keeps b's coordinates. Its b-step is V diag(s / (s^2 + rho)) U^T y
+    plus r - V diag(s^2 / (s^2 + rho)) V^T r, two thin products per step; a
+    check forms x z and x^T e; the dual norm is the largest absolute entry.
+    The nuclear norm is invariant under V (Cai, Candes & Shen 2010), so a
+    nuclear fit runs on z~ = V^T z, r x d2 with r = min(n, d1). From z = u =
+    0 every iterate lies in range(V), since x^T y and the b-step's r do and
+    singular-value thresholding keeps a matrix's column space, and ||V
+    z~||_* = ||z~||_*. There the b-step is elementwise, b~ = s U^T y / (s^2
+    + rho) + rho r~ / (s^2 + rho); the residual's norm is ||U^T y - s z~||^2
+    + ||y - U U^T y||^2, the second term formed once; x^T e is s (U^T y - s
+    z~); and the dual norm is the largest singular value. V z~ is formed
+    once, for the returned fit."""
     uty = dec.u.T @ y
+    s = dec.s[:, None]
+    s2 = s * s
     if lasso:
+        def step_at(rho):
+            g, ky = s2 / (s2 + rho), dec.v @ (s / (s2 + rho) * uty)
+
+            def step(r):
+                b = ky + r
+                vtr = dec.v.T @ r
+                vtr *= g
+                b -= dec.v @ vtr
+                return b
+
+            return step
+
         def residual(z):
             e = y - x @ z
             return float(np.sum(e * e)), x.T @ e
 
-        return (x.shape[1], y.shape[1]), lambda rho: _b_step(dec, uty, rho), residual, lambda z: z
-    s = dec.s[:, None]
+        return ((x.shape[1], y.shape[1]), step_at, residual, lambda z: z, _prox_l1,
+                lambda g: float(np.max(np.abs(g), initial=0.0)))
     perp = y - dec.u @ uty
     perp2 = float(np.sum(perp * perp))
 
     def step_at(rho):
-        s2 = s * s
         ky, c = s / (s2 + rho) * uty, rho / (s2 + rho)
 
         def step(r):
@@ -263,7 +254,8 @@ def _coordinates(x, y, dec, lasso):
         e = uty - s * z
         return float(np.sum(e * e)) + perp2, s * e
 
-    return uty.shape, step_at, residual, lambda z: dec.v @ z
+    return (uty.shape, step_at, residual, lambda z: dec.v @ z, _prox_nuclear,
+            lambda g: float(np.max(np.linalg.svd(g, compute_uv=False), initial=0.0)))
 
 
 def _fit_admm(x, y, mu, dec, lasso):
@@ -279,12 +271,12 @@ def _fit_admm(x, y, mu, dec, lasso):
     (1 - a)^2, a = min(1, mu / ||x^T y||_*), or 0 for y = 0, so this holds
     with gap 0 exactly when ||x^T y||_* <= mu, where b = 0 is the minimum,
     as on a zero or empty design. This check reads x^T y itself, in b's
-    coordinates, for either method.
+    coordinates, for either method, and the dual norm the gap computed.
 
-    The loop runs in the coordinates `_coordinates` fixes for the method: b's
-    own for lasso, V's for nuclear, where no step or check forms a product
-    with V, x or x^T. Every quantity it compares is a Frobenius norm, an
-    inner product or a dual norm, all of which V keeps.
+    `_coordinates` gives the method's b-step, residual, prox and dual norm,
+    in b's coordinates for lasso and V's for nuclear, where no step or check
+    forms a product with V, x or x^T. Every quantity compared is a Frobenius
+    norm, an inner product or a dual norm, all of which V keeps.
     An iteration takes the exact least-squares step b = step(z - u),
     rebuilt whenever rho changes, relaxes it to b' = ALPHA b + (1 - ALPHA) z,
     then sets z = prox(b' + u, mu / rho) and u += b' - z, updating b and u
@@ -310,12 +302,11 @@ def _fit_admm(x, y, mu, dec, lasso):
     in b's coordinates; the iterations; whether it converged; and the
     returned z's gap.
     """
+    shape, step_at, residual, to_b, prox, dual_norm = _coordinates(x, y, dec, lasso)
     z = np.zeros((x.shape[1], y.shape[1]))
-    f, gap, g = _objective_and_gap(float(np.sum(y * y)), x.T @ y, z, 0.0, mu, lasso)
-    if gap <= TOL and _dual_norm(g, lasso) <= (1.0 + KKT_TOL) * mu:
+    f, gap, norm = _objective_and_gap(float(np.sum(y * y)), x.T @ y, z, 0.0, mu, dual_norm)
+    if gap <= TOL and norm <= (1.0 + KKT_TOL) * mu:
         return z, 0, True, gap  # certified, as whenever ||x^T y||_* <= mu
-    shape, step_at, residual, to_b = _coordinates(x, y, dec, lasso)
-    prox = _prox_l1 if lasso else _prox_nuclear
     s = dec.s
     rank = numerical_rank(s, x.shape)
     rho = float(s[0] * s[rank - 1]) if rank else 1.0  # any rho fits a zero design
@@ -333,12 +324,13 @@ def _fit_admm(x, y, mu, dec, lasso):
         u += b
         if iters != 1 and iters % 10 and iters != MAX_ITERS:
             continue
-        f, z_gap, g = _objective_and_gap(*residual(z), z, float(np.sum(m)), mu, lasso)
+        e2, g = residual(z)
+        f, z_gap, _ = _objective_and_gap(e2, g, z, float(np.sum(m)), mu, dual_norm)
         progress = f < lowest_f or z_gap < lowest_gap
         lowest_gap = min(lowest_gap, z_gap)
         if f <= lowest_f:
             best, lowest_f, gap = z, f, z_gap
-        if z_gap <= TOL and _dual_norm(g - rho * u, lasso) <= KKT_TOL * mu:
+        if z_gap <= TOL and dual_norm(g - rho * u) <= KKT_TOL * mu:
             return to_b(z), iters, True, z_gap
         stalled = 0 if progress else stalled + 1
         if stalled >= 30:

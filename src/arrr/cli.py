@@ -297,13 +297,18 @@ def _run_cells(fn, cells, jobs: int) -> list:
 # ---------------------------------------------------------------- readers
 
 
+def _draw(inst, stream: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(x, y), n fresh samples of the instance on `stream` of its config's seed."""
+    return synth.gen_dataset(inst.m, inst.v_star, inst.lambda_star, inst.config.n,
+                             inst.config.eta, derived_seed(inst.config.seed, stream))[:2]
+
+
 def _sweep_cell(args) -> List[Dict[str, Any]]:
     """Every (k1, k2) row of one seed: one instance, one test draw, one rank
     path, each k1's rows scored by prefix sums on its cross-moment SVD."""
     fit, k1s, k2s, syn = args
     inst = synth.make_instance(syn)
-    x_te, y_te, _ = synth.gen_dataset(inst.m, inst.v_star, inst.lambda_star,
-                                      syn.n, syn.eta, derived_seed(syn.seed, TEST_STREAM))
+    x_te, y_te = _draw(inst, TEST_STREAM)
     configs = [c for k1 in k1s for k2 in k2s
                for c in _candidates(fit, inst, k1_override=k1, k2_override=k2)]
     x, y, m = inst.x, inst.y, inst.m
@@ -414,11 +419,9 @@ def _compare_cell(args) -> List[Dict[str, Any]]:
     one test draw."""
     fit, grid, syn = args
     inst = synth.make_instance(syn)
-    draw = lambda tag: synth.gen_dataset(inst.m, inst.v_star, inst.lambda_star,
-                                         syn.n, syn.eta, derived_seed(syn.seed, tag))[:2]
     rows = []
     for method, model, tags, (mse_in, r2_in, _), (mse_out, r2_out, corr_out), _ in (
-            _fit_select_score((inst.x, inst.y), draw(VALID_STREAM), draw(TEST_STREAM),
+            _fit_select_score((inst.x, inst.y), _draw(inst, VALID_STREAM), _draw(inst, TEST_STREAM),
                               _candidates(fit, inst), grid,
                               "eta %g, seed %d" % (syn.eta, syn.seed))):
         rows.append(dict(tags, method=method, eta=syn.eta, seed=syn.seed,

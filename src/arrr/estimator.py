@@ -17,7 +17,7 @@ import numpy as np
 
 from ._serde import NUM, _get, read_json, read_matrix_csv, write_json, write_matrix_csv
 from ._version import __version__
-from .metrics import _pooled
+from .metrics import _centered, _pooled
 from .spectral import (
     NumericalFailure,
     SpectralDecomposition,
@@ -381,9 +381,7 @@ def rank_path_scores(x: np.ndarray, y: np.ndarray, configs: Sequence[FitConfig],
                     raise ValueError("m_true must be d2 x d1 = %d x %d, got shape %s"
                                      % (d2, x_new.shape[1], m_true.shape))
                 n = y_new.size
-                yc = y_new - y_new.sum() / n
-                sst = (yc * yc).sum()
-                y_constant = not y_new.max() > y_new.min()
+                yc, sst, y_constant = _centered(y_new)
             sums[k1] = _direction_sums(dec.u, dec.s, dec.v.T @ pi_hat,
                                        (x_new @ pi_hat.T) @ (dec.v * dec.s), m_true, y_new, yc)
         # not held while `_stages` forms the next k1's factors

@@ -65,15 +65,21 @@ def pooled_scores(y: np.ndarray, y_hat: np.ndarray) -> Tuple[float, float, float
     resid = y - y_hat
     sse = (resid * resid).sum()
     centered = np.empty((2, n))
-    yc = np.subtract(y, y.sum() / n, out=centered[1].reshape(y.shape))
-    y_constant = not y.max() > y.min()
+    _, sst, y_constant = _centered(y, centered[1].reshape(y.shape))
     gram = None
-    if not y_constant and y_hat.max() > y_hat.min():
-        hc = np.subtract(y_hat, y_hat.sum() / n, out=centered[0].reshape(y_hat.shape))
-        if (hc * hc).sum() / n > 0.0:
+    if not y_constant:
+        _, hh, hat_constant = _centered(y_hat, centered[0].reshape(y_hat.shape))
+        if not hat_constant and hh / n > 0.0:
             g = np.dot(centered, centered.T)
             gram = (g[0, 0], g[0, 1], g[1, 1])
-    return _pooled(n, sse, (yc * yc).sum(), y_constant, gram)
+    return _pooled(n, sse, sst, y_constant, gram)
+
+
+def _centered(a: np.ndarray, out: Optional[np.ndarray] = None) -> Tuple[np.ndarray, float, bool]:
+    """a - mean(a), written into out or a new C-ordered array; its sum of
+    squares; and whether a is constant: its max not above its min, as NaN."""
+    ac = np.subtract(a, a.sum() / a.size, out=np.empty(a.shape) if out is None else out)
+    return ac, (ac * ac).sum(), not a.max() > a.min()
 
 
 def _require_one_shape(y: np.ndarray, y_hat: np.ndarray) -> None:
@@ -93,9 +99,7 @@ def validation_mse(y: np.ndarray) -> Callable[[np.ndarray], float]:
     `lowest` reads of a validation score. A y_hat of another shape than y
     raises ValueError, as in pooled_scores."""
     n = y.size
-    yc = np.subtract(y, y.sum() / n, out=np.empty(y.shape))  # C order, as pooled_scores'
-    sst = (yc * yc).sum()
-    y_constant = not y.max() > y.min()
+    _, sst, y_constant = _centered(y)
 
     def mse(y_hat: np.ndarray) -> float:
         _require_one_shape(y, y_hat)

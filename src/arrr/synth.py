@@ -82,8 +82,8 @@ def gen_coefficients(d2: int, d1: int, rank_m: int, upsilon: float, seed: int) -
     """Ternary {-1,0,1} matrix truncated to rank_m, spectral norm capped at upsilon."""
     if rank_m < 1 or rank_m > min(d1, d2):
         raise ValueError("rank_m must be in [1, min(d1, d2)]")
-    if upsilon <= 0:
-        raise ValueError("upsilon must be positive")
+    if not 0 < upsilon < math.inf:  # NaN fails too
+        raise ValueError("upsilon must be positive and finite")
     rng = np.random.default_rng(seed)
     raw = rng.integers(-1, 2, size=(d2, d1)).astype(float)
     # full-rank truncation is the identity; skipping it keeps entries ternary
@@ -121,6 +121,8 @@ def gen_dataset(
     divisor. The same seed yields the same x and the same unit-variance noise
     draw at every eta; only the scale changes.
     """
+    if not 0 <= eta < math.inf:  # NaN fails too
+        raise ValueError("eta must be finite and >= 0")
     rng = np.random.default_rng(seed)
     x = gen_design(v_star, lambda_star, n, rng)
     y = x @ m.T  # the signal, to which the noise is added in place

@@ -278,7 +278,7 @@ class TestSweep:
 
     @staticmethod
     def _reference_csv(cfg, path):
-        """results.csv from one independent fit and evaluate per cell."""
+        """results.csv from one independent fit and its scores per cell."""
         rows = []
         for seed in cfg["grids"]["seeds"]:
             syn = SynthConfig(**dict(cfg["synth"], seed=seed))
@@ -290,11 +290,11 @@ class TestSweep:
                     model = fit_adaptive_rrr(inst.x, inst.y, FitConfig(
                         sigma_eps=max(inst.sigma_noise, np.finfo(float).tiny),
                         k1_override=k1, k2_override=k2))
-                    rep = metrics.evaluate(model, x_te, y_te, m_true=inst.m)
+                    mse, _, corr = metrics.pooled_scores(y_te, x_te @ model.m_hat.T)
                     rows.append({"config_hash": config_hash(cfg), "method": "adaptive_rrr",
                                  "eta": syn.eta, "k1": k1, "k2": k2, "seed": seed,
-                                 "recon_error": rep.recon_error, "mse_out": rep.mse_out,
-                                 "corr_out": rep.corr_out})
+                                 "recon_error": float(np.linalg.norm(inst.m - model.m_hat)),
+                                 "mse_out": mse, "corr_out": corr})
         os.makedirs(path)
         return write_results(path, SWEEP_HEADER, rows, ("method", "eta", "k1", "k2", "seed"))
 
@@ -594,16 +594,16 @@ class TestCompare:
                     rank = -1 if bm.method.rank is None else bm.method.rank
                     fitted.append((method, bm, {"mu": bm.method.mu, "rank": rank}))
                 for method, m, tags in fitted:
-                    rep = metrics.merge_splits(
-                        metrics.evaluate(m, inst.x, inst.y, split_label="in"),
-                        metrics.evaluate(m, x_te, y_te, m_true=inst.m))
+                    mse_in, r2_in, _ = metrics.pooled_scores(inst.y, inst.x @ m.m_hat.T)
+                    mse_out, r2_out, corr_out = metrics.pooled_scores(y_te, x_te @ m.m_hat.T)
                     rows.append(dict({"k1": -1, "k2": -1, "mu": -1.0, "rank": -1}, **tags,
                                      config_hash=config_hash(payload), method=method,
-                                     eta=eta, seed=seed, mse_in=rep.mse_in,
-                                     mse_out=rep.mse_out, r2_in=rep.r2_in, r2_out=rep.r2_out,
-                                     corr_out=rep.corr_out, recon_error=rep.recon_error,
-                                     recovered_rank=int(rep.recovered_rank),
-                                     gap_out_in=rep.gap_out_in))
+                                     eta=eta, seed=seed, mse_in=mse_in,
+                                     mse_out=mse_out, r2_in=r2_in, r2_out=r2_out,
+                                     corr_out=corr_out,
+                                     recon_error=float(np.linalg.norm(inst.m - m.m_hat)),
+                                     recovered_rank=metrics.recovered_rank_of(m.m_hat),
+                                     gap_out_in=mse_out - mse_in))
         assert len(rows) == 4 * 7
         os.makedirs(tmp_path / "ref")
         want = write_results(str(tmp_path / "ref"), COMPARE_HEADER, rows,
@@ -837,21 +837,21 @@ class TestRolling:
                         outcomes.append("nogap")
                         continue
                     outcomes.append("fit")
-                    score = metrics.evaluate(model, part(x, fold.valid),
-                                             part(y, fold.valid)).mse_out
+                    score = metrics.pooled_scores(part(y, fold.valid),
+                                                  part(x, fold.valid) @ model.m_hat.T)[0]
                     if not np.isnan(score) and (best is None or score < best[0]):
                         best = (score, model)
             model = best[1]
             x_te, y_te = part(x, fold.test), part(y, fold.test)
-            rep_in = metrics.evaluate(model, x_tr, y_tr, split_label="in")
-            rep_te = metrics.evaluate(model, x_te, y_te)
+            mse_in, r2_in, _ = metrics.pooled_scores(y_tr, x_tr @ model.m_hat.T)
+            mse_te, r2_te, corr_te = metrics.pooled_scores(y_te, x_te @ model.m_hat.T)
             common = {"config_hash": config_hash(payload), "method": "adaptive_rrr",
                       "fold": fi, "seed": 0, "k1": model.k1, "k2": model.k2,
                       "mu": -1.0, "rank": -1}
-            rows.append(dict(common, split="train", n_obs=len(fold.train), mse=rep_in.mse_in,
-                             r2=rep_in.r2_in, corr=float("nan")))
-            rows.append(dict(common, split="test", n_obs=len(fold.test), mse=rep_te.mse_out,
-                             r2=rep_te.r2_out, corr=rep_te.corr_out))
+            rows.append(dict(common, split="train", n_obs=len(fold.train), mse=mse_in,
+                             r2=r2_in, corr=float("nan")))
+            rows.append(dict(common, split="test", n_obs=len(fold.test), mse=mse_te,
+                             r2=r2_te, corr=corr_te))
             glued.append((y_te, predict(model, x_te)))
         assert {"nogap", "fit"} <= set(outcomes)
         yt, yh = np.vstack([g[0] for g in glued]), np.vstack([g[1] for g in glued])

@@ -51,6 +51,14 @@ class TestLoadPanel:
         with pytest.raises(DataFormatError, match="line 3"):
             load_panel_csv(path)
 
+    def test_blank_rows_are_skipped_and_still_counted(self, tmp_path):
+        panel = load_panel_csv(_write(tmp_path, "date,A\n2020-01-01,0.1\n\n2020-01-02,0.2\n"))
+        assert panel.dates == ["2020-01-01", "2020-01-02"]
+        np.testing.assert_array_equal(panel.values, [[0.1], [0.2]])
+        path = _write(tmp_path, "date,A\n2020-01-01,0.1\n\n2020-01-01,0.2\n", "dup.csv")
+        with pytest.raises(DataFormatError, match="line 4"):
+            load_panel_csv(path)
+
     def test_empty_cell_flagged_missing_rest_intact(self, tmp_path):
         path = _write(tmp_path, "date,A,B\n2020-01-01,,0.2\n2020-01-02,0.3,0.4\n")
         panel = load_panel_csv(path)

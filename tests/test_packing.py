@@ -342,6 +342,12 @@ class TestBuildFamily:
         with pytest.raises(ValueError):
             build_unitary(supports, p, np.zeros((64, 3)), seed=0)
 
+    def test_one_support_per_contested_column(self):
+        p = self.params
+        supports = resolve_supports(self.family.code[0], self.family.patterns)
+        with pytest.raises(ValueError, match="need one support per contested column"):
+            build_unitary(supports[:-1], p, np.zeros((64, p.t_lo - 1)), seed=0)
+
 
 class TestVerifyPacking:
     def test_reference_family_passes(self):
@@ -393,6 +399,11 @@ class TestVerifyPacking:
         assert report.min_pairwise_distance == 0.0
         assert not report.passed
         assert not report.checks["min_distance"]
+
+    def test_an_empty_family_is_refused(self):
+        p, fam = _built(32)
+        with pytest.raises(ValueError, match="^empty family$"):
+            verify_packing(PackingFamily(fam.patterns, [], []), p)
 
     def test_a_unitary_without_a_code_tuple_is_refused(self):
         # the third matrix, not even unitary, would otherwise go unexamined

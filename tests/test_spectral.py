@@ -114,6 +114,12 @@ class TestTruncateRank:
         with pytest.raises(ValueError):
             truncate_rank(a, 3)
 
+    # at rank 0 no SVD runs, so only truncate_rank's own check refuses these
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)], ids=["vector", "stack"])
+    def test_rejects_non_matrix(self, shape):
+        with pytest.raises(ValueError, match="expected a 2-d matrix"):
+            truncate_rank(np.ones(shape), 0)
+
     def test_best_rank_two_against_svd_recomposition_oracle(self):
         # oracle: rebuild from the full SVD keeping exactly the top 2 triples
         rng = np.random.default_rng(7)
@@ -270,6 +276,16 @@ class TestFindGapTailIndex:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             find_gap_tail_index(np.array([0.5, 0.2]), ell=10, tau_param=0.5)
+
+    @pytest.mark.parametrize("lam, ell, tau_param, message", [
+        ([], 10, 0.5, "empty eigenvalue list"),
+        ([0.6, 0.4], 0.5, 0.5, "ell must be >= 1"),
+        ([0.6, 0.4], 10, 0.0, "tau_param must be positive"),
+        ([0.3, 0.5, 0.2], 10, 0.5, "eigenvalues must be non-increasing"),
+    ], ids=["empty", "ell", "tau", "increasing"])
+    def test_argument_errors(self, lam, ell, tau_param, message):
+        with pytest.raises(ValueError, match=message):
+            find_gap_tail_index(np.array(lam), ell=ell, tau_param=tau_param)
 
     def test_rejects_dominant_leading_eigenvalue(self):
         with pytest.raises(ValueError):

@@ -82,6 +82,18 @@ class TestGenCoefficients:
         m = gen_coefficients(3, 9, 2, 5.0, seed=0)
         assert m.shape == (3, 9)
 
+    # the messages are SynthConfig's, and NaN and infinity fail as it fails them
+    @pytest.mark.parametrize("rank_m, upsilon, message", [
+        (0, 5.0, "rank_m must be in"), (4, 5.0, "rank_m must be in"),
+        (2, 0.0, "upsilon must be positive and finite"),
+        (2, -1.0, "upsilon must be positive and finite"),
+        (2, float("nan"), "upsilon must be positive and finite"),
+        (2, float("inf"), "upsilon must be positive and finite"),
+    ])
+    def test_argument_errors(self, rank_m, upsilon, message):
+        with pytest.raises(ValueError, match=message):
+            gen_coefficients(3, 9, rank_m, upsilon, seed=0)
+
 
 class TestGenDesign:
     def test_row_second_moment_is_one(self):
@@ -120,6 +132,11 @@ class TestGenDataset:
         m = gen_coefficients(5, 8, 2, 5.0, seed=1)
         x, y, sig = gen_dataset(m, v, lam, n=60, eta=eta, seed=seed)
         return m, x, y, sig
+
+    @pytest.mark.parametrize("eta", [-1.0, float("nan"), float("inf")])
+    def test_eta_out_of_range(self, eta):
+        with pytest.raises(ValueError, match="eta must be finite and >= 0"):
+            self._parts(eta=eta)
 
     def test_noiseless(self):
         m, x, y, sig = self._parts(eta=0.0)
