@@ -144,19 +144,15 @@ def _svd_filter(dec, y):
 
 
 def _prox_l1(v, t):
-    """Soft thresholding at t, and the thresholded magnitudes
-    m = max(|v| - t, 0), whose sum is the l1 norm of the result."""
-    m = np.abs(v)
-    m -= t
-    np.maximum(m, 0.0, out=m)
-    z = np.sign(v)
-    z *= m
-    return z, m
+    """Soft thresholding at t, as v - clip(v, -t, t), returned twice: the
+    second is what r(z) sums, as for `_prox_nuclear`'s singular values."""
+    z = v.clip(-t, t)
+    return np.subtract(v, z, out=z), z
 
 
 def _prox_nuclear(v, t):
     """Singular-value soft thresholding at t, and the thresholded singular
-    values, whose sum is the nuclear norm of the result.
+    values, whose absolute sum is the nuclear norm of the result.
 
     Only the singular values s_k > t and their right vectors w_k matter, so
     they come from eigh of the Gram matrix of a = v (v.T if v is wide), with
@@ -195,64 +191,69 @@ def _objective_and_gap(e2, g, z, r_z, mu, dual_norm):
     return f, (gap / f if f > 0.0 else 0.0), norm
 
 
-def _coordinates(x, y, dec, lasso):
+def _coordinates(y, dec, lasso):
     """All that `_fit_admm` does differently for lasso and nuclear norm, on
-    the thin SVD x = U diag(s) V^T of `dec`: (shape of an iterate, rho ->
-    b-step, z -> (||y - x b||^2, x^T (y - x b)), z -> b, r's prox, r's dual
-    norm), in the coordinates the method iterates in. A b-step is the exact
-    map r -> (x^T x + rho I)^{-1} (x^T y + rho r), formed once per rho, and
-    returns a new array. U^T y is formed once.
+    the thin SVD x = U diag(s) V^T of `dec`: (shape of an iterate, (rho,
+    alpha) -> step, z -> (||y - x z||^2, x^T (y - x z)), z -> b, r's prox,
+    r's dual norm), in the coordinates the method iterates in. A step maps
+    (z, u) to a new v = alpha b(z - u) + (1 - alpha) z + u, b(r) = (x^T x +
+    rho I)^{-1} (x^T y + rho r) the exact least-squares step, from constants
+    formed once per (rho, alpha). A check reads e = U^T y - s V^T z: ||y - x
+    z||^2 = ||e||^2 + ||y - U U^T y||^2, the second term formed once, and
+    x^T (y - x z) = V (s e).
 
-    Lasso keeps b's coordinates. Its b-step is V diag(s / (s^2 + rho)) U^T y
-    plus r - V diag(s^2 / (s^2 + rho)) V^T r, two thin products per step; a
-    check forms x z and x^T e; the dual norm is the largest absolute entry.
-    The nuclear norm is invariant under V (Cai, Candes & Shen 2010), so a
-    nuclear fit runs on z~ = V^T z, r x d2 with r = min(n, d1). From z = u =
-    0 every iterate lies in range(V), since x^T y and the b-step's r do and
-    singular-value thresholding keeps a matrix's column space, and ||V
-    z~||_* = ||z~||_*. There the b-step is elementwise, b~ = s U^T y / (s^2
-    + rho) + rho r~ / (s^2 + rho); the residual's norm is ||U^T y - s z~||^2
-    + ||y - U U^T y||^2, the second term formed once; x^T e is s (U^T y - s
-    z~); and the dual norm is the largest singular value. V z~ is formed
-    once, for the returned fit."""
+    Lasso keeps b's coordinates: with g = s^2 / (s^2 + rho) and ky = V
+    diag(s / (s^2 + rho)) U^T y, its step is v = alpha ky + z - V ((alpha g)
+    V^T (z - u)) + (1 - alpha) u, two thin products; its dual norm is the
+    largest absolute entry. The nuclear norm is invariant under V (Cai,
+    Candes & Shen 2010), so a nuclear fit runs on z~ = V^T z, r x d2 with r
+    = min(n, d1). From z = u = 0 every iterate lies in range(V), since x^T y
+    and the b-step's r do and singular-value thresholding keeps a matrix's
+    column space, and ||V z~||_* = ||z~||_*. With c = rho / (s^2 + rho), its
+    step is elementwise, v = alpha V^T ky + (alpha c + 1 - alpha) z~ + (1 -
+    alpha c) u~; its checks form no product; its dual norm is the largest
+    singular value. V z~ is formed once, for the returned fit."""
     uty = dec.u.T @ y
     s = dec.s[:, None]
     s2 = s * s
-    if lasso:
-        def step_at(rho):
-            g, ky = s2 / (s2 + rho), dec.v @ (s / (s2 + rho) * uty)
+    perp2 = float(np.sum((y - dec.u @ uty) ** 2))
 
-            def step(r):
-                b = ky + r
-                vtr = dec.v.T @ r
-                vtr *= g
-                b -= dec.v @ vtr
-                return b
+    def residual(vtz):
+        e = uty - s * vtz
+        return float(np.sum(e * e)) + perp2, s * e
+
+    if lasso:
+        def step_at(rho, alpha):
+            ky, gvt = dec.v @ (alpha * s / (s2 + rho) * uty), alpha * s2 / (s2 + rho) * dec.v.T
+
+            def step(z, u):
+                r = z - u
+                p = dec.v @ (gvt @ r)
+                v = np.add(ky, z, out=r)
+                v -= p
+                v += np.multiply(u, 1.0 - alpha, out=p)
+                return v
 
             return step
 
-        def residual(z):
-            e = y - x @ z
-            return float(np.sum(e * e)), x.T @ e
+        def b_residual(z):
+            e2, g = residual(dec.v.T @ z)
+            return e2, dec.v @ g
 
-        return ((x.shape[1], y.shape[1]), step_at, residual, lambda z: z, _prox_l1,
+        return ((dec.v.shape[0], y.shape[1]), step_at, b_residual, lambda z: z, _prox_l1,
                 lambda g: float(np.max(np.abs(g), initial=0.0)))
-    perp = y - dec.u @ uty
-    perp2 = float(np.sum(perp * perp))
 
-    def step_at(rho):
-        ky, c = s / (s2 + rho) * uty, rho / (s2 + rho)
+    def step_at(rho, alpha):
+        c = rho / (s2 + rho)
+        ky, cz, cu = alpha * s / (s2 + rho) * uty, alpha * c + (1.0 - alpha), 1.0 - alpha * c
 
-        def step(r):
-            b = c * r
-            b += ky
-            return b
+        def step(z, u):
+            v = cz * z
+            v += ky
+            v += cu * u
+            return v
 
         return step
-
-    def residual(z):
-        e = uty - s * z
-        return float(np.sum(e * e)) + perp2, s * e
 
     return (uty.shape, step_at, residual, lambda z: dec.v @ z, _prox_nuclear,
             lambda g: float(np.max(np.linalg.svd(g, compute_uv=False), initial=0.0)))
@@ -273,36 +274,37 @@ def _fit_admm(x, y, mu, dec, lasso):
     as on a zero or empty design. This check reads x^T y itself, in b's
     coordinates, for either method, and the dual norm the gap computed.
 
-    `_coordinates` gives the method's b-step, residual, prox and dual norm,
-    in b's coordinates for lasso and V's for nuclear, where no step or check
+    `_coordinates` gives the method's step, residual, prox and dual norm, in
+    b's coordinates for lasso and V's for nuclear, where no step or check
     forms a product with V, x or x^T. Every quantity compared is a Frobenius
-    norm, an inner product or a dual norm, all of which V keeps.
-    An iteration takes the exact least-squares step b = step(z - u),
-    rebuilt whenever rho changes, relaxes it to b' = ALPHA b + (1 - ALPHA) z,
-    then sets z = prox(b' + u, mu / rho) and u += b' - z, updating b and u
-    in place. The first step, from z = u = 0, is not relaxed: that would
-    only scale it by ALPHA, past the threshold of a fit whose solution is
-    b = 0. rho starts at s_1 s_r, s_r the last singular value within the
-    numerical rank of x. z is checked at iteration 1, every 10th and the
-    last; r(z) is summed, from the magnitudes the prox kept, at checks only.
-    Neither changes a float operation or its operands, so the fits are
-    those of a loop with a fresh array per temporary, bit for bit. At each
-    check of the first 200 iterations, rho is doubled if ||b' - z|| / ||z||
-    exceeds ||z - z_prev|| / ||u|| and halved if not, with u rescaled: both
-    are ratios, so the iterates scale exactly with x, y and mu. rho then stays
-    fixed, as ADMM's convergence needs (Boyd et al., section 3.4.1). The fit
-    converges at the first check whose relative duality gap
-    (`_objective_and_gap`) is at most TOL and whose stationarity residual
-    ||x^T (y - x z) - rho u||_* is at most KKT_TOL mu: each prox leaves rho u
-    in mu times r's subdifferential at z (Boyd et al., section 3.3.1). It
-    stops short at MAX_ITERS, or at the rounding floor: 30 checks in a row
-    that lower neither F nor the gap. MAX_ITERS, TOL and KKT_TOL are read at
-    each call. F may rise between checks: ADMM does not descend in F (Boyd
-    et al., section 3.2). Returns that z, or else the checked z of lowest F,
-    in b's coordinates; the iterations; whether it converged; and the
-    returned z's gap.
+    norm, an inner product or a dual norm, all of which V keeps. An
+    iteration takes the exact least-squares step b = b(z - u), relaxes it to
+    b' = ALPHA b + (1 - ALPHA) z, sets z = prox(b' + u, mu / rho) and u +=
+    b' - z: the step returns v = b' + u from constants rebuilt whenever rho
+    changes, and u = v - z takes v's array. The first step, from z = u = 0,
+    is not relaxed: that would only scale it by ALPHA, past the threshold of
+    a fit whose solution is b = 0. rho starts at s_1 s_r, s_r the last
+    singular value within the numerical rank of x. z is checked at iteration
+    1, every 10th and the last; r(z), from what the prox returns, and the
+    primal residual b' - z = u - u_prev are formed at checks only. The fits
+    are those of the same statements with a fresh array per temporary, bit
+    for bit, and of the unfused update within rounding. At each check of the
+    first 200 iterations, rho is doubled if ||b' - z|| / ||z|| exceeds ||z -
+    z_prev|| / ||u|| and halved if not, with u rescaled: both are ratios, so
+    the iterates scale exactly with x, y and mu. rho then stays fixed, as
+    ADMM's convergence needs (Boyd et al., section 3.4.1). The fit converges
+    at the first check whose relative duality gap (`_objective_and_gap`) is
+    at most TOL and whose stationarity residual ||x^T (y - x z) - rho u||_*
+    is at most KKT_TOL mu: each prox leaves rho u in mu times r's
+    subdifferential at z (Boyd et al., section 3.3.1). It stops short at
+    MAX_ITERS, or at the rounding floor: 30 checks in a row that lower
+    neither F nor the gap. MAX_ITERS, TOL and KKT_TOL are read at each call.
+    F may rise between checks: ADMM does not descend in F (Boyd et al.,
+    section 3.2). Returns that z, or else the checked z of lowest F, in b's
+    coordinates; the iterations; whether it converged; and the returned z's
+    gap.
     """
-    shape, step_at, residual, to_b, prox, dual_norm = _coordinates(x, y, dec, lasso)
+    shape, step_at, residual, to_b, prox, dual_norm = _coordinates(y, dec, lasso)
     z = np.zeros((x.shape[1], y.shape[1]))
     f, gap, norm = _objective_and_gap(float(np.sum(y * y)), x.T @ y, z, 0.0, mu, dual_norm)
     if gap <= TOL and norm <= (1.0 + KKT_TOL) * mu:
@@ -310,22 +312,18 @@ def _fit_admm(x, y, mu, dec, lasso):
     s = dec.s
     rank = numerical_rank(s, x.shape)
     rho = float(s[0] * s[rank - 1]) if rank else 1.0  # any rho fits a zero design
-    step = step_at(rho)
+    step = step_at(rho, 1.0)  # iteration 1's check rebuilds it at ALPHA
     z, u = np.zeros(shape), np.zeros(shape)
     best, lowest_f, lowest_gap, stalled, iters = z, f, gap, 0, 0
     for iters in range(1, MAX_ITERS + 1):
-        b = step(z - u)
-        if iters > 1:
-            b *= ALPHA
-            b += (1.0 - ALPHA) * z
-        z_prev = z
-        z, m = prox(b + u, mu / rho)
-        b -= z  # the primal residual b' - z
-        u += b
+        v = step(z, u)
+        z_prev, u_prev = z, u
+        z, kept = prox(v, mu / rho)
+        u = np.subtract(v, z, out=v)  # u + b' - z
         if iters != 1 and iters % 10 and iters != MAX_ITERS:
             continue
         e2, g = residual(z)
-        f, z_gap, _ = _objective_and_gap(e2, g, z, float(np.sum(m)), mu, dual_norm)
+        f, z_gap, _ = _objective_and_gap(e2, g, z, float(np.sum(np.abs(kept))), mu, dual_norm)
         progress = f < lowest_f or z_gap < lowest_gap
         lowest_gap = min(lowest_gap, z_gap)
         if f <= lowest_f:
@@ -336,11 +334,13 @@ def _fit_admm(x, y, mu, dec, lasso):
         if stalled >= 30:
             break
         if iters < 200:
-            primal2 = float(np.sum(b * b)) * float(np.sum(u * u))
+            primal = u - u_prev  # b' - z
+            primal2 = float(np.sum(primal * primal)) * float(np.sum(u * u))
             dual2 = float(np.sum((z - z_prev) ** 2)) * float(np.sum(z * z))
             rho, scale = (2.0 * rho, 0.5) if primal2 > dual2 else (0.5 * rho, 2.0)
             u *= scale
-            step = step_at(rho)
+            del step  # its weights, before the next rho's are formed
+            step = step_at(rho, ALPHA)
     return to_b(best), iters, False, gap
 
 

@@ -247,7 +247,8 @@ def _stages(x: np.ndarray, y: np.ndarray, configs: Sequence[FitConfig],
     the last config of its k1_override, so that a path grouped by k1 holds
     one k1's factors at a time. A k1 that the gap rule picks can recur under
     any later delta, so without pinned k1 every SVD is kept to the end of the
-    path."""
+    path. The SVD of x is dropped after its last reader, the pilot or the
+    last config that opens a stage-1 key, unless the caller holds it."""
     x, y = require_xy("x and y", x, y)
     n = x.shape[0]
     # checked before the pilot, which would report an all-zero panel's
@@ -262,6 +263,10 @@ def _stages(x: np.ndarray, y: np.ndarray, configs: Sequence[FitConfig],
     last_stage1 = {(c.delta, c.k1_override): i for i, c in enumerate(configs)}
     last_k1 = ({c.k1_override: i for i, c in enumerate(configs)}
                if all(c.k1_override is not None for c in configs) else {})
+    # x_dec's last reader: the last config to open a stage-1 key, or the pilot
+    opens = {(c.delta, c.k1_override): i for i, c in reversed(list(enumerate(configs)))}
+    pilot_at = next((i for i, c in enumerate(configs) if c.sigma_eps == "auto"), -1)
+    last_x_dec = max([pilot_at, *opens.values()])
     for i, config in enumerate(configs):
         if config.sigma_eps == "auto" and pilot is None:
             pilot = estimate_noise_sigma(x, y, x_dec)
@@ -279,6 +284,8 @@ def _stages(x: np.ndarray, y: np.ndarray, configs: Sequence[FitConfig],
             k1 = stage1[key][0].shape[0]
             if k1 not in n_hat_decs:
                 n_hat_decs[k1] = decompose(y.T @ (np.sqrt(n) * x_dec.u[:, :k1]) / n)
+        if i == last_x_dec:
+            x_dec = None
         yield config, n, sigma_eps, stage1[key], n_hat_decs.get(k1)
         if last_stage1[key] == i:
             del stage1[key]

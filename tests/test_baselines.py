@@ -219,20 +219,26 @@ def _svd_prox_nuclear(v, t):
     return (dec.u * s) @ dec.v.T, float(np.sum(s))
 
 
-# ADMM as `_fit_admm` runs it with a fresh array for every temporary and the
-# regularizer summed on every step: its loop verbatim, with the b-steps,
-# residuals and proxes of that form, so the in-place loop can be held to it
-# bit for bit. A nuclear fit iterates on V^T z when rotate is set, as
-# `_fit_admm` does; unset, it runs in b's own coordinates, the reference that
-# the rotated fits are held to within rounding.
-def _out_of_place_prox_l1(v, t):
-    m = np.maximum(np.abs(v) - t, 0.0)
-    return np.sign(v) * m, float(np.sum(m))
+# ADMM as `_fit_admm` runs it, with a fresh array for every temporary and
+# the regularizer summed on every step, so that the in-place loop can be
+# held to it bit for bit: its loop verbatim, with its fused update stated out
+# of place by `_fused_coordinates`. With fused unset it is the unfused update
+# that the fused one replaced, in b's own coordinates for either method: b,
+# b' = ALPHA b + (1 - ALPHA) z, z = prox(b' + u) and u += b' - z, with x z
+# and x^T e at the checks. That loop is the reference that the fused,
+# rotated fits are held to within rounding.
+def _out_of_place_prox(lasso, fused):
+    def prox(v, t):
+        if lasso and fused:
+            z = kept = v - np.clip(v, -t, t)
+        elif lasso:
+            kept = np.maximum(np.abs(v) - t, 0.0)
+            z = np.sign(v) * kept
+        else:
+            z, kept = _prox_nuclear(v, t)
+        return z, float(np.sum(np.abs(kept) if fused else kept))
 
-
-def _out_of_place_prox_nuclear(v, t):
-    p, s = _prox_nuclear(v, t)
-    return p, float(np.sum(s))
+    return prox
 
 
 def _out_of_place_dual_l1(g):
@@ -250,33 +256,53 @@ def _out_of_place_b_step(dec, uty, rho):
     return lambda r: ky + r - v @ (g * (v.T @ r))
 
 
-def _out_of_place_coordinates(x, y, dec, rotate):
-    """(shape, rho -> b-step, z -> (||e||^2, x^T e), z -> b), in b's
-    coordinates or, when rotate is set, in V's."""
+def _out_of_place_coordinates(x, y, dec):
+    """(shape, rho -> b-step, z -> (||e||^2, x^T e), z -> b) of the unfused
+    update, in b's coordinates."""
     uty = dec.u.T @ y
-    if not rotate:
-        def residual(z):
-            e = y - x @ z
-            return float(np.sum(e * e)), x.T @ e
 
-        return ((x.shape[1], y.shape[1]), lambda rho: _out_of_place_b_step(dec, uty, rho),
-                residual, lambda z: z)
-    s = dec.s[:, None]
+    def residual(z):
+        e = y - x @ z
+        return float(np.sum(e * e)), x.T @ e
+
+    return ((x.shape[1], y.shape[1]), lambda rho: _out_of_place_b_step(dec, uty, rho),
+            residual, lambda z: z)
+
+
+def _fused_coordinates(y, dec, lasso):
+    """(shape, (rho, alpha) -> step, z -> (||e||^2, x^T e), z -> b) of the
+    fused update: a step returns v = alpha b(z - u) + (1 - alpha) z + u, in
+    b's coordinates for lasso and V's for nuclear, and a check reads e = U^T
+    y - s V^T z."""
+    uty, s, v = dec.u.T @ y, dec.s[:, None], dec.v
+    s2 = s * s
     perp = y - dec.u @ uty
     perp2 = float(np.sum(perp * perp))
 
-    def step_at(rho):
-        ky, c = s / (s * s + rho) * uty, rho / (s * s + rho)
-        return lambda r: ky + c * r
-
-    def residual(z):
-        e = uty - s * z
+    def residual(vtz):
+        e = uty - s * vtz
         return float(np.sum(e * e)) + perp2, s * e
 
-    return uty.shape, step_at, residual, lambda z: dec.v @ z
+    if lasso:
+        def step_at(rho, alpha):
+            ky, gvt = v @ (alpha * s / (s2 + rho) * uty), alpha * s2 / (s2 + rho) * v.T
+            return lambda z, u: ky + z - v @ (gvt @ (z - u)) + (1.0 - alpha) * u
+
+        def b_residual(z):
+            e2, g = residual(v.T @ z)
+            return e2, v @ g
+
+        return (v.shape[0], y.shape[1]), step_at, b_residual, lambda z: z
+
+    def step_at(rho, alpha):
+        c = rho / (s2 + rho)
+        ky, cz, cu = alpha * s / (s2 + rho) * uty, alpha * c + (1.0 - alpha), 1.0 - alpha * c
+        return lambda z, u: cz * z + ky + cu * u
+
+    return uty.shape, step_at, residual, lambda z: v @ z
 
 
-def _out_of_place_admm(x, y, mu, dec, lasso, max_iters, tol, rotate=None):
+def _out_of_place_admm(x, y, mu, dec, lasso, max_iters, tol, fused=True):
     ALPHA, KKT_TOL = baselines.ALPHA, baselines.KKT_TOL
     _objective_and_gap = baselines._objective_and_gap
     dual_norm = _out_of_place_dual_l1 if lasso else _out_of_place_dual_nuclear
@@ -284,23 +310,31 @@ def _out_of_place_admm(x, y, mu, dec, lasso, max_iters, tol, rotate=None):
     f, gap, norm = _objective_and_gap(float(np.sum(y * y)), x.T @ y, z, 0.0, mu, dual_norm)
     if gap <= tol and norm <= (1.0 + KKT_TOL) * mu:
         return z, 0, True, gap
-    shape, step_at, residual, to_b = _out_of_place_coordinates(
-        x, y, dec, not lasso if rotate is None else rotate)
-    prox = _out_of_place_prox_l1 if lasso else _out_of_place_prox_nuclear
+    if fused:
+        shape, step_at, residual, to_b = _fused_coordinates(y, dec, lasso)
+    else:
+        shape, step_at, residual, to_b = _out_of_place_coordinates(x, y, dec)
+    prox = _out_of_place_prox(lasso, fused)
     s = dec.s
     rank = numerical_rank(s, x.shape)
     rho = float(s[0] * s[rank - 1]) if rank else 1.0  # any rho fits a zero design
-    step = step_at(rho)
+    step = step_at(rho, 1.0) if fused else step_at(rho)
     z, u = np.zeros(shape), np.zeros(shape)
     best, lowest_f, lowest_gap, stalled, iters = z, f, gap, 0, 0
     for iters in range(1, max_iters + 1):
-        b = step(z - u)
-        if iters > 1:
-            b = ALPHA * b + (1.0 - ALPHA) * z
         z_prev = z
-        z, r_z = prox(b + u, mu / rho)
-        primal = b - z
-        u += primal
+        if fused:
+            v = step(z, u)
+            z, r_z = prox(v, mu / rho)
+            u_prev, u = u, v - z
+            primal = u - u_prev
+        else:
+            b = step(z - u)
+            if iters > 1:
+                b = ALPHA * b + (1.0 - ALPHA) * z
+            z, r_z = prox(b + u, mu / rho)
+            primal = b - z
+            u += primal
         if iters != 1 and iters % 10 and iters != max_iters:
             continue
         e2, g = residual(z)
@@ -318,7 +352,7 @@ def _out_of_place_admm(x, y, mu, dec, lasso, max_iters, tol, rotate=None):
             primal2 = float(np.sum(primal * primal)) * float(np.sum(u * u))
             dual2 = float(np.sum((z - z_prev) ** 2)) * float(np.sum(z * z))
             rho, u = (2.0 * rho, 0.5 * u) if primal2 > dual2 else (0.5 * rho, 2.0 * u)
-            step = step_at(rho)
+            step = step_at(rho, ALPHA) if fused else step_at(rho)
     return to_b(best), iters, False, gap
 
 
@@ -649,20 +683,23 @@ class TestProximalSolver:
             else:
                 assert a == b
 
-    def test_compare_nuclear_fits_match_the_loop_in_b_coordinates(self):
-        # compare-solvers' 30 nuclear fits (seeds 0-9, mu 0.3, 1 and 3) take,
-        # in V's coordinates, the iterations and the converged flags of the
+    def test_compare_fits_match_the_unfused_loop_in_b_coordinates(self):
+        # compare-solvers' 60 lasso and nuclear fits (seeds 0-9, mu 0.3, 1
+        # and 3) take, with the fused update and the checks in V's
+        # coordinates, the iterations and the converged flags of the unfused
         # loop in b's own coordinates, and stop within 1e-12 of its z
         for seed in range(10):
             inst = make_instance(SynthConfig(d1=60, d2=30, n=80, rank_m=5, eta=1.0, seed=seed))
             dec = decompose(inst.x)
-            for mu in (0.3, 1.0, 3.0):
-                z, iters, converged, _ = baselines._fit_admm(inst.x, inst.y, mu, dec, False)
-                want, want_iters, want_converged, _ = _out_of_place_admm(
-                    inst.x, inst.y, mu, dec, False, baselines.MAX_ITERS, baselines.TOL,
-                    rotate=False)
-                assert (iters, converged) == (want_iters, want_converged), (seed, mu)
-                assert np.linalg.norm(z - want) <= 1e-12 * np.linalg.norm(want), (seed, mu)
+            for lasso in (True, False):
+                for mu in (0.3, 1.0, 3.0):
+                    z, iters, converged, _ = baselines._fit_admm(inst.x, inst.y, mu, dec, lasso)
+                    want, want_iters, want_converged, _ = _out_of_place_admm(
+                        inst.x, inst.y, mu, dec, lasso, baselines.MAX_ITERS, baselines.TOL,
+                        fused=False)
+                    case = (seed, lasso, mu)
+                    assert (iters, converged) == (want_iters, want_converged), case
+                    assert np.linalg.norm(z - want) <= 1e-12 * np.linalg.norm(want), case
 
     @pytest.mark.parametrize("n, d1", [(20, 40), (40, 8)], ids=["wide", "tall"])
     def test_nuclear_prox_sees_the_rotated_iterate(self, n, d1, monkeypatch):
@@ -678,7 +715,7 @@ class TestProximalSolver:
         z, iters, converged, _ = baselines._fit_admm(x, y, mu, dec, False)
         assert converged and shapes == [(min(n, d1), 3)] * iters
         want, want_iters, want_converged, _ = _out_of_place_admm(
-            x, y, mu, dec, False, baselines.MAX_ITERS, baselines.TOL, rotate=False)
+            x, y, mu, dec, False, baselines.MAX_ITERS, baselines.TOL, fused=False)
         assert (iters, converged) == (want_iters, want_converged)
         assert z.shape == (d1, 3)
         assert np.linalg.norm(z - want) <= 1e-12 * np.linalg.norm(want)
@@ -764,7 +801,7 @@ class TestProximalSolver:
         # 1e2 s_1^2 and 1e-7 at 1e-6 s_1^2
         x, y, r, rho = case
         dec = decompose(x)
-        got = _coordinates(x, y, dec, True)[1](rho)(r)
+        got = _coordinates(y, dec, True)[1](rho, 1.0)(r, np.zeros_like(r))
         want = np.linalg.solve(x.T @ x + rho * np.eye(x.shape[1]), x.T @ y + rho * r)
         kappa = (float(np.linalg.norm(x, 2)) ** 2 + rho) / rho
         assert np.linalg.norm(got - want) <= 1e-13 * kappa * np.linalg.norm(want)

@@ -338,8 +338,8 @@ class TestSweep:
         # one cell of sweep-rankpath (d1 200, d2 100, n 150, rank 50; k1 100
         # and 150, k2 30 to 70). tracemalloc's peak of a warm call was
         # 3,893,046 bytes while the rank path kept every k1's factors and the
-        # cell its instance, and 2,545,142 bytes once each array is released
-        # after its last read (numpy 2.4.6)
+        # cell its instance, 2,545,142 bytes once each array is released after
+        # its last read, and 2,416,912 once the SVD of x is too (numpy 2.4.6)
         syn = SynthConfig(d1=200, d2=100, n=150, rank_m=50, eta=0.25, seed=0)
         fit = cli._fit_section({"fit": {"theta": 2.0, "sigma_eps": "oracle"}},
                                default_sigma="oracle")
@@ -557,6 +557,28 @@ class TestCompare:
         cfg = _write_json(tmp_path, "cfg.json", dict(payload, baselines=_ALL_BASELINES))
         assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert factored == [1] * len(designs)
+
+    def test_a_compare_cell_stays_within_its_memory_budget(self):
+        # one cell of compare-solvers (d1 60, d2 30, n 80, rank 5; its six
+        # baseline grids). tracemalloc's peak of a warm call was 598,894 to
+        # 601,854 bytes on seeds 0-9 (numpy 2.4.6), 570,358 to 573,510 before
+        # lasso's step held (alpha g) V^T; the budget leaves 20% above that
+        fit = cli._fit_section({"fit": {"sigma_eps": "oracle"}}, default_sigma="oracle")
+        grid = cli._baseline_grid({"baselines": [
+            {"method": "ridge", "mu": [0.1, 1.0, 10.0]}, {"method": "rrr", "rank": [2, 5, 10]},
+            {"method": "pcr", "rank": [5, 10, 20]},
+            {"method": "reduced_rank_ridge", "mu": 1.0, "rank": 5},
+            {"method": "lasso", "mu": [0.3, 1.0, 3.0]},
+            {"method": "nuclear", "mu": [0.3, 1.0, 3.0]}]})
+        args = (fit, grid, SynthConfig(d1=60, d2=30, n=80, rank_m=5, eta=1.0, seed=0))
+        cli._compare_cell(args)  # the first call's one-time allocations
+        tracemalloc.start()
+        try:
+            cli._compare_cell(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 722_000
 
     def test_cell_path_matches_per_method_reference(self, tmp_path):
         # the twin of the rolling candidate-path test: every row from separate

@@ -905,6 +905,37 @@ class TestRankPath:
         gc.collect()
         assert not any(r() is not None for rs in refs.values() for r in rs)
 
+    @pytest.mark.parametrize("last_sigma, held", [(1.0, [True, True, False]),
+                                                  ("auto", [True, True, True])])
+    def test_the_svd_of_x_is_released_after_its_last_reader(self, monkeypatch, last_sigma,
+                                                           held):
+        # stage 1 of each new (delta, k1) and the noise pilot read the SVD of
+        # x: when the last k1 is scored, nothing holds it any more, unless
+        # the pilot has yet to run, at the path's last config
+        refs, seen = [], []
+        real = (estimator.decompose, estimator._direction_sums)
+
+        def decompose(a):
+            dec = real[0](a)
+            if not refs:  # x's SVD comes first
+                refs.extend(weakref.ref(f) for f in (dec, dec.u, dec.s, dec.v))
+            return dec
+
+        def direction_sums(*args):
+            gc.collect()
+            seen.append(any(r() is not None for r in refs))
+            return real[1](*args)
+
+        monkeypatch.setattr(estimator, "decompose", decompose)
+        monkeypatch.setattr(estimator, "_direction_sums", direction_sums)
+        x, y = _path_data(0, 20, 8, 5)
+        configs = [FitConfig(sigma_eps=1.0, k1_override=k1, k2_override=k2)
+                   for k1 in (3, 6, 4) for k2 in (2, 0, 1)]
+        configs[-1] = dataclasses.replace(configs[-1], sigma_eps=last_sigma)
+        scores = list(rank_path_scores(x, y, configs, x, y, np.zeros((5, 8))))
+        assert len(scores) == len(configs)
+        assert seen == held
+
     @pytest.mark.parametrize("x_new, error, message", [
         (np.ones((4, 7)), ValueError, "x_new must have 8 columns"),
         (np.ones(8), ValueError, "x_new must have 8 columns"),
